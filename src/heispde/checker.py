@@ -56,14 +56,7 @@ __all__ = [
 SCHEMA = "heispde-report-v1"
 THREADS_ENV = "HEISPDE_THREADS"
 
-SECOND_ORDER_OPS = (
-    "pucci_max",
-    "pucci_min",
-    "pucci_plus_alpha",
-    "pucci_minus_alpha",
-    "pnorm",
-    "neg_trace",
-)
+SECOND_ORDER_OPS = tuple(operators.OPERATORS)
 
 LYAPUNOV_CONDITIONS = (
     "condcor1",
@@ -136,19 +129,11 @@ class OperatorSpec:
     zero_tol: float = 1e-12
 
     def __post_init__(self) -> None:
-        if self.second_order not in SECOND_ORDER_OPS:
-            raise ValueError(f"unknown second-order operator {self.second_order!r}")
+        operators.operator_entry(self.second_order, self.params)
         if self.sense not in ("subsolution", "supersolution"):
             raise ValueError(f"unknown sense {self.sense!r}")
         if self.envelope not in ("inf", "sup"):
             raise ValueError(f"unknown envelope side {self.envelope!r}")
-        if self.second_order in ("pucci_max", "pucci_min") and self.ell is None:
-            raise ValueError(f"{self.second_order} needs an Ellipticity")
-        if self.second_order in ("pucci_plus_alpha", "pucci_minus_alpha"):
-            if self.alpha is None:
-                raise ValueError(f"{self.second_order} needs alpha")
-        if self.second_order == "pnorm" and self.p is None:
-            raise ValueError("pnorm needs the exponent p")
         if self.gradient_space not in (None, "horizontal", "euclidean"):
             raise ValueError(f"unknown gradient space {self.gradient_space!r}")
         if (
@@ -157,6 +142,11 @@ class OperatorSpec:
             and self.first_order.gradient_space != self.gradient_space
         ):
             raise ValueError("gradient_space disagrees with the Bellman family")
+
+    @property
+    def params(self) -> dict:
+        """Parameters in the form the operators table reads."""
+        return {"ell": self.ell, "alpha": self.alpha, "p": self.p, "zero_tol": self.zero_tol}
 
 
 @dataclass(frozen=True)
@@ -288,42 +278,18 @@ def _gaussian_directions(u: np.ndarray) -> np.ndarray:
     return g
 
 
-def _sample_heis(region: Region, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    d = (dim - 1) // 2
+def _sample_points(region: Region, space: str, dim: int) -> np.ndarray:
     n = region.n_samples
     if region.sampler == "sobol":
         u = _sobol_unit(n, dim + 1, region.seed)
         r = _shell_radii(u[:, 0], region.rho_min, region.rho_max)
         g = _gaussian_directions(u[:, 1:])
+        if space == "euclidean":
+            return g * (r / np.sqrt(np.einsum("ij,ij->i", g, g)))[:, None]
         # rho is 1-homogeneous under dilations, so dilating by r/rho(g)
         # lands exactly on the target gauge sphere.
-        pts = hgroup.dilate(r / hgroup.hnorm(g), g)
-    else:
-        nt = max(2, int(math.ceil(math.sqrt(n / 2.0))))
-        nr = max(1, int(math.ceil(n / (2.0 * nt))))
-        rr = np.geomspace(region.rho_min, region.rho_max, nr)
-        tt = np.linspace(0.0, 1.0, nt)
-        r_g, t_g, s_g = np.meshgrid(rr, tt, np.array([1.0, -1.0]), indexing="ij")
-        r_g, t_g, s_g = (a.ravel()[:n] for a in (r_g, t_g, s_g))
-        N = r_g.shape[0]
-        xh = np.zeros((N, 2 * d))
-        xh[np.arange(N), np.arange(N) % (2 * d)] = r_g * t_g
-        vert = s_g * r_g**2 * np.sqrt(np.clip(1.0 - t_g**4, 0.0, None))
-        pts = np.concatenate([xh, vert[:, None]], axis=1)
-    rho = hgroup.hnorm(pts)
-    xh2 = np.einsum("ij,ij->i", pts[:, : 2 * d], pts[:, : 2 * d])
-    tau = np.sqrt(xh2) / rho
-    return pts, rho, tau
-
-
-def _sample_euclid(region: Region, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    n = region.n_samples
-    if region.sampler == "sobol":
-        u = _sobol_unit(n, dim + 1, region.seed)
-        r = _shell_radii(u[:, 0], region.rho_min, region.rho_max)
-        g = _gaussian_directions(u[:, 1:])
-        pts = g * (r / np.sqrt(np.einsum("ij,ij->i", g, g)))[:, None]
-    else:
+        return hgroup.dilate(r / hgroup.hnorm(g), g)
+    if space == "euclidean":
         nr = max(1, int(math.ceil(n / (2.0 * dim))))
         rr = np.geomspace(region.rho_min, region.rho_max, nr)
         r_g, axis_g, sign_g = np.meshgrid(
@@ -333,7 +299,46 @@ def _sample_euclid(region: Region, dim: int) -> tuple[np.ndarray, np.ndarray]:
         N = r_g.shape[0]
         pts = np.zeros((N, dim))
         pts[np.arange(N), axis_g.astype(int)] = sign_g * r_g
-    return pts, np.sqrt(np.einsum("ij,ij->i", pts, pts))
+        return pts
+    m = dim - 1
+    nt = max(2, int(math.ceil(math.sqrt(n / 2.0))))
+    nr = max(1, int(math.ceil(n / (2.0 * nt))))
+    rr = np.geomspace(region.rho_min, region.rho_max, nr)
+    tt = np.linspace(0.0, 1.0, nt)
+    r_g, t_g, s_g = np.meshgrid(rr, tt, np.array([1.0, -1.0]), indexing="ij")
+    r_g, t_g, s_g = (a.ravel()[:n] for a in (r_g, t_g, s_g))
+    N = r_g.shape[0]
+    xh = np.zeros((N, m))
+    xh[np.arange(N), np.arange(N) % m] = r_g * t_g
+    vert = s_g * r_g**2 * np.sqrt(np.clip(1.0 - t_g**4, 0.0, None))
+    return np.concatenate([xh, vert[:, None]], axis=1)
+
+
+def _radius_tau(pts: np.ndarray, space: str) -> tuple[np.ndarray, np.ndarray | None]:
+    """Gauge (or Euclidean) radius and, on the group, tau = |x_H| / rho."""
+    if space == "euclidean":
+        return np.sqrt(np.einsum("ij,ij->i", pts, pts)), None
+    d = (pts.shape[1] - 1) // 2
+    rho = hgroup.hnorm(pts)
+    xh2 = np.einsum("ij,ij->i", pts[:, : 2 * d], pts[:, : 2 * d])
+    return rho, np.sqrt(xh2) / rho
+
+
+def _exclude_tubes(admissible, radius, tau, region, singular_radii, excluded_by) -> None:
+    """Clear admissible inside the characteristic and kink tubes, counting by reason."""
+    if tau is not None and region.char_eps > 0.0:
+        hit = admissible & (tau < region.char_eps)
+        if np.any(hit):
+            excluded_by["characteristic_tube"] = int(hit.sum())
+            admissible &= ~hit
+    if region.kink_eps > 0.0:
+        hit = np.zeros_like(admissible)
+        for rk in singular_radii:
+            hit |= np.abs(radius - rk) < region.kink_eps
+        hit &= admissible
+        if np.any(hit):
+            excluded_by["kink_tube"] = int(hit.sum())
+            admissible &= ~hit
 
 
 def sample_region(
@@ -348,29 +353,14 @@ def sample_region(
     Exclusions are counted by reason; n_admissible + sum(excluded_by.values())
     equals n_samples.
     """
-    if space == "heisenberg":
-        pts, radius, tau = _sample_heis(region, dim)
-    elif space == "euclidean":
-        pts, radius = _sample_euclid(region, dim)
-        tau = None
-    else:
+    if space not in ("heisenberg", "euclidean"):
         raise ValueError(f"unknown space {space!r}")
+    pts = _sample_points(region, space, dim)
+    radius, tau = _radius_tau(pts, space)
 
     admissible = np.ones(region.n_samples, dtype=bool)
     excluded_by: dict[str, int] = {}
-    if tau is not None and region.char_eps > 0.0:
-        hit = admissible & (tau < region.char_eps)
-        if np.any(hit):
-            excluded_by["characteristic_tube"] = int(hit.sum())
-            admissible &= ~hit
-    if region.kink_eps > 0.0:
-        hit = np.zeros_like(admissible)
-        for rk in singular_radii:
-            hit |= np.abs(radius - rk) < region.kink_eps
-        hit &= admissible
-        if np.any(hit):
-            excluded_by["kink_tube"] = int(hit.sum())
-            admissible &= ~hit
+    _exclude_tubes(admissible, radius, tau, region, singular_radii, excluded_by)
     return SampleBatch(pts, radius, tau, admissible, excluded_by, space, dim)
 
 
@@ -385,52 +375,21 @@ def _resolve_gspace(space: str, spec: OperatorSpec) -> str:
     return gs
 
 
-def _magnitude_factor(spec: OperatorSpec) -> float:
-    if spec.second_order in ("pucci_max", "pucci_min"):
-        return spec.ell.Lam
-    if spec.second_order == "pnorm":
-        return 1.0 + abs(spec.p - 2.0)
-    return 1.0
+def _terms_for(field, spec: OperatorSpec, pts: np.ndarray, rows: np.ndarray) -> dict:
+    """Evaluate operator ingredients at points (N, dim).
 
-
-def _second_order_values(
-    spec: OperatorSpec, mat: np.ndarray, eigs: np.ndarray, q: np.ndarray, alive: np.ndarray
-) -> np.ndarray:
-    out = np.zeros(eigs.shape[:-1])
-    scale = np.sqrt(np.einsum("...ij,...ij->...", mat, mat))
-    if spec.second_order == "pucci_max":
-        neg, pos = operators.signed_eig_sums(eigs, scale, spec.zero_tol)
-        out = -spec.ell.Lam * neg - spec.ell.lam * pos
-    elif spec.second_order == "pucci_min":
-        neg, pos = operators.signed_eig_sums(eigs, scale, spec.zero_tol)
-        out = -spec.ell.Lam * pos - spec.ell.lam * neg
-    elif spec.second_order in ("pucci_plus_alpha", "pucci_minus_alpha"):
-        pa = PucciAlpha(spec.alpha, mat.shape[-1])
-        tr = np.einsum("...ii->...", mat)
-        extreme = eigs[..., 0] if spec.second_order == "pucci_plus_alpha" else eigs[..., -1]
-        out = -pa.alpha * tr - (1.0 - pa.m * pa.alpha) * extreme
-    elif spec.second_order == "pnorm":
-        out = np.zeros(eigs.shape[:-1])
-        if np.any(alive):
-            out[alive] = operators.pnorm_operator(spec.p, q[alive], mat[alive])
-    elif spec.second_order == "neg_trace":
-        out = -np.einsum("...ii->...", mat)
-    return out
-
-
-def _terms_for(field, spec: OperatorSpec, pts: np.ndarray) -> dict:
-    """Evaluate operator ingredients at points (N, dim)."""
+    rows are the indices of pts among the batch's points, which are the rows
+    of a TabulatedField.
+    """
     if isinstance(field, TabulatedField):
-        sel = _match_rows(field.points, pts)
-        val = field.values[sel]
-        grad = field.gradients[sel]
-        hess = field.hessians[sel]
-        space = field.space
+        val = field.values[rows]
+        grad = field.gradients[rows]
+        hess = field.hessians[rows]
     else:
         val = np.asarray(field.value(pts), dtype=float)
         grad = np.asarray(field.gradient(pts), dtype=float)
         hess = np.asarray(field.hessian(pts), dtype=float)
-        space = field.space
+    space = field.space
 
     if space == "heisenberg":
         mat = hgroup.h_hessian(grad, hess, pts)
@@ -442,12 +401,17 @@ def _terms_for(field, spec: OperatorSpec, pts: np.ndarray) -> dict:
     gspace = _resolve_gspace(space, spec)
     q = hgrad if gspace == "horizontal" else grad
 
-    alive = np.ones(pts.shape[0], dtype=bool)
-    if spec.second_order == "pnorm":
-        alive = np.einsum("...i,...i->...", q, q) > 0.0
-
+    value = operators.OPERATORS[spec.second_order].value
     eigs = operators.sym_eigenvalues(mat)
-    second = _second_order_values(spec, mat, eigs, q, alive)
+    if spec.second_order == "pnorm":
+        # pnorm is undefined at q = 0; those rows are excluded, not evaluated.
+        alive = np.einsum("...i,...i->...", q, q) > 0.0
+        second = np.zeros(pts.shape[0])
+        if np.any(alive):
+            second[alive] = value(eigs[alive], mat[alive], q[alive], spec.params)
+    else:
+        alive = np.ones(pts.shape[0], dtype=bool)
+        second = value(eigs, mat, q, spec.params)
 
     if spec.first_order is not None:
         side = operators.hjb_inf if spec.envelope == "inf" else operators.hjb_sup
@@ -465,32 +429,14 @@ def _terms_for(field, spec: OperatorSpec, pts: np.ndarray) -> dict:
     }
 
 
-def _match_rows(table_pts: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    # The checker feeds back the very rows it was given, in order; recover
-    # indices by identity of the admissible mask application.
-    if pts.shape[0] == table_pts.shape[0] and np.array_equal(pts, table_pts):
-        return np.arange(pts.shape[0])
-    # Fall back to a positional scan (admissible subset keeps order).
-    idx = []
-    j = 0
-    for row in pts:
-        while j < table_pts.shape[0] and not np.array_equal(table_pts[j], row):
-            j += 1
-        if j == table_pts.shape[0]:
-            raise ValueError("points are not a subsequence of the table")
-        idx.append(j)
-        j += 1
-    return np.asarray(idx, dtype=int)
-
-
-def _chunked_terms(field, spec, pts) -> dict:
+def _chunked_terms(field, spec, pts, rows) -> dict:
     n_threads = _thread_count()
     n = pts.shape[0]
     if n_threads <= 1 or n < 2 * n_threads:
-        return _terms_for(field, spec, pts)
-    chunks = np.array_split(pts, n_threads)
+        return _terms_for(field, spec, pts, rows)
+    chunks = zip(np.array_split(pts, n_threads), np.array_split(rows, n_threads))
     with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        parts = list(pool.map(lambda c: _terms_for(field, spec, c), chunks))
+        parts = list(pool.map(lambda c: _terms_for(field, spec, *c), chunks))
     return {
         key: np.concatenate([p[key] for p in parts], axis=0) for key in parts[0]
     }
@@ -533,9 +479,8 @@ def _reference_values(field, spec, rho, tau):
 
 def _witness(batch, idx_adm, terms, excess, allow, order):
     k = int(order)
-    pt = batch.points[idx_adm][k]
-    w = {
-        "point": [float(v) for v in pt],
+    return {
+        "point": [float(v) for v in batch.points[idx_adm][k]],
         "radius": float(batch.radius[idx_adm][k]),
         "tau": None if batch.tau is None else float(batch.tau[idx_adm][k]),
         "value": float(terms["value"][k]),
@@ -546,7 +491,6 @@ def _witness(batch, idx_adm, terms, excess, allow, order):
         "excess": float(excess[k]),
         "allowance": float(allow[k]),
     }
-    return w
 
 
 def _field_echo(field) -> dict:
@@ -651,38 +595,16 @@ def check_tabulated(
     """
     t0 = time.perf_counter()
     pts = table.points
-    radius = (
-        hgroup.hnorm(pts)
-        if table.space == "heisenberg"
-        else np.sqrt(np.einsum("ij,ij->i", pts, pts))
-    )
+    radius, tau = _radius_tau(pts, table.space)
     n = pts.shape[0]
     region = dataclasses.replace(region, n_samples=n)
-    if table.space == "heisenberg":
-        d = (table.dim - 1) // 2
-        xh2 = np.einsum("ij,ij->i", pts[:, : 2 * d], pts[:, : 2 * d])
-        tau = np.sqrt(xh2) / radius
-    else:
-        tau = None
 
     admissible = (radius >= region.rho_min) & (radius <= region.rho_max)
     excluded_by: dict[str, int] = {}
     out_of_range = int((~admissible).sum())
     if out_of_range:
         excluded_by["outside_radius_range"] = out_of_range
-    if tau is not None and region.char_eps > 0.0:
-        hit = admissible & (tau < region.char_eps)
-        if np.any(hit):
-            excluded_by["characteristic_tube"] = int(hit.sum())
-            admissible &= ~hit
-    if region.kink_eps > 0.0:
-        hit = np.zeros_like(admissible)
-        for rk in table.singular_radii:
-            hit |= np.abs(radius - rk) < region.kink_eps
-        hit &= admissible
-        if np.any(hit):
-            excluded_by["kink_tube"] = int(hit.sum())
-            admissible &= ~hit
+    _exclude_tubes(admissible, radius, tau, region, table.singular_radii, excluded_by)
 
     batch = SampleBatch(pts, radius, tau, admissible, excluded_by, table.space, table.dim)
     config = {
@@ -704,7 +626,7 @@ def _inequality_from_batch(
         return _vacuous_report("inequality", tol, region, batch, config, t0)
 
     pts = batch.points[adm]
-    terms = _chunked_terms(field, spec, pts)
+    terms = _chunked_terms(field, spec, pts, np.flatnonzero(adm))
 
     alive = terms["alive"]
     excluded_by = dict(batch.excluded_by)
@@ -719,9 +641,8 @@ def _inequality_from_batch(
     rho_adm = batch.radius[adm]
     tau_adm = None if batch.tau is None else batch.tau[adm]
 
-    mag = _magnitude_factor(spec) * np.abs(terms["eigs"]).sum(axis=-1) + np.abs(
-        terms["first"]
-    )
+    factor = operators.OPERATORS[spec.second_order].magnitude(spec.params)
+    mag = factor * np.abs(terms["eigs"]).sum(axis=-1) + np.abs(terms["first"])
     allow = _allowance(tol, mag)
 
     formula = None
@@ -736,9 +657,8 @@ def _inequality_from_batch(
         ref_vals, ref_valid = ref
         use = ref_valid & alive
         dev = np.abs(terms["total"] - ref_vals)
-        dev_allow = np.maximum(_ABS_FLOOR, tol * np.maximum(1.0, np.abs(ref_vals)))
+        dev_allow = _allowance(tol, np.abs(ref_vals))
         excess = np.where(use, dev, -np.inf)
-        allow_f = dev_allow
         nonzero = use & (ref_vals != 0.0)
         max_rel = float((dev[nonzero] / np.abs(ref_vals[nonzero])).max()) if np.any(nonzero) else None
         formula = {
@@ -748,12 +668,12 @@ def _inequality_from_batch(
             "max_rel_deviation": max_rel,
         }
         viol = np.where(use, dev - dev_allow, -np.inf)
-        verdict = "pass" if np.any(use) and viol.max() <= 0.0 else "fail"
-        if not np.any(use):
-            verdict = "vacuous"
-        worst = float(np.where(use, dev, -np.inf).max()) if np.any(use) else None
-        order = int(np.argmax(viol))
-        witness = _witness(batch, adm, terms, excess, allow_f, order) if np.any(use) else None
+        if np.any(use):
+            verdict = "pass" if viol.max() <= 0.0 else "fail"
+            worst = float(excess.max())
+            witness = _witness(batch, adm, terms, excess, dev_allow, np.argmax(viol))
+        else:
+            verdict, worst, witness = "vacuous", None, None
         formula["pass"] = verdict == "pass"
     else:
         signed = terms["total"] if spec.sense == "subsolution" else -terms["total"]
@@ -761,22 +681,9 @@ def _inequality_from_batch(
         viol = np.where(alive, signed - allow, -np.inf)
         verdict = "pass" if viol.max() <= 0.0 else "fail"
         worst = float(excess.max())
-        order = int(np.argmax(viol))
-        witness = _witness(batch, adm, terms, excess, allow, order)
+        witness = _witness(batch, adm, terms, excess, allow, np.argmax(viol))
 
-    samples = None
-    if keep_samples:
-        samples = {
-            "points": pts,
-            "radius": rho_adm,
-            "tau": tau_adm,
-            "value": terms["value"],
-            "eigs": terms["eigs"],
-            "second": terms["second"],
-            "first": terms["first"],
-            "total": terms["total"],
-            "alive": alive,
-        }
+    samples = {"points": pts, "radius": rho_adm, "tau": tau_adm, **terms} if keep_samples else None
 
     return CheckReport(
         kind="inequality",
@@ -1040,9 +947,6 @@ class ConvergenceResult:
     c_estimate: float
     n_points: int
     n_shrinks: int
-
-    def to_rows(self) -> list:
-        return self.rows
 
 
 def _stencil_offsets(dim: int) -> np.ndarray:

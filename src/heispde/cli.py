@@ -31,7 +31,7 @@ from . import checker, gallery, operators
 from .checker import OperatorSpec, Region
 from .gallery import PROFILE_NAMES, ProfileRegimeError
 from .hgroup import HeisDims
-from .operators import Ellipticity, PucciAlpha
+from .operators import Ellipticity
 
 __all__ = ["FIXTURES", "PROFILE_DEFAULTS", "main", "run_fixture", "write_json_report"]
 
@@ -168,14 +168,19 @@ def _as_gammas(v):
     raise ValueError("gammas must be a comma-separated string or a list")
 
 
-def _as_matrix(v):
+def _as_array(v) -> np.ndarray:
+    """A JSON array given inline, as @file, or already parsed."""
     if isinstance(v, str):
         if v.startswith("@"):
             with open(v[1:], encoding="utf-8") as fh:
                 v = json.load(fh)
         else:
             v = json.loads(v)
-    arr = np.asarray(v, dtype=float)
+    return np.asarray(v, dtype=float)
+
+
+def _as_matrix(v):
+    arr = _as_array(v)
     if arr.ndim == 2:
         arr = arr[None]
     if arr.ndim != 3 or arr.shape[-1] != arr.shape[-2]:
@@ -184,13 +189,7 @@ def _as_matrix(v):
 
 
 def _as_vector(v):
-    if isinstance(v, str):
-        if v.startswith("@"):
-            with open(v[1:], encoding="utf-8") as fh:
-                v = json.load(fh)
-        else:
-            v = json.loads(v)
-    arr = np.asarray(v, dtype=float)
+    arr = _as_array(v)
     if arr.ndim == 1:
         arr = arr[None]
     if arr.ndim != 2:
@@ -549,17 +548,13 @@ def _write_field_table(path: str, report: checker.CheckReport, space: str) -> No
 
 def _cmd_verify(eff: dict) -> int:
     field, e, _ = _field_from(eff)
-    op = eff["op"]
-    sense = eff["sense"]
     default_op, default_sense = PROFILE_DEFAULTS[eff["field"]]
-    if op is None:
-        op = default_op
-    if sense is None:
-        sense = default_sense
+    op = eff["op"] or default_op
+    sense = eff["sense"] or default_sense
     spec = OperatorSpec(
         second_order=op,
         sense=sense,
-        ell=e if op in ("pucci_max", "pucci_min") else None,
+        ell=e if operators.OPERATORS[op].param == "ell" else None,
         alpha=eff["alpha"],
         p=eff["p"],
         envelope=eff["envelope"],
@@ -619,29 +614,16 @@ def _cmd_op_eval(eff: dict) -> int:
         raise CliError("op-eval needs --op and --matrix")
     op = eff["op"]
     mats = eff["matrix"]
-    m = mats.shape[-1]
-    eigs = operators.sym_eigenvalues(mats)
-    if op == "pucci_max":
-        values = operators.pucci_max(Ellipticity(eff["lam"], eff["Lam"]), mats, zero_tol=eff["zero_tol"])
-    elif op == "pucci_min":
-        values = operators.pucci_min(Ellipticity(eff["lam"], eff["Lam"]), mats, zero_tol=eff["zero_tol"])
-    elif op == "pucci_plus_alpha":
-        if eff["alpha"] is None:
-            raise CliError("pucci_plus_alpha needs --alpha")
-        values = operators.pucci_plus_alpha(PucciAlpha(eff["alpha"], m), mats)
-    elif op == "pucci_minus_alpha":
-        if eff["alpha"] is None:
-            raise CliError("pucci_minus_alpha needs --alpha")
-        values = operators.pucci_minus_alpha(PucciAlpha(eff["alpha"], m), mats)
-    elif op == "pnorm":
-        if eff["p"] is None or eff["q"] is None:
-            raise CliError("pnorm needs --p and --q")
-        q = eff["q"]
+    params = {"alpha": eff["alpha"], "p": eff["p"], "zero_tol": eff["zero_tol"]}
+    if operators.OPERATORS[op].param == "ell":
+        params["ell"] = Ellipticity(eff["lam"], eff["Lam"])
+    q = eff["q"]
+    if op == "pnorm":
+        if q is None:
+            raise CliError("pnorm needs --q")
         if q.shape[0] == 1 and mats.shape[0] > 1:
             q = np.broadcast_to(q, (mats.shape[0], q.shape[1]))
-        values = operators.pnorm_operator(eff["p"], q, mats)
-    else:
-        values = operators.neg_trace(mats)
+    values, eigs = operators.evaluate(op, mats, params, q)
     payload = {
         "schema": SCHEMA,
         "command": "op-eval",
@@ -846,13 +828,7 @@ def main(argv=None) -> int:
     try:
         eff = _effective(ns)
         return _DISPATCH[ns.command](eff)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ProfileRegimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, TypeError, OSError) as exc:
+    except (CliError, ProfileRegimeError, ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,8 +19,9 @@ The left-invariant horizontal frame is
 collected column-wise in the (2d+1) x 2d matrix sigma(x) whose top block is
 the identity and whose bottom row is (2 x_{d+1..2d}, -2 x_{1..d}).  The
 horizontal gradient of u is sigma(x)^T Du and the symmetrized horizontal
-Hessian is sigma^T D^2u sigma plus a first-order correction assembled from
-the frame Jacobians (which cancels identically for this frame).
+Hessian is exactly sigma^T D^2u sigma: the first-order frame-Jacobian term
+of X_i X_j u is Du_t * A[i, j] with A antisymmetric (A[i, i+d] = -2 =
+-A[i+d, i], from [X_i, X_{i+d}] = -4 d_t), so symmetrizing removes it.
 
 Every function accepts arbitrary leading batch axes; the last axis is the
 coordinate axis.
@@ -28,7 +29,6 @@ coordinate axis.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +41,6 @@ __all__ = [
     "euclid_grad_rho",
     "euclid_hess_rho",
     "frame",
-    "frame_correction",
     "group_inverse",
     "group_mul",
     "h_gradient",
@@ -203,39 +202,13 @@ def h_gradient(grad_u, x) -> np.ndarray:
     return g[..., : 2 * d] + g[..., -1:] * (2.0 * hperp(xa))
 
 
-@functools.lru_cache(maxsize=None)
-def _correction_weights(d: int) -> np.ndarray:
-    # (D sigma^j sigma^i) . Du = Du_t * A[i, j]; only the bottom frame row
-    # depends on x, so A is constant: A[i, j+d] = -2 delta_ij on the upper
-    # right, A[i+d, j] = +2 delta_ij on the lower left.  The symmetrized
-    # weights (A + A^T)/2 cancel exactly; the antisymmetric remainder is the
-    # commutator [X_i, X_{i+d}] = -4 d_t.
-    m = 2 * d
-    a = np.zeros((m, m))
-    a[:d, d:] = -2.0 * np.eye(d)
-    a[d:, :d] = 2.0 * np.eye(d)
-    return 0.5 * (a + a.T)
-
-
-def frame_correction(grad_u, x) -> np.ndarray:
-    """First-order part of the symmetrized horizontal Hessian.
-
-    Assembled from the (constant) frame Jacobians rather than assumed zero,
-    although for this frame the symmetrization cancels it identically.
-    """
-    xa, d = _as_points(x)
-    g = np.asarray(grad_u, dtype=float)
-    if g.shape[-1] != 2 * d + 1:
-        raise ValueError("gradient width does not match the point width")
-    w = _correction_weights(d)
-    return g[..., -1, None, None] * w
-
-
 def h_hessian(grad_u, hess_u, x, *, atol: float = 1e-12) -> np.ndarray:
-    """Symmetrized horizontal Hessian sigma^T D^2u sigma + correction.
+    """Symmetrized horizontal Hessian, exactly sigma^T D^2u sigma.
 
-    hess_u must be symmetric within atol (absolute, entrywise); the output is
-    symmetrized exactly.
+    The frame-Jacobian term of X_i X_j u is Du_t times an antisymmetric
+    matrix, since [X_i, X_{i+d}] = -4 d_t, so symmetrizing removes it and
+    grad_u does not enter.  hess_u must be symmetric within atol (absolute,
+    entrywise); the output is symmetrized exactly.
     """
     xa, d = _as_points(x)
     h = np.asarray(hess_u, dtype=float)
@@ -250,7 +223,6 @@ def h_hessian(grad_u, hess_u, x, *, atol: float = 1e-12) -> np.ndarray:
     hs = 0.5 * (h + np.swapaxes(h, -1, -2))
     s = frame(xa)
     out = np.einsum("...ia,...ij,...jb->...ab", s, hs, s)
-    out += frame_correction(grad_u, xa)
     return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 

@@ -4,19 +4,23 @@ All second-order operators act on symmetric m x m matrices and use the sign
 convention F(M) = sup/inf of Tr(-A M) over the relevant matrix set, so that
 F(D^2 u) <= 0 is the subsolution inequality and >= 0 the supersolution one.
 
-Two families are provided:
+Every second-order operator is one entry of the table OPERATORS, keyed by
+name.  An entry gives the parameter the operator requires (ell, alpha, p or
+none), its value as a function of (eigenvalues, matrix, q, params), and the
+factor that scales sum |e_k| into a bound on its magnitude:
 
-* Pucci extremal operators over the ellipticity box lam I <= A <= Lam I:
-      pucci_max(M) = -Lam * sum(e_k < 0) - lam * sum(e_k > 0)
-      pucci_min(M) = -Lam * sum(e_k > 0) - lam * sum(e_k < 0)
-  where e_k are the eigenvalues of M.
+    name               param  value                                     factor
+    pucci_max          ell    -Lam * sum(e_k < 0) - lam * sum(e_k > 0)  Lam
+    pucci_min          ell    -Lam * sum(e_k > 0) - lam * sum(e_k < 0)  Lam
+    pucci_plus_alpha   alpha  -alpha Tr M - (1 - m alpha) e_min         1
+    pucci_minus_alpha  alpha  -alpha Tr M - (1 - m alpha) e_max         1
+    pnorm              p      -Tr[(I + (p-2) qq^T/|q|^2) M]             1 + |p-2|
+    neg_trace          -      -Tr M                                     1
 
-* Trace-normalized extremal operators over
-  B_alpha = {A >= alpha I, Tr A = 1} (needs 0 < alpha <= 1/m):
-      pucci_plus_alpha(M)  = -alpha Tr M - (1 - m alpha) e_min
-      pucci_minus_alpha(M) = -alpha Tr M - (1 - m alpha) e_max
-
-plus the trace form of the normalized p-Laplacian and plain -Tr.
+The Pucci pair is extremal over lam I <= A <= Lam I, the alpha pair over
+B_alpha = {A >= alpha I, Tr A = 1} (needs 0 < alpha <= 1/m), and pnorm is
+the normalized p-Laplacian.  The public functions, the checker and the
+command line all read this one table.
 
 Eigenvalues with |e| <= zero_tol * ||M||_F are treated as zero and enter
 neither signed sum.  Matrix arguments may carry leading batch axes.
@@ -25,17 +29,21 @@ neither signed sum.  Matrix arguments may carry leading batch axes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 __all__ = [
     "Ellipticity",
     "HJBCoefficients",
+    "OPERATORS",
     "PucciAlpha",
+    "SecondOrderOp",
+    "evaluate",
     "hjb_inf",
     "hjb_sup",
     "neg_trace",
+    "operator_entry",
     "pnorm_operator",
     "pucci_max",
     "pucci_min",
@@ -124,46 +132,8 @@ def signed_eig_sums(
     return neg, pos
 
 
-def pucci_max(e: Ellipticity, mat, *, zero_tol: float = 1e-12) -> np.ndarray:
-    """Maximal Pucci operator sup Tr(-A M) over lam I <= A <= Lam I."""
-    m = _as_sym(mat, 1e-12)
-    eigs = np.linalg.eigvalsh(m)
-    neg, pos = signed_eig_sums(eigs, _fro(m), zero_tol)
-    return -e.Lam * neg - e.lam * pos
-
-
-def pucci_min(e: Ellipticity, mat, *, zero_tol: float = 1e-12) -> np.ndarray:
-    """Minimal Pucci operator inf Tr(-A M) over lam I <= A <= Lam I."""
-    m = _as_sym(mat, 1e-12)
-    eigs = np.linalg.eigvalsh(m)
-    neg, pos = signed_eig_sums(eigs, _fro(m), zero_tol)
-    return -e.Lam * pos - e.lam * neg
-
-
-def pucci_plus_alpha(pa: PucciAlpha, mat) -> np.ndarray:
-    """sup Tr(-A M) over A >= alpha I with Tr A = 1."""
-    m = _as_sym(mat, 1e-12)
-    if m.shape[-1] != pa.m:
-        raise ValueError(f"matrix size {m.shape[-1]} does not match pa.m = {pa.m}")
-    eigs = np.linalg.eigvalsh(m)
-    tr = np.einsum("...ii->...", m)
-    return -pa.alpha * tr - (1.0 - pa.m * pa.alpha) * eigs[..., 0]
-
-
-def pucci_minus_alpha(pa: PucciAlpha, mat) -> np.ndarray:
-    """inf Tr(-A M) over A >= alpha I with Tr A = 1."""
-    m = _as_sym(mat, 1e-12)
-    if m.shape[-1] != pa.m:
-        raise ValueError(f"matrix size {m.shape[-1]} does not match pa.m = {pa.m}")
-    eigs = np.linalg.eigvalsh(m)
-    tr = np.einsum("...ii->...", m)
-    return -pa.alpha * tr - (1.0 - pa.m * pa.alpha) * eigs[..., -1]
-
-
-def neg_trace(mat) -> np.ndarray:
-    """-Tr M, the trace form of the (sub-)Laplacian with the sign flipped."""
-    m = _as_sym(mat, 1e-12)
-    return -np.einsum("...ii->...", m)
+def _trace(mat: np.ndarray) -> np.ndarray:
+    return np.einsum("...ii->...", mat)
 
 
 def pnorm_operator(p: float, q, mat) -> np.ndarray:
@@ -182,9 +152,105 @@ def pnorm_operator(p: float, q, mat) -> np.ndarray:
     qq = np.einsum("...i,...i->...", qa, qa)
     if np.any(qq == 0.0):
         raise ValueError("normalized p-Laplacian is undefined at q = 0")
-    tr = np.einsum("...ii->...", m)
     qmq = np.einsum("...i,...ij,...j->...", qa, m, qa)
-    return -(tr + (p - 2.0) * qmq / qq)
+    return -(_trace(m) + (p - 2.0) * qmq / qq)
+
+
+class SecondOrderOp(NamedTuple):
+    """One entry of OPERATORS: required parameter, value, magnitude factor.
+
+    value(eigs, mat, q, params) takes the ascending eigenvalues of the
+    symmetric matrices mat, the gradient q (read by pnorm only) and a dict
+    holding the parameter under its name, plus "zero_tol" for the Pucci
+    pair.  Module functions are looked up when a value is computed, so
+    replacing one on the module (as a profiler does) reaches every caller.
+    """
+
+    param: str | None
+    value: Callable
+    magnitude: Callable
+
+
+def _pucci(maximal: bool) -> Callable:
+    def value(eigs, mat, q, params):
+        e = params["ell"]
+        neg, pos = signed_eig_sums(eigs, _fro(mat), params["zero_tol"])
+        return -e.Lam * neg - e.lam * pos if maximal else -e.Lam * pos - e.lam * neg
+
+    return value
+
+
+def _alpha(extreme: int) -> Callable:
+    def value(eigs, mat, q, params):
+        pa = PucciAlpha(params["alpha"], mat.shape[-1])
+        return -pa.alpha * _trace(mat) - (1.0 - pa.m * pa.alpha) * eigs[..., extreme]
+
+    return value
+
+
+OPERATORS: dict[str, SecondOrderOp] = {
+    "pucci_max": SecondOrderOp("ell", _pucci(maximal=True), lambda pr: pr["ell"].Lam),
+    "pucci_min": SecondOrderOp("ell", _pucci(maximal=False), lambda pr: pr["ell"].Lam),
+    "pucci_plus_alpha": SecondOrderOp("alpha", _alpha(extreme=0), lambda pr: 1.0),
+    "pucci_minus_alpha": SecondOrderOp("alpha", _alpha(extreme=-1), lambda pr: 1.0),
+    "pnorm": SecondOrderOp(
+        "p",
+        lambda eigs, mat, q, pr: pnorm_operator(pr["p"], q, mat),
+        lambda pr: 1.0 + abs(pr["p"] - 2.0),
+    ),
+    "neg_trace": SecondOrderOp(None, lambda eigs, mat, q, pr: -_trace(mat), lambda pr: 1.0),
+}
+
+
+def operator_entry(name: str, params: dict) -> SecondOrderOp:
+    """The OPERATORS entry for name; ValueError if params lacks its parameter."""
+    entry = OPERATORS.get(name)
+    if entry is None:
+        raise ValueError(f"unknown second-order operator {name!r}")
+    if entry.param is not None and params.get(entry.param) is None:
+        raise ValueError(f"{name} needs {entry.param}")
+    return entry
+
+
+def evaluate(name: str, mat, params: dict, q=None) -> tuple[np.ndarray, np.ndarray]:
+    """(values, eigenvalues) of the table operator name on matrices mat."""
+    entry = operator_entry(name, params)
+    m = _as_sym(mat, 1e-12)
+    eigs = np.linalg.eigvalsh(m)
+    return entry.value(eigs, m, q, params), eigs
+
+
+def pucci_max(e: Ellipticity, mat, *, zero_tol: float = 1e-12) -> np.ndarray:
+    """Maximal Pucci operator sup Tr(-A M) over lam I <= A <= Lam I."""
+    return evaluate("pucci_max", mat, {"ell": e, "zero_tol": zero_tol})[0]
+
+
+def pucci_min(e: Ellipticity, mat, *, zero_tol: float = 1e-12) -> np.ndarray:
+    """Minimal Pucci operator inf Tr(-A M) over lam I <= A <= Lam I."""
+    return evaluate("pucci_min", mat, {"ell": e, "zero_tol": zero_tol})[0]
+
+
+def _check_size(pa: PucciAlpha, mat) -> None:
+    shape = np.shape(mat)
+    if len(shape) >= 2 and shape[-1] != pa.m:
+        raise ValueError(f"matrix size {shape[-1]} does not match pa.m = {pa.m}")
+
+
+def pucci_plus_alpha(pa: PucciAlpha, mat) -> np.ndarray:
+    """sup Tr(-A M) over A >= alpha I with Tr A = 1."""
+    _check_size(pa, mat)
+    return evaluate("pucci_plus_alpha", mat, {"alpha": pa.alpha})[0]
+
+
+def pucci_minus_alpha(pa: PucciAlpha, mat) -> np.ndarray:
+    """inf Tr(-A M) over A >= alpha I with Tr A = 1."""
+    _check_size(pa, mat)
+    return evaluate("pucci_minus_alpha", mat, {"alpha": pa.alpha})[0]
+
+
+def neg_trace(mat) -> np.ndarray:
+    """-Tr M, the trace form of the (sub-)Laplacian with the sign flipped."""
+    return OPERATORS["neg_trace"].value(None, _as_sym(mat, 1e-12), None, {})
 
 
 @dataclass(frozen=True)

@@ -121,6 +121,34 @@ def test_check_inequality_threads_do_not_change_results(monkeypatch):
         check_inequality(field, spec, region)
 
 
+def test_check_tabulated_threads_do_not_change_results(monkeypatch):
+    # The same points twice, with u4 jets and then -u4 jets: rows must be
+    # told apart by position, not by their coordinates.
+    e = Ellipticity(1.0, 1.5)
+    field = _field("u4", e, D1)
+    rng = np.random.default_rng(7)
+    g = rng.standard_normal((200, 3))
+    r = np.exp(rng.uniform(np.log(0.05), np.log(6.0), 200))
+    pts = hgroup.dilate(r / hgroup.hnorm(g), g)
+    jets = [field.value(pts), field.gradient(pts), field.hessian(pts)]
+    table = TabulatedField(
+        np.concatenate([pts, pts]), *(np.concatenate([j, -j]) for j in jets)
+    )
+    spec = OperatorSpec("pucci_max", "subsolution", ell=e)
+    region = Region(0.1, 5.0, char_eps=0.02)
+    reports = []
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv(checker.THREADS_ENV, threads)
+        rep = check_tabulated(table, spec, region).to_dict()
+        rep.pop("wall_time")
+        reports.append(rep)
+    assert reports[0]["verdict"] == "fail"
+    assert reports[0]["excluded_by"]["outside_radius_range"] > 0
+    assert reports[0]["n_evaluated"] < 400
+    assert reports[1] == reports[0]
+    assert reports[2] == reports[0]
+
+
 def test_formula_mode_matches_closed_forms():
     field = _field("log_rho")
     spec = OperatorSpec("pucci_min", "subsolution", ell=E12)

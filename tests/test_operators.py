@@ -1,7 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
-from heispde import operators
+from heispde import checker, operators
+from heispde.checker import OperatorSpec, Region, TabulatedField, check_tabulated
+from heispde.cli import main
 from heispde.operators import Ellipticity, HJBCoefficients, PucciAlpha
 
 import _oracles
@@ -270,3 +274,78 @@ def test_hjb_rejects_negative_cost_and_empty_family():
     )
     with pytest.raises(ValueError):
         operators.hjb_inf(coeffs, np.zeros((1, 3)), 0.0, np.zeros((1, 2)))
+
+
+# Every entry of the operator table, evaluated through its public function.
+_ELL = Ellipticity(1.0, 2.5)
+_ALPHA = 0.2
+_P = 3.5
+_PUBLIC = {
+    "pucci_max": lambda mats, q: operators.pucci_max(_ELL, mats),
+    "pucci_min": lambda mats, q: operators.pucci_min(_ELL, mats),
+    "pucci_plus_alpha": lambda mats, q: operators.pucci_plus_alpha(
+        PucciAlpha(_ALPHA, mats.shape[-1]), mats
+    ),
+    "pucci_minus_alpha": lambda mats, q: operators.pucci_minus_alpha(
+        PucciAlpha(_ALPHA, mats.shape[-1]), mats
+    ),
+    "pnorm": lambda mats, q: operators.pnorm_operator(_P, q, mats),
+    "neg_trace": lambda mats, q: operators.neg_trace(mats),
+}
+_OP_EVAL_PARAMS = {"--lam": "1.0", "--Lam": "2.5", "--alpha": str(_ALPHA), "--p": str(_P)}
+
+
+def _flags(params: dict) -> list:
+    return [bit for item in params.items() for bit in item]
+
+
+def test_public_functions_cover_the_table():
+    assert tuple(_PUBLIC) == tuple(operators.OPERATORS)
+    assert checker.SECOND_ORDER_OPS == tuple(operators.OPERATORS)
+
+
+@pytest.mark.parametrize("m", [2, 4])
+@pytest.mark.parametrize("name", list(operators.OPERATORS))
+def test_operator_table_paths_agree(name, m, tmp_path, capsys):
+    rng = np.random.default_rng(100 * m + len(name))
+    k = 7
+    mats = rng.standard_normal((k, m, m))
+    mats = mats + np.swapaxes(mats, 1, 2)
+    q = rng.standard_normal((k, m))
+    public = _PUBLIC[name](mats, q)
+
+    out = tmp_path / "op.json"
+    argv = ["op-eval", "--op", name, "--matrix", json.dumps(mats.tolist()),
+            "--q", json.dumps(q.tolist()), "--out", str(out)]
+    assert main(argv + _flags(_OP_EVAL_PARAMS)) == 0
+    capsys.readouterr()
+    with open(out) as fh:
+        via_cli = np.array(json.load(fh)["values"])
+
+    # Unit-radius rows of a Euclidean table, all inside the region.
+    pts = q / np.sqrt(np.einsum("ij,ij->i", q, q))[:, None]
+    table = TabulatedField(pts, np.zeros(k), q, mats, space="euclidean")
+    spec = OperatorSpec(name, ell=_ELL, alpha=_ALPHA, p=_P)
+    rep = check_tabulated(table, spec, Region(0.5, 2.0), keep_samples=True)
+    assert rep.n_evaluated == k
+
+    assert np.array_equal(public, via_cli)
+    assert np.array_equal(public, rep.samples["second"])
+
+
+@pytest.mark.parametrize(
+    "name", [n for n, entry in operators.OPERATORS.items() if entry.param is not None]
+)
+def test_missing_operator_parameter_is_rejected(name, capsys):
+    param = operators.OPERATORS[name].param
+    with pytest.raises(ValueError, match=f"needs {param}"):
+        OperatorSpec(name)
+    with pytest.raises(ValueError, match=f"needs {param}"):
+        operators.evaluate(name, np.eye(2), {})
+    # op-eval defaults lam and Lam, so ell can only be invalid, never missing.
+    params = {k: v for k, v in _OP_EVAL_PARAMS.items() if k != "--" + param}
+    if param == "ell":
+        params["--lam"] = "0"
+    argv = ["op-eval", "--op", name, "--matrix", "[[1, 0], [0, 2]]", "--q", "[1, 1]"]
+    assert main(argv + _flags(params)) == 2
+    assert "error:" in capsys.readouterr().err
