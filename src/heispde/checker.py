@@ -641,10 +641,6 @@ def _inequality_from_batch(
     rho_adm = batch.radius[adm]
     tau_adm = None if batch.tau is None else batch.tau[adm]
 
-    factor = operators.OPERATORS[spec.second_order].magnitude(spec.params)
-    mag = factor * np.abs(terms["eigs"]).sum(axis=-1) + np.abs(terms["first"])
-    allow = _allowance(tol, mag)
-
     formula = None
     if mode == "formula":
         ref = _reference_values(field, spec, rho_adm, tau_adm)
@@ -676,6 +672,9 @@ def _inequality_from_batch(
             verdict, worst, witness = "vacuous", None, None
         formula["pass"] = verdict == "pass"
     else:
+        factor = operators.OPERATORS[spec.second_order].magnitude(spec.params)
+        mag = factor * np.abs(terms["eigs"]).sum(axis=-1) + np.abs(terms["first"])
+        allow = _allowance(tol, mag)
         signed = terms["total"] if spec.sense == "subsolution" else -terms["total"]
         excess = np.where(alive, signed, -np.inf)
         viol = np.where(alive, signed - allow, -np.inf)

@@ -7,10 +7,12 @@ Subcommands
     convergence  finite-difference consistency study for a field
     gallery list describe the shipped radial profiles
 
-Options can come from a JSON config file (--config) and are overridden by
-flags; unknown config keys are rejected.  Reports are written with --out as
-JSON whose floats are printed with repr-faithful precision, so identical
-inputs produce identical files except for the wall_time entry.
+Every option is one row of OPTIONS: its flag is the name with `_` spelled
+`-`, its config key is the name itself.  Options can come from a JSON
+config file (--config) and are overridden by flags; unknown config keys are
+rejected.  Reports are written with --out as JSON whose floats are Python's
+shortest round-trip repr, so identical inputs produce identical files except
+for the wall_time entry.
 
 Exit codes: 0 verified, 1 inequality or condition failed, 2 usage or config
 error, 3 vacuous run (no admissible sample points).
@@ -33,7 +35,7 @@ from .gallery import PROFILE_NAMES, ProfileRegimeError
 from .hgroup import HeisDims
 from .operators import Ellipticity
 
-__all__ = ["FIXTURES", "PROFILE_DEFAULTS", "main", "run_fixture", "write_json_report"]
+__all__ = ["FIXTURES", "OPTIONS", "PROFILE_DEFAULTS", "main", "run_fixture", "write_json_report"]
 
 SCHEMA = checker.SCHEMA
 
@@ -58,56 +60,42 @@ class CliError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# deterministic JSON
+# deterministic output
 
 
 def _format_float(x: float) -> str:
     if math.isnan(x) or math.isinf(x):
         raise ValueError("refusing to serialize a non-finite number")
-    return format(x, ".17g")
+    return repr(float(x))
 
 
-def _json_str(obj, level: int = 0) -> str:
-    pad = "  " * level
-    inner = "  " * (level + 1)
-    if obj is None:
-        return "null"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _format_float(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        body = ",\n".join(inner + _json_str(v, level + 1) for v in obj)
-        return "[\n" + body + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        body = ",\n".join(
-            inner + json.dumps(str(k)) + ": " + _json_str(v, level + 1)
-            for k, v in obj.items()
-        )
-        return "{\n" + body + "\n" + pad + "}"
+def _plain(obj):
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _dumps(payload) -> str:
+    return json.dumps(payload, indent=2, allow_nan=False, default=_plain)
+
+
+def _atomic_write(path: str, write) -> None:
+    """Call write(fh) on a temporary file, then move it onto path."""
     tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def write_json_report(path: str, payload: dict) -> None:
     """Serialize payload deterministically and move it into place atomically."""
-    _atomic_write(path, _json_str(payload) + "\n")
+    text = _dumps(payload) + "\n"
+    _atomic_write(path, lambda fh: fh.write(text))
 
 
 def _payload(command: str, report: checker.CheckReport) -> dict:
@@ -156,6 +144,7 @@ def _one_of(*options):
             raise ValueError(f"expected one of {options}, got {s!r}")
         return s
 
+    conv.choices = options
     return conv
 
 
@@ -197,183 +186,89 @@ def _as_vector(v):
     return arr
 
 
-_REGION_DEFAULTS = {
-    "rho_min": 0.5,
-    "rho_max": 4.0,
-    "n_samples": 4096,
-    "seed": 0,
-    "char_eps": 1e-3,
-    "kink_eps": 1e-6,
-    "sampler": "sobol",
+_SECOND_ORDER = _one_of(*checker.SECOND_ORDER_OPS)
+_ELLIPTICITY = {"lam": (1.0, _as_float), "Lam": (2.0, _as_float)}
+_FIELD = {
+    "field": (None, _one_of(*sorted(PROFILE_NAMES))),
+    "kappa": (None, _as_float),
+    "negate": (False, _as_bool),
+    "d": (1, _as_int),
+    **_ELLIPTICITY,
+}
+_REGION = {
+    "rho_min": (0.5, _as_float),
+    "rho_max": (4.0, _as_float),
+    "n_samples": (4096, _as_int),
+    "seed": (0, _as_int),
+    "char_eps": (1e-3, _as_float),
+    "kink_eps": (1e-6, _as_float),
+    "sampler": ("sobol", _one_of("sobol", "grid")),
 }
 
-_REGION_CONVERT = {
-    "rho_min": _as_float,
-    "rho_max": _as_float,
-    "n_samples": _as_int,
-    "seed": _as_int,
-    "char_eps": _as_float,
-    "kink_eps": _as_float,
-    "sampler": _one_of("sobol", "grid"),
-}
-
-_FIELD_DEFAULTS = {
-    "field": None,
-    "kappa": None,
-    "negate": False,
-    "d": 1,
-    "lam": 1.0,
-    "Lam": 2.0,
-}
-
-_FIELD_CONVERT = {
-    "field": _one_of(*PROFILE_NAMES),
-    "kappa": _as_float,
-    "negate": _as_bool,
-    "d": _as_int,
-    "lam": _as_float,
-    "Lam": _as_float,
-}
-
-_CMD_SPECS: dict[str, dict] = {
+# command -> option name -> (default, converter).  Flags and config values
+# both reach the converter; flags arrive as strings.
+OPTIONS: dict[str, dict[str, tuple]] = {
     "verify": {
-        "defaults": {
-            **_FIELD_DEFAULTS,
-            **_REGION_DEFAULTS,
-            "op": None,
-            "sense": None,
-            "alpha": None,
-            "p": None,
-            "zero_tol": 1e-12,
-            "envelope": "inf",
-            "tol": 1e-9,
-            "compare_formula": False,
-            "field_table": None,
-            "out": None,
-        },
-        "convert": {
-            **_FIELD_CONVERT,
-            **_REGION_CONVERT,
-            "op": _one_of(*checker.SECOND_ORDER_OPS),
-            "sense": _one_of("subsolution", "supersolution"),
-            "alpha": _as_float,
-            "p": _as_float,
-            "zero_tol": _as_float,
-            "envelope": _one_of("inf", "sup"),
-            "tol": _as_float,
-            "compare_formula": _as_bool,
-            "field_table": _as_str,
-            "out": _as_str,
-        },
+        **_FIELD,
+        **_REGION,
+        "op": (None, _SECOND_ORDER),
+        "sense": (None, _one_of("subsolution", "supersolution")),
+        "alpha": (None, _as_float),
+        "p": (None, _as_float),
+        "zero_tol": (1e-12, _as_float),
+        "envelope": ("inf", _one_of("inf", "sup")),
+        "tol": (1e-9, _as_float),
+        "compare_formula": (False, _as_bool),
+        "field_table": (None, _as_str),
+        "out": (None, _as_str),
     },
     "lyapunov": {
-        "defaults": {
-            "fixture": None,
-            "d": 1,
-            "lam": 1.0,
-            "Lam": 2.0,
-            "alpha": None,
-            "gamma0": 1.0,
-            "c0": 1.0,
-            "gammas": None,
-            **_REGION_DEFAULTS,
-            "tol": 1e-9,
-            "out": None,
-        },
-        "convert": {
-            "fixture": _one_of("zero-coeffs", "schro", "hou", "ou"),
-            "d": _as_int,
-            "lam": _as_float,
-            "Lam": _as_float,
-            "alpha": _as_float,
-            "gamma0": _as_float,
-            "c0": _as_float,
-            "gammas": _as_gammas,
-            **_REGION_CONVERT,
-            "tol": _as_float,
-            "out": _as_str,
-        },
+        "fixture": (None, _one_of("zero-coeffs", "schro", "hou", "ou")),
+        "d": (1, _as_int),
+        **_ELLIPTICITY,
+        "alpha": (None, _as_float),
+        "gamma0": (1.0, _as_float),
+        "c0": (1.0, _as_float),
+        "gammas": (None, _as_gammas),
+        **_REGION,
+        "tol": (1e-9, _as_float),
+        "out": (None, _as_str),
     },
     "op-eval": {
-        "defaults": {
-            "op": None,
-            "lam": 1.0,
-            "Lam": 2.0,
-            "alpha": None,
-            "p": None,
-            "zero_tol": 1e-12,
-            "matrix": None,
-            "q": None,
-            "out": None,
-        },
-        "convert": {
-            "op": _one_of(*checker.SECOND_ORDER_OPS),
-            "lam": _as_float,
-            "Lam": _as_float,
-            "alpha": _as_float,
-            "p": _as_float,
-            "zero_tol": _as_float,
-            "matrix": _as_matrix,
-            "q": _as_vector,
-            "out": _as_str,
-        },
+        "op": (None, _SECOND_ORDER),
+        **_ELLIPTICITY,
+        "alpha": (None, _as_float),
+        "p": (None, _as_float),
+        "zero_tol": (1e-12, _as_float),
+        "matrix": (None, _as_matrix),
+        "q": (None, _as_vector),
+        "out": (None, _as_str),
     },
     "convergence": {
-        "defaults": {
-            **_FIELD_DEFAULTS,
-            **_REGION_DEFAULTS,
-            "h0": 1e-2,
-            "levels": 4,
-            "n_points": 48,
-            "min_order": 1.9,
-            "out": None,
-        },
-        "convert": {
-            **_FIELD_CONVERT,
-            **_REGION_CONVERT,
-            "h0": _as_float,
-            "levels": _as_int,
-            "n_points": _as_int,
-            "min_order": _as_float,
-            "out": _as_str,
-        },
+        **_FIELD,
+        **_REGION,
+        "h0": (1e-2, _as_float),
+        "levels": (4, _as_int),
+        "n_points": (48, _as_int),
+        "min_order": (1.9, _as_float),
+        "out": (None, _as_str),
     },
     "gallery": {
-        "defaults": {
-            "d": None,
-            "lam": None,
-            "Lam": None,
-            "json": False,
-            "out": None,
-        },
-        "convert": {
-            "d": _as_int,
-            "lam": _as_float,
-            "Lam": _as_float,
-            "json": _as_bool,
-            "out": _as_str,
-        },
+        "d": (None, _as_int),
+        "lam": (None, _as_float),
+        "Lam": (None, _as_float),
+        "json": (False, _as_bool),
+        "out": (None, _as_str),
     },
 }
 
-
-def _add_region_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rho-min", type=float, dest="rho_min")
-    p.add_argument("--rho-max", type=float, dest="rho_max")
-    p.add_argument("--n-samples", type=int, dest="n_samples")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--char-eps", type=float, dest="char_eps")
-    p.add_argument("--kink-eps", type=float, dest="kink_eps")
-    p.add_argument("--sampler", choices=["sobol", "grid"])
-
-
-def _add_field_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--field", choices=sorted(PROFILE_NAMES))
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--negate", action="store_true", default=None)
-    p.add_argument("--d", type=int)
-    p.add_argument("--lam", type=float)
-    p.add_argument("--Lam", type=float)
+_HELP = {
+    "verify": "check an inequality for a shipped field",
+    "lyapunov": "check a growth condition fixture",
+    "op-eval": "evaluate an extremal operator",
+    "convergence": "finite-difference consistency study",
+    "gallery": "describe the shipped radial profiles",
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -383,94 +278,45 @@ def _build_parser() -> argparse.ArgumentParser:
         "inequalities on the first Heisenberg-type groups",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    pv = sub.add_parser("verify", help="check an inequality for a shipped field")
-    pv.add_argument("--config")
-    _add_field_args(pv)
-    _add_region_args(pv)
-    pv.add_argument("--op", choices=list(checker.SECOND_ORDER_OPS))
-    pv.add_argument("--sense", choices=["subsolution", "supersolution"])
-    pv.add_argument("--alpha", type=float)
-    pv.add_argument("--p", type=float)
-    pv.add_argument("--zero-tol", type=float, dest="zero_tol")
-    pv.add_argument("--envelope", choices=["inf", "sup"])
-    pv.add_argument("--tol", type=float)
-    pv.add_argument("--compare-formula", action="store_true", default=None, dest="compare_formula")
-    pv.add_argument("--field-table", dest="field_table")
-    pv.add_argument("--out")
-
-    pl = sub.add_parser("lyapunov", help="check a growth condition fixture")
-    pl.add_argument("--config")
-    pl.add_argument("--fixture", choices=["zero-coeffs", "schro", "hou", "ou"])
-    pl.add_argument("--d", type=int)
-    pl.add_argument("--lam", type=float)
-    pl.add_argument("--Lam", type=float)
-    pl.add_argument("--alpha", type=float)
-    pl.add_argument("--gamma0", type=float)
-    pl.add_argument("--c0", type=float)
-    pl.add_argument("--gammas")
-    _add_region_args(pl)
-    pl.add_argument("--tol", type=float)
-    pl.add_argument("--out")
-
-    po = sub.add_parser("op-eval", help="evaluate an extremal operator")
-    po.add_argument("--config")
-    po.add_argument("--op", choices=list(checker.SECOND_ORDER_OPS))
-    po.add_argument("--lam", type=float)
-    po.add_argument("--Lam", type=float)
-    po.add_argument("--alpha", type=float)
-    po.add_argument("--p", type=float)
-    po.add_argument("--zero-tol", type=float, dest="zero_tol")
-    po.add_argument("--matrix")
-    po.add_argument("--q")
-    po.add_argument("--out")
-
-    pc = sub.add_parser("convergence", help="finite-difference consistency study")
-    pc.add_argument("--config")
-    _add_field_args(pc)
-    _add_region_args(pc)
-    pc.add_argument("--h0", type=float)
-    pc.add_argument("--levels", type=int)
-    pc.add_argument("--n-points", type=int, dest="n_points")
-    pc.add_argument("--min-order", type=float, dest="min_order")
-    pc.add_argument("--out")
-
-    pg = sub.add_parser("gallery", help="describe the shipped radial profiles")
-    pg.add_argument("action", choices=["list"])
-    pg.add_argument("--config")
-    pg.add_argument("--d", type=int)
-    pg.add_argument("--lam", type=float)
-    pg.add_argument("--Lam", type=float)
-    pg.add_argument("--json", action="store_true", default=None)
-    pg.add_argument("--out")
-
+    for command, options in OPTIONS.items():
+        p = sub.add_parser(command, help=_HELP[command])
+        if command == "gallery":
+            p.add_argument("action", choices=["list"])
+        p.add_argument("--config")
+        for name, (_, conv) in options.items():
+            flag = "--" + name.replace("_", "-")
+            if conv is _as_bool:
+                p.add_argument(flag, action="store_true", default=None)
+            else:
+                p.add_argument(flag, choices=getattr(conv, "choices", None))
     return parser
 
 
+def _read_config(path: str) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise CliError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise CliError("config must be a JSON object")
+    return raw
+
+
 def _effective(ns: argparse.Namespace) -> dict:
-    spec = _CMD_SPECS[ns.command]
-    eff = dict(spec["defaults"])
-    convert = spec["convert"]
-    config_path = getattr(ns, "config", None)
-    if config_path:
-        with open(config_path, encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise CliError(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise CliError("config must be a JSON object")
-        for key, value in raw.items():
-            if key not in eff:
+    """Defaults, then config values, then flags, each through its converter."""
+    options = OPTIONS[ns.command]
+    eff = {name: default for name, (default, _) in options.items()}
+    config = _read_config(ns.config) if ns.config else {}
+    flags = {k: v for k, v in vars(ns).items() if k in options and v is not None}
+    for source, given in (("config key", config), ("flag", flags)):
+        for key, value in given.items():
+            if key not in options:
                 raise CliError(f"unknown config key {key!r} for {ns.command}")
             try:
-                eff[key] = None if value is None else convert[key](value)
+                eff[key] = None if value is None else options[key][1](value)
             except (ValueError, TypeError) as exc:
-                raise CliError(f"config key {key!r}: {exc}") from exc
-    for key in eff:
-        flag = getattr(ns, key, None)
-        if flag is not None:
-            eff[key] = convert[key](flag)
+                raise CliError(f"{source} {key!r}: {exc}") from exc
     return eff
 
 
@@ -522,28 +368,19 @@ def _write_field_table(path: str, report: checker.CheckReport, space: str) -> No
         + ["radius", "tau", "value", "second_order", "first_order", "total", "alive"]
         + [f"eig{i + 1}" for i in range(n_eig)]
     )
-    tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w", newline="", encoding="utf-8") as fh:
+
+    def write(fh):
         writer = csv.writer(fh)
         writer.writerow(header)
         for i in range(n):
             tau = "" if samples["tau"] is None else _format_float(samples["tau"][i])
-            row = (
-                [space]
-                + [_format_float(v) for v in pts[i]]
-                + [
-                    _format_float(samples["radius"][i]),
-                    tau,
-                    _format_float(samples["value"][i]),
-                    _format_float(samples["second"][i]),
-                    _format_float(samples["first"][i]),
-                    _format_float(samples["total"][i]),
-                    int(samples["alive"][i]),
-                ]
-                + [_format_float(v) for v in samples["eigs"][i]]
+            writer.writerow(
+                [space, *map(_format_float, pts[i]), _format_float(samples["radius"][i]), tau]
+                + [_format_float(samples[k][i]) for k in ("value", "second", "first", "total")]
+                + [int(samples["alive"][i]), *map(_format_float, samples["eigs"][i])]
             )
-            writer.writerow(row)
-    os.replace(tmp, path)
+
+    _atomic_write(path, write)
 
 
 def _cmd_verify(eff: dict) -> int:
@@ -696,7 +533,7 @@ def _cmd_gallery(eff: dict) -> int:
     if eff["out"]:
         write_json_report(eff["out"], payload)
     if eff["json"]:
-        print(_json_str(payload))
+        print(_dumps(payload))
     else:
         for row in rows:
             bits = [f"{row['name']:<12}", f"{row['kind']:<11}"]

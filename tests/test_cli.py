@@ -1,6 +1,10 @@
 import csv
 import json
 import os
+import re
+import subprocess
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -210,11 +214,132 @@ def test_fixture_registry_runs_with_expected_exits(tmp_path):
         run_fixture("no-such-fixture")
 
 
-def test_float_formatting_rejects_non_finite():
+def test_float_formatting_rejects_non_finite(tmp_path):
+    out = tmp_path / "rep.json"
+    for bad in (
+        float("nan"), float("inf"), -float("inf"),
+        np.float32("nan"), np.float32("inf"), np.float32("-inf"),
+        np.array([1.0, np.nan]), np.array([[0.0], [np.inf]]), np.array([-np.inf]),
+    ):
+        with pytest.raises(ValueError):
+            cli.write_json_report(str(out), {"ok": 1.0, "x": bad})
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_reports_round_trip_exactly_and_are_canonical(tmp_path):
+    out = tmp_path / "rep.json"
+    grid = np.arange(6.0).reshape(2, 3) / 7.0
+    cli.write_json_report(str(out), {
+        "third": np.float64(1) / 3, "tenth": 0.1, "single": np.float32(0.1),
+        "big": np.int64(2**53 + 1), "flag": np.bool_(True), "grid": grid,
+    })
+    back = _load(out)
+    assert back["third"] == 1.0 / 3.0 and back["tenth"] == 0.1
+    assert back["single"] == float(np.float32(0.1))
+    assert back["big"] == 2**53 + 1 and back["flag"] is True
+    assert np.array_equal(np.array(back["grid"]), grid)
+    for name in ("verify-log-rho", "gallery-list"):
+        report = tmp_path / f"{name}.json"
+        assert run_fixture(name, out=str(report)) == FIXTURES[name]["expected_exit"]
+        for path in (out, report):
+            text = path.read_text()
+            assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    assert not list(tmp_path.glob("*.tmp*"))
+
+
+def test_field_table_leaves_nothing_on_non_finite(tmp_path):
+    table = tmp_path / "table.csv"
+    samples = {
+        "points": np.zeros((2, 3)), "radius": np.ones(2), "tau": None,
+        "value": np.array([0.0, np.nan]), "second": np.zeros(2), "first": np.zeros(2),
+        "total": np.zeros(2), "alive": np.ones(2, dtype=bool), "eigs": np.zeros((2, 3)),
+    }
+    report = SimpleNamespace(samples=samples)
     with pytest.raises(ValueError):
-        cli._format_float(float("nan"))
-    with pytest.raises(ValueError):
-        cli._format_float(float("inf"))
-    # 17 significant digits round-trip every double exactly
-    assert float(cli._format_float(0.1)) == 0.1
-    assert json.loads(cli._json_str({"x": np.float64(1.0) / 3.0}))["x"] == 1.0 / 3.0
+        cli._write_field_table(str(table), report, "euclidean")
+    assert list(tmp_path.iterdir()) == []
+
+
+def _kind(conv):
+    if hasattr(conv, "choices"):
+        return "choice"
+    return {
+        cli._as_float: "float", cli._as_int: "int", cli._as_bool: "bool",
+        cli._as_str: "str", cli._as_gammas: "gammas",
+        cli._as_matrix: "matrix", cli._as_vector: "vector",
+    }[conv]
+
+
+# kind -> (config value, flag argument, effective value from the flag)
+_OVERRIDE = {
+    "float": (1.5, "2.5", 2.5),
+    "int": (3, "5", 5),
+    "bool": (False, None, True),
+    "str": ("a.json", "b.json", "b.json"),
+    "gammas": ([1.0], "2,3", (2.0, 3.0)),
+    "matrix": ([[1, 0], [0, 1]], "[[2,0],[0,2]]", [[[2.0, 0.0], [0.0, 2.0]]]),
+    "vector": ([1, 0], "[0,1]", [[0.0, 1.0]]),
+}
+_BAD = {"float": "x1", "int": "1.5", "choice": "no-such-choice", "matrix": "[[1,0],[0,1"}
+
+
+@pytest.mark.parametrize(
+    "command,name", [(c, n) for c, opts in cli.OPTIONS.items() for n in opts]
+)
+def test_option_table_is_the_single_source(command, name, tmp_path, capsys):
+    default, conv = cli.OPTIONS[command][name]
+    kind = _kind(conv)
+    head = [command] + (["list"] if command == "gallery" else [])
+    flag = "--" + name.replace("_", "-")
+    cfg = tmp_path / "cfg.json"
+
+    def with_config(argv, config):
+        cfg.write_text(json.dumps(config))
+        return argv + ["--config", str(cfg)]
+
+    def settings(argv):
+        eff = cli._effective(cli._build_parser().parse_args(head + argv))
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in eff.items()}
+
+    base = settings([])
+    assert set(base) == set(cli.OPTIONS[command]) and base[name] == default
+    assert settings(with_config([], {name: default})) == base
+    if default is not None and kind != "bool":
+        assert settings([flag, str(default)]) == base
+
+    if kind == "choice":
+        cfg_value, flag_arg = conv.choices[0], conv.choices[-1]
+        expected = flag_arg
+    else:
+        cfg_value, flag_arg, expected = _OVERRIDE[kind]
+    argv = [flag] if flag_arg is None else [flag, flag_arg]
+    got = settings(with_config(argv, {name: cfg_value}))
+    assert got == {**base, name: expected}
+
+    if kind in _BAD:
+        assert main(head + [flag, _BAD[kind]]) == 2
+        assert main(with_config(list(head), {name: _BAD[kind]})) == 2
+    capsys.readouterr()
+
+
+def _run_module(*args):
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "heispde", *args],
+        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path),
+    )
+
+
+@pytest.mark.parametrize("command", list(cli.OPTIONS))
+def test_module_entry_point_help_lists_every_option(command):
+    proc = _run_module(command, "--help")
+    assert proc.returncode == 0, proc.stderr
+    flags = {"--" + name.replace("_", "-") for name in cli.OPTIONS[command]}
+    assert flags <= set(re.findall(r"--[\w-]+", proc.stdout))
+
+
+def test_module_entry_point_op_eval():
+    proc = _run_module("op-eval", "--op", "pucci_max", "--matrix", "[[1,0],[0,-1]]")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1.0\n"
