@@ -10,6 +10,22 @@ A point passes the declared sense when the signed excess does not exceed
 max(1e-12, tol * max(1, local operator magnitude)); the raw per-sample
 operator values are available for stricter downstream assertions.
 
+Two paths evaluate the second-order part.  The spectral path takes every
+ScalarField whose jets are its own radial profile (profile set and
+field.name == profile.name): it reads rho (or r), |x_H|^2/rho^2, f, f' and
+f'' from the profile, takes the sorted eigenvalues from the closed-form
+RadialHessSpectrum (EuclidRadialSpectrum on R^n) and the horizontal gradient
+from radial_h_gradient, and builds no Hessian.  The dense path takes
+everything else (negated or wrapped fields, fields without a profile,
+TabulatedField rows, and the pnorm operator, which needs the matrix): it
+forms the horizontal Hessian from the Euclidean jets and calls eigvalsh.
+After a spectral run the dense path evaluates again at most 256 evenly
+spaced admissible points; if an eigenvalue differs by more than the check's
+allowance the run raises ValueError instead of reporting a verdict.  The
+report's "paths" block gives the points each path evaluated and, as
+"dense_check", that subsample's size n and its largest absolute and
+relative (to max(1, |e|)) eigenvalue differences.
+
 Reports are deterministic functions of (config, seed): identical inputs give
 identical reports except for wall_time.  Sample evaluation is chunked and can
 run on several threads (HEISPDE_THREADS); the merge is ordered, so the result
@@ -68,6 +84,8 @@ LYAPUNOV_CONDITIONS = (
 
 _ABS_FLOOR = 1e-12
 _N_SHELLS = 16
+# Points of a spectral-path run that the dense path evaluates again.
+_DENSE_CHECK_POINTS = 256
 
 
 @dataclass(frozen=True)
@@ -205,6 +223,7 @@ class CheckReport:
     formula_comparison: dict | None = None
     scan: list | None = None
     components: dict | None = None
+    paths: dict | None = None
     wall_time: float = 0.0
     samples: dict | None = None
 
@@ -223,6 +242,7 @@ class CheckReport:
             "formula_comparison": self.formula_comparison,
             "scan": self.scan,
             "components": self.components,
+            "paths": self.paths,
             "config": self.config,
             "wall_time": self.wall_time,
         }
@@ -375,12 +395,20 @@ def _resolve_gspace(space: str, spec: OperatorSpec) -> str:
     return gs
 
 
-def _terms_for(field, spec: OperatorSpec, pts: np.ndarray, rows: np.ndarray) -> dict:
-    """Evaluate operator ingredients at points (N, dim).
+def _own_profile(field):
+    """The radial profile whose jets field evaluates, or None.
 
-    rows are the indices of pts among the batch's points, which are the rows
-    of a TabulatedField.
+    A negated or wrapped field keeps its profile but not its name, and its
+    jets are no longer the profile's own.
     """
+    profile = getattr(field, "profile", None)
+    if profile is None or field.name != profile.name:
+        return None
+    return profile
+
+
+def _dense_jets(field, pts: np.ndarray, rows: np.ndarray, gspace: str):
+    """(value, gradient q, matrix, eigenvalues) from the field's Euclidean jets."""
     if isinstance(field, TabulatedField):
         val = field.values[rows]
         grad = field.gradients[rows]
@@ -389,20 +417,56 @@ def _terms_for(field, spec: OperatorSpec, pts: np.ndarray, rows: np.ndarray) -> 
         val = np.asarray(field.value(pts), dtype=float)
         grad = np.asarray(field.gradient(pts), dtype=float)
         hess = np.asarray(field.hessian(pts), dtype=float)
-    space = field.space
-
-    if space == "heisenberg":
+    if field.space == "heisenberg":
         mat = hgroup.h_hessian(grad, hess, pts)
-        hgrad = hgroup.h_gradient(grad, pts)
+        q = hgroup.h_gradient(grad, pts) if gspace == "horizontal" else grad
     else:
         mat = 0.5 * (hess + np.swapaxes(hess, -1, -2))
-        hgrad = grad
+        q = grad
+    return val, q, mat, operators.sym_eigenvalues(mat)
 
-    gspace = _resolve_gspace(space, spec)
-    q = hgrad if gspace == "horizontal" else grad
+
+def _spectral_jets(profile, pts: np.ndarray, gspace: str):
+    """(value, gradient q, None, eigenvalues) of a radial field from its profile.
+
+    The sorted eigenvalues come from the closed-form spectrum, so no Hessian
+    is built and no eigenproblem is solved.
+    """
+    if profile.kind == "heisenberg":
+        d = (pts.shape[1] - 1) // 2
+        radius = hgroup.hnorm(pts)
+        w = np.einsum("ij,ij->i", pts[:, : 2 * d], pts[:, : 2 * d]) / radius**2
+        fp = profile.deriv(radius)
+        spectrum = hgroup.RadialHessSpectrum.from_jets(
+            fp, profile.second_deriv(radius), w, radius, d
+        )
+        if gspace == "horizontal":
+            q = hgroup.radial_h_gradient(profile.deriv, pts)
+        else:
+            q = fp[:, None] * hgroup.euclid_grad_rho(pts)
+    else:
+        radius = np.sqrt(np.einsum("ij,ij->i", pts, pts))
+        spectrum = gallery.EuclidRadialSpectrum.from_jets(
+            profile.deriv(radius), profile.second_deriv(radius), radius, pts.shape[1]
+        )
+        q = spectrum.tangential[:, None] * pts
+    return profile.value(radius), q, None, spectrum.eigenvalues()
+
+
+def _terms_for(field, spec: OperatorSpec, pts: np.ndarray, rows: np.ndarray, profile) -> dict:
+    """Evaluate operator ingredients at points (N, dim).
+
+    rows are the indices of pts among the batch's points, which are the rows
+    of a TabulatedField.  With a profile the spectral path evaluates them,
+    otherwise the dense path.
+    """
+    gspace = _resolve_gspace(field.space, spec)
+    if profile is None:
+        val, q, mat, eigs = _dense_jets(field, pts, rows, gspace)
+    else:
+        val, q, mat, eigs = _spectral_jets(profile, pts, gspace)
 
     value = operators.OPERATORS[spec.second_order].value
-    eigs = operators.sym_eigenvalues(mat)
     if spec.second_order == "pnorm":
         # pnorm is undefined at q = 0; those rows are excluded, not evaluated.
         alive = np.einsum("...i,...i->...", q, q) > 0.0
@@ -429,16 +493,43 @@ def _terms_for(field, spec: OperatorSpec, pts: np.ndarray, rows: np.ndarray) -> 
     }
 
 
-def _chunked_terms(field, spec, pts, rows) -> dict:
+def _chunked_terms(field, spec, pts, rows, profile) -> dict:
     n_threads = _thread_count()
     n = pts.shape[0]
     if n_threads <= 1 or n < 2 * n_threads:
-        return _terms_for(field, spec, pts, rows)
+        return _terms_for(field, spec, pts, rows, profile)
     chunks = zip(np.array_split(pts, n_threads), np.array_split(rows, n_threads))
     with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        parts = list(pool.map(lambda c: _terms_for(field, spec, *c), chunks))
+        parts = list(pool.map(lambda c: _terms_for(field, spec, *c, profile), chunks))
     return {
         key: np.concatenate([p[key] for p in parts], axis=0) for key in parts[0]
+    }
+
+
+def _dense_check(field, spec, pts, rows, eigs, tol) -> dict:
+    """Evaluate evenly spaced points again on the dense path; compare spectra.
+
+    The subsample depends only on the number of points, never on the thread
+    count.  Raises ValueError when an eigenvalue differs by more than the
+    check's own allowance, so a verdict from disagreeing paths is never
+    reported.
+    """
+    n = pts.shape[0]
+    idx = np.linspace(0, n - 1, min(n, _DENSE_CHECK_POINTS)).astype(np.intp)
+    gspace = _resolve_gspace(field.space, spec)
+    dense = _dense_jets(field, pts[idx], rows[idx], gspace)[3]
+    diff = np.abs(eigs[idx] - dense)
+    bad = diff > _allowance(tol, np.abs(dense))
+    if np.any(bad):
+        k = int(np.flatnonzero(bad.any(axis=-1))[0])
+        raise ValueError(
+            f"spectral and dense paths disagree at point {pts[idx][k].tolist()}: "
+            f"eigenvalues {eigs[idx][k].tolist()} against {dense[k].tolist()}"
+        )
+    return {
+        "n": int(idx.size),
+        "max_abs": float(diff.max()),
+        "max_rel": float((diff / np.maximum(1.0, np.abs(dense))).max()),
     }
 
 
@@ -448,11 +539,8 @@ def _allowance(tol: float, mag: np.ndarray) -> np.ndarray:
 
 # Closed-form reference values for (profile, operator) pairs that admit one.
 def _reference_values(field, spec, rho, tau):
-    profile = getattr(field, "profile", None)
+    profile = _own_profile(field)
     if profile is None:
-        return None
-    if field.name != profile.name:
-        # A wrapped or negated field no longer matches the tabulated form.
         return None
     key = (profile.name, spec.second_order)
     params = profile.params
@@ -626,7 +714,18 @@ def _inequality_from_batch(
         return _vacuous_report("inequality", tol, region, batch, config, t0)
 
     pts = batch.points[adm]
-    terms = _chunked_terms(field, spec, pts, np.flatnonzero(adm))
+    rows = np.flatnonzero(adm)
+    # pnorm needs the matrix itself, so it always takes the dense path.
+    profile = None if spec.second_order == "pnorm" else _own_profile(field)
+    terms = _chunked_terms(field, spec, pts, rows, profile)
+    n_adm = pts.shape[0]
+    paths = {
+        "spectral": 0 if profile is None else n_adm,
+        "dense": n_adm if profile is None else 0,
+        "dense_check": None if profile is None else _dense_check(
+            field, spec, pts, rows, terms["eigs"], tol
+        ),
+    }
 
     alive = terms["alive"]
     excluded_by = dict(batch.excluded_by)
@@ -636,6 +735,7 @@ def _inequality_from_batch(
     if n_evaluated == 0:
         rep = _vacuous_report("inequality", tol, region, batch, config, t0)
         rep.excluded_by = excluded_by
+        rep.paths = paths
         return rep
 
     rho_adm = batch.radius[adm]
@@ -696,6 +796,7 @@ def _inequality_from_batch(
         witness=witness,
         config=config,
         formula_comparison=formula,
+        paths=paths,
         wall_time=time.perf_counter() - t0,
         samples=samples,
     )

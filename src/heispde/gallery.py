@@ -421,6 +421,11 @@ class EuclidRadialSpectrum:
     tangential: np.ndarray
     tangential_mult: int
 
+    @classmethod
+    def from_jets(cls, fp, fpp, r, dim: int) -> "EuclidRadialSpectrum":
+        """Spectrum on R^dim from f'(r), f''(r) and r."""
+        return cls(radial=fpp, tangential=fp / r, tangential_mult=dim - 1)
+
     def eigenvalues(self) -> np.ndarray:
         parts = [self.radial] + [self.tangential] * self.tangential_mult
         return np.sort(np.stack(np.broadcast_arrays(*parts), axis=-1), axis=-1)
@@ -432,10 +437,11 @@ def euclid_radial_spectrum(fprime, fsecond, x) -> EuclidRadialSpectrum:
     r = np.sqrt(np.einsum("...i,...i->...", xa, xa))
     if np.any(r == 0.0):
         raise ValueError("radial spectrum undefined at the origin")
-    return EuclidRadialSpectrum(
-        radial=np.asarray(fsecond(r), dtype=float),
-        tangential=np.asarray(fprime(r), dtype=float) / r,
-        tangential_mult=xa.shape[-1] - 1,
+    return EuclidRadialSpectrum.from_jets(
+        np.asarray(fprime(r), dtype=float),
+        np.asarray(fsecond(r), dtype=float),
+        r,
+        xa.shape[-1],
     )
 
 

@@ -221,8 +221,13 @@ def h_hessian(grad_u, hess_u, x, *, atol: float = 1e-12) -> np.ndarray:
     if skew > atol:
         raise ValueError(f"Hessian is not symmetric: max |H - H^T| = {skew:.3e}")
     hs = 0.5 * (h + np.swapaxes(h, -1, -2))
-    s = frame(xa)
-    out = np.einsum("...ia,...ij,...jb->...ab", s, hs, s)
+    # sigma = [I; h^T] with h = 2 hperp, and D^2u = [[A, b], [b^T, c]], so
+    # sigma^T D^2u sigma = A + b h^T + h b^T + c h h^T: a rank-2 update.
+    m = 2 * d
+    a, b, c = hs[..., :m, :m], hs[..., :m, m], hs[..., m, m]
+    hp = 2.0 * hperp(xa)
+    bh = b[..., :, None] * hp[..., None, :]
+    out = a + bh + np.swapaxes(bh, -1, -2) + (c[..., None] * hp)[..., :, None] * hp[..., None, :]
     return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
@@ -303,6 +308,17 @@ class RadialHessSpectrum:
     transverse: np.ndarray
     transverse_mult: int
 
+    @classmethod
+    def from_jets(cls, fp, fpp, w, rho, d: int) -> "RadialHessSpectrum":
+        """Spectrum on H^d from f'(rho), f''(rho), w = |x_H|^2/rho^2 and rho."""
+        transverse = fp * w / rho
+        return cls(
+            grad_dir=fpp * w,
+            rotated=3.0 * transverse,
+            transverse=transverse,
+            transverse_mult=2 * d - 2,
+        )
+
     def eigenvalues(self) -> np.ndarray:
         """Full multiset as a sorted array of shape (..., 2d)."""
         parts = [self.grad_dir, self.rotated]
@@ -333,10 +349,4 @@ def radial_h_hessian(fprime, fsecond, x) -> tuple[np.ndarray, RadialHessSpectrum
         "...a,...b->...ab", dh_rho, dh_rho
     )
 
-    spectrum = RadialHessSpectrum(
-        grad_dir=fpp * w,
-        rotated=3.0 * fp * w / rho,
-        transverse=fp * w / rho,
-        transverse_mult=m - 2,
-    )
-    return mat, spectrum
+    return mat, RadialHessSpectrum.from_jets(fp, fpp, w, rho, d)

@@ -12,10 +12,16 @@ factor that scales sum |e_k| into a bound on its magnitude:
     name               param  value                                     factor
     pucci_max          ell    -Lam * sum(e_k < 0) - lam * sum(e_k > 0)  Lam
     pucci_min          ell    -Lam * sum(e_k > 0) - lam * sum(e_k < 0)  Lam
-    pucci_plus_alpha   alpha  -alpha Tr M - (1 - m alpha) e_min         1
-    pucci_minus_alpha  alpha  -alpha Tr M - (1 - m alpha) e_max         1
+    pucci_plus_alpha   alpha  -alpha sum(e_k) - (1 - m alpha) e_min     1
+    pucci_minus_alpha  alpha  -alpha sum(e_k) - (1 - m alpha) e_max     1
     pnorm              p      -Tr[(I + (p-2) qq^T/|q|^2) M]             1 + |p-2|
-    neg_trace          -      -Tr M                                     1
+    neg_trace          -      -sum(e_k)                                 1
+
+Every entry except pnorm reads the eigenvalues alone: the trace is sum(e_k)
+and the Frobenius norm sqrt(sum(e_k^2)).  So the checker can feed them
+either the eigenvalues of a dense horizontal Hessian or the closed-form
+spectrum of a radial field, which has no matrix; pnorm needs the matrix and
+the gradient direction, and is evaluated on dense matrices only.
 
 The Pucci pair is extremal over lam I <= A <= Lam I, the alpha pair over
 B_alpha = {A >= alpha I, Tr A = 1} (needs 0 < alpha <= 1/m), and pnorm is
@@ -101,6 +107,8 @@ def _as_sym(mat, atol: float) -> np.ndarray:
     skew = np.abs(m - np.swapaxes(m, -1, -2)).max()
     if skew > atol:
         raise ValueError(f"matrix is not symmetric: max |M - M^T| = {skew:.3e}")
+    if skew == 0.0:
+        return m
     return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
@@ -112,8 +120,9 @@ def sym_eigenvalues(mat, *, atol: float = 1e-12) -> np.ndarray:
     return np.linalg.eigvalsh(_as_sym(mat, atol))
 
 
-def _fro(mat: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.einsum("...ij,...ij->...", mat, mat))
+def _fro(eigs: np.ndarray) -> np.ndarray:
+    """Frobenius norm of a symmetric matrix from its eigenvalues."""
+    return np.sqrt(np.einsum("...i,...i->...", eigs, eigs))
 
 
 def signed_eig_sums(
@@ -159,11 +168,13 @@ def pnorm_operator(p: float, q, mat) -> np.ndarray:
 class SecondOrderOp(NamedTuple):
     """One entry of OPERATORS: required parameter, value, magnitude factor.
 
-    value(eigs, mat, q, params) takes the ascending eigenvalues of the
-    symmetric matrices mat, the gradient q (read by pnorm only) and a dict
-    holding the parameter under its name, plus "zero_tol" for the Pucci
-    pair.  Module functions are looked up when a value is computed, so
-    replacing one on the module (as a profiler does) reaches every caller.
+    value(eigs, mat, q, params) takes the ascending eigenvalues of
+    symmetric matrices, the matrices mat and the gradient q (both read by
+    pnorm only; the other entries get mat = None from the checker's spectral
+    path) and a dict holding the parameter under its name, plus "zero_tol"
+    for the Pucci pair.  Module functions are looked up when a value is
+    computed, so replacing one on the module (as a profiler does) reaches
+    every caller.
     """
 
     param: str | None
@@ -174,7 +185,7 @@ class SecondOrderOp(NamedTuple):
 def _pucci(maximal: bool) -> Callable:
     def value(eigs, mat, q, params):
         e = params["ell"]
-        neg, pos = signed_eig_sums(eigs, _fro(mat), params["zero_tol"])
+        neg, pos = signed_eig_sums(eigs, _fro(eigs), params["zero_tol"])
         return -e.Lam * neg - e.lam * pos if maximal else -e.Lam * pos - e.lam * neg
 
     return value
@@ -182,8 +193,8 @@ def _pucci(maximal: bool) -> Callable:
 
 def _alpha(extreme: int) -> Callable:
     def value(eigs, mat, q, params):
-        pa = PucciAlpha(params["alpha"], mat.shape[-1])
-        return -pa.alpha * _trace(mat) - (1.0 - pa.m * pa.alpha) * eigs[..., extreme]
+        pa = PucciAlpha(params["alpha"], eigs.shape[-1])
+        return -pa.alpha * eigs.sum(axis=-1) - (1.0 - pa.m * pa.alpha) * eigs[..., extreme]
 
     return value
 
@@ -198,7 +209,7 @@ OPERATORS: dict[str, SecondOrderOp] = {
         lambda eigs, mat, q, pr: pnorm_operator(pr["p"], q, mat),
         lambda pr: 1.0 + abs(pr["p"] - 2.0),
     ),
-    "neg_trace": SecondOrderOp(None, lambda eigs, mat, q, pr: -_trace(mat), lambda pr: 1.0),
+    "neg_trace": SecondOrderOp(None, lambda eigs, mat, q, pr: -eigs.sum(axis=-1), lambda pr: 1.0),
 }
 
 
@@ -250,7 +261,7 @@ def pucci_minus_alpha(pa: PucciAlpha, mat) -> np.ndarray:
 
 def neg_trace(mat) -> np.ndarray:
     """-Tr M, the trace form of the (sub-)Laplacian with the sign flipped."""
-    return OPERATORS["neg_trace"].value(None, _as_sym(mat, 1e-12), None, {})
+    return evaluate("neg_trace", mat, {})[0]
 
 
 @dataclass(frozen=True)

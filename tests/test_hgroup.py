@@ -177,6 +177,21 @@ def test_frame_fields_realize_commutator():
     assert np.isclose(x1x2 - x2x1, -4.0 * dudt, rtol=1e-6, atol=1e-8)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_h_hessian_rank_two_form_matches_frame_sandwich(d):
+    rng = np.random.default_rng(40 + d)
+    n = 2 * d + 1
+    x = 3.0 * rng.standard_normal((64, n))
+    hess = 10.0 * rng.standard_normal((64, n, n))
+    hess = hess + np.swapaxes(hess, 1, 2)
+    sigma = hgroup.frame(x)
+    sandwich = np.einsum("kia,kij,kjb->kab", sigma, hess, sigma)
+    got = hgroup.h_hessian(np.zeros((64, n)), hess, x)
+    scale = np.maximum(1.0, np.abs(sandwich).max(axis=(1, 2)))
+    assert np.all(np.abs(got - sandwich).max(axis=(1, 2)) <= 1e-13 * scale)
+    assert np.array_equal(got, np.swapaxes(got, 1, 2))
+
+
 def test_radial_h_hessian_matches_assembled_pipeline():
     rng = np.random.default_rng(10)
     for d in (1, 2, 3):
