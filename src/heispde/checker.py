@@ -6,16 +6,23 @@ declared gluing radii (|rho - r_k| < kink_eps), evaluates the requested
 operator exactly through the field's closed-form derivatives, and reports a
 pass/fail/vacuous verdict with the worst signed violation and a witness.
 
+Points are placed through the chart (rho, tau = |x_H|/rho, vertical sign,
+horizontal direction) by a Kronecker low-discrepancy sequence or a grid
+(see Region).  The batch keeps the chart's radius and tau; the tubes, the
+spectral path, the reference formulas and the witness read them instead of
+computing the gauge norm of the points again.  Only numpy is used.
+
 A point passes the declared sense when the signed excess does not exceed
 max(1e-12, tol * max(1, local operator magnitude)); the raw per-sample
 operator values are available for stricter downstream assertions.
 
 Two paths evaluate the second-order part.  The spectral path takes every
 ScalarField whose jets are its own radial profile (profile set and
-field.name == profile.name): it reads rho (or r), |x_H|^2/rho^2, f, f' and
-f'' from the profile, takes the sorted eigenvalues from the closed-form
-RadialHessSpectrum (EuclidRadialSpectrum on R^n) and the horizontal gradient
-from radial_h_gradient, and builds no Hessian.  The dense path takes
+field.name == profile.name): it reads rho (or r) and tau^2 = |x_H|^2/rho^2
+from the batch and f, f' and f'' from the profile, takes the sorted
+eigenvalues from the closed-form RadialHessSpectrum (EuclidRadialSpectrum on
+R^n) and the horizontal gradient from radial_h_gradient, and builds no
+Hessian.  The dense path takes
 everything else (negated or wrapped fields, fields without a profile,
 TabulatedField rows, and the pnorm operator, which needs the matrix): it
 forms the horizontal Hessian from the Euclidean jets and calls eigvalsh.
@@ -35,6 +42,7 @@ does not depend on the thread count.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import os
 import time
@@ -43,8 +51,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import qmc
 
 from . import gallery, hgroup, operators
 from .gallery import ScalarField
@@ -83,7 +89,8 @@ LYAPUNOV_CONDITIONS = (
 )
 
 _ABS_FLOOR = 1e-12
-_N_SHELLS = 16
+# Fractional bits of phi when the Kronecker steps are computed.
+_PHI_BITS = 96
 # Points of a spectral-path run that the dense path evaluates again.
 _DENSE_CHECK_POINTS = 256
 
@@ -92,11 +99,16 @@ _DENSE_CHECK_POINTS = 256
 class Region:
     """Sampling annulus and admissibility tubes.
 
-    sampler "sobol" draws scrambled quasi-random points stratified over
-    geometric radius shells; "grid" builds a deterministic product of a
-    radius ladder with a ladder in tau = |x_H|/rho (both vertical signs,
-    horizontal axes cycling), which parametrizes exactly the data
-    gauge-radial operators depend on.
+    Both samplers work in the chart (rho, tau = |x_H|/rho, vertical sign,
+    horizontal direction), which parametrizes exactly the data gauge-radial
+    operators depend on; on R^n the chart is (r, direction).  sampler
+    "kronecker" draws a randomly shifted Kronecker (R_k, generalized golden
+    ratio) sequence, seeded by seed, with log rho spread over the whole
+    annulus, so the largest gap in log-radius shrinks like 1/n_samples;
+    tau is uniform on (0, 1), the sign and the direction come from the
+    remaining coordinates.  "grid" builds a deterministic product of a
+    radius ladder with a ladder in tau (both vertical signs, horizontal axes
+    cycling).
     """
 
     rho_min: float
@@ -105,7 +117,7 @@ class Region:
     seed: int = 0
     char_eps: float = 1e-3
     kink_eps: float = 1e-6
-    sampler: str = "sobol"
+    sampler: str = "kronecker"
 
     def __post_init__(self) -> None:
         if not (
@@ -120,7 +132,7 @@ class Region:
             raise ValueError("char_eps must lie in [0, 1)")
         if self.kink_eps < 0.0:
             raise ValueError("kink_eps must be nonnegative")
-        if self.sampler not in ("sobol", "grid"):
+        if self.sampler not in ("kronecker", "grid"):
             raise ValueError(f"unknown sampler {self.sampler!r}")
         object.__setattr__(self, "n_samples", int(self.n_samples))
         object.__setattr__(self, "seed", int(self.seed))
@@ -133,7 +145,9 @@ class OperatorSpec:
     sense "subsolution" tests F[u] <= 0, "supersolution" tests F[u] >= 0.
     gradient_space picks which gradient feeds the Bellman part and the
     normalized p-Laplacian; None means the field's natural one (horizontal
-    on the group, Euclidean otherwise).
+    on the group, Euclidean otherwise).  pnorm pairs the gradient with the
+    horizontal Hessian, so a group field under pnorm with a Euclidean
+    gradient is rejected (ValueError) when the check starts.
     """
 
     second_order: str
@@ -274,41 +288,81 @@ def _thread_count() -> int:
     return n
 
 
-def _sobol_unit(n: int, k: int, seed: int) -> np.ndarray:
-    eng = qmc.Sobol(d=k, scramble=True, seed=seed)
-    m = max(1, int(math.ceil(math.log2(max(n, 2)))))
-    return eng.random_base2(m)[:n]
+@functools.lru_cache(maxsize=None)
+def _kronecker_steps(k: int) -> np.ndarray:
+    """Steps 2^64 / phi^j (j = 1..k) of the R_k sequence, phi^(k+1) = phi + 1.
+
+    phi is found by bisection on integers with _PHI_BITS fractional bits,
+    so the steps are the same on every platform.
+    """
+    one = 1 << _PHI_BITS
+    lo, hi = one, 2 * one
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid ** (k + 1) > (mid + one) * one**k:
+            hi = mid
+        else:
+            lo = mid
+    steps = np.array(
+        [(1 << (64 + _PHI_BITS * j)) // lo**j for j in range(1, k + 1)], dtype=np.uint64
+    )
+    steps.flags.writeable = False  # the cache hands this array to every caller
+    return steps
 
 
-def _shell_radii(u: np.ndarray, rho_min: float, rho_max: float) -> np.ndarray:
-    n = u.shape[0]
-    n_shells = min(_N_SHELLS, n)
-    edges = np.geomspace(rho_min, rho_max, n_shells + 1)
-    k = np.arange(n) % n_shells
-    lo, hi = edges[k], edges[k + 1]
-    return lo * (hi / lo) ** u
+def _kronecker_unit(n: int, k: int, seed: int) -> list[np.ndarray]:
+    """Coordinates 0..k-1 of n points of the R_k sequence, shifted by seed.
+
+    x_i = s + i a (mod 2^64) in 64-bit fixed point; the top 53 bits name a
+    dyadic cell and its midpoint is returned, so every value lies in (0, 1).
+    """
+    shift = np.random.default_rng(seed).integers(0, 2**64, size=k, dtype=np.uint64)
+    i = np.arange(n, dtype=np.uint64)
+    cols = []
+    for s, a in zip(shift, _kronecker_steps(k)):
+        x = i * a
+        x += s
+        x >>= np.uint64(11)
+        u = x.astype(float)
+        u += 0.5
+        u *= 2.0**-53
+        cols.append(u)
+    return cols
 
 
-def _gaussian_directions(u: np.ndarray) -> np.ndarray:
-    g = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
-    bad = np.einsum("ij,ij->i", g, g) < 1e-280
-    if np.any(bad):
-        g[bad] = 0.0
-        g[bad, 0] = 1.0
-    return g
+def _unit_vectors(u: list[np.ndarray], m: int) -> np.ndarray:
+    """Unit vectors in R^m from 2 * ceil(m / 2) uniform coordinates (Box-Muller pairs)."""
+    g = np.empty((u[0].shape[0], 2 * ((m + 1) // 2)))
+    for j in range(0, g.shape[1], 2):
+        r = np.sqrt(-2.0 * np.log(u[j]))
+        theta = 2.0 * np.pi * u[j + 1]
+        g[:, j] = r * np.cos(theta)
+        g[:, j + 1] = r * np.sin(theta)
+    g = g[:, :m]
+    return g / np.sqrt(np.einsum("ij,ij->i", g, g))[:, None]
 
 
-def _sample_points(region: Region, space: str, dim: int) -> np.ndarray:
+def _sample_points(region: Region, space: str, dim: int):
+    """(points, radius, tau) for the region's sampler; tau is None on R^n.
+
+    Both samplers place points through the chart (rho, tau, vertical sign,
+    horizontal direction), (r, direction) on R^n, and return its radius
+    and tau rather than recomputing them from the points.
+    """
     n = region.n_samples
-    if region.sampler == "sobol":
-        u = _sobol_unit(n, dim + 1, region.seed)
-        r = _shell_radii(u[:, 0], region.rho_min, region.rho_max)
-        g = _gaussian_directions(u[:, 1:])
+    if region.sampler == "kronecker":
+        m = dim if space == "euclidean" else dim - 1
+        # (rho[, tau, sign]) then the direction's Box-Muller pairs.
+        head = 1 if space == "euclidean" else 3
+        u = _kronecker_unit(n, head + 2 * ((m + 1) // 2), region.seed)
+        lo = math.log(region.rho_min)
+        r = np.exp(lo + (math.log(region.rho_max) - lo) * u[0])
         if space == "euclidean":
-            return g * (r / np.sqrt(np.einsum("ij,ij->i", g, g)))[:, None]
-        # rho is 1-homogeneous under dilations, so dilating by r/rho(g)
-        # lands exactly on the target gauge sphere.
-        return hgroup.dilate(r / hgroup.hnorm(g), g)
+            return r[:, None] * _unit_vectors(u[1:], m), r, None
+        tau = u[1]
+        xh = (r * tau)[:, None] * _unit_vectors(u[3:], m)
+        vert = np.where(u[2] < 0.5, 1.0, -1.0) * r**2 * np.sqrt(1.0 - tau**4)
+        return np.concatenate([xh, vert[:, None]], axis=1), r, tau
     if space == "euclidean":
         nr = max(1, int(math.ceil(n / (2.0 * dim))))
         rr = np.geomspace(region.rho_min, region.rho_max, nr)
@@ -319,7 +373,7 @@ def _sample_points(region: Region, space: str, dim: int) -> np.ndarray:
         N = r_g.shape[0]
         pts = np.zeros((N, dim))
         pts[np.arange(N), axis_g.astype(int)] = sign_g * r_g
-        return pts
+        return pts, r_g, None
     m = dim - 1
     nt = max(2, int(math.ceil(math.sqrt(n / 2.0))))
     nr = max(1, int(math.ceil(n / (2.0 * nt))))
@@ -331,7 +385,7 @@ def _sample_points(region: Region, space: str, dim: int) -> np.ndarray:
     xh = np.zeros((N, m))
     xh[np.arange(N), np.arange(N) % m] = r_g * t_g
     vert = s_g * r_g**2 * np.sqrt(np.clip(1.0 - t_g**4, 0.0, None))
-    return np.concatenate([xh, vert[:, None]], axis=1)
+    return np.concatenate([xh, vert[:, None]], axis=1), r_g, t_g
 
 
 def _radius_tau(pts: np.ndarray, space: str) -> tuple[np.ndarray, np.ndarray | None]:
@@ -375,9 +429,7 @@ def sample_region(
     """
     if space not in ("heisenberg", "euclidean"):
         raise ValueError(f"unknown space {space!r}")
-    pts = _sample_points(region, space, dim)
-    radius, tau = _radius_tau(pts, space)
-
+    pts, radius, tau = _sample_points(region, space, dim)
     admissible = np.ones(region.n_samples, dtype=bool)
     excluded_by: dict[str, int] = {}
     _exclude_tubes(admissible, radius, tau, region, singular_radii, excluded_by)
@@ -392,6 +444,11 @@ def _resolve_gspace(space: str, spec: OperatorSpec) -> str:
         gs = "horizontal" if space == "heisenberg" else "euclidean"
     if space == "euclidean" and gs == "horizontal":
         raise ValueError("a Euclidean field has no horizontal gradient")
+    if space == "heisenberg" and gs == "euclidean" and spec.second_order == "pnorm":
+        raise ValueError(
+            "pnorm pairs the gradient with the 2d x 2d horizontal Hessian, so on "
+            "the group it needs the horizontal gradient, not the Euclidean one"
+        )
     return gs
 
 
@@ -426,26 +483,23 @@ def _dense_jets(field, pts: np.ndarray, rows: np.ndarray, gspace: str):
     return val, q, mat, operators.sym_eigenvalues(mat)
 
 
-def _spectral_jets(profile, pts: np.ndarray, gspace: str):
+def _spectral_jets(profile, pts: np.ndarray, radius, tau, gspace: str):
     """(value, gradient q, None, eigenvalues) of a radial field from its profile.
 
-    The sorted eigenvalues come from the closed-form spectrum, so no Hessian
-    is built and no eigenproblem is solved.
+    radius and tau are the sampler's own; the sorted eigenvalues come from
+    the closed-form spectrum, so no Hessian is built and no eigenproblem is
+    solved.
     """
     if profile.kind == "heisenberg":
-        d = (pts.shape[1] - 1) // 2
-        radius = hgroup.hnorm(pts)
-        w = np.einsum("ij,ij->i", pts[:, : 2 * d], pts[:, : 2 * d]) / radius**2
         fp = profile.deriv(radius)
         spectrum = hgroup.RadialHessSpectrum.from_jets(
-            fp, profile.second_deriv(radius), w, radius, d
+            fp, profile.second_deriv(radius), tau**2, radius, (pts.shape[1] - 1) // 2
         )
         if gspace == "horizontal":
-            q = hgroup.radial_h_gradient(profile.deriv, pts)
+            q = hgroup.radial_h_gradient(profile.deriv, pts, radius)
         else:
-            q = fp[:, None] * hgroup.euclid_grad_rho(pts)
+            q = fp[:, None] * hgroup.euclid_grad_rho(pts, radius)
     else:
-        radius = np.sqrt(np.einsum("ij,ij->i", pts, pts))
         spectrum = gallery.EuclidRadialSpectrum.from_jets(
             profile.deriv(radius), profile.second_deriv(radius), radius, pts.shape[1]
         )
@@ -453,18 +507,17 @@ def _spectral_jets(profile, pts: np.ndarray, gspace: str):
     return profile.value(radius), q, None, spectrum.eigenvalues()
 
 
-def _terms_for(field, spec: OperatorSpec, pts: np.ndarray, rows: np.ndarray, profile) -> dict:
+def _terms_for(field, spec: OperatorSpec, gspace: str, profile, pts, rows, radius, tau) -> dict:
     """Evaluate operator ingredients at points (N, dim).
 
     rows are the indices of pts among the batch's points, which are the rows
-    of a TabulatedField.  With a profile the spectral path evaluates them,
-    otherwise the dense path.
+    of a TabulatedField; radius and tau are the batch's at those points.
+    With a profile the spectral path evaluates them, otherwise the dense path.
     """
-    gspace = _resolve_gspace(field.space, spec)
     if profile is None:
         val, q, mat, eigs = _dense_jets(field, pts, rows, gspace)
     else:
-        val, q, mat, eigs = _spectral_jets(profile, pts, gspace)
+        val, q, mat, eigs = _spectral_jets(profile, pts, radius, tau, gspace)
 
     value = operators.OPERATORS[spec.second_order].value
     if spec.second_order == "pnorm":
@@ -493,20 +546,23 @@ def _terms_for(field, spec: OperatorSpec, pts: np.ndarray, rows: np.ndarray, pro
     }
 
 
-def _chunked_terms(field, spec, pts, rows, profile) -> dict:
+def _chunked_terms(field, spec, gspace, profile, pts, rows, radius, tau) -> dict:
     n_threads = _thread_count()
     n = pts.shape[0]
     if n_threads <= 1 or n < 2 * n_threads:
-        return _terms_for(field, spec, pts, rows, profile)
-    chunks = zip(np.array_split(pts, n_threads), np.array_split(rows, n_threads))
+        return _terms_for(field, spec, gspace, profile, pts, rows, radius, tau)
+    chunks = zip(*(
+        [None] * n_threads if a is None else np.array_split(a, n_threads)
+        for a in (pts, rows, radius, tau)
+    ))
     with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        parts = list(pool.map(lambda c: _terms_for(field, spec, *c, profile), chunks))
+        parts = list(pool.map(lambda c: _terms_for(field, spec, gspace, profile, *c), chunks))
     return {
         key: np.concatenate([p[key] for p in parts], axis=0) for key in parts[0]
     }
 
 
-def _dense_check(field, spec, pts, rows, eigs, tol) -> dict:
+def _dense_check(field, gspace, pts, rows, eigs, tol) -> dict:
     """Evaluate evenly spaced points again on the dense path; compare spectra.
 
     The subsample depends only on the number of points, never on the thread
@@ -516,7 +572,6 @@ def _dense_check(field, spec, pts, rows, eigs, tol) -> dict:
     """
     n = pts.shape[0]
     idx = np.linspace(0, n - 1, min(n, _DENSE_CHECK_POINTS)).astype(np.intp)
-    gspace = _resolve_gspace(field.space, spec)
     dense = _dense_jets(field, pts[idx], rows[idx], gspace)[3]
     diff = np.abs(eigs[idx] - dense)
     bad = diff > _allowance(tol, np.abs(dense))
@@ -565,12 +620,13 @@ def _reference_values(field, spec, rho, tau):
     return None
 
 
-def _witness(batch, idx_adm, terms, excess, allow, order):
+def _witness(batch, rows, terms, excess, allow, order):
     k = int(order)
+    row = rows[k]
     return {
-        "point": [float(v) for v in batch.points[idx_adm][k]],
-        "radius": float(batch.radius[idx_adm][k]),
-        "tau": None if batch.tau is None else float(batch.tau[idx_adm][k]),
+        "point": [float(v) for v in batch.points[row]],
+        "radius": float(batch.radius[row]),
+        "tau": None if batch.tau is None else float(batch.tau[row]),
         "value": float(terms["value"][k]),
         "eigenvalues": [float(v) for v in terms["eigs"][k]],
         "second_order": float(terms["second"][k]),
@@ -709,21 +765,24 @@ def check_tabulated(
 def _inequality_from_batch(
     field, spec, region, tol, mode, keep_samples, batch, config, t0
 ) -> CheckReport:
+    gspace = _resolve_gspace(field.space, spec)
     adm = batch.admissible
     if not np.any(adm):
         return _vacuous_report("inequality", tol, region, batch, config, t0)
 
-    pts = batch.points[adm]
     rows = np.flatnonzero(adm)
+    pts = batch.points[rows]
+    rho_adm = batch.radius[rows]
+    tau_adm = None if batch.tau is None else batch.tau[rows]
     # pnorm needs the matrix itself, so it always takes the dense path.
     profile = None if spec.second_order == "pnorm" else _own_profile(field)
-    terms = _chunked_terms(field, spec, pts, rows, profile)
+    terms = _chunked_terms(field, spec, gspace, profile, pts, rows, rho_adm, tau_adm)
     n_adm = pts.shape[0]
     paths = {
         "spectral": 0 if profile is None else n_adm,
         "dense": n_adm if profile is None else 0,
         "dense_check": None if profile is None else _dense_check(
-            field, spec, pts, rows, terms["eigs"], tol
+            field, gspace, pts, rows, terms["eigs"], tol
         ),
     }
 
@@ -737,9 +796,6 @@ def _inequality_from_batch(
         rep.excluded_by = excluded_by
         rep.paths = paths
         return rep
-
-    rho_adm = batch.radius[adm]
-    tau_adm = None if batch.tau is None else batch.tau[adm]
 
     formula = None
     if mode == "formula":
@@ -767,7 +823,7 @@ def _inequality_from_batch(
         if np.any(use):
             verdict = "pass" if viol.max() <= 0.0 else "fail"
             worst = float(excess.max())
-            witness = _witness(batch, adm, terms, excess, dev_allow, np.argmax(viol))
+            witness = _witness(batch, rows, terms, excess, dev_allow, np.argmax(viol))
         else:
             verdict, worst, witness = "vacuous", None, None
         formula["pass"] = verdict == "pass"
@@ -780,7 +836,7 @@ def _inequality_from_batch(
         viol = np.where(alive, signed - allow, -np.inf)
         verdict = "pass" if viol.max() <= 0.0 else "fail"
         worst = float(excess.max())
-        witness = _witness(batch, adm, terms, excess, allow, np.argmax(viol))
+        witness = _witness(batch, rows, terms, excess, allow, np.argmax(viol))
 
     samples = {"points": pts, "radius": rho_adm, "tau": tau_adm, **terms} if keep_samples else None
 
@@ -895,8 +951,9 @@ def check_lyapunov(
     if not np.any(adm):
         return _vacuous_report("lyapunov", tol, region, batch, config, t0)
 
-    pts = batch.points[adm]
-    rho = batch.radius[adm]
+    rows = np.flatnonzero(adm)
+    pts = batch.points[rows]
+    rho = batch.radius[rows]
     lg = np.log(rho)
     d = dims.d
     s = np.einsum("ij,ij->i", pts[:, : 2 * d], pts[:, : 2 * d])
@@ -938,7 +995,7 @@ def check_lyapunov(
         euclid_schro = True
         bs, cs = drift_cost_arrays(data)
         c_margin = np.min(np.stack([cv * lg for cv in cs], axis=0), axis=0)
-        grad_rho = hgroup.euclid_grad_rho(pts)
+        grad_rho = hgroup.euclid_grad_rho(pts, rho)
         sign_evid = np.max(
             np.stack([np.einsum("ij,ij->i", bv, grad_rho) for bv in bs], axis=0), axis=0
         )
@@ -969,7 +1026,7 @@ def check_lyapunov(
         if g.shape != (dims.n,) or np.any(g <= 0.0):
             raise ValueError(f"gammas must be {dims.n} positive reals")
         bs, cs = drift_cost_arrays(data)
-        grad_rho = hgroup.euclid_grad_rho(pts)
+        grad_rho = hgroup.euclid_grad_rho(pts, rho)
         drift_dot = np.max(
             np.stack([np.einsum("ij,ij->i", bv, grad_rho) for bv in bs], axis=0), axis=0
         )
@@ -1006,7 +1063,7 @@ def check_lyapunov(
     witness = {
         "point": [float(v) for v in pts[order]],
         "radius": float(rho[order]),
-        "tau": float(batch.tau[adm][order]),
+        "tau": float(batch.tau[rows[order]]),
         "margin": float(margin[order]),
         "allowance": float(allow[order]),
     }

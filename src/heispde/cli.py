@@ -202,7 +202,7 @@ _REGION = {
     "seed": (0, _as_int),
     "char_eps": (1e-3, _as_float),
     "kink_eps": (1e-6, _as_float),
-    "sampler": ("sobol", _one_of("sobol", "grid")),
+    "sampler": ("kronecker", _one_of("kronecker", "grid")),
 }
 
 # command -> option name -> (default, converter).  Flags and config values

@@ -238,14 +238,15 @@ def _rho_positive(xa: np.ndarray, d: int) -> np.ndarray:
     return rho
 
 
-def euclid_grad_rho(x) -> np.ndarray:
+def euclid_grad_rho(x, rho=None) -> np.ndarray:
     """Euclidean gradient of the gauge norm: (|x_H|^2 x_H, t/2) / rho^3.
 
     Computed from bounded ratios (|x_H|^2/rho^2 <= 1, |t|/rho^2 <= 1,
-    |x_H|/rho <= 1) so large points do not overflow.
+    |x_H|/rho <= 1) so large points do not overflow.  rho, if given, is the
+    gauge norm of x, which is then not computed again.
     """
     xa, d = _as_points(x)
-    rho = _rho_positive(xa, d)
+    rho = _rho_positive(xa, d) if rho is None else rho
     s_r2 = _hsq(xa, d) / rho**2
     xh_r = xa[..., : 2 * d] / rho[..., None]
     out_h = s_r2[..., None] * xh_r
@@ -275,17 +276,20 @@ def euclid_hess_rho(x) -> np.ndarray:
     return out
 
 
-def _radial_jets(fprime, fsecond, xa, d):
-    rho = _rho_positive(xa, d)
+def _radial_jets(fprime, fsecond, xa, d, rho=None):
+    rho = _rho_positive(xa, d) if rho is None else rho
     fp = np.asarray(fprime(rho), dtype=float)
     fpp = None if fsecond is None else np.asarray(fsecond(rho), dtype=float)
     return rho, fp, fpp
 
 
-def radial_h_gradient(fprime, x) -> np.ndarray:
-    """Horizontal gradient of f(rho(.)): f'(rho) * eta / rho^3."""
+def radial_h_gradient(fprime, x, rho=None) -> np.ndarray:
+    """Horizontal gradient of f(rho(.)): f'(rho) * eta / rho^3.
+
+    rho, if given, is the gauge norm of x, which is then not computed again.
+    """
     xa, d = _as_points(x)
-    rho, fp, _ = _radial_jets(fprime, None, xa, d)
+    rho, fp, _ = _radial_jets(fprime, None, xa, d, rho)
     s_r2 = _hsq(xa, d) / rho**2
     xh_r = xa[..., : 2 * d] / rho[..., None]
     hp_r = hperp(xa) / rho[..., None]

@@ -37,6 +37,8 @@ def test_region_validation():
     with pytest.raises(ValueError):
         Region(1.0, 2.0, sampler="lattice")
     with pytest.raises(ValueError):
+        Region(1.0, 2.0, sampler="sobol")  # renamed to "kronecker"
+    with pytest.raises(ValueError):
         Region(1.0, 2.0, char_eps=1.0)
 
 
@@ -88,13 +90,60 @@ def test_euclidean_sampler_shapes():
     )
 
 
-def test_sobol_sampling_is_deterministic():
+def test_kronecker_sampling_is_deterministic():
     region = Region(0.5, 4.0, n_samples=256, seed=9)
+    assert region.sampler == "kronecker"
     a = sample_region(region, space="heisenberg", dim=5)
     b = sample_region(region, space="heisenberg", dim=5)
     assert np.array_equal(a.points, b.points)
     c = sample_region(Region(0.5, 4.0, n_samples=256, seed=10), space="heisenberg", dim=5)
     assert not np.array_equal(a.points, c.points)
+
+
+def test_kronecker_steps_are_the_generalized_golden_ratios():
+    # phi^(k+1) = phi + 1: the golden ratio for k = 1, the plastic number for k = 2.
+    golden, plastic = (1.0 + 5.0**0.5) / 2.0, 1.324717957244746
+    assert float(checker._kronecker_steps(1)[0]) / 2.0**64 == pytest.approx(1.0 / golden, abs=1e-15)
+    steps = checker._kronecker_steps(2).astype(float) / 2.0**64
+    assert steps == pytest.approx([1.0 / plastic, 1.0 / plastic**2], abs=1e-15)
+
+
+def test_kronecker_unit_matches_integer_reference():
+    # x_i = s + i a (mod 2^64), top 53 bits, cell midpoint: numpy's wrapping
+    # uint64 arithmetic against Python integers.
+    n, k, seed = 300, 5, 11
+    shift = np.random.default_rng(seed).integers(0, 2**64, size=k, dtype=np.uint64)
+    cols = checker._kronecker_unit(n, k, seed)
+    for s, a, col in zip(shift, checker._kronecker_steps(k), cols):
+        ref = [(((int(s) + i * int(a)) % 2**64 >> 11) + 0.5) * 2.0**-53 for i in range(n)]
+        assert col.tolist() == ref
+        assert 0.0 < col.min() and col.max() < 1.0
+
+
+def _log_radius_max_gap(radius, rho_min, rho_max):
+    lo, hi = np.log(rho_min), np.log(rho_max)
+    edges = np.concatenate([[lo], np.sort(np.log(radius)), [hi]])
+    return np.diff(edges).max() / (hi - lo)
+
+
+def test_kronecker_log_radius_gap_shrinks_with_n():
+    # The region and seed of acceptance criteria 03/04.
+    gaps = {}
+    for n in (4096, 65536):
+        batch = sample_region(Region(0.05, 5.0, n_samples=n, seed=3), space="heisenberg", dim=3)
+        assert batch.radius.min() >= 0.05 and batch.radius.max() <= 5.0
+        gaps[n] = _log_radius_max_gap(batch.radius, 0.05, 5.0)
+    assert gaps[4096] < 1e-3
+    assert gaps[65536] * 8.0 <= gaps[4096]
+
+
+def test_kronecker_tau_hits_every_tenth():
+    batch = sample_region(Region(0.05, 5.0, n_samples=4096, seed=3), space="heisenberg", dim=3)
+    counts, _ = np.histogram(batch.tau, bins=10, range=(0.0, 1.0))
+    assert counts.min() > 0
+    # tau is the chart coordinate of the point it was drawn with
+    xh = np.linalg.norm(batch.points[:, :2], axis=1)
+    assert np.allclose(batch.tau, xh / batch.radius, rtol=1e-12, atol=1e-15)
 
 
 def test_check_inequality_report_is_reproducible():
@@ -266,6 +315,19 @@ def test_zero_gradient_rows_are_excluded_for_pnorm():
     rep = check_tabulated(table, spec, Region(0.5, 4.0, char_eps=0.0))
     assert rep.excluded_by.get("zero_gradient") == 1
     assert rep.n_evaluated == 1
+
+
+def test_pnorm_rejects_a_euclidean_gradient_on_the_group():
+    spec = OperatorSpec("pnorm", "subsolution", p=3.0, gradient_space="euclidean")
+    with pytest.raises(ValueError, match="pnorm.*horizontal Hessian"):
+        check_inequality(_field("log_rho", dims=D1), spec, Region(0.5, 4.0, n_samples=64))
+    # also on a region that leaves no admissible point
+    vacuous = Region(1.0, 1.0 + 1e-9, n_samples=8, char_eps=0.999)
+    with pytest.raises(ValueError, match="pnorm"):
+        check_inequality(_field("log_rho", dims=D1), spec, vacuous)
+    horizontal = OperatorSpec("pnorm", "subsolution", p=3.0)
+    rep = check_inequality(_field("log_rho", dims=D1), horizontal, Region(0.5, 4.0, n_samples=64))
+    assert rep.n_evaluated > 0
 
 
 def test_tabulated_field_validation():

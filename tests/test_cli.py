@@ -322,13 +322,17 @@ def test_option_table_is_the_single_source(command, name, tmp_path, capsys):
     capsys.readouterr()
 
 
-def _run_module(*args):
+def _run_python(*args):
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "heispde", *args],
+        [sys.executable, *args],
         capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path),
     )
+
+
+def _run_module(*args):
+    return _run_python("-m", "heispde", *args)
 
 
 @pytest.mark.parametrize("command", list(cli.OPTIONS))
@@ -337,6 +341,18 @@ def test_module_entry_point_help_lists_every_option(command):
     assert proc.returncode == 0, proc.stderr
     flags = {"--" + name.replace("_", "-") for name in cli.OPTIONS[command]}
     assert flags <= set(re.findall(r"--[\w-]+", proc.stdout))
+
+
+@pytest.mark.parametrize("args", [("-c", "import heispde"), ("-m", "heispde", "--help")])
+def test_import_and_help_load_no_scipy(args):
+    proc = _run_python("-X", "importtime", *args)
+    assert proc.returncode == 0, proc.stderr
+    loaded = [
+        line.rsplit("|", 1)[-1].strip()
+        for line in proc.stderr.splitlines() if line.startswith("import time:")
+    ]
+    assert "numpy" in loaded
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
 
 
 def test_module_entry_point_op_eval():
