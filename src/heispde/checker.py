@@ -18,25 +18,24 @@ operator values are available for stricter downstream assertions.
 
 Two paths evaluate the second-order part.  The spectral path takes every
 ScalarField whose jets are its own radial profile (profile set and
-field.name == profile.name): it reads rho (or r) and tau^2 = |x_H|^2/rho^2
-from the batch and f, f' and f'' from the profile, takes the sorted
-eigenvalues from the closed-form RadialHessSpectrum (EuclidRadialSpectrum on
-R^n) and the horizontal gradient from radial_h_gradient, and builds no
-Hessian.  The dense path takes
-everything else (negated or wrapped fields, fields without a profile,
-TabulatedField rows, and the pnorm operator, which needs the matrix): it
-forms the horizontal Hessian from the Euclidean jets and calls eigvalsh.
-After a spectral run the dense path evaluates again at most 256 evenly
-spaced admissible points; if an eigenvalue differs by more than the check's
-allowance the run raises ValueError instead of reporting a verdict.  The
-report's "paths" block gives the points each path evaluated and, as
-"dense_check", that subsample's size n and its largest absolute and
-relative (to max(1, |e|)) eigenvalue differences.
+field.name == profile.name; negation negates both): it reads rho (or r) and
+w = tau^2 from the batch and f, f', f'' from the profile, and takes the
+sorted eigenvalues from RadialHessSpectrum (EuclidRadialSpectrum on R^n).
+The gradient is the eigenvector of f'' w, so e_q = f'' w and |q|^2 = f'^2 w
+(w = 1 on R^n).  The dense path takes fields without an own profile and
+TabulatedField rows: it forms the horizontal Hessian from the Euclidean
+jets, calls eigvalsh and takes e_q from the matrix.  After a spectral run
+the dense path evaluates again at most 256 evenly spaced admissible points;
+if an eigenvalue (or e_q) differs by more than the check's allowance the
+run raises ValueError instead of reporting a verdict.  The report's "paths"
+block gives the points each path evaluated and, as "dense_check", that
+subsample's size n and its largest absolute and relative (to max(1, |e|))
+differences.
 
 Reports are deterministic functions of (config, seed): identical inputs give
-identical reports except for wall_time.  Sample evaluation is chunked and can
-run on several threads (HEISPDE_THREADS); the merge is ordered, so the result
-does not depend on the thread count.
+identical reports except for wall_time.  Dense batches are chunked over
+HEISPDE_THREADS threads with an ordered merge, so the result does not depend
+on the thread count; spectral batches run on the calling thread.
 """
 
 from __future__ import annotations
@@ -130,8 +129,8 @@ class Region:
             raise ValueError("n_samples must be a positive integer")
         if not 0.0 <= self.char_eps < 1.0:
             raise ValueError("char_eps must lie in [0, 1)")
-        if self.kink_eps < 0.0:
-            raise ValueError("kink_eps must be nonnegative")
+        if not (np.isfinite(self.kink_eps) and self.kink_eps >= 0.0):
+            raise ValueError("kink_eps must be finite and nonnegative")
         if self.sampler not in ("kronecker", "grid"):
             raise ValueError(f"unknown sampler {self.sampler!r}")
         object.__setattr__(self, "n_samples", int(self.n_samples))
@@ -455,8 +454,8 @@ def _resolve_gspace(space: str, spec: OperatorSpec) -> str:
 def _own_profile(field):
     """The radial profile whose jets field evaluates, or None.
 
-    A negated or wrapped field keeps its profile but not its name, and its
-    jets are no longer the profile's own.
+    A wrapped field keeps its profile but not its name, and its jets are no
+    longer the profile's own.
     """
     profile = getattr(field, "profile", None)
     if profile is None or field.name != profile.name:
@@ -464,8 +463,8 @@ def _own_profile(field):
     return profile
 
 
-def _dense_jets(field, pts: np.ndarray, rows: np.ndarray, gspace: str):
-    """(value, gradient q, matrix, eigenvalues) from the field's Euclidean jets."""
+def _dense_jets(field, pts: np.ndarray, rows: np.ndarray, gspace: str, reads_e_q: bool):
+    """(value, q, eigenvalues, e_q, |q|^2) from the Euclidean jets; e_q, |q|^2 if reads_e_q."""
     if isinstance(field, TabulatedField):
         val = field.values[rows]
         grad = field.gradients[rows]
@@ -480,31 +479,36 @@ def _dense_jets(field, pts: np.ndarray, rows: np.ndarray, gspace: str):
     else:
         mat = 0.5 * (hess + np.swapaxes(hess, -1, -2))
         q = grad
-    return val, q, mat, operators.sym_eigenvalues(mat)
+    e_q, qq = operators.rayleigh_quotient(q, mat) if reads_e_q else (None, None)
+    return val, q, operators.sym_eigenvalues(mat), e_q, qq
 
 
-def _spectral_jets(profile, pts: np.ndarray, radius, tau, gspace: str):
-    """(value, gradient q, None, eigenvalues) of a radial field from its profile.
+def _spectral_jets(profile, pts: np.ndarray, radius, tau, gspace: str, reads_e_q: bool, needs_q: bool):
+    """(value, gradient q, eigenvalues, e_q, |q|^2) of a radial field from its profile.
 
     radius and tau are the sampler's own; the sorted eigenvalues come from
     the closed-form spectrum, so no Hessian is built and no eigenproblem is
-    solved.
+    solved.  q is None unless needs_q, e_q and |q|^2 unless reads_e_q.
     """
+    val, fp, fpp = profile.jets(radius)
+    q = e_q = qq = None
     if profile.kind == "heisenberg":
-        fp = profile.deriv(radius)
-        spectrum = hgroup.RadialHessSpectrum.from_jets(
-            fp, profile.second_deriv(radius), tau**2, radius, (pts.shape[1] - 1) // 2
-        )
-        if gspace == "horizontal":
-            q = hgroup.radial_h_gradient(profile.deriv, pts, radius)
-        else:
+        w = tau**2
+        spectrum = hgroup.RadialHessSpectrum.from_jets(fp, fpp, w, radius, (pts.shape[1] - 1) // 2)
+        if needs_q and gspace == "horizontal":
+            q = hgroup.radial_h_gradient(lambda _: fp, pts, radius)
+        elif needs_q:
             q = fp[:, None] * hgroup.euclid_grad_rho(pts, radius)
     else:
-        spectrum = gallery.EuclidRadialSpectrum.from_jets(
-            profile.deriv(radius), profile.second_deriv(radius), radius, pts.shape[1]
-        )
-        q = spectrum.tangential[:, None] * pts
-    return profile.value(radius), q, None, spectrum.eigenvalues()
+        w = 1.0
+        spectrum = gallery.EuclidRadialSpectrum.from_jets(fp, fpp, radius, pts.shape[1])
+        if needs_q:
+            q = spectrum.tangential[:, None] * pts
+    if reads_e_q:
+        # The gradient is the eigenvector of f'' w; e_q is 0 where q = 0, as on the dense path.
+        qq = fp * fp * w
+        e_q = np.where(qq > 0.0, fpp * w, 0.0)
+    return val, q, spectrum.eigenvalues(), e_q, qq
 
 
 def _terms_for(field, spec: OperatorSpec, gspace: str, profile, pts, rows, radius, tau) -> dict:
@@ -514,21 +518,20 @@ def _terms_for(field, spec: OperatorSpec, gspace: str, profile, pts, rows, radiu
     of a TabulatedField; radius and tau are the batch's at those points.
     With a profile the spectral path evaluates them, otherwise the dense path.
     """
+    entry = operators.OPERATORS[spec.second_order]
     if profile is None:
-        val, q, mat, eigs = _dense_jets(field, pts, rows, gspace)
+        val, q, eigs, e_q, qq = _dense_jets(field, pts, rows, gspace, entry.reads_e_q)
     else:
-        val, q, mat, eigs = _spectral_jets(profile, pts, radius, tau, gspace)
+        val, q, eigs, e_q, qq = _spectral_jets(
+            profile, pts, radius, tau, gspace, entry.reads_e_q, spec.first_order is not None
+        )
 
-    value = operators.OPERATORS[spec.second_order].value
-    if spec.second_order == "pnorm":
-        # pnorm is undefined at q = 0; those rows are excluded, not evaluated.
-        alive = np.einsum("...i,...i->...", q, q) > 0.0
-        second = np.zeros(pts.shape[0])
-        if np.any(alive):
-            second[alive] = value(eigs[alive], mat[alive], q[alive], spec.params)
-    else:
-        alive = np.ones(pts.shape[0], dtype=bool)
-        second = value(eigs, mat, q, spec.params)
+    second = entry.value(eigs, e_q, spec.params)
+    alive = np.ones(pts.shape[0], dtype=bool)
+    if e_q is not None:
+        # e_q is undefined at q = 0; those rows are excluded.
+        alive = qq > 0.0
+        second = np.where(alive, second, 0.0)
 
     if spec.first_order is not None:
         side = operators.hjb_inf if spec.envelope == "inf" else operators.hjb_sup
@@ -543,49 +546,56 @@ def _terms_for(field, spec: OperatorSpec, gspace: str, profile, pts, rows, radiu
         "first": first,
         "total": second + first,
         "alive": alive,
+        **({} if e_q is None else {"e_q": e_q}),
     }
 
 
 def _chunked_terms(field, spec, gspace, profile, pts, rows, radius, tau) -> dict:
+    """_terms_for, in chunks on HEISPDE_THREADS threads for a dense batch."""
     n_threads = _thread_count()
-    n = pts.shape[0]
-    if n_threads <= 1 or n < 2 * n_threads:
+    # Spectral chunks would be short numpy calls, which lose to a pool.
+    if profile is not None or n_threads <= 1 or pts.shape[0] < 2 * n_threads:
         return _terms_for(field, spec, gspace, profile, pts, rows, radius, tau)
-    chunks = zip(*(
-        [None] * n_threads if a is None else np.array_split(a, n_threads)
-        for a in (pts, rows, radius, tau)
-    ))
+    chunks = zip(np.array_split(pts, n_threads), np.array_split(rows, n_threads))
     with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        parts = list(pool.map(lambda c: _terms_for(field, spec, gspace, profile, *c), chunks))
-    return {
-        key: np.concatenate([p[key] for p in parts], axis=0) for key in parts[0]
-    }
+        parts = list(pool.map(lambda c: _terms_for(field, spec, gspace, None, *c, None, None), chunks))
+    return {key: np.concatenate([p[key] for p in parts], axis=0) for key in parts[0]}
 
 
-def _dense_check(field, gspace, pts, rows, eigs, tol) -> dict:
+def _dense_check(field, gspace, pts, rows, terms, tol) -> dict:
     """Evaluate evenly spaced points again on the dense path; compare spectra.
 
+    e_q, when the operator reads it, is compared as one more eigenvalue.
     The subsample depends only on the number of points, never on the thread
-    count.  Raises ValueError when an eigenvalue differs by more than the
-    check's own allowance, so a verdict from disagreeing paths is never
-    reported.
+    count.  Raises ValueError when a value differs by more than the check's
+    own allowance, so a verdict from disagreeing paths is never reported.
     """
     n = pts.shape[0]
     idx = np.linspace(0, n - 1, min(n, _DENSE_CHECK_POINTS)).astype(np.intp)
-    dense = _dense_jets(field, pts[idx], rows[idx], gspace)[3]
-    diff = np.abs(eigs[idx] - dense)
+    _, _, dense, dense_e_q, _ = _dense_jets(field, pts[idx], rows[idx], gspace, "e_q" in terms)
+    got = terms["eigs"][idx]
+    if dense_e_q is not None:
+        got = np.column_stack([got, terms["e_q"][idx]])
+        dense = np.column_stack([dense, dense_e_q])
+    diff = np.abs(got - dense)
     bad = diff > _allowance(tol, np.abs(dense))
     if np.any(bad):
         k = int(np.flatnonzero(bad.any(axis=-1))[0])
+        what = "eigenvalues" if dense_e_q is None else "eigenvalues and e_q"
         raise ValueError(
             f"spectral and dense paths disagree at point {pts[idx][k].tolist()}: "
-            f"eigenvalues {eigs[idx][k].tolist()} against {dense[k].tolist()}"
+            f"{what} {got[k].tolist()} against {dense[k].tolist()}"
         )
     return {
         "n": int(idx.size),
         "max_abs": float(diff.max()),
         "max_rel": float((diff / np.maximum(1.0, np.abs(dense))).max()),
     }
+
+
+def _check_tol(tol: float) -> None:
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
 
 
 def _allowance(tol: float, mag: np.ndarray) -> np.ndarray:
@@ -705,6 +715,7 @@ def check_inequality(
     tol * max(1, |reference|) pointwise.
     """
     t0 = time.perf_counter()
+    _check_tol(tol)
     if mode not in ("sense", "formula"):
         raise ValueError(f"unknown mode {mode!r}")
     if isinstance(field, TabulatedField):
@@ -738,6 +749,7 @@ def check_tabulated(
     and accounting still apply, with n_samples = number of rows.
     """
     t0 = time.perf_counter()
+    _check_tol(tol)
     pts = table.points
     radius, tau = _radius_tau(pts, table.space)
     n = pts.shape[0]
@@ -774,15 +786,14 @@ def _inequality_from_batch(
     pts = batch.points[rows]
     rho_adm = batch.radius[rows]
     tau_adm = None if batch.tau is None else batch.tau[rows]
-    # pnorm needs the matrix itself, so it always takes the dense path.
-    profile = None if spec.second_order == "pnorm" else _own_profile(field)
+    profile = _own_profile(field)
     terms = _chunked_terms(field, spec, gspace, profile, pts, rows, rho_adm, tau_adm)
     n_adm = pts.shape[0]
     paths = {
         "spectral": 0 if profile is None else n_adm,
         "dense": n_adm if profile is None else 0,
         "dense_check": None if profile is None else _dense_check(
-            field, gspace, pts, rows, terms["eigs"], tol
+            field, gspace, pts, rows, terms, tol
         ),
     }
 
@@ -925,6 +936,7 @@ def check_lyapunov(
     margin over rho >= R is attached as evidence at sampled scales.
     """
     t0 = time.perf_counter()
+    _check_tol(tol)
     if cond not in LYAPUNOV_CONDITIONS:
         raise ValueError(f"unknown condition {cond!r}")
     divides_by_s = cond in ("condcor1", "condcor1bis", "condcor1p") or (

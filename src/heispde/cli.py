@@ -454,13 +454,7 @@ def _cmd_op_eval(eff: dict) -> int:
     params = {"alpha": eff["alpha"], "p": eff["p"], "zero_tol": eff["zero_tol"]}
     if operators.OPERATORS[op].param == "ell":
         params["ell"] = Ellipticity(eff["lam"], eff["Lam"])
-    q = eff["q"]
-    if op == "pnorm":
-        if q is None:
-            raise CliError("pnorm needs --q")
-        if q.shape[0] == 1 and mats.shape[0] > 1:
-            q = np.broadcast_to(q, (mats.shape[0], q.shape[1]))
-    values, eigs = operators.evaluate(op, mats, params, q)
+    values, eigs = operators.evaluate(op, mats, params, eff["q"])
     payload = {
         "schema": SCHEMA,
         "command": "op-eval",

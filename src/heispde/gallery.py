@@ -25,6 +25,9 @@ fixes (s, k):
 Single-piece profiles: folland (rho^(2-Q), annihilated by the horizontal
 Laplacian away from the origin), log_rho / neg_log_rho, and power (rho^kappa
 for a caller-chosen kappa).
+
+Every piece is data, (lo, hi, kind, coefficients, sign) with kind quartic,
+power or log, and one evaluator gives f, f' and f'' of any piece.
 """
 
 from __future__ import annotations
@@ -58,13 +61,37 @@ class ProfileRegimeError(ValueError):
 
 @dataclass(frozen=True)
 class ProfilePiece:
-    """One closed-form piece f on [lo, hi) with exact first two derivatives."""
+    """One closed-form piece sign * f on [lo, hi), stored as data.
+
+    quartic: coeffs (c4, c2, c0), f = (c4 r^2 - c2) r^2 + c0; power: (k,),
+    f = r^k; log: (), f = log r.
+    """
 
     lo: float
     hi: float
-    f: Callable
-    df: Callable
-    d2f: Callable
+    kind: str
+    coeffs: tuple[float, ...]
+    sign: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("quartic", "power", "log"):
+            raise ValueError(f"unknown piece kind {self.kind!r}")
+
+    def jets(self, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(f, f', f'') of the piece at radii r."""
+        s = self.sign
+        if self.kind == "quartic":
+            c4, c2, c0 = self.coeffs
+            r2 = r * r
+            return (
+                s * ((c4 * r2 - c2) * r2 + c0),
+                s * (4.0 * c4 * r * r - 2.0 * c2) * r,
+                s * (12.0 * c4 * r * r - 2.0 * c2),
+            )
+        if self.kind == "power":
+            (k,) = self.coeffs
+            return s * r**k, s * k * r ** (k - 1.0), s * k * (k - 1.0) * r ** (k - 2.0)
+        return s * np.log(r), s / r, -s / (r * r)
 
 
 @dataclass(frozen=True)
@@ -72,8 +99,9 @@ class RadialProfile:
     """Piecewise radial profile with exact derivatives.
 
     kind is "heisenberg" (radius = gauge norm) or "euclidean" (radius = |x|).
-    params records the constants the pieces were built from; bounded and
-    sup_abs describe sup |f| over (0, inf).
+    params records the constants the named profile was built from; bounded
+    and sup_abs describe sup |f| over (0, inf).  Negating a profile flips
+    the sign of every piece and renames it -(name).
     """
 
     name: str
@@ -84,84 +112,33 @@ class RadialProfile:
     bounded: bool
     sup_abs: float | None = None
 
-    def _eval(self, which: int, r) -> np.ndarray:
+    def jets(self, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(f, f', f'') at radii r."""
         ra = np.asarray(r, dtype=float)
         if np.any(ra < 0.0):
             raise ValueError("radius must be nonnegative")
         # side="right": a radius equal to a breakpoint uses the outer piece.
         idx = np.searchsorted(np.asarray(self.breakpoints), ra, side="right")
-        out = np.empty_like(ra)
+        outs = (np.empty_like(ra), np.empty_like(ra), np.empty_like(ra))
         for k, piece in enumerate(self.pieces):
             mask = idx == k
             if np.any(mask):
-                fn = (piece.f, piece.df, piece.d2f)[which]
-                out[mask] = fn(ra[mask])
-        return out
+                for out, jet in zip(outs, piece.jets(ra[mask])):
+                    out[mask] = jet
+        return outs
 
     def value(self, r) -> np.ndarray:
-        return self._eval(0, r)
+        return self.jets(r)[0]
 
     def deriv(self, r) -> np.ndarray:
-        return self._eval(1, r)
+        return self.jets(r)[1]
 
     def second_deriv(self, r) -> np.ndarray:
-        return self._eval(2, r)
+        return self.jets(r)[2]
 
-
-def _bump_pieces(k: float, s: float) -> tuple[ProfilePiece, ProfilePiece]:
-    c4 = k * (k - 2.0) / 8.0
-    c2 = (k * k - 4.0) / 4.0
-    c0 = k * (k + 2.0) / 8.0
-
-    def f_in(r, c4=c4, c2=c2, c0=c0, s=s):
-        r2 = r * r
-        return s * ((c4 * r2 - c2) * r2 + c0)
-
-    def df_in(r, c4=c4, c2=c2, s=s):
-        return s * (4.0 * c4 * r * r - 2.0 * c2) * r
-
-    def d2f_in(r, c4=c4, c2=c2, s=s):
-        return s * (12.0 * c4 * r * r - 2.0 * c2)
-
-    def f_out(r, k=k, s=s):
-        return s * r ** (2.0 - k)
-
-    def df_out(r, k=k, s=s):
-        return s * (2.0 - k) * r ** (1.0 - k)
-
-    def d2f_out(r, k=k, s=s):
-        return s * (2.0 - k) * (1.0 - k) * r ** (-k)
-
-    return (
-        ProfilePiece(0.0, 1.0, f_in, df_in, d2f_in),
-        ProfilePiece(1.0, np.inf, f_out, df_out, d2f_out),
-    )
-
-
-def _power_pieces(k: float, s: float = 1.0) -> tuple[ProfilePiece, ...]:
-    def f(r, k=k, s=s):
-        return s * r**k
-
-    def df(r, k=k, s=s):
-        return s * k * r ** (k - 1.0)
-
-    def d2f(r, k=k, s=s):
-        return s * k * (k - 1.0) * r ** (k - 2.0)
-
-    return (ProfilePiece(0.0, np.inf, f, df, d2f),)
-
-
-def _log_pieces(s: float) -> tuple[ProfilePiece, ...]:
-    def f(r, s=s):
-        return s * np.log(r)
-
-    def df(r, s=s):
-        return s / r
-
-    def d2f(r, s=s):
-        return -s / (r * r)
-
-    return (ProfilePiece(0.0, np.inf, f, df, d2f),)
+    def __neg__(self) -> "RadialProfile":
+        pieces = tuple(replace(p, sign=-p.sign) for p in self.pieces)
+        return replace(self, name=f"-({self.name})", pieces=pieces)
 
 
 # name -> (kind, description, needs ellipticity)
@@ -249,10 +226,14 @@ def make_profile(
         if check:
             _require_regime(name, label, k)
         params.update(exponent=k, sign=s)
+        core = (k * (k - 2.0) / 8.0, (k * k - 4.0) / 4.0, k * (k + 2.0) / 8.0)
         return RadialProfile(
             name=name,
             kind=kind,
-            pieces=_bump_pieces(k, s),
+            pieces=(
+                ProfilePiece(0.0, 1.0, "quartic", core, s),
+                ProfilePiece(1.0, np.inf, "power", (2.0 - k,), s),
+            ),
             breakpoints=(1.0,),
             params=params,
             bounded=True,
@@ -276,13 +257,13 @@ def make_profile(
     if name == "folland":
         k = 2.0 - dims.Q
         params.update(exponent=k)
-        return RadialProfile(
-            name, kind, _power_pieces(k), (), params, bounded=False
-        )
+        pieces = (ProfilePiece(0.0, np.inf, "power", (k,)),)
+        return RadialProfile(name, kind, pieces, (), params, bounded=False)
     if name in ("log_rho", "neg_log_rho"):
         s = 1.0 if name == "log_rho" else -1.0
         params.update(sign=s)
-        return RadialProfile(name, kind, _log_pieces(s), (), params, bounded=False)
+        pieces = (ProfilePiece(0.0, np.inf, "log", (), s),)
+        return RadialProfile(name, kind, pieces, (), params, bounded=False)
     if name == "power":
         if kappa is None:
             raise ValueError("profile 'power' needs kappa")
@@ -291,7 +272,7 @@ def make_profile(
         return RadialProfile(
             name,
             kind,
-            _power_pieces(k),
+            (ProfilePiece(0.0, np.inf, "power", (k,)),),
             (),
             params,
             bounded=(k == 0.0),
@@ -309,7 +290,8 @@ class ScalarField:
     lists radii where the second derivative jumps in its third derivative
     (piece gluings); evaluating exactly there uses the outer piece, and the
     checker excludes a tube around each.  The origin is genuinely singular
-    for gradient and Hessian and raises.
+    for gradient and Hessian and raises.  Negation negates the jets and the
+    profile together, so -field is still its own profile's field.
     """
 
     name: str
@@ -330,6 +312,7 @@ class ScalarField:
             value=lambda x: -v(x),
             gradient=lambda x: -g(x),
             hessian=lambda x: -h(x),
+            profile=None if self.profile is None else -self.profile,
         )
 
 
@@ -347,10 +330,9 @@ def field_from_profile(profile: RadialProfile, dims: HeisDims) -> ScalarField:
         def hessian(x):
             rho = hgroup.hnorm(x)
             g = hgroup.euclid_grad_rho(x)
-            out = profile.second_deriv(rho)[..., None, None] * np.einsum(
-                "...a,...b->...ab", g, g
-            )
-            out += profile.deriv(rho)[..., None, None] * hgroup.euclid_hess_rho(x)
+            _, fp, fpp = profile.jets(rho)
+            out = fpp[..., None, None] * np.einsum("...a,...b->...ab", g, g)
+            out += fp[..., None, None] * hgroup.euclid_hess_rho(x)
             return out
 
         return ScalarField(
@@ -393,8 +375,7 @@ def field_from_profile(profile: RadialProfile, dims: HeisDims) -> ScalarField:
                 raise ValueError("radial Hessian undefined at the origin")
             xh = xa / r[..., None]
             pr = np.einsum("...a,...b->...ab", xh, xh)
-            fp = profile.deriv(r)[..., None, None]
-            fpp = profile.second_deriv(r)[..., None, None]
+            fp, fpp = (j[..., None, None] for j in profile.jets(r)[1:])
             eye = np.eye(de)
             return fpp * pr + (fp / r[..., None, None]) * (eye - pr)
 

@@ -6,22 +6,22 @@ F(D^2 u) <= 0 is the subsolution inequality and >= 0 the supersolution one.
 
 Every second-order operator is one entry of the table OPERATORS, keyed by
 name.  An entry gives the parameter the operator requires (ell, alpha, p or
-none), its value as a function of (eigenvalues, matrix, q, params), and the
-factor that scales sum |e_k| into a bound on its magnitude:
+none), its value as a function of (eigenvalues, e_q, params), and the factor
+that scales sum |e_k| into a bound on its magnitude:
 
     name               param  value                                     factor
     pucci_max          ell    -Lam * sum(e_k < 0) - lam * sum(e_k > 0)  Lam
     pucci_min          ell    -Lam * sum(e_k > 0) - lam * sum(e_k < 0)  Lam
     pucci_plus_alpha   alpha  -alpha sum(e_k) - (1 - m alpha) e_min     1
     pucci_minus_alpha  alpha  -alpha sum(e_k) - (1 - m alpha) e_max     1
-    pnorm              p      -Tr[(I + (p-2) qq^T/|q|^2) M]             1 + |p-2|
+    pnorm              p      -(sum(e_k) + (p - 2) e_q)                 1 + |p-2|
     neg_trace          -      -sum(e_k)                                 1
 
-Every entry except pnorm reads the eigenvalues alone: the trace is sum(e_k)
-and the Frobenius norm sqrt(sum(e_k^2)).  So the checker can feed them
-either the eigenvalues of a dense horizontal Hessian or the closed-form
-spectrum of a radial field, which has no matrix; pnorm needs the matrix and
-the gradient direction, and is evaluated on dense matrices only.
+No entry reads the matrix: the trace is sum(e_k), the Frobenius norm
+sqrt(sum(e_k^2)), and pnorm, -Tr[(I + (p-2) qq^T/|q|^2) M], reads
+e_q = q^T M q / |q|^2 for the gradient q.  So the checker can feed them the
+eigenvalues of a dense horizontal Hessian (e_q from rayleigh_quotient) or
+the closed-form spectrum of a radial field, whose gradient is an eigenvector.
 
 The Pucci pair is extremal over lam I <= A <= Lam I, the alpha pair over
 B_alpha = {A >= alpha I, Tr A = 1} (needs 0 < alpha <= 1/m), and pnorm is
@@ -55,6 +55,7 @@ __all__ = [
     "pucci_min",
     "pucci_minus_alpha",
     "pucci_plus_alpha",
+    "rayleigh_quotient",
     "signed_eig_sums",
     "sym_eigenvalues",
 ]
@@ -141,8 +142,15 @@ def signed_eig_sums(
     return neg, pos
 
 
-def _trace(mat: np.ndarray) -> np.ndarray:
-    return np.einsum("...ii->...", mat)
+def rayleigh_quotient(q, mat) -> tuple[np.ndarray, np.ndarray]:
+    """(e_q, |q|^2) per matrix, e_q = q^T M q / |q|^2; e_q is 0 where q = 0."""
+    m = np.asarray(mat, dtype=float)
+    qa = np.asarray(q, dtype=float)
+    if qa.shape[-1] != m.shape[-1]:
+        raise ValueError("gradient and matrix sizes do not match")
+    qq = np.einsum("...i,...i->...", qa, qa)
+    qmq = np.einsum("...i,...ij,...j->...", qa, m, qa)
+    return qmq / np.where(qq > 0.0, qq, 1.0), qq
 
 
 def pnorm_operator(p: float, q, mat) -> np.ndarray:
@@ -151,39 +159,27 @@ def pnorm_operator(p: float, q, mat) -> np.ndarray:
     Requires p in (1, inf) and q != 0 (the operator is discontinuous there);
     a zero gradient raises ValueError.
     """
-    p = float(p)
-    if not np.isfinite(p) or p <= 1.0:
-        raise ValueError(f"need p in (1, inf), got {p}")
-    m = _as_sym(mat, 1e-12)
-    qa = np.asarray(q, dtype=float)
-    if qa.shape[-1] != m.shape[-1]:
-        raise ValueError("gradient and matrix sizes do not match")
-    qq = np.einsum("...i,...i->...", qa, qa)
-    if np.any(qq == 0.0):
-        raise ValueError("normalized p-Laplacian is undefined at q = 0")
-    qmq = np.einsum("...i,...ij,...j->...", qa, m, qa)
-    return -(_trace(m) + (p - 2.0) * qmq / qq)
+    return evaluate("pnorm", mat, {"p": p}, q)[0]
 
 
 class SecondOrderOp(NamedTuple):
     """One entry of OPERATORS: required parameter, value, magnitude factor.
 
-    value(eigs, mat, q, params) takes the ascending eigenvalues of
-    symmetric matrices, the matrices mat and the gradient q (both read by
-    pnorm only; the other entries get mat = None from the checker's spectral
-    path) and a dict holding the parameter under its name, plus "zero_tol"
-    for the Pucci pair.  Module functions are looked up when a value is
-    computed, so replacing one on the module (as a profiler does) reaches
-    every caller.
+    value(eigs, e_q, params) takes the ascending eigenvalues of symmetric
+    matrices, e_q = q^T M q / |q|^2 (None unless reads_e_q) and a dict
+    holding the parameter under its name, plus "zero_tol" for the Pucci
+    pair.  Module functions are looked up when a value is computed, so
+    replacing one on the module (as a profiler does) reaches every caller.
     """
 
     param: str | None
     value: Callable
     magnitude: Callable
+    reads_e_q: bool = False
 
 
 def _pucci(maximal: bool) -> Callable:
-    def value(eigs, mat, q, params):
+    def value(eigs, e_q, params):
         e = params["ell"]
         neg, pos = signed_eig_sums(eigs, _fro(eigs), params["zero_tol"])
         return -e.Lam * neg - e.lam * pos if maximal else -e.Lam * pos - e.lam * neg
@@ -192,7 +188,7 @@ def _pucci(maximal: bool) -> Callable:
 
 
 def _alpha(extreme: int) -> Callable:
-    def value(eigs, mat, q, params):
+    def value(eigs, e_q, params):
         pa = PucciAlpha(params["alpha"], eigs.shape[-1])
         return -pa.alpha * eigs.sum(axis=-1) - (1.0 - pa.m * pa.alpha) * eigs[..., extreme]
 
@@ -206,29 +202,43 @@ OPERATORS: dict[str, SecondOrderOp] = {
     "pucci_minus_alpha": SecondOrderOp("alpha", _alpha(extreme=-1), lambda pr: 1.0),
     "pnorm": SecondOrderOp(
         "p",
-        lambda eigs, mat, q, pr: pnorm_operator(pr["p"], q, mat),
+        lambda eigs, e_q, pr: -(eigs.sum(axis=-1) + (pr["p"] - 2.0) * e_q),
         lambda pr: 1.0 + abs(pr["p"] - 2.0),
+        reads_e_q=True,
     ),
-    "neg_trace": SecondOrderOp(None, lambda eigs, mat, q, pr: -eigs.sum(axis=-1), lambda pr: 1.0),
+    "neg_trace": SecondOrderOp(None, lambda eigs, e_q, pr: -eigs.sum(axis=-1), lambda pr: 1.0),
 }
 
 
 def operator_entry(name: str, params: dict) -> SecondOrderOp:
-    """The OPERATORS entry for name; ValueError if params lacks its parameter."""
+    """The OPERATORS entry for name; ValueError on a missing or bad parameter."""
     entry = OPERATORS.get(name)
     if entry is None:
         raise ValueError(f"unknown second-order operator {name!r}")
     if entry.param is not None and params.get(entry.param) is None:
         raise ValueError(f"{name} needs {entry.param}")
+    zero_tol = params.get("zero_tol")
+    if zero_tol is not None and not 0.0 <= zero_tol < 1.0:
+        raise ValueError(f"need zero_tol in [0, 1), got {zero_tol}")
+    p = params.get("p")
+    if p is not None and not (np.isfinite(p) and p > 1.0):
+        raise ValueError(f"need p in (1, inf), got {p}")
     return entry
 
 
 def evaluate(name: str, mat, params: dict, q=None) -> tuple[np.ndarray, np.ndarray]:
-    """(values, eigenvalues) of the table operator name on matrices mat."""
+    """(values, eigenvalues) of the table operator name on matrices mat and gradients q."""
     entry = operator_entry(name, params)
     m = _as_sym(mat, 1e-12)
+    e_q = None
+    if entry.reads_e_q:
+        if q is None:
+            raise ValueError(f"{name} needs a gradient q")
+        e_q, qq = rayleigh_quotient(q, m)
+        if np.any(qq == 0.0):
+            raise ValueError(f"{name} is undefined at q = 0")
     eigs = np.linalg.eigvalsh(m)
-    return entry.value(eigs, m, q, params), eigs
+    return entry.value(eigs, e_q, params), eigs
 
 
 def pucci_max(e: Ellipticity, mat, *, zero_tol: float = 1e-12) -> np.ndarray:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from heispde import checker, gallery, hgroup
+from heispde import checker, gallery, hgroup, operators
 from heispde.checker import (
     BarrierBundle,
     OperatorSpec,
@@ -40,6 +40,47 @@ def test_region_validation():
         Region(1.0, 2.0, sampler="sobol")  # renamed to "kronecker"
     with pytest.raises(ValueError):
         Region(1.0, 2.0, char_eps=1.0)
+
+
+_INF, _NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize("kink_eps", [_NAN, _INF, -1e-3])
+def test_region_rejects_a_non_finite_kink_tube(kink_eps):
+    with pytest.raises(ValueError, match="kink_eps"):
+        Region(0.5, 4.0, kink_eps=kink_eps)
+
+
+@pytest.mark.parametrize("zero_tol", [_INF, _NAN, -1e-12, 1.0])
+def test_zero_tol_outside_unit_interval_is_rejected(zero_tol):
+    with pytest.raises(ValueError, match="zero_tol"):
+        OperatorSpec("pucci_max", ell=E12, zero_tol=zero_tol)
+    with pytest.raises(ValueError, match="zero_tol"):
+        operators.evaluate("pucci_max", np.eye(2), {"ell": E12, "zero_tol": zero_tol})
+
+
+@pytest.mark.parametrize("p", [1.0, 0.5, _INF, _NAN])
+def test_p_outside_one_to_infinity_is_rejected(p):
+    with pytest.raises(ValueError, match="need p"):
+        OperatorSpec("pnorm", p=p)
+    with pytest.raises(ValueError, match="need p"):
+        operators.evaluate("pnorm", np.eye(2), {"p": p}, np.ones(2))
+
+
+@pytest.mark.parametrize("tol", [_NAN, _INF, -1.0])
+def test_every_check_rejects_a_bad_tol(tol):
+    region = Region(0.5, 4.0, n_samples=64, char_eps=0.05)
+    spec = OperatorSpec("pucci_min", ell=E12)
+    field = _field("log_rho")
+    with pytest.raises(ValueError, match="tol"):
+        check_inequality(field, spec, region, tol)
+    pts = sample_region(region, space="heisenberg", dim=field.dim).points
+    table = TabulatedField(pts, field.value(pts), field.gradient(pts), field.hessian(pts))
+    with pytest.raises(ValueError, match="tol"):
+        check_tabulated(table, spec, region, tol)
+    cond, data, _ = lyapunov_fixture("hou", D1)
+    with pytest.raises(ValueError, match="tol"):
+        check_lyapunov(cond, data, E12, Region(2.0, 16.0, n_samples=64), D1, tol=tol)
 
 
 def test_operator_spec_validation():

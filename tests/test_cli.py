@@ -70,6 +70,46 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+# A failing check (u4 is a subsolution, so -u4 is not): a bad tolerance
+# must not turn it into a pass.
+_NEG_U4 = [
+    "verify", "--field", "u4", "--negate", "--d", "1", "--lam", "1", "--Lam", "1.5",
+    "--rho-min", "0.1", "--rho-max", "5", "--n-samples", "512", "--char-eps", "0.02",
+    "--seed", "3",
+]
+
+
+@pytest.mark.parametrize("argv", [
+    _NEG_U4 + ["--zero-tol", "inf"],
+    _NEG_U4 + ["--zero-tol", "nan"],
+    _NEG_U4 + ["--zero-tol", "1"],
+    _NEG_U4 + ["--kink-eps", "nan"],
+    _NEG_U4 + ["--kink-eps", "inf"],
+    _NEG_U4 + ["--tol", "nan"],
+    _NEG_U4 + ["--tol", "-1"],
+    _NEG_U4 + ["--tol", "inf"],
+    _NEG_U4 + ["--op", "pnorm", "--p", "1"],
+    _NEG_U4 + ["--op", "pnorm", "--p", "inf"],
+    ["lyapunov", "--fixture", "hou", "--rho-min", "2", "--rho-max", "16", "--tol", "nan"],
+    ["lyapunov", "--fixture", "hou", "--rho-min", "2", "--rho-max", "16", "--kink-eps", "nan"],
+    ["op-eval", "--op", "pucci_max", "--matrix", "[[1, 0], [0, -1]]", "--zero-tol", "inf"],
+    ["op-eval", "--op", "pnorm", "--matrix", "[[1, 0], [0, -1]]", "--q", "[1, 1]", "--p", "nan"],
+])
+def test_bad_numbers_exit_two_without_a_report(argv, tmp_path, capsys):
+    # Without --out too: a report refusing a non-finite echo must not be the
+    # only thing that stops the run.
+    assert main(argv) == 2
+    out = tmp_path / "rep.json"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_the_bad_number_cases_start_from_a_failing_check(capsys):
+    assert main(_NEG_U4) == 1
+    capsys.readouterr()
+
+
 def test_unknown_flag_exits_two(capsys):
     assert main(["verify", "--field", "log_rho", "--wat"]) == 2
     capsys.readouterr()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -32,8 +34,10 @@ def _bump_cases():
 def test_bump_profiles_glue_twice_differentiably(name, e, dims):
     prof = make_profile(name, e, dims)
     inner, outer = prof.pieces
-    for df_i, df_o in ((inner.f, outer.f), (inner.df, outer.df), (inner.d2f, outer.d2f)):
-        assert np.isclose(df_i(1.0), df_o(1.0), rtol=1e-12, atol=1e-12)
+    assert (inner.kind, outer.kind) == ("quartic", "power")
+    assert inner.sign == outer.sign == prof.params["sign"]
+    for j_in, j_out in zip(inner.jets(1.0), outer.jets(1.0)):
+        assert np.isclose(j_in, j_out, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("name,e,dims", _bump_cases())
@@ -120,14 +124,16 @@ def test_power_profile_boundedness_flag():
 
 
 def test_piece_dispatch_uses_outer_piece_at_breakpoint():
-    lo = ProfilePiece(0.0, 1.0, lambda r: np.zeros_like(r),
-                      lambda r: np.zeros_like(r), lambda r: np.zeros_like(r))
-    hi = ProfilePiece(1.0, np.inf, lambda r: np.ones_like(r),
-                      lambda r: np.zeros_like(r), lambda r: np.zeros_like(r))
+    # Constant pieces r^0 with signs 0 and 1: a unit step at r = 1.
+    lo = ProfilePiece(0.0, 1.0, "power", (0.0,), 0.0)
+    hi = ProfilePiece(1.0, np.inf, "power", (0.0,), 1.0)
     prof = RadialProfile("step", "heisenberg", (lo, hi), (1.0,), {}, bounded=True, sup_abs=1.0)
     assert prof.value(0.999999) == 0.0
     assert prof.value(1.0) == 1.0
     assert prof.value(1.000001) == 1.0
+    assert np.array_equal(prof.jets([0.5, 1.0, 2.0])[0], [0.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="piece kind"):
+        ProfilePiece(0.0, 1.0, "cubic", (1.0,))
 
 
 def test_unknown_profile_and_missing_arguments():
@@ -211,8 +217,15 @@ def test_negated_field_flips_all_jets():
     assert neg.value(x) == -field.value(x)
     assert np.array_equal(neg.gradient(x), -field.gradient(x))
     assert np.array_equal(neg.hessian(x), -field.hessian(x))
-    assert neg.profile is field.profile
-    assert neg.name != field.name
+    assert neg.name == neg.profile.name == "-(u4)"
+    assert [p.sign for p in neg.profile.pieces] == [-p.sign for p in field.profile.pieces]
+    assert neg.profile.params == field.profile.params
+    r = np.linspace(0.0, 3.0, 301)
+    for got, want in zip(neg.profile.jets(r), field.profile.jets(r)):
+        assert np.array_equal(got, -want)
+    assert (-neg).profile.pieces == field.profile.pieces
+    bare = dataclasses.replace(field, profile=None)
+    assert (-bare).profile is None
 
 
 def test_fields_are_genuinely_nonconstant():

@@ -1,6 +1,7 @@
 """The spectral path for radial fields against the dense path."""
 
 import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -31,13 +32,10 @@ def _spec(op, m):
 def test_spectral_path_matches_dense_path(name, d):
     field = _field(name, d)
     m = 2 * d if field.space == "heisenberg" else d
-    dense_field = dataclasses.replace(field, profile=None)
-    for op in operators.OPERATORS:
-        if op == "pnorm":
-            continue
+    for f, op in itertools.product((field, -field), operators.OPERATORS):
         spec = _spec(op, m)
-        fast = check_inequality(field, spec, REGION, keep_samples=True)
-        dense = check_inequality(dense_field, spec, REGION, keep_samples=True)
+        fast = check_inequality(f, spec, REGION, keep_samples=True)
+        dense = check_inequality(dataclasses.replace(f, profile=None), spec, REGION, keep_samples=True)
         n = fast.n_evaluated
         assert fast.paths["spectral"] == n and fast.paths["dense"] == 0
         assert dense.paths == {"spectral": 0, "dense": n, "dense_check": None}
@@ -51,8 +49,8 @@ def test_spectral_path_matches_dense_path(name, d):
             # value is a cancelling sum of eigenvalues up to ~1e7 here, so
             # both paths carry rounding relative to that sum.
             scale = np.maximum(scale, np.abs(dense.samples["eigs"]).sum(axis=-1))
-        assert np.all(np.abs(got - want) <= 1e-12 * scale), op
-        assert fast.verdict == dense.verdict, op
+        assert np.all(np.abs(got - want) <= 1e-12 * scale), (f.name, op)
+        assert fast.verdict == dense.verdict, (f.name, op)
 
 
 @pytest.mark.parametrize("gradient_space", ["horizontal", "euclidean"])
@@ -87,6 +85,10 @@ def test_reports_do_not_depend_on_the_thread_count(monkeypatch, tmp_path):
             _field("log_rho", 1), _spec("pucci_min", 2), REGION, mode="formula"
         ),
         lambda: check_inequality(-_field("u5", 2), _spec("pucci_max", 4), REGION),
+        lambda: check_inequality(_field("u4", 2), _spec("pnorm", 4), REGION),
+        lambda: check_inequality(
+            dataclasses.replace(_field("u4", 2), profile=None), _spec("pnorm", 4), REGION
+        ),
         lambda: check_tabulated(table, _spec("pucci_max", 4), REGION),
     ]
     for k, call in enumerate(calls):
@@ -98,6 +100,19 @@ def test_reports_do_not_depend_on_the_thread_count(monkeypatch, tmp_path):
         assert b'"paths"' in seen[0]
 
 
+def test_only_dense_batches_use_the_thread_pool(monkeypatch):
+    class NoPool:
+        def __init__(self, max_workers):
+            raise AssertionError("pool started")
+
+    monkeypatch.setattr(checker, "ThreadPoolExecutor", NoPool)
+    monkeypatch.setenv(checker.THREADS_ENV, "3")
+    field = _field("u4", 2)
+    assert check_inequality(field, _spec("pucci_max", 4), REGION).paths["spectral"] > 0
+    with pytest.raises(AssertionError, match="pool started"):
+        check_tabulated(_table(field), _spec("pucci_max", 4), REGION)
+
+
 def _table(field):
     pts = checker.sample_region(REGION, space="heisenberg", dim=field.dim).points
     return TabulatedField(pts, field.value(pts), field.gradient(pts), field.hessian(pts))
@@ -107,13 +122,19 @@ def _dense_only(report):
     return report.paths == {"spectral": 0, "dense": report.n_evaluated, "dense_check": None}
 
 
-def test_wrapped_pnorm_and_tabulated_inputs_take_the_dense_path():
+def _spectral_only(report):
+    return report.paths["spectral"] == report.n_evaluated > 0 and report.paths["dense"] == 0
+
+
+def test_negated_and_pnorm_runs_are_spectral_tables_and_bare_fields_dense():
     field = _field("u4", 2)
     spec = _spec("pucci_max", 4)
-    assert check_inequality(field, spec, REGION).paths["spectral"] > 0
-    assert _dense_only(check_inequality(-field, spec, REGION))
-    assert _dense_only(check_inequality(field, _spec("pnorm", 4), REGION))
+    assert _spectral_only(check_inequality(field, spec, REGION))
+    assert _spectral_only(check_inequality(-field, spec, REGION))
+    assert _spectral_only(check_inequality(field, _spec("pnorm", 4), REGION))
+    assert _spectral_only(check_inequality(-field, _spec("pnorm", 4), REGION))
     assert _dense_only(check_tabulated(_table(field), spec, REGION))
+    assert _dense_only(check_inequality(dataclasses.replace(field, profile=None), spec, REGION))
 
 
 def _doubled(field):
@@ -133,6 +154,34 @@ def test_disagreeing_paths_raise_instead_of_reporting(monkeypatch, tmp_path, cap
     assert cli.main(argv) == 2
     assert "disagree" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_zero_gradient_rows_are_excluded_on_both_paths():
+    # With no characteristic tube the grid puts points at tau = 0, where the
+    # horizontal gradient of a radial field vanishes.
+    region = Region(0.25, 4.0, n_samples=256, char_eps=0.0, sampler="grid")
+    field = _field("u4", 1)
+    fast = check_inequality(field, _spec("pnorm", 2), region)
+    dense = check_inequality(dataclasses.replace(field, profile=None), _spec("pnorm", 2), region)
+    assert fast.paths["spectral"] > 0
+    assert fast.excluded_by["zero_gradient"] == dense.excluded_by["zero_gradient"] > 0
+    assert (fast.n_evaluated, fast.verdict) == (dense.n_evaluated, dense.verdict)
+
+
+@pytest.mark.parametrize("name,d", [("u4", 1), ("u2", 3)])
+def test_a_wrong_spectral_e_q_makes_the_dense_check_raise(name, d, monkeypatch):
+    field = _field(name, d)
+    spec = _spec("pnorm", 2 * d if field.space == "heisenberg" else d)
+    assert check_inequality(field, spec, REGION).paths["dense_check"]["max_rel"] <= 1e-12
+    spectral_jets = checker._spectral_jets
+
+    def skewed(*args):
+        val, q, eigs, e_q, qq = spectral_jets(*args)
+        return val, q, eigs, e_q * (1.0 + 1e-6), qq
+
+    monkeypatch.setattr(checker, "_spectral_jets", skewed)
+    with pytest.raises(ValueError, match="disagree.*e_q"):
+        check_inequality(field, spec, REGION)
 
 
 def test_fixture_reports_carry_the_dense_check(tmp_path, capsys):
