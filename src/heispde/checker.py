@@ -10,7 +10,15 @@ Points are placed through the chart (rho, tau = |x_H|/rho, vertical sign,
 horizontal direction) by a Kronecker low-discrepancy sequence or a grid
 (see Region).  The batch keeps the chart's radius and tau; the tubes, the
 spectral path, the reference formulas and the witness read them instead of
-computing the gauge norm of the points again.  Only numpy is used.
+computing the gauge norm of the points again.  Points are placed on
+demand: the Kronecker sampler draws only rho (and tau on the group) for
+every sample, and SampleBatch.place(rows) draws the sign and direction of
+just those rows.  The sequence has random access, so a row placed alone is
+bit-identical to the same row of the full batch, and SampleBatch.points is
+built the first time it is read.  A spectral run without a Bellman part or
+keep_samples places only the dense-check rows and the witness; every other
+run places its admissible rows once.  Results do not depend on which rows
+were placed.  Only numpy is used.
 
 A point passes the declared sense when the signed excess does not exceed
 max(1e-12, tol * max(1, local operator magnitude)); the raw per-sample
@@ -263,13 +271,24 @@ class CheckReport:
 
 @dataclass
 class SampleBatch:
-    points: np.ndarray
+    """Chart coordinates and admissibility of a sample; points on demand.
+
+    place(rows) returns the points of the given rows, shape (len(rows), dim),
+    bit-identical to the same rows of points.  points is place(every row),
+    built the first time it is read.
+    """
+
     radius: np.ndarray
     tau: np.ndarray | None
     admissible: np.ndarray
     excluded_by: dict
     space: str
     dim: int
+    place: Callable[[np.ndarray], np.ndarray]
+
+    @functools.cached_property
+    def points(self) -> np.ndarray:
+        return self.place(np.arange(self.radius.shape[0]))
 
     @property
     def n_admissible(self) -> int:
@@ -309,18 +328,23 @@ def _kronecker_steps(k: int) -> np.ndarray:
     return steps
 
 
-def _kronecker_unit(n: int, k: int, seed: int) -> list[np.ndarray]:
-    """Coordinates 0..k-1 of n points of the R_k sequence, shifted by seed.
+def _kronecker_unit(i, k: int, seed: int, coords=None) -> list[np.ndarray]:
+    """Coordinates coords (default 0..k-1) of the R_k sequence, shifted by seed.
 
+    i is a count n (points 0..n-1) or an array of point indices.
     x_i = s + i a (mod 2^64) in 64-bit fixed point; the top 53 bits name a
     dyadic cell and its midpoint is returned, so every value lies in (0, 1).
+    Each point depends only on its own index, so any subset of rows is
+    bit-identical to the same rows of the full sequence.  Coordinates are
+    made one at a time, so no (k, n) integer array is held.
     """
     shift = np.random.default_rng(seed).integers(0, 2**64, size=k, dtype=np.uint64)
-    i = np.arange(n, dtype=np.uint64)
+    steps = _kronecker_steps(k)
+    idx = np.arange(i, dtype=np.uint64) if np.ndim(i) == 0 else np.asarray(i).astype(np.uint64)
     cols = []
-    for s, a in zip(shift, _kronecker_steps(k)):
-        x = i * a
-        x += s
+    for j in range(k) if coords is None else coords:
+        x = idx * steps[j]
+        x += shift[j]
         x >>= np.uint64(11)
         u = x.astype(float)
         u += 0.5
@@ -342,26 +366,38 @@ def _unit_vectors(u: list[np.ndarray], m: int) -> np.ndarray:
 
 
 def _sample_points(region: Region, space: str, dim: int):
-    """(points, radius, tau) for the region's sampler; tau is None on R^n.
+    """(radius, tau, place) for the region's sampler; tau is None on R^n.
 
-    Both samplers place points through the chart (rho, tau, vertical sign,
-    horizontal direction), (r, direction) on R^n, and return its radius
-    and tau rather than recomputing them from the points.
+    Both samplers work in the chart (rho, tau, vertical sign, horizontal
+    direction), (r, direction) on R^n.  The Kronecker sampler draws only
+    rho and tau for every sample; place(rows) draws the sign and direction
+    of the given rows and returns their points.  The grid sampler builds
+    its points at once and place indexes them.
     """
     n = region.n_samples
     if region.sampler == "kronecker":
-        m = dim if space == "euclidean" else dim - 1
-        # (rho[, tau, sign]) then the direction's Box-Muller pairs.
-        head = 1 if space == "euclidean" else 3
-        u = _kronecker_unit(n, head + 2 * ((m + 1) // 2), region.seed)
+        euclid = space == "euclidean"
+        m = dim if euclid else dim - 1
+        # Coordinates: rho[, tau, sign], then the direction's Box-Muller pairs.
+        # The first `chart` of them are drawn for every sample, the rest by place.
+        chart = 1 if euclid else 2
+        k = (1 if euclid else 3) + 2 * ((m + 1) // 2)
+        u = _kronecker_unit(n, k, region.seed, range(chart))
         lo = math.log(region.rho_min)
         r = np.exp(lo + (math.log(region.rho_max) - lo) * u[0])
-        if space == "euclidean":
-            return r[:, None] * _unit_vectors(u[1:], m), r, None
-        tau = u[1]
-        xh = (r * tau)[:, None] * _unit_vectors(u[3:], m)
-        vert = np.where(u[2] < 0.5, 1.0, -1.0) * r**2 * np.sqrt(1.0 - tau**4)
-        return np.concatenate([xh, vert[:, None]], axis=1), r, tau
+        tau = None if euclid else u[1]
+
+        def place(rows):
+            rows = np.asarray(rows, dtype=np.intp)
+            v = _kronecker_unit(rows, k, region.seed, range(chart, k))
+            if euclid:
+                return r[rows, None] * _unit_vectors(v, m)
+            r_s, tau_s = r[rows], tau[rows]
+            xh = (r_s * tau_s)[:, None] * _unit_vectors(v[1:], m)
+            vert = np.where(v[0] < 0.5, 1.0, -1.0) * r_s**2 * np.sqrt(1.0 - tau_s**4)
+            return np.concatenate([xh, vert[:, None]], axis=1)
+
+        return r, tau, place
     if space == "euclidean":
         nr = max(1, int(math.ceil(n / (2.0 * dim))))
         rr = np.geomspace(region.rho_min, region.rho_max, nr)
@@ -372,7 +408,7 @@ def _sample_points(region: Region, space: str, dim: int):
         N = r_g.shape[0]
         pts = np.zeros((N, dim))
         pts[np.arange(N), axis_g.astype(int)] = sign_g * r_g
-        return pts, r_g, None
+        return r_g, None, lambda rows: pts[rows]
     m = dim - 1
     nt = max(2, int(math.ceil(math.sqrt(n / 2.0))))
     nr = max(1, int(math.ceil(n / (2.0 * nt))))
@@ -384,7 +420,8 @@ def _sample_points(region: Region, space: str, dim: int):
     xh = np.zeros((N, m))
     xh[np.arange(N), np.arange(N) % m] = r_g * t_g
     vert = s_g * r_g**2 * np.sqrt(np.clip(1.0 - t_g**4, 0.0, None))
-    return np.concatenate([xh, vert[:, None]], axis=1), r_g, t_g
+    pts = np.concatenate([xh, vert[:, None]], axis=1)
+    return r_g, t_g, lambda rows: pts[rows]
 
 
 def _radius_tau(pts: np.ndarray, space: str) -> tuple[np.ndarray, np.ndarray | None]:
@@ -394,7 +431,8 @@ def _radius_tau(pts: np.ndarray, space: str) -> tuple[np.ndarray, np.ndarray | N
     d = (pts.shape[1] - 1) // 2
     rho = hgroup.hnorm(pts)
     xh2 = np.einsum("ij,ij->i", pts[:, : 2 * d], pts[:, : 2 * d])
-    return rho, np.sqrt(xh2) / rho
+    # tau = 0 at the identity, which lies outside every region anyway.
+    return rho, np.divide(np.sqrt(xh2), rho, out=np.zeros_like(rho), where=rho > 0.0)
 
 
 def _exclude_tubes(admissible, radius, tau, region, singular_radii, excluded_by) -> None:
@@ -428,11 +466,11 @@ def sample_region(
     """
     if space not in ("heisenberg", "euclidean"):
         raise ValueError(f"unknown space {space!r}")
-    pts, radius, tau = _sample_points(region, space, dim)
+    radius, tau, place = _sample_points(region, space, dim)
     admissible = np.ones(region.n_samples, dtype=bool)
     excluded_by: dict[str, int] = {}
     _exclude_tubes(admissible, radius, tau, region, singular_radii, excluded_by)
-    return SampleBatch(pts, radius, tau, admissible, excluded_by, space, dim)
+    return SampleBatch(radius, tau, admissible, excluded_by, space, dim, place)
 
 
 def _resolve_gspace(space: str, spec: OperatorSpec) -> str:
@@ -483,25 +521,26 @@ def _dense_jets(field, pts: np.ndarray, rows: np.ndarray, gspace: str, reads_e_q
     return val, q, operators.sym_eigenvalues(mat), e_q, qq
 
 
-def _spectral_jets(profile, pts: np.ndarray, radius, tau, gspace: str, reads_e_q: bool, needs_q: bool):
+def _spectral_jets(profile, dim: int, pts, radius, tau, gspace: str, reads_e_q: bool, needs_q: bool):
     """(value, gradient q, eigenvalues, e_q, |q|^2) of a radial field from its profile.
 
     radius and tau are the sampler's own; the sorted eigenvalues come from
     the closed-form spectrum, so no Hessian is built and no eigenproblem is
-    solved.  q is None unless needs_q, e_q and |q|^2 unless reads_e_q.
+    solved.  q is None unless needs_q, e_q and |q|^2 unless reads_e_q; pts
+    (N, dim) is read only for q.
     """
     val, fp, fpp = profile.jets(radius)
     q = e_q = qq = None
     if profile.kind == "heisenberg":
         w = tau**2
-        spectrum = hgroup.RadialHessSpectrum.from_jets(fp, fpp, w, radius, (pts.shape[1] - 1) // 2)
+        spectrum = hgroup.RadialHessSpectrum.from_jets(fp, fpp, w, radius, (dim - 1) // 2)
         if needs_q and gspace == "horizontal":
             q = hgroup.radial_h_gradient(lambda _: fp, pts, radius)
         elif needs_q:
             q = fp[:, None] * hgroup.euclid_grad_rho(pts, radius)
     else:
         w = 1.0
-        spectrum = gallery.EuclidRadialSpectrum.from_jets(fp, fpp, radius, pts.shape[1])
+        spectrum = gallery.EuclidRadialSpectrum.from_jets(fp, fpp, radius, dim)
         if needs_q:
             q = spectrum.tangential[:, None] * pts
     if reads_e_q:
@@ -512,22 +551,24 @@ def _spectral_jets(profile, pts: np.ndarray, radius, tau, gspace: str, reads_e_q
 
 
 def _terms_for(field, spec: OperatorSpec, gspace: str, profile, pts, rows, radius, tau) -> dict:
-    """Evaluate operator ingredients at points (N, dim).
+    """Evaluate operator ingredients at the given batch rows.
 
-    rows are the indices of pts among the batch's points, which are the rows
-    of a TabulatedField; radius and tau are the batch's at those points.
-    With a profile the spectral path evaluates them, otherwise the dense path.
+    pts (N, dim) are the points of those rows, which are also the rows of a
+    TabulatedField; radius and tau are the batch's at those rows.  With a
+    profile the spectral path evaluates them, otherwise the dense path.  The
+    spectral path reads pts only for a Bellman part; without one pts may be
+    None.
     """
     entry = operators.OPERATORS[spec.second_order]
     if profile is None:
         val, q, eigs, e_q, qq = _dense_jets(field, pts, rows, gspace, entry.reads_e_q)
     else:
         val, q, eigs, e_q, qq = _spectral_jets(
-            profile, pts, radius, tau, gspace, entry.reads_e_q, spec.first_order is not None
+            profile, field.dim, pts, radius, tau, gspace, entry.reads_e_q, spec.first_order is not None
         )
 
     second = entry.value(eigs, e_q, spec.params)
-    alive = np.ones(pts.shape[0], dtype=bool)
+    alive = np.ones(rows.shape[0], dtype=bool)
     if e_q is not None:
         # e_q is undefined at q = 0; those rows are excluded.
         alive = qq > 0.0
@@ -537,7 +578,7 @@ def _terms_for(field, spec: OperatorSpec, gspace: str, profile, pts, rows, radiu
         side = operators.hjb_inf if spec.envelope == "inf" else operators.hjb_sup
         first = np.asarray(side(spec.first_order, pts, val, q), dtype=float)
     else:
-        first = np.zeros(pts.shape[0])
+        first = np.zeros(rows.shape[0])
 
     return {
         "value": val,
@@ -562,17 +603,19 @@ def _chunked_terms(field, spec, gspace, profile, pts, rows, radius, tau) -> dict
     return {key: np.concatenate([p[key] for p in parts], axis=0) for key in parts[0]}
 
 
-def _dense_check(field, gspace, pts, rows, terms, tol) -> dict:
+def _dense_check(field, gspace, points_at, rows, terms, tol) -> dict:
     """Evaluate evenly spaced points again on the dense path; compare spectra.
 
-    e_q, when the operator reads it, is compared as one more eigenvalue.
-    The subsample depends only on the number of points, never on the thread
-    count.  Raises ValueError when a value differs by more than the check's
-    own allowance, so a verdict from disagreeing paths is never reported.
+    points_at(k) gives the points at positions k of rows.  e_q, when the
+    operator reads it, is compared as one more eigenvalue.  The subsample
+    depends only on the number of points, never on the thread count.
+    Raises ValueError when a value differs by more than the check's own
+    allowance, so a verdict from disagreeing paths is never reported.
     """
-    n = pts.shape[0]
+    n = rows.shape[0]
     idx = np.linspace(0, n - 1, min(n, _DENSE_CHECK_POINTS)).astype(np.intp)
-    _, _, dense, dense_e_q, _ = _dense_jets(field, pts[idx], rows[idx], gspace, "e_q" in terms)
+    pts = points_at(idx)
+    _, _, dense, dense_e_q, _ = _dense_jets(field, pts, rows[idx], gspace, "e_q" in terms)
     got = terms["eigs"][idx]
     if dense_e_q is not None:
         got = np.column_stack([got, terms["e_q"][idx]])
@@ -583,7 +626,7 @@ def _dense_check(field, gspace, pts, rows, terms, tol) -> dict:
         k = int(np.flatnonzero(bad.any(axis=-1))[0])
         what = "eigenvalues" if dense_e_q is None else "eigenvalues and e_q"
         raise ValueError(
-            f"spectral and dense paths disagree at point {pts[idx][k].tolist()}: "
+            f"spectral and dense paths disagree at point {pts[k].tolist()}: "
             f"{what} {got[k].tolist()} against {dense[k].tolist()}"
         )
     return {
@@ -630,11 +673,11 @@ def _reference_values(field, spec, rho, tau):
     return None
 
 
-def _witness(batch, rows, terms, excess, allow, order):
+def _witness(batch, points_at, rows, terms, excess, allow, order):
     k = int(order)
     row = rows[k]
     return {
-        "point": [float(v) for v in batch.points[row]],
+        "point": [float(v) for v in points_at([k])[0]],
         "radius": float(batch.radius[row]),
         "tau": None if batch.tau is None else float(batch.tau[row]),
         "value": float(terms["value"][k]),
@@ -762,7 +805,7 @@ def check_tabulated(
         excluded_by["outside_radius_range"] = out_of_range
     _exclude_tubes(admissible, radius, tau, region, table.singular_radii, excluded_by)
 
-    batch = SampleBatch(pts, radius, tau, admissible, excluded_by, table.space, table.dim)
+    batch = SampleBatch(radius, tau, admissible, excluded_by, table.space, table.dim, lambda rows: pts[rows])
     config = {
         "field": {"name": table.name, "space": table.space, "dim": table.dim, "rows": n},
         "operator": _spec_echo(spec),
@@ -783,17 +826,26 @@ def _inequality_from_batch(
         return _vacuous_report("inequality", tol, region, batch, config, t0)
 
     rows = np.flatnonzero(adm)
-    pts = batch.points[rows]
     rho_adm = batch.radius[rows]
     tau_adm = None if batch.tau is None else batch.tau[rows]
     profile = _own_profile(field)
+    # The spectral path reads only the chart.  Without a Bellman part or
+    # keep_samples it places just the dense-check rows and the witness.
+    pts = None
+    if profile is None or spec.first_order is not None or keep_samples:
+        pts = batch.place(rows)
+
+    def points_at(k):
+        """Points at positions k of rows."""
+        return batch.place(rows[k]) if pts is None else pts[k]
+
     terms = _chunked_terms(field, spec, gspace, profile, pts, rows, rho_adm, tau_adm)
-    n_adm = pts.shape[0]
+    n_adm = rows.shape[0]
     paths = {
         "spectral": 0 if profile is None else n_adm,
         "dense": n_adm if profile is None else 0,
         "dense_check": None if profile is None else _dense_check(
-            field, gspace, pts, rows, terms, tol
+            field, gspace, points_at, rows, terms, tol
         ),
     }
 
@@ -834,7 +886,7 @@ def _inequality_from_batch(
         if np.any(use):
             verdict = "pass" if viol.max() <= 0.0 else "fail"
             worst = float(excess.max())
-            witness = _witness(batch, rows, terms, excess, dev_allow, np.argmax(viol))
+            witness = _witness(batch, points_at, rows, terms, excess, dev_allow, np.argmax(viol))
         else:
             verdict, worst, witness = "vacuous", None, None
         formula["pass"] = verdict == "pass"
@@ -847,7 +899,7 @@ def _inequality_from_batch(
         viol = np.where(alive, signed - allow, -np.inf)
         verdict = "pass" if viol.max() <= 0.0 else "fail"
         worst = float(excess.max())
-        witness = _witness(batch, rows, terms, excess, allow, np.argmax(viol))
+        witness = _witness(batch, points_at, rows, terms, excess, allow, np.argmax(viol))
 
     samples = {"points": pts, "radius": rho_adm, "tau": tau_adm, **terms} if keep_samples else None
 
@@ -964,7 +1016,7 @@ def check_lyapunov(
         return _vacuous_report("lyapunov", tol, region, batch, config, t0)
 
     rows = np.flatnonzero(adm)
-    pts = batch.points[rows]
+    pts = batch.place(rows)
     rho = batch.radius[rows]
     lg = np.log(rho)
     d = dims.d
@@ -1227,7 +1279,7 @@ def convergence_study(
     )
     if batch.n_admissible == 0:
         raise ValueError("region left no admissible sample points")
-    pts = batch.points[batch.admissible][:n_points]
+    pts = batch.place(np.flatnonzero(batch.admissible)[:n_points])
 
     grads = np.asarray(field.gradient(pts), dtype=float)
     hessians = np.asarray(field.hessian(pts), dtype=float)

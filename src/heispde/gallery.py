@@ -408,8 +408,14 @@ class EuclidRadialSpectrum:
         return cls(radial=fpp, tangential=fp / r, tangential_mult=dim - 1)
 
     def eigenvalues(self) -> np.ndarray:
-        parts = [self.radial] + [self.tangential] * self.tangential_mult
-        return np.sort(np.stack(np.broadcast_arrays(*parts), axis=-1), axis=-1)
+        """Full multiset as a sorted array of shape (..., dim), laid out without a sort.
+
+        radial goes before every tangential value it does not exceed, as a
+        stable sort of (radial, tangential, ...) puts it.
+        """
+        a, t = np.broadcast_arrays(self.radial, self.tangential)
+        k = self.tangential_mult * (t < a)
+        return hgroup.sorted_columns(t, self.tangential_mult + 1, ((k, a),))
 
 
 def euclid_radial_spectrum(fprime, fsecond, x) -> EuclidRadialSpectrum:

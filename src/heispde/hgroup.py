@@ -51,6 +51,7 @@ __all__ = [
     "point_dims",
     "radial_h_gradient",
     "radial_h_hessian",
+    "sorted_columns",
 ]
 
 _D_CAP = 16
@@ -324,10 +325,32 @@ class RadialHessSpectrum:
         )
 
     def eigenvalues(self) -> np.ndarray:
-        """Full multiset as a sorted array of shape (..., 2d)."""
-        parts = [self.grad_dir, self.rotated]
-        parts += [self.transverse] * self.transverse_mult
-        return np.sort(np.stack(np.broadcast_arrays(*parts), axis=-1), axis=-1)
+        """Full multiset as a sorted array of shape (..., 2d).
+
+        No sort runs: each row is laid out from comparisons of the three
+        values, in the order a stable sort of (grad_dir, rotated,
+        transverse, ..., transverse) gives.
+        """
+        a, b, c = np.broadcast_arrays(self.grad_dir, self.rotated, self.transverse)
+        mult = self.transverse_mult
+        k = (b < a) + mult * (c < a)  # column of grad_dir
+        ib = mult * (c < b)  # column of rotated among (rotated, transverse, ...)
+        return sorted_columns(c, mult + 2, ((ib + (ib >= k), b), (k, a)))
+
+
+def sorted_columns(block: np.ndarray, n: int, placed) -> np.ndarray:
+    """(..., n) rows equal to block except value v in column j, for (j, v) in placed.
+
+    j and v have block's shape.  The radial spectra lay out their sorted
+    eigenvalues with it.
+    """
+    out = np.empty(block.shape + (n,), dtype=np.result_type(block, *(v for _, v in placed)))
+    out[...] = block[..., None]
+    flat = out.reshape(-1)
+    base = np.arange(0, flat.size, n)
+    for j, v in placed:
+        flat[base + j.ravel()] = v.ravel()
+    return out
 
 
 def radial_h_hessian(fprime, fsecond, x) -> tuple[np.ndarray, RadialHessSpectrum]:
