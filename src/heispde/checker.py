@@ -40,10 +40,14 @@ block gives the points each path evaluated and, as "dense_check", that
 subsample's size n and its largest absolute and relative (to max(1, |e|))
 differences.
 
+Growth conditions are data: LYAPUNOV_CONDITIONS maps a condition and the
+kind of data it gets to a LyapunovRoute (margin function, strict, divides by
+|x_H|^2); non-finite coefficient values raise ValueError.  Every check takes
+its verdict, worst excess and witness from one rule, _pass_rule.
+
 Reports are deterministic functions of (config, seed): identical inputs give
-identical reports except for wall_time.  Dense batches are chunked over
-HEISPDE_THREADS threads with an ordered merge, so the result does not depend
-on the thread count; spectral batches run on the calling thread.
+identical reports except for wall_time.  The checker runs on the calling
+thread.
 """
 
 from __future__ import annotations
@@ -51,9 +55,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -83,17 +85,10 @@ __all__ = [
 ]
 
 SCHEMA = "heispde-report-v1"
+# No longer read: the checker is single-threaded.  perfbench still sets it.
 THREADS_ENV = "HEISPDE_THREADS"
 
 SECOND_ORDER_OPS = tuple(operators.OPERATORS)
-
-LYAPUNOV_CONDITIONS = (
-    "condcor1",
-    "condcor1bis",
-    "condcor1p",
-    "OUtype",
-    "schrodinger",
-)
 
 _ABS_FLOOR = 1e-12
 # Fractional bits of phi when the Kronecker steps are computed.
@@ -282,8 +277,6 @@ class SampleBatch:
     tau: np.ndarray | None
     admissible: np.ndarray
     excluded_by: dict
-    space: str
-    dim: int
     place: Callable[[np.ndarray], np.ndarray]
 
     @functools.cached_property
@@ -293,17 +286,6 @@ class SampleBatch:
     @property
     def n_admissible(self) -> int:
         return int(self.admissible.sum())
-
-
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}") from exc
-    if n < 1:
-        raise ValueError(f"{THREADS_ENV} must be >= 1, got {n}")
-    return n
 
 
 @functools.lru_cache(maxsize=None)
@@ -328,17 +310,22 @@ def _kronecker_steps(k: int) -> np.ndarray:
     return steps
 
 
-def _kronecker_unit(i, k: int, seed: int, coords=None) -> list[np.ndarray]:
-    """Coordinates coords (default 0..k-1) of the R_k sequence, shifted by seed.
+def _kronecker_shift(k: int, seed: int) -> np.ndarray:
+    """The seed's random shift of the R_k sequence, one 64-bit word per coordinate."""
+    return np.random.default_rng(seed).integers(0, 2**64, size=k, dtype=np.uint64)
 
-    i is a count n (points 0..n-1) or an array of point indices.
+
+def _kronecker_unit(i, shift: np.ndarray, coords=None) -> list[np.ndarray]:
+    """Coordinates coords (default all) of the R_k sequence shifted by shift.
+
+    k = len(shift); i is a count n (points 0..n-1) or an array of point indices.
     x_i = s + i a (mod 2^64) in 64-bit fixed point; the top 53 bits name a
     dyadic cell and its midpoint is returned, so every value lies in (0, 1).
     Each point depends only on its own index, so any subset of rows is
     bit-identical to the same rows of the full sequence.  Coordinates are
     made one at a time, so no (k, n) integer array is held.
     """
-    shift = np.random.default_rng(seed).integers(0, 2**64, size=k, dtype=np.uint64)
+    k = shift.shape[0]
     steps = _kronecker_steps(k)
     idx = np.arange(i, dtype=np.uint64) if np.ndim(i) == 0 else np.asarray(i).astype(np.uint64)
     cols = []
@@ -382,14 +369,15 @@ def _sample_points(region: Region, space: str, dim: int):
         # The first `chart` of them are drawn for every sample, the rest by place.
         chart = 1 if euclid else 2
         k = (1 if euclid else 3) + 2 * ((m + 1) // 2)
-        u = _kronecker_unit(n, k, region.seed, range(chart))
+        shift = _kronecker_shift(k, region.seed)
+        u = _kronecker_unit(n, shift, range(chart))
         lo = math.log(region.rho_min)
         r = np.exp(lo + (math.log(region.rho_max) - lo) * u[0])
         tau = None if euclid else u[1]
 
         def place(rows):
             rows = np.asarray(rows, dtype=np.intp)
-            v = _kronecker_unit(rows, k, region.seed, range(chart, k))
+            v = _kronecker_unit(rows, shift, range(chart, k))
             if euclid:
                 return r[rows, None] * _unit_vectors(v, m)
             r_s, tau_s = r[rows], tau[rows]
@@ -470,7 +458,7 @@ def sample_region(
     admissible = np.ones(region.n_samples, dtype=bool)
     excluded_by: dict[str, int] = {}
     _exclude_tubes(admissible, radius, tau, region, singular_radii, excluded_by)
-    return SampleBatch(radius, tau, admissible, excluded_by, space, dim, place)
+    return SampleBatch(radius, tau, admissible, excluded_by, place)
 
 
 def _resolve_gspace(space: str, spec: OperatorSpec) -> str:
@@ -591,24 +579,12 @@ def _terms_for(field, spec: OperatorSpec, gspace: str, profile, pts, rows, radiu
     }
 
 
-def _chunked_terms(field, spec, gspace, profile, pts, rows, radius, tau) -> dict:
-    """_terms_for, in chunks on HEISPDE_THREADS threads for a dense batch."""
-    n_threads = _thread_count()
-    # Spectral chunks would be short numpy calls, which lose to a pool.
-    if profile is not None or n_threads <= 1 or pts.shape[0] < 2 * n_threads:
-        return _terms_for(field, spec, gspace, profile, pts, rows, radius, tau)
-    chunks = zip(np.array_split(pts, n_threads), np.array_split(rows, n_threads))
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        parts = list(pool.map(lambda c: _terms_for(field, spec, gspace, None, *c, None, None), chunks))
-    return {key: np.concatenate([p[key] for p in parts], axis=0) for key in parts[0]}
-
-
 def _dense_check(field, gspace, points_at, rows, terms, tol) -> dict:
     """Evaluate evenly spaced points again on the dense path; compare spectra.
 
     points_at(k) gives the points at positions k of rows.  e_q, when the
     operator reads it, is compared as one more eigenvalue.  The subsample
-    depends only on the number of points, never on the thread count.
+    depends only on the number of points.
     Raises ValueError when a value differs by more than the check's own
     allowance, so a verdict from disagreeing paths is never reported.
     """
@@ -645,36 +621,45 @@ def _allowance(tol: float, mag: np.ndarray) -> np.ndarray:
     return np.maximum(_ABS_FLOOR, tol * np.maximum(1.0, mag))
 
 
-# Closed-form reference values for (profile, operator) pairs that admit one.
-def _reference_values(field, spec, rho, tau):
-    profile = _own_profile(field)
-    if profile is None:
-        return None
-    key = (profile.name, spec.second_order)
-    params = profile.params
-    if key == ("log_rho", "pucci_min"):
-        Q = params["Q"]
-        return (spec.ell.lam - spec.ell.Lam * (Q - 1)) * tau**2 / rho**2, np.ones_like(rho, bool)
-    if key == ("log_rho", "pucci_minus_alpha"):
-        d = params["d"]
-        return (4.0 * d * spec.alpha - 3.0) * tau**2 / rho**2, np.ones_like(rho, bool)
-    if key == ("u_tilde", "neg_trace"):
-        Q = params["Q"]
-        ref = np.where(
-            rho < 1.0,
-            0.5 * (Q - 2.0) * Q * (Q + 2.0) * (1.0 - rho**2) * tau**2,
-            0.0,
-        )
-        return ref, np.ones_like(rho, bool)
-    if key == ("folland", "neg_trace"):
-        return np.zeros_like(rho), np.ones_like(rho, bool)
-    if key in (("u4", "pucci_max"), ("u5", "pucci_max"), ("u2", "pucci_max"), ("u3", "pucci_max")):
-        return np.zeros_like(rho), rho >= 1.0
-    return None
+def _pass_rule(excess, allowance, strict=False) -> tuple[str, float, int]:
+    """(verdict, worst excess, witness position) of excesses (N,) or (parts, N).
+
+    Points not looked at hold -inf.  A point fails a part where the excess is
+    above the allowance or, for a strict part (strict: one flag or one per
+    part), where it is >= 0; a NaN fails.  The witness is the point farthest
+    above its allowance.
+    """
+    excess = np.atleast_2d(excess)
+    strict = np.broadcast_to(strict, excess.shape[:1])
+    viol = excess - allowance
+    viol[strict] = excess[strict]  # a strict part is granted no allowance
+    top = viol.max(axis=1)
+    ok = np.all(np.where(strict, top < 0.0, top <= 0.0))
+    return ("pass" if ok else "fail"), float(excess.max()), int(np.argmax(viol.max(axis=0)))
 
 
-def _witness(batch, points_at, rows, terms, excess, allow, order):
-    k = int(order)
+# (profile, operator) -> closed-form operator values: (rho, tau, profile
+# params, spec) -> (values, where they hold).
+_REFERENCES = {
+    ("log_rho", "pucci_min"): lambda rho, tau, p, spec: (
+        (spec.ell.lam - spec.ell.Lam * (p["Q"] - 1)) * tau**2 / rho**2, np.ones_like(rho, bool)
+    ),
+    ("log_rho", "pucci_minus_alpha"): lambda rho, tau, p, spec: (
+        (4.0 * p["d"] * spec.alpha - 3.0) * tau**2 / rho**2, np.ones_like(rho, bool)
+    ),
+    ("u_tilde", "neg_trace"): lambda rho, tau, p, spec: (
+        np.where(rho < 1.0, 0.5 * (p["Q"] - 2.0) * p["Q"] * (p["Q"] + 2.0) * (1.0 - rho**2) * tau**2, 0.0),
+        np.ones_like(rho, bool),
+    ),
+    ("folland", "neg_trace"): lambda rho, tau, p, spec: (np.zeros_like(rho), np.ones_like(rho, bool)),
+    **{
+        (name, "pucci_max"): lambda rho, tau, p, spec: (np.zeros_like(rho), rho >= 1.0)
+        for name in ("u4", "u5", "u2", "u3")
+    },
+}
+
+
+def _witness(batch, points_at, rows, terms, excess, allow, k):
     row = rows[k]
     return {
         "point": [float(v) for v in points_at([k])[0]],
@@ -805,7 +790,7 @@ def check_tabulated(
         excluded_by["outside_radius_range"] = out_of_range
     _exclude_tubes(admissible, radius, tau, region, table.singular_radii, excluded_by)
 
-    batch = SampleBatch(radius, tau, admissible, excluded_by, table.space, table.dim, lambda rows: pts[rows])
+    batch = SampleBatch(radius, tau, admissible, excluded_by, lambda rows: pts[rows])
     config = {
         "field": {"name": table.name, "space": table.space, "dim": table.dim, "rows": n},
         "operator": _spec_echo(spec),
@@ -839,7 +824,7 @@ def _inequality_from_batch(
         """Points at positions k of rows."""
         return batch.place(rows[k]) if pts is None else pts[k]
 
-    terms = _chunked_terms(field, spec, gspace, profile, pts, rows, rho_adm, tau_adm)
+    terms = _terms_for(field, spec, gspace, profile, pts, rows, rho_adm, tau_adm)
     n_adm = rows.shape[0]
     paths = {
         "spectral": 0 if profile is None else n_adm,
@@ -862,18 +847,14 @@ def _inequality_from_batch(
 
     formula = None
     if mode == "formula":
-        ref = _reference_values(field, spec, rho_adm, tau_adm)
-        if ref is None:
-            raise ValueError(
-                f"no closed-form reference registered for "
-                f"({getattr(getattr(field, 'profile', None), 'name', None)!r}, "
-                f"{spec.second_order!r})"
-            )
-        ref_vals, ref_valid = ref
+        key = (getattr(getattr(field, "profile", None), "name", None), spec.second_order)
+        reference = None if profile is None else _REFERENCES.get(key)
+        if reference is None:
+            raise ValueError(f"no closed-form reference registered for {key!r}")
+        ref_vals, ref_valid = reference(rho_adm, tau_adm, profile.params, spec)
         use = ref_valid & alive
         dev = np.abs(terms["total"] - ref_vals)
-        dev_allow = _allowance(tol, np.abs(ref_vals))
-        excess = np.where(use, dev, -np.inf)
+        looked, value, allow = use, dev, _allowance(tol, np.abs(ref_vals))
         nonzero = use & (ref_vals != 0.0)
         max_rel = float((dev[nonzero] / np.abs(ref_vals[nonzero])).max()) if np.any(nonzero) else None
         formula = {
@@ -882,24 +863,18 @@ def _inequality_from_batch(
             "max_abs_deviation": float(dev[use].max()) if np.any(use) else None,
             "max_rel_deviation": max_rel,
         }
-        viol = np.where(use, dev - dev_allow, -np.inf)
-        if np.any(use):
-            verdict = "pass" if viol.max() <= 0.0 else "fail"
-            worst = float(excess.max())
-            witness = _witness(batch, points_at, rows, terms, excess, dev_allow, np.argmax(viol))
-        else:
-            verdict, worst, witness = "vacuous", None, None
-        formula["pass"] = verdict == "pass"
     else:
         factor = operators.OPERATORS[spec.second_order].magnitude(spec.params)
-        mag = factor * np.abs(terms["eigs"]).sum(axis=-1) + np.abs(terms["first"])
-        allow = _allowance(tol, mag)
-        signed = terms["total"] if spec.sense == "subsolution" else -terms["total"]
-        excess = np.where(alive, signed, -np.inf)
-        viol = np.where(alive, signed - allow, -np.inf)
-        verdict = "pass" if viol.max() <= 0.0 else "fail"
-        worst = float(excess.max())
-        witness = _witness(batch, points_at, rows, terms, excess, allow, np.argmax(viol))
+        allow = _allowance(tol, factor * np.abs(terms["eigs"]).sum(axis=-1) + np.abs(terms["first"]))
+        looked, value = alive, terms["total"] if spec.sense == "subsolution" else -terms["total"]
+    if np.any(looked):
+        excess = np.where(looked, value, -np.inf)
+        verdict, worst, k = _pass_rule(excess, allow)
+        witness = _witness(batch, points_at, rows, terms, excess, allow, k)
+    else:
+        verdict, worst, witness = "vacuous", None, None
+    if formula is not None:
+        formula["pass"] = verdict == "pass"
 
     samples = {"points": pts, "radius": rho_adm, "tau": tau_adm, **terms} if keep_samples else None
 
@@ -969,6 +944,139 @@ def lyapunov_fixture(name: str, dims: HeisDims, *, gamma0: float = 1.0, c0: floa
     raise ValueError(f"unknown Lyapunov fixture {name!r}")
 
 
+def _finite(what: str, values) -> np.ndarray:
+    """values as a float array; ValueError unless every entry is finite."""
+    arr = np.asarray(values, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} values must be finite")
+    return arr
+
+
+def _xh2(pts: np.ndarray) -> np.ndarray:
+    """|x_H|^2 of group points."""
+    return np.einsum("ij,ij->i", pts[:, :-1], pts[:, :-1])
+
+
+def _drift_cost_arrays(coeffs: HJBCoefficients, pts, rho):
+    bs, cs = [], []
+    for b, c in zip(coeffs.drifts, coeffs.costs):
+        bs.append(_finite("drift", b(pts)))
+        cv = _finite("cost", c(pts))
+        if np.any(cv < 0.0):
+            raise ValueError("running costs must be nonnegative")
+        cs.append(np.broadcast_to(cv, rho.shape))
+    return bs, cs
+
+
+def _pucci_rhs(e, dims, alpha) -> float:
+    return e.lam - e.Lam * (dims.Q - 1)
+
+
+def _alpha_rhs(e, dims, alpha) -> float:
+    if alpha is None:
+        raise ValueError("condcor1p needs alpha")
+    PucciAlpha(alpha, dims.m)
+    return 4.0 * dims.d * float(alpha) - 3.0
+
+
+def _drift_margin(rhs):
+    """Margin rhs - max_k (b_k . eta - c_k rho^4 log rho) / |x_H|^2 of horizontal drifts."""
+
+    def margin(pts, rho, data, e, dims, alpha, gammas):
+        bs, cs = _drift_cost_arrays(data, pts, rho)
+        r = rhs(e, dims, alpha)
+        et, s, lg = hgroup.eta(pts), _xh2(pts), np.log(rho)
+        terms = [np.einsum("ij,ij->i", bv, et) / s - cv * rho**4 * lg / s for bv, cv in zip(bs, cs)]
+        lhs = np.max(np.stack(terms), axis=0)
+        m = r - lhs
+        return m[None], np.abs(lhs) + abs(r), {"min_margin": float(m.min())}
+
+    return margin
+
+
+def _barrier_margin(pts, rho, data, e, dims, alpha, gammas):
+    """Margin c rho^4 log rho / s + lam - Lam (Q - 1) - (b . eta + g |eta|) / s, s = |x_H|^2."""
+    bv = _finite("bbar", data.bbar(pts))
+    gv = np.broadcast_to(_finite("gbar", data.gbar(pts)), rho.shape)
+    cv = np.broadcast_to(_finite("cbar", data.cbar(pts)), rho.shape)
+    if np.any(gv < 0.0) or np.any(cv < 0.0):
+        raise ValueError("gbar and cbar must be nonnegative")
+    et, s = hgroup.eta(pts), _xh2(pts)
+    lhs = np.einsum("ij,ij->i", bv, et) / s + gv * np.sqrt(np.einsum("ij,ij->i", et, et)) / s
+    rhs = cv * rho**4 * np.log(rho) / s + _pucci_rhs(e, dims, alpha)
+    m = rhs - lhs
+    return m[None], np.abs(lhs) + np.abs(rhs), {"min_margin": float(m.min())}
+
+
+def _ou_margin(pts, rho, data, e, dims, alpha, gammas):
+    """The smaller of the scaled drift margin against -gamma x and the proof's margin."""
+    if gammas is None:
+        raise ValueError("OUtype needs the gamma vector")
+    g = np.asarray(gammas, dtype=float)
+    if g.shape != (dims.n,) or np.any(g <= 0.0):
+        raise ValueError(f"gammas must be {dims.n} positive reals")
+    bs, cs = _drift_cost_arrays(data, pts, rho)
+    grad_rho, s, lg = hgroup.euclid_grad_rho(pts, rho), _xh2(pts), np.log(rho)
+    dots = [np.einsum("ij,ij->i", bv, grad_rho) for bv in bs]
+    drift_dot = np.max(np.stack(dots), axis=0)
+    ou_dot = np.einsum("ij,j,ij->i", pts, g, grad_rho)
+    hyp = rho**3 * (-ou_dot - drift_dot)
+    c1 = e.Lam * (2 * dims.d + 1) - e.lam
+    proof_min = np.min(np.stack([cv * lg - dot / rho for dot, cv in zip(dots, cs)]), axis=0)
+    proof = -c1 * s / rho**4 + proof_min
+    mag = np.maximum(rho**3 * (np.abs(ou_dot) + np.abs(drift_dot)), c1 * s / rho**4 + np.abs(proof_min))
+    components = {"min_scaled_drift_margin": float(hyp.min()), "min_proof_margin": float(proof.min())}
+    return np.minimum(hyp, proof)[None], mag, components
+
+
+def _cost_margin(pts, rho, data, e, dims, alpha, gammas):
+    """Cost margin min_k c_k log rho; second part: the radial drift sign max_k b_k . grad rho <= 0."""
+    bs, cs = _drift_cost_arrays(data, pts, rho)
+    lg = np.log(rho)
+    c_margin = np.min(np.stack([cv * lg for cv in cs]), axis=0)
+    grad_rho = hgroup.euclid_grad_rho(pts, rho)
+    sign = np.max(np.stack([np.einsum("ij,ij->i", bv, grad_rho) for bv in bs]), axis=0)
+    components = {"min_cost_margin": float(c_margin.min()), "max_drift_sign": float(sign.max())}
+    return np.stack([c_margin, -sign]), np.abs(c_margin) + np.abs(sign), components
+
+
+@dataclass(frozen=True)
+class LyapunovRoute:
+    """How check_lyapunov tests one condition on one kind of data.
+
+    margin(pts, rho, data, e, dims, alpha, gammas) returns (margins (parts,
+    N), magnitude for the allowance, components); margins are positive where
+    a part holds, and the witness and scan report the first part.  A strict
+    part needs margin > 0.  divides_by_s: the region needs char_eps > 0.
+    """
+
+    margin: Callable
+    strict: tuple[bool, ...]
+    divides_by_s: bool
+
+
+_PUCCI_DRIFT_MARGIN = _drift_margin(_pucci_rhs)
+
+# condition -> kind of data -> route.
+LYAPUNOV_CONDITIONS: dict[str, dict[str, LyapunovRoute]] = {
+    "condcor1": {"horizontal": LyapunovRoute(_PUCCI_DRIFT_MARGIN, (False,), True)},
+    "condcor1bis": {"barrier": LyapunovRoute(_barrier_margin, (False,), True)},
+    "condcor1p": {"horizontal": LyapunovRoute(_drift_margin(_alpha_rhs), (False,), True)},
+    "OUtype": {"euclidean": LyapunovRoute(_ou_margin, (False,), False)},
+    "schrodinger": {
+        "horizontal": LyapunovRoute(_PUCCI_DRIFT_MARGIN, (True,), True),
+        "euclidean": LyapunovRoute(_cost_margin, (True, False), False),
+    },
+}
+
+
+def _data_kind(data) -> str | None:
+    """The table's kind of data: HJBCoefficients by gradient space, or "barrier"."""
+    if isinstance(data, BarrierBundle):
+        return "barrier"
+    return data.gradient_space if isinstance(data, HJBCoefficients) else None
+
+
 def check_lyapunov(
     cond: str,
     data,
@@ -982,24 +1090,22 @@ def check_lyapunov(
 ) -> CheckReport:
     """Test a coefficient growth condition on sampled points.
 
-    Margins are positive where the condition holds; the verdict requires
-    margin >= -allowance at every admissible sample ("schrodinger" asks for
-    strictly positive margins, liminf-style).  An R-ladder scan of the worst
-    margin over rho >= R is attached as evidence at sampled scales.
+    The route is LYAPUNOV_CONDITIONS[cond][kind of data] (TypeError if none).
+    The verdict requires margin >= -allowance at every admissible sample, or
+    margin > 0 for a strict part.  An R-ladder scan of the worst margin over
+    rho >= R is attached as evidence at sampled scales.
     """
     t0 = time.perf_counter()
     _check_tol(tol)
-    if cond not in LYAPUNOV_CONDITIONS:
+    routes = LYAPUNOV_CONDITIONS.get(cond)
+    if routes is None:
         raise ValueError(f"unknown condition {cond!r}")
-    divides_by_s = cond in ("condcor1", "condcor1bis", "condcor1p") or (
-        cond == "schrodinger"
-        and isinstance(data, HJBCoefficients)
-        and data.gradient_space == "horizontal"
-    )
-    if divides_by_s and region.char_eps <= 0.0:
-        raise ValueError(
-            f"{cond} divides by |x_H|^2; the region needs char_eps > 0"
-        )
+    kind = _data_kind(data)
+    route = routes.get(kind)
+    if route is None:
+        raise TypeError(f"{cond} expects {' or '.join(routes)} data, got {kind or 'other'} data ({type(data).__name__})")
+    if route.divides_by_s and region.char_eps <= 0.0:
+        raise ValueError(f"{cond} divides by |x_H|^2; the region needs char_eps > 0")
     batch = sample_region(region, space="heisenberg", dim=dims.n)
     config = {
         "condition": cond,
@@ -1016,139 +1122,29 @@ def check_lyapunov(
         return _vacuous_report("lyapunov", tol, region, batch, config, t0)
 
     rows = np.flatnonzero(adm)
-    pts = batch.place(rows)
-    rho = batch.radius[rows]
-    lg = np.log(rho)
-    d = dims.d
-    s = np.einsum("ij,ij->i", pts[:, : 2 * d], pts[:, : 2 * d])
-    et = hgroup.eta(pts)
-    components: dict[str, float] = {}
-    euclid_schro = False
-
-    def drift_cost_arrays(coeffs: HJBCoefficients):
-        bs, cs = [], []
-        for b, c in zip(coeffs.drifts, coeffs.costs):
-            bv = np.asarray(b(pts), dtype=float)
-            cv = np.asarray(c(pts), dtype=float)
-            if np.any(cv < 0.0):
-                raise ValueError("running costs must be nonnegative")
-            bs.append(bv)
-            cs.append(np.broadcast_to(cv, rho.shape))
-        return bs, cs
-
-    if cond in ("condcor1", "condcor1p", "schrodinger") and isinstance(data, HJBCoefficients) and data.gradient_space == "horizontal":
-        bs, cs = drift_cost_arrays(data)
-        terms = [
-            np.einsum("ij,ij->i", bv, et) / s - cv * rho**4 * lg / s
-            for bv, cv in zip(bs, cs)
-        ]
-        lhs = np.max(np.stack(terms, axis=0), axis=0)
-        if cond == "condcor1p":
-            if alpha is None:
-                raise ValueError("condcor1p needs alpha")
-            PucciAlpha(alpha, dims.m)
-            rhs = 4.0 * d * float(alpha) - 3.0
-        else:
-            rhs = e.lam - e.Lam * (dims.Q - 1)
-        margin = rhs - lhs
-        mag = np.abs(lhs) + abs(rhs)
-        components["min_margin"] = float(margin.min())
-    elif cond == "schrodinger" and isinstance(data, HJBCoefficients):
-        # Euclidean-gradient family: strictly positive cost route plus a
-        # nonpositive (within allowance) radial drift component.
-        euclid_schro = True
-        bs, cs = drift_cost_arrays(data)
-        c_margin = np.min(np.stack([cv * lg for cv in cs], axis=0), axis=0)
-        grad_rho = hgroup.euclid_grad_rho(pts, rho)
-        sign_evid = np.max(
-            np.stack([np.einsum("ij,ij->i", bv, grad_rho) for bv in bs], axis=0), axis=0
-        )
-        margin = c_margin
-        mag = np.abs(c_margin) + np.abs(sign_evid)
-        components["min_cost_margin"] = float(c_margin.min())
-        components["max_drift_sign"] = float(sign_evid.max())
-    elif cond == "condcor1bis":
-        if not isinstance(data, BarrierBundle):
-            raise TypeError("condcor1bis expects a BarrierBundle")
-        bv = np.asarray(data.bbar(pts), dtype=float)
-        gv = np.broadcast_to(np.asarray(data.gbar(pts), dtype=float), rho.shape)
-        cv = np.broadcast_to(np.asarray(data.cbar(pts), dtype=float), rho.shape)
-        if np.any(gv < 0.0) or np.any(cv < 0.0):
-            raise ValueError("gbar and cbar must be nonnegative")
-        et_norm = np.sqrt(np.einsum("ij,ij->i", et, et))
-        lhs = np.einsum("ij,ij->i", bv, et) / s + gv * et_norm / s
-        rhs = cv * rho**4 * lg / s + (e.lam - e.Lam * (dims.Q - 1))
-        margin = rhs - lhs
-        mag = np.abs(lhs) + np.abs(rhs)
-        components["min_margin"] = float(margin.min())
-    elif cond == "OUtype":
-        if not isinstance(data, HJBCoefficients) or data.gradient_space != "euclidean":
-            raise TypeError("OUtype expects HJBCoefficients with euclidean drifts")
-        if gammas is None:
-            raise ValueError("OUtype needs the gamma vector")
-        g = np.asarray(gammas, dtype=float)
-        if g.shape != (dims.n,) or np.any(g <= 0.0):
-            raise ValueError(f"gammas must be {dims.n} positive reals")
-        bs, cs = drift_cost_arrays(data)
-        grad_rho = hgroup.euclid_grad_rho(pts, rho)
-        drift_dot = np.max(
-            np.stack([np.einsum("ij,ij->i", bv, grad_rho) for bv in bs], axis=0), axis=0
-        )
-        ou_dot = np.einsum("ij,j,ij->i", pts, g, grad_rho)
-        hyp = rho**3 * (-ou_dot - drift_dot)
-        c1 = e.Lam * (2 * d + 1) - e.lam
-        proof_terms = np.stack(
-            [cv * lg - np.einsum("ij,ij->i", bv, grad_rho) / rho for bv, cv in zip(bs, cs)],
-            axis=0,
-        )
-        proof = -c1 * s / rho**4 + np.min(proof_terms, axis=0)
-        margin = np.minimum(hyp, proof)
-        mag = np.maximum(
-            rho**3 * (np.abs(ou_dot) + np.abs(drift_dot)),
-            c1 * s / rho**4 + np.abs(np.min(proof_terms, axis=0)),
-        )
-        components["min_scaled_drift_margin"] = float(hyp.min())
-        components["min_proof_margin"] = float(proof.min())
-    else:
-        raise TypeError(f"condition {cond!r} got incompatible data {type(data).__name__}")
-
+    pts, rho = batch.place(rows), batch.radius[rows]
+    margins, mag, components = route.margin(pts, rho, data, e, dims, alpha, gammas)
     allow = _allowance(tol, mag)
-    if euclid_schro:
-        viol = np.maximum(-margin, sign_evid - allow)
-        verdict = "pass" if margin.min() > 0.0 and np.max(sign_evid - allow) <= 0.0 else "fail"
-    elif cond == "schrodinger":
-        viol = -margin  # strict: any nonpositive margin is a violation
-        verdict = "pass" if margin.min() > 0.0 else "fail"
-    else:
-        viol = -margin - allow
-        verdict = "pass" if viol.max() <= 0.0 else "fail"
-
-    order = int(np.argmax(viol))
+    verdict, worst, k = _pass_rule(-margins, allow, route.strict)
+    margin = margins[0]
     witness = {
-        "point": [float(v) for v in pts[order]],
-        "radius": float(rho[order]),
-        "tau": float(batch.tau[rows[order]]),
-        "margin": float(margin[order]),
-        "allowance": float(allow[order]),
+        "point": [float(v) for v in pts[k]],
+        "radius": float(rho[k]),
+        "tau": float(batch.tau[rows[k]]),
+        "margin": float(margin[k]),
+        "allowance": float(allow[k]),
     }
-
-    scan = []
-    ladder = [region.rho_min * 2.0**k for k in range(8)]
-    for R in ladder:
-        if R > region.rho_max:
-            break
-        sel = rho >= R
-        scan.append(
-            {
-                "R": float(R),
-                "n": int(sel.sum()),
-                "min_margin": float(margin[sel].min()) if np.any(sel) else None,
-            }
-        )
+    ladder = [region.rho_min * 2.0**j for j in range(8)]
+    scan = [
+        {"R": float(R), "n": int(sel.sum()), "min_margin": float(margin[sel].min()) if np.any(sel) else None}
+        for R in ladder
+        if R <= region.rho_max
+        for sel in [rho >= R]
+    ]
     return CheckReport(
         kind="lyapunov",
         verdict=verdict,
-        worst_violation=float((-margin).max()),
+        worst_violation=worst,
         tol=tol,
         n_samples=region.n_samples,
         n_evaluated=int(adm.sum()),

@@ -58,13 +58,13 @@ def test_place_matches_the_rows_of_points(sampler, space, dim):
 
 @pytest.mark.parametrize("k", [2, 5, 11])
 def test_kronecker_unit_at_indices_matches_the_full_sequence(k):
-    n, seed = 1000, 4
-    full = checker._kronecker_unit(n, k, seed)
+    n, shift = 1000, checker._kronecker_shift(k, 4)
+    full = checker._kronecker_unit(n, shift)
     for rows in _row_sets(n).values():
-        for got, col in zip(checker._kronecker_unit(rows, k, seed), full):
+        for got, col in zip(checker._kronecker_unit(rows, shift), full):
             assert np.array_equal(got, col[rows])
     coords = [k - 1, 0]
-    part = checker._kronecker_unit(np.arange(n), k, seed, coords)
+    part = checker._kronecker_unit(np.arange(n), shift, coords)
     assert all(np.array_equal(got, full[j]) for got, j in zip(part, coords))
 
 
@@ -75,7 +75,8 @@ def test_kronecker_points_follow_the_chart(space, dim):
     euclid = space == "euclidean"
     m = dim if euclid else dim - 1
     head = 1 if euclid else 3
-    u = checker._kronecker_unit(region.n_samples, head + 2 * ((m + 1) // 2), region.seed)
+    k = head + 2 * ((m + 1) // 2)
+    u = checker._kronecker_unit(region.n_samples, checker._kronecker_shift(k, region.seed))
     r = region.rho_min * (region.rho_max / region.rho_min) ** u[0]
     g = []
     for a, b in zip(u[head::2], u[head + 1 :: 2]):
