@@ -8,17 +8,23 @@ pass/fail/vacuous verdict with the worst signed violation and a witness.
 
 Points are placed through the chart (rho, tau = |x_H|/rho, vertical sign,
 horizontal direction) by a Kronecker low-discrepancy sequence or a grid
-(see Region).  The batch keeps the chart's radius and tau; the tubes, the
-spectral path, the reference formulas and the witness read them instead of
-computing the gauge norm of the points again.  Points are placed on
-demand: the Kronecker sampler draws only rho (and tau on the group) for
-every sample, and SampleBatch.place(rows) draws the sign and direction of
-just those rows.  The sequence has random access, so a row placed alone is
-bit-identical to the same row of the full batch, and SampleBatch.points is
-built the first time it is read.  A spectral run without a Bellman part or
-keep_samples places only the dense-check rows and the witness; every other
-run places its admissible rows once.  Results do not depend on which rows
-were placed.  Only numpy is used.
+(see Region).  The batch keeps the chart's radius, tau and admissibility
+(17 bytes per sample); the tubes, the spectral path, the reference formulas
+and the witness read them instead of computing the gauge norm of the points
+again.  Every check then runs over chunks of _CHUNK_ROWS consecutive sample
+indices and folds each chunk into running counts, minima and maxima,
+verdict and witness (_PassRule), so no full-length point, margin or
+eigenvalue array is held and reports do not depend on the chunk size.
+Points are placed on demand: the Kronecker sampler draws only rho (and tau
+on the group) for every sample, and SampleBatch.place(rows) draws the sign
+and direction of just those rows.  The sequence has random access, so a row
+placed alone is bit-identical to the same row of the full batch, and
+SampleBatch.points is built the first time it is read.  A spectral run
+without a Bellman part or keep_samples places only the dense-check rows and
+the witness; every other run places each chunk's admissible rows once.
+Results do not depend on which rows were placed.  What stays O(n_samples):
+the chart, the grid sampler's points, keep_samples arrays and a table's own
+arrays.  Only numpy is used.
 
 A point passes the declared sense when the signed excess does not exceed
 max(1e-12, tol * max(1, local operator magnitude)); the raw per-sample
@@ -41,9 +47,10 @@ subsample's size n and its largest absolute and relative (to max(1, |e|))
 differences.
 
 Growth conditions are data: LYAPUNOV_CONDITIONS maps a condition and the
-kind of data it gets to a LyapunovRoute (margin function, strict, divides by
-|x_H|^2); non-finite coefficient values raise ValueError.  Every check takes
-its verdict, worst excess and witness from one rule, _pass_rule.
+kind of data it gets to a LyapunovRoute (parameter check, margin function,
+strict, divides by |x_H|^2); non-finite coefficient values raise
+ValueError.  Every check takes its verdict, worst excess and witness from
+one rule, _PassRule.
 
 Reports are deterministic functions of (config, seed): identical inputs give
 identical reports except for wall_time.  The checker runs on the calling
@@ -95,6 +102,9 @@ _ABS_FLOOR = 1e-12
 _PHI_BITS = 96
 # Points of a spectral-path run that the dense path evaluates again.
 _DENSE_CHECK_POINTS = 256
+# Sample indices a check evaluates together, so per-point temporaries stay
+# O(_CHUNK_ROWS) at any n_samples.  Reports do not depend on it.
+_CHUNK_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -285,7 +295,7 @@ class SampleBatch:
 
     @property
     def n_admissible(self) -> int:
-        return int(self.admissible.sum())
+        return int(np.count_nonzero(self.admissible))
 
 
 @functools.lru_cache(maxsize=None)
@@ -579,22 +589,23 @@ def _terms_for(field, spec: OperatorSpec, gspace: str, profile, pts, rows, radiu
     }
 
 
-def _dense_check(field, gspace, points_at, rows, terms, tol) -> dict:
-    """Evaluate evenly spaced points again on the dense path; compare spectra.
+def _dense_check(field, gspace, batch, picked, tol) -> dict:
+    """Evaluate the picked rows again on the dense path; compare spectra.
 
-    points_at(k) gives the points at positions k of rows.  e_q, when the
-    operator reads it, is compared as one more eigenvalue.  The subsample
-    depends only on the number of points.
+    picked holds, per chunk, (rows, their points or None, eigenvalues, e_q
+    or None) of the spectral path; points not placed yet are placed here.
+    e_q, when the operator reads it, is compared as one more eigenvalue.
     Raises ValueError when a value differs by more than the check's own
     allowance, so a verdict from disagreeing paths is never reported.
     """
-    n = rows.shape[0]
-    idx = np.linspace(0, n - 1, min(n, _DENSE_CHECK_POINTS)).astype(np.intp)
-    pts = points_at(idx)
-    _, _, dense, dense_e_q, _ = _dense_jets(field, pts, rows[idx], gspace, "e_q" in terms)
-    got = terms["eigs"][idx]
+    rows, pts, got, got_e_q = (
+        None if part[0] is None else np.concatenate(part) for part in zip(*picked)
+    )
+    if pts is None:
+        pts = batch.place(rows)
+    _, _, dense, dense_e_q, _ = _dense_jets(field, pts, rows, gspace, got_e_q is not None)
     if dense_e_q is not None:
-        got = np.column_stack([got, terms["e_q"][idx]])
+        got = np.column_stack([got, got_e_q])
         dense = np.column_stack([dense, dense_e_q])
     diff = np.abs(got - dense)
     bad = diff > _allowance(tol, np.abs(dense))
@@ -606,7 +617,7 @@ def _dense_check(field, gspace, points_at, rows, terms, tol) -> dict:
             f"{what} {got[k].tolist()} against {dense[k].tolist()}"
         )
     return {
-        "n": int(idx.size),
+        "n": int(rows.size),
         "max_abs": float(diff.max()),
         "max_rel": float((diff / np.maximum(1.0, np.abs(dense))).max()),
     }
@@ -621,21 +632,77 @@ def _allowance(tol: float, mag: np.ndarray) -> np.ndarray:
     return np.maximum(_ABS_FLOOR, tol * np.maximum(1.0, mag))
 
 
-def _pass_rule(excess, allowance, strict=False) -> tuple[str, float, int]:
-    """(verdict, worst excess, witness position) of excesses (N,) or (parts, N).
+def _extreme(reduce, values) -> float:
+    """reduce(values) for reduce np.max or np.min, with -0.0 below +0.0; a NaN wins.
 
-    Points not looked at hold -inf.  A point fails a part where the excess is
-    above the allowance or, for a strict part (strict: one flag or one per
-    part), where it is >= 0; a NaN fails.  The witness is the point farthest
-    above its allowance.
+    A plain max or min over both zeros returns either one, depending on how
+    the values lie in memory, so a report would depend on the chunk size.
     """
-    excess = np.atleast_2d(excess)
-    strict = np.broadcast_to(strict, excess.shape[:1])
-    viol = excess - allowance
-    viol[strict] = excess[strict]  # a strict part is granted no allowance
-    top = viol.max(axis=1)
-    ok = np.all(np.where(strict, top < 0.0, top <= 0.0))
-    return ("pass" if ok else "fail"), float(excess.max()), int(np.argmax(viol.max(axis=0)))
+    values = np.asarray(values)
+    out = float(reduce(values))
+    if out == 0.0:
+        negative = np.signbit(values[values == 0.0])
+        out = -0.0 if (negative.all() if reduce is np.max else negative.any()) else 0.0
+    return out
+
+
+def _running(reduce, old, values) -> float:
+    """_extreme of values and old, the extreme of the chunks before (None for the first)."""
+    new = _extreme(reduce, values)
+    return new if old is None else _extreme(reduce, [old, new])
+
+
+def _chunks(admissible: np.ndarray):
+    """(rows, position) of each chunk of _CHUNK_ROWS sample indices with an admissible row.
+
+    rows are the chunk's admissible rows; position counts the admissible
+    rows of the chunks before it.
+    """
+    position = 0
+    for start in range(0, admissible.shape[0], _CHUNK_ROWS):
+        rows = np.flatnonzero(admissible[start : start + _CHUNK_ROWS])
+        if rows.size:
+            rows += start
+            yield rows, position
+            position += rows.size
+
+
+class _PassRule:
+    """Verdict, worst excess and witness of excesses added chunk by chunk.
+
+    add(excess, allowance) takes one chunk's excesses, (N,) or (parts, N),
+    with -inf at points not looked at.  A point fails a part where the
+    excess is above the allowance or, for a strict part (strict: one flag or
+    one per part), where it is >= 0; a NaN fails.  The witness is the first
+    point farthest above its allowance, a NaN first, over the chunks in
+    order: the point one argmax over the whole sample picks.  add returns
+    the witness's position in the chunk if the chunk holds it so far.
+    """
+
+    def __init__(self, strict=False):
+        self.strict = strict
+        self.top = self.worst = self.best = None
+
+    def add(self, excess, allowance) -> int | None:
+        excess = np.atleast_2d(excess)
+        strict = np.broadcast_to(self.strict, excess.shape[:1])
+        viol = excess - allowance
+        viol[strict] = excess[strict]  # a strict part is granted no allowance
+        top = viol.max(axis=1)
+        self.top = top if self.top is None else np.maximum(self.top, top)
+        self.worst = _running(np.max, self.worst, excess)
+        col = viol.max(axis=0)
+        k = int(np.argmax(col))
+        if self.best is None or col[k] > self.best or (np.isnan(col[k]) and not np.isnan(self.best)):
+            self.best = col[k]
+            return k
+        return None
+
+    def verdict(self) -> tuple[str, float]:
+        """(verdict, worst excess) of every chunk added."""
+        strict = np.broadcast_to(self.strict, self.top.shape)
+        ok = np.all(np.where(strict, self.top < 0.0, self.top <= 0.0))
+        return ("pass" if ok else "fail"), self.worst
 
 
 # (profile, operator) -> closed-form operator values: (rho, tau, profile
@@ -659,12 +726,12 @@ _REFERENCES = {
 }
 
 
-def _witness(batch, points_at, rows, terms, excess, allow, k):
-    row = rows[k]
+def _witness(batch, rows, pts, terms, excess, allow, k) -> dict:
+    """Witness at position k of a chunk; its point is None if pts is (placed later)."""
     return {
-        "point": [float(v) for v in points_at([k])[0]],
-        "radius": float(batch.radius[row]),
-        "tau": None if batch.tau is None else float(batch.tau[row]),
+        "point": None if pts is None else [float(v) for v in pts[k]],
+        "radius": float(batch.radius[rows[k]]),
+        "tau": None if batch.tau is None else float(batch.tau[rows[k]]),
         "value": float(terms["value"][k]),
         "eigenvalues": [float(v) for v in terms["eigs"][k]],
         "second_order": float(terms["second"][k]),
@@ -806,77 +873,102 @@ def _inequality_from_batch(
     field, spec, region, tol, mode, keep_samples, batch, config, t0
 ) -> CheckReport:
     gspace = _resolve_gspace(field.space, spec)
-    adm = batch.admissible
-    if not np.any(adm):
+    n_adm = batch.n_admissible
+    if n_adm == 0:
         return _vacuous_report("inequality", tol, region, batch, config, t0)
 
-    rows = np.flatnonzero(adm)
-    rho_adm = batch.radius[rows]
-    tau_adm = None if batch.tau is None else batch.tau[rows]
     profile = _own_profile(field)
-    # The spectral path reads only the chart.  Without a Bellman part or
-    # keep_samples it places just the dense-check rows and the witness.
-    pts = None
-    if profile is None or spec.first_order is not None or keep_samples:
-        pts = batch.place(rows)
-
-    def points_at(k):
-        """Points at positions k of rows."""
-        return batch.place(rows[k]) if pts is None else pts[k]
-
-    terms = _terms_for(field, spec, gspace, profile, pts, rows, rho_adm, tau_adm)
-    n_adm = rows.shape[0]
-    paths = {
-        "spectral": 0 if profile is None else n_adm,
-        "dense": n_adm if profile is None else 0,
-        "dense_check": None if profile is None else _dense_check(
-            field, gspace, points_at, rows, terms, tol
-        ),
-    }
-
-    alive = terms["alive"]
-    excluded_by = dict(batch.excluded_by)
-    if not np.all(alive):
-        excluded_by["zero_gradient"] = int((~alive).sum())
-    n_evaluated = int(alive.sum())
-    if n_evaluated == 0:
-        rep = _vacuous_report("inequality", tol, region, batch, config, t0)
-        rep.excluded_by = excluded_by
-        rep.paths = paths
-        return rep
-
-    formula = None
+    reference = None
     if mode == "formula":
         key = (getattr(getattr(field, "profile", None), "name", None), spec.second_order)
         reference = None if profile is None else _REFERENCES.get(key)
         if reference is None:
             raise ValueError(f"no closed-form reference registered for {key!r}")
-        ref_vals, ref_valid = reference(rho_adm, tau_adm, profile.params, spec)
-        use = ref_valid & alive
-        dev = np.abs(terms["total"] - ref_vals)
-        looked, value, allow = use, dev, _allowance(tol, np.abs(ref_vals))
-        nonzero = use & (ref_vals != 0.0)
-        max_rel = float((dev[nonzero] / np.abs(ref_vals[nonzero])).max()) if np.any(nonzero) else None
-        formula = {
-            "n_compared": int(use.sum()),
-            "n_nonzero_reference": int(nonzero.sum()),
-            "max_abs_deviation": float(dev[use].max()) if np.any(use) else None,
-            "max_rel_deviation": max_rel,
-        }
-    else:
-        factor = operators.OPERATORS[spec.second_order].magnitude(spec.params)
-        allow = _allowance(tol, factor * np.abs(terms["eigs"]).sum(axis=-1) + np.abs(terms["first"]))
-        looked, value = alive, terms["total"] if spec.sense == "subsolution" else -terms["total"]
-    if np.any(looked):
+    # The spectral path reads only the chart.  Without a Bellman part or
+    # keep_samples it places just the dense-check rows and the witness.
+    place = profile is None or spec.first_order is not None or keep_samples
+    factor = operators.OPERATORS[spec.second_order].magnitude(spec.params)
+    # Positions, among the admissible rows, that the dense path checks again.
+    check_at = None
+    if profile is not None:
+        check_at = np.linspace(0, n_adm - 1, min(n_adm, _DENSE_CHECK_POINTS)).astype(np.intp)
+
+    rule = _PassRule()
+    n_alive = n_looked = n_compared = n_nonzero = 0
+    max_abs = max_rel = witness = witness_row = None
+    picked, kept = [], []
+    for rows, position in _chunks(batch.admissible):
+        radius = batch.radius[rows]
+        tau = None if batch.tau is None else batch.tau[rows]
+        pts = batch.place(rows) if place else None
+        terms = _terms_for(field, spec, gspace, profile, pts, rows, radius, tau)
+        if check_at is not None:
+            lo, hi = np.searchsorted(check_at, [position, position + rows.size])
+            k = check_at[lo:hi] - position
+            e_q = terms.get("e_q")
+            picked.append(
+                (rows[k], None if pts is None else pts[k], terms["eigs"][k], None if e_q is None else e_q[k])
+            )
+        alive = terms["alive"]
+        n_alive += int(np.count_nonzero(alive))
+        if reference is not None:
+            ref_vals, ref_valid = reference(radius, tau, profile.params, spec)
+            looked = ref_valid & alive
+            value = np.abs(terms["total"] - ref_vals)
+            allow = _allowance(tol, np.abs(ref_vals))
+            nonzero = looked & (ref_vals != 0.0)
+            n_compared += int(np.count_nonzero(looked))
+            n_nonzero += int(np.count_nonzero(nonzero))
+            if np.any(looked):
+                max_abs = _running(np.max, max_abs, value[looked])
+            if np.any(nonzero):
+                max_rel = _running(np.max, max_rel, value[nonzero] / np.abs(ref_vals[nonzero]))
+        else:
+            allow = _allowance(tol, factor * np.abs(terms["eigs"]).sum(axis=-1) + np.abs(terms["first"]))
+            looked, value = alive, terms["total"] if spec.sense == "subsolution" else -terms["total"]
+        n_looked += int(np.count_nonzero(looked))
         excess = np.where(looked, value, -np.inf)
-        verdict, worst, k = _pass_rule(excess, allow)
-        witness = _witness(batch, points_at, rows, terms, excess, allow, k)
+        k = rule.add(excess, allow)
+        if k is not None:
+            witness, witness_row = _witness(batch, rows, pts, terms, excess, allow, k), rows[k]
+        if keep_samples:
+            kept.append({"points": pts, "radius": radius, "tau": tau, **terms})
+
+    paths = {
+        "spectral": 0 if profile is None else n_adm,
+        "dense": n_adm if profile is None else 0,
+        "dense_check": None if profile is None else _dense_check(field, gspace, batch, picked, tol),
+    }
+    excluded_by = dict(batch.excluded_by)
+    if n_alive < n_adm:
+        excluded_by["zero_gradient"] = n_adm - n_alive
+    if n_alive == 0:
+        rep = _vacuous_report("inequality", tol, region, batch, config, t0)
+        rep.excluded_by = excluded_by
+        rep.paths = paths
+        return rep
+
+    if n_looked:
+        verdict, worst = rule.verdict()
+        if witness["point"] is None:
+            witness["point"] = [float(v) for v in batch.place([witness_row])[0]]
     else:
         verdict, worst, witness = "vacuous", None, None
-    if formula is not None:
-        formula["pass"] = verdict == "pass"
-
-    samples = {"points": pts, "radius": rho_adm, "tau": tau_adm, **terms} if keep_samples else None
+    formula = None
+    if reference is not None:
+        formula = {
+            "n_compared": n_compared,
+            "n_nonzero_reference": n_nonzero,
+            "max_abs_deviation": max_abs,
+            "max_rel_deviation": max_rel,
+            "pass": verdict == "pass",
+        }
+    samples = None
+    if keep_samples:
+        samples = {
+            key: None if kept[0][key] is None else np.concatenate([chunk[key] for chunk in kept])
+            for key in kept[0]
+        }
 
     return CheckReport(
         kind="inequality",
@@ -884,8 +976,8 @@ def _inequality_from_batch(
         worst_violation=worst,
         tol=tol,
         n_samples=region.n_samples,
-        n_evaluated=n_evaluated,
-        n_excluded=region.n_samples - n_evaluated,
+        n_evaluated=n_alive,
+        n_excluded=region.n_samples - n_alive,
         excluded_by=excluded_by,
         witness=witness,
         config=config,
@@ -968,34 +1060,42 @@ def _drift_cost_arrays(coeffs: HJBCoefficients, pts, rho):
     return bs, cs
 
 
-def _pucci_rhs(e, dims, alpha) -> float:
+def _pucci_rhs(e, dims, alpha, gammas) -> float:
     return e.lam - e.Lam * (dims.Q - 1)
 
 
-def _alpha_rhs(e, dims, alpha) -> float:
+def _alpha_rhs(e, dims, alpha, gammas) -> float:
     if alpha is None:
         raise ValueError("condcor1p needs alpha")
     PucciAlpha(alpha, dims.m)
     return 4.0 * dims.d * float(alpha) - 3.0
 
 
-def _drift_margin(rhs):
-    """Margin rhs - max_k (b_k . eta - c_k rho^4 log rho) / |x_H|^2 of horizontal drifts."""
-
-    def margin(pts, rho, data, e, dims, alpha, gammas):
-        bs, cs = _drift_cost_arrays(data, pts, rho)
-        r = rhs(e, dims, alpha)
-        et, s, lg = hgroup.eta(pts), _xh2(pts), np.log(rho)
-        terms = [np.einsum("ij,ij->i", bv, et) / s - cv * rho**4 * lg / s for bv, cv in zip(bs, cs)]
-        lhs = np.max(np.stack(terms), axis=0)
-        m = r - lhs
-        return m[None], np.abs(lhs) + abs(r), {"min_margin": float(m.min())}
-
-    return margin
+def _ou_params(e, dims, alpha, gammas) -> tuple[np.ndarray, float]:
+    if gammas is None:
+        raise ValueError("OUtype needs the gamma vector")
+    g = np.asarray(gammas, dtype=float)
+    if g.shape != (dims.n,) or np.any(g <= 0.0):
+        raise ValueError(f"gammas must be {dims.n} positive reals")
+    return g, e.Lam * (2 * dims.d + 1) - e.lam
 
 
-def _barrier_margin(pts, rho, data, e, dims, alpha, gammas):
-    """Margin c rho^4 log rho / s + lam - Lam (Q - 1) - (b . eta + g |eta|) / s, s = |x_H|^2."""
+def _no_params(e, dims, alpha, gammas) -> None:
+    return None
+
+
+def _drift_margin(pts, rho, data, r):
+    """Margin r - max_k (b_k . eta - c_k rho^4 log rho) / |x_H|^2 of horizontal drifts."""
+    bs, cs = _drift_cost_arrays(data, pts, rho)
+    et, s, lg = hgroup.eta(pts), _xh2(pts), np.log(rho)
+    terms = [np.einsum("ij,ij->i", bv, et) / s - cv * rho**4 * lg / s for bv, cv in zip(bs, cs)]
+    lhs = np.max(np.stack(terms), axis=0)
+    m = r - lhs
+    return m[None], np.abs(lhs) + abs(r), {"min_margin": _extreme(np.min, m)}
+
+
+def _barrier_margin(pts, rho, data, r):
+    """Margin c rho^4 log rho / s + r - (b . eta + g |eta|) / s, s = |x_H|^2."""
     bv = _finite("bbar", data.bbar(pts))
     gv = np.broadcast_to(_finite("gbar", data.gbar(pts)), rho.shape)
     cv = np.broadcast_to(_finite("cbar", data.cbar(pts)), rho.shape)
@@ -1003,40 +1103,35 @@ def _barrier_margin(pts, rho, data, e, dims, alpha, gammas):
         raise ValueError("gbar and cbar must be nonnegative")
     et, s = hgroup.eta(pts), _xh2(pts)
     lhs = np.einsum("ij,ij->i", bv, et) / s + gv * np.sqrt(np.einsum("ij,ij->i", et, et)) / s
-    rhs = cv * rho**4 * np.log(rho) / s + _pucci_rhs(e, dims, alpha)
+    rhs = cv * rho**4 * np.log(rho) / s + r
     m = rhs - lhs
-    return m[None], np.abs(lhs) + np.abs(rhs), {"min_margin": float(m.min())}
+    return m[None], np.abs(lhs) + np.abs(rhs), {"min_margin": _extreme(np.min, m)}
 
 
-def _ou_margin(pts, rho, data, e, dims, alpha, gammas):
+def _ou_margin(pts, rho, data, params):
     """The smaller of the scaled drift margin against -gamma x and the proof's margin."""
-    if gammas is None:
-        raise ValueError("OUtype needs the gamma vector")
-    g = np.asarray(gammas, dtype=float)
-    if g.shape != (dims.n,) or np.any(g <= 0.0):
-        raise ValueError(f"gammas must be {dims.n} positive reals")
+    g, c1 = params
     bs, cs = _drift_cost_arrays(data, pts, rho)
     grad_rho, s, lg = hgroup.euclid_grad_rho(pts, rho), _xh2(pts), np.log(rho)
     dots = [np.einsum("ij,ij->i", bv, grad_rho) for bv in bs]
     drift_dot = np.max(np.stack(dots), axis=0)
     ou_dot = np.einsum("ij,j,ij->i", pts, g, grad_rho)
     hyp = rho**3 * (-ou_dot - drift_dot)
-    c1 = e.Lam * (2 * dims.d + 1) - e.lam
     proof_min = np.min(np.stack([cv * lg - dot / rho for dot, cv in zip(dots, cs)]), axis=0)
     proof = -c1 * s / rho**4 + proof_min
     mag = np.maximum(rho**3 * (np.abs(ou_dot) + np.abs(drift_dot)), c1 * s / rho**4 + np.abs(proof_min))
-    components = {"min_scaled_drift_margin": float(hyp.min()), "min_proof_margin": float(proof.min())}
+    components = {"min_scaled_drift_margin": _extreme(np.min, hyp), "min_proof_margin": _extreme(np.min, proof)}
     return np.minimum(hyp, proof)[None], mag, components
 
 
-def _cost_margin(pts, rho, data, e, dims, alpha, gammas):
+def _cost_margin(pts, rho, data, params):
     """Cost margin min_k c_k log rho; second part: the radial drift sign max_k b_k . grad rho <= 0."""
     bs, cs = _drift_cost_arrays(data, pts, rho)
     lg = np.log(rho)
     c_margin = np.min(np.stack([cv * lg for cv in cs]), axis=0)
     grad_rho = hgroup.euclid_grad_rho(pts, rho)
     sign = np.max(np.stack([np.einsum("ij,ij->i", bv, grad_rho) for bv in bs]), axis=0)
-    components = {"min_cost_margin": float(c_margin.min()), "max_drift_sign": float(sign.max())}
+    components = {"min_cost_margin": _extreme(np.min, c_margin), "max_drift_sign": _extreme(np.max, sign)}
     return np.stack([c_margin, -sign]), np.abs(c_margin) + np.abs(sign), components
 
 
@@ -1044,28 +1139,32 @@ def _cost_margin(pts, rho, data, e, dims, alpha, gammas):
 class LyapunovRoute:
     """How check_lyapunov tests one condition on one kind of data.
 
-    margin(pts, rho, data, e, dims, alpha, gammas) returns (margins (parts,
-    N), magnitude for the allowance, components); margins are positive where
-    a part holds, and the witness and scan report the first part.  A strict
-    part needs margin > 0.  divides_by_s: the region needs char_eps > 0.
+    params(e, dims, alpha, gammas) checks the parameters the route reads and
+    returns what margin needs of them; it runs once, before sampling, so a
+    missing alpha or gammas is refused even where no point is admissible.
+    margin(pts, rho, data, params) returns, for one chunk of points,
+    (margins (parts, N), magnitude for the allowance, components); margins
+    are positive where a part holds, and the witness and scan report the
+    first part.  Components are named min_* or max_* and fold over chunks
+    by min or max.  A strict part needs margin > 0.  divides_by_s: the
+    region needs char_eps > 0.
     """
 
+    params: Callable
     margin: Callable
     strict: tuple[bool, ...]
     divides_by_s: bool
 
 
-_PUCCI_DRIFT_MARGIN = _drift_margin(_pucci_rhs)
-
 # condition -> kind of data -> route.
 LYAPUNOV_CONDITIONS: dict[str, dict[str, LyapunovRoute]] = {
-    "condcor1": {"horizontal": LyapunovRoute(_PUCCI_DRIFT_MARGIN, (False,), True)},
-    "condcor1bis": {"barrier": LyapunovRoute(_barrier_margin, (False,), True)},
-    "condcor1p": {"horizontal": LyapunovRoute(_drift_margin(_alpha_rhs), (False,), True)},
-    "OUtype": {"euclidean": LyapunovRoute(_ou_margin, (False,), False)},
+    "condcor1": {"horizontal": LyapunovRoute(_pucci_rhs, _drift_margin, (False,), True)},
+    "condcor1bis": {"barrier": LyapunovRoute(_pucci_rhs, _barrier_margin, (False,), True)},
+    "condcor1p": {"horizontal": LyapunovRoute(_alpha_rhs, _drift_margin, (False,), True)},
+    "OUtype": {"euclidean": LyapunovRoute(_ou_params, _ou_margin, (False,), False)},
     "schrodinger": {
-        "horizontal": LyapunovRoute(_PUCCI_DRIFT_MARGIN, (True,), True),
-        "euclidean": LyapunovRoute(_cost_margin, (True, False), False),
+        "horizontal": LyapunovRoute(_pucci_rhs, _drift_margin, (True,), True),
+        "euclidean": LyapunovRoute(_no_params, _cost_margin, (True, False), False),
     },
 }
 
@@ -1106,6 +1205,7 @@ def check_lyapunov(
         raise TypeError(f"{cond} expects {' or '.join(routes)} data, got {kind or 'other'} data ({type(data).__name__})")
     if route.divides_by_s and region.char_eps <= 0.0:
         raise ValueError(f"{cond} divides by |x_H|^2; the region needs char_eps > 0")
+    params = route.params(e, dims, alpha, gammas)
     batch = sample_region(region, space="heisenberg", dim=dims.n)
     config = {
         "condition": cond,
@@ -1117,38 +1217,45 @@ def check_lyapunov(
         "coefficients": getattr(data, "label", ""),
         "region": dataclasses.asdict(region),
     }
-    adm = batch.admissible
-    if not np.any(adm):
+    n_adm = batch.n_admissible
+    if n_adm == 0:
         return _vacuous_report("lyapunov", tol, region, batch, config, t0)
 
-    rows = np.flatnonzero(adm)
-    pts, rho = batch.place(rows), batch.radius[rows]
-    margins, mag, components = route.margin(pts, rho, data, e, dims, alpha, gammas)
-    allow = _allowance(tol, mag)
-    verdict, worst, k = _pass_rule(-margins, allow, route.strict)
-    margin = margins[0]
-    witness = {
-        "point": [float(v) for v in pts[k]],
-        "radius": float(rho[k]),
-        "tau": float(batch.tau[rows[k]]),
-        "margin": float(margin[k]),
-        "allowance": float(allow[k]),
-    }
+    rule = _PassRule(route.strict)
     ladder = [region.rho_min * 2.0**j for j in range(8)]
-    scan = [
-        {"R": float(R), "n": int(sel.sum()), "min_margin": float(margin[sel].min()) if np.any(sel) else None}
-        for R in ladder
-        if R <= region.rho_max
-        for sel in [rho >= R]
-    ]
+    scan = [{"R": float(R), "n": 0, "min_margin": None} for R in ladder if R <= region.rho_max]
+    components = {}
+    for rows, _ in _chunks(batch.admissible):
+        pts, rho = batch.place(rows), batch.radius[rows]
+        margins, mag, parts = route.margin(pts, rho, data, params)
+        allow = _allowance(tol, mag)
+        k = rule.add(-margins, allow)
+        margin = margins[0]
+        if k is not None:
+            witness = {
+                "point": [float(v) for v in pts[k]],
+                "radius": float(rho[k]),
+                "tau": float(batch.tau[rows[k]]),
+                "margin": float(margin[k]),
+                "allowance": float(allow[k]),
+            }
+        for key, value in parts.items():
+            reduce = np.min if key.startswith("min_") else np.max
+            components[key] = _running(reduce, components.get(key), value)
+        for entry in scan:
+            sel = rho >= entry["R"]
+            if np.any(sel):
+                entry["n"] += int(np.count_nonzero(sel))
+                entry["min_margin"] = _running(np.min, entry["min_margin"], margin[sel])
+    verdict, worst = rule.verdict()
     return CheckReport(
         kind="lyapunov",
         verdict=verdict,
         worst_violation=worst,
         tol=tol,
         n_samples=region.n_samples,
-        n_evaluated=int(adm.sum()),
-        n_excluded=region.n_samples - int(adm.sum()),
+        n_evaluated=n_adm,
+        n_excluded=region.n_samples - n_adm,
         excluded_by=dict(batch.excluded_by),
         witness=witness,
         config=config,

@@ -215,3 +215,25 @@ def test_non_finite_coefficients_are_refused(cond, kind):
     for name, data in bad.items():
         with pytest.raises(ValueError, match=f"{name} values must be finite"):
             _check(cond, data, dims)
+
+
+# Twenty samples with tau > 0.999 is no admissible point at all.
+NO_ADMISSIBLE_POINT = Region(1.0, 2.0, n_samples=20, char_eps=0.999)
+
+
+def test_alpha_and_gammas_are_checked_before_sampling():
+    # Checked inside the margin, they were skipped on a region with no
+    # admissible point, and the run reported vacuous (exit 3) instead.
+    dims = HeisDims(1)
+    hou = checker.lyapunov_fixture("hou", dims)[1]
+    ou = checker.lyapunov_fixture("ou", dims)[1]
+    assert check_lyapunov("condcor1p", hou, E12, NO_ADMISSIBLE_POINT, dims, alpha=0.25).verdict == "vacuous"
+    assert check_lyapunov("OUtype", ou, E12, NO_ADMISSIBLE_POINT, dims, gammas=np.ones(3)).verdict == "vacuous"
+    with pytest.raises(ValueError, match="condcor1p needs alpha"):
+        check_lyapunov("condcor1p", hou, E12, NO_ADMISSIBLE_POINT, dims)
+    with pytest.raises(ValueError, match="alpha"):
+        check_lyapunov("condcor1p", hou, E12, NO_ADMISSIBLE_POINT, dims, alpha=1.0)
+    with pytest.raises(ValueError, match="OUtype needs the gamma vector"):
+        check_lyapunov("OUtype", ou, E12, NO_ADMISSIBLE_POINT, dims)
+    with pytest.raises(ValueError, match="gammas must be 3 positive reals"):
+        check_lyapunov("OUtype", ou, E12, NO_ADMISSIBLE_POINT, dims, gammas=[1.0, -1.0, 1.0])

@@ -119,20 +119,46 @@ def _placed_once(calls, rows):
     assert np.array_equal(calls[0][1], rows)
 
 
+def _placed_once_per_chunk(calls, witness):
+    """Every admissible row is placed exactly once, one call per chunk in order.
+
+    A chunk is _CHUNK_ROWS consecutive sample indices, and its call places
+    the chunk's admissible rows; a chunk without one places nothing.  The
+    witness's point is the point of its row, taken from its chunk's call.
+    """
+    batch = calls[0][0]
+    adm, size = batch.admissible, checker._CHUNK_ROWS
+    chunks = [np.flatnonzero(adm[s : s + size]) + s for s in range(0, adm.size, size)]
+    chunks = [rows for rows in chunks if rows.size]
+    assert all(b is batch for b, _ in calls)
+    assert len(calls) == len(chunks)
+    for (_, placed), rows in zip(calls, chunks):
+        assert np.array_equal(placed, rows)
+    assert np.array_equal(np.concatenate([rows for _, rows in calls]), np.flatnonzero(adm))
+    row = np.flatnonzero(adm & (batch.radius == witness["radius"]))
+    assert row.size == 1 and witness["point"] == batch.place(row)[0].tolist()
+
+
 REGION = Region(0.05, 5.0, n_samples=4096, seed=3, char_eps=0.02)
+# 1000 splits REGION into five chunks (the Lyapunov region into two);
+# 1 << 14, the default, leaves one.
+CHUNK_SIZES = [1000, 1 << 14]
 
 
 @pytest.mark.parametrize("name,d,mode", [("u4", 2, "sense"), ("log_rho", 4, "formula"), ("u2", 3, "sense")])
-def test_spectral_run_places_only_the_dense_check_and_the_witness(placements, name, d, mode):
+def test_spectral_run_places_only_the_dense_check_and_the_witness(placements, monkeypatch, name, d, mode):
     field = _field(name, d)
     op = "pucci_min" if name == "log_rho" else "pucci_max"
-    rep = check_inequality(field, OperatorSpec(op, ell=E15), REGION, mode=mode)
-    assert rep.paths["spectral"] > 257
-    assert sum(rows.size for _, rows in placements) <= 257
-    assert rep.witness is not None
+    for chunk in CHUNK_SIZES:
+        monkeypatch.setattr(checker, "_CHUNK_ROWS", chunk)
+        placements.clear()
+        rep = check_inequality(field, OperatorSpec(op, ell=E15), REGION, mode=mode)
+        assert rep.paths["spectral"] > 257
+        assert sum(rows.size for _, rows in placements) <= 257
+        assert rep.witness is not None
 
 
-def test_bellman_and_keep_samples_runs_place_every_admissible_row_once(placements):
+def test_bellman_and_keep_samples_runs_place_every_admissible_row_once(placements, monkeypatch):
     field = _field("u5", 2)
     drift = HJBCoefficients((hgroup.eta,), (lambda x: np.zeros(x.shape[:-1]),), "horizontal")
     runs = [
@@ -140,16 +166,22 @@ def test_bellman_and_keep_samples_runs_place_every_admissible_row_once(placement
         (field, OperatorSpec("pucci_max", "supersolution", ell=E15), True),
         (dataclasses.replace(field, profile=None), OperatorSpec("pucci_max", "supersolution", ell=E15), False),
     ]
-    for f, spec, keep in runs:
-        placements.clear()
-        check_inequality(f, spec, REGION, keep_samples=keep)
-        _placed_once(placements, np.flatnonzero(placements[0][0].admissible))
+    for chunk in CHUNK_SIZES:
+        monkeypatch.setattr(checker, "_CHUNK_ROWS", chunk)
+        for f, spec, keep in runs:
+            placements.clear()
+            rep = check_inequality(f, spec, REGION, keep_samples=keep)
+            _placed_once_per_chunk(placements, rep.witness)
 
 
-def test_check_lyapunov_places_its_admissible_rows_once(placements):
+def test_check_lyapunov_places_its_admissible_rows_once(placements, monkeypatch):
     cond, data, _ = lyapunov_fixture("hou", HeisDims(1))
-    check_lyapunov(cond, data, E15, Region(2.0, 16.0, n_samples=2000, seed=1, char_eps=0.05), HeisDims(1))
-    _placed_once(placements, np.flatnonzero(placements[0][0].admissible))
+    region = Region(2.0, 16.0, n_samples=2000, seed=1, char_eps=0.05)
+    for chunk in CHUNK_SIZES:
+        monkeypatch.setattr(checker, "_CHUNK_ROWS", chunk)
+        placements.clear()
+        rep = check_lyapunov(cond, data, E15, region, HeisDims(1))
+        _placed_once_per_chunk(placements, rep.witness)
 
 
 def test_convergence_study_places_only_the_points_it_uses(placements):
