@@ -7,24 +7,23 @@ operator exactly through the field's closed-form derivatives, and reports a
 pass/fail/vacuous verdict with the worst signed violation and a witness.
 
 Points are placed through the chart (rho, tau = |x_H|/rho, vertical sign,
-horizontal direction) by a Kronecker low-discrepancy sequence or a grid
-(see Region).  The batch keeps the chart's radius, tau and admissibility
+horizontal direction) by one Kronecker low-discrepancy sequence (see
+Region).  The batch keeps the chart's radius, tau and admissibility
 (17 bytes per sample); the tubes, the spectral path, the reference formulas
 and the witness read them instead of computing the gauge norm of the points
 again.  Every check then runs over chunks of _CHUNK_ROWS consecutive sample
 indices and folds each chunk into running counts, minima and maxima,
 verdict and witness (_PassRule), so no full-length point, margin or
 eigenvalue array is held and reports do not depend on the chunk size.
-Points are placed on demand: the Kronecker sampler draws only rho (and tau
-on the group) for every sample, and SampleBatch.place(rows) draws the sign
-and direction of just those rows.  The sequence has random access, so a row
+Points are placed on demand: the sampler draws only rho (and tau on the
+group) for every sample, and SampleBatch.place(rows) draws the sign and
+direction of just those rows.  The sequence has random access, so a row
 placed alone is bit-identical to the same row of the full batch, and
 SampleBatch.points is built the first time it is read.  A spectral run
 without a Bellman part or keep_samples places only the dense-check rows and
 the witness; every other run places each chunk's admissible rows once.
 Results do not depend on which rows were placed.  What stays O(n_samples):
-the chart, the grid sampler's points, keep_samples arrays and a table's own
-arrays.  Only numpy is used.
+the chart, keep_samples arrays and a table's own arrays.  Only numpy is used.
 
 A point passes the declared sense when the signed excess does not exceed
 max(1e-12, tol * max(1, local operator magnitude)); the raw per-sample
@@ -34,7 +33,7 @@ Two paths evaluate the second-order part.  The spectral path takes every
 ScalarField whose jets are its own radial profile (profile set and
 field.name == profile.name; negation negates both): it reads rho (or r) and
 w = tau^2 from the batch and f, f', f'' from the profile, and takes the
-sorted eigenvalues from RadialHessSpectrum (EuclidRadialSpectrum on R^n).
+sorted eigenvalues from hgroup.radial_eigenvalues, on H^d and on R^n.
 The gradient is the eigenvector of f'' w, so e_q = f'' w and |q|^2 = f'^2 w
 (w = 1 on R^n).  The dense path takes fields without an own profile and
 TabulatedField rows: it forms the horizontal Hessian from the Euclidean
@@ -62,14 +61,14 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from . import gallery, hgroup, operators
-from .gallery import ScalarField
+from . import hgroup, operators
 from .hgroup import HeisDims
 from .operators import Ellipticity, HJBCoefficients, PucciAlpha
 
@@ -111,16 +110,14 @@ _CHUNK_ROWS = 1 << 14
 class Region:
     """Sampling annulus and admissibility tubes.
 
-    Both samplers work in the chart (rho, tau = |x_H|/rho, vertical sign,
+    Points are drawn in the chart (rho, tau = |x_H|/rho, vertical sign,
     horizontal direction), which parametrizes exactly the data gauge-radial
-    operators depend on; on R^n the chart is (r, direction).  sampler
-    "kronecker" draws a randomly shifted Kronecker (R_k, generalized golden
-    ratio) sequence, seeded by seed, with log rho spread over the whole
-    annulus, so the largest gap in log-radius shrinks like 1/n_samples;
-    tau is uniform on (0, 1), the sign and the direction come from the
-    remaining coordinates.  "grid" builds a deterministic product of a
-    radius ladder with a ladder in tau (both vertical signs, horizontal axes
-    cycling).
+    operators depend on; on R^n the chart is (r, direction).  The sampler
+    is a randomly shifted Kronecker (R_k, generalized golden ratio)
+    sequence, seeded by seed, with log rho spread over the whole annulus,
+    so the largest gap in log-radius shrinks like 1/n_samples; tau is
+    uniform on (0, 1), the sign and the direction come from the remaining
+    coordinates.  n_samples and seed must be integers (not bools).
     """
 
     rho_min: float
@@ -129,7 +126,6 @@ class Region:
     seed: int = 0
     char_eps: float = 1e-3
     kink_eps: float = 1e-6
-    sampler: str = "kronecker"
 
     def __post_init__(self) -> None:
         if not (
@@ -138,16 +134,17 @@ class Region:
             and 0.0 < self.rho_min < self.rho_max
         ):
             raise ValueError("need 0 < rho_min < rho_max < inf")
-        if int(self.n_samples) != self.n_samples or self.n_samples < 1:
+        for name in ("n_samples", "seed"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not (isinstance(v, numbers.Real) and math.isfinite(v) and v == int(v)):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+            object.__setattr__(self, name, int(v))
+        if self.n_samples < 1:
             raise ValueError("n_samples must be a positive integer")
         if not 0.0 <= self.char_eps < 1.0:
             raise ValueError("char_eps must lie in [0, 1)")
         if not (np.isfinite(self.kink_eps) and self.kink_eps >= 0.0):
             raise ValueError("kink_eps must be finite and nonnegative")
-        if self.sampler not in ("kronecker", "grid"):
-            raise ValueError(f"unknown sampler {self.sampler!r}")
-        object.__setattr__(self, "n_samples", int(self.n_samples))
-        object.__setattr__(self, "seed", int(self.seed))
 
 
 @dataclass(frozen=True)
@@ -362,66 +359,6 @@ def _unit_vectors(u: list[np.ndarray], m: int) -> np.ndarray:
     return g / np.sqrt(np.einsum("ij,ij->i", g, g))[:, None]
 
 
-def _sample_points(region: Region, space: str, dim: int):
-    """(radius, tau, place) for the region's sampler; tau is None on R^n.
-
-    Both samplers work in the chart (rho, tau, vertical sign, horizontal
-    direction), (r, direction) on R^n.  The Kronecker sampler draws only
-    rho and tau for every sample; place(rows) draws the sign and direction
-    of the given rows and returns their points.  The grid sampler builds
-    its points at once and place indexes them.
-    """
-    n = region.n_samples
-    if region.sampler == "kronecker":
-        euclid = space == "euclidean"
-        m = dim if euclid else dim - 1
-        # Coordinates: rho[, tau, sign], then the direction's Box-Muller pairs.
-        # The first `chart` of them are drawn for every sample, the rest by place.
-        chart = 1 if euclid else 2
-        k = (1 if euclid else 3) + 2 * ((m + 1) // 2)
-        shift = _kronecker_shift(k, region.seed)
-        u = _kronecker_unit(n, shift, range(chart))
-        lo = math.log(region.rho_min)
-        r = np.exp(lo + (math.log(region.rho_max) - lo) * u[0])
-        tau = None if euclid else u[1]
-
-        def place(rows):
-            rows = np.asarray(rows, dtype=np.intp)
-            v = _kronecker_unit(rows, shift, range(chart, k))
-            if euclid:
-                return r[rows, None] * _unit_vectors(v, m)
-            r_s, tau_s = r[rows], tau[rows]
-            xh = (r_s * tau_s)[:, None] * _unit_vectors(v[1:], m)
-            vert = np.where(v[0] < 0.5, 1.0, -1.0) * r_s**2 * np.sqrt(1.0 - tau_s**4)
-            return np.concatenate([xh, vert[:, None]], axis=1)
-
-        return r, tau, place
-    if space == "euclidean":
-        nr = max(1, int(math.ceil(n / (2.0 * dim))))
-        rr = np.geomspace(region.rho_min, region.rho_max, nr)
-        r_g, axis_g, sign_g = np.meshgrid(
-            rr, np.arange(dim), np.array([1.0, -1.0]), indexing="ij"
-        )
-        r_g, axis_g, sign_g = (a.ravel()[:n] for a in (r_g, axis_g, sign_g))
-        N = r_g.shape[0]
-        pts = np.zeros((N, dim))
-        pts[np.arange(N), axis_g.astype(int)] = sign_g * r_g
-        return r_g, None, lambda rows: pts[rows]
-    m = dim - 1
-    nt = max(2, int(math.ceil(math.sqrt(n / 2.0))))
-    nr = max(1, int(math.ceil(n / (2.0 * nt))))
-    rr = np.geomspace(region.rho_min, region.rho_max, nr)
-    tt = np.linspace(0.0, 1.0, nt)
-    r_g, t_g, s_g = np.meshgrid(rr, tt, np.array([1.0, -1.0]), indexing="ij")
-    r_g, t_g, s_g = (a.ravel()[:n] for a in (r_g, t_g, s_g))
-    N = r_g.shape[0]
-    xh = np.zeros((N, m))
-    xh[np.arange(N), np.arange(N) % m] = r_g * t_g
-    vert = s_g * r_g**2 * np.sqrt(np.clip(1.0 - t_g**4, 0.0, None))
-    pts = np.concatenate([xh, vert[:, None]], axis=1)
-    return r_g, t_g, lambda rows: pts[rows]
-
-
 def _radius_tau(pts: np.ndarray, space: str) -> tuple[np.ndarray, np.ndarray | None]:
     """Gauge (or Euclidean) radius and, on the group, tau = |x_H| / rho."""
     if space == "euclidean":
@@ -459,12 +396,35 @@ def sample_region(
 ) -> SampleBatch:
     """Draw region.n_samples points and mark the admissible ones.
 
-    Exclusions are counted by reason; n_admissible + sum(excluded_by.values())
-    equals n_samples.
+    Only rho (and tau on the group) is drawn for every sample; the batch's
+    place(rows) draws the sign and direction of the given rows.  Exclusions
+    are counted by reason; n_admissible + sum(excluded_by.values()) equals
+    n_samples.
     """
     if space not in ("heisenberg", "euclidean"):
         raise ValueError(f"unknown space {space!r}")
-    radius, tau, place = _sample_points(region, space, dim)
+    euclid = space == "euclidean"
+    m = dim if euclid else dim - 1
+    # Coordinates: rho[, tau, sign], then the direction's Box-Muller pairs.
+    # The first `chart` of them are drawn for every sample, the rest by place.
+    chart = 1 if euclid else 2
+    k = (1 if euclid else 3) + 2 * ((m + 1) // 2)
+    shift = _kronecker_shift(k, region.seed)
+    u = _kronecker_unit(region.n_samples, shift, range(chart))
+    lo = math.log(region.rho_min)
+    radius = np.exp(lo + (math.log(region.rho_max) - lo) * u[0])
+    tau = None if euclid else u[1]
+
+    def place(rows):
+        rows = np.asarray(rows, dtype=np.intp)
+        v = _kronecker_unit(rows, shift, range(chart, k))
+        if euclid:
+            return radius[rows, None] * _unit_vectors(v, m)
+        r_s, tau_s = radius[rows], tau[rows]
+        xh = (r_s * tau_s)[:, None] * _unit_vectors(v[1:], m)
+        vert = np.where(v[0] < 0.5, 1.0, -1.0) * r_s**2 * np.sqrt(1.0 - tau_s**4)
+        return np.concatenate([xh, vert[:, None]], axis=1)
+
     admissible = np.ones(region.n_samples, dtype=bool)
     excluded_by: dict[str, int] = {}
     _exclude_tubes(admissible, radius, tau, region, singular_radii, excluded_by)
@@ -531,21 +491,23 @@ def _spectral_jets(profile, dim: int, pts, radius, tau, gspace: str, reads_e_q: 
     q = e_q = qq = None
     if profile.kind == "heisenberg":
         w = tau**2
-        spectrum = hgroup.RadialHessSpectrum.from_jets(fp, fpp, w, radius, (dim - 1) // 2)
+        t = fp * w / radius
+        eigs = hgroup.radial_eigenvalues(fpp * w, t, dim - 3, 3.0 * t)  # dim = 2d + 1
         if needs_q and gspace == "horizontal":
             q = hgroup.radial_h_gradient(lambda _: fp, pts, radius)
         elif needs_q:
             q = fp[:, None] * hgroup.euclid_grad_rho(pts, radius)
     else:
         w = 1.0
-        spectrum = gallery.EuclidRadialSpectrum.from_jets(fp, fpp, radius, dim)
+        t = fp / radius
+        eigs = hgroup.radial_eigenvalues(fpp, t, dim - 1)
         if needs_q:
-            q = spectrum.tangential[:, None] * pts
+            q = t[:, None] * pts
     if reads_e_q:
         # The gradient is the eigenvector of f'' w; e_q is 0 where q = 0, as on the dense path.
         qq = fp * fp * w
         e_q = np.where(qq > 0.0, fpp * w, 0.0)
-    return val, q, spectrum.eigenvalues(), e_q, qq
+    return val, q, eigs, e_q, qq
 
 
 def _terms_for(field, spec: OperatorSpec, gspace: str, profile, pts, rows, radius, tau) -> dict:
@@ -1371,7 +1333,7 @@ def convergence_study(
     """Max deviation between analytic and FD Hessians over halved steps.
 
     Needs at least two levels so an observed order can be formed; raises on
-    a region with no admissible points.
+    a region with no admissible points and on a level whose error is 0.
     """
     if levels < 2:
         raise ValueError("need at least two levels to observe an order")
@@ -1408,6 +1370,8 @@ def convergence_study(
             )
             n_shrinks += info["n_shrinks"]
             worst = max(worst, float(np.abs(fd - refs[i]).max()))
+        if worst == 0.0:
+            raise ValueError(f"the finite-difference error is 0 at h = {h!r}, so no order can be observed")
         order = None if prev_err is None else math.log2(prev_err / worst)
         rows.append({"h": h, "max_err": worst, "order": order})
         prev_err = worst

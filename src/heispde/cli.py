@@ -202,7 +202,6 @@ _REGION = {
     "seed": (0, _as_int),
     "char_eps": (1e-3, _as_float),
     "kink_eps": (1e-6, _as_float),
-    "sampler": ("kronecker", _one_of("kronecker", "grid")),
 }
 
 # command -> option name -> (default, converter).  Flags and config values
@@ -321,15 +320,7 @@ def _effective(ns: argparse.Namespace) -> dict:
 
 
 def _region_from(eff: dict) -> Region:
-    return Region(
-        rho_min=eff["rho_min"],
-        rho_max=eff["rho_max"],
-        n_samples=eff["n_samples"],
-        seed=eff["seed"],
-        char_eps=eff["char_eps"],
-        kink_eps=eff["kink_eps"],
-        sampler=eff["sampler"],
-    )
+    return Region(**{name: eff[name] for name in _REGION})
 
 
 def _field_from(eff: dict):

@@ -2,9 +2,10 @@
 
 Two kinds of profile are shipped.  "heisenberg" profiles are functions of the
 gauge norm rho on H^d and are differentiated exactly through rho; their
-horizontal Hessian has the closed-form three-eigenvalue structure implemented
-in hgroup.  "euclidean" profiles are functions of |x| on R^d with the usual
-radial spectrum f'' (simple) and f'/r (multiplicity d - 1).
+horizontal Hessian has the closed-form three-eigenvalue spectrum f'' w,
+3 f' w / rho and f' w / rho (w = |x_H|^2 / rho^2).  "euclidean" profiles
+are functions of |x| on R^d with the usual radial spectrum f'' (simple) and
+f'/r (multiplicity d - 1).  hgroup.radial_eigenvalues lays out both.
 
 The two-piece profiles share one template: a quartic core glued at radius 1
 to a decaying power tail,
@@ -42,13 +43,11 @@ from .hgroup import HeisDims
 from .operators import Ellipticity
 
 __all__ = [
-    "EuclidRadialSpectrum",
     "PROFILE_NAMES",
     "ProfilePiece",
     "ProfileRegimeError",
     "RadialProfile",
     "ScalarField",
-    "euclid_radial_spectrum",
     "field_from_profile",
     "make_profile",
     "profile_catalog",
@@ -132,9 +131,6 @@ class RadialProfile:
 
     def deriv(self, r) -> np.ndarray:
         return self.jets(r)[1]
-
-    def second_deriv(self, r) -> np.ndarray:
-        return self.jets(r)[2]
 
     def __neg__(self) -> "RadialProfile":
         pieces = tuple(replace(p, sign=-p.sign) for p in self.pieces)
@@ -392,44 +388,6 @@ def field_from_profile(profile: RadialProfile, dims: HeisDims) -> ScalarField:
         )
 
     raise ValueError(f"unknown profile kind {profile.kind!r}")
-
-
-@dataclass(frozen=True)
-class EuclidRadialSpectrum:
-    """Spectrum of the Euclidean Hessian of f(|x|): f'' and f'/r x (d-1)."""
-
-    radial: np.ndarray
-    tangential: np.ndarray
-    tangential_mult: int
-
-    @classmethod
-    def from_jets(cls, fp, fpp, r, dim: int) -> "EuclidRadialSpectrum":
-        """Spectrum on R^dim from f'(r), f''(r) and r."""
-        return cls(radial=fpp, tangential=fp / r, tangential_mult=dim - 1)
-
-    def eigenvalues(self) -> np.ndarray:
-        """Full multiset as a sorted array of shape (..., dim), laid out without a sort.
-
-        radial goes before every tangential value it does not exceed, as a
-        stable sort of (radial, tangential, ...) puts it.
-        """
-        a, t = np.broadcast_arrays(self.radial, self.tangential)
-        k = self.tangential_mult * (t < a)
-        return hgroup.sorted_columns(t, self.tangential_mult + 1, ((k, a),))
-
-
-def euclid_radial_spectrum(fprime, fsecond, x) -> EuclidRadialSpectrum:
-    """Closed-form Hessian spectrum of f(|x|) at a nonzero Euclidean point."""
-    xa = np.asarray(x, dtype=float)
-    r = np.sqrt(np.einsum("...i,...i->...", xa, xa))
-    if np.any(r == 0.0):
-        raise ValueError("radial spectrum undefined at the origin")
-    return EuclidRadialSpectrum.from_jets(
-        np.asarray(fprime(r), dtype=float),
-        np.asarray(fsecond(r), dtype=float),
-        r,
-        xa.shape[-1],
-    )
 
 
 def profile_catalog(

@@ -25,6 +25,10 @@ of X_i X_j u is Du_t * A[i, j] with A antisymmetric (A[i, i+d] = -2 =
 
 Every function accepts arbitrary leading batch axes; the last axis is the
 coordinate axis.
+
+A field f(rho(.)) has a closed-form horizontal Hessian spectrum of three
+values; radial_eigenvalues lays it out sorted without a sort, for the
+group and for f(|x|) on R^n alike.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ import numpy as np
 
 __all__ = [
     "HeisDims",
-    "RadialHessSpectrum",
     "dilate",
     "eta",
     "euclid_grad_rho",
@@ -46,15 +49,16 @@ __all__ = [
     "h_gradient",
     "h_hessian",
     "hnorm",
-    "horizontal_part",
     "hperp",
-    "point_dims",
+    "radial_eigenvalues",
     "radial_h_gradient",
     "radial_h_hessian",
-    "sorted_columns",
 ]
 
+# Largest d accepted, so a mistyped dimension cannot allocate absurd stencils.
 _D_CAP = 16
+# Largest |H - H^T| entry h_hessian accepts.
+_SYM_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -62,21 +66,16 @@ class HeisDims:
     """Dimension bundle for H^d.
 
     n = 2d + 1 coordinates, m = 2d horizontal directions, homogeneous
-    dimension Q = 2d + 2.  The default cap keeps accidental huge-dimension
-    requests from allocating absurd stencils; pass a larger cap to override.
+    dimension Q = 2d + 2; d is at most 16.
     """
 
     d: int
-    cap: int = _D_CAP
 
     def __post_init__(self) -> None:
         if int(self.d) != self.d or self.d < 1:
             raise ValueError(f"d must be a positive integer, got {self.d!r}")
-        if self.d > self.cap:
-            raise ValueError(
-                f"d={self.d} exceeds the cap {self.cap}; "
-                "pass HeisDims(d, cap=d) explicitly if this is intended"
-            )
+        if self.d > _D_CAP:
+            raise ValueError(f"d={self.d} exceeds the cap {_D_CAP}")
         object.__setattr__(self, "d", int(self.d))
 
     @property
@@ -103,12 +102,6 @@ def _as_points(x) -> tuple[np.ndarray, int]:
     if not np.isfinite(arr).all():
         raise ValueError("coordinates must be finite")
     return arr, (n - 1) // 2
-
-
-def point_dims(x) -> HeisDims:
-    """Dimensions inferred from the trailing axis of x."""
-    _, d = _as_points(x)
-    return HeisDims(d)
 
 
 def group_mul(x, y) -> np.ndarray:
@@ -140,11 +133,6 @@ def dilate(lam, x) -> np.ndarray:
     return np.concatenate(
         [lam * xa[..., : 2 * d], lam**2 * xa[..., -1:]], axis=-1
     )
-
-
-def horizontal_part(x) -> np.ndarray:
-    xa, d = _as_points(x)
-    return xa[..., : 2 * d]
 
 
 def hperp(x) -> np.ndarray:
@@ -203,12 +191,12 @@ def h_gradient(grad_u, x) -> np.ndarray:
     return g[..., : 2 * d] + g[..., -1:] * (2.0 * hperp(xa))
 
 
-def h_hessian(grad_u, hess_u, x, *, atol: float = 1e-12) -> np.ndarray:
+def h_hessian(grad_u, hess_u, x) -> np.ndarray:
     """Symmetrized horizontal Hessian, exactly sigma^T D^2u sigma.
 
     The frame-Jacobian term of X_i X_j u is Du_t times an antisymmetric
     matrix, since [X_i, X_{i+d}] = -4 d_t, so symmetrizing removes it and
-    grad_u does not enter.  hess_u must be symmetric within atol (absolute,
+    grad_u does not enter.  hess_u must be symmetric within 1e-12 (absolute,
     entrywise); the output is symmetrized exactly.
     """
     xa, d = _as_points(x)
@@ -219,7 +207,7 @@ def h_hessian(grad_u, hess_u, x, *, atol: float = 1e-12) -> np.ndarray:
     if not np.isfinite(h).all():
         raise ValueError("Hessian entries must be finite")
     skew = np.abs(h - np.swapaxes(h, -1, -2)).max()
-    if skew > atol:
+    if skew > _SYM_ATOL:
         raise ValueError(f"Hessian is not symmetric: max |H - H^T| = {skew:.3e}")
     hs = 0.5 * (h + np.swapaxes(h, -1, -2))
     # sigma = [I; h^T] with h = 2 hperp, and D^2u = [[A, b], [b^T, c]], so
@@ -298,54 +286,27 @@ def radial_h_gradient(fprime, x, rho=None) -> np.ndarray:
     return fp[..., None] * dh_rho
 
 
-@dataclass(frozen=True)
-class RadialHessSpectrum:
-    """Closed-form spectrum of the horizontal Hessian of f(rho(.)).
+def radial_eigenvalues(lead, rest, mult: int, rotated=None) -> np.ndarray:
+    """Sorted Hessian spectrum of a radial field, shape (..., mult + 1 or mult + 2).
 
-    With w = |D_H rho|^2 = |x_H|^2 / rho^2 the eigenvalues are
-    f''(rho) w (simple, along D_H rho), 3 f'(rho) w / rho (simple, along the
-    rotated direction), and f'(rho) w / rho with multiplicity 2d - 2.  All of
-    them vanish on the characteristic set |x_H| = 0.
+    lead is the simple eigenvalue along the gradient, rotated the simple one
+    along hperp (on H^d; None on R^n) and rest has multiplicity mult.  For
+    f(rho(.)) on H^d, with w = |x_H|^2 / rho^2, they are f'' w, 3 f' w / rho
+    and f' w / rho (mult 2d - 2); for f(|x|) on R^n, f'' and f' / r (mult
+    n - 1).  No sort runs: each row is laid out from comparisons, in the
+    order a stable sort of (lead, rotated, rest, ..., rest) gives.
     """
-
-    grad_dir: np.ndarray
-    rotated: np.ndarray
-    transverse: np.ndarray
-    transverse_mult: int
-
-    @classmethod
-    def from_jets(cls, fp, fpp, w, rho, d: int) -> "RadialHessSpectrum":
-        """Spectrum on H^d from f'(rho), f''(rho), w = |x_H|^2/rho^2 and rho."""
-        transverse = fp * w / rho
-        return cls(
-            grad_dir=fpp * w,
-            rotated=3.0 * transverse,
-            transverse=transverse,
-            transverse_mult=2 * d - 2,
-        )
-
-    def eigenvalues(self) -> np.ndarray:
-        """Full multiset as a sorted array of shape (..., 2d).
-
-        No sort runs: each row is laid out from comparisons of the three
-        values, in the order a stable sort of (grad_dir, rotated,
-        transverse, ..., transverse) gives.
-        """
-        a, b, c = np.broadcast_arrays(self.grad_dir, self.rotated, self.transverse)
-        mult = self.transverse_mult
-        k = (b < a) + mult * (c < a)  # column of grad_dir
-        ib = mult * (c < b)  # column of rotated among (rotated, transverse, ...)
-        return sorted_columns(c, mult + 2, ((ib + (ib >= k), b), (k, a)))
-
-
-def sorted_columns(block: np.ndarray, n: int, placed) -> np.ndarray:
-    """(..., n) rows equal to block except value v in column j, for (j, v) in placed.
-
-    j and v have block's shape.  The radial spectra lay out their sorted
-    eigenvalues with it.
-    """
-    out = np.empty(block.shape + (n,), dtype=np.result_type(block, *(v for _, v in placed)))
-    out[...] = block[..., None]
+    if rotated is None:
+        a, c = np.broadcast_arrays(lead, rest)
+        placed = ((mult * (c < a), a),)
+    else:
+        a, b, c = np.broadcast_arrays(lead, rotated, rest)
+        k = (b < a) + mult * (c < a)  # column of lead
+        ib = mult * (c < b)  # column of rotated among (rotated, rest, ...)
+        placed = ((ib + (ib >= k), b), (k, a))
+    n = mult + len(placed)
+    out = np.empty(c.shape + (n,), dtype=np.result_type(c, *(v for _, v in placed)))
+    out[...] = c[..., None]
     flat = out.reshape(-1)
     base = np.arange(0, flat.size, n)
     for j, v in placed:
@@ -353,8 +314,8 @@ def sorted_columns(block: np.ndarray, n: int, placed) -> np.ndarray:
     return out
 
 
-def radial_h_hessian(fprime, fsecond, x) -> tuple[np.ndarray, RadialHessSpectrum]:
-    """Horizontal Hessian of f(rho(.)) and its closed-form spectrum.
+def radial_h_hessian(fprime, fsecond, x) -> tuple[np.ndarray, np.ndarray]:
+    """Horizontal Hessian of f(rho(.)) and its sorted closed-form eigenvalues.
 
     The matrix is (f'/rho) w I + (2 f'/rho^3) K + (f'' - 3 f'/rho)
     D_H rho (x) D_H rho, where K = x_H x_H^T + hperp hperp^T.
@@ -366,8 +327,9 @@ def radial_h_hessian(fprime, fsecond, x) -> tuple[np.ndarray, RadialHessSpectrum
     xh_r = xa[..., :m] / rho[..., None]
     hp_r = hperp(xa) / rho[..., None]
     dh_rho = w[..., None] * xh_r + (xa[..., -1] / rho**2)[..., None] * hp_r
+    t = fp * w / rho
 
-    mat = (fp * w / rho)[..., None, None] * np.eye(m)
+    mat = t[..., None, None] * np.eye(m)
     mat += (2.0 * fp / rho)[..., None, None] * (
         np.einsum("...a,...b->...ab", xh_r, xh_r)
         + np.einsum("...a,...b->...ab", hp_r, hp_r)
@@ -375,5 +337,4 @@ def radial_h_hessian(fprime, fsecond, x) -> tuple[np.ndarray, RadialHessSpectrum
     mat += (fpp - 3.0 * fp / rho)[..., None, None] * np.einsum(
         "...a,...b->...ab", dh_rho, dh_rho
     )
-
-    return mat, RadialHessSpectrum.from_jets(fp, fpp, w, rho, d)
+    return mat, radial_eigenvalues(fpp * w, t, m - 2, 3.0 * t)

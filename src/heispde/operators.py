@@ -60,6 +60,9 @@ __all__ = [
     "sym_eigenvalues",
 ]
 
+# Largest |M - M^T| entry a matrix argument may have.
+_SYM_ATOL = 1e-12
+
 
 @dataclass(frozen=True)
 class Ellipticity:
@@ -99,26 +102,26 @@ class PucciAlpha:
         object.__setattr__(self, "m", m)
 
 
-def _as_sym(mat, atol: float) -> np.ndarray:
+def _as_sym(mat) -> np.ndarray:
     m = np.asarray(mat, dtype=float)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected square matrices, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     skew = np.abs(m - np.swapaxes(m, -1, -2)).max()
-    if skew > atol:
+    if skew > _SYM_ATOL:
         raise ValueError(f"matrix is not symmetric: max |M - M^T| = {skew:.3e}")
     if skew == 0.0:
         return m
     return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
-def sym_eigenvalues(mat, *, atol: float = 1e-12) -> np.ndarray:
+def sym_eigenvalues(mat) -> np.ndarray:
     """Eigenvalues of symmetric matrices, ascending along the last axis.
 
-    Validates symmetry within atol (absolute, entrywise) and finiteness.
+    Validates symmetry within 1e-12 (absolute, entrywise) and finiteness.
     """
-    return np.linalg.eigvalsh(_as_sym(mat, atol))
+    return np.linalg.eigvalsh(_as_sym(mat))
 
 
 def _fro(eigs: np.ndarray) -> np.ndarray:
@@ -229,7 +232,7 @@ def operator_entry(name: str, params: dict) -> SecondOrderOp:
 def evaluate(name: str, mat, params: dict, q=None) -> tuple[np.ndarray, np.ndarray]:
     """(values, eigenvalues) of the table operator name on matrices mat and gradients q."""
     entry = operator_entry(name, params)
-    m = _as_sym(mat, 1e-12)
+    m = _as_sym(mat)
     e_q = None
     if entry.reads_e_q:
         if q is None:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -35,11 +37,29 @@ def test_region_validation():
     with pytest.raises(ValueError):
         Region(1.0, 2.0, n_samples=0)
     with pytest.raises(ValueError):
-        Region(1.0, 2.0, sampler="lattice")
-    with pytest.raises(ValueError):
-        Region(1.0, 2.0, sampler="sobol")  # renamed to "kronecker"
-    with pytest.raises(ValueError):
         Region(1.0, 2.0, char_eps=1.0)
+
+
+def test_region_has_one_sampler():
+    for sampler in ("kronecker", "grid"):
+        with pytest.raises(TypeError):
+            Region(1.0, 2.0, sampler=sampler)
+    assert "sampler" not in dataclasses.asdict(Region(1.0, 2.0))
+
+
+@pytest.mark.parametrize("key,value", [
+    ("seed", 1.5), ("seed", True), ("seed", False), ("seed", np.bool_(True)), ("seed", "3"), ("seed", None),
+    ("seed", float("inf")), ("seed", float("nan")), ("n_samples", True), ("n_samples", 2.5), ("n_samples", "64"),
+])
+def test_region_refuses_non_integer_counts(key, value):
+    with pytest.raises(ValueError, match=f"{key} must be an integer"):
+        Region(1.0, 2.0, **{key: value})
+
+
+def test_region_keeps_integral_counts_as_int():
+    region = Region(1.0, 2.0, n_samples=np.int64(64), seed=7.0)
+    assert (region.n_samples, region.seed) == (64, 7)
+    assert type(region.n_samples) is int and type(region.seed) is int
 
 
 _INF, _NAN = float("inf"), float("nan")
@@ -109,19 +129,6 @@ def test_sampler_respects_region_and_accounts_exclusions():
     assert batch.excluded_by.get("characteristic_tube", 0) > 0
 
 
-def test_grid_sampler_covers_radius_and_angle():
-    region = Region(0.5, 4.0, n_samples=512, seed=0, char_eps=0.1, sampler="grid")
-    batch = sample_region(region, space="heisenberg", dim=3)
-    assert batch.points.shape == (512, 3)
-    adm = batch.admissible
-    assert batch.tau[adm].max() >= 1.0 - 1e-12
-    assert batch.tau[adm].min() >= 0.1
-    # both vertical signs appear
-    assert (batch.points[:, 2] > 0).any() and (batch.points[:, 2] < 0).any()
-    again = sample_region(region, space="heisenberg", dim=3)
-    assert np.array_equal(batch.points, again.points)
-
-
 def test_euclidean_sampler_shapes():
     region = Region(0.5, 2.0, n_samples=128, seed=4)
     batch = sample_region(region, space="euclidean", dim=3)
@@ -133,7 +140,6 @@ def test_euclidean_sampler_shapes():
 
 def test_kronecker_sampling_is_deterministic():
     region = Region(0.5, 4.0, n_samples=256, seed=9)
-    assert region.sampler == "kronecker"
     a = sample_region(region, space="heisenberg", dim=5)
     b = sample_region(region, space="heisenberg", dim=5)
     assert np.array_equal(a.points, b.points)
@@ -425,6 +431,28 @@ def test_convergence_study_reports_second_order():
     assert res.c_estimate > 0.0
     with pytest.raises(ValueError):
         convergence_study(field, region, levels=1)
+
+
+def test_convergence_study_names_a_step_with_zero_error(monkeypatch):
+    # A constant field: every level's error is 0 (before: ZeroDivisionError).
+    flat = _field("power", dims=D1, kappa=0.0)
+    region = Region(0.8, 2.0, n_samples=64)
+    with pytest.raises(ValueError, match=r"error is 0 at h = 0\.01,"):
+        convergence_study(flat, region, h0=1e-2, levels=3, n_points=4)
+    # Only the first level exact (before: "math domain error" from log2(0)).
+    field = _field("folland", dims=D1)
+    real = checker.fd_h_hessian
+
+    def exact_at_first_step(value_fn, x, h, **kw):
+        out, info = real(value_fn, x, h, **kw)
+        if h == 1e-2:
+            x1 = x[None]
+            out = hgroup.h_hessian(field.gradient(x1), field.hessian(x1), x1)[0]
+        return out, info
+
+    monkeypatch.setattr(checker, "fd_h_hessian", exact_at_first_step)
+    with pytest.raises(ValueError, match=r"error is 0 at h = 0\.01,"):
+        convergence_study(field, region, h0=1e-2, levels=3, n_points=4)
 
 
 # ---------------------------------------------------------------------------

@@ -120,10 +120,6 @@ INEQUALITY_RUNS = {
     "Euclidean keep_samples": lambda: check_inequality(
         _field("u3", 4, E12), OperatorSpec("pucci_max", ell=E12), REGION, keep_samples=True
     ),
-    "grid": lambda: check_inequality(
-        _field("u4", 1), OperatorSpec("pnorm", p=3.0),
-        Region(0.25, 4.0, n_samples=5000, char_eps=0.0, sampler="grid"), keep_samples=True,
-    ),
     "failing": lambda: check_inequality(
         _field("u_tilde", 1, None), OperatorSpec("neg_trace", "subsolution"),
         Region(0.25, 4.0, n_samples=20000, seed=2, char_eps=0.05),

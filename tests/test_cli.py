@@ -227,6 +227,31 @@ def test_convergence_command(tmp_path):
     assert hs == sorted(hs, reverse=True)
 
 
+def test_convergence_with_a_zero_error_level_exits_two(tmp_path, capsys):
+    # rho^0 is constant, so its finite-difference error is 0 at every step.
+    out = tmp_path / "rep.json"
+    rc = main([
+        "convergence", "--field", "power", "--kappa", "0", "--d", "1",
+        "--rho-min", "0.8", "--rho-max", "2", "--n-samples", "64",
+        "--levels", "3", "--n-points", "4", "--out", str(out),
+    ])
+    assert rc == 2
+    assert "finite-difference error is 0 at h = 0.01," in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_the_sampler_option_is_gone(tmp_path, capsys):
+    argv = FIXTURES["verify-u4"]["argv"]
+    assert main(argv + ["--sampler", "kronecker"]) == 2
+    assert "--sampler" in capsys.readouterr().err
+    for command in ("verify", "lyapunov", "convergence"):
+        assert "sampler" not in cli.OPTIONS[command]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sampler": "kronecker"}))
+    assert main(argv + ["--config", str(cfg)]) == 2
+    assert "unknown config key 'sampler' for verify" in capsys.readouterr().err
+
+
 def test_gallery_command(tmp_path, capsys):
     assert main(["gallery", "list", "--d", "1"]) == 0
     text = capsys.readouterr().out

@@ -180,20 +180,18 @@ def test_log_field_horizontal_identity():
 
 def test_euclid_radial_spectrum_of_log():
     # log |x| in the plane: Hessian eigenvalues -1/r^2 and 1/r^2
-    x = np.array([0.6, 0.8])
-    spec = gallery.euclid_radial_spectrum(
-        lambda r: 1.0 / r, lambda r: -1.0 / r**2, x
-    )
-    assert np.allclose(spec.eigenvalues(), [-1.0, 1.0], rtol=1e-12)
+    r = 1.0
+    eigs = hgroup.radial_eigenvalues(-1.0 / r**2, 1.0 / r, 1)
+    assert np.allclose(eigs, [-1.0, 1.0], rtol=1e-12)
 
     dims = HeisDims(2)
     prof = make_profile("u2", E12, dims)
     field = field_from_profile(prof, dims)
     pts = np.array([[0.3, 0.4], [1.2, -0.5]])
     eigs = np.linalg.eigvalsh(field.hessian(pts))
-    want = gallery.euclid_radial_spectrum(
-        prof.deriv, prof.second_deriv, pts
-    ).eigenvalues()
+    r = np.linalg.norm(pts, axis=1)
+    _, fp, fpp = prof.jets(r)
+    want = hgroup.radial_eigenvalues(fpp, fp / r, 1)
     assert np.allclose(eigs, want, atol=1e-12)
 
 

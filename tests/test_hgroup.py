@@ -201,7 +201,7 @@ def test_radial_h_hessian_matches_assembled_pipeline():
         fprime = lambda r: 1.0 / r  # noqa: E731
         fsecond = lambda r: -1.0 / r**2  # noqa: E731
 
-        mat, spectrum = hgroup.radial_h_hessian(fprime, fsecond, x)
+        mat, eigs_closed = hgroup.radial_h_hessian(fprime, fsecond, x)
         rho = hgroup.hnorm(x)
         grad = fprime(rho)[:, None] * hgroup.euclid_grad_rho(x)
         g = hgroup.euclid_grad_rho(x)
@@ -211,7 +211,7 @@ def test_radial_h_hessian_matches_assembled_pipeline():
         assert np.allclose(mat, assembled, atol=1e-13)
 
         eigs = np.linalg.eigvalsh(mat)
-        assert np.allclose(eigs, spectrum.eigenvalues(), atol=1e-12)
+        assert np.allclose(eigs, eigs_closed, atol=1e-12)
 
         hg = hgroup.radial_h_gradient(fprime, x)
         assert np.allclose(hg, hgroup.h_gradient(grad, x), atol=1e-13)
@@ -225,11 +225,10 @@ def test_radial_spectrum_structure():
     rho = float(hgroup.hnorm(x))
     s = float(x[: 2 * dims.d] @ x[: 2 * dims.d])
     w = s / rho**2
-    _, spec = hgroup.radial_h_hessian(lambda r: r, lambda r: np.ones_like(r), x)
-    assert np.isclose(spec.grad_dir, w, rtol=1e-12)
-    assert np.isclose(spec.rotated, 3.0 * w, rtol=1e-12)
-    assert np.isclose(spec.transverse, w, rtol=1e-12)
-    assert spec.transverse_mult == 2 * dims.d - 2
+    _, eigs = hgroup.radial_h_hessian(lambda r: r, lambda r: np.ones_like(r), x)
+    # f'' w = w, 3 f' w / rho = 3 w and f' w / rho = w (multiplicity 2d - 2)
+    assert eigs.shape == (2 * dims.d,)
+    assert np.allclose(eigs, [w] * (2 * dims.d - 1) + [3.0 * w], rtol=1e-12)
 
 
 def test_euclid_grad_rho_matches_fd():
@@ -256,5 +255,8 @@ def test_dims_properties():
     assert (dims.m, dims.n, dims.Q) == (6, 7, 8)
     with pytest.raises(ValueError):
         HeisDims(0)
-    with pytest.raises(ValueError):
-        HeisDims(99)
+    with pytest.raises(ValueError, match="exceeds the cap 16$"):
+        HeisDims(17)
+    assert HeisDims(16).d == 16
+    with pytest.raises(TypeError):
+        HeisDims(17, cap=17)

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from heispde import checker, gallery, hgroup
+from heispde import checker, hgroup
 from heispde.checker import (
     OperatorSpec,
     Region,
@@ -44,10 +44,9 @@ def _row_sets(n):
     }
 
 
-@pytest.mark.parametrize("sampler", ["kronecker", "grid"])
 @pytest.mark.parametrize("space,dim", SPACES)
-def test_place_matches_the_rows_of_points(sampler, space, dim):
-    region = Region(0.3, 3.0, n_samples=500, seed=8, sampler=sampler)
+def test_place_matches_the_rows_of_points(space, dim):
+    region = Region(0.3, 3.0, n_samples=500, seed=8)
     batch = sample_region(region, space=space, dim=dim)
     full = sample_region(region, space=space, dim=dim).points
     for name, rows in _row_sets(500).items():
@@ -223,15 +222,21 @@ def _same_bits(a, b):
     return np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+def _group_parts(fp, fpp, w, rho):
+    """(lead, rest, rotated) of f(rho(.)) on H^d, with the checker's arithmetic."""
+    t = fp * w / rho
+    return fpp * w, t, 3.0 * t
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_group_spectrum_is_sorted_without_a_sort(d):
     fp, fpp, w, rho = _jets_with_ties_and_signed_zeros()
-    s = hgroup.RadialHessSpectrum.from_jets(fp, fpp, w, rho, d)
-    # ties of grad_dir with each of the other two values
-    s = dataclasses.replace(s, grad_dir=np.where(np.arange(fp.size) % 19 == 0, s.transverse, s.grad_dir))
-    s = dataclasses.replace(s, grad_dir=np.where(np.arange(fp.size) % 23 == 0, s.rotated, s.grad_dir))
-    got = s.eigenvalues()
-    by_sort, by_stable_sort = _sorted_stack([s.grad_dir, s.rotated] + [s.transverse] * (2 * d - 2))
+    lead, rest, rotated = _group_parts(fp, fpp, w, rho)
+    # ties of lead with each of the other two values
+    lead = np.where(np.arange(fp.size) % 19 == 0, rest, lead)
+    lead = np.where(np.arange(fp.size) % 23 == 0, rotated, lead)
+    got = hgroup.radial_eigenvalues(lead, rest, 2 * d - 2, rotated)
+    by_sort, by_stable_sort = _sorted_stack([lead, rotated] + [rest] * (2 * d - 2))
     assert np.array_equal(got, by_sort)
     assert _same_bits(got, by_stable_sort)
 
@@ -240,9 +245,8 @@ def test_group_spectrum_is_sorted_without_a_sort(d):
 def test_euclidean_spectrum_is_sorted_without_a_sort(dim):
     fp, fpp, _, r = _jets_with_ties_and_signed_zeros()
     fpp[::19] = (fp / r)[::19]
-    s = gallery.EuclidRadialSpectrum.from_jets(fp, fpp, r, dim)
-    got = s.eigenvalues()
-    by_sort, by_stable_sort = _sorted_stack([s.radial] + [s.tangential] * (dim - 1))
+    got = hgroup.radial_eigenvalues(fpp, fp / r, dim - 1)
+    by_sort, by_stable_sort = _sorted_stack([fpp] + [fp / r] * (dim - 1))
     assert np.array_equal(got, by_sort)
     assert _same_bits(got, by_stable_sort)
 
@@ -256,30 +260,41 @@ def test_signed_zero_spectra_of_shipped_profiles(d):
     for prof in (profile, -profile):
         _, fp, fpp = prof.jets(rho)
         for w in (np.zeros_like(rho), np.linspace(0.0, 1.0, rho.size)):
-            s = hgroup.RadialHessSpectrum.from_jets(fp, fpp, w, rho, d)
-            parts = [s.grad_dir, s.rotated] + [s.transverse] * (2 * d - 2)
-            by_sort, by_stable_sort = _sorted_stack(parts)
-            assert np.array_equal(s.eigenvalues(), by_sort)
-            assert _same_bits(s.eigenvalues(), by_stable_sort)
+            lead, rest, rotated = _group_parts(fp, fpp, w, rho)
+            got = hgroup.radial_eigenvalues(lead, rest, 2 * d - 2, rotated)
+            by_sort, by_stable_sort = _sorted_stack([lead, rotated] + [rest] * (2 * d - 2))
+            assert np.array_equal(got, by_sort)
+            assert _same_bits(got, by_stable_sort)
 
 
-def test_grid_run_at_zero_char_eps_reports_signed_zero_spectra():
-    # The grid puts tau = 0 rows in the sample; with char_eps = 0 they are evaluated.
-    field = field_from_profile(make_profile("u_tilde", None, HeisDims(2)), HeisDims(2))
-    region = Region(0.25, 4.0, n_samples=512, char_eps=0.0, sampler="grid")
+@pytest.mark.parametrize("space,d", [("heisenberg", 1), ("heisenberg", 2), ("euclidean", 3)])
+def test_constant_field_run_reports_signed_zero_spectra(space, d):
+    # rho^0 has f' = +0 and f'' = -0: every spectrum mixes -0 and +0, and
+    # negation swaps them.
+    dims = HeisDims(d)
+    profile = make_profile("power", None, dims, kappa=0.0)
+    field = field_from_profile(dataclasses.replace(profile, kind=space), dims)
+    region = Region(0.25, 4.0, n_samples=512, seed=4, char_eps=0.0)
     for f in (field, -field):
         rep = check_inequality(f, OperatorSpec("neg_trace", "supersolution"), region, keep_samples=True)
         s = rep.samples
-        w = s["tau"] ** 2
         _, fp, fpp = f.profile.jets(s["radius"])
-        spec = hgroup.RadialHessSpectrum.from_jets(fp, fpp, w, s["radius"], 2)
-        _, by_stable_sort = _sorted_stack([spec.grad_dir, spec.rotated] + [spec.transverse] * 2)
-        assert np.any(w == 0.0) and np.any(np.signbit(s["eigs"]) & (s["eigs"] == 0.0))
+        if space == "heisenberg":
+            lead, rest, rotated = _group_parts(fp, fpp, s["tau"] ** 2, s["radius"])
+            parts = [lead, rotated] + [rest] * (2 * d - 2)
+        else:
+            parts = [fpp] + [fp / s["radius"]] * (d - 1)
+        _, by_stable_sort = _sorted_stack(parts)
+        assert np.any(np.signbit(s["eigs"]) & (s["eigs"] == 0.0))
+        assert np.any(~np.signbit(s["eigs"]) & (s["eigs"] == 0.0))
         assert _same_bits(s["eigs"], by_stable_sort)
 
 
-def test_sorted_columns_handles_scalars_and_broadcasts():
-    s = hgroup.RadialHessSpectrum.from_jets(np.float64(2.0), np.array([-1.0, 5.0]), 1.0, 1.0, 2)
-    assert np.array_equal(s.eigenvalues(), [[-1.0, 2.0, 2.0, 6.0], [2.0, 2.0, 5.0, 6.0]])
-    one = hgroup.RadialHessSpectrum.from_jets(1.0, 1.0, 0.25, 0.5, 1).eigenvalues()
+def test_radial_eigenvalues_handles_scalars_and_broadcasts():
+    lead, rest, rotated = _group_parts(np.float64(2.0), np.array([-1.0, 5.0]), 1.0, 1.0)
+    got = hgroup.radial_eigenvalues(lead, rest, 2, rotated)
+    assert np.array_equal(got, [[-1.0, 2.0, 2.0, 6.0], [2.0, 2.0, 5.0, 6.0]])
+    lead, rest, rotated = _group_parts(1.0, 1.0, 0.25, 0.5)
+    one = hgroup.radial_eigenvalues(lead, rest, 0, rotated)
     assert one.shape == (2,) and math.isclose(one[1], 1.5)
+    assert np.array_equal(hgroup.radial_eigenvalues(np.array([3.0, -1.0]), 1.0, 2), [[1.0, 1.0, 3.0], [-1.0, 1.0, 1.0]])

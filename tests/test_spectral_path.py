@@ -9,7 +9,7 @@ import pytest
 
 from heispde import checker, cli, gallery, hgroup, operators
 from heispde.checker import OperatorSpec, Region, TabulatedField, check_inequality, check_tabulated
-from heispde.gallery import PROFILE_NAMES, field_from_profile, make_profile
+from heispde.gallery import PROFILE_NAMES, ProfilePiece, RadialProfile, field_from_profile, make_profile
 from heispde.hgroup import HeisDims
 from heispde.operators import Ellipticity, HJBCoefficients
 
@@ -142,15 +142,17 @@ def test_disagreeing_paths_raise_instead_of_reporting(monkeypatch, tmp_path, cap
 
 
 def test_zero_gradient_rows_are_excluded_on_both_paths():
-    # With no characteristic tube the grid puts points at tau = 0, where the
-    # horizontal gradient of a radial field vanishes.
-    region = Region(0.25, 4.0, n_samples=256, char_eps=0.0, sampler="grid")
-    field = _field("u4", 1)
+    # A constant core glued to rho^2: the gradient vanishes on rho < 1 only.
+    pieces = (ProfilePiece(0.0, 1.0, "power", (0.0,)), ProfilePiece(1.0, np.inf, "power", (2.0,)))
+    profile = RadialProfile("flat_core", "heisenberg", pieces, (1.0,), {}, bounded=False)
+    region = Region(0.25, 4.0, n_samples=256, char_eps=0.0)
+    field = field_from_profile(profile, HeisDims(1))
     fast = check_inequality(field, _spec("pnorm", 2), region)
     dense = check_inequality(dataclasses.replace(field, profile=None), _spec("pnorm", 2), region)
     assert fast.paths["spectral"] > 0
     assert fast.excluded_by["zero_gradient"] == dense.excluded_by["zero_gradient"] > 0
     assert (fast.n_evaluated, fast.verdict) == (dense.n_evaluated, dense.verdict)
+    assert 0 < fast.n_evaluated < fast.paths["spectral"]
 
 
 @pytest.mark.parametrize("name,d", [("u4", 1), ("u2", 3)])
