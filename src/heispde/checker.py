@@ -18,10 +18,10 @@ eigenvalue array is held and reports do not depend on the chunk size.
 Points are placed on demand: the sampler draws only rho (and tau on the
 group) for every sample, and SampleBatch.place(rows) draws the sign and
 direction of just those rows.  The sequence has random access, so a row
-placed alone is bit-identical to the same row of the full batch, and
-SampleBatch.points is built the first time it is read.  A spectral run
-without a Bellman part or keep_samples places only the dense-check rows and
-the witness; every other run places each chunk's admissible rows once.
+placed alone is bit-identical to the same row of the full batch.  A
+spectral run without a Bellman part or keep_samples places only the
+dense-check rows and the witness, in one call; every other run places each
+chunk's admissible rows once.
 Results do not depend on which rows were placed.  What stays O(n_samples):
 the chart, keep_samples arrays and a table's own arrays.  Only numpy is used.
 
@@ -38,12 +38,15 @@ The gradient is the eigenvector of f'' w, so e_q = f'' w and |q|^2 = f'^2 w
 (w = 1 on R^n).  The dense path takes fields without an own profile and
 TabulatedField rows: it forms the horizontal Hessian from the Euclidean
 jets, calls eigvalsh and takes e_q from the matrix.  After a spectral run
-the dense path evaluates again at most 256 evenly spaced admissible points;
-if an eigenvalue (or e_q) differs by more than the check's allowance the
-run raises ValueError instead of reporting a verdict.  The report's "paths"
-block gives the points each path evaluated and, as "dense_check", that
-subsample's size n and its largest absolute and relative (to max(1, |e|))
-differences.
+the dense path forms the matrix again, from the Hessian alone, at most 256
+evenly spaced admissible points.  A row whose eigenvalues Weyl's inequality
+keeps within the check's allowance (_weyl_bound) skips eigvalsh; if an
+eigenvalue (or e_q) differs by more than the allowance, the run raises
+ValueError instead of reporting a verdict.  The report's "paths" block gives
+the points each path evaluated and, as "dense_check", that subsample's size
+n, the n_eigvalsh rows sent to eigvalsh, and the largest bound on a
+difference (Weyl's, or measured after eigvalsh), absolute and relative to
+max(1, |e|).
 
 Growth conditions are data: LYAPUNOV_CONDITIONS maps a condition and the
 kind of data it gets to a LyapunovRoute (parameter check, margin function,
@@ -97,6 +100,7 @@ THREADS_ENV = "HEISPDE_THREADS"
 SECOND_ORDER_OPS = tuple(operators.OPERATORS)
 
 _ABS_FLOOR = 1e-12
+_EPS = np.finfo(float).eps
 # Fractional bits of phi when the Kronecker steps are computed.
 _PHI_BITS = 96
 # Points of a spectral-path run that the dense path evaluates again.
@@ -117,7 +121,7 @@ class Region:
     sequence, seeded by seed, with log rho spread over the whole annulus,
     so the largest gap in log-radius shrinks like 1/n_samples; tau is
     uniform on (0, 1), the sign and the direction come from the remaining
-    coordinates.  n_samples and seed must be integers (not bools).
+    coordinates.  n_samples >= 1 and seed >= 0 are integers (not bools).
     """
 
     rho_min: float
@@ -141,6 +145,8 @@ class Region:
             object.__setattr__(self, name, int(v))
         if self.n_samples < 1:
             raise ValueError("n_samples must be a positive integer")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
         if not 0.0 <= self.char_eps < 1.0:
             raise ValueError("char_eps must lie in [0, 1)")
         if not (np.isfinite(self.kink_eps) and self.kink_eps >= 0.0):
@@ -275,9 +281,8 @@ class CheckReport:
 class SampleBatch:
     """Chart coordinates and admissibility of a sample; points on demand.
 
-    place(rows) returns the points of the given rows, shape (len(rows), dim),
-    bit-identical to the same rows of points.  points is place(every row),
-    built the first time it is read.
+    place(rows) returns the points of the given rows, shape (len(rows), dim);
+    a row placed alone is bit-identical to the same row placed with others.
     """
 
     radius: np.ndarray
@@ -285,10 +290,6 @@ class SampleBatch:
     admissible: np.ndarray
     excluded_by: dict
     place: Callable[[np.ndarray], np.ndarray]
-
-    @functools.cached_property
-    def points(self) -> np.ndarray:
-        return self.place(np.arange(self.radius.shape[0]))
 
     @property
     def n_admissible(self) -> int:
@@ -459,6 +460,14 @@ def _own_profile(field):
     return profile
 
 
+def _dense_matrix(field, pts, hess, grad, gspace: str):
+    """(horizontal Hessian, gradient q); h_hessian never reads grad, which may be None."""
+    if field.space != "heisenberg":
+        return 0.5 * (hess + np.swapaxes(hess, -1, -2)), grad
+    q = hgroup.h_gradient(grad, pts) if grad is not None and gspace == "horizontal" else grad
+    return hgroup.h_hessian(grad, hess, pts), q
+
+
 def _dense_jets(field, pts: np.ndarray, rows: np.ndarray, gspace: str, reads_e_q: bool):
     """(value, q, eigenvalues, e_q, |q|^2) from the Euclidean jets; e_q, |q|^2 if reads_e_q."""
     if isinstance(field, TabulatedField):
@@ -469,12 +478,7 @@ def _dense_jets(field, pts: np.ndarray, rows: np.ndarray, gspace: str, reads_e_q
         val = np.asarray(field.value(pts), dtype=float)
         grad = np.asarray(field.gradient(pts), dtype=float)
         hess = np.asarray(field.hessian(pts), dtype=float)
-    if field.space == "heisenberg":
-        mat = hgroup.h_hessian(grad, hess, pts)
-        q = hgroup.h_gradient(grad, pts) if gspace == "horizontal" else grad
-    else:
-        mat = 0.5 * (hess + np.swapaxes(hess, -1, -2))
-        q = grad
+    mat, q = _dense_matrix(field, pts, hess, grad, gspace)
     e_q, qq = operators.rayleigh_quotient(q, mat) if reads_e_q else (None, None)
     return val, q, operators.sym_eigenvalues(mat), e_q, qq
 
@@ -551,38 +555,77 @@ def _terms_for(field, spec: OperatorSpec, gspace: str, profile, pts, rows, radiu
     }
 
 
-def _dense_check(field, gspace, batch, picked, tol) -> dict:
-    """Evaluate the picked rows again on the dense path; compare spectra.
+def _dense_check(field, gspace, pts, got, got_e_q, tol) -> dict:
+    """Compare the spectral path's got and got_e_q (or None) at pts with the dense path.
 
-    picked holds, per chunk, (rows, their points or None, eigenvalues, e_q
-    or None) of the spectral path; points not placed yet are placed here.
-    e_q, when the operator reads it, is compared as one more eigenvalue.
-    Raises ValueError when a value differs by more than the check's own
-    allowance, so a verdict from disagreeing paths is never reported.
+    Rows that _weyl_bound keeps within their allowance skip eigvalsh.  e_q is
+    compared as one more eigenvalue; a row failing on it gets eigvalsh too, so
+    the message quotes its spectrum.  Raises ValueError at the first row off
+    by more than the allowance, so disagreeing paths give no verdict.
     """
-    rows, pts, got, got_e_q = (
-        None if part[0] is None else np.concatenate(part) for part in zip(*picked)
-    )
-    if pts is None:
-        pts = batch.place(rows)
-    _, _, dense, dense_e_q, _ = _dense_jets(field, pts, rows, gspace, got_e_q is not None)
-    if dense_e_q is not None:
-        got = np.column_stack([got, got_e_q])
-        dense = np.column_stack([dense, dense_e_q])
-    diff = np.abs(got - dense)
-    bad = diff > _allowance(tol, np.abs(dense))
+    m = got.shape[1]
+    grad = None if got_e_q is None else np.asarray(field.gradient(pts), dtype=float)
+    mat, q = _dense_matrix(field, pts, np.asarray(field.hessian(pts), dtype=float), grad, gspace)
+    bound = _weyl_bound(mat, pts, field.space, got)
+    mag = np.maximum(0.0, np.abs(got) - bound)
+    dense = np.empty_like(got)
+    if got_e_q is not None:
+        dense_e_q = operators.rayleigh_quotient(q, mat)[0]
+        got, dense = np.column_stack([got, got_e_q]), np.column_stack([dense, dense_e_q])
+        bound, mag = np.column_stack([bound, np.abs(got_e_q - dense_e_q)]), np.column_stack([mag, np.abs(dense_e_q)])
+    need = ~np.all(bound <= _allowance(tol, mag), axis=-1)
+    if np.any(need):
+        dense[need, :m] = operators.sym_eigenvalues(mat[need])
+        bound[need, :m] = np.abs(got[need, :m] - dense[need, :m])
+        mag[need, :m] = np.abs(dense[need, :m])
+    bad = bound > _allowance(tol, mag)
     if np.any(bad):
         k = int(np.flatnonzero(bad.any(axis=-1))[0])
-        what = "eigenvalues" if dense_e_q is None else "eigenvalues and e_q"
+        what = "eigenvalues" if got_e_q is None else "eigenvalues and e_q"
         raise ValueError(
             f"spectral and dense paths disagree at point {pts[k].tolist()}: "
             f"{what} {got[k].tolist()} against {dense[k].tolist()}"
         )
     return {
-        "n": int(rows.size),
-        "max_abs": float(diff.max()),
-        "max_rel": float((diff / np.maximum(1.0, np.abs(dense))).max()),
+        "n": int(pts.shape[0]),
+        "n_eigvalsh": int(np.count_nonzero(need)),
+        "max_abs_bound": float(bound.max()),
+        "max_rel_bound": float((bound / np.maximum(1.0, mag)).max()),
     }
+
+
+def _weyl_bound(mat, pts, space, got) -> np.ndarray:
+    """Bounds on |eigenvalue - got| for the sorted eigenvalues of mat, without eigvalsh.
+
+    B has a radial Hessian's eigen-directions g (eta / |eta| on H^d, x / |x|
+    on R^n) and, on H^d, h = g turned by hperp, with eigenvalues a = g^T M g,
+    b = h^T M h and c = (Tr M - a - b) / (m - 2) on the rest.  By Weyl's
+    inequality M's sorted spectrum lies within ||M - B||_F of np.sort of B's,
+    a check of got's sort-free layout.  Rows at eta = 0 or x = 0 get NaN.
+    Rounding budget, in ||.|| = ||.||_F: a compression does not raise it, so
+    |a|, |b|, |c| sqrt(m - 2) <= ||M|| and |a - c|, |b - c| <= 2 ||M||.  h is
+    exactly orthogonal to g and as long, and |g|^2 = 1 within (m + 4) eps / 2,
+    so B lies within (m + 4) eps ||M|| of a matrix with exactly its spectrum.
+    Forming M - B rounds each entry at most six times: 16 eps ||M||.  eigvalsh,
+    whose rule this stands in for, errs by about m eps ||M||_2.  The m^2
+    squares in ||M - B||_F and |sorted - got| + delta round by a relative
+    (m^2 + 4) eps at most.
+    """
+    n, m = got.shape
+    with np.errstate(invalid="ignore", divide="ignore"):
+        g = hgroup.eta(pts) if space == "heisenberg" else pts
+        g = g / np.sqrt(np.einsum("ij,ij->i", g, g))[:, None]
+        dirs = (g, np.concatenate([g[:, m // 2 :], -g[:, : m // 2]], axis=1)) if space == "heisenberg" else (g,)
+        quot = [np.einsum("ni,nij,nj->n", v, mat, v) for v in dirs]
+        rest = m - len(dirs)
+        c = (np.einsum("nii->n", mat) - sum(quot)) / rest if rest else np.zeros(n)
+        diff = mat - c[:, None, None] * np.eye(m)
+        for v, a in zip(dirs, quot):
+            diff -= (a - c)[:, None, None] * (v[:, :, None] * v[:, None, :])
+        spec = np.sort(np.column_stack([*quot, np.repeat(c[:, None], rest, axis=1)]), axis=-1)
+        budget = (2 * m + 20) * _EPS * np.sqrt(np.einsum("nij,nij->n", mat, mat))
+        delta = np.sqrt(np.einsum("nij,nij->n", diff, diff)) + budget
+        return (np.abs(spec - got) + delta[:, None]) * (1.0 + (m * m + 4) * _EPS)
 
 
 def _check_tol(tol: float) -> None:
@@ -886,7 +929,7 @@ def _inequality_from_batch(
             if np.any(nonzero):
                 max_rel = _running(np.max, max_rel, value[nonzero] / np.abs(ref_vals[nonzero]))
         else:
-            allow = _allowance(tol, factor * np.abs(terms["eigs"]).sum(axis=-1) + np.abs(terms["first"]))
+            allow = _allowance(tol, factor * operators._sum_last(np.abs(terms["eigs"])) + np.abs(terms["first"]))
             looked, value = alive, terms["total"] if spec.sense == "subsolution" else -terms["total"]
         n_looked += int(np.count_nonzero(looked))
         excess = np.where(looked, value, -np.inf)
@@ -896,10 +939,17 @@ def _inequality_from_batch(
         if keep_samples:
             kept.append({"points": pts, "radius": radius, "tau": tau, **terms})
 
+    dense_check = None
+    if profile is not None:
+        rows, pts, got, got_e_q = (None if p[0] is None else np.concatenate(p) for p in zip(*picked))
+        if pts is None:  # one placement for the dense-check rows and the witness
+            pts, last = np.split(batch.place(np.append(rows, witness_row)), [rows.size])
+            witness["point"] = [float(v) for v in last[0]]
+        dense_check = _dense_check(field, gspace, pts, got, got_e_q, tol)
     paths = {
         "spectral": 0 if profile is None else n_adm,
         "dense": n_adm if profile is None else 0,
-        "dense_check": None if profile is None else _dense_check(field, gspace, batch, picked, tol),
+        "dense_check": dense_check,
     }
     excluded_by = dict(batch.excluded_by)
     if n_alive < n_adm:
@@ -912,8 +962,6 @@ def _inequality_from_batch(
 
     if n_looked:
         verdict, worst = rule.verdict()
-        if witness["point"] is None:
-            witness["point"] = [float(v) for v in batch.place([witness_row])[0]]
     else:
         verdict, worst, witness = "vacuous", None, None
     formula = None

@@ -314,7 +314,7 @@ def _effective(ns: argparse.Namespace) -> dict:
                 raise CliError(f"unknown config key {key!r} for {ns.command}")
             try:
                 eff[key] = None if value is None else options[key][1](value)
-            except (ValueError, TypeError) as exc:
+            except (ValueError, TypeError, OverflowError) as exc:  # int(1e400) overflows
                 raise CliError(f"{source} {key!r}: {exc}") from exc
     return eff
 

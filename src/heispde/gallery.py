@@ -325,7 +325,9 @@ def field_from_profile(profile: RadialProfile, dims: HeisDims) -> ScalarField:
 
         def hessian(x):
             rho = hgroup.hnorm(x)
-            g = hgroup.euclid_grad_rho(x)
+            if np.any(rho == 0.0):
+                raise ValueError("radial Hessian undefined at the group identity")
+            g = hgroup.euclid_grad_rho(x, rho)
             _, fp, fpp = profile.jets(rho)
             out = fpp[..., None, None] * np.einsum("...a,...b->...ab", g, g)
             out += fp[..., None, None] * hgroup.euclid_hess_rho(x)

@@ -22,6 +22,11 @@ from heispde.hgroup import HeisDims
 from heispde.operators import Ellipticity, HJBCoefficients
 
 E12 = Ellipticity(1.0, 2.0)
+
+
+def _points(batch):
+    """Every point of a batch, placed in one call."""
+    return batch.place(np.arange(batch.radius.shape[0]))
 D1, D2 = HeisDims(1), HeisDims(2)
 
 
@@ -54,6 +59,24 @@ def test_region_has_one_sampler():
 def test_region_refuses_non_integer_counts(key, value):
     with pytest.raises(ValueError, match=f"{key} must be an integer"):
         Region(1.0, 2.0, **{key: value})
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**63), np.int64(-5), -3.0])
+def test_region_refuses_a_negative_seed(seed):
+    with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+        Region(1.0, 2.0, seed=seed)
+    with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+        dataclasses.replace(Region(1.0, 2.0), seed=seed)
+
+
+def test_a_tabulated_check_refuses_a_negative_seed():
+    # check_tabulated never reads the seed; the region refuses it all the same.
+    pts = np.array([[0.3, 0.2, 0.1], [0.5, -0.4, 0.2]])
+    table = TabulatedField(pts, np.zeros(2), np.zeros((2, 3)), np.zeros((2, 3, 3)))
+    spec = OperatorSpec("pucci_max", ell=E12)
+    assert check_tabulated(table, spec, Region(0.1, 5.0, seed=0)).verdict == "pass"
+    with pytest.raises(ValueError, match="seed must be a nonnegative integer, got -1"):
+        check_tabulated(table, spec, Region(0.1, 5.0, seed=-1))
 
 
 def test_region_keeps_integral_counts_as_int():
@@ -94,7 +117,7 @@ def test_every_check_rejects_a_bad_tol(tol):
     field = _field("log_rho")
     with pytest.raises(ValueError, match="tol"):
         check_inequality(field, spec, region, tol)
-    pts = sample_region(region, space="heisenberg", dim=field.dim).points
+    pts = _points(sample_region(region, space="heisenberg", dim=field.dim))
     table = TabulatedField(pts, field.value(pts), field.gradient(pts), field.hessian(pts))
     with pytest.raises(ValueError, match="tol"):
         check_tabulated(table, spec, region, tol)
@@ -117,11 +140,11 @@ def test_operator_spec_validation():
 def test_sampler_respects_region_and_accounts_exclusions():
     region = Region(0.5, 4.0, n_samples=600, seed=0, char_eps=0.2, kink_eps=0.05)
     batch = sample_region(region, space="heisenberg", dim=3, singular_radii=(1.0,))
-    assert batch.points.shape == (600, 3)
+    assert _points(batch).shape == (600, 3)
     assert np.all(batch.radius >= 0.5 - 1e-12)
     assert np.all(batch.radius <= 4.0 + 1e-12)
     # radii agree with the gauge norm of the points
-    assert np.allclose(batch.radius, hgroup.hnorm(batch.points), rtol=1e-12)
+    assert np.allclose(batch.radius, hgroup.hnorm(_points(batch)), rtol=1e-12)
     assert batch.n_admissible + sum(batch.excluded_by.values()) == 600
     adm = batch.admissible
     assert np.all(batch.tau[adm] >= 0.2)
@@ -134,7 +157,7 @@ def test_euclidean_sampler_shapes():
     batch = sample_region(region, space="euclidean", dim=3)
     assert batch.tau is None
     assert np.allclose(
-        batch.radius, np.sqrt(np.einsum("ij,ij->i", batch.points, batch.points))
+        batch.radius, np.sqrt(np.einsum("ij,ij->i", _points(batch), _points(batch)))
     )
 
 
@@ -142,9 +165,9 @@ def test_kronecker_sampling_is_deterministic():
     region = Region(0.5, 4.0, n_samples=256, seed=9)
     a = sample_region(region, space="heisenberg", dim=5)
     b = sample_region(region, space="heisenberg", dim=5)
-    assert np.array_equal(a.points, b.points)
+    assert np.array_equal(_points(a), _points(b))
     c = sample_region(Region(0.5, 4.0, n_samples=256, seed=10), space="heisenberg", dim=5)
-    assert not np.array_equal(a.points, c.points)
+    assert not np.array_equal(_points(a), _points(c))
 
 
 def test_kronecker_steps_are_the_generalized_golden_ratios():
@@ -190,7 +213,7 @@ def test_kronecker_tau_hits_every_tenth():
     counts, _ = np.histogram(batch.tau, bins=10, range=(0.0, 1.0))
     assert counts.min() > 0
     # tau is the chart coordinate of the point it was drawn with
-    xh = np.linalg.norm(batch.points[:, :2], axis=1)
+    xh = np.linalg.norm(_points(batch)[:, :2], axis=1)
     assert np.allclose(batch.tau, xh / batch.radius, rtol=1e-12, atol=1e-15)
 
 
@@ -317,7 +340,7 @@ def test_tabulated_field_checks_and_accounting():
     field = _field("log_rho")
     region = Region(0.5, 4.0, n_samples=300, seed=5, char_eps=0.05)
     batch = sample_region(region, space="heisenberg", dim=5)
-    pts = batch.points
+    pts = _points(batch)
     table = TabulatedField(
         points=pts,
         values=field.value(pts),

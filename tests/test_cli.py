@@ -252,6 +252,31 @@ def test_the_sampler_option_is_gone(tmp_path, capsys):
     assert "unknown config key 'sampler' for verify" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["seed", "n_samples"])
+def test_an_integer_config_value_beyond_float_range_exits_two(key, tmp_path, capsys):
+    # JSON reads 1e400 as inf; int(inf) raises OverflowError, not ValueError.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"{key}": 1e400}}')
+    assert main(["verify", "--field", "u4", "--d", "1", "--config", str(cfg)]) == 2
+    assert f"config key '{key}': cannot convert float infinity to integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--field", "u4", "--d", "1", "--seed", "-1"],
+    ["lyapunov", "--fixture", "hou", "--d", "1", "--seed", "-1"],
+    ["convergence", "--field", "folland", "--d", "1", "--seed", "-1"],
+])
+def test_a_negative_seed_exits_two_naming_the_seed(argv, tmp_path, capsys):
+    out = tmp_path / "rep.json"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "seed must be a nonnegative integer, got -1" in capsys.readouterr().err
+    assert not out.exists()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"seed": -3}')
+    assert main(argv[:-2] + ["--config", str(cfg)]) == 2
+    assert "seed must be a nonnegative integer, got -3" in capsys.readouterr().err
+
+
 def test_gallery_command(tmp_path, capsys):
     assert main(["gallery", "list", "--d", "1"]) == 0
     text = capsys.readouterr().out

@@ -1,0 +1,255 @@
+"""The dense re-check of spectral runs: the Weyl pre-test and column sums."""
+
+import dataclasses
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import given, seed, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from heispde import checker, hgroup, operators
+from heispde.checker import OperatorSpec, Region, check_inequality, sample_region
+from heispde.gallery import field_from_profile, make_profile
+from heispde.hgroup import HeisDims
+from heispde.operators import Ellipticity
+
+E15 = Ellipticity(1.0, 1.5)
+# (profile, d): H^1, H^2, H^4, R^3, R^4.
+CASES = [("u4", 1), ("u4", 2), ("u4", 4), ("u2", 3), ("u3", 4)]
+
+
+def _field(name, d):
+    dims = HeisDims(d)
+    return field_from_profile(make_profile(name, E15, dims), dims)
+
+
+# ---------------------------------------------------------------------------
+# _sum_last
+
+_EDGE = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.0**-1022, 1e308, -1e308])
+
+
+def _same_bits(got, want):
+    """Equal bits, NaN where want is NaN (which NaN a sum of NaNs gives is the hardware's)."""
+    got, want = np.asarray(got), np.asarray(want)
+    nan = np.isnan(want)
+    return (
+        got.shape == want.shape
+        and np.array_equal(np.isnan(got), nan)
+        and np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+    )
+
+
+@seed(11)
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_sum_last_matches_numpy_bit_for_bit(data):
+    m = data.draw(st.integers(1, 33))
+    lead = data.draw(st.sampled_from([(), (6,), (2, 3)]))
+    x = data.draw(arrays(np.float64, lead + (m,), elements=st.one_of(st.floats(), _EDGE)))
+    with np.errstate(all="ignore"):
+        assert _same_bits(operators._sum_last(x), x.sum(axis=-1))
+
+
+@pytest.mark.parametrize("m", [*range(1, 34), 129, 200, 300])
+def test_sum_last_keeps_numpys_order_on_wide_ranges(m):
+    # Terms spread over 30 decades, so any other order of adds shows in the bits.
+    rng = np.random.default_rng(m)
+    x = rng.standard_normal((500, m)) * 10.0 ** rng.integers(-15, 15, (500, m))
+    assert _same_bits(operators._sum_last(x), x.sum(axis=-1))
+    assert _same_bits(operators._sum_last(x[7]), x[7].sum(axis=-1))
+
+
+# ---------------------------------------------------------------------------
+# the Weyl pre-test against the eigvalsh rule
+
+
+def _dense_matrix(space, hess, pts):
+    if space == "heisenberg":
+        return hgroup.h_hessian(np.zeros(pts.shape), hess, pts)
+    return 0.5 * (hess + np.swapaxes(hess, -1, -2))
+
+
+def _eigvalsh_rule(space, hess, pts, got, tol, q=None, got_e_q=None):
+    """The message of the rule that compares got (and e_q) with eigvalsh, or None if it passes."""
+    mat = _dense_matrix(space, hess, pts)
+    dense = np.linalg.eigvalsh(mat)
+    what = "eigenvalues"
+    if got_e_q is not None:
+        what += " and e_q"
+        got = np.column_stack([got, got_e_q])
+        dense = np.column_stack([dense, operators.rayleigh_quotient(q, mat)[0]])
+    bad = np.abs(got - dense) > checker._allowance(tol, np.abs(dense))
+    if not bad.any():
+        return None
+    k = int(np.flatnonzero(bad.any(axis=-1))[0])
+    return (
+        f"spectral and dense paths disagree at point {pts[k].tolist()}: "
+        f"{what} {got[k].tolist()} against {dense[k].tolist()}"
+    )
+
+
+def _spectral_rows(field, n=160, seed=0):
+    """Points, Euclidean Hessians and spectral-path eigenvalues of n admissible rows."""
+    region = Region(0.2, 4.0, n_samples=4 * n, seed=seed, char_eps=0.02)
+    batch = sample_region(region, space=field.space, dim=field.dim, singular_radii=field.singular_radii)
+    rows = np.flatnonzero(batch.admissible)[:n]
+    tau = None if batch.tau is None else batch.tau[rows]
+    got = checker._spectral_jets(
+        field.profile, field.dim, None, batch.radius[rows], tau, "horizontal", False, False
+    )[2]
+    pts = batch.place(rows)
+    return pts, np.asarray(field.hessian(pts)), got
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9])
+@pytest.mark.parametrize("name,d", CASES)
+def test_the_weyl_guard_raises_exactly_where_the_eigvalsh_rule_does(name, d, tol):
+    field = _field(name, d)
+    pts, base, got = _spectral_rows(field, seed=d)
+    n, m = got.shape
+    rng = np.random.default_rng(17 + d)
+    smallest = checker._allowance(tol, np.abs(got)).min(axis=-1)
+    outcomes = set()
+    for trial in range(24):
+        # Symmetric perturbations of spectral norm `scale` times each row's
+        # smallest allowance: most rows below it, a few around and above.
+        scale = rng.choice([0.0, 0.3, 0.9, 0.99], n)
+        few = rng.choice(n, size=trial % 4, replace=False)
+        scale[few] = rng.choice([0.999, 1.001, 1.05, 2.0], few.size)
+        p = rng.standard_normal((n, m, m))
+        p += np.swapaxes(p, -1, -2)
+        p *= (scale * smallest / np.abs(np.linalg.eigvalsh(p)).max(axis=-1))[:, None, None]
+        hess = base.copy()
+        hess[:, :m, :m] += p
+        wrapped = dataclasses.replace(field, hessian=lambda x, hess=hess: hess)
+        want = _eigvalsh_rule(field.space, hess, pts, got, tol)
+        if want is None:
+            rep = checker._dense_check(wrapped, "horizontal", pts, got, None, tol)
+            dense = np.linalg.eigvalsh(_dense_matrix(field.space, hess, pts))
+            assert rep["max_abs_bound"] >= np.abs(got - dense).max()
+            outcomes.add("pass")
+        else:
+            with pytest.raises(ValueError) as err:
+                checker._dense_check(wrapped, "horizontal", pts, got, None, tol)
+            assert str(err.value) == want
+            outcomes.add(want)
+    assert "pass" in outcomes and len(outcomes) >= 3  # passes and several first rows
+
+
+@pytest.mark.parametrize("name,d", CASES)
+def test_exact_radial_rows_are_cleared_without_eigvalsh(name, d):
+    field = _field(name, d)
+    pts, hess, got = _spectral_rows(field, seed=d)
+    wrapped = dataclasses.replace(field, hessian=lambda x: hess)
+    rep = checker._dense_check(wrapped, "horizontal", pts, got, None, 1e-9)
+    assert rep["n"] == got.shape[0] and rep["n_eigvalsh"] == 0
+    dense = np.linalg.eigvalsh(_dense_matrix(field.space, hess, pts))
+    assert rep["max_abs_bound"] >= np.abs(got - dense).max()
+    assert rep["max_rel_bound"] <= 1e-12
+
+
+@pytest.mark.parametrize("space,dim", [("heisenberg", 3), ("heisenberg", 5), ("euclidean", 3)])
+def test_rows_without_a_direction_go_to_eigvalsh_without_a_warning(space, dim):
+    # eta = 0 (x_H = 0) on H^d and x = 0 on R^n: no closed-form direction.
+    # Tier-1 turns a RuntimeWarning into a failure.
+    rng = np.random.default_rng(dim)
+    pts = rng.standard_normal((4, dim))
+    pts[1, : dim - 1 if space == "heisenberg" else dim] = 0.0
+    hess = rng.standard_normal((4, dim, dim))
+    hess += np.swapaxes(hess, -1, -2)
+    got = np.linalg.eigvalsh(_dense_matrix(space, hess, pts))
+    field = SimpleNamespace(space=space, hessian=lambda x: hess)
+    rep = checker._dense_check(field, "horizontal", pts, got, None, 1e-9)
+    assert rep["n_eigvalsh"] >= 1
+    assert rep["max_abs_bound"] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# whole runs
+
+
+def _coupled(field, delta):
+    """field with delta (g h^T + h g^T) added to its Hessian's horizontal block.
+
+    g = eta / |eta| and h = g turned by hperp carry two distinct eigenvalues
+    of the radial horizontal Hessian, so the coupling moves them by about
+    delta^2 / gap but puts sqrt(2) delta into ||M - B||_F.
+    """
+    hessian, d = field.hessian, field.dims.d
+
+    def perturbed(x):
+        g = hgroup.eta(x)
+        g /= np.sqrt(np.einsum("ij,ij->i", g, g))[:, None]
+        h = np.concatenate([g[:, d:], -g[:, :d]], axis=1)
+        out = np.array(hessian(x))
+        out[:, : 2 * d, : 2 * d] += delta * (g[:, :, None] * h[:, None, :] + h[:, :, None] * g[:, None, :])
+        return out
+
+    return dataclasses.replace(field, hessian=perturbed)
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_rows_weyl_cannot_clear_fall_back_to_eigvalsh(d):
+    field = _field("u4", d)
+    spec = OperatorSpec("pucci_max", ell=E15)
+    region = Region(0.2, 4.0, n_samples=2000, seed=4, char_eps=0.05)
+    plain = check_inequality(field, spec, region)
+    # 0.9e-9 is below every allowance at tol 1e-9, and sqrt(2) times it is
+    # above the allowance of every eigenvalue with |e| < 1.27.
+    coupled = check_inequality(_coupled(field, 0.9e-9), spec, region)
+    assert plain.paths["dense_check"]["n_eigvalsh"] == 0
+    assert coupled.paths["dense_check"]["n_eigvalsh"] > 0
+    assert coupled.paths["dense_check"]["max_rel_bound"] <= 1e-9
+    a, b = plain.to_dict(), coupled.to_dict()
+    for rep in (a, b):
+        rep.pop("wall_time")
+        rep["paths"].pop("dense_check")
+    assert a == b
+
+
+def test_a_doubled_hessian_raises_the_eigvalsh_rules_message():
+    field = _field("u4", 1)
+    spec = OperatorSpec("pucci_max", ell=E15)
+    region = Region(0.25, 4.0, n_samples=512, seed=5, char_eps=0.05)
+    hessian = field.hessian
+    doubled = dataclasses.replace(field, hessian=lambda x: 2.0 * hessian(x))
+    # The dense-check rows: evenly spaced positions among the admissible rows.
+    kept = check_inequality(field, spec, region, keep_samples=True).samples
+    n = kept["eigs"].shape[0]
+    pos = np.linspace(0, n - 1, min(n, checker._DENSE_CHECK_POINTS)).astype(np.intp)
+    pts = kept["points"][pos]
+    want = _eigvalsh_rule("heisenberg", doubled.hessian(pts), pts, kept["eigs"][pos], 1e-9)
+    assert want is not None
+    with pytest.raises(ValueError) as err:
+        check_inequality(doubled, spec, region)
+    assert str(err.value) == want
+
+
+@pytest.mark.parametrize("name,d", [("u4", 1), ("u4", 4), ("u2", 3)])
+def test_a_wrong_e_q_raises_the_eigvalsh_rules_message(name, d, monkeypatch):
+    # The eigenvalues are right and cleared by Weyl; e_q is off by 1e-6.
+    field = _field(name, d)
+    m = 2 * d if field.space == "heisenberg" else d
+    spec = OperatorSpec("pnorm", p=3.0)
+    region = Region(0.25, 4.0, n_samples=512, seed=5, char_eps=0.05)
+    kept = check_inequality(field, spec, region, keep_samples=True).samples
+    n = kept["eigs"].shape[0]
+    pos = np.linspace(0, n - 1, min(n, checker._DENSE_CHECK_POINTS)).astype(np.intp)
+    pts = kept["points"][pos]
+    grad = field.gradient(pts)
+    q = hgroup.h_gradient(grad, pts) if field.space == "heisenberg" else grad
+    skew = 1.0 + 1e-6
+    want = _eigvalsh_rule(field.space, field.hessian(pts), pts, kept["eigs"][pos], 1e-9, q, kept["e_q"][pos] * skew)
+    assert want is not None and m == kept["eigs"].shape[1]
+    spectral_jets = checker._spectral_jets
+
+    def skewed(*args):
+        val, q, eigs, e_q, qq = spectral_jets(*args)
+        return val, q, eigs, e_q * skew, qq
+
+    monkeypatch.setattr(checker, "_spectral_jets", skewed)
+    with pytest.raises(ValueError) as err:
+        check_inequality(field, spec, region)
+    assert str(err.value) == want

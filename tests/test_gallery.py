@@ -200,6 +200,8 @@ def test_fields_raise_at_the_origin():
     heis = field_from_profile(make_profile("u5", E12, dims), dims)
     with pytest.raises(ValueError):
         heis.gradient(np.zeros(3))
+    with pytest.raises(ValueError, match="identity"):
+        heis.hessian(np.zeros((2, 3)))
     eucl = field_from_profile(make_profile("u2", E12, HeisDims(2)), HeisDims(2))
     with pytest.raises(ValueError):
         eucl.gradient(np.zeros(2))

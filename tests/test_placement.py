@@ -28,6 +28,11 @@ E15 = Ellipticity(1.0, 1.5)
 SPACES = [("heisenberg", 3), ("heisenberg", 5), ("heisenberg", 9), ("euclidean", 3), ("euclidean", 4)]
 
 
+def _points(batch):
+    """Every point of a batch, placed in one call."""
+    return batch.place(np.arange(batch.radius.shape[0]))
+
+
 def _field(name, d):
     dims = HeisDims(d)
     return field_from_profile(make_profile(name, E15, dims), dims)
@@ -48,7 +53,7 @@ def _row_sets(n):
 def test_place_matches_the_rows_of_points(space, dim):
     region = Region(0.3, 3.0, n_samples=500, seed=8)
     batch = sample_region(region, space=space, dim=dim)
-    full = sample_region(region, space=space, dim=dim).points
+    full = _points(sample_region(region, space=space, dim=dim))
     for name, rows in _row_sets(500).items():
         placed = batch.place(rows)
         assert placed.shape == (rows.size, dim)
@@ -89,7 +94,7 @@ def test_kronecker_points_follow_the_chart(space, dim):
         vert = np.where(u[2] < 0.5, 1.0, -1.0) * r**2 * np.sqrt(1.0 - tau**4)
         want = np.column_stack([(r * tau)[:, None] * direction, vert])
     batch = sample_region(region, space=space, dim=dim)
-    assert np.allclose(batch.points, want, rtol=1e-12, atol=1e-14)
+    assert np.allclose(_points(batch), want, rtol=1e-12, atol=1e-14)
 
 
 @pytest.fixture
@@ -146,6 +151,7 @@ CHUNK_SIZES = [1000, 1 << 14]
 
 @pytest.mark.parametrize("name,d,mode", [("u4", 2, "sense"), ("log_rho", 4, "formula"), ("u2", 3, "sense")])
 def test_spectral_run_places_only_the_dense_check_and_the_witness(placements, monkeypatch, name, d, mode):
+    # One place call, after the chunks: the dense-check rows, then the witness.
     field = _field(name, d)
     op = "pucci_min" if name == "log_rho" else "pucci_max"
     for chunk in CHUNK_SIZES:
@@ -153,8 +159,13 @@ def test_spectral_run_places_only_the_dense_check_and_the_witness(placements, mo
         placements.clear()
         rep = check_inequality(field, OperatorSpec(op, ell=E15), REGION, mode=mode)
         assert rep.paths["spectral"] > 257
-        assert sum(rows.size for _, rows in placements) <= 257
-        assert rep.witness is not None
+        assert len(placements) == 1
+        batch, rows = placements[0]
+        adm = np.flatnonzero(batch.admissible)
+        check_at = np.linspace(0, adm.size - 1, checker._DENSE_CHECK_POINTS).astype(np.intp)
+        assert np.array_equal(rows[:-1], adm[check_at])
+        assert batch.radius[rows[-1]] == rep.witness["radius"]
+        assert rep.witness["point"] == batch.place(rows[-1:])[0].tolist()
 
 
 def test_bellman_and_keep_samples_runs_place_every_admissible_row_once(placements, monkeypatch):

@@ -19,6 +19,11 @@ GROUP_PROFILES = [name for name, (kind, _, _) in PROFILE_NAMES.items() if kind =
 CASES = [(name, d) for name in GROUP_PROFILES for d in (1, 2, 4)] + [("u2", 3), ("u3", 4)]
 
 
+def _points(batch):
+    """Every point of a batch, placed in one call."""
+    return batch.place(np.arange(batch.radius.shape[0]))
+
+
 def _field(name, d):
     dims = HeisDims(d)
     return field_from_profile(make_profile(name, E15, dims, kappa=3.0), dims)
@@ -40,7 +45,9 @@ def test_spectral_path_matches_dense_path(name, d):
         assert fast.paths["spectral"] == n and fast.paths["dense"] == 0
         assert dense.paths == {"spectral": 0, "dense": n, "dense_check": None}
         assert fast.paths["dense_check"]["n"] == min(n, 256)
-        assert fast.paths["dense_check"]["max_rel"] <= 1e-12
+        assert fast.paths["dense_check"]["max_rel_bound"] <= 1e-12
+        got, want = fast.samples["eigs"], dense.samples["eigs"]
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), (f.name, op)
 
         got, want = fast.samples["second"], dense.samples["second"]
         scale = np.maximum(1.0, np.abs(want))
@@ -99,7 +106,7 @@ def test_reports_do_not_depend_on_the_thread_count(tmp_path):
 
 
 def _table(field):
-    pts = checker.sample_region(REGION, space="heisenberg", dim=field.dim).points
+    pts = _points(checker.sample_region(REGION, space="heisenberg", dim=field.dim))
     return TabulatedField(pts, field.value(pts), field.gradient(pts), field.hessian(pts))
 
 
@@ -159,7 +166,7 @@ def test_zero_gradient_rows_are_excluded_on_both_paths():
 def test_a_wrong_spectral_e_q_makes_the_dense_check_raise(name, d, monkeypatch):
     field = _field(name, d)
     spec = _spec("pnorm", 2 * d if field.space == "heisenberg" else d)
-    assert check_inequality(field, spec, REGION).paths["dense_check"]["max_rel"] <= 1e-12
+    assert check_inequality(field, spec, REGION).paths["dense_check"]["max_rel_bound"] <= 1e-12
     spectral_jets = checker._spectral_jets
 
     def skewed(*args):
@@ -177,5 +184,5 @@ def test_fixture_reports_carry_the_dense_check(tmp_path, capsys):
         assert cli.run_fixture(name, out=str(out)) == cli.FIXTURES[name]["expected_exit"]
         paths = json.loads(out.read_text())["paths"]
         assert paths["spectral"] > 0 and paths["dense"] == 0
-        assert paths["dense_check"]["max_rel"] <= 1e-12
+        assert paths["dense_check"]["max_rel_bound"] <= 1e-12
     capsys.readouterr()
