@@ -21,7 +21,9 @@ direction of just those rows.  The sequence has random access, so a row
 placed alone is bit-identical to the same row of the full batch.  A
 spectral run without a Bellman part or keep_samples places only the
 dense-check rows and the witness, in one call; every other run places each
-chunk's admissible rows once.
+chunk's admissible rows once.  Placed points are column-major (every
+coordinate contiguous), and sums over the coordinate axis go through
+hgroup._rowdot, so no value depends on that layout.
 Results do not depend on which rows were placed.  What stays O(n_samples):
 the chart, keep_samples arrays and a table's own arrays.  Only numpy is used.
 
@@ -40,7 +42,9 @@ TabulatedField rows: it forms the horizontal Hessian from the Euclidean
 jets, calls eigvalsh and takes e_q from the matrix.  After a spectral run
 the dense path forms the matrix again, from the Hessian alone, at most 256
 evenly spaced admissible points.  A row whose eigenvalues Weyl's inequality
-keeps within the check's allowance (_weyl_bound) skips eigvalsh; if an
+keeps within the check's allowance (_weyl_bound) skips eigvalsh; the
+allowance is never below the row's rounding budget (2m + 20) eps ||M||_F,
+so tol = 0 does not ask the paths to agree beyond rounding.  If an
 eigenvalue (or e_q) differs by more than the allowance, the run raises
 ValueError instead of reporting a verdict.  The report's "paths" block gives
 the points each path evaluated and, as "dense_check", that subsample's size
@@ -281,8 +285,9 @@ class CheckReport:
 class SampleBatch:
     """Chart coordinates and admissibility of a sample; points on demand.
 
-    place(rows) returns the points of the given rows, shape (len(rows), dim);
-    a row placed alone is bit-identical to the same row placed with others.
+    place(rows) returns the points of the given rows, shape (len(rows), dim)
+    (column-major when sampled); a row placed alone is bit-identical to the
+    same row placed with others.
     """
 
     radius: np.ndarray
@@ -348,25 +353,30 @@ def _kronecker_unit(i, shift: np.ndarray, coords=None) -> list[np.ndarray]:
     return cols
 
 
-def _unit_vectors(u: list[np.ndarray], m: int) -> np.ndarray:
-    """Unit vectors in R^m from 2 * ceil(m / 2) uniform coordinates (Box-Muller pairs)."""
-    g = np.empty((u[0].shape[0], 2 * ((m + 1) // 2)))
-    for j in range(0, g.shape[1], 2):
+def _unit_vectors(u: list[np.ndarray], out: np.ndarray) -> None:
+    """Fill out (m, N) with N unit vectors in R^m, one per column.
+
+    They come from 2 * ceil(m / 2) uniform coordinates u (Box-Muller pairs);
+    each pair writes its two rows of out, and the columns are normalized in
+    place.
+    """
+    m = out.shape[0]
+    for j in range(0, m, 2):
         r = np.sqrt(-2.0 * np.log(u[j]))
         theta = 2.0 * np.pi * u[j + 1]
-        g[:, j] = r * np.cos(theta)
-        g[:, j + 1] = r * np.sin(theta)
-    g = g[:, :m]
-    return g / np.sqrt(np.einsum("ij,ij->i", g, g))[:, None]
+        np.cos(theta, out=out[j])
+        out[j] *= r
+        if j + 1 < m:
+            np.sin(theta, out=out[j + 1])
+            out[j + 1] *= r
+    out /= np.sqrt(hgroup._rowdot(out.T, out.T))
 
 
 def _radius_tau(pts: np.ndarray, space: str) -> tuple[np.ndarray, np.ndarray | None]:
     """Gauge (or Euclidean) radius and, on the group, tau = |x_H| / rho."""
     if space == "euclidean":
-        return np.sqrt(np.einsum("ij,ij->i", pts, pts)), None
-    d = (pts.shape[1] - 1) // 2
-    rho = hgroup.hnorm(pts)
-    xh2 = np.einsum("ij,ij->i", pts[:, : 2 * d], pts[:, : 2 * d])
+        return np.sqrt(hgroup._rowdot(pts, pts)), None
+    rho, xh2 = hgroup.hnorm(pts), _xh2(pts)
     # tau = 0 at the identity, which lies outside every region anyway.
     return rho, np.divide(np.sqrt(xh2), rho, out=np.zeros_like(rho), where=rho > 0.0)
 
@@ -417,14 +427,22 @@ def sample_region(
     tau = None if euclid else u[1]
 
     def place(rows):
+        # Column-major: row j of out is coordinate j of every point.
         rows = np.asarray(rows, dtype=np.intp)
         v = _kronecker_unit(rows, shift, range(chart, k))
+        out = np.empty((dim, rows.shape[0]))
+        r_s = radius[rows]
         if euclid:
-            return radius[rows, None] * _unit_vectors(v, m)
-        r_s, tau_s = radius[rows], tau[rows]
-        xh = (r_s * tau_s)[:, None] * _unit_vectors(v[1:], m)
-        vert = np.where(v[0] < 0.5, 1.0, -1.0) * r_s**2 * np.sqrt(1.0 - tau_s**4)
-        return np.concatenate([xh, vert[:, None]], axis=1)
+            _unit_vectors(v, out)
+            out *= r_s
+            return out.T
+        tau_s = tau[rows]
+        _unit_vectors(v[1:], out[:m])
+        out[:m] *= r_s * tau_s
+        vert = out[m]
+        np.multiply(np.where(v[0] < 0.5, 1.0, -1.0), r_s**2, out=vert)
+        vert *= np.sqrt(1.0 - tau_s**4)
+        return out.T
 
     admissible = np.ones(region.n_samples, dtype=bool)
     excluded_by: dict[str, int] = {}
@@ -566,19 +584,24 @@ def _dense_check(field, gspace, pts, got, got_e_q, tol) -> dict:
     m = got.shape[1]
     grad = None if got_e_q is None else np.asarray(field.gradient(pts), dtype=float)
     mat, q = _dense_matrix(field, pts, np.asarray(field.hessian(pts), dtype=float), grad, gspace)
-    bound = _weyl_bound(mat, pts, field.space, got)
+    bound, budget = _weyl_bound(mat, pts, field.space, got)
     mag = np.maximum(0.0, np.abs(got) - bound)
     dense = np.empty_like(got)
     if got_e_q is not None:
         dense_e_q = operators.rayleigh_quotient(q, mat)[0]
         got, dense = np.column_stack([got, got_e_q]), np.column_stack([dense, dense_e_q])
         bound, mag = np.column_stack([bound, np.abs(got_e_q - dense_e_q)]), np.column_stack([mag, np.abs(dense_e_q)])
-    need = ~np.all(bound <= _allowance(tol, mag), axis=-1)
+
+    def allowed(mag):
+        # Never below the rounding of the two paths, which tol = 0 would ask.
+        return np.maximum(_allowance(tol, mag), budget[:, None])
+
+    need = ~np.all(bound <= allowed(mag), axis=-1)
     if np.any(need):
         dense[need, :m] = operators.sym_eigenvalues(mat[need])
         bound[need, :m] = np.abs(got[need, :m] - dense[need, :m])
         mag[need, :m] = np.abs(dense[need, :m])
-    bad = bound > _allowance(tol, mag)
+    bad = bound > allowed(mag)
     if np.any(bad):
         k = int(np.flatnonzero(bad.any(axis=-1))[0])
         what = "eigenvalues" if got_e_q is None else "eigenvalues and e_q"
@@ -594,8 +617,10 @@ def _dense_check(field, gspace, pts, got, got_e_q, tol) -> dict:
     }
 
 
-def _weyl_bound(mat, pts, space, got) -> np.ndarray:
-    """Bounds on |eigenvalue - got| for the sorted eigenvalues of mat, without eigvalsh.
+def _weyl_bound(mat, pts, space, got) -> tuple[np.ndarray, np.ndarray]:
+    """(bounds on |eigenvalue - got|, rounding budget) for the sorted eigenvalues of mat.
+
+    No eigvalsh runs.
 
     B has a radial Hessian's eigen-directions g (eta / |eta| on H^d, x / |x|
     on R^n) and, on H^d, h = g turned by hperp, with eigenvalues a = g^T M g,
@@ -609,12 +634,17 @@ def _weyl_bound(mat, pts, space, got) -> np.ndarray:
     Forming M - B rounds each entry at most six times: 16 eps ||M||.  eigvalsh,
     whose rule this stands in for, errs by about m eps ||M||_2.  The m^2
     squares in ||M - B||_F and |sorted - got| + delta round by a relative
-    (m^2 + 4) eps at most.
+    (m^2 + 4) eps at most.  The budget, (2m + 20) eps ||M||_F, also bounds
+    how far two correct paths may differ by rounding alone.
+
+    mat is read C-contiguous: einsum's order of adds over a matrix depends on
+    its layout, which follows that of pts.
     """
     n, m = got.shape
+    mat = np.ascontiguousarray(mat)
     with np.errstate(invalid="ignore", divide="ignore"):
         g = hgroup.eta(pts) if space == "heisenberg" else pts
-        g = g / np.sqrt(np.einsum("ij,ij->i", g, g))[:, None]
+        g = g / np.sqrt(hgroup._rowdot(g, g))[:, None]
         dirs = (g, np.concatenate([g[:, m // 2 :], -g[:, : m // 2]], axis=1)) if space == "heisenberg" else (g,)
         quot = [np.einsum("ni,nij,nj->n", v, mat, v) for v in dirs]
         rest = m - len(dirs)
@@ -625,7 +655,7 @@ def _weyl_bound(mat, pts, space, got) -> np.ndarray:
         spec = np.sort(np.column_stack([*quot, np.repeat(c[:, None], rest, axis=1)]), axis=-1)
         budget = (2 * m + 20) * _EPS * np.sqrt(np.einsum("nij,nij->n", mat, mat))
         delta = np.sqrt(np.einsum("nij,nij->n", diff, diff)) + budget
-        return (np.abs(spec - got) + delta[:, None]) * (1.0 + (m * m + 4) * _EPS)
+        return (np.abs(spec - got) + delta[:, None]) * (1.0 + (m * m + 4) * _EPS), budget
 
 
 def _check_tol(tol: float) -> None:
@@ -1056,7 +1086,7 @@ def _finite(what: str, values) -> np.ndarray:
 
 def _xh2(pts: np.ndarray) -> np.ndarray:
     """|x_H|^2 of group points."""
-    return np.einsum("ij,ij->i", pts[:, :-1], pts[:, :-1])
+    return hgroup._rowdot(pts[:, :-1], pts[:, :-1])
 
 
 def _drift_cost_arrays(coeffs: HJBCoefficients, pts, rho):
@@ -1098,7 +1128,7 @@ def _drift_margin(pts, rho, data, r):
     """Margin r - max_k (b_k . eta - c_k rho^4 log rho) / |x_H|^2 of horizontal drifts."""
     bs, cs = _drift_cost_arrays(data, pts, rho)
     et, s, lg = hgroup.eta(pts), _xh2(pts), np.log(rho)
-    terms = [np.einsum("ij,ij->i", bv, et) / s - cv * rho**4 * lg / s for bv, cv in zip(bs, cs)]
+    terms = [hgroup._rowdot(bv, et) / s - cv * rho**4 * lg / s for bv, cv in zip(bs, cs)]
     lhs = np.max(np.stack(terms), axis=0)
     m = r - lhs
     return m[None], np.abs(lhs) + abs(r), {"min_margin": _extreme(np.min, m)}
@@ -1112,7 +1142,7 @@ def _barrier_margin(pts, rho, data, r):
     if np.any(gv < 0.0) or np.any(cv < 0.0):
         raise ValueError("gbar and cbar must be nonnegative")
     et, s = hgroup.eta(pts), _xh2(pts)
-    lhs = np.einsum("ij,ij->i", bv, et) / s + gv * np.sqrt(np.einsum("ij,ij->i", et, et)) / s
+    lhs = hgroup._rowdot(bv, et) / s + gv * np.sqrt(hgroup._rowdot(et, et)) / s
     rhs = cv * rho**4 * np.log(rho) / s + r
     m = rhs - lhs
     return m[None], np.abs(lhs) + np.abs(rhs), {"min_margin": _extreme(np.min, m)}
@@ -1123,7 +1153,7 @@ def _ou_margin(pts, rho, data, params):
     g, c1 = params
     bs, cs = _drift_cost_arrays(data, pts, rho)
     grad_rho, s, lg = hgroup.euclid_grad_rho(pts, rho), _xh2(pts), np.log(rho)
-    dots = [np.einsum("ij,ij->i", bv, grad_rho) for bv in bs]
+    dots = [hgroup._rowdot(bv, grad_rho) for bv in bs]
     drift_dot = np.max(np.stack(dots), axis=0)
     ou_dot = np.einsum("ij,j,ij->i", pts, g, grad_rho)
     hyp = rho**3 * (-ou_dot - drift_dot)
@@ -1140,7 +1170,7 @@ def _cost_margin(pts, rho, data, params):
     lg = np.log(rho)
     c_margin = np.min(np.stack([cv * lg for cv in cs]), axis=0)
     grad_rho = hgroup.euclid_grad_rho(pts, rho)
-    sign = np.max(np.stack([np.einsum("ij,ij->i", bv, grad_rho) for bv in bs]), axis=0)
+    sign = np.max(np.stack([hgroup._rowdot(bv, grad_rho) for bv in bs]), axis=0)
     components = {"min_cost_margin": _extreme(np.min, c_margin), "max_drift_sign": _extreme(np.max, sign)}
     return np.stack([c_margin, -sign]), np.abs(c_margin) + np.abs(sign), components
 
@@ -1322,9 +1352,7 @@ def fd_h_hessian(
     offsets = _stencil_offsets(dim)
 
     def radius(p):
-        return hgroup.hnorm(p) if space == "heisenberg" else np.sqrt(
-            np.einsum("...i,...i->...", p, p)
-        )
+        return hgroup.hnorm(p) if space == "heisenberg" else np.sqrt(hgroup._rowdot(p, p))
 
     rc = float(radius(xa))
     n_shrinks = 0

@@ -354,7 +354,7 @@ def field_from_profile(profile: RadialProfile, dims: HeisDims) -> ScalarField:
             xa = np.asarray(x, dtype=float)
             if xa.shape[-1] != de:
                 raise ValueError(f"expected points in R^{de}")
-            r = np.sqrt(np.einsum("...i,...i->...", xa, xa))
+            r = np.sqrt(hgroup._rowdot(xa, xa))
             return xa, r
 
         def value(x):

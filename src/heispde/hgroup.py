@@ -24,7 +24,11 @@ of X_i X_j u is Du_t * A[i, j] with A antisymmetric (A[i, i+d] = -2 =
 -A[i+d, i], from [X_i, X_{i+d}] = -4 d_t), so symmetrizing removes it.
 
 Every function accepts arbitrary leading batch axes; the last axis is the
-coordinate axis.
+coordinate axis, in any memory layout.  Sums over it go through _rowdot,
+whose order of adds does not depend on the layout, so a value has the same
+bits whether the points are stored row by row or column by column.  eta and
+euclid_grad_rho build their output one coordinate at a time and return it
+column-major.
 
 A field f(rho(.)) has a closed-form horizontal Hessian spectrum of three
 values; radial_eigenvalues lays it out sorted without a sort, for the
@@ -111,8 +115,8 @@ def group_mul(x, y) -> np.ndarray:
     if d != dy:
         raise ValueError("x and y live on different groups")
     out_h = xa[..., : 2 * d] + ya[..., : 2 * d]
-    twist = np.einsum("...i,...i->...", xa[..., :d], ya[..., d : 2 * d])
-    twist -= np.einsum("...i,...i->...", xa[..., d : 2 * d], ya[..., :d])
+    twist = _rowdot(xa[..., :d], ya[..., d : 2 * d])
+    twist -= _rowdot(xa[..., d : 2 * d], ya[..., :d])
     out_t = xa[..., -1] + ya[..., -1] + 2.0 * twist
     return np.concatenate([out_h, out_t[..., None]], axis=-1)
 
@@ -145,8 +149,41 @@ def hperp(x) -> np.ndarray:
     return np.concatenate([xa[..., d : 2 * d], -xa[..., :d]], axis=-1)
 
 
+def _rowdot(a, b) -> np.ndarray:
+    """sum_j a[..., j] b[..., j]: np.einsum("...j,...j->...") on contiguous rows, bit for bit.
+
+    einsum adds in another order when the rows are not contiguous; this
+    order does not depend on the layout.  On contiguous rows einsum keeps two
+    lanes, lane 0 adding the even columns and lane 1 the odd ones: each full
+    block of eight columns j..j+7 back to front (j+6, j+4, j+2, j and j+7,
+    j+5, j+3, j+1), then the rest in order; the result is lane 0 + lane 1,
+    added onto +0.0.  Its lanes start at +0.0; these start at the first
+    product, which changes only the sign of a zero, and the final +0.0 add
+    clears that.  One product is held at a time, and on column-major arrays
+    every product reads contiguous columns.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    if max(a.ndim, b.ndim) < 2:
+        return _rowdot(a[None], b[None])[0]
+    m = a.shape[-1]
+    full = m - m % 8
+    order = [j + i for j in range(0, full, 8) for i in (6, 7, 4, 5, 2, 3, 0, 1)]
+    lanes, prod = [None, None], None
+    for j in order + list(range(full, m)):
+        if lanes[j % 2] is None:
+            lanes[j % 2] = a[..., j] * b[..., j]
+        else:
+            prod = np.multiply(a[..., j], b[..., j], out=prod)
+            lanes[j % 2] += prod
+    out = lanes[0]
+    if lanes[1] is not None:
+        out += lanes[1]
+    out += 0.0
+    return out
+
+
 def _hsq(x: np.ndarray, d: int) -> np.ndarray:
-    return np.einsum("...i,...i->...", x[..., : 2 * d], x[..., : 2 * d])
+    return _rowdot(x[..., : 2 * d], x[..., : 2 * d])
 
 
 def hnorm(x) -> np.ndarray:
@@ -164,8 +201,16 @@ def eta(x) -> np.ndarray:
     Satisfies |eta|^2 = |x_H|^2 rho^4 and D_H rho = eta / rho^3.
     """
     xa, d = _as_points(x)
-    s = _hsq(xa, d)[..., None]
-    return s * xa[..., : 2 * d] + xa[..., -1:] * hperp(xa)
+    s, t = _hsq(xa, d), xa[..., -1]
+    out = np.empty((2 * d,) + xa.shape[:-1])
+    for i in range(d):
+        # Row i is s x_i + t x_{i+d}, row i + d is s x_{i+d} + t (-x_i).
+        lo, hi = out[i, ...], out[i + d, ...]
+        np.multiply(s, xa[..., i], out=lo)
+        lo += t * xa[..., i + d]
+        np.multiply(s, xa[..., i + d], out=hi)
+        hi -= t * xa[..., i]
+    return np.moveaxis(out, 0, -1)
 
 
 def frame(x) -> np.ndarray:
@@ -236,11 +281,17 @@ def euclid_grad_rho(x, rho=None) -> np.ndarray:
     """
     xa, d = _as_points(x)
     rho = _rho_positive(xa, d) if rho is None else rho
-    s_r2 = _hsq(xa, d) / rho**2
-    xh_r = xa[..., : 2 * d] / rho[..., None]
-    out_h = s_r2[..., None] * xh_r
-    out_t = (xa[..., -1] / rho**2) / (2.0 * rho)
-    return np.concatenate([out_h, out_t[..., None]], axis=-1)
+    rho2 = rho**2
+    s_r2 = _hsq(xa, d) / rho2
+    out = np.empty((2 * d + 1,) + xa.shape[:-1])
+    for i in range(2 * d):
+        col = out[i, ...]
+        np.divide(xa[..., i], rho, out=col)
+        col *= s_r2
+    col = out[2 * d, ...]
+    np.divide(xa[..., -1], rho2, out=col)
+    col /= 2.0 * rho
+    return np.moveaxis(out, 0, -1)
 
 
 def euclid_hess_rho(x) -> np.ndarray:

@@ -40,6 +40,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .hgroup import _rowdot
+
 __all__ = [
     "Ellipticity",
     "HJBCoefficients",
@@ -151,11 +153,8 @@ def _sum_last(x) -> np.ndarray:
 
 
 def _fro(eigs: np.ndarray) -> np.ndarray:
-    """Frobenius norm of a symmetric matrix from its eigenvalues.
-
-    An einsum, not _sum_last: column adds cannot copy its lane order.
-    """
-    return np.sqrt(np.einsum("...i,...i->...", eigs, eigs))
+    """Frobenius norm of a symmetric matrix from its eigenvalues."""
+    return np.sqrt(_rowdot(eigs, eigs))
 
 
 def signed_eig_sums(
@@ -175,12 +174,17 @@ def signed_eig_sums(
 
 
 def rayleigh_quotient(q, mat) -> tuple[np.ndarray, np.ndarray]:
-    """(e_q, |q|^2) per matrix, e_q = q^T M q / |q|^2; e_q is 0 where q = 0."""
-    m = np.asarray(mat, dtype=float)
+    """(e_q, |q|^2) per matrix, e_q = q^T M q / |q|^2; e_q is 0 where q = 0.
+
+    Neither depends on the memory layout of q or mat: |q|^2 is a _rowdot, and
+    mat is read C-contiguous, since einsum's order of adds over a matrix
+    depends on its layout (over the vectors it does not).
+    """
+    m = np.ascontiguousarray(mat, dtype=float)
     qa = np.asarray(q, dtype=float)
     if qa.shape[-1] != m.shape[-1]:
         raise ValueError("gradient and matrix sizes do not match")
-    qq = np.einsum("...i,...i->...", qa, qa)
+    qq = _rowdot(qa, qa)
     qmq = np.einsum("...i,...ij,...j->...", qa, m, qa)
     return qmq / np.where(qq > 0.0, qq, 1.0), qq
 
@@ -348,7 +352,7 @@ def _hjb_terms(coeffs: HJBCoefficients, x, r, p) -> np.ndarray:
         if np.any(cv < 0.0):
             raise ValueError("running costs must be nonnegative")
         bv = np.asarray(b(xa), dtype=float)
-        vals[k] = cv * ra - np.einsum("...i,...i->...", bv, pa)
+        vals[k] = cv * ra - _rowdot(bv, pa)
     if not np.isfinite(vals).all():
         raise ValueError("Bellman terms must evaluate to finite values")
     return vals

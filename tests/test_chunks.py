@@ -1,4 +1,8 @@
-"""Checks evaluated in chunks of the sample index: same reports, bounded memory."""
+"""Checks evaluated in chunks of the sample index: same reports, bounded memory.
+
+Also: the same reports whether the placed points are column-major (as
+placed) or row-major.
+"""
 
 import dataclasses
 import json
@@ -47,6 +51,19 @@ def _report_bytes(rep) -> str:
     return json.dumps(payload)
 
 
+def _assert_same(rep, first):
+    """Byte-identical reports and equal keep_samples arrays."""
+    assert _report_bytes(rep) == _report_bytes(first)
+    assert (rep.samples is None) == (first.samples is None)
+    if first.samples is not None:
+        assert rep.samples.keys() == first.samples.keys()
+        for key, value in first.samples.items():
+            got = rep.samples[key]
+            assert (got is None and value is None) or (
+                got.dtype == value.dtype and np.array_equal(got, value, equal_nan=True)
+            ), key
+
+
 def _at_every_chunk_size(monkeypatch, run, sizes=CHUNK_SIZES):
     """run() at each chunk size; asserts byte-identical reports and equal samples."""
     reports = []
@@ -55,15 +72,7 @@ def _at_every_chunk_size(monkeypatch, run, sizes=CHUNK_SIZES):
         reports.append(run())
     first = reports[0]
     for rep in reports[1:]:
-        assert _report_bytes(rep) == _report_bytes(first)
-        assert (rep.samples is None) == (first.samples is None)
-        if first.samples is not None:
-            assert rep.samples.keys() == first.samples.keys()
-            for key, value in first.samples.items():
-                got = rep.samples[key]
-                assert (got is None and value is None) or (
-                    got.dtype == value.dtype and np.array_equal(got, value, equal_nan=True)
-                ), key
+        _assert_same(rep, first)
     return first
 
 
@@ -291,3 +300,79 @@ def test_peak_memory_grows_by_the_chart_alone(label, make, n0, n1):
     make(n0)  # imports and caches outside the measurement
     growth = (_peak(lambda: make(n1)) - _peak(lambda: make(n0))) / (n1 - n0)
     assert growth <= BYTES_PER_SAMPLE, f"{label}: {growth:.1f} B per sample"
+
+
+# ---------------------------------------------------------------------------
+# memory layout of the placed points
+
+
+def _in_both_layouts(monkeypatch, run):
+    """run() as placed (column-major) and with row-major copies of the points; asserts the same report."""
+    placed = run()
+    sample_region = checker.sample_region
+
+    def row_major(*args, **kwargs):
+        batch = sample_region(*args, **kwargs)
+        place = batch.place
+        return dataclasses.replace(batch, place=lambda rows: np.ascontiguousarray(place(rows)))
+
+    with monkeypatch.context() as mp:
+        mp.setattr(checker, "sample_region", row_major)
+        copied = run()
+    _assert_same(copied, placed)
+    return placed
+
+
+@pytest.mark.parametrize("space,dim", [("heisenberg", 3), ("heisenberg", 9), ("euclidean", 3), ("euclidean", 4)])
+def test_placed_points_are_column_major(space, dim):
+    batch = checker.sample_region(Region(0.5, 2.0, n_samples=100, seed=1), space=space, dim=dim)
+    pts = batch.place(np.arange(0, 100, 3))
+    assert pts.shape == (34, dim) and pts.flags.f_contiguous and not pts.flags.c_contiguous
+
+
+LAYOUT_RUNS = {
+    **INEQUALITY_RUNS,
+    "dense pnorm d=4": lambda: check_inequality(
+        dataclasses.replace(_field("u4", 4), name="wrapped"), OperatorSpec("pnorm", p=3.0),
+        dataclasses.replace(REGION, n_samples=3000),
+    ),
+    "Euclidean dense Bellman": lambda: check_inequality(
+        dataclasses.replace(_field("u2", 3, E12), name="wrapped"),
+        OperatorSpec("pucci_max", ell=E12, first_order=HJBCoefficients((lambda x: -x,), (_ones,), "euclidean")),
+        REGION, keep_samples=True,
+    ),
+    "Euclidean Bellman R^4": lambda: check_inequality(
+        _field("u3", 4, E12),
+        OperatorSpec("pnorm", p=3.0, first_order=HJBCoefficients((lambda x: -x,), (_ones,), "euclidean")),
+        REGION, keep_samples=True,
+    ),
+    "Bellman d=4, Euclidean gradient": lambda: check_inequality(
+        _field("u4", 4),
+        OperatorSpec("pucci_max", ell=E15, first_order=HJBCoefficients((lambda x: -x,), (_ones,), "euclidean")),
+        dataclasses.replace(REGION, n_samples=6000), keep_samples=True,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_RUNS))
+def test_inequality_reports_do_not_depend_on_the_point_layout(name, monkeypatch):
+    rep = _in_both_layouts(monkeypatch, LAYOUT_RUNS[name])
+    assert rep.verdict in ("pass", "fail") and rep.witness["point"] is not None
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+@pytest.mark.parametrize(
+    "cond,kind",
+    [(c, k) for c, routes in checker.LYAPUNOV_CONDITIONS.items() for k in routes],
+)
+def test_lyapunov_reports_do_not_depend_on_the_point_layout(cond, kind, d, monkeypatch):
+    dims = HeisDims(d)
+    for data in (_lyapunov_data(kind), _lyapunov_data(kind, scale=-3.0), _lyapunov_data(kind, cost=0.0)):
+        for region in (
+            Region(2.0, 16.0, n_samples=6000, seed=5, char_eps=0.05),
+            Region(0.3, 2.0, n_samples=6000, seed=7, char_eps=0.1),
+        ):
+            _in_both_layouts(
+                monkeypatch,
+                lambda: check_lyapunov(cond, data, E12, region, dims, alpha=1.0 / (4 * d), gammas=np.ones(dims.n)),
+            )

@@ -1,4 +1,4 @@
-"""The dense re-check of spectral runs: the Weyl pre-test and column sums."""
+"""The dense re-check of spectral runs: the Weyl pre-test, column sums and row dots."""
 
 import dataclasses
 from types import SimpleNamespace
@@ -62,6 +62,75 @@ def test_sum_last_keeps_numpys_order_on_wide_ranges(m):
 
 
 # ---------------------------------------------------------------------------
+# _rowdot
+
+
+def _strided(x):
+    """x as a view whose every axis has twice the usual stride."""
+    out = np.empty(tuple(2 * n for n in x.shape))
+    view = out[tuple(slice(None, None, 2) for _ in x.shape)]
+    view[...] = x
+    return view
+
+
+def _reversed(x):
+    """x as a view with negative strides on every axis."""
+    return np.flip(np.ascontiguousarray(np.flip(x)))
+
+
+@seed(12)
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_rowdot_matches_einsum_bit_for_bit_in_every_layout(data):
+    m = data.draw(st.integers(1, 33))
+    lead = data.draw(st.sampled_from([(), (6,), (2, 3)]))
+    a, b = (data.draw(arrays(np.float64, lead + (m,), elements=st.one_of(st.floats(), _EDGE))) for _ in "ab")
+    with np.errstate(all="ignore"):
+        want = np.einsum("...i,...i->...", a, b)
+        for layout in (np.ascontiguousarray, np.asfortranarray, _strided, _reversed):
+            assert _same_bits(hgroup._rowdot(layout(a), layout(b)), want), layout.__name__
+
+
+@pytest.mark.parametrize("m", range(1, 34))
+def test_rowdot_keeps_einsums_order_on_wide_ranges(m):
+    # Terms spread over 30 decades, so any other order of adds shows in the bits.
+    rng = np.random.default_rng(m)
+    a, b = (rng.standard_normal((500, m)) * 10.0 ** rng.integers(-15, 15, (500, m)) for _ in "ab")
+    want = np.einsum("ij,ij->i", a, b)
+    assert _same_bits(hgroup._rowdot(a, b), want)
+    assert _same_bits(hgroup._rowdot(np.asfortranarray(a), np.asfortranarray(b)), want)
+    assert _same_bits(hgroup._rowdot(a[7], b[7]), want[7])
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 8, 9])
+def test_rayleigh_quotient_does_not_depend_on_the_layout(m):
+    # einsum's order of adds over a matrix follows its layout, so the
+    # matrix is read C-contiguous.
+    rng = np.random.default_rng(m)
+    q = rng.standard_normal((300, m)) * 10.0 ** rng.integers(-8, 8, (300, m))
+    mat = rng.standard_normal((300, m, m)) * 10.0 ** rng.integers(-8, 8, (300, m, m))
+    mat += np.swapaxes(mat, -1, -2)
+    want = operators.rayleigh_quotient(q, mat)
+    for lq in (np.ascontiguousarray, np.asfortranarray, _strided, _reversed):
+        for lm in (np.asfortranarray, _strided, _reversed):
+            got = operators.rayleigh_quotient(lq(q), lm(mat))
+            assert all(_same_bits(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("name,d", CASES)
+def test_the_weyl_bound_does_not_depend_on_the_layout(name, d, monkeypatch):
+    field = _field(name, d)
+    pts, hess, got = _spectral_rows(field, seed=d)
+    mat = _dense_matrix(field.space, hess, pts)
+    want = checker._weyl_bound(mat, pts, field.space, got)
+    eta = hgroup.eta
+    monkeypatch.setattr(hgroup, "eta", lambda x: np.ascontiguousarray(eta(x)))
+    for layout in (np.ascontiguousarray, np.asfortranarray, _reversed):
+        got_bound = checker._weyl_bound(layout(mat), layout(pts), field.space, got)
+        assert all(_same_bits(g, w) for g, w in zip(got_bound, want))
+
+
+# ---------------------------------------------------------------------------
 # the Weyl pre-test against the eigvalsh rule
 
 
@@ -72,15 +141,21 @@ def _dense_matrix(space, hess, pts):
 
 
 def _eigvalsh_rule(space, hess, pts, got, tol, q=None, got_e_q=None):
-    """The message of the rule that compares got (and e_q) with eigvalsh, or None if it passes."""
+    """The message of the rule that compares got (and e_q) with eigvalsh, or None if it passes.
+
+    A difference is allowed up to the check's allowance, and never less than
+    the rounding budget (2m + 20) eps ||M||_F of two correct paths.
+    """
     mat = _dense_matrix(space, hess, pts)
     dense = np.linalg.eigvalsh(mat)
+    m = mat.shape[-1]
+    budget = (2 * m + 20) * np.finfo(float).eps * np.linalg.norm(mat, axis=(-2, -1))
     what = "eigenvalues"
     if got_e_q is not None:
         what += " and e_q"
         got = np.column_stack([got, got_e_q])
         dense = np.column_stack([dense, operators.rayleigh_quotient(q, mat)[0]])
-    bad = np.abs(got - dense) > checker._allowance(tol, np.abs(dense))
+    bad = np.abs(got - dense) > np.maximum(checker._allowance(tol, np.abs(dense)), budget[:, None])
     if not bad.any():
         return None
     k = int(np.flatnonzero(bad.any(axis=-1))[0])
@@ -253,3 +328,25 @@ def test_a_wrong_e_q_raises_the_eigvalsh_rules_message(name, d, monkeypatch):
     with pytest.raises(ValueError) as err:
         check_inequality(field, spec, region)
     assert str(err.value) == want
+
+
+# ---------------------------------------------------------------------------
+# tol = 0
+
+
+@pytest.mark.parametrize("op", ["pucci_max", "pnorm"])
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_tol_0_allows_the_rounding_of_two_correct_paths(d, op):
+    # folland's eigenvalues reach about 7e3 in this region, where one ulp is
+    # above the 1e-12 floor of the allowance; the two paths differ by 2 ulp.
+    dims = HeisDims(d)
+    field = field_from_profile(make_profile("folland", None, dims), dims)
+    spec = OperatorSpec(op, ell=E15) if op == "pucci_max" else OperatorSpec(op, p=3.0)
+    region = Region(0.1, 5.0, n_samples=3000, seed=9, char_eps=0.01)
+    rep = check_inequality(field, spec, region, tol=0.0)
+    assert rep.verdict in ("pass", "fail") and rep.paths["dense_check"]["n"] == 256
+    hessian = field.hessian
+    scaled = dataclasses.replace(field, hessian=lambda x: (1.0 + 1e-6) * hessian(x))
+    for tol in (0.0, 1e-9):
+        with pytest.raises(ValueError, match="spectral and dense paths disagree"):
+            check_inequality(scaled, spec, region, tol=tol)
