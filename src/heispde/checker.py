@@ -376,7 +376,7 @@ def _radius_tau(pts: np.ndarray, space: str) -> tuple[np.ndarray, np.ndarray | N
     """Gauge (or Euclidean) radius and, on the group, tau = |x_H| / rho."""
     if space == "euclidean":
         return np.sqrt(hgroup._rowdot(pts, pts)), None
-    rho, xh2 = hgroup.hnorm(pts), _xh2(pts)
+    rho = np.sqrt(np.hypot(xh2 := _xh2(pts), np.abs(pts[:, -1])))
     # tau = 0 at the identity, which lies outside every region anyway.
     return rho, np.divide(np.sqrt(xh2), rho, out=np.zeros_like(rho), where=rho > 0.0)
 
@@ -479,26 +479,27 @@ def _own_profile(field):
 
 
 def _dense_matrix(field, pts, hess, grad, gspace: str):
-    """(horizontal Hessian, gradient q); h_hessian never reads grad, which may be None."""
-    if field.space != "heisenberg":
-        return 0.5 * (hess + np.swapaxes(hess, -1, -2)), grad
-    q = hgroup.h_gradient(grad, pts) if grad is not None and gspace == "horizontal" else grad
-    return hgroup.h_hessian(grad, hess, pts), q
+    """(horizontal Hessian, gradient q); grad may be None.  The Hessian, symmetric by construction, must be finite."""
+    heis = field.space == "heisenberg"
+    mat = hgroup.h_hessian(grad, hess, pts) if heis else 0.5 * (hess + np.swapaxes(hess, -1, -2))
+    if not np.isfinite(mat).all():
+        raise ValueError("matrix entries must be finite")
+    return mat, hgroup.h_gradient(grad, pts) if heis and grad is not None and gspace == "horizontal" else grad
 
 
-def _dense_jets(field, pts: np.ndarray, rows: np.ndarray, gspace: str, reads_e_q: bool):
-    """(value, q, eigenvalues, e_q, |q|^2) from the Euclidean jets; e_q, |q|^2 if reads_e_q."""
+def _dense_jets(field, pts: np.ndarray, rows: np.ndarray, gspace: str, reads_e_q: bool, needs_q: bool):
+    """(value, q, eigenvalues, e_q, |q|^2) from the Euclidean jets; q if needs_q or reads_e_q, e_q, |q|^2 if reads_e_q."""
     if isinstance(field, TabulatedField):
         val = field.values[rows]
-        grad = field.gradients[rows]
+        grad = field.gradients[rows] if needs_q or reads_e_q else None
         hess = field.hessians[rows]
     else:
         val = np.asarray(field.value(pts), dtype=float)
-        grad = np.asarray(field.gradient(pts), dtype=float)
+        grad = np.asarray(field.gradient(pts), dtype=float) if needs_q or reads_e_q else None
         hess = np.asarray(field.hessian(pts), dtype=float)
     mat, q = _dense_matrix(field, pts, hess, grad, gspace)
     e_q, qq = operators.rayleigh_quotient(q, mat) if reads_e_q else (None, None)
-    return val, q, operators.sym_eigenvalues(mat), e_q, qq
+    return val, q, np.linalg.eigvalsh(mat), e_q, qq
 
 
 def _spectral_jets(profile, dim: int, pts, radius, tau, gspace: str, reads_e_q: bool, needs_q: bool):
@@ -542,12 +543,11 @@ def _terms_for(field, spec: OperatorSpec, gspace: str, profile, pts, rows, radiu
     None.
     """
     entry = operators.OPERATORS[spec.second_order]
+    needs_q = spec.first_order is not None
     if profile is None:
-        val, q, eigs, e_q, qq = _dense_jets(field, pts, rows, gspace, entry.reads_e_q)
+        val, q, eigs, e_q, qq = _dense_jets(field, pts, rows, gspace, entry.reads_e_q, needs_q)
     else:
-        val, q, eigs, e_q, qq = _spectral_jets(
-            profile, field.dim, pts, radius, tau, gspace, entry.reads_e_q, spec.first_order is not None
-        )
+        val, q, eigs, e_q, qq = _spectral_jets(profile, field.dim, pts, radius, tau, gspace, entry.reads_e_q, needs_q)
 
     second = entry.value(eigs, e_q, spec.params)
     alive = np.ones(rows.shape[0], dtype=bool)
@@ -598,7 +598,7 @@ def _dense_check(field, gspace, pts, got, got_e_q, tol) -> dict:
 
     need = ~np.all(bound <= allowed(mag), axis=-1)
     if np.any(need):
-        dense[need, :m] = operators.sym_eigenvalues(mat[need])
+        dense[need, :m] = np.linalg.eigvalsh(mat[need])
         bound[need, :m] = np.abs(got[need, :m] - dense[need, :m])
         mag[need, :m] = np.abs(dense[need, :m])
     bad = bound > allowed(mag)

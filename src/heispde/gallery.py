@@ -330,7 +330,7 @@ def field_from_profile(profile: RadialProfile, dims: HeisDims) -> ScalarField:
             g = hgroup.euclid_grad_rho(x, rho)
             _, fp, fpp = profile.jets(rho)
             out = fpp[..., None, None] * np.einsum("...a,...b->...ab", g, g)
-            out += fp[..., None, None] * hgroup.euclid_hess_rho(x)
+            out += fp[..., None, None] * hgroup.euclid_hess_rho(x, rho, g)
             return out
 
         return ScalarField(

@@ -28,7 +28,8 @@ coordinate axis, in any memory layout.  Sums over it go through _rowdot,
 whose order of adds does not depend on the layout, so a value has the same
 bits whether the points are stored row by row or column by column.  eta and
 euclid_grad_rho build their output one coordinate at a time and return it
-column-major.
+column-major; h_hessian builds its matrices batch-last, entry (i, j) of
+every matrix one contiguous row, and returns a view that is not C-contiguous.
 
 A field f(rho(.)) has a closed-form horizontal Hessian spectrum of three
 values; radial_eigenvalues lays it out sorted without a sort, for the
@@ -242,27 +243,39 @@ def h_hessian(grad_u, hess_u, x) -> np.ndarray:
     The frame-Jacobian term of X_i X_j u is Du_t times an antisymmetric
     matrix, since [X_i, X_{i+d}] = -4 d_t, so symmetrizing removes it and
     grad_u does not enter.  hess_u must be symmetric within 1e-12 (absolute,
-    entrywise); the output is symmetrized exactly.
+    entrywise).  The output, symmetrized exactly, is built batch-last and
+    returned as a view that is not C-contiguous.
     """
     xa, d = _as_points(x)
     h = np.asarray(hess_u, dtype=float)
-    n = 2 * d + 1
+    n, m = 2 * d + 1, 2 * d
     if h.shape[-2:] != (n, n):
         raise ValueError("Hessian shape does not match the point width")
     if not np.isfinite(h).all():
         raise ValueError("Hessian entries must be finite")
-    skew = np.abs(h - np.swapaxes(h, -1, -2)).max()
+    batch = np.broadcast_shapes(h.shape[:-2], xa.shape[:-1])
+    hs = np.ascontiguousarray(np.moveaxis(np.broadcast_to(h, batch + (n, n)), (-2, -1), (0, 1)))
+    # |H - H^T| on the upper triangle alone, so no full-size temporary.
+    iu = tuple(zip(*[(i, j) for i in range(n) for j in range(i + 1, n)]))
+    skew = hs[iu]
+    skew = np.abs(np.subtract(skew, hs[iu[::-1]], out=skew), out=skew).max()
     if skew > _SYM_ATOL:
         raise ValueError(f"Hessian is not symmetric: max |H - H^T| = {skew:.3e}")
-    hs = 0.5 * (h + np.swapaxes(h, -1, -2))
-    # sigma = [I; h^T] with h = 2 hperp, and D^2u = [[A, b], [b^T, c]], so
-    # sigma^T D^2u sigma = A + b h^T + h b^T + c h h^T: a rank-2 update.
-    m = 2 * d
-    a, b, c = hs[..., :m, :m], hs[..., :m, m], hs[..., m, m]
-    hp = 2.0 * hperp(xa)
-    bh = b[..., :, None] * hp[..., None, :]
-    out = a + bh + np.swapaxes(bh, -1, -2) + (c[..., None] * hp)[..., :, None] * hp[..., None, :]
-    return 0.5 * (out + np.swapaxes(out, -1, -2))
+    hs = np.add(hs, hs.swapaxes(0, 1))
+    hs *= 0.5
+    # sigma = [I; hp^T] with hp = 2 hperp, and D^2u = [[A, b], [b^T, c]], so
+    # sigma^T D^2u sigma = A + b hp^T + hp b^T + c hp hp^T, added in that order.
+    xt = np.moveaxis(np.broadcast_to(xa, batch + (n,)), -1, 0)
+    hp = 2.0 * np.concatenate([xt[d:m], -xt[:d]])
+    a, b, c = hs[:m, :m], hs[:m, m], hs[m, m]
+    out = b[:, None] * hp[None, :]
+    a += out
+    a += out.swapaxes(0, 1)
+    np.multiply((c * hp)[:, None], hp[None, :], out=out)
+    a += out
+    np.add(a, a.swapaxes(0, 1), out=out)
+    out *= 0.5
+    return np.moveaxis(out, (0, 1), (-2, -1))
 
 
 def _rho_positive(xa: np.ndarray, d: int) -> np.ndarray:
@@ -294,17 +307,18 @@ def euclid_grad_rho(x, rho=None) -> np.ndarray:
     return np.moveaxis(out, 0, -1)
 
 
-def euclid_hess_rho(x) -> np.ndarray:
+def euclid_hess_rho(x, rho=None, grad=None) -> np.ndarray:
     """Euclidean Hessian of the gauge norm.
 
     With phi = rho^4 (a polynomial), D^2 rho = D^2 phi / (4 rho^3)
     - 3 Drho Drho^T / rho; the phi block is diagonal-plus-rank-one in the
-    horizontal coordinates and constant in the vertical one.
+    horizontal coordinates and constant in the vertical one.  rho and grad,
+    if given, are rho(x) and euclid_grad_rho(x), then not computed again.
     """
     xa, d = _as_points(x)
     m = 2 * d
-    rho = _rho_positive(xa, d)
-    grad = euclid_grad_rho(xa)
+    rho = _rho_positive(xa, d) if rho is None else rho
+    grad = euclid_grad_rho(xa, rho) if grad is None else grad
     s = _hsq(xa, d)
     out = np.einsum("...a,...b->...ab", grad, grad) * (-3.0 / rho[..., None, None])
     xh = xa[..., :m]

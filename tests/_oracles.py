@@ -112,3 +112,30 @@ def fd_hessian(fn, x, h=1e-4):
 def random_symmetric(m, rng, scale=1.0):
     a = rng.standard_normal((m, m)) * scale
     return 0.5 * (a + a.T)
+
+
+def h_hessian_rank2(hess_u, x):
+    """sigma^T D^2u sigma as the (..., n, n) rank-2 update, with its input checks.
+
+    The reference for hgroup.h_hessian: every step runs on whole (..., n, n)
+    stacks, which fixes the IEEE operations of each entry, ((a_ij + b_i hp_j)
+    + b_j hp_i) + (c hp_i) hp_j, then 0.5 (out_ij + out_ji), and the messages
+    of the checks.
+    """
+    xa = np.asarray(x, dtype=float)
+    h = np.asarray(hess_u, dtype=float)
+    n = xa.shape[-1]
+    d, m = (n - 1) // 2, n - 1
+    if h.shape[-2:] != (n, n):
+        raise ValueError("Hessian shape does not match the point width")
+    if not np.isfinite(h).all():
+        raise ValueError("Hessian entries must be finite")
+    skew = np.abs(h - np.swapaxes(h, -1, -2)).max()
+    if skew > 1e-12:
+        raise ValueError(f"Hessian is not symmetric: max |H - H^T| = {skew:.3e}")
+    hs = 0.5 * (h + np.swapaxes(h, -1, -2))
+    a, b, c = hs[..., :m, :m], hs[..., :m, m], hs[..., m, m]
+    hp = 2.0 * np.concatenate([xa[..., d:m], -xa[..., :d]], axis=-1)
+    bh = b[..., :, None] * hp[..., None, :]
+    out = a + bh + np.swapaxes(bh, -1, -2) + (c[..., None] * hp)[..., :, None] * hp[..., None, :]
+    return 0.5 * (out + np.swapaxes(out, -1, -2))

@@ -378,6 +378,57 @@ def test_zero_gradient_rows_are_excluded_for_pnorm():
     assert rep.n_evaluated == 1
 
 
+@pytest.mark.parametrize(
+    "spec,reads",
+    [
+        (OperatorSpec("pucci_max", ell=E12), False),
+        (OperatorSpec("pnorm", p=3.0), True),
+        (
+            OperatorSpec(
+                "pucci_max", ell=E12, first_order=HJBCoefficients((hgroup.eta,), (lambda x: np.ones(len(x)),), "horizontal")
+            ),
+            True,
+        ),
+    ],
+    ids=["pucci_max", "pnorm", "first_order"],
+)
+def test_the_dense_path_reads_the_gradient_only_when_it_is_used(spec, reads, monkeypatch):
+    field = _field("u4", Ellipticity(1.0, 1.5), D1)
+    calls = {"gradient": 0, "h_gradient": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(hgroup, "h_gradient", counting("h_gradient", hgroup.h_gradient))
+    wrapped = dataclasses.replace(field, name="wrapped", gradient=counting("gradient", field.gradient))
+    region = Region(0.5, 4.0, n_samples=500, seed=3, char_eps=0.05)
+    assert check_inequality(wrapped, spec, region).n_evaluated > 0
+    pts = _points(sample_region(region, space="heisenberg", dim=3))
+    table = TabulatedField(pts, field.value(pts), field.gradient(pts), field.hessian(pts))
+    assert check_tabulated(table, spec, region).n_evaluated > 0
+    assert (calls["gradient"] > 0, calls["h_gradient"] > 0) == (reads, reads)
+
+
+def test_the_dense_path_refuses_a_matrix_that_is_not_finite():
+    # Finite jets whose horizontal Hessian overflows, and a Euclidean Hessian
+    # with a NaN: both stop with the message sym_eigenvalues gave.
+    pts = np.array([[0.5, 0.5, 0.5], [0.5, -0.5, 0.5]])
+    hessians = np.zeros((2, 3, 3))
+    hessians[:, 0, 2] = hessians[:, 2, 0] = 1e308
+    table = TabulatedField(pts, np.zeros(2), np.zeros((2, 3)), hessians)
+    spec = OperatorSpec("pucci_max", ell=E12)
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"), np.errstate(over="ignore", invalid="ignore"):
+        check_tabulated(table, spec, Region(0.5, 4.0, char_eps=0.0))
+    field = _field("u2", E12, HeisDims(3))
+    bad = dataclasses.replace(field, name="wrapped", hessian=lambda x: np.full(x.shape + x.shape[-1:], np.nan))
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        check_inequality(bad, spec, Region(0.5, 4.0, n_samples=64))
+
+
 def test_pnorm_rejects_a_euclidean_gradient_on_the_group():
     spec = OperatorSpec("pnorm", "subsolution", p=3.0, gradient_space="euclidean")
     with pytest.raises(ValueError, match="pnorm.*horizontal Hessian"):

@@ -302,6 +302,45 @@ def test_peak_memory_grows_by_the_chart_alone(label, make, n0, n1):
     assert growth <= BYTES_PER_SAMPLE, f"{label}: {growth:.1f} B per sample"
 
 
+# tracemalloc peaks of the dense path, in doubles per row, as measured when
+# h_hessian still ran every step on whole (N, n, n) stacks: H - H^T, its
+# absolute value and 0.5 (H + H^T) lived at once, about 3 n^2.  Built
+# batch-last it holds at most 2 n^2 (the transposed Hessians and their
+# symmetrization), so a temporary that brings the old peak back fails.  The
+# old peaks were 27.03, 81.03 and 289.03 at N = 8192, rounded up here.
+H_HESSIAN_DOUBLES_PER_ROW = {1: 27.1, 2: 81.1, 4: 289.1}
+# One 2^14-row dense check_tabulated chunk at d = 4 peaked at 403.2.
+DENSE_CHUNK_DOUBLES_PER_ROW = 403.3
+
+
+@pytest.mark.parametrize("d", sorted(H_HESSIAN_DOUBLES_PER_ROW))
+def test_h_hessian_peak_per_row(d):
+    rows, n = 8192, 2 * d + 1
+    rng = np.random.default_rng(d)
+    x = np.asfortranarray(rng.standard_normal((rows, n)))  # as placed
+    hess = rng.standard_normal((rows, n, n))
+    hess += np.swapaxes(hess, -1, -2)
+    hgroup.h_hessian(None, hess, x)
+    per_row = _peak(lambda: hgroup.h_hessian(None, hess, x)) / (8 * rows)
+    assert per_row <= H_HESSIAN_DOUBLES_PER_ROW[d], f"d={d}: {per_row:.1f} doubles per row"
+
+
+@pytest.mark.parametrize("op", ["pucci_max", "pnorm"])
+def test_a_dense_tabulated_chunk_peaks_no_higher_than_before(op, monkeypatch):
+    rows = 1 << 14
+    monkeypatch.setattr(checker, "_CHUNK_ROWS", rows)
+    dims, field = HeisDims(4), _field("u4", 4)
+    rng = np.random.default_rng(4)
+    g = rng.standard_normal((rows, dims.n))
+    pts = hgroup.dilate(np.exp(rng.uniform(np.log(0.2), np.log(4.0), rows)) / hgroup.hnorm(g), g)
+    table = TabulatedField(pts, field.value(pts), field.gradient(pts), field.hessian(pts))
+    spec = OperatorSpec(op, ell=E15) if op == "pucci_max" else OperatorSpec(op, p=3.0)
+    region = Region(0.1, 5.0, char_eps=0.02)
+    assert check_tabulated(table, spec, region).n_evaluated == rows
+    per_row = _peak(lambda: check_tabulated(table, spec, region)) / (8 * rows)
+    assert per_row <= DENSE_CHUNK_DOUBLES_PER_ROW, f"{op}: {per_row:.1f} doubles per row"
+
+
 # ---------------------------------------------------------------------------
 # memory layout of the placed points
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, seed, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from heispde import hgroup
@@ -142,12 +142,85 @@ def test_h_hessian_of_horizontal_square():
         assert np.allclose(out, np.broadcast_to(2.0 * np.eye(2 * d), out.shape), atol=0)
 
 
+def _raised(fn, *args):
+    with pytest.raises(ValueError) as err:
+        fn(*args)
+    return str(err.value)
+
+
 def test_h_hessian_rejects_asymmetric_input():
     x = np.array([0.5, -0.3, 0.8])
     grad = np.zeros(3)
     hess = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    with pytest.raises(ValueError):
-        hgroup.h_hessian(grad, hess, x)
+    msg = _raised(hgroup.h_hessian, grad, hess, x)
+    assert msg == "Hessian is not symmetric: max |H - H^T| = 1.000e+00"
+    assert msg == _raised(_oracles.h_hessian_rank2, hess, x)
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_h_hessian_rejects_bad_input_with_the_same_messages(d):
+    n = 2 * d + 1
+    rng = np.random.default_rng(d)
+    x = rng.standard_normal((7, n))
+    hess = rng.standard_normal((7, n, n))
+    hess += np.swapaxes(hess, -1, -2)
+    # The largest skew sits in the lower triangle and in the last matrix.
+    skewed = hess.copy()
+    skewed[-1, -1, 0] += 3e-9
+    skewed[2, 1, 0] += 1e-9
+    nan = hess.copy()
+    nan[3, 0, -1] = np.nan
+    bad = {
+        "Hessian is not symmetric: max |H - H^T| = 3.000e-09": skewed,
+        "Hessian entries must be finite": nan,
+        "Hessian shape does not match the point width": hess[..., :-1, :-1],
+    }
+    for want, h in bad.items():
+        for got in (_raised(hgroup.h_hessian, None, h, x), _raised(_oracles.h_hessian_rank2, h, x)):
+            assert got == want
+
+
+def _entries(data, shape):
+    """Signed magnitudes 10^-span .. 10^span, span up to 150, a drawn share of them +0.0 or -0.0."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    span = data.draw(st.sampled_from([1, 10, 150]))
+    zeros = data.draw(st.sampled_from([0.0, 0.3, 0.9]))
+    mag = 10.0 ** rng.uniform(-span, span, shape) * rng.choice([-1.0, 1.0], shape)
+    return np.where(rng.random(shape) < zeros, rng.choice([0.0, -0.0], shape), mag)
+
+
+def _layout(data, a):
+    """a C-ordered, Fortran-ordered or as a strided view of a wider array."""
+    kind = data.draw(st.sampled_from(["C", "F", "strided"]))
+    if kind == "strided":
+        return np.repeat(a, 2, axis=-1)[..., ::2]
+    return np.asfortranarray(a) if kind == "F" else np.ascontiguousarray(a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_h_hessian_matches_the_rank_two_oracle_bit_for_bit(data):
+    d = data.draw(st.integers(1, 4))
+    n = 2 * d + 1
+    lead = data.draw(st.sampled_from([(), (7,), (2, 3)]))
+    # Both batched, or the Hessian or the points shared by every row, or
+    # each broadcast along one axis.
+    h_lead, x_lead = data.draw(
+        st.sampled_from([(lead, lead), ((), lead), (lead, ()), (lead[:-1] + (1,), lead[-1:])])
+    )
+    a = _entries(data, h_lead + (n, n))
+    hess = a + np.swapaxes(a, -1, -2)
+    if data.draw(st.booleans()):
+        # A skew the check lets through, which the symmetrization removes.
+        hess[..., -1, 0] += data.draw(st.floats(-4e-13, 4e-13))
+    x = _entries(data, x_lead + (n,))
+    hess_in, x_in = _layout(data, hess), _layout(data, x)
+    # Entries of 1e150 overflow to inf, and inf - inf gives NaN: their bits must match too.
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _oracles.h_hessian_rank2(hess, x)
+        got = hgroup.h_hessian(None, hess_in, x_in)
+    assert got.shape == want.shape
+    assert np.ascontiguousarray(got).tobytes() == want.tobytes()
 
 
 def test_frame_fields_realize_commutator():
