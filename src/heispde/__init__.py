@@ -43,7 +43,6 @@ from .hgroup import (
     hnorm,
     hperp,
     radial_h_gradient,
-    radial_h_hessian,
 )
 from .operators import (
     Ellipticity,
@@ -51,12 +50,7 @@ from .operators import (
     PucciAlpha,
     hjb_inf,
     hjb_sup,
-    neg_trace,
     pnorm_operator,
-    pucci_max,
-    pucci_min,
-    pucci_minus_alpha,
-    pucci_plus_alpha,
     sym_eigenvalues,
 )
 
@@ -96,15 +90,9 @@ __all__ = [
     "hperp",
     "lyapunov_fixture",
     "make_profile",
-    "neg_trace",
     "pnorm_operator",
     "profile_catalog",
-    "pucci_max",
-    "pucci_min",
-    "pucci_minus_alpha",
-    "pucci_plus_alpha",
     "radial_h_gradient",
-    "radial_h_hessian",
     "sample_region",
     "sym_eigenvalues",
 ]

@@ -162,11 +162,11 @@ class OperatorSpec:
     """Operator expression F[u] = second-order part + optional Bellman part.
 
     sense "subsolution" tests F[u] <= 0, "supersolution" tests F[u] >= 0.
-    gradient_space picks which gradient feeds the Bellman part and the
-    normalized p-Laplacian; None means the field's natural one (horizontal
-    on the group, Euclidean otherwise).  pnorm pairs the gradient with the
+    The Bellman part reads the gradient in its family's gradient_space; the
+    normalized p-Laplacian reads the field's natural one (horizontal on the
+    group, Euclidean otherwise).  pnorm pairs the gradient with the
     horizontal Hessian, so a group field under pnorm with a Euclidean
-    gradient is rejected (ValueError) when the check starts.
+    Bellman family is rejected (ValueError) when the check starts.
     """
 
     second_order: str
@@ -176,7 +176,6 @@ class OperatorSpec:
     p: float | None = None
     first_order: HJBCoefficients | None = None
     envelope: str = "inf"
-    gradient_space: str | None = None
     zero_tol: float = 1e-12
 
     def __post_init__(self) -> None:
@@ -185,14 +184,6 @@ class OperatorSpec:
             raise ValueError(f"unknown sense {self.sense!r}")
         if self.envelope not in ("inf", "sup"):
             raise ValueError(f"unknown envelope side {self.envelope!r}")
-        if self.gradient_space not in (None, "horizontal", "euclidean"):
-            raise ValueError(f"unknown gradient space {self.gradient_space!r}")
-        if (
-            self.first_order is not None
-            and self.gradient_space is not None
-            and self.first_order.gradient_space != self.gradient_space
-        ):
-            raise ValueError("gradient_space disagrees with the Bellman family")
 
     @property
     def params(self) -> dict:
@@ -376,7 +367,7 @@ def _radius_tau(pts: np.ndarray, space: str) -> tuple[np.ndarray, np.ndarray | N
     """Gauge (or Euclidean) radius and, on the group, tau = |x_H| / rho."""
     if space == "euclidean":
         return np.sqrt(hgroup._rowdot(pts, pts)), None
-    rho = np.sqrt(np.hypot(xh2 := _xh2(pts), np.abs(pts[:, -1])))
+    rho = np.sqrt(np.hypot(xh2 := hgroup._hsq(pts), np.abs(pts[:, -1])))
     # tau = 0 at the identity, which lies outside every region anyway.
     return rho, np.divide(np.sqrt(xh2), rho, out=np.zeros_like(rho), where=rho > 0.0)
 
@@ -451,10 +442,10 @@ def sample_region(
 
 
 def _resolve_gspace(space: str, spec: OperatorSpec) -> str:
-    gs = spec.gradient_space
-    if gs is None and spec.first_order is not None:
+    """The Bellman family's gradient space if there is one, else the field's natural one."""
+    if spec.first_order is not None:
         gs = spec.first_order.gradient_space
-    if gs is None:
+    else:
         gs = "horizontal" if space == "heisenberg" else "euclidean"
     if space == "euclidean" and gs == "horizontal":
         raise ValueError("a Euclidean field has no horizontal gradient")
@@ -517,7 +508,7 @@ def _spectral_jets(profile, dim: int, pts, radius, tau, gspace: str, reads_e_q: 
         t = fp * w / radius
         eigs = hgroup.radial_eigenvalues(fpp * w, t, dim - 3, 3.0 * t)  # dim = 2d + 1
         if needs_q and gspace == "horizontal":
-            q = hgroup.radial_h_gradient(lambda _: fp, pts, radius)
+            q = hgroup.radial_h_gradient(fp, pts, radius)
         elif needs_q:
             q = fp[:, None] * hgroup.euclid_grad_rho(pts, radius)
     else:
@@ -793,7 +784,7 @@ def _spec_echo(spec: OperatorSpec) -> dict:
         "second_order": spec.second_order,
         "sense": spec.sense,
         "envelope": spec.envelope,
-        "gradient_space": spec.gradient_space,
+        "gradient_space": None if spec.first_order is None else spec.first_order.gradient_space,
         "zero_tol": spec.zero_tol,
     }
     if spec.ell is not None:
@@ -1084,11 +1075,6 @@ def _finite(what: str, values) -> np.ndarray:
     return arr
 
 
-def _xh2(pts: np.ndarray) -> np.ndarray:
-    """|x_H|^2 of group points."""
-    return hgroup._rowdot(pts[:, :-1], pts[:, :-1])
-
-
 def _drift_cost_arrays(coeffs: HJBCoefficients, pts, rho):
     bs, cs = [], []
     for b, c in zip(coeffs.drifts, coeffs.costs):
@@ -1127,7 +1113,7 @@ def _no_params(e, dims, alpha, gammas) -> None:
 def _drift_margin(pts, rho, data, r):
     """Margin r - max_k (b_k . eta - c_k rho^4 log rho) / |x_H|^2 of horizontal drifts."""
     bs, cs = _drift_cost_arrays(data, pts, rho)
-    et, s, lg = hgroup.eta(pts), _xh2(pts), np.log(rho)
+    et, s, lg = hgroup.eta(pts), hgroup._hsq(pts), np.log(rho)
     terms = [hgroup._rowdot(bv, et) / s - cv * rho**4 * lg / s for bv, cv in zip(bs, cs)]
     lhs = np.max(np.stack(terms), axis=0)
     m = r - lhs
@@ -1141,7 +1127,7 @@ def _barrier_margin(pts, rho, data, r):
     cv = np.broadcast_to(_finite("cbar", data.cbar(pts)), rho.shape)
     if np.any(gv < 0.0) or np.any(cv < 0.0):
         raise ValueError("gbar and cbar must be nonnegative")
-    et, s = hgroup.eta(pts), _xh2(pts)
+    et, s = hgroup.eta(pts), hgroup._hsq(pts)
     lhs = hgroup._rowdot(bv, et) / s + gv * np.sqrt(hgroup._rowdot(et, et)) / s
     rhs = cv * rho**4 * np.log(rho) / s + r
     m = rhs - lhs
@@ -1152,7 +1138,7 @@ def _ou_margin(pts, rho, data, params):
     """The smaller of the scaled drift margin against -gamma x and the proof's margin."""
     g, c1 = params
     bs, cs = _drift_cost_arrays(data, pts, rho)
-    grad_rho, s, lg = hgroup.euclid_grad_rho(pts, rho), _xh2(pts), np.log(rho)
+    grad_rho, s, lg = hgroup.euclid_grad_rho(pts, rho), hgroup._hsq(pts), np.log(rho)
     dots = [hgroup._rowdot(bv, grad_rho) for bv in bs]
     drift_dot = np.max(np.stack(dots), axis=0)
     ou_dot = np.einsum("ij,j,ij->i", pts, g, grad_rho)
@@ -1422,12 +1408,7 @@ def convergence_study(
         raise ValueError("region left no admissible sample points")
     pts = batch.place(np.flatnonzero(batch.admissible)[:n_points])
 
-    grads = np.asarray(field.gradient(pts), dtype=float)
-    hessians = np.asarray(field.hessian(pts), dtype=float)
-    if field.space == "heisenberg":
-        refs = hgroup.h_hessian(grads, hessians, pts)
-    else:
-        refs = 0.5 * (hessians + np.swapaxes(hessians, -1, -2))
+    refs, _ = _dense_matrix(field, pts, np.asarray(field.hessian(pts), dtype=float), None, None)
 
     rows = []
     n_shrinks = 0

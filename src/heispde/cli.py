@@ -215,7 +215,6 @@ OPTIONS: dict[str, dict[str, tuple]] = {
         "alpha": (None, _as_float),
         "p": (None, _as_float),
         "zero_tol": (1e-12, _as_float),
-        "envelope": ("inf", _one_of("inf", "sup")),
         "tol": (1e-9, _as_float),
         "compare_formula": (False, _as_bool),
         "field_table": (None, _as_str),
@@ -385,7 +384,6 @@ def _cmd_verify(eff: dict) -> int:
         ell=e if operators.OPERATORS[op].param == "ell" else None,
         alpha=eff["alpha"],
         p=eff["p"],
-        envelope=eff["envelope"],
         zero_tol=eff["zero_tol"],
     )
     region = _region_from(eff)

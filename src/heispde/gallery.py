@@ -106,10 +106,14 @@ class RadialProfile:
     name: str
     kind: str
     pieces: tuple[ProfilePiece, ...]
-    breakpoints: tuple[float, ...]
     params: dict
     bounded: bool
     sup_abs: float | None = None
+
+    @property
+    def breakpoints(self) -> tuple[float, ...]:
+        """Radii where one piece ends and the next begins: each later piece's lo."""
+        return tuple(p.lo for p in self.pieces[1:])
 
     def jets(self, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(f, f', f'') at radii r."""
@@ -230,7 +234,6 @@ def make_profile(
                 ProfilePiece(0.0, 1.0, "quartic", core, s),
                 ProfilePiece(1.0, np.inf, "power", (2.0 - k,), s),
             ),
-            breakpoints=(1.0,),
             params=params,
             bounded=True,
             sup_abs=k * (k + 2.0) / 8.0,
@@ -254,22 +257,23 @@ def make_profile(
         k = 2.0 - dims.Q
         params.update(exponent=k)
         pieces = (ProfilePiece(0.0, np.inf, "power", (k,)),)
-        return RadialProfile(name, kind, pieces, (), params, bounded=False)
+        return RadialProfile(name, kind, pieces, params, bounded=False)
     if name in ("log_rho", "neg_log_rho"):
         s = 1.0 if name == "log_rho" else -1.0
         params.update(sign=s)
         pieces = (ProfilePiece(0.0, np.inf, "log", (), s),)
-        return RadialProfile(name, kind, pieces, (), params, bounded=False)
+        return RadialProfile(name, kind, pieces, params, bounded=False)
     if name == "power":
         if kappa is None:
             raise ValueError("profile 'power' needs kappa")
         k = float(kappa)
+        if not np.isfinite(k):
+            raise ValueError(f"profile 'power' needs a finite kappa, got {k}")
         params.update(exponent=k)
         return RadialProfile(
             name,
             kind,
             (ProfilePiece(0.0, np.inf, "power", (k,)),),
-            (),
             params,
             bounded=(k == 0.0),
             sup_abs=1.0 if k == 0.0 else None,

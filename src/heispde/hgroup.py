@@ -57,12 +57,11 @@ __all__ = [
     "hperp",
     "radial_eigenvalues",
     "radial_h_gradient",
-    "radial_h_hessian",
 ]
 
 # Largest d accepted, so a mistyped dimension cannot allocate absurd stencils.
 _D_CAP = 16
-# Largest |H - H^T| entry h_hessian accepts.
+# Largest |M - M^T| entry a symmetric matrix argument may have, here and in operators.
 _SYM_ATOL = 1e-12
 
 
@@ -183,8 +182,9 @@ def _rowdot(a, b) -> np.ndarray:
     return out
 
 
-def _hsq(x: np.ndarray, d: int) -> np.ndarray:
-    return _rowdot(x[..., : 2 * d], x[..., : 2 * d])
+def _hsq(x: np.ndarray) -> np.ndarray:
+    """|x_H|^2 of group points."""
+    return _rowdot(x[..., :-1], x[..., :-1])
 
 
 def hnorm(x) -> np.ndarray:
@@ -193,7 +193,7 @@ def hnorm(x) -> np.ndarray:
     Uses hypot-style scaling so coordinates up to ~1e75 do not overflow.
     """
     xa, d = _as_points(x)
-    return np.sqrt(np.hypot(_hsq(xa, d), np.abs(xa[..., -1])))
+    return np.sqrt(np.hypot(_hsq(xa), np.abs(xa[..., -1])))
 
 
 def eta(x) -> np.ndarray:
@@ -202,7 +202,7 @@ def eta(x) -> np.ndarray:
     Satisfies |eta|^2 = |x_H|^2 rho^4 and D_H rho = eta / rho^3.
     """
     xa, d = _as_points(x)
-    s, t = _hsq(xa, d), xa[..., -1]
+    s, t = _hsq(xa), xa[..., -1]
     out = np.empty((2 * d,) + xa.shape[:-1])
     for i in range(d):
         # Row i is s x_i + t x_{i+d}, row i + d is s x_{i+d} + t (-x_i).
@@ -278,8 +278,8 @@ def h_hessian(grad_u, hess_u, x) -> np.ndarray:
     return np.moveaxis(out, (0, 1), (-2, -1))
 
 
-def _rho_positive(xa: np.ndarray, d: int) -> np.ndarray:
-    rho = np.sqrt(np.hypot(_hsq(xa, d), np.abs(xa[..., -1])))
+def _rho_positive(xa: np.ndarray) -> np.ndarray:
+    rho = np.sqrt(np.hypot(_hsq(xa), np.abs(xa[..., -1])))
     if np.any(rho == 0.0):
         raise ValueError("undefined at the group identity (rho = 0)")
     return rho
@@ -293,9 +293,9 @@ def euclid_grad_rho(x, rho=None) -> np.ndarray:
     gauge norm of x, which is then not computed again.
     """
     xa, d = _as_points(x)
-    rho = _rho_positive(xa, d) if rho is None else rho
+    rho = _rho_positive(xa) if rho is None else rho
     rho2 = rho**2
-    s_r2 = _hsq(xa, d) / rho2
+    s_r2 = _hsq(xa) / rho2
     out = np.empty((2 * d + 1,) + xa.shape[:-1])
     for i in range(2 * d):
         col = out[i, ...]
@@ -317,9 +317,9 @@ def euclid_hess_rho(x, rho=None, grad=None) -> np.ndarray:
     """
     xa, d = _as_points(x)
     m = 2 * d
-    rho = _rho_positive(xa, d) if rho is None else rho
+    rho = _rho_positive(xa) if rho is None else rho
     grad = euclid_grad_rho(xa, rho) if grad is None else grad
-    s = _hsq(xa, d)
+    s = _hsq(xa)
     out = np.einsum("...a,...b->...ab", grad, grad) * (-3.0 / rho[..., None, None])
     xh = xa[..., :m]
     out[..., :m, :m] += (
@@ -330,21 +330,13 @@ def euclid_hess_rho(x, rho=None, grad=None) -> np.ndarray:
     return out
 
 
-def _radial_jets(fprime, fsecond, xa, d, rho=None):
-    rho = _rho_positive(xa, d) if rho is None else rho
-    fp = np.asarray(fprime(rho), dtype=float)
-    fpp = None if fsecond is None else np.asarray(fsecond(rho), dtype=float)
-    return rho, fp, fpp
-
-
-def radial_h_gradient(fprime, x, rho=None) -> np.ndarray:
+def radial_h_gradient(fp, x, rho) -> np.ndarray:
     """Horizontal gradient of f(rho(.)): f'(rho) * eta / rho^3.
 
-    rho, if given, is the gauge norm of x, which is then not computed again.
+    fp is f'(rho) and rho the gauge norm, both at the points x.
     """
     xa, d = _as_points(x)
-    rho, fp, _ = _radial_jets(fprime, None, xa, d, rho)
-    s_r2 = _hsq(xa, d) / rho**2
+    s_r2 = _hsq(xa) / rho**2
     xh_r = xa[..., : 2 * d] / rho[..., None]
     hp_r = hperp(xa) / rho[..., None]
     dh_rho = s_r2[..., None] * xh_r + (xa[..., -1] / rho**2)[..., None] * hp_r
@@ -377,29 +369,3 @@ def radial_eigenvalues(lead, rest, mult: int, rotated=None) -> np.ndarray:
     for j, v in placed:
         flat[base + j.ravel()] = v.ravel()
     return out
-
-
-def radial_h_hessian(fprime, fsecond, x) -> tuple[np.ndarray, np.ndarray]:
-    """Horizontal Hessian of f(rho(.)) and its sorted closed-form eigenvalues.
-
-    The matrix is (f'/rho) w I + (2 f'/rho^3) K + (f'' - 3 f'/rho)
-    D_H rho (x) D_H rho, where K = x_H x_H^T + hperp hperp^T.
-    """
-    xa, d = _as_points(x)
-    m = 2 * d
-    rho, fp, fpp = _radial_jets(fprime, fsecond, xa, d)
-    w = _hsq(xa, d) / rho**2
-    xh_r = xa[..., :m] / rho[..., None]
-    hp_r = hperp(xa) / rho[..., None]
-    dh_rho = w[..., None] * xh_r + (xa[..., -1] / rho**2)[..., None] * hp_r
-    t = fp * w / rho
-
-    mat = t[..., None, None] * np.eye(m)
-    mat += (2.0 * fp / rho)[..., None, None] * (
-        np.einsum("...a,...b->...ab", xh_r, xh_r)
-        + np.einsum("...a,...b->...ab", hp_r, hp_r)
-    )
-    mat += (fpp - 3.0 * fp / rho)[..., None, None] * np.einsum(
-        "...a,...b->...ab", dh_rho, dh_rho
-    )
-    return mat, radial_eigenvalues(fpp * w, t, m - 2, 3.0 * t)

@@ -26,8 +26,8 @@ gradient is an eigenvector.
 
 The Pucci pair is extremal over lam I <= A <= Lam I, the alpha pair over
 B_alpha = {A >= alpha I, Tr A = 1} (needs 0 < alpha <= 1/m), and pnorm is
-the normalized p-Laplacian.  The public functions, the checker and the
-command line all read this one table.
+the normalized p-Laplacian.  evaluate(name, mat, params, q), the checker
+and the command line all read this one table.
 
 Eigenvalues with |e| <= zero_tol * ||M||_F are treated as zero and enter
 neither signed sum.  Matrix arguments may carry leading batch axes.
@@ -40,7 +40,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .hgroup import _rowdot
+from .hgroup import _SYM_ATOL, _rowdot
 
 __all__ = [
     "Ellipticity",
@@ -51,21 +51,12 @@ __all__ = [
     "evaluate",
     "hjb_inf",
     "hjb_sup",
-    "neg_trace",
     "operator_entry",
     "pnorm_operator",
-    "pucci_max",
-    "pucci_min",
-    "pucci_minus_alpha",
-    "pucci_plus_alpha",
     "rayleigh_quotient",
     "signed_eig_sums",
     "sym_eigenvalues",
 ]
-
-# Largest |M - M^T| entry a matrix argument may have.
-_SYM_ATOL = 1e-12
-
 
 @dataclass(frozen=True)
 class Ellipticity:
@@ -275,39 +266,6 @@ def evaluate(name: str, mat, params: dict, q=None) -> tuple[np.ndarray, np.ndarr
             raise ValueError(f"{name} is undefined at q = 0")
     eigs = np.linalg.eigvalsh(m)
     return entry.value(eigs, e_q, params), eigs
-
-
-def pucci_max(e: Ellipticity, mat, *, zero_tol: float = 1e-12) -> np.ndarray:
-    """Maximal Pucci operator sup Tr(-A M) over lam I <= A <= Lam I."""
-    return evaluate("pucci_max", mat, {"ell": e, "zero_tol": zero_tol})[0]
-
-
-def pucci_min(e: Ellipticity, mat, *, zero_tol: float = 1e-12) -> np.ndarray:
-    """Minimal Pucci operator inf Tr(-A M) over lam I <= A <= Lam I."""
-    return evaluate("pucci_min", mat, {"ell": e, "zero_tol": zero_tol})[0]
-
-
-def _check_size(pa: PucciAlpha, mat) -> None:
-    shape = np.shape(mat)
-    if len(shape) >= 2 and shape[-1] != pa.m:
-        raise ValueError(f"matrix size {shape[-1]} does not match pa.m = {pa.m}")
-
-
-def pucci_plus_alpha(pa: PucciAlpha, mat) -> np.ndarray:
-    """sup Tr(-A M) over A >= alpha I with Tr A = 1."""
-    _check_size(pa, mat)
-    return evaluate("pucci_plus_alpha", mat, {"alpha": pa.alpha})[0]
-
-
-def pucci_minus_alpha(pa: PucciAlpha, mat) -> np.ndarray:
-    """inf Tr(-A M) over A >= alpha I with Tr A = 1."""
-    _check_size(pa, mat)
-    return evaluate("pucci_minus_alpha", mat, {"alpha": pa.alpha})[0]
-
-
-def neg_trace(mat) -> np.ndarray:
-    """-Tr M, the trace form of the (sub-)Laplacian with the sign flipped."""
-    return evaluate("neg_trace", mat, {})[0]
 
 
 @dataclass(frozen=True)

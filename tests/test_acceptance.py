@@ -27,20 +27,16 @@ from heispde.checker import (
 from heispde.cli import FIXTURES, run_fixture
 from heispde.gallery import ProfileRegimeError, field_from_profile, make_profile
 from heispde.hgroup import HeisDims
-from heispde.operators import (
-    Ellipticity,
-    PucciAlpha,
-    neg_trace,
-    pnorm_operator,
-    pucci_max,
-    pucci_min,
-    pucci_minus_alpha,
-    pucci_plus_alpha,
-)
+from heispde.operators import Ellipticity, evaluate, pnorm_operator
 
 E12 = Ellipticity(1.0, 2.0)
 E15 = Ellipticity(1.0, 1.5)
 D1, D2 = HeisDims(1), HeisDims(2)
+
+
+def F(name, mat, **params):
+    """The table operator name on mat, through evaluate; ell defaults to E12."""
+    return evaluate(name, mat, {"ell": E12, "zero_tol": 1e-12, **params})[0]
 
 
 def _verdict(num, name, ok, detail=""):
@@ -157,8 +153,8 @@ def test_acceptance_07_extremal_operators_vs_bruteforce():
         mat = _oracles.random_symmetric(m, rng)
         sup, inf, randoms = _oracles.pucci_bruteforce(
             E12.lam, E12.Lam, mat, n_random=n_random, rng=rng)
-        hi = float(pucci_max(E12, mat))
-        lo = float(pucci_min(E12, mat))
+        hi = float(F("pucci_max", mat))
+        lo = float(F("pucci_min", mat))
         worst = max(worst, abs(hi - sup), abs(lo - inf))
         dominated += int(np.all(randoms <= hi + 1e-10)
                          and np.all(randoms >= lo - 1e-10)) * n_random
@@ -182,22 +178,22 @@ def test_acceptance_08_operator_structure_laws():
         psd = _oracles.random_symmetric(m, rng)
         psd = psd @ psd.T
         c = float(rng.uniform(0.1, 3.0))
-        law("duality", abs(pucci_max(E12, -a) + pucci_min(E12, a)))
-        law("monotone", pucci_max(E12, a + psd) - pucci_max(E12, a))
-        law("subadditive", pucci_max(E12, a + b)
-            - (pucci_max(E12, a) + pucci_max(E12, b)))
-        law("homogeneous", abs(pucci_max(E12, c * a) - c * pucci_max(E12, a)))
-        law("collapse", abs(pucci_max(Ellipticity(1.5, 1.5), a)
-                            - float(neg_trace(1.5 * a))))
+        law("duality", abs(F("pucci_max", -a) + F("pucci_min", a)))
+        law("monotone", F("pucci_max", a + psd) - F("pucci_max", a))
+        law("subadditive", F("pucci_max", a + b)
+            - (F("pucci_max", a) + F("pucci_max", b)))
+        law("homogeneous", abs(F("pucci_max", c * a) - c * F("pucci_max", a)))
+        law("collapse", abs(F("pucci_max", a, ell=Ellipticity(1.5, 1.5))
+                            - float(F("neg_trace", 1.5 * a))))
         alpha = float(rng.uniform(0.05, 1.0 / m))
-        pa = PucciAlpha(alpha, m)
         sandwich = Ellipticity(alpha, 1.0 - (m - 1) * alpha)
+        p_lo, p_hi = F("pucci_minus_alpha", a, alpha=alpha), F("pucci_plus_alpha", a, alpha=alpha)
         law("alpha-sandwich", max(
-            pucci_min(sandwich, a) - pucci_minus_alpha(pa, a),
-            pucci_minus_alpha(pa, a) - pucci_plus_alpha(pa, a),
-            pucci_plus_alpha(pa, a) - pucci_max(sandwich, a)))
+            F("pucci_min", a, ell=sandwich) - p_lo,
+            p_lo - p_hi,
+            p_hi - F("pucci_max", a, ell=sandwich)))
         q = rng.standard_normal(m)
-        law("pnorm-trace", abs(pnorm_operator(2.0, q, a) - neg_trace(a)))
+        law("pnorm-trace", abs(pnorm_operator(2.0, q, a) - F("neg_trace", a)))
     ok = all(v <= tol for v in bad.values()) and len(bad) == 7
     detail = ", ".join(f"{k}={v:.2e}" for k, v in sorted(bad.items()))
     _verdict(8, "operator-structure-laws", ok, f"{detail}, tol=1e-11")

@@ -320,8 +320,8 @@ def test_witness_identifies_the_worst_point():
     # re-evaluate the witness point independently
     x = np.asarray(w["point"])
     mat = hgroup.h_hessian(field.gradient(x), field.hessian(x), x)
-    from heispde.operators import pucci_min
-    assert np.isclose(float(pucci_min(E12, mat)), w["total"], rtol=1e-12)
+    want = operators.evaluate("pucci_min", mat, {"ell": E12, "zero_tol": 1e-12})[0]
+    assert np.isclose(float(want), w["total"], rtol=1e-12)
     assert np.isclose(-w["total"], w["excess"], rtol=1e-12)
     assert w["excess"] == rep.worst_violation
 
@@ -430,7 +430,8 @@ def test_the_dense_path_refuses_a_matrix_that_is_not_finite():
 
 
 def test_pnorm_rejects_a_euclidean_gradient_on_the_group():
-    spec = OperatorSpec("pnorm", "subsolution", p=3.0, gradient_space="euclidean")
+    family = HJBCoefficients((lambda x: x,), (lambda x: np.zeros(x.shape[:-1]),), "euclidean")
+    spec = OperatorSpec("pnorm", "subsolution", p=3.0, first_order=family)
     with pytest.raises(ValueError, match="pnorm.*horizontal Hessian"):
         check_inequality(_field("log_rho", dims=D1), spec, Region(0.5, 4.0, n_samples=64))
     # also on a region that leaves no admissible point
@@ -440,6 +441,25 @@ def test_pnorm_rejects_a_euclidean_gradient_on_the_group():
     horizontal = OperatorSpec("pnorm", "subsolution", p=3.0)
     rep = check_inequality(_field("log_rho", dims=D1), horizontal, Region(0.5, 4.0, n_samples=64))
     assert rep.n_evaluated > 0
+
+
+def test_the_sup_envelope_takes_the_larger_control_on_both_paths():
+    family = HJBCoefficients(
+        (lambda x: -hgroup.eta(x), lambda x: 0.5 * hgroup.eta(x)),
+        (lambda x: np.ones(x.shape[:-1]), lambda x: np.full(x.shape[:-1], 2.0)),
+    )
+    field = _field("log_rho", dims=D1)
+    region = Region(0.5, 4.0, n_samples=256, seed=7, char_eps=0.05)
+    for f, path in ((field, "spectral"), (dataclasses.replace(field, name="wrapped"), "dense")):
+        inf, sup = (
+            check_inequality(f, OperatorSpec("pucci_max", ell=E12, first_order=family, envelope=side), region, keep_samples=True)
+            for side in ("inf", "sup")
+        )
+        assert sup.paths[path] == sup.n_evaluated > 0
+        got, pts = sup.samples["first"], sup.samples["points"]
+        want = operators.hjb_sup(family, pts, sup.samples["value"], hgroup.h_gradient(f.gradient(pts), pts))
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+        assert np.all(got >= inf.samples["first"]) and np.any(got > inf.samples["first"])
 
 
 def test_tabulated_field_validation():

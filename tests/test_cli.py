@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -56,6 +57,14 @@ def test_vacuous_region_exits_three(tmp_path):
     assert _load(out)["verdict"] == "vacuous"
 
 
+@pytest.mark.parametrize("kappa", ["nan", "inf", "-inf"])
+def test_a_non_finite_kappa_exits_two_before_sampling(kappa, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["verify", "--field", "power", f"--kappa={kappa}", "--d", "1"]) == 2
+    assert "kappa" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_two(tmp_path, capsys):
     assert main(["verify"]) == 2  # --field is required
     assert main(["verify", "--field", "power", "--d", "1"]) == 2  # kappa missing
@@ -66,6 +75,8 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"field": "log_rho", "no_such_key": 5}))
     assert main(["verify", "--config", str(cfg)]) == 2
+    cfg.write_text(json.dumps({"field": "log_rho", "envelope": "sup"}))
+    assert main(["verify", "--config", str(cfg)]) == 2  # the CLI builds no Bellman part
     assert main(["verify", "--config", str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()
 

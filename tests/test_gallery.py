@@ -121,13 +121,17 @@ def test_power_profile_boundedness_flag():
     assert not grow.bounded
     with pytest.raises(ValueError):
         make_profile("power")
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="kappa"):
+            make_profile("power", kappa=bad)
 
 
 def test_piece_dispatch_uses_outer_piece_at_breakpoint():
     # Constant pieces r^0 with signs 0 and 1: a unit step at r = 1.
     lo = ProfilePiece(0.0, 1.0, "power", (0.0,), 0.0)
     hi = ProfilePiece(1.0, np.inf, "power", (0.0,), 1.0)
-    prof = RadialProfile("step", "heisenberg", (lo, hi), (1.0,), {}, bounded=True, sup_abs=1.0)
+    prof = RadialProfile("step", "heisenberg", (lo, hi), {}, bounded=True, sup_abs=1.0)
+    assert prof.breakpoints == (1.0,)
     assert prof.value(0.999999) == 0.0
     assert prof.value(1.0) == 1.0
     assert prof.value(1.000001) == 1.0

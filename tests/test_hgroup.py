@@ -266,27 +266,26 @@ def test_h_hessian_rank_two_form_matches_frame_sandwich(d):
 
 
 def test_radial_h_hessian_matches_assembled_pipeline():
+    # f = log rho: the closed-form spectrum and gradient against h_hessian and h_gradient.
     rng = np.random.default_rng(10)
     for d in (1, 2, 3):
         dims = HeisDims(d)
         x = rng.standard_normal((32, dims.n))
-
-        fprime = lambda r: 1.0 / r  # noqa: E731
-        fsecond = lambda r: -1.0 / r**2  # noqa: E731
-
-        mat, eigs_closed = hgroup.radial_h_hessian(fprime, fsecond, x)
         rho = hgroup.hnorm(x)
-        grad = fprime(rho)[:, None] * hgroup.euclid_grad_rho(x)
+        fp, fpp = 1.0 / rho, -1.0 / rho**2
+
         g = hgroup.euclid_grad_rho(x)
-        hess = fsecond(rho)[:, None, None] * np.einsum("ia,ib->iab", g, g)
-        hess += fprime(rho)[:, None, None] * hgroup.euclid_hess_rho(x)
+        grad = fp[:, None] * g
+        hess = fpp[:, None, None] * np.einsum("ia,ib->iab", g, g)
+        hess += fp[:, None, None] * hgroup.euclid_hess_rho(x)
         assembled = hgroup.h_hessian(grad, hess, x)
-        assert np.allclose(mat, assembled, atol=1e-13)
 
-        eigs = np.linalg.eigvalsh(mat)
-        assert np.allclose(eigs, eigs_closed, atol=1e-12)
+        w = np.einsum("ia,ia->i", x[:, :-1], x[:, :-1]) / rho**2
+        t = fp * w / rho
+        eigs_closed = hgroup.radial_eigenvalues(fpp * w, t, dims.m - 2, 3.0 * t)
+        assert np.allclose(np.linalg.eigvalsh(assembled), eigs_closed, atol=1e-12)
 
-        hg = hgroup.radial_h_gradient(fprime, x)
+        hg = hgroup.radial_h_gradient(fp, x, rho)
         assert np.allclose(hg, hgroup.h_gradient(grad, x), atol=1e-13)
 
 
@@ -298,10 +297,16 @@ def test_radial_spectrum_structure():
     rho = float(hgroup.hnorm(x))
     s = float(x[: 2 * dims.d] @ x[: 2 * dims.d])
     w = s / rho**2
-    _, eigs = hgroup.radial_h_hessian(lambda r: r, lambda r: np.ones_like(r), x)
+    fp, fpp = rho, 1.0
+    eigs = hgroup.radial_eigenvalues(fpp * w, fp * w / rho, dims.m - 2, 3.0 * fp * w / rho)
     # f'' w = w, 3 f' w / rho = 3 w and f' w / rho = w (multiplicity 2d - 2)
     assert eigs.shape == (2 * dims.d,)
     assert np.allclose(eigs, [w] * (2 * dims.d - 1) + [3.0 * w], rtol=1e-12)
+    # The assembled horizontal Hessian of rho^2 / 2 has the same spectrum.
+    g = hgroup.euclid_grad_rho(x)
+    hess = fpp * np.outer(g, g) + fp * hgroup.euclid_hess_rho(x)
+    assembled = hgroup.h_hessian(fp * g, hess, x)
+    assert np.allclose(np.linalg.eigvalsh(assembled), eigs, rtol=1e-12)
 
 
 def test_euclid_grad_rho_matches_fd():

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from heispde import checker, operators
+from heispde import checker, cli, operators
 from heispde.checker import OperatorSpec, Region, TabulatedField, check_tabulated
 from heispde.cli import main
 from heispde.operators import Ellipticity, HJBCoefficients, PucciAlpha
@@ -12,6 +12,11 @@ import _oracles
 
 
 E12 = Ellipticity(1.0, 2.0)
+
+
+def F(name, mat, q=None, **params):
+    """The table operator name on mat, through operators.evaluate; ell defaults to E12."""
+    return operators.evaluate(name, mat, {"ell": E12, "zero_tol": 1e-12, **params}, q)[0]
 
 
 def test_ellipticity_validation():
@@ -33,33 +38,33 @@ def test_pucci_alpha_validation():
 
 def test_pucci_on_indefinite_diagonal():
     m = np.diag([1.0, -1.0])
-    assert operators.pucci_max(E12, m) == 1.0
-    assert operators.pucci_min(E12, m) == -1.0
+    assert F("pucci_max", m) == 1.0
+    assert F("pucci_min", m) == -1.0
 
 
 def test_pucci_on_identity():
     for size in (2, 3, 5):
         eye = np.eye(size)
-        assert operators.pucci_max(E12, eye) == -E12.lam * size
-        assert operators.pucci_min(E12, eye) == -E12.Lam * size
-        assert operators.pucci_max(E12, -eye) == E12.Lam * size
-        assert operators.pucci_min(E12, -eye) == E12.lam * size
+        assert F("pucci_max", eye) == -E12.lam * size
+        assert F("pucci_min", eye) == -E12.Lam * size
+        assert F("pucci_max", -eye) == E12.Lam * size
+        assert F("pucci_min", -eye) == E12.lam * size
 
 
 def test_pucci_alpha_on_identity_and_rank_one():
     pa = PucciAlpha(0.5, 2)
-    assert operators.pucci_plus_alpha(pa, np.eye(2)) == -1.0
-    assert operators.pucci_minus_alpha(pa, np.eye(2)) == -1.0
-    assert operators.pucci_plus_alpha(pa, np.diag([1.0, 0.0])) == -0.5
+    assert F("pucci_plus_alpha", np.eye(2), alpha=pa.alpha) == -1.0
+    assert F("pucci_minus_alpha", np.eye(2), alpha=pa.alpha) == -1.0
+    assert F("pucci_plus_alpha", np.diag([1.0, 0.0]), alpha=pa.alpha) == -0.5
     # independent of alpha on the identity
     pa2 = PucciAlpha(0.125, 4)
-    assert operators.pucci_plus_alpha(pa2, np.eye(4)) == -1.0
+    assert F("pucci_plus_alpha", np.eye(4), alpha=pa2.alpha) == -1.0
 
 
 def test_zero_tol_gates_tiny_eigenvalues():
     m = np.diag([1.0, 1e-13])
-    assert operators.pucci_max(E12, m, zero_tol=1e-12) == -1.0
-    strict = float(operators.pucci_max(E12, m, zero_tol=1e-14))
+    assert F("pucci_max", m, zero_tol=1e-12) == -1.0
+    strict = float(F("pucci_max", m, zero_tol=1e-14))
     assert strict < -1.0 - 5e-14
     assert np.isclose(strict, -(1.0 + 1e-13), rtol=1e-10)
 
@@ -81,8 +86,8 @@ def test_pucci_match_bruteforce_and_dominate_feasible():
         for _ in range(25):
             a = _oracles.random_symmetric(m, rng)
             hi, lo, randoms = _oracles.pucci_bruteforce(1.0, 2.0, a, n_random=50, rng=rng)
-            got_hi = float(operators.pucci_max(E12, a))
-            got_lo = float(operators.pucci_min(E12, a))
+            got_hi = float(F("pucci_max", a))
+            got_lo = float(F("pucci_min", a))
             assert abs(got_hi - hi) <= 1e-10 * max(1.0, abs(hi))
             assert abs(got_lo - lo) <= 1e-10 * max(1.0, abs(lo))
             assert np.all(randoms <= got_hi + 1e-10)
@@ -96,8 +101,8 @@ def test_pucci_alpha_match_bruteforce():
         for _ in range(25):
             a = _oracles.random_symmetric(m, rng)
             hi, lo, randoms = _oracles.palpha_bruteforce(pa.alpha, a, n_random=50, rng=rng)
-            got_hi = float(operators.pucci_plus_alpha(pa, a))
-            got_lo = float(operators.pucci_minus_alpha(pa, a))
+            got_hi = float(F("pucci_plus_alpha", a, alpha=pa.alpha))
+            got_lo = float(F("pucci_minus_alpha", a, alpha=pa.alpha))
             assert abs(got_hi - hi) <= 1e-10 * max(1.0, abs(hi))
             assert abs(got_lo - lo) <= 1e-10 * max(1.0, abs(lo))
             assert np.all(randoms <= got_hi + 1e-10)
@@ -107,12 +112,12 @@ def test_pucci_alpha_match_bruteforce():
 def test_duality_under_negation():
     rng = np.random.default_rng(15)
     mats = np.stack([_oracles.random_symmetric(4, rng) for _ in range(200)])
-    plus = operators.pucci_max(E12, mats)
-    minus_of_neg = operators.pucci_min(E12, -mats)
+    plus = F("pucci_max", mats)
+    minus_of_neg = F("pucci_min", -mats)
     assert np.abs(plus + minus_of_neg).max() <= 1e-12 * max(1.0, np.abs(plus).max())
     pa = PucciAlpha(0.2, 4)
-    p_plus = operators.pucci_plus_alpha(pa, mats)
-    p_minus = operators.pucci_minus_alpha(pa, -mats)
+    p_plus = F("pucci_plus_alpha", mats, alpha=pa.alpha)
+    p_minus = F("pucci_minus_alpha", -mats, alpha=pa.alpha)
     assert np.abs(p_plus + p_minus).max() <= 1e-12 * max(1.0, np.abs(p_plus).max())
 
 
@@ -123,8 +128,8 @@ def test_degenerate_ellipticity_monotonicity():
         a = _oracles.random_symmetric(3, rng)
         b = rng.standard_normal((3, 3))
         psd = b @ b.T
-        assert operators.pucci_max(E12, a + psd) <= operators.pucci_max(E12, a) + 1e-12
-        assert operators.pucci_min(E12, a + psd) <= operators.pucci_min(E12, a) + 1e-12
+        assert F("pucci_max", a + psd) <= F("pucci_max", a) + 1e-12
+        assert F("pucci_min", a + psd) <= F("pucci_min", a) + 1e-12
 
 
 def test_subadditivity_and_homogeneity():
@@ -132,12 +137,12 @@ def test_subadditivity_and_homogeneity():
     for _ in range(100):
         a = _oracles.random_symmetric(3, rng)
         b = _oracles.random_symmetric(3, rng)
-        fa, fb = operators.pucci_max(E12, a), operators.pucci_max(E12, b)
-        assert operators.pucci_max(E12, a + b) <= fa + fb + 1e-11
-        ga, gb = operators.pucci_min(E12, a), operators.pucci_min(E12, b)
-        assert operators.pucci_min(E12, a + b) >= ga + gb - 1e-11
+        fa, fb = F("pucci_max", a), F("pucci_max", b)
+        assert F("pucci_max", a + b) <= fa + fb + 1e-11
+        ga, gb = F("pucci_min", a), F("pucci_min", b)
+        assert F("pucci_min", a + b) >= ga + gb - 1e-11
         c = 1.0 + rng.random() * 5.0
-        assert np.isclose(operators.pucci_max(E12, c * a), c * fa, rtol=1e-12)
+        assert np.isclose(F("pucci_max", c * a), c * fa, rtol=1e-12)
 
 
 def test_collapse_at_equal_constants():
@@ -145,8 +150,8 @@ def test_collapse_at_equal_constants():
     rng = np.random.default_rng(18)
     a = _oracles.random_symmetric(5, rng)
     want = -1.5 * np.trace(a)
-    assert np.isclose(operators.pucci_max(e, a), want, rtol=1e-13)
-    assert np.isclose(operators.pucci_min(e, a), want, rtol=1e-13)
+    assert np.isclose(F("pucci_max", a, ell=e), want, rtol=1e-13)
+    assert np.isclose(F("pucci_min", a, ell=e), want, rtol=1e-13)
 
 
 def test_alpha_family_sandwiched_by_matched_pucci():
@@ -159,10 +164,10 @@ def test_alpha_family_sandwiched_by_matched_pucci():
     e = Ellipticity(alpha, 1.0 - (m - 1) * alpha)
     for _ in range(100):
         a = _oracles.random_symmetric(m, rng)
-        lo = operators.pucci_min(e, a)
-        hi = operators.pucci_max(e, a)
-        p_lo = operators.pucci_minus_alpha(pa, a)
-        p_hi = operators.pucci_plus_alpha(pa, a)
+        lo = F("pucci_min", a, ell=e)
+        hi = F("pucci_max", a, ell=e)
+        p_lo = F("pucci_minus_alpha", a, alpha=pa.alpha)
+        p_hi = F("pucci_plus_alpha", a, alpha=pa.alpha)
         assert lo - 1e-12 <= p_lo <= p_hi <= hi + 1e-12
 
 
@@ -171,7 +176,7 @@ def test_pnorm_reduces_to_trace_at_p_two():
     a = _oracles.random_symmetric(3, rng)
     q = rng.standard_normal(3)
     assert np.isclose(
-        operators.pnorm_operator(2.0, q, a), operators.neg_trace(a), rtol=1e-14
+        operators.pnorm_operator(2.0, q, a), F("neg_trace", a), rtol=1e-14
     )
 
 
@@ -196,9 +201,9 @@ def test_pnorm_rejects_bad_input():
 def test_operators_reject_asymmetric_matrices():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError):
-        operators.pucci_max(E12, bad)
+        F("pucci_max", bad)
     with pytest.raises(ValueError):
-        operators.neg_trace(bad)
+        F("neg_trace", bad)
 
 
 def test_hjb_envelopes_on_axis_family():
@@ -276,22 +281,10 @@ def test_hjb_rejects_negative_cost_and_empty_family():
         operators.hjb_inf(coeffs, np.zeros((1, 3)), 0.0, np.zeros((1, 2)))
 
 
-# Every entry of the operator table, evaluated through its public function.
+# Parameters for every entry of the operator table.
 _ELL = Ellipticity(1.0, 2.5)
 _ALPHA = 0.2
 _P = 3.5
-_PUBLIC = {
-    "pucci_max": lambda mats, q: operators.pucci_max(_ELL, mats),
-    "pucci_min": lambda mats, q: operators.pucci_min(_ELL, mats),
-    "pucci_plus_alpha": lambda mats, q: operators.pucci_plus_alpha(
-        PucciAlpha(_ALPHA, mats.shape[-1]), mats
-    ),
-    "pucci_minus_alpha": lambda mats, q: operators.pucci_minus_alpha(
-        PucciAlpha(_ALPHA, mats.shape[-1]), mats
-    ),
-    "pnorm": lambda mats, q: operators.pnorm_operator(_P, q, mats),
-    "neg_trace": lambda mats, q: operators.neg_trace(mats),
-}
 _OP_EVAL_PARAMS = {"--lam": "1.0", "--Lam": "2.5", "--alpha": str(_ALPHA), "--p": str(_P)}
 
 
@@ -300,8 +293,8 @@ def _flags(params: dict) -> list:
 
 
 def test_public_functions_cover_the_table():
-    assert tuple(_PUBLIC) == tuple(operators.OPERATORS)
     assert checker.SECOND_ORDER_OPS == tuple(operators.OPERATORS)
+    assert cli.OPTIONS["op-eval"]["op"][1].choices == tuple(operators.OPERATORS)
 
 
 @pytest.mark.parametrize("m", [2, 4])
@@ -312,7 +305,7 @@ def test_operator_table_paths_agree(name, m, tmp_path, capsys):
     mats = rng.standard_normal((k, m, m))
     mats = mats + np.swapaxes(mats, 1, 2)
     q = rng.standard_normal((k, m))
-    public = _PUBLIC[name](mats, q)
+    public = operators.evaluate(name, mats, {"ell": _ELL, "alpha": _ALPHA, "p": _P, "zero_tol": 1e-12}, q)[0]
 
     out = tmp_path / "op.json"
     argv = ["op-eval", "--op", name, "--matrix", json.dumps(mats.tolist()),

@@ -151,7 +151,7 @@ def test_disagreeing_paths_raise_instead_of_reporting(monkeypatch, tmp_path, cap
 def test_zero_gradient_rows_are_excluded_on_both_paths():
     # A constant core glued to rho^2: the gradient vanishes on rho < 1 only.
     pieces = (ProfilePiece(0.0, 1.0, "power", (0.0,)), ProfilePiece(1.0, np.inf, "power", (2.0,)))
-    profile = RadialProfile("flat_core", "heisenberg", pieces, (1.0,), {}, bounded=False)
+    profile = RadialProfile("flat_core", "heisenberg", pieces, {}, bounded=False)
     region = Region(0.25, 4.0, n_samples=256, char_eps=0.0)
     field = field_from_profile(profile, HeisDims(1))
     fast = check_inequality(field, _spec("pnorm", 2), region)
