@@ -54,13 +54,15 @@ max(1, |e|).
 
 Growth conditions are data: LYAPUNOV_CONDITIONS maps a condition and the
 kind of data it gets to a LyapunovRoute (parameter check, margin function,
-strict, divides by |x_H|^2); non-finite coefficient values raise
-ValueError.  Every check takes its verdict, worst excess and witness from
-one rule, _PassRule.
+strict, divides by |x_H|^2).  Bellman parts and growth conditions read a
+control family through operators._controls, so bad drifts and costs raise
+one ValueError everywhere.  Every check takes its verdict, worst excess and
+witness from one rule, _PassRule.
 
 Reports are deterministic functions of (config, seed): identical inputs give
-identical reports except for wall_time.  The checker runs on the calling
-thread.
+identical reports except for wall_time.  CheckReport declares its fields in
+report order, and to_dict() writes them after the schema.  The checker runs
+on the calling thread.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ import numpy as np
 
 from . import hgroup, operators
 from .hgroup import HeisDims
-from .operators import Ellipticity, HJBCoefficients, PucciAlpha
+from .operators import Ellipticity, HJBCoefficients, PucciAlpha, _finite
 
 __all__ = [
     "BarrierBundle",
@@ -86,7 +88,6 @@ __all__ = [
     "LYAPUNOV_CONDITIONS",
     "Region",
     "OperatorSpec",
-    "SECOND_ORDER_OPS",
     "TabulatedField",
     "check_inequality",
     "check_lyapunov",
@@ -101,10 +102,10 @@ SCHEMA = "heispde-report-v1"
 # No longer read: the checker is single-threaded.  perfbench still sets it.
 THREADS_ENV = "HEISPDE_THREADS"
 
-SECOND_ORDER_OPS = tuple(operators.OPERATORS)
-
 _ABS_FLOOR = 1e-12
 _EPS = np.finfo(float).eps
+# Halvings fd_h_hessian may make before it gives up on a stencil.
+_MAX_SHRINKS = 40
 # Fractional bits of phi when the Kronecker steps are computed.
 _PHI_BITS = 96
 # Points of a spectral-path run that the dense path evaluates again.
@@ -176,7 +177,6 @@ class OperatorSpec:
     p: float | None = None
     first_order: HJBCoefficients | None = None
     envelope: str = "inf"
-    zero_tol: float = 1e-12
 
     def __post_init__(self) -> None:
         operators.operator_entry(self.second_order, self.params)
@@ -188,7 +188,7 @@ class OperatorSpec:
     @property
     def params(self) -> dict:
         """Parameters in the form the operators table reads."""
-        return {"ell": self.ell, "alpha": self.alpha, "p": self.p, "zero_tol": self.zero_tol}
+        return {"ell": self.ell, "alpha": self.alpha, "p": self.p}
 
 
 @dataclass(frozen=True)
@@ -230,9 +230,9 @@ class TabulatedField:
         return self.points.shape[1]
 
 
-@dataclass
+@dataclass(kw_only=True)
 class CheckReport:
-    """Outcome of one verification run.  to_dict() is JSON-ready."""
+    """Outcome of one verification run; to_dict() is the schema, then every field but samples, in order."""
 
     kind: str
     verdict: str
@@ -243,33 +243,17 @@ class CheckReport:
     n_excluded: int
     excluded_by: dict
     witness: dict | None
-    config: dict
     formula_comparison: dict | None = None
     scan: list | None = None
     components: dict | None = None
     paths: dict | None = None
+    config: dict
     wall_time: float = 0.0
     samples: dict | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "kind": self.kind,
-            "verdict": self.verdict,
-            "worst_violation": self.worst_violation,
-            "tol": self.tol,
-            "n_samples": self.n_samples,
-            "n_evaluated": self.n_evaluated,
-            "n_excluded": self.n_excluded,
-            "excluded_by": self.excluded_by,
-            "witness": self.witness,
-            "formula_comparison": self.formula_comparison,
-            "scan": self.scan,
-            "components": self.components,
-            "paths": self.paths,
-            "config": self.config,
-            "wall_time": self.wall_time,
-        }
+        fields = (f.name for f in dataclasses.fields(self) if f.name != "samples")
+        return {"schema": SCHEMA, **{name: getattr(self, name) for name in fields}}
 
 
 @dataclass
@@ -785,7 +769,7 @@ def _spec_echo(spec: OperatorSpec) -> dict:
         "sense": spec.sense,
         "envelope": spec.envelope,
         "gradient_space": None if spec.first_order is None else spec.first_order.gradient_space,
-        "zero_tol": spec.zero_tol,
+        "zero_tol": operators.ZERO_TOL,
     }
     if spec.ell is not None:
         echo["lam"] = spec.ell.lam
@@ -1067,25 +1051,6 @@ def lyapunov_fixture(name: str, dims: HeisDims, *, gamma0: float = 1.0, c0: floa
     raise ValueError(f"unknown Lyapunov fixture {name!r}")
 
 
-def _finite(what: str, values) -> np.ndarray:
-    """values as a float array; ValueError unless every entry is finite."""
-    arr = np.asarray(values, dtype=float)
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{what} values must be finite")
-    return arr
-
-
-def _drift_cost_arrays(coeffs: HJBCoefficients, pts, rho):
-    bs, cs = [], []
-    for b, c in zip(coeffs.drifts, coeffs.costs):
-        bs.append(_finite("drift", b(pts)))
-        cv = _finite("cost", c(pts))
-        if np.any(cv < 0.0):
-            raise ValueError("running costs must be nonnegative")
-        cs.append(np.broadcast_to(cv, rho.shape))
-    return bs, cs
-
-
 def _pucci_rhs(e, dims, alpha, gammas) -> float:
     return e.lam - e.Lam * (dims.Q - 1)
 
@@ -1112,7 +1077,7 @@ def _no_params(e, dims, alpha, gammas) -> None:
 
 def _drift_margin(pts, rho, data, r):
     """Margin r - max_k (b_k . eta - c_k rho^4 log rho) / |x_H|^2 of horizontal drifts."""
-    bs, cs = _drift_cost_arrays(data, pts, rho)
+    bs, cs = operators._controls(data, pts, rho.shape)
     et, s, lg = hgroup.eta(pts), hgroup._hsq(pts), np.log(rho)
     terms = [hgroup._rowdot(bv, et) / s - cv * rho**4 * lg / s for bv, cv in zip(bs, cs)]
     lhs = np.max(np.stack(terms), axis=0)
@@ -1137,7 +1102,7 @@ def _barrier_margin(pts, rho, data, r):
 def _ou_margin(pts, rho, data, params):
     """The smaller of the scaled drift margin against -gamma x and the proof's margin."""
     g, c1 = params
-    bs, cs = _drift_cost_arrays(data, pts, rho)
+    bs, cs = operators._controls(data, pts, rho.shape)
     grad_rho, s, lg = hgroup.euclid_grad_rho(pts, rho), hgroup._hsq(pts), np.log(rho)
     dots = [hgroup._rowdot(bv, grad_rho) for bv in bs]
     drift_dot = np.max(np.stack(dots), axis=0)
@@ -1152,7 +1117,7 @@ def _ou_margin(pts, rho, data, params):
 
 def _cost_margin(pts, rho, data, params):
     """Cost margin min_k c_k log rho; second part: the radial drift sign max_k b_k . grad rho <= 0."""
-    bs, cs = _drift_cost_arrays(data, pts, rho)
+    bs, cs = operators._controls(data, pts, rho.shape)
     lg = np.log(rho)
     c_margin = np.min(np.stack([cv * lg for cv in cs]), axis=0)
     grad_rho = hgroup.euclid_grad_rho(pts, rho)
@@ -1320,14 +1285,13 @@ def fd_h_hessian(
     *,
     space: str = "heisenberg",
     singular_radii: tuple[float, ...] = (),
-    max_shrinks: int = 40,
     return_info: bool = False,
 ):
     """Central-difference horizontal (or Euclidean) Hessian at one point.
 
     The stencil is refused whenever it would straddle a declared gluing
     radius or the origin; the step is halved until it fits (recorded), and a
-    ValueError is raised if max_shrinks halvings do not suffice.
+    ValueError is raised if _MAX_SHRINKS halvings do not suffice.
     """
     xa = np.asarray(x, dtype=float)
     if xa.ndim != 1:
@@ -1357,7 +1321,7 @@ def fd_h_hessian(
         if ok:
             break
         n_shrinks += 1
-        if n_shrinks > max_shrinks:
+        if n_shrinks > _MAX_SHRINKS:
             raise ValueError(
                 "stencil still crosses a singular set at the minimum step"
             )

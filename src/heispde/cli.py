@@ -25,6 +25,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -53,6 +54,8 @@ PROFILE_DEFAULTS: dict[str, tuple[str, str]] = {
 }
 
 _EXIT_BY_VERDICT = {"pass": 0, "fail": 1, "vacuous": 3}
+# A negative number that argparse would take for a flag.
+_NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?|-inf|-nan", re.IGNORECASE)
 
 
 class CliError(Exception):
@@ -99,11 +102,7 @@ def write_json_report(path: str, payload: dict) -> None:
 
 
 def _payload(command: str, report: checker.CheckReport) -> dict:
-    out = {"schema": SCHEMA, "command": command}
-    for k, v in report.to_dict().items():
-        if k != "schema":
-            out[k] = v
-    return out
+    return {"schema": SCHEMA, "command": command, **report.to_dict()}
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +185,7 @@ def _as_vector(v):
     return arr
 
 
-_SECOND_ORDER = _one_of(*checker.SECOND_ORDER_OPS)
+_SECOND_ORDER = _one_of(*operators.OPERATORS)
 _ELLIPTICITY = {"lam": (1.0, _as_float), "Lam": (2.0, _as_float)}
 _FIELD = {
     "field": (None, _one_of(*sorted(PROFILE_NAMES))),
@@ -214,7 +213,6 @@ OPTIONS: dict[str, dict[str, tuple]] = {
         "sense": (None, _one_of("subsolution", "supersolution")),
         "alpha": (None, _as_float),
         "p": (None, _as_float),
-        "zero_tol": (1e-12, _as_float),
         "tol": (1e-9, _as_float),
         "compare_formula": (False, _as_bool),
         "field_table": (None, _as_str),
@@ -237,7 +235,6 @@ OPTIONS: dict[str, dict[str, tuple]] = {
         **_ELLIPTICITY,
         "alpha": (None, _as_float),
         "p": (None, _as_float),
-        "zero_tol": (1e-12, _as_float),
         "matrix": (None, _as_matrix),
         "q": (None, _as_vector),
         "out": (None, _as_str),
@@ -267,6 +264,24 @@ _HELP = {
     "convergence": "finite-difference consistency study",
     "gallery": "describe the shipped radial profiles",
 }
+
+
+def _join_negative_values(argv: list) -> list:
+    """argv with `--flag -1e3` joined as `--flag=-1e3`, so argparse reads -1e3 as
+    the value, not as a flag, for every value option."""
+    value_flags = {
+        "--" + name.replace("_", "-")
+        for options in OPTIONS.values()
+        for name, (_, conv) in options.items()
+        if conv is not _as_bool
+    }
+    out = []
+    for token in argv:
+        if out and out[-1] in value_flags and _NEGATIVE_NUMBER.fullmatch(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -378,23 +393,11 @@ def _cmd_verify(eff: dict) -> int:
     default_op, default_sense = PROFILE_DEFAULTS[eff["field"]]
     op = eff["op"] or default_op
     sense = eff["sense"] or default_sense
-    spec = OperatorSpec(
-        second_order=op,
-        sense=sense,
-        ell=e if operators.OPERATORS[op].param == "ell" else None,
-        alpha=eff["alpha"],
-        p=eff["p"],
-        zero_tol=eff["zero_tol"],
-    )
-    region = _region_from(eff)
+    ell = e if operators.OPERATORS[op].param == "ell" else None
+    spec = OperatorSpec(op, sense, ell=ell, alpha=eff["alpha"], p=eff["p"])
     mode = "formula" if eff["compare_formula"] else "sense"
     report = checker.check_inequality(
-        field,
-        spec,
-        region,
-        eff["tol"],
-        mode=mode,
-        keep_samples=eff["field_table"] is not None,
+        field, spec, _region_from(eff), eff["tol"], mode=mode, keep_samples=eff["field_table"] is not None
     )
     if eff["field_table"] is not None and report.samples is not None:
         _write_field_table(eff["field_table"], report, field.space)
@@ -411,23 +414,10 @@ def _cmd_lyapunov(eff: dict) -> int:
     dims = HeisDims(eff["d"])
     e = Ellipticity(eff["lam"], eff["Lam"])
     cond, data, extra = checker.lyapunov_fixture(
-        eff["fixture"],
-        dims,
-        gamma0=eff["gamma0"],
-        c0=eff["c0"],
-        gammas=eff["gammas"],
+        eff["fixture"], dims, gamma0=eff["gamma0"], c0=eff["c0"], gammas=eff["gammas"]
     )
-    gammas = extra.get("gammas")
-    region = _region_from(eff)
     report = checker.check_lyapunov(
-        cond,
-        data,
-        e,
-        region,
-        dims,
-        alpha=eff["alpha"],
-        gammas=gammas,
-        tol=eff["tol"],
+        cond, data, e, _region_from(eff), dims, alpha=eff["alpha"], gammas=extra.get("gammas"), tol=eff["tol"]
     )
     if eff["out"]:
         write_json_report(eff["out"], _payload("lyapunov", report))
@@ -439,11 +429,10 @@ def _cmd_op_eval(eff: dict) -> int:
     if eff["op"] is None or eff["matrix"] is None:
         raise CliError("op-eval needs --op and --matrix")
     op = eff["op"]
-    mats = eff["matrix"]
-    params = {"alpha": eff["alpha"], "p": eff["p"], "zero_tol": eff["zero_tol"]}
+    params = {"alpha": eff["alpha"], "p": eff["p"]}
     if operators.OPERATORS[op].param == "ell":
         params["ell"] = Ellipticity(eff["lam"], eff["Lam"])
-    values, eigs = operators.evaluate(op, mats, params, eff["q"])
+    values, eigs = operators.evaluate(op, eff["matrix"], params, eff["q"])
     payload = {
         "schema": SCHEMA,
         "command": "op-eval",
@@ -454,7 +443,7 @@ def _cmd_op_eval(eff: dict) -> int:
             "Lam": eff["Lam"],
             "alpha": eff["alpha"],
             "p": eff["p"],
-            "zero_tol": eff["zero_tol"],
+            "zero_tol": operators.ZERO_TOL,
         },
         "values": np.atleast_1d(values),
         "eigenvalues": eigs,
@@ -642,7 +631,7 @@ def run_fixture(name: str, out: str | None = None) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

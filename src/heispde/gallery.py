@@ -302,7 +302,6 @@ class ScalarField:
     hessian: Callable
     singular_radii: tuple[float, ...] = ()
     profile: RadialProfile | None = None
-    dims: HeisDims | None = None
 
     def __neg__(self) -> "ScalarField":
         v, g, h = self.value, self.gradient, self.hessian
@@ -319,45 +318,32 @@ class ScalarField:
 def field_from_profile(profile: RadialProfile, dims: HeisDims) -> ScalarField:
     """Exact field evaluators for a profile, chain-ruled through its radius."""
     if profile.kind == "heisenberg":
+        dim = dims.n
 
         def value(x):
             return profile.value(hgroup.hnorm(x))
 
         def gradient(x):
             rho = hgroup.hnorm(x)
-            return profile.deriv(rho)[..., None] * hgroup.euclid_grad_rho(x)
+            return profile.deriv(rho)[..., None] * hgroup.euclid_grad_rho(x, rho)
 
         def hessian(x):
             rho = hgroup.hnorm(x)
-            if np.any(rho == 0.0):
-                raise ValueError("radial Hessian undefined at the group identity")
-            g = hgroup.euclid_grad_rho(x, rho)
+            g = hgroup.euclid_grad_rho(x, rho)  # raises at the group identity
             _, fp, fpp = profile.jets(rho)
             out = fpp[..., None, None] * np.einsum("...a,...b->...ab", g, g)
             out += fp[..., None, None] * hgroup.euclid_hess_rho(x, rho, g)
             return out
 
-        return ScalarField(
-            name=profile.name,
-            space="heisenberg",
-            dim=dims.n,
-            value=value,
-            gradient=gradient,
-            hessian=hessian,
-            singular_radii=profile.breakpoints,
-            profile=profile,
-            dims=dims,
-        )
-
-    if profile.kind == "euclidean":
-        de = dims.d
-        if de < 2:
+    elif profile.kind == "euclidean":
+        dim = dims.d
+        if dim < 2:
             raise ValueError("euclidean radial fields need ambient dimension >= 2")
 
         def _radius(x):
             xa = np.asarray(x, dtype=float)
-            if xa.shape[-1] != de:
-                raise ValueError(f"expected points in R^{de}")
+            if xa.shape[-1] != dim:
+                raise ValueError(f"expected points in R^{dim}")
             r = np.sqrt(hgroup._rowdot(xa, xa))
             return xa, r
 
@@ -378,22 +364,22 @@ def field_from_profile(profile: RadialProfile, dims: HeisDims) -> ScalarField:
             xh = xa / r[..., None]
             pr = np.einsum("...a,...b->...ab", xh, xh)
             fp, fpp = (j[..., None, None] for j in profile.jets(r)[1:])
-            eye = np.eye(de)
+            eye = np.eye(dim)
             return fpp * pr + (fp / r[..., None, None]) * (eye - pr)
 
-        return ScalarField(
-            name=profile.name,
-            space="euclidean",
-            dim=de,
-            value=value,
-            gradient=gradient,
-            hessian=hessian,
-            singular_radii=profile.breakpoints,
-            profile=profile,
-            dims=dims,
-        )
+    else:
+        raise ValueError(f"unknown profile kind {profile.kind!r}")
 
-    raise ValueError(f"unknown profile kind {profile.kind!r}")
+    return ScalarField(
+        name=profile.name,
+        space=profile.kind,
+        dim=dim,
+        value=value,
+        gradient=gradient,
+        hessian=hessian,
+        singular_radii=profile.breakpoints,
+        profile=profile,
+    )
 
 
 def profile_catalog(

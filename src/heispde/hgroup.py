@@ -278,22 +278,16 @@ def h_hessian(grad_u, hess_u, x) -> np.ndarray:
     return np.moveaxis(out, (0, 1), (-2, -1))
 
 
-def _rho_positive(xa: np.ndarray) -> np.ndarray:
-    rho = np.sqrt(np.hypot(_hsq(xa), np.abs(xa[..., -1])))
-    if np.any(rho == 0.0):
-        raise ValueError("undefined at the group identity (rho = 0)")
-    return rho
-
-
-def euclid_grad_rho(x, rho=None) -> np.ndarray:
+def euclid_grad_rho(x, rho) -> np.ndarray:
     """Euclidean gradient of the gauge norm: (|x_H|^2 x_H, t/2) / rho^3.
 
+    rho is the gauge norm of x; ValueError where it is 0 (the identity).
     Computed from bounded ratios (|x_H|^2/rho^2 <= 1, |t|/rho^2 <= 1,
-    |x_H|/rho <= 1) so large points do not overflow.  rho, if given, is the
-    gauge norm of x, which is then not computed again.
+    |x_H|/rho <= 1) so large points do not overflow.
     """
     xa, d = _as_points(x)
-    rho = _rho_positive(xa) if rho is None else rho
+    if np.any(rho == 0.0):
+        raise ValueError("undefined at the group identity (rho = 0)")
     rho2 = rho**2
     s_r2 = _hsq(xa) / rho2
     out = np.empty((2 * d + 1,) + xa.shape[:-1])
@@ -307,18 +301,15 @@ def euclid_grad_rho(x, rho=None) -> np.ndarray:
     return np.moveaxis(out, 0, -1)
 
 
-def euclid_hess_rho(x, rho=None, grad=None) -> np.ndarray:
-    """Euclidean Hessian of the gauge norm.
+def euclid_hess_rho(x, rho, grad) -> np.ndarray:
+    """Euclidean Hessian of the gauge norm, given rho(x) and grad = euclid_grad_rho(x, rho).
 
     With phi = rho^4 (a polynomial), D^2 rho = D^2 phi / (4 rho^3)
     - 3 Drho Drho^T / rho; the phi block is diagonal-plus-rank-one in the
-    horizontal coordinates and constant in the vertical one.  rho and grad,
-    if given, are rho(x) and euclid_grad_rho(x), then not computed again.
+    horizontal coordinates and constant in the vertical one.
     """
     xa, d = _as_points(x)
     m = 2 * d
-    rho = _rho_positive(xa) if rho is None else rho
-    grad = euclid_grad_rho(xa, rho) if grad is None else grad
     s = _hsq(xa)
     out = np.einsum("...a,...b->...ab", grad, grad) * (-3.0 / rho[..., None, None])
     xh = xa[..., :m]

@@ -27,10 +27,12 @@ gradient is an eigenvector.
 The Pucci pair is extremal over lam I <= A <= Lam I, the alpha pair over
 B_alpha = {A >= alpha I, Tr A = 1} (needs 0 < alpha <= 1/m), and pnorm is
 the normalized p-Laplacian.  evaluate(name, mat, params, q), the checker
-and the command line all read this one table.
+and the command line all read this one table; params holds ell, alpha or p
+and nothing else.
 
-Eigenvalues with |e| <= zero_tol * ||M||_F are treated as zero and enter
-neither signed sum.  Matrix arguments may carry leading batch axes.
+Eigenvalues with |e| <= ZERO_TOL * ||M||_F (a fixed 1e-12) count as zero in
+the Pucci pair.  Matrix arguments may carry leading batch axes.  _controls
+evaluates a Bellman family once, for hjb_inf, hjb_sup and the checker.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ __all__ = [
     "OPERATORS",
     "PucciAlpha",
     "SecondOrderOp",
+    "ZERO_TOL",
     "evaluate",
     "hjb_inf",
     "hjb_sup",
@@ -57,6 +60,10 @@ __all__ = [
     "signed_eig_sums",
     "sym_eigenvalues",
 ]
+
+# The Pucci pair's dead zone, relative to ||M||_F.
+ZERO_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class Ellipticity:
@@ -148,17 +155,15 @@ def _fro(eigs: np.ndarray) -> np.ndarray:
     return np.sqrt(_rowdot(eigs, eigs))
 
 
-def signed_eig_sums(
-    eigs: np.ndarray, scale: np.ndarray, zero_tol: float
-) -> tuple[np.ndarray, np.ndarray]:
+def signed_eig_sums(eigs: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(sum of negative, sum of positive) eigenvalues per matrix.
 
-    Eigenvalues within zero_tol * scale of zero count in neither sum; scale
+    Eigenvalues within ZERO_TOL * scale of zero count in neither sum; scale
     is normally the Frobenius norm of the source matrix.
     """
     eigs = np.asarray(eigs, dtype=float)
     scale = np.asarray(scale, dtype=float)
-    dead = np.abs(eigs) <= zero_tol * scale[..., None]
+    dead = np.abs(eigs) <= ZERO_TOL * scale[..., None]
     neg = _sum_last(np.where((eigs < 0.0) & ~dead, eigs, 0.0))
     pos = _sum_last(np.where((eigs > 0.0) & ~dead, eigs, 0.0))
     return neg, pos
@@ -194,9 +199,9 @@ class SecondOrderOp(NamedTuple):
 
     value(eigs, e_q, params) takes the ascending eigenvalues of symmetric
     matrices, e_q = q^T M q / |q|^2 (None unless reads_e_q) and a dict
-    holding the parameter under its name, plus "zero_tol" for the Pucci
-    pair.  Module functions are looked up when a value is computed, so
-    replacing one on the module (as a profiler does) reaches every caller.
+    holding the parameter under its name.  Module functions are looked up
+    when a value is computed, so replacing one on the module (as a profiler
+    does) reaches every caller.
     """
 
     param: str | None
@@ -208,7 +213,7 @@ class SecondOrderOp(NamedTuple):
 def _pucci(maximal: bool) -> Callable:
     def value(eigs, e_q, params):
         e = params["ell"]
-        neg, pos = signed_eig_sums(eigs, _fro(eigs), params["zero_tol"])
+        neg, pos = signed_eig_sums(eigs, _fro(eigs))
         return -e.Lam * neg - e.lam * pos if maximal else -e.Lam * pos - e.lam * neg
 
     return value
@@ -238,15 +243,15 @@ OPERATORS: dict[str, SecondOrderOp] = {
 
 
 def operator_entry(name: str, params: dict) -> SecondOrderOp:
-    """The OPERATORS entry for name; ValueError on a missing or bad parameter."""
+    """The OPERATORS entry for name; ValueError on a missing, bad or unknown parameter."""
     entry = OPERATORS.get(name)
     if entry is None:
         raise ValueError(f"unknown second-order operator {name!r}")
+    unknown = sorted(set(params) - {"ell", "alpha", "p"})
+    if unknown:
+        raise ValueError(f"unknown operator parameters {unknown}; params take ell, alpha and p")
     if entry.param is not None and params.get(entry.param) is None:
         raise ValueError(f"{name} needs {entry.param}")
-    zero_tol = params.get("zero_tol")
-    if zero_tol is not None and not 0.0 <= zero_tol < 1.0:
-        raise ValueError(f"need zero_tol in [0, 1), got {zero_tol}")
     p = params.get("p")
     if p is not None and not (np.isfinite(p) and p > 1.0):
         raise ValueError(f"need p in (1, inf), got {p}")
@@ -299,18 +304,36 @@ class HJBCoefficients:
         return len(self.drifts)
 
 
+def _finite(what: str, values) -> np.ndarray:
+    """values as a float array; ValueError unless every entry is finite."""
+    arr = np.asarray(values, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} values must be finite")
+    return arr
+
+
+def _controls(coeffs: HJBCoefficients, x, shape) -> tuple[list, list]:
+    """(drifts, costs) of each control at x, costs broadcast to shape.
+
+    ValueError unless drifts are finite and costs finite and nonnegative.
+    """
+    bs, cs = [], []
+    for b, c in zip(coeffs.drifts, coeffs.costs):
+        bs.append(_finite("drift", b(x)))
+        cv = _finite("cost", c(x))
+        if np.any(cv < 0.0):
+            raise ValueError("running costs must be nonnegative")
+        cs.append(np.broadcast_to(cv, shape))
+    return bs, cs
+
+
 def _hjb_terms(coeffs: HJBCoefficients, x, r, p) -> np.ndarray:
     xa = np.asarray(x, dtype=float)
     ra = np.asarray(r, dtype=float)
     pa = np.asarray(p, dtype=float)
     batch = np.broadcast_shapes(xa.shape[:-1], ra.shape, pa.shape[:-1])
-    vals = np.empty((coeffs.n_controls,) + batch, dtype=float)
-    for k, (b, c) in enumerate(zip(coeffs.drifts, coeffs.costs)):
-        cv = np.asarray(c(xa), dtype=float)
-        if np.any(cv < 0.0):
-            raise ValueError("running costs must be nonnegative")
-        bv = np.asarray(b(xa), dtype=float)
-        vals[k] = cv * ra - _rowdot(bv, pa)
+    bs, cs = _controls(coeffs, xa, batch)
+    vals = np.stack([cv * ra - _rowdot(bv, pa) for bv, cv in zip(bs, cs)])
     if not np.isfinite(vals).all():
         raise ValueError("Bellman terms must evaluate to finite values")
     return vals

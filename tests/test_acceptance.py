@@ -36,7 +36,7 @@ D1, D2 = HeisDims(1), HeisDims(2)
 
 def F(name, mat, **params):
     """The table operator name on mat, through evaluate; ell defaults to E12."""
-    return evaluate(name, mat, {"ell": E12, "zero_tol": 1e-12, **params})[0]
+    return evaluate(name, mat, {"ell": E12, **params})[0]
 
 
 def _verdict(num, name, ok, detail=""):

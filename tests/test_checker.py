@@ -94,14 +94,6 @@ def test_region_rejects_a_non_finite_kink_tube(kink_eps):
         Region(0.5, 4.0, kink_eps=kink_eps)
 
 
-@pytest.mark.parametrize("zero_tol", [_INF, _NAN, -1e-12, 1.0])
-def test_zero_tol_outside_unit_interval_is_rejected(zero_tol):
-    with pytest.raises(ValueError, match="zero_tol"):
-        OperatorSpec("pucci_max", ell=E12, zero_tol=zero_tol)
-    with pytest.raises(ValueError, match="zero_tol"):
-        operators.evaluate("pucci_max", np.eye(2), {"ell": E12, "zero_tol": zero_tol})
-
-
 @pytest.mark.parametrize("p", [1.0, 0.5, _INF, _NAN])
 def test_p_outside_one_to_infinity_is_rejected(p):
     with pytest.raises(ValueError, match="need p"):
@@ -320,7 +312,7 @@ def test_witness_identifies_the_worst_point():
     # re-evaluate the witness point independently
     x = np.asarray(w["point"])
     mat = hgroup.h_hessian(field.gradient(x), field.hessian(x), x)
-    want = operators.evaluate("pucci_min", mat, {"ell": E12, "zero_tol": 1e-12})[0]
+    want = operators.evaluate("pucci_min", mat, {"ell": E12})[0]
     assert np.isclose(float(want), w["total"], rtol=1e-12)
     assert np.isclose(-w["total"], w["excess"], rtol=1e-12)
     assert w["excess"] == rep.worst_violation
@@ -462,6 +454,39 @@ def test_the_sup_envelope_takes_the_larger_control_on_both_paths():
         assert np.all(got >= inf.samples["first"]) and np.any(got > inf.samples["first"])
 
 
+def _family(drift=1.0, cost=1.0):
+    """One horizontal control on H^1 with constant drift entries and cost."""
+    return HJBCoefficients((lambda x: np.full(x.shape[:-1] + (2,), drift),), (lambda x: np.full(x.shape[:-1], cost),))
+
+
+def _bellman(field):
+    spec = OperatorSpec("pucci_max", ell=E12, first_order=_family())
+    return lambda family: check_inequality(
+        field, dataclasses.replace(spec, first_order=family), Region(0.5, 4.0, n_samples=64, char_eps=0.05)
+    )
+
+
+_CONTROL_ROUTES = {
+    "hjb_inf": lambda family: operators.hjb_inf(family, np.ones((4, 3)), np.ones(4), np.ones((4, 2))),
+    "hjb_sup": lambda family: operators.hjb_sup(family, np.ones((4, 3)), np.ones(4), np.ones((4, 2))),
+    "own profile": _bellman(_field("log_rho", dims=D1)),
+    "renamed": _bellman(dataclasses.replace(_field("log_rho", dims=D1), name="renamed")),
+    "lyapunov": lambda family: check_lyapunov("condcor1", family, E12, Region(2.0, 16.0, n_samples=64, char_eps=0.05), D1),
+}
+
+
+@pytest.mark.parametrize("route", list(_CONTROL_ROUTES))
+@pytest.mark.parametrize("bad,message", [
+    ({"drift": np.nan}, "drift values must be finite"),
+    ({"cost": np.inf}, "cost values must be finite"),
+    ({"cost": -1.0}, "running costs must be nonnegative"),
+])
+def test_every_route_applies_one_control_family_rule(route, bad, message):
+    _CONTROL_ROUTES[route](_family())
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _CONTROL_ROUTES[route](_family(**bad))
+
+
 def test_tabulated_field_validation():
     with pytest.raises(ValueError):
         TabulatedField(np.zeros((2, 4)), np.zeros(2), np.zeros((2, 4)), np.zeros((2, 4, 4)))
@@ -502,7 +527,7 @@ def test_fd_h_hessian_shrinks_away_from_gluing_radius():
     # sitting exactly on the kink can never be resolved
     y = np.array([1.0, 0.0, 0.0])
     with pytest.raises(ValueError):
-        fd_h_hessian(field.value, y, 1e-2, singular_radii=(1.0,), max_shrinks=5)
+        fd_h_hessian(field.value, y, 1e-2, singular_radii=(1.0,))
 
 
 def test_fd_h_hessian_euclidean_space():

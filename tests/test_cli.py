@@ -10,8 +10,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from heispde import cli
+from heispde import checker, cli, gallery, operators
+from heispde.checker import OperatorSpec, Region
 from heispde.cli import FIXTURES, main, run_fixture
+from heispde.hgroup import HeisDims
+from heispde.operators import Ellipticity
 
 
 def _load(path):
@@ -91,9 +94,6 @@ _NEG_U4 = [
 
 
 @pytest.mark.parametrize("argv", [
-    _NEG_U4 + ["--zero-tol", "inf"],
-    _NEG_U4 + ["--zero-tol", "nan"],
-    _NEG_U4 + ["--zero-tol", "1"],
     _NEG_U4 + ["--kink-eps", "nan"],
     _NEG_U4 + ["--kink-eps", "inf"],
     _NEG_U4 + ["--tol", "nan"],
@@ -103,8 +103,12 @@ _NEG_U4 = [
     _NEG_U4 + ["--op", "pnorm", "--p", "inf"],
     ["lyapunov", "--fixture", "hou", "--rho-min", "2", "--rho-max", "16", "--tol", "nan"],
     ["lyapunov", "--fixture", "hou", "--rho-min", "2", "--rho-max", "16", "--kink-eps", "nan"],
-    ["op-eval", "--op", "pucci_max", "--matrix", "[[1, 0], [0, -1]]", "--zero-tol", "inf"],
     ["op-eval", "--op", "pnorm", "--matrix", "[[1, 0], [0, -1]]", "--q", "[1, 1]", "--p", "nan"],
+    # Negative numbers given as a separate token reach their option too.
+    _NEG_U4 + ["--tol", "-1e-3"],
+    _NEG_U4 + ["--rho-min", "-1e-3"],
+    ["verify", "--field", "power", "--d", "1", "--kappa", "-inf"],
+    ["op-eval", "--op", "pnorm", "--matrix", "[[1, 0], [0, -1]]", "--q", "[1, 1]", "--p", "-1e-3"],
 ])
 def test_bad_numbers_exit_two_without_a_report(argv, tmp_path, capsys):
     # Without --out too: a report refusing a non-finite echo must not be the
@@ -119,6 +123,68 @@ def test_bad_numbers_exit_two_without_a_report(argv, tmp_path, capsys):
 def test_the_bad_number_cases_start_from_a_failing_check(capsys):
     assert main(_NEG_U4) == 1
     capsys.readouterr()
+
+
+def _outcome(argv, out, capsys):
+    """(exit code, stdout, stderr, report bytes without wall_time) of one run; out None writes no report."""
+    if out is not None and out.exists():
+        out.unlink()
+    rc = main(argv + ([] if out is None else ["--out", str(out)]))
+    std = capsys.readouterr()
+    report = re.sub(rb'\n *"wall_time": [^\n]*', b"", out.read_bytes()) if out is not None and out.exists() else None
+    return rc, std.out, std.err, report
+
+
+@pytest.mark.parametrize("tail,exit_code,shown", [
+    (["--kappa", "-1e3"], 0, "verdict=pass"),
+    (["--kappa", "-3e0"], 0, "verdict=pass"),
+    (["--kappa", "-inf"], 2, "kappa"),
+    (["--kappa", "2", "--rho-min", "-1e-3"], 2, "rho_min"),
+])
+def test_a_spaced_negative_value_is_read_like_the_joined_form(tail, exit_code, shown, tmp_path, capsys):
+    # argparse alone reads -1e3, -inf and -1e-3 as flags and exits 2 with
+    # "expected one argument"; the value must reach its option either way.
+    head = ["verify", "--field", "power", "--d", "1"]
+    joined = head + tail[:-2] + [f"{tail[-2]}={tail[-1]}"]
+    rc, stdout, stderr, _ = spaced = _outcome(head + tail, None, capsys)
+    assert spaced == _outcome(joined, None, capsys)
+    out = tmp_path / "rep.json"
+    assert _outcome(head + tail, out, capsys) == _outcome(joined, out, capsys)
+    assert rc == exit_code
+    assert shown in stdout + stderr
+
+
+def test_the_zero_tol_knob_is_refused(tmp_path, capsys):
+    # The Pucci dead zone is the constant operators.ZERO_TOL; a stale
+    # zero_tol fails loudly instead of being ignored.
+    op_eval = ["op-eval", "--op", "pucci_max", "--matrix", "[[1, 0], [0, -1]]"]
+    for argv in (_NEG_U4, op_eval):
+        assert main(argv + ["--zero-tol", "0"]) == 2
+        assert "unrecognized arguments: --zero-tol" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"zero_tol": 0}')
+    assert main(_NEG_U4 + ["--config", str(cfg)]) == 2
+    assert "unknown config key 'zero_tol' for verify" in capsys.readouterr().err
+    ell = Ellipticity(1.0, 2.0)
+    with pytest.raises(TypeError, match="zero_tol"):
+        OperatorSpec("pucci_max", ell=ell, zero_tol=0.0)
+    with pytest.raises(ValueError, match="zero_tol"):
+        operators.evaluate("pucci_max", np.eye(2), {"ell": ell, "zero_tol": 0.0})
+
+
+def test_report_keys_come_in_report_order():
+    spec = OperatorSpec("pucci_min", ell=Ellipticity(1.0, 2.0))
+    region = Region(0.5, 4.0, n_samples=64, char_eps=0.05)
+    field = gallery.field_from_profile(gallery.make_profile("log_rho"), HeisDims(1))
+    rep = checker.check_inequality(field, spec, region, keep_samples=True)
+    keys = [
+        "kind", "verdict", "worst_violation", "tol", "n_samples", "n_evaluated", "n_excluded",
+        "excluded_by", "witness", "formula_comparison", "scan", "components", "paths", "config",
+        "wall_time",
+    ]
+    assert rep.samples is not None
+    assert list(rep.to_dict()) == ["schema"] + keys
+    assert list(cli._payload("verify", rep)) == ["schema", "command"] + keys
 
 
 def test_unknown_flag_exits_two(capsys):

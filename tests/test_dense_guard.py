@@ -252,7 +252,7 @@ def _coupled(field, delta):
     of the radial horizontal Hessian, so the coupling moves them by about
     delta^2 / gap but puts sqrt(2) delta into ||M - B||_F.
     """
-    hessian, d = field.hessian, field.dims.d
+    hessian, d = field.hessian, (field.dim - 1) // 2
 
     def perturbed(x):
         g = hgroup.eta(x)

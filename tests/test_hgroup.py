@@ -109,7 +109,7 @@ def test_h_gradient_of_gauge_norm():
     rng = np.random.default_rng(6)
     x = rng.standard_normal((64, 7))
     rho = hgroup.hnorm(x)
-    hg = hgroup.h_gradient(hgroup.euclid_grad_rho(x), x)
+    hg = hgroup.h_gradient(hgroup.euclid_grad_rho(x, rho), x)
     assert np.allclose(hg, hgroup.eta(x) / rho[:, None] ** 3, rtol=1e-11, atol=1e-13)
     s = np.einsum("ij,ij->i", x[:, :6], x[:, :6])
     assert np.allclose(
@@ -274,10 +274,10 @@ def test_radial_h_hessian_matches_assembled_pipeline():
         rho = hgroup.hnorm(x)
         fp, fpp = 1.0 / rho, -1.0 / rho**2
 
-        g = hgroup.euclid_grad_rho(x)
+        g = hgroup.euclid_grad_rho(x, rho)
         grad = fp[:, None] * g
         hess = fpp[:, None, None] * np.einsum("ia,ib->iab", g, g)
-        hess += fp[:, None, None] * hgroup.euclid_hess_rho(x)
+        hess += fp[:, None, None] * hgroup.euclid_hess_rho(x, rho, g)
         assembled = hgroup.h_hessian(grad, hess, x)
 
         w = np.einsum("ia,ia->i", x[:, :-1], x[:, :-1]) / rho**2
@@ -303,29 +303,31 @@ def test_radial_spectrum_structure():
     assert eigs.shape == (2 * dims.d,)
     assert np.allclose(eigs, [w] * (2 * dims.d - 1) + [3.0 * w], rtol=1e-12)
     # The assembled horizontal Hessian of rho^2 / 2 has the same spectrum.
-    g = hgroup.euclid_grad_rho(x)
-    hess = fpp * np.outer(g, g) + fp * hgroup.euclid_hess_rho(x)
+    g = hgroup.euclid_grad_rho(x, hgroup.hnorm(x))
+    hess = fpp * np.outer(g, g) + fp * hgroup.euclid_hess_rho(x, hgroup.hnorm(x), g)
     assembled = hgroup.h_hessian(fp * g, hess, x)
     assert np.allclose(np.linalg.eigvalsh(assembled), eigs, rtol=1e-12)
 
 
 def test_euclid_grad_rho_matches_fd():
     x = np.array([0.4, -0.7, 0.3, 1.1, 0.6])
-    grad = hgroup.euclid_grad_rho(x)
+    grad = hgroup.euclid_grad_rho(x, hgroup.hnorm(x))
     ref = _oracles.fd_gradient(lambda p: float(hgroup.hnorm(p)), x)
     assert np.allclose(grad, ref, atol=1e-8)
 
 
 def test_euclid_hess_rho_matches_fd():
     x = np.array([0.4, -0.7, 0.9])
-    hess = hgroup.euclid_hess_rho(x)
+    rho = hgroup.hnorm(x)
+    hess = hgroup.euclid_hess_rho(x, rho, hgroup.euclid_grad_rho(x, rho))
     ref = _oracles.fd_hessian(lambda p: float(hgroup.hnorm(p)), x, h=1e-4)
     assert np.allclose(hess, ref, atol=1e-6)
 
 
 def test_gradient_raises_at_origin():
-    with pytest.raises(ValueError):
-        hgroup.euclid_grad_rho([0.0, 0.0, 0.0])
+    x = np.zeros(3)
+    with pytest.raises(ValueError, match="group identity"):
+        hgroup.euclid_grad_rho(x, hgroup.hnorm(x))
 
 
 def test_dims_properties():
