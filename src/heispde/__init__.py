@@ -35,7 +35,6 @@ from .hgroup import (
     HeisDims,
     dilate,
     eta,
-    frame,
     group_inverse,
     group_mul,
     h_gradient,
@@ -79,7 +78,6 @@ __all__ = [
     "eta",
     "fd_h_hessian",
     "field_from_profile",
-    "frame",
     "group_inverse",
     "group_mul",
     "h_gradient",

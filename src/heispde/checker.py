@@ -613,10 +613,13 @@ def _weyl_bound(mat, pts, space, got) -> tuple[np.ndarray, np.ndarray]:
     how far two correct paths may differ by rounding alone.
 
     mat is read C-contiguous: einsum's order of adds over a matrix depends on
-    its layout, which follows that of pts.
+    its layout, which follows that of pts.  Each row is divided by a power
+    of two near its largest entry, and the results multiplied back: exact,
+    so ||M||_F^2 cannot overflow and no other row changes a bit.
     """
     n, m = got.shape
-    mat = np.ascontiguousarray(mat)
+    e = np.frexp(np.abs(mat).max(axis=(1, 2)))[1]
+    mat, got = np.ldexp(mat, -e[:, None, None], order="C"), np.ldexp(got, -e[:, None])
     with np.errstate(invalid="ignore", divide="ignore"):
         g = hgroup.eta(pts) if space == "heisenberg" else pts
         g = g / np.sqrt(hgroup._rowdot(g, g))[:, None]
@@ -630,7 +633,8 @@ def _weyl_bound(mat, pts, space, got) -> tuple[np.ndarray, np.ndarray]:
         spec = np.sort(np.column_stack([*quot, np.repeat(c[:, None], rest, axis=1)]), axis=-1)
         budget = (2 * m + 20) * _EPS * np.sqrt(np.einsum("nij,nij->n", mat, mat))
         delta = np.sqrt(np.einsum("nij,nij->n", diff, diff)) + budget
-        return (np.abs(spec - got) + delta[:, None]) * (1.0 + (m * m + 4) * _EPS), budget
+        bound = (np.abs(spec - got) + delta[:, None]) * (1.0 + (m * m + 4) * _EPS)
+        return np.ldexp(bound, e[:, None]), np.ldexp(budget, e)
 
 
 def _check_tol(tol: float) -> None:
@@ -1264,98 +1268,66 @@ class ConvergenceResult:
     n_shrinks: int
 
 
-def _stencil_offsets(dim: int) -> np.ndarray:
-    rows = [np.zeros(dim)]
-    eye = np.eye(dim)
-    for i in range(dim):
-        rows.append(eye[i])
-        rows.append(-eye[i])
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            for si in (1.0, -1.0):
-                for sj in (1.0, -1.0):
-                    rows.append(si * eye[i] + sj * eye[j])
-    return np.asarray(rows)
+def fd_h_hessian(value_fn, x, h: float, *, space: str = "heisenberg", singular_radii: tuple[float, ...] = ()):
+    """Central-difference horizontal (or Euclidean) Hessians at points of shape (..., dim).
 
-
-def fd_h_hessian(
-    value_fn,
-    x,
-    h: float,
-    *,
-    space: str = "heisenberg",
-    singular_radii: tuple[float, ...] = (),
-    return_info: bool = False,
-):
-    """Central-difference horizontal (or Euclidean) Hessian at one point.
-
-    The stencil is refused whenever it would straddle a declared gluing
-    radius or the origin; the step is halved until it fits (recorded), and a
-    ValueError is raised if _MAX_SHRINKS halvings do not suffice.
+    Returns (Hessians, steps).  A point's step starts at h and is halved
+    until its stencil clears the origin and every declared gluing radius
+    (ValueError after _MAX_SHRINKS halvings).  value_fn gets flat (N, dim)
+    arrays of at most _CHUNK_ROWS stencil rows; if it acts row by row, a
+    point gets the same bits in any batch.
     """
     xa = np.asarray(x, dtype=float)
-    if xa.ndim != 1:
-        raise ValueError("fd_h_hessian works on a single point")
-    dim = xa.shape[0]
+    if xa.ndim == 0:
+        raise ValueError("a point needs a coordinate axis")
     if h <= 0.0 or not np.isfinite(h):
         raise ValueError("step h must be positive and finite")
-    offsets = _stencil_offsets(dim)
+    lead, dim = xa.shape[:-1], xa.shape[-1]
+    xs = xa.reshape(-1, dim)
+    # Stencil rows: centre, +-e_i, then (+-e_i +-e_j) for i < j in the order ++, +-, -+, --.
+    eye = np.eye(dim)
+    iu, ju = np.triu_indices(dim, 1)
+    si, sj = np.array([[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0]])[:, :, None]
+    pairs = (si * eye[iu, None] + sj * eye[ju, None]).reshape(-1, dim)
+    offsets = np.concatenate([np.zeros((1, dim)), np.stack([eye, -eye], axis=1).reshape(-1, dim), pairs])
+    heis = space == "heisenberg"
 
     def radius(p):
-        return hgroup.hnorm(p) if space == "heisenberg" else np.sqrt(hgroup._rowdot(p, p))
+        return hgroup.hnorm(p) if heis else np.sqrt(hgroup._rowdot(p, p))
 
-    rc = float(radius(xa))
-    n_shrinks = 0
-    while True:
-        pts = xa + h * offsets
-        rad = radius(pts)
-        ok = np.all(rad > 0.0)
-        for rk in singular_radii:
-            if rc == rk:
-                ok = False
+    m = dim - 1 if heis else dim
+    out = np.empty((xs.shape[0], m, m))
+    steps = np.full(xs.shape[0], float(h))
+    per_chunk = max(1, _CHUNK_ROWS // offsets.shape[0])
+    for start in range(0, xs.shape[0], per_chunk):
+        xc, step = xs[start : start + per_chunk], steps[start : start + per_chunk]
+        rc, todo, n_shrinks = radius(xc), np.arange(xc.shape[0]), 0
+        while True:
+            rad = radius(xc[todo, None] + step[todo, None, None] * offsets)
+            ok, r = np.all(rad > 0.0, axis=1), rc[todo]
+            for rk in singular_radii:
+                ok &= (r != rk) & np.where(r > rk, np.all(rad > rk, axis=1), np.all(rad < rk, axis=1))
+            todo = todo[~ok]
+            if todo.size == 0:
                 break
-            if rc > rk:
-                ok = ok and bool(np.all(rad > rk))
-            else:
-                ok = ok and bool(np.all(rad < rk))
-        if ok:
-            break
-        n_shrinks += 1
-        if n_shrinks > _MAX_SHRINKS:
-            raise ValueError(
-                "stencil still crosses a singular set at the minimum step"
-            )
-        h *= 0.5
-
-    vals = np.asarray(value_fn(pts), dtype=float)
-    v0 = vals[0]
-    plus = vals[1 : 2 * dim + 1 : 2]
-    minus = vals[2 : 2 * dim + 1 : 2]
-    grad = (plus - minus) / (2.0 * h)
-    hess = np.zeros((dim, dim))
-    np.fill_diagonal(hess, (plus - 2.0 * v0 + minus) / h**2)
-    k = 2 * dim + 1
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            vpp, vpm, vmp, vmm = vals[k : k + 4]
-            k += 4
-            hij = (vpp - vpm - vmp + vmm) / (4.0 * h**2)
-            hess[i, j] = hij
-            hess[j, i] = hij
-
-    out = hgroup.h_hessian(grad, hess, xa) if space == "heisenberg" else hess
-    if return_info:
-        return out, {"h": h, "n_shrinks": n_shrinks, "n_points": offsets.shape[0]}
-    return out
+            n_shrinks += 1
+            if n_shrinks > _MAX_SHRINKS:
+                raise ValueError("stencil still crosses a singular set at the minimum step")
+            step[todo] *= 0.5
+        pts = xc[:, None] + step[:, None, None] * offsets
+        vals = np.asarray(value_fn(pts.reshape(-1, dim)), dtype=float).reshape(pts.shape[:2])
+        # Python's float power (libm pow), not s * s: it rounds a few squares differently.
+        h2 = np.array([s**2 for s in step.tolist()])[:, None]
+        v0, plus, minus = vals[:, :1], vals[:, 1 : 2 * dim + 1 : 2], vals[:, 2 : 2 * dim + 1 : 2]
+        vpp, vpm, vmp, vmm = vals[:, 2 * dim + 1 :].reshape(xc.shape[0], iu.size, 4).transpose(2, 0, 1)
+        hess = np.zeros((xc.shape[0], dim, dim))
+        hess[:, range(dim), range(dim)] = (plus - 2.0 * v0 + minus) / h2
+        hess[:, iu, ju] = hess[:, ju, iu] = (vpp - vpm - vmp + vmm) / (4.0 * h2)
+        out[start : start + per_chunk] = hgroup.h_hessian(None, hess, xc) if heis else hess
+    return out.reshape(lead + (m, m)), steps.reshape(lead)
 
 
-def convergence_study(
-    field,
-    region: Region,
-    h0: float = 1e-2,
-    levels: int = 4,
-    n_points: int = 48,
-) -> ConvergenceResult:
+def convergence_study(field, region: Region, h0: float = 1e-2, levels: int = 4, n_points: int = 48) -> ConvergenceResult:
     """Max deviation between analytic and FD Hessians over halved steps.
 
     Needs at least two levels so an observed order can be formed; raises on
@@ -1365,32 +1337,18 @@ def convergence_study(
         raise ValueError("need at least two levels to observe an order")
     if n_points < 1:
         raise ValueError("n_points must be positive")
-    batch = sample_region(
-        region, space=field.space, dim=field.dim, singular_radii=field.singular_radii
-    )
+    batch = sample_region(region, space=field.space, dim=field.dim, singular_radii=field.singular_radii)
     if batch.n_admissible == 0:
         raise ValueError("region left no admissible sample points")
     pts = batch.place(np.flatnonzero(batch.admissible)[:n_points])
-
     refs, _ = _dense_matrix(field, pts, np.asarray(field.hessian(pts), dtype=float), None, None)
-
-    rows = []
-    n_shrinks = 0
-    prev_err = None
+    rows, n_shrinks, prev_err = [], 0, None
     for level in range(levels):
         h = h0 / 2.0**level
-        worst = 0.0
-        for i in range(pts.shape[0]):
-            fd, info = fd_h_hessian(
-                field.value,
-                pts[i],
-                h,
-                space=field.space,
-                singular_radii=field.singular_radii,
-                return_info=True,
-            )
-            n_shrinks += info["n_shrinks"]
-            worst = max(worst, float(np.abs(fd - refs[i]).max()))
+        fd, steps = fd_h_hessian(field.value, pts, h, space=field.space, singular_radii=field.singular_radii)
+        n_shrinks += int(np.log2(h / steps).sum())
+        fd -= refs
+        worst = float(np.abs(fd, out=fd).max())
         if worst == 0.0:
             raise ValueError(f"the finite-difference error is 0 at h = {h!r}, so no order can be observed")
         order = None if prev_err is None else math.log2(prev_err / worst)

@@ -48,7 +48,6 @@ __all__ = [
     "eta",
     "euclid_grad_rho",
     "euclid_hess_rho",
-    "frame",
     "group_inverse",
     "group_mul",
     "h_gradient",
@@ -212,20 +211,6 @@ def eta(x) -> np.ndarray:
         np.multiply(s, xa[..., i + d], out=hi)
         hi -= t * xa[..., i]
     return np.moveaxis(out, 0, -1)
-
-
-def frame(x) -> np.ndarray:
-    """Horizontal frame sigma(x), shape (..., 2d+1, 2d).
-
-    Columns are the coordinate coefficients of X_1..X_2d: identity on top,
-    bottom row (2 x_{d+1..2d}, -2 x_{1..d}).
-    """
-    xa, d = _as_points(x)
-    m = 2 * d
-    out = np.zeros(xa.shape[:-1] + (m + 1, m), dtype=float)
-    out[..., :m, :] = np.eye(m)
-    out[..., m, :] = 2.0 * hperp(xa)
-    return out
 
 
 def h_gradient(grad_u, x) -> np.ndarray:

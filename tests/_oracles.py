@@ -114,6 +114,21 @@ def random_symmetric(m, rng, scale=1.0):
     return 0.5 * (a + a.T)
 
 
+def frame(x) -> np.ndarray:
+    """Horizontal frame sigma(x) of H^d, shape (..., 2d+1, 2d).
+
+    Columns are the coordinate coefficients of X_1..X_2d: identity on top,
+    bottom row (2 x_{d+1..2d}, -2 x_{1..d}).
+    """
+    xa = np.asarray(x, dtype=float)
+    n = xa.shape[-1]
+    d, m = (n - 1) // 2, n - 1
+    out = np.zeros(xa.shape[:-1] + (n, m))
+    out[..., :m, :] = np.eye(m)
+    out[..., m, :] = 2.0 * np.concatenate([xa[..., d:m], -xa[..., :d]], axis=-1)
+    return out
+
+
 def h_hessian_rank2(hess_u, x):
     """sigma^T D^2u sigma as the (..., n, n) rank-2 update, with its input checks.
 
@@ -139,3 +154,50 @@ def h_hessian_rank2(hess_u, x):
     bh = b[..., :, None] * hp[..., None, :]
     out = a + bh + np.swapaxes(bh, -1, -2) + (c[..., None] * hp)[..., :, None] * hp[..., None, :]
     return 0.5 * (out + np.swapaxes(out, -1, -2))
+
+
+def fd_h_hessian_one(value_fn, x, h, *, space="heisenberg", singular_radii=()):
+    """(Hessian, step) of checker.fd_h_hessian at one point, one stencil row at a time.
+
+    The stencil is the centre, +-e_i, then +-e_i +-e_j (i < j) in the order
+    ++, +-, -+, --; the step is halved until every row clears the origin and
+    each singular radius on the centre's side (ValueError after 40 halvings).
+    The horizontal Hessian is h_hessian_rank2 of the Euclidean one.
+    """
+    xa = np.asarray(x, dtype=float)
+    dim = xa.shape[0]
+
+    def radius(p):
+        sq = float(np.sum(p[:-1] ** 2)) if space == "heisenberg" else float(np.sum(p**2))
+        return float(np.sqrt(np.hypot(sq, abs(p[-1])))) if space == "heisenberg" else float(np.sqrt(sq))
+
+    eye = np.eye(dim)
+    rows = [np.zeros(dim)]
+    for i in range(dim):
+        rows += [eye[i], -eye[i]]
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            rows += [si * eye[i] + sj * eye[j] for si, sj in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))]
+    rc = radius(xa)
+    for _ in range(41):
+        pts = [xa + h * r for r in rows]
+        rad = [radius(p) for p in pts]
+        ok = all(r > 0.0 for r in rad)
+        for rk in singular_radii:
+            ok = ok and rc != rk and all((r > rk) if rc > rk else (r < rk) for r in rad)
+        if ok:
+            break
+        h *= 0.5
+    else:
+        raise ValueError("stencil still crosses a singular set at the minimum step")
+    vals = [float(np.asarray(value_fn(p[None]))[0]) for p in pts]
+    hess = np.zeros((dim, dim))
+    for i in range(dim):
+        hess[i, i] = (vals[1 + 2 * i] - 2.0 * vals[0] + vals[2 + 2 * i]) / h**2
+    k = 2 * dim + 1
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            vpp, vpm, vmp, vmm = vals[k : k + 4]
+            hess[i, j] = hess[j, i] = (vpp - vpm - vmp + vmm) / (4.0 * h**2)
+            k += 4
+    return (h_hessian_rank2(hess, xa) if space == "heisenberg" else hess), h

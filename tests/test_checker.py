@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from heispde.checker import (
 from heispde.gallery import field_from_profile, make_profile
 from heispde.hgroup import HeisDims
 from heispde.operators import Ellipticity, HJBCoefficients
+
+import _oracles
 
 E12 = Ellipticity(1.0, 2.0)
 
@@ -504,7 +507,7 @@ def test_fd_h_hessian_matches_analytic_to_second_order():
     ref = hgroup.h_hessian(field.gradient(x), field.hessian(x), x)
     errs = []
     for h in (1e-2, 5e-3, 2.5e-3):
-        fd = fd_h_hessian(field.value, x, h, space="heisenberg")
+        fd, _ = fd_h_hessian(field.value, x, h, space="heisenberg")
         errs.append(np.abs(fd - ref).max())
     order = np.log2(errs[0] / errs[1])
     assert 1.8 <= order <= 2.2
@@ -517,11 +520,8 @@ def test_fd_h_hessian_shrinks_away_from_gluing_radius():
     # a point whose gauge distance to the kink is far smaller than h
     x = hgroup.dilate(1.0 + 1e-4, np.array([1.0, 0.0, 0.0]))
     ref = hgroup.h_hessian(field.gradient(x), field.hessian(x), x)
-    fd, info = fd_h_hessian(
-        field.value, x, 1e-2, singular_radii=field.singular_radii, return_info=True
-    )
-    assert info["n_shrinks"] > 0
-    assert info["h"] < 1e-2
+    fd, step = fd_h_hessian(field.value, x, 1e-2, singular_radii=field.singular_radii)
+    assert step < 1e-2
     assert np.abs(fd - ref).max() <= 1e-3
 
     # sitting exactly on the kink can never be resolved
@@ -534,9 +534,60 @@ def test_fd_h_hessian_euclidean_space():
     field = _field("u2", E12, HeisDims(3))
     x = np.array([0.4, 0.5, -0.3])
     ref = field.hessian(x)
-    fd = fd_h_hessian(field.value, x, 1e-3, space="euclidean",
-                      singular_radii=field.singular_radii)
+    fd, _ = fd_h_hessian(field.value, x, 1e-3, space="euclidean",
+                         singular_radii=field.singular_radii)
     assert np.abs(fd - ref).max() <= 1e-5
+
+
+@pytest.mark.parametrize("name,d", [("u4", 1), ("u4", 2), ("u4", 4), ("u2", 3)])
+def test_fd_h_hessian_gives_every_point_the_bits_of_the_one_point_oracle(name, d, monkeypatch):
+    # Half the points sit within 1e-4 of the gluing sphere and shrink their steps.
+    field = _field(name, Ellipticity(1.0, 1.5), HeisDims(d))
+    rng = np.random.default_rng(12 + d)
+    x = rng.standard_normal((5, 6, field.dim))
+    scale = np.where(np.arange(6) % 2, 2.0, 1.0 + 1e-4 * rng.standard_normal((5, 6)))
+    if field.space == "heisenberg":
+        x = hgroup.dilate(scale / hgroup.hnorm(x), x)
+    else:
+        x *= (scale / np.linalg.norm(x, axis=-1))[..., None]
+    sizes = []
+
+    def value(p):
+        sizes.append(p.shape[0])
+        return field.value(p)
+
+    kw = {"space": field.space, "singular_radii": field.singular_radii}
+    # With glibc, 0.005605**2 (libm pow) and 0.005605 * 0.005605 differ in the last bit.
+    for h in (1e-2, 0.005605):
+        fd, steps = fd_h_hessian(value, x, h, **kw)
+        assert fd.shape == x.shape[:-1] + 2 * (field.dim - (field.space == "heisenberg"),)
+        assert np.all(steps[:, ::2] < h) and np.all(steps[:, 1::2] == h)
+        for idx in np.ndindex(5, 6):
+            want, step = _oracles.fd_h_hessian_one(field.value, x[idx], h, **kw)
+            assert np.array_equal(fd[idx], want) and steps[idx] == step
+    # Stencils reach value_fn in chunks of at most _CHUNK_ROWS rows.
+    monkeypatch.setattr(checker, "_CHUNK_ROWS", 3 * (2 * field.dim**2 + 1))
+    sizes.clear()
+    chunked, _ = fd_h_hessian(value, x, h, **kw)
+    assert sizes == [checker._CHUNK_ROWS] * 10 and np.array_equal(chunked, fd)
+
+
+def test_convergence_study_memory_does_not_grow_with_the_stencil():
+    # Per point the study keeps the reference and the finite-difference
+    # Hessians: about 2.0 KB at d = 4, measured.  Stencils reach value_fn in
+    # chunks, so their 163 rows per point add nothing; unchunked, they took
+    # about 37 KB per point.
+    field = _field("u4", Ellipticity(1.0, 1.5), HeisDims(4))
+    region = Region(0.5, 2.0, n_samples=8192, seed=1)
+    peaks = []
+    for n in (1024, 4096):
+        tracemalloc.start()
+        try:
+            assert convergence_study(field, region, levels=2, n_points=n).n_points == n
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / 3072 <= 3800
 
 
 def test_convergence_study_reports_second_order():

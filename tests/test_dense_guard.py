@@ -1,6 +1,7 @@
 """The dense re-check of spectral runs: the Weyl pre-test, column sums and row dots."""
 
 import dataclasses
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from heispde import checker, hgroup, operators
+from heispde import checker, cli, hgroup, operators
 from heispde.checker import OperatorSpec, Region, check_inequality, sample_region
 from heispde.gallery import field_from_profile, make_profile
 from heispde.hgroup import HeisDims
@@ -350,3 +351,49 @@ def test_tol_0_allows_the_rounding_of_two_correct_paths(d, op):
     for tol in (0.0, 1e-9):
         with pytest.raises(ValueError, match="spectral and dense paths disagree"):
             check_inequality(scaled, spec, region, tol=tol)
+
+
+# ---------------------------------------------------------------------------
+# entries whose squares overflow
+
+
+def _steep_rows():
+    """power with kappa = -1e3 on H^1 at rho < 0.6: Hessian entries up to about 1e301."""
+    dims = HeisDims(1)
+    field = field_from_profile(make_profile("power", None, dims, kappa=-1e3), dims)
+    region = Region(0.5, 0.6, n_samples=64, seed=2, char_eps=0.05)
+    batch = sample_region(region, space=field.space, dim=field.dim, singular_radii=field.singular_radii)
+    rows = np.flatnonzero(batch.admissible)[:8]
+    got = checker._spectral_jets(
+        field.profile, field.dim, None, batch.radius[rows], batch.tau[rows], "horizontal", False, False
+    )[2]
+    return field, batch.place(rows), got
+
+
+def test_rows_whose_norm_overflows_are_still_compared():
+    field, pts, got = _steep_rows()
+    hess = np.asarray(field.hessian(pts))
+    assert np.isfinite(hess).all() and np.abs(hess).max() > 1e300
+    rep = checker._dense_check(field, "horizontal", pts, got, None, 1e-9)
+    assert np.isfinite(rep["max_abs_bound"]) and rep["max_rel_bound"] <= 1e-9
+    with pytest.raises(ValueError, match="spectral and dense paths disagree"):
+        checker._dense_check(field, "horizontal", pts, 1.01 * got, None, 1e-9)
+
+
+def test_scaling_rows_keeps_the_bits_of_every_bound():
+    # Each row is divided by a power of two, which rounds nothing.
+    field = _field("u4", 2)
+    pts, hess, got = _spectral_rows(field, seed=3)
+    mat = _dense_matrix(field.space, hess, pts)
+    bound, budget = checker._weyl_bound(mat, pts, field.space, got)
+    for k in (-600, 3, 500):
+        scaled = checker._weyl_bound(np.ldexp(mat, k), pts, field.space, np.ldexp(got, k))
+        assert _same_bits(scaled[0], np.ldexp(bound, k)) and _same_bits(scaled[1], np.ldexp(budget, k))
+
+
+def test_a_steep_verify_report_can_be_written(tmp_path):
+    out = tmp_path / "r.json"
+    code = cli.main(["verify", "--field", "power", "--kappa", "-1e3", "--d", "1", "--out", str(out)])
+    assert code == 0
+    bounds = json.loads(out.read_text())["paths"]["dense_check"]
+    assert np.isfinite(bounds["max_abs_bound"]) and np.isfinite(bounds["max_rel_bound"])

@@ -90,7 +90,7 @@ def test_eta_example_and_norm_identity():
 
 
 def test_frame_example():
-    sigma = hgroup.frame([1.0, 2.0, 7.0])
+    sigma = _oracles.frame([1.0, 2.0, 7.0])
     assert sigma.shape == (3, 2)
     assert np.array_equal(sigma[:2], np.eye(2))
     assert np.array_equal(sigma[2], [4.0, -2.0])
@@ -241,7 +241,7 @@ def test_frame_fields_realize_commutator():
 
     rng = np.random.default_rng(9)
     pt = rng.standard_normal(3)
-    sigma = hgroup.frame(pt)
+    sigma = _oracles.frame(pt)
     h = 1e-5
     # flow along the frame columns (straight lines suffice at this order)
     x1x2 = (x_field(1, pt + h * sigma[:, 0]) - x_field(1, pt - h * sigma[:, 0])) / (2 * h)
@@ -257,7 +257,7 @@ def test_h_hessian_rank_two_form_matches_frame_sandwich(d):
     x = 3.0 * rng.standard_normal((64, n))
     hess = 10.0 * rng.standard_normal((64, n, n))
     hess = hess + np.swapaxes(hess, 1, 2)
-    sigma = hgroup.frame(x)
+    sigma = _oracles.frame(x)
     sandwich = np.einsum("kia,kij,kjb->kab", sigma, hess, sigma)
     got = hgroup.h_hessian(np.zeros((64, n)), hess, x)
     scale = np.maximum(1.0, np.abs(sandwich).max(axis=(1, 2)))

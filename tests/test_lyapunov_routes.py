@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from heispde import checker, hgroup
-from heispde.checker import BarrierBundle, Region, check_lyapunov
+from heispde.checker import BarrierBundle, OperatorSpec, Region, check_inequality, check_lyapunov
+from heispde.gallery import field_from_profile, make_profile
 from heispde.hgroup import HeisDims
 from heispde.operators import Ellipticity, HJBCoefficients
 
@@ -237,3 +238,83 @@ def test_alpha_and_gammas_are_checked_before_sampling():
         check_lyapunov("OUtype", ou, E12, NO_ADMISSIBLE_POINT, dims)
     with pytest.raises(ValueError, match="gammas must be 3 positive reals"):
         check_lyapunov("OUtype", ou, E12, NO_ADMISSIBLE_POINT, dims, gammas=[1.0, -1.0, 1.0])
+
+
+# ---------------------------------------------------------------------------
+# horizontal growth conditions are the supersolution inequality of log rho
+
+GROWTH_REGION = Region(1.0, 8.0, n_samples=4096, char_eps=0.05)
+
+
+def _growth_families(dims):
+    """(label, HJBCoefficients) of the horizontal fixtures and one random two-control family.
+
+    hou with gamma0 = 20 beats every threshold here, so each condition also
+    has a passing family.
+    """
+    out = [
+        ("hou", checker.lyapunov_fixture("hou", dims, gamma0=3.0)[1]),
+        ("strong hou", checker.lyapunov_fixture("hou", dims, gamma0=20.0)[1]),
+        ("schro", checker.lyapunov_fixture("schro", dims, c0=0.7)[1]),
+        ("zero-coeffs", checker.lyapunov_fixture("zero-coeffs", dims)[1]),
+    ]
+    rng = np.random.default_rng(70 + dims.d)
+    a = rng.standard_normal((2, dims.m, dims.n))
+    cost = np.abs(rng.standard_normal(2))
+    drifts = tuple(lambda x, a=a[k]: x @ a.T for k in range(2))
+    costs = tuple(lambda x, c=cost[k]: c * hgroup._hsq(x) for k in range(2))
+    return out + [("random", HJBCoefficients(drifts, costs, "horizontal"))]
+
+
+# condition -> (operator table entry, its parameters at d, the route's threshold).
+GROWTH_INEQUALITIES = {
+    "condcor1": ("pucci_min", lambda d: {}, checker._pucci_rhs),
+    "condcor1p": ("pucci_minus_alpha", lambda d: {"alpha": 1.0 / (4 * d)}, checker._alpha_rhs),
+}
+
+
+def _log_rho_inequality(cond, family, dims, keep_samples=False):
+    op, params, _ = GROWTH_INEQUALITIES[cond]
+    log_rho = field_from_profile(make_profile("log_rho", dims=dims), dims)
+    spec = OperatorSpec(op, "supersolution", ell=E12, first_order=family, **params(dims.d))
+    return check_inequality(log_rho, spec, GROWTH_REGION, keep_samples=keep_samples)
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+@pytest.mark.parametrize("cond", sorted(GROWTH_INEQUALITIES))
+def test_the_drift_margin_is_the_log_rho_inequality_scaled(cond, d):
+    # The Hessian of log rho has eigenvalues (-1, 3, 1, ..., 1) tau^2 / rho^2,
+    # so the operator is the threshold times tau^2 / rho^2.
+    dims = HeisDims(d)
+    _, params, rhs = GROWTH_INEQUALITIES[cond]
+    r = rhs(E12, dims, params(d).get("alpha"), None)
+    for label, family in _growth_families(dims):
+        kept = _log_rho_inequality(cond, family, dims, keep_samples=True).samples
+        margin = checker._drift_margin(kept["points"], kept["radius"], family, r)[0][0]
+        scaled = margin * kept["tau"] ** 2 / kept["radius"] ** 2
+        scale = np.abs(kept["second"]) + np.abs(kept["first"])
+        assert np.all(np.abs(scaled - kept["total"]) <= 1e-13 * scale), label
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_growth_verdicts_are_the_log_rho_inequality_verdicts(d):
+    dims = HeisDims(d)
+    verdicts = set()
+    for cond, (_, params, _) in GROWTH_INEQUALITIES.items():
+        for label, family in _growth_families(dims):
+            got = check_lyapunov(cond, family, E12, GROWTH_REGION, dims, alpha=params(d).get("alpha")).verdict
+            assert got == _log_rho_inequality(cond, family, dims).verdict, (cond, label)
+            verdicts.add(got)
+    assert verdicts == {"pass", "fail"}
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_horizontal_schrodinger_passes_exactly_where_every_total_is_positive(d):
+    dims = HeisDims(d)
+    verdicts = set()
+    for label, family in _growth_families(dims):
+        total = _log_rho_inequality("condcor1", family, dims, keep_samples=True).samples["total"]
+        got = check_lyapunov("schrodinger", family, E12, GROWTH_REGION, dims).verdict
+        assert got == ("pass" if np.all(total > 0.0) else "fail"), label
+        verdicts.add(got)
+    assert verdicts == {"pass", "fail"}
