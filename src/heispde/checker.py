@@ -16,8 +16,10 @@ indices and folds each chunk into running counts, minima and maxima,
 verdict and witness (_PassRule), so no full-length point, margin or
 eigenvalue array is held and reports do not depend on the chunk size.
 Points are placed on demand: the sampler draws only rho (and tau on the
-group) for every sample, and SampleBatch.place(rows) draws the sign and
-direction of just those rows.  The sequence has random access, so a row
+group) for every sample, in blocks of _CHUNK_ROWS indices, and
+SampleBatch.place(rows) draws the sign (the top bit of its coordinate's
+64-bit word) and the direction (half-angle Box-Muller pairs, no sin or cos)
+of just those rows.  The sequence has random access, so a row
 placed alone is bit-identical to the same row of the full batch.  A
 spectral run without a Bellman part or keep_samples places only the
 dense-check rows and the witness, in one call; every other run places each
@@ -113,6 +115,8 @@ _DENSE_CHECK_POINTS = 256
 # Sample indices a check evaluates together, so per-point temporaries stay
 # O(_CHUNK_ROWS) at any n_samples.  Reports do not depend on it.
 _CHUNK_ROWS = 1 << 14
+# Box-Muller radii read log(min(u, it)), so the top Kronecker cell (1.0) is no zero vector.
+_BELOW_ONE = 1.0 - 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -303,23 +307,28 @@ def _kronecker_shift(k: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).integers(0, 2**64, size=k, dtype=np.uint64)
 
 
+def _kronecker_words(idx: np.ndarray, shift: np.ndarray, j: int) -> np.ndarray:
+    """Words s + i a (mod 2^64) of coordinate j of the R_k sequence at uint64 indices idx."""
+    x = idx * _kronecker_steps(shift.shape[0])[j]
+    x += shift[j]
+    return x
+
+
 def _kronecker_unit(i, shift: np.ndarray, coords=None) -> list[np.ndarray]:
     """Coordinates coords (default all) of the R_k sequence shifted by shift.
 
     k = len(shift); i is a count n (points 0..n-1) or an array of point indices.
     x_i = s + i a (mod 2^64) in 64-bit fixed point; the top 53 bits name a
-    dyadic cell and its midpoint is returned, so every value lies in (0, 1).
+    dyadic cell and its midpoint, rounded to double, is returned, so every
+    value lies in (0, 1] (the top cell rounds to 1.0).
     Each point depends only on its own index, so any subset of rows is
     bit-identical to the same rows of the full sequence.  Coordinates are
     made one at a time, so no (k, n) integer array is held.
     """
-    k = shift.shape[0]
-    steps = _kronecker_steps(k)
-    idx = np.arange(i, dtype=np.uint64) if np.ndim(i) == 0 else np.asarray(i).astype(np.uint64)
+    idx = np.arange(i, dtype=np.uint64) if np.ndim(i) == 0 else np.asarray(i).astype(np.uint64, copy=False)
     cols = []
-    for j in range(k) if coords is None else coords:
-        x = idx * steps[j]
-        x += shift[j]
+    for j in range(shift.shape[0]) if coords is None else coords:
+        x = _kronecker_words(idx, shift, j)
         x >>= np.uint64(11)
         u = x.astype(float)
         u += 0.5
@@ -331,19 +340,27 @@ def _kronecker_unit(i, shift: np.ndarray, coords=None) -> list[np.ndarray]:
 def _unit_vectors(u: list[np.ndarray], out: np.ndarray) -> None:
     """Fill out (m, N) with N unit vectors in R^m, one per column.
 
-    They come from 2 * ceil(m / 2) uniform coordinates u (Box-Muller pairs);
-    each pair writes its two rows of out, and the columns are normalized in
-    place.
+    They come from 2 * ceil(m / 2) uniform coordinates u (Box-Muller pairs).
+    Pair (u', u) has radius sqrt(-2 log u') and angle 2 pi u; with
+    t = tan(pi u) its rows are (1 - t^2, 2 t) / (1 + t^2), the angle's cos
+    and sin, so neither is called.  A lone last row (odd m) takes the first.
+    The columns are normalized in place.
     """
     m = out.shape[0]
     for j in range(0, m, 2):
-        r = np.sqrt(-2.0 * np.log(u[j]))
-        theta = 2.0 * np.pi * u[j + 1]
-        np.cos(theta, out=out[j])
-        out[j] *= r
+        t = np.multiply(np.pi, u[j + 1])
+        np.tan(t, out=t)
         if j + 1 < m:
-            np.sin(theta, out=out[j + 1])
-            out[j + 1] *= r
+            np.multiply(t, 2.0, out=out[j + 1])
+        t *= t
+        np.subtract(1.0, t, out=out[j])
+        t += 1.0
+        r = np.minimum(u[j], _BELOW_ONE)
+        np.log(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        r /= t
+        out[j : j + 2] *= r
     out /= np.sqrt(hgroup._rowdot(out.T, out.T))
 
 
@@ -357,11 +374,11 @@ def _radius_tau(pts: np.ndarray, space: str) -> tuple[np.ndarray, np.ndarray | N
 
 
 def _exclude_tubes(admissible, radius, tau, region, singular_radii, excluded_by) -> None:
-    """Clear admissible inside the characteristic and kink tubes, counting by reason."""
+    """Clear admissible inside the characteristic and kink tubes, adding to the counts by reason."""
     if tau is not None and region.char_eps > 0.0:
         hit = admissible & (tau < region.char_eps)
         if np.any(hit):
-            excluded_by["characteristic_tube"] = int(hit.sum())
+            excluded_by["characteristic_tube"] = excluded_by.get("characteristic_tube", 0) + int(hit.sum())
             admissible &= ~hit
     if region.kink_eps > 0.0:
         hit = np.zeros_like(admissible)
@@ -369,7 +386,7 @@ def _exclude_tubes(admissible, radius, tau, region, singular_radii, excluded_by)
             hit |= np.abs(radius - rk) < region.kink_eps
         hit &= admissible
         if np.any(hit):
-            excluded_by["kink_tube"] = int(hit.sum())
+            excluded_by["kink_tube"] = excluded_by.get("kink_tube", 0) + int(hit.sum())
             admissible &= ~hit
 
 
@@ -396,32 +413,42 @@ def sample_region(
     chart = 1 if euclid else 2
     k = (1 if euclid else 3) + 2 * ((m + 1) // 2)
     shift = _kronecker_shift(k, region.seed)
-    u = _kronecker_unit(region.n_samples, shift, range(chart))
+    n = region.n_samples
     lo = math.log(region.rho_min)
-    radius = np.exp(lo + (math.log(region.rho_max) - lo) * u[0])
-    tau = None if euclid else u[1]
+    radius, tau, admissible = np.empty(n), None if euclid else np.empty(n), np.ones(n, dtype=bool)
+    excluded_by = dict.fromkeys(("characteristic_tube", "kink_tube"), 0)
+    # The chart is drawn, and the tubes applied, one block of indices at a time.
+    for start in range(0, n, _CHUNK_ROWS):
+        b = slice(start, min(start + _CHUNK_ROWS, n))
+        u = _kronecker_unit(np.arange(b.start, b.stop, dtype=np.uint64), shift, range(chart))
+        np.exp(lo + (math.log(region.rho_max) - lo) * u[0], out=radius[b])
+        if not euclid:
+            tau[b] = u[1]
+        _exclude_tubes(admissible[b], radius[b], None if euclid else tau[b], region, singular_radii, excluded_by)
+    excluded_by = {reason: count for reason, count in excluded_by.items() if count}
 
     def place(rows):
         # Column-major: row j of out is coordinate j of every point.
         rows = np.asarray(rows, dtype=np.intp)
-        v = _kronecker_unit(rows, shift, range(chart, k))
+        idx = rows.astype(np.uint64)
         out = np.empty((dim, rows.shape[0]))
         r_s = radius[rows]
         if euclid:
-            _unit_vectors(v, out)
+            _unit_vectors(_kronecker_unit(idx, shift, range(chart, k)), out)
             out *= r_s
             return out.T
         tau_s = tau[rows]
-        _unit_vectors(v[1:], out[:m])
+        _unit_vectors(_kronecker_unit(idx, shift, range(chart + 1, k)), out[:m])
         out[:m] *= r_s * tau_s
-        vert = out[m]
-        np.multiply(np.where(v[0] < 0.5, 1.0, -1.0), r_s**2, out=vert)
-        vert *= np.sqrt(1.0 - tau_s**4)
+        vert = np.multiply(r_s, r_s, out=out[m])
+        # The sign coordinate's u >= 0.5 (so t < 0) exactly when its word's top bit is set.
+        np.negative(vert, out=vert, where=_kronecker_words(idx, shift, chart) >= np.uint64(1 << 63))
+        tau_s *= tau_s
+        tau_s *= tau_s  # (tau tau)^2
+        np.subtract(1.0, tau_s, out=tau_s)
+        vert *= np.sqrt(tau_s, out=tau_s)
         return out.T
 
-    admissible = np.ones(region.n_samples, dtype=bool)
-    excluded_by: dict[str, int] = {}
-    _exclude_tubes(admissible, radius, tau, region, singular_radii, excluded_by)
     return SampleBatch(radius, tau, admissible, excluded_by, place)
 
 

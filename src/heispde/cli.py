@@ -637,7 +637,7 @@ def main(argv=None) -> int:
     try:
         eff = _effective(ns)
         return _DISPATCH[ns.command](eff)
-    except (CliError, ProfileRegimeError, ValueError, TypeError, OSError) as exc:
+    except (CliError, ProfileRegimeError, ValueError, TypeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -201,3 +201,15 @@ def fd_h_hessian_one(value_fn, x, h, *, space="heisenberg", singular_radii=()):
             hess[i, j] = hess[j, i] = (vpp - vpm - vmp + vmm) / (4.0 * h**2)
             k += 4
     return (h_hessian_rank2(hess, xa) if space == "heisenberg" else hess), h
+
+
+def box_muller(u, m: int) -> np.ndarray:
+    """(N, m) Gaussian vectors from 2 ceil(m / 2) uniform columns u, by cos and sin.
+
+    Pair (a, b) gives sqrt(-2 log a) (cos 2 pi b, sin 2 pi b); an odd m
+    drops the last sin.
+    """
+    g = []
+    for a, b in zip(u[0::2], u[1::2]):
+        g += [np.sqrt(-2.0 * np.log(a)) * np.cos(2.0 * np.pi * b), np.sqrt(-2.0 * np.log(a)) * np.sin(2.0 * np.pi * b)]
+    return np.column_stack(g[:m])

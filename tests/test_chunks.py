@@ -259,7 +259,8 @@ def test_lyapunov_reports_do_not_depend_on_the_chunk_size(cond, kind, d, monkeyp
 # memory
 
 # Largest growth of the tracemalloc peak per extra sample.  The chart keeps
-# 17 B per sample (radius, tau, admissible); drawing it holds about 32 B.
+# 17 B per sample (radius, tau, admissible); drawing it in one piece held
+# about 32 B.
 BYTES_PER_SAMPLE = 48
 
 
@@ -300,6 +301,20 @@ def test_peak_memory_grows_by_the_chart_alone(label, make, n0, n1):
     make(n0)  # imports and caches outside the measurement
     growth = (_peak(lambda: make(n1)) - _peak(lambda: make(n0))) / (n1 - n0)
     assert growth <= BYTES_PER_SAMPLE, f"{label}: {growth:.1f} B per sample"
+
+
+# Drawn block by block, the chart is all that grows: 17 B per sample.  At
+# d = 1 the per-chunk temporaries are too small to hide a whole-length draw
+# (24 and 34 B per sample when the chart was drawn in one piece).
+CHART_BYTES_PER_SAMPLE = 18
+CHART_CASES = [MEMORY_CASES[0], MEMORY_CASES[2]]
+
+
+@pytest.mark.parametrize("label,make,n0,n1", CHART_CASES, ids=[case[0] for case in CHART_CASES])
+def test_drawing_the_chart_adds_nothing_per_sample(label, make, n0, n1):
+    make(n0)
+    growth = (_peak(lambda: make(n1)) - _peak(lambda: make(n0))) / (n1 - n0)
+    assert growth <= CHART_BYTES_PER_SAMPLE, f"{label}: {growth:.1f} B per sample"
 
 
 # tracemalloc peaks of the dense path, in doubles per row, as measured when

@@ -354,6 +354,19 @@ def test_a_negative_seed_exits_two_naming_the_seed(argv, tmp_path, capsys):
     assert "seed must be a nonnegative integer, got -3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["lyapunov", "--fixture", "hou", "--d", "1", "--rho-min", "2", "--rho-max", "16"],
+    ["verify", "--field", "u4", "--d", "1"],
+])
+def test_a_sample_count_too_large_to_allocate_exits_two(command, tmp_path, capsys):
+    # 10^16 doubles are 80 PB: a 64-bit host refuses the chart at allocation.
+    out = tmp_path / "rep.json"
+    assert main(command + ["--n-samples", str(10**16), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "allocate" in err
+    assert not out.exists()
+
+
 def test_gallery_command(tmp_path, capsys):
     assert main(["gallery", "list", "--d", "1"]) == 0
     text = capsys.readouterr().out

@@ -23,6 +23,8 @@ from heispde.gallery import field_from_profile, make_profile
 from heispde.hgroup import HeisDims
 from heispde.operators import Ellipticity, HJBCoefficients
 
+from _oracles import box_muller
+
 E15 = Ellipticity(1.0, 1.5)
 # (space, dim): H^1, H^2, H^4, R^3, R^4.
 SPACES = [("heisenberg", 3), ("heisenberg", 5), ("heisenberg", 9), ("euclidean", 3), ("euclidean", 4)]
@@ -82,10 +84,7 @@ def test_kronecker_points_follow_the_chart(space, dim):
     k = head + 2 * ((m + 1) // 2)
     u = checker._kronecker_unit(region.n_samples, checker._kronecker_shift(k, region.seed))
     r = region.rho_min * (region.rho_max / region.rho_min) ** u[0]
-    g = []
-    for a, b in zip(u[head::2], u[head + 1 :: 2]):
-        g += [np.sqrt(-2.0 * np.log(a)) * np.cos(2.0 * np.pi * b), np.sqrt(-2.0 * np.log(a)) * np.sin(2.0 * np.pi * b)]
-    direction = np.column_stack(g[:m])
+    direction = box_muller(u[head:], m)
     direction /= np.linalg.norm(direction, axis=1)[:, None]
     if euclid:
         want = r[:, None] * direction
@@ -95,6 +94,88 @@ def test_kronecker_points_follow_the_chart(space, dim):
         want = np.column_stack([(r * tau)[:, None] * direction, vert])
     batch = sample_region(region, space=space, dim=dim)
     assert np.allclose(_points(batch), want, rtol=1e-12, atol=1e-14)
+
+
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 8])
+def test_half_angle_directions_match_the_cos_sin_oracle(m):
+    # t = tan(pi u) gives (cos, sin) of 2 pi u as (1 - t^2, 2 t) / (1 + t^2).
+    # Near cos = 0 that first row is exact to eps absolute, not relative, so
+    # after normalizing, a row's error scales with its pair's radius over the
+    # vector's norm.  A whole pair's radius is at most the norm; an odd m's
+    # lone row, whose sin is dropped, may exceed it.
+    n, k = 1 << 16, 2 * ((m + 1) // 2)
+    u = checker._kronecker_unit(n, checker._kronecker_shift(k, m))
+    out = np.empty((m, n))
+    checker._unit_vectors(u, out)
+    g = box_muller(u, m)
+    norm = np.linalg.norm(g, axis=1)
+    scale = np.maximum(1.0, np.sqrt(-2.0 * np.log(u[-2])) / norm) if m % 2 else 1.0
+    assert np.all(np.abs(out.T - g / norm[:, None]).max(axis=1) <= 4 * EPS * scale)
+    assert np.all(np.abs(np.linalg.norm(out, axis=0) - 1.0) <= 4 * EPS)
+
+
+@pytest.mark.parametrize("m", [2, 3, 8])
+@pytest.mark.parametrize("u_radius", [1.0, 2.0**-54])
+def test_the_top_and_bottom_kronecker_cells_give_unit_vectors(m, u_radius):
+    # The top cell rounds to exactly 1.0, the bottom one is 2^-54.
+    top_and_bottom = np.array([2**64 - 1, 0], dtype=np.uint64)
+    assert [col[0] for col in checker._kronecker_unit(1, top_and_bottom)] == [1.0, 2.0**-54]
+    angles = np.array([0.3, 2.0**-54, 0.5, 0.75, 1.0])
+    u = [np.full(angles.size, u_radius) if j % 2 == 0 else angles for j in range(2 * ((m + 1) // 2))]
+    out = np.empty((m, angles.size))
+    checker._unit_vectors(u, out)
+    assert np.all(np.isfinite(out))
+    assert np.all(np.abs(np.linalg.norm(out, axis=0) - 1.0) <= 4 * EPS)
+
+
+def test_an_angle_next_to_a_half_turn_gives_a_finite_direction():
+    # pi * 0.5 is the double nearest pi/2, where tan is largest (about 1.6e16).
+    u_angle = np.array([np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0)])
+    u = [np.full(3, 0.3), u_angle]
+    out = np.empty((2, 3))
+    checker._unit_vectors(u, out)
+    g = box_muller(u, 2)
+    assert np.all(np.isfinite(out))
+    assert np.all(np.abs(out.T - g / np.linalg.norm(g, axis=1)[:, None]) <= 4 * EPS)
+
+
+@pytest.mark.parametrize("word", [0, 2**63 - 2**11 - 1, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1])
+def test_the_sign_bit_agrees_with_the_sign_coordinate(word, monkeypatch):
+    # Point 0 of the sequence is its shift, so the sign word of row 0 is word.
+    shift = np.array([2**63, 2**62, word, 2**61, 2**60], dtype=np.uint64)
+    monkeypatch.setattr(checker, "_kronecker_shift", lambda k, seed: shift)
+    u_sign = checker._kronecker_unit(1, shift)[2][0]
+    assert u_sign == (((word >> 11) + 0.5) * 2.0**-53)
+    point = sample_region(Region(0.3, 3.0, n_samples=1), space="heisenberg", dim=3).place([0])[0]
+    assert point[-1] != 0.0 and (point[-1] > 0.0) == (u_sign < 0.5)
+
+
+@pytest.mark.parametrize("space,dim", [("heisenberg", 5), ("euclidean", 3)])
+def test_the_chart_is_drawn_block_by_block_with_the_same_bits(space, dim, monkeypatch):
+    # 2500 samples in blocks of 1000: the last block is short.  The kink
+    # tube is hit in the first block, the characteristic tube only later;
+    # excluded_by still names the characteristic tube first.
+    base = Region(0.3, 3.0, n_samples=2500, seed=2, char_eps=0.0, kink_eps=1e-9)
+    whole = sample_region(base, space=space, dim=dim)
+    radii = (float(whole.radius[5]), float(whole.radius[2400]))
+    region = base
+    want = {"kink_tube": 2}
+    if space == "heisenberg":
+        later = whole.tau[1000:].min()
+        assert whole.tau[:1000].min() > later
+        region = dataclasses.replace(base, char_eps=float(np.nextafter(later, 1.0)))
+        want = {"characteristic_tube": 1, "kink_tube": 2}
+    monkeypatch.setattr(checker, "_CHUNK_ROWS", 1 << 14)
+    one = sample_region(region, space=space, dim=dim, singular_radii=radii)
+    monkeypatch.setattr(checker, "_CHUNK_ROWS", 1000)
+    blocks = sample_region(region, space=space, dim=dim, singular_radii=radii)
+    assert list(one.excluded_by.items()) == list(blocks.excluded_by.items()) == list(want.items())
+    for a, b in ((one.radius, blocks.radius), (one.tau, blocks.tau), (one.admissible, blocks.admissible)):
+        assert (a is None and b is None) or a.tobytes() == b.tobytes()
+    assert np.array_equal(one.radius, whole.radius)
 
 
 @pytest.fixture
