@@ -24,8 +24,9 @@ placed alone is bit-identical to the same row of the full batch.  A
 spectral run without a Bellman part or keep_samples places only the
 dense-check rows and the witness, in one call; every other run places each
 chunk's admissible rows once.  Placed points are column-major (every
-coordinate contiguous), and sums over the coordinate axis go through
-hgroup._rowdot, so no value depends on that layout.
+coordinate contiguous), and sums over the coordinate or eigenvalue axis go
+through hgroup._rowdot and hgroup._rowsum, which add left to right, so no
+value depends on that layout or on numpy's sum kernels.
 Results do not depend on which rows were placed.  What stays O(n_samples):
 the chart, keep_samples arrays and a table's own arrays.  Only numpy is used.
 
@@ -682,7 +683,10 @@ def _extreme(reduce, values) -> float:
     values = np.asarray(values)
     out = float(reduce(values))
     if out == 0.0:
-        negative = np.signbit(values[values == 0.0])
+        # Every value lies on one side of zero (below it for max, above for
+        # min), so the nonzero ones cannot change the answer: no need to pick
+        # the zeros out.
+        negative = np.signbit(values)
         out = -0.0 if (negative.all() if reduce is np.max else negative.any()) else 0.0
     return out
 
@@ -965,7 +969,7 @@ def _inequality_from_batch(
             if np.any(nonzero):
                 max_rel = _running(np.max, max_rel, value[nonzero] / np.abs(ref_vals[nonzero]))
         else:
-            allow = _allowance(tol, factor * operators._sum_last(np.abs(terms["eigs"])) + np.abs(terms["first"]))
+            allow = _allowance(tol, factor * hgroup._rowsum(np.abs(terms["eigs"])) + np.abs(terms["first"]))
             looked, value = alive, terms["total"] if spec.sense == "subsolution" else -terms["total"]
         n_looked += int(np.count_nonzero(looked))
         excess = np.where(looked, value, -np.inf)

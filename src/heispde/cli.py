@@ -112,14 +112,23 @@ def _payload(command: str, report: checker.CheckReport) -> dict:
 def _as_float(v):
     if isinstance(v, bool):
         raise ValueError("expected a number")
-    return float(v)
+    x = float(v)
+    if not math.isfinite(x):
+        raise ValueError(f"expected a finite number, got {v!r}")
+    return x
 
 
 def _as_int(v):
+    """An int, or an integral float or a string of either: "1e3" as a flag reads as 1e3 in a config."""
     if isinstance(v, bool):
         raise ValueError("expected an integer")
-    i = int(v)
-    if i != float(v):
+    if isinstance(v, str):
+        try:
+            return int(v)  # exact above 2^53
+        except ValueError:
+            v = float(v)
+    i = int(v)  # refuses NaN and inf
+    if i != v:
         raise ValueError(f"expected an integer, got {v!r}")
     return i
 
@@ -150,9 +159,9 @@ def _one_of(*options):
 def _as_gammas(v):
     if isinstance(v, str):
         parts = [p for p in v.split(",") if p.strip()]
-        return tuple(float(p) for p in parts)
+        return tuple(_as_float(p) for p in parts)
     if isinstance(v, (list, tuple)):
-        return tuple(float(x) for x in v)
+        return tuple(_as_float(x) for x in v)
     raise ValueError("gammas must be a comma-separated string or a list")
 
 

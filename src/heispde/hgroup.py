@@ -24,9 +24,10 @@ of X_i X_j u is Du_t * A[i, j] with A antisymmetric (A[i, i+d] = -2 =
 -A[i+d, i], from [X_i, X_{i+d}] = -4 d_t), so symmetrizing removes it.
 
 Every function accepts arbitrary leading batch axes; the last axis is the
-coordinate axis, in any memory layout.  Sums over it go through _rowdot,
-whose order of adds does not depend on the layout, so a value has the same
-bits whether the points are stored row by row or column by column.  eta and
+coordinate axis, in any memory layout.  Sums over it go through _rowdot
+and _rowsum, which add its columns left to right, so a value has the same
+bits whether the points are stored row by row or column by column, and on
+any of numpy's sum kernels.  eta and
 euclid_grad_rho build their output one coordinate at a time and return it
 column-major; h_hessian builds its matrices batch-last, entry (i, j) of
 every matrix one contiguous row, and returns a view that is not C-contiguous.
@@ -149,35 +150,29 @@ def hperp(x) -> np.ndarray:
 
 
 def _rowdot(a, b) -> np.ndarray:
-    """sum_j a[..., j] b[..., j]: np.einsum("...j,...j->...") on contiguous rows, bit for bit.
+    """sum_j a[..., j] b[..., j], added left to right onto +0.0.
 
-    einsum adds in another order when the rows are not contiguous; this
-    order does not depend on the layout.  On contiguous rows einsum keeps two
-    lanes, lane 0 adding the even columns and lane 1 the odd ones: each full
-    block of eight columns j..j+7 back to front (j+6, j+4, j+2, j and j+7,
-    j+5, j+3, j+1), then the rest in order; the result is lane 0 + lane 1,
-    added onto +0.0.  Its lanes start at +0.0; these start at the first
-    product, which changes only the sign of a zero, and the final +0.0 add
-    clears that.  One product is held at a time, and on column-major arrays
-    every product reads contiguous columns.
+    One product is held at a time, and on column-major arrays every product
+    reads contiguous columns; the order of adds does not depend on the layout.
     """
     a, b = np.asarray(a), np.asarray(b)
     if max(a.ndim, b.ndim) < 2:
         return _rowdot(a[None], b[None])[0]
-    m = a.shape[-1]
-    full = m - m % 8
-    order = [j + i for j in range(0, full, 8) for i in (6, 7, 4, 5, 2, 3, 0, 1)]
-    lanes, prod = [None, None], None
-    for j in order + list(range(full, m)):
-        if lanes[j % 2] is None:
-            lanes[j % 2] = a[..., j] * b[..., j]
-        else:
-            prod = np.multiply(a[..., j], b[..., j], out=prod)
-            lanes[j % 2] += prod
-    out = lanes[0]
-    if lanes[1] is not None:
-        out += lanes[1]
-    out += 0.0
+    out = a[..., 0] * b[..., 0]
+    out += 0.0  # the same bits as 0.0 + out, so -0.0 products sum to +0.0
+    prod = None
+    for j in range(1, a.shape[-1]):
+        prod = np.multiply(a[..., j], b[..., j], out=prod)
+        out += prod
+    return out
+
+
+def _rowsum(x) -> np.ndarray:
+    """sum_j x[..., j], added left to right onto +0.0, so -0.0 terms sum to +0.0."""
+    x = np.asarray(x)
+    out = x[..., 0] + 0.0
+    for j in range(1, x.shape[-1]):
+        out += x[..., j]
     return out
 
 

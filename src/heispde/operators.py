@@ -17,8 +17,8 @@ that scales sum |e_k| into a bound on its magnitude:
     pnorm              p      -(sum(e_k) + (p - 2) e_q)                 1 + |p-2|
     neg_trace          -      -sum(e_k)                                 1
 
-No entry reads the matrix: the trace is sum(e_k) (_sum_last, numpy's own sum
-by columns), the Frobenius norm sqrt(sum(e_k^2)), and pnorm, -Tr[(I + (p-2)
+No entry reads the matrix: the trace is sum(e_k) (hgroup._rowsum, added left
+to right), the Frobenius norm sqrt(sum(e_k^2)), and pnorm, -Tr[(I + (p-2)
 qq^T/|q|^2) M], reads e_q = q^T M q / |q|^2 for the gradient q.  So the
 checker can feed them the eigenvalues of a dense horizontal Hessian (e_q
 from rayleigh_quotient) or the closed-form spectrum of a radial field, whose
@@ -42,7 +42,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .hgroup import _SYM_ATOL, _rowdot
+from .hgroup import _SYM_ATOL, _rowdot, _rowsum
 
 __all__ = [
     "Ellipticity",
@@ -125,31 +125,6 @@ def sym_eigenvalues(mat) -> np.ndarray:
     return np.linalg.eigvalsh(_as_sym(mat))
 
 
-def _sum_last(x) -> np.ndarray:
-    """x.sum(axis=-1), bit for bit (which NaN two NaNs give aside), by column adds.
-
-    numpy sums m <= 128 terms from +0.0: below 8 one after another, else in
-    8 lanes, lane j adding terms j, j + 8, ..., folded as ((l0 + l1) + (l2 +
-    l3)) + ((l4 + l5) + (l6 + l7)), then the m % 8 left over.  It runs that
-    per row as a short loop; column adds are about ten times faster.
-    """
-    m = x.shape[-1]
-    if m == 0 or m > 128:
-        return x.sum(axis=-1)
-    # Adding +0.0 first, as numpy does, sums terms that are all -0.0 to +0.0.
-    if m < 8:
-        out, tail = x[..., 0] + 0.0, 1
-    else:
-        lanes, tail = x[..., :8] + 0.0, m - m % 8
-        for i in range(8, tail, 8):
-            lanes += x[..., i : i + 8]
-        lane = [lanes[..., j] for j in range(8)]
-        out = ((lane[0] + lane[1]) + (lane[2] + lane[3])) + ((lane[4] + lane[5]) + (lane[6] + lane[7]))
-    for j in range(tail, m):
-        out += x[..., j]
-    return out
-
-
 def _fro(eigs: np.ndarray) -> np.ndarray:
     """Frobenius norm of a symmetric matrix from its eigenvalues."""
     return np.sqrt(_rowdot(eigs, eigs))
@@ -164,8 +139,8 @@ def signed_eig_sums(eigs: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np
     eigs = np.asarray(eigs, dtype=float)
     scale = np.asarray(scale, dtype=float)
     dead = np.abs(eigs) <= ZERO_TOL * scale[..., None]
-    neg = _sum_last(np.where((eigs < 0.0) & ~dead, eigs, 0.0))
-    pos = _sum_last(np.where((eigs > 0.0) & ~dead, eigs, 0.0))
+    neg = _rowsum(np.where((eigs < 0.0) & ~dead, eigs, 0.0))
+    pos = _rowsum(np.where((eigs > 0.0) & ~dead, eigs, 0.0))
     return neg, pos
 
 
@@ -222,7 +197,7 @@ def _pucci(maximal: bool) -> Callable:
 def _alpha(extreme: int) -> Callable:
     def value(eigs, e_q, params):
         pa = PucciAlpha(params["alpha"], eigs.shape[-1])
-        return -pa.alpha * _sum_last(eigs) - (1.0 - pa.m * pa.alpha) * eigs[..., extreme]
+        return -pa.alpha * _rowsum(eigs) - (1.0 - pa.m * pa.alpha) * eigs[..., extreme]
 
     return value
 
@@ -234,11 +209,11 @@ OPERATORS: dict[str, SecondOrderOp] = {
     "pucci_minus_alpha": SecondOrderOp("alpha", _alpha(extreme=-1), lambda pr: 1.0),
     "pnorm": SecondOrderOp(
         "p",
-        lambda eigs, e_q, pr: -(_sum_last(eigs) + (pr["p"] - 2.0) * e_q),
+        lambda eigs, e_q, pr: -(_rowsum(eigs) + (pr["p"] - 2.0) * e_q),
         lambda pr: 1.0 + abs(pr["p"] - 2.0),
         reads_e_q=True,
     ),
-    "neg_trace": SecondOrderOp(None, lambda eigs, e_q, pr: -_sum_last(eigs), lambda pr: 1.0),
+    "neg_trace": SecondOrderOp(None, lambda eigs, e_q, pr: -_rowsum(eigs), lambda pr: 1.0),
 }
 
 

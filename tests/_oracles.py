@@ -213,3 +213,24 @@ def box_muller(u, m: int) -> np.ndarray:
     for a, b in zip(u[0::2], u[1::2]):
         g += [np.sqrt(-2.0 * np.log(a)) * np.cos(2.0 * np.pi * b), np.sqrt(-2.0 * np.log(a)) * np.sin(2.0 * np.pi * b)]
     return np.column_stack(g[:m])
+
+
+def left_to_right_sum(x) -> np.ndarray:
+    """sum_j x[..., j] per row in Python floats: ((0.0 + x_0) + x_1) + ..."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape[:-1])
+    for idx in np.ndindex(*x.shape[:-1]):
+        s = 0.0
+        for v in x[idx].tolist():
+            s += v
+        out[idx] = s
+    return out
+
+
+def left_to_right_dot(a, b) -> np.ndarray:
+    """sum_j a[..., j] b[..., j] per row in Python floats, each product rounded, then added as above."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    prods = np.empty(a.shape)
+    for idx in np.ndindex(*a.shape):
+        prods[idx] = float(a[idx]) * float(b[idx])
+    return left_to_right_sum(prods)

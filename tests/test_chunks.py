@@ -210,10 +210,12 @@ def test_extremes_order_the_zeros_and_keep_a_nan():
 
     for values in ([0.0, -0.0], [-0.0, 0.0], [-1.0, -0.0, 0.0, -0.0]):
         assert bits(checker._extreme(np.max, values)) == (0.0, False)
-    assert bits(checker._extreme(np.max, [-1.0, -0.0, -0.0])) == (0.0, True)
+    for values in ([-1.0, -0.0, -0.0], [-np.inf, -0.0]):
+        assert bits(checker._extreme(np.max, values)) == (0.0, True)
     for values in ([0.0, -0.0], [-0.0, 0.0], [1.0, 0.0, -0.0, 0.0]):
         assert bits(checker._extreme(np.min, values)) == (0.0, True)
-    assert bits(checker._extreme(np.min, [1.0, 0.0])) == (0.0, False)
+    for values in ([1.0, 0.0], [np.inf, 0.0, 0.0]):
+        assert bits(checker._extreme(np.min, values)) == (0.0, False)
     assert np.isnan(checker._extreme(np.max, [1.0, np.nan, 0.0]))
     assert np.isnan(checker._running(np.min, np.nan, -0.0))
     assert checker._running(np.max, None, -3.0) == -3.0
@@ -233,7 +235,7 @@ def _lyapunov_data(kind, scale=1.0, cost=1.0):
     )
 
 
-@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 4])
 @pytest.mark.parametrize(
     "cond,kind",
     [(c, k) for c, routes in checker.LYAPUNOV_CONDITIONS.items() for k in routes],

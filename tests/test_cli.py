@@ -109,6 +109,14 @@ _NEG_U4 = [
     _NEG_U4 + ["--rho-min", "-1e-3"],
     ["verify", "--field", "power", "--d", "1", "--kappa", "-inf"],
     ["op-eval", "--op", "pnorm", "--matrix", "[[1, 0], [0, -1]]", "--q", "[1, 1]", "--p", "-1e-3"],
+    # Every number is refused if not finite, also where the check does not read it.
+    ["verify", "--field", "u4", "--d", "1", "--alpha", "nan"],
+    ["lyapunov", "--fixture", "hou", "--rho-min", "2", "--rho-max", "16", "--alpha", "inf"],
+    ["lyapunov", "--fixture", "ou", "--rho-min", "2", "--rho-max", "16", "--gammas", "1,nan,1"],
+    ["convergence", "--field", "folland", "--min-order", "nan"],
+    _NEG_U4[:-2] + ["--seed", "inf"],
+    _NEG_U4 + ["--n-samples", "nan"],
+    _NEG_U4 + ["--n-samples", "1000.5"],
 ])
 def test_bad_numbers_exit_two_without_a_report(argv, tmp_path, capsys):
     # Without --out too: a report refusing a non-finite echo must not be the
@@ -118,6 +126,34 @@ def test_bad_numbers_exit_two_without_a_report(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(out)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,name,value", [
+    (["verify", "--field", "u4"], "alpha", "nan"),
+    (["verify", "--field", "u4"], "lam", "inf"),
+    (["convergence", "--field", "folland"], "min_order", "-inf"),
+    (["lyapunov", "--fixture", "ou"], "gammas", "1,inf,1"),
+])
+def test_a_non_finite_number_is_refused_by_name_as_flag_and_as_config_value(argv, name, value, tmp_path, capsys):
+    assert main(argv + [f"--{name.replace('_', '-')}={value}"]) == 2
+    assert f"error: flag {name!r}: expected a finite number" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    # json writes nan and inf as NaN and Infinity, which json.load reads back.
+    cfg.write_text(json.dumps({name: [float(v) for v in value.split(",")] if name == "gammas" else float(value)}))
+    assert main(argv + ["--config", str(cfg)]) == 2
+    assert f"error: config key {name!r}: expected a finite number" in capsys.readouterr().err
+
+
+def test_integers_written_as_floats_read_the_same_as_flag_and_as_config_value(tmp_path, capsys):
+    head = ["verify", "--field", "u4", "--d", "1", "--char-eps", "0.05"]
+    out = tmp_path / "rep.json"
+    flags = _outcome(head + ["--n-samples", "1e3", "--seed", "2.0"], out, capsys)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"n_samples": 1e3, "seed": 2.0}')
+    assert flags == _outcome(head + ["--config", str(cfg)], out, capsys)
+    assert flags[0] == 0 and b'"n_samples": 1000,' in flags[3]
+    # Integers beyond 2^53 are read exactly.
+    assert cli._as_int(str(2**53 + 1)) == 2**53 + 1 == cli._as_int(2**53 + 1)
 
 
 def test_the_bad_number_cases_start_from_a_failing_check(capsys):

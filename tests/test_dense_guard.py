@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import _oracles
 from heispde import checker, cli, hgroup, operators
 from heispde.checker import OperatorSpec, Region, check_inequality, sample_region
 from heispde.gallery import field_from_profile, make_profile
@@ -26,9 +28,10 @@ def _field(name, d):
 
 
 # ---------------------------------------------------------------------------
-# _sum_last
+# hgroup._rowsum and hgroup._rowdot: left to right in every layout
 
 _EDGE = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.0**-1022, 1e308, -1e308])
+WIDTHS = [*range(1, 34), 129, 200, 300]
 
 
 def _same_bits(got, want):
@@ -40,30 +43,6 @@ def _same_bits(got, want):
         and np.array_equal(np.isnan(got), nan)
         and np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
     )
-
-
-@seed(11)
-@settings(max_examples=400, deadline=None)
-@given(st.data())
-def test_sum_last_matches_numpy_bit_for_bit(data):
-    m = data.draw(st.integers(1, 33))
-    lead = data.draw(st.sampled_from([(), (6,), (2, 3)]))
-    x = data.draw(arrays(np.float64, lead + (m,), elements=st.one_of(st.floats(), _EDGE)))
-    with np.errstate(all="ignore"):
-        assert _same_bits(operators._sum_last(x), x.sum(axis=-1))
-
-
-@pytest.mark.parametrize("m", [*range(1, 34), 129, 200, 300])
-def test_sum_last_keeps_numpys_order_on_wide_ranges(m):
-    # Terms spread over 30 decades, so any other order of adds shows in the bits.
-    rng = np.random.default_rng(m)
-    x = rng.standard_normal((500, m)) * 10.0 ** rng.integers(-15, 15, (500, m))
-    assert _same_bits(operators._sum_last(x), x.sum(axis=-1))
-    assert _same_bits(operators._sum_last(x[7]), x[7].sum(axis=-1))
-
-
-# ---------------------------------------------------------------------------
-# _rowdot
 
 
 def _strided(x):
@@ -79,28 +58,79 @@ def _reversed(x):
     return np.flip(np.ascontiguousarray(np.flip(x)))
 
 
+LAYOUTS = (np.ascontiguousarray, np.asfortranarray, _strided, _reversed)
+
+
+def _wide(rng, m):
+    # Terms spread over 30 decades, so any other order of adds shows in the bits.
+    return rng.standard_normal((500, m)) * 10.0 ** rng.integers(-15, 15, (500, m))
+
+
+@seed(11)
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_rowsum_adds_left_to_right_in_every_layout(data):
+    m = data.draw(st.integers(1, 33))
+    lead = data.draw(st.sampled_from([(), (6,), (2, 3)]))
+    x = data.draw(arrays(np.float64, lead + (m,), elements=st.one_of(st.floats(), _EDGE)))
+    want = _oracles.left_to_right_sum(x)
+    with np.errstate(all="ignore"):
+        for layout in LAYOUTS:
+            assert _same_bits(hgroup._rowsum(layout(x)), want), layout.__name__
+
+
+@pytest.mark.parametrize("m", WIDTHS)
+def test_rowsum_keeps_its_order_on_wide_ranges(m):
+    x = _wide(np.random.default_rng(m), m)
+    want = _oracles.left_to_right_sum(x)
+    for layout in LAYOUTS:
+        assert _same_bits(hgroup._rowsum(layout(x)), want), layout.__name__
+    assert _same_bits(hgroup._rowsum(x[7]), want[7])
+
+
 @seed(12)
 @settings(max_examples=400, deadline=None)
 @given(st.data())
-def test_rowdot_matches_einsum_bit_for_bit_in_every_layout(data):
+def test_rowdot_adds_left_to_right_in_every_layout(data):
     m = data.draw(st.integers(1, 33))
     lead = data.draw(st.sampled_from([(), (6,), (2, 3)]))
     a, b = (data.draw(arrays(np.float64, lead + (m,), elements=st.one_of(st.floats(), _EDGE))) for _ in "ab")
+    want = _oracles.left_to_right_dot(a, b)
     with np.errstate(all="ignore"):
-        want = np.einsum("...i,...i->...", a, b)
-        for layout in (np.ascontiguousarray, np.asfortranarray, _strided, _reversed):
+        for layout in LAYOUTS:
             assert _same_bits(hgroup._rowdot(layout(a), layout(b)), want), layout.__name__
 
 
-@pytest.mark.parametrize("m", range(1, 34))
-def test_rowdot_keeps_einsums_order_on_wide_ranges(m):
-    # Terms spread over 30 decades, so any other order of adds shows in the bits.
+@pytest.mark.parametrize("m", WIDTHS)
+def test_rowdot_keeps_its_order_on_wide_ranges(m):
     rng = np.random.default_rng(m)
-    a, b = (rng.standard_normal((500, m)) * 10.0 ** rng.integers(-15, 15, (500, m)) for _ in "ab")
-    want = np.einsum("ij,ij->i", a, b)
-    assert _same_bits(hgroup._rowdot(a, b), want)
-    assert _same_bits(hgroup._rowdot(np.asfortranarray(a), np.asfortranarray(b)), want)
+    a, b = _wide(rng, m), _wide(rng, m)
+    want = _oracles.left_to_right_dot(a, b)
+    for layout in LAYOUTS:
+        assert _same_bits(hgroup._rowdot(layout(a), layout(b)), want), layout.__name__
     assert _same_bits(hgroup._rowdot(a[7], b[7]), want[7])
+
+
+def test_sums_of_negative_zeros_are_positive_zero():
+    x = np.full((4, 5), -0.0)
+    assert _same_bits(hgroup._rowsum(x), np.zeros(4))
+    assert _same_bits(hgroup._rowdot(x, np.ones((4, 5))), np.zeros(4))
+    assert _same_bits(hgroup._rowsum(x[0]), 0.0)
+
+
+@pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
+def test_row_sums_hold_one_column_at_a_time(layout):
+    # Beside the (N,) result, at most one (N,) temporary: never an (N, m) product.
+    n, m = 2**15, 8
+    a, b = (layout(np.random.default_rng(k).standard_normal((n, m))) for k in (0, 1))
+    for call, limit in ((lambda: hgroup._rowsum(a), 1), (lambda: hgroup._rowdot(a, b), 2)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit * n * 8 + 4096, peak
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 8, 9])
