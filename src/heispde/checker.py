@@ -59,8 +59,10 @@ Growth conditions are data: LYAPUNOV_CONDITIONS maps a condition and the
 kind of data it gets to a LyapunovRoute (parameter check, margin function,
 strict, divides by |x_H|^2).  Bellman parts and growth conditions read a
 control family through operators._controls, so bad drifts and costs raise
-one ValueError everywhere.  Every check takes its verdict, worst excess and
-witness from one rule, _PassRule.
+one ValueError everywhere.  Every check runs one loop, _fold_chunks, over
+its chunks: it takes the verdict, worst excess and witness from one rule,
+_PassRule, folds each check's named values by prefix (n_* add, min_* and
+max_* keep the extreme) and writes the one CheckReport.
 
 Reports are deterministic functions of (config, seed): identical inputs give
 identical reports except for wall_time.  CheckReport declares its fields in
@@ -750,6 +752,72 @@ class _PassRule:
         return ("pass" if ok else "fail"), self.worst
 
 
+def _fold_chunks(kind, batch, region, tol, config, t0, chunk, finish, strict=False) -> CheckReport:
+    """Fold chunk(rows, position) over the chunks of batch's admissible rows into one report.
+
+    chunk returns (points or None, excess, magnitude, named, fields): the
+    chunk's placed points; its excesses for _PassRule, (N,) or (parts, N),
+    -inf where no point was looked at; the magnitudes _allowance reads; named
+    values, which fold over chunks by prefix (n_* add, min_* and max_* keep
+    the extreme through _running, None is skipped) and must count the rows
+    evaluated as n_evaluated and the rows the verdict looks at as n_looked;
+    and fields(k), the witness fields at position k.  The witness is
+    {point, radius, tau, **fields(k), allowance}; its point stays None if
+    the chunk placed none.  An admissible row not evaluated is excluded as
+    zero_gradient, and a run that looked at no row (none admissible, none
+    evaluated, or none compared) is vacuous, without a witness.  If any row
+    was admissible, finish(folded, verdict, witness, row) returns the kind's
+    own report fields, row being the witness's sample row; it may place the
+    witness's point.  No chunk's arrays are held while the next one is
+    computed.
+    """
+    rule = _PassRule(strict)
+    folded, witness, witness_row = {}, None, None
+    for rows, position in _chunks(batch.admissible):
+        pts, excess, mag, named, fields = chunk(rows, position)
+        allow = _allowance(tol, mag)
+        k = rule.add(excess, allow)
+        if k is not None:
+            witness = {
+                "point": None if pts is None else [float(v) for v in pts[k]],
+                "radius": float(batch.radius[rows[k]]),
+                "tau": None if batch.tau is None else float(batch.tau[rows[k]]),
+                **fields(k),
+                "allowance": float(allow[k]),
+            }
+            witness_row = rows[k]
+        for key, value in named.items():
+            if value is None:
+                continue
+            if key.startswith("n_"):
+                folded[key] = folded.get(key, 0) + value
+            else:
+                folded[key] = _running(np.min if key.startswith("min_") else np.max, folded.get(key), value)
+        # Without this the loop variables keep the chunk's arrays alive
+        # while the next chunk is computed.
+        del rows, pts, excess, mag, named, fields, allow
+    n_adm, n_evaluated = batch.n_admissible, folded.pop("n_evaluated", 0)
+    excluded_by = dict(batch.excluded_by)
+    if n_evaluated < n_adm:
+        excluded_by["zero_gradient"] = n_adm - n_evaluated
+    verdict, worst = rule.verdict() if folded.pop("n_looked", 0) else ("vacuous", None)
+    extras = finish(folded, verdict, witness, witness_row) if n_adm else {}
+    return CheckReport(
+        kind=kind,
+        verdict=verdict,
+        worst_violation=worst,
+        tol=tol,
+        n_samples=region.n_samples,
+        n_evaluated=n_evaluated,
+        n_excluded=region.n_samples - n_evaluated,
+        excluded_by=excluded_by,
+        witness=None if verdict == "vacuous" else witness,
+        config=config,
+        wall_time=time.perf_counter() - t0,
+        **extras,
+    )
+
+
 # (profile, operator) -> closed-form operator values: (rho, tau, profile
 # params, spec) -> (values, where they hold).
 _REFERENCES = {
@@ -769,22 +837,6 @@ _REFERENCES = {
         for name in ("u4", "u5", "u2", "u3")
     },
 }
-
-
-def _witness(batch, rows, pts, terms, excess, allow, k) -> dict:
-    """Witness at position k of a chunk; its point is None if pts is (placed later)."""
-    return {
-        "point": None if pts is None else [float(v) for v in pts[k]],
-        "radius": float(batch.radius[rows[k]]),
-        "tau": None if batch.tau is None else float(batch.tau[rows[k]]),
-        "value": float(terms["value"][k]),
-        "eigenvalues": [float(v) for v in terms["eigs"][k]],
-        "second_order": float(terms["second"][k]),
-        "first_order": float(terms["first"][k]),
-        "total": float(terms["total"][k]),
-        "excess": float(excess[k]),
-        "allowance": float(allow[k]),
-    }
 
 
 def _field_echo(field) -> dict:
@@ -822,22 +874,6 @@ def _spec_echo(spec: OperatorSpec) -> dict:
     return echo
 
 
-def _vacuous_report(kind, tol, region, batch, config, t0) -> CheckReport:
-    return CheckReport(
-        kind=kind,
-        verdict="vacuous",
-        worst_violation=None,
-        tol=tol,
-        n_samples=region.n_samples,
-        n_evaluated=0,
-        n_excluded=region.n_samples,
-        excluded_by=dict(batch.excluded_by),
-        witness=None,
-        config=config,
-        wall_time=time.perf_counter() - t0,
-    )
-
-
 def check_inequality(
     field,
     spec: OperatorSpec,
@@ -852,7 +888,8 @@ def check_inequality(
     mode "sense" checks the sub/supersolution inequality.  mode "formula"
     instead compares operator values against the registered closed form for
     this (profile, operator) pair and passes when the deviation stays within
-    tol * max(1, |reference|) pointwise.
+    tol * max(1, |reference|) pointwise; a pair without one is refused
+    (ValueError) before sampling.
     """
     t0 = time.perf_counter()
     _check_tol(tol)
@@ -860,6 +897,12 @@ def check_inequality(
         raise ValueError(f"unknown mode {mode!r}")
     if isinstance(field, TabulatedField):
         raise TypeError("use check_tabulated for tabulated fields")
+    reference = None
+    if mode == "formula":
+        key = (getattr(getattr(field, "profile", None), "name", None), spec.second_order)
+        reference = None if _own_profile(field) is None else _REFERENCES.get(key)
+        if reference is None:
+            raise ValueError(f"no closed-form reference registered for {key!r}")
 
     batch = sample_region(
         region, space=field.space, dim=field.dim, singular_radii=field.singular_radii
@@ -871,7 +914,7 @@ def check_inequality(
         "mode": mode,
     }
     return _inequality_from_batch(
-        field, spec, region, tol, mode, keep_samples, batch, config, t0
+        field, spec, region, tol, reference, keep_samples, batch, config, t0
     )
 
 
@@ -910,39 +953,27 @@ def check_tabulated(
         "mode": "sense",
     }
     return _inequality_from_batch(
-        table, spec, region, tol, "sense", keep_samples, batch, config, t0
+        table, spec, region, tol, None, keep_samples, batch, config, t0
     )
 
 
 def _inequality_from_batch(
-    field, spec, region, tol, mode, keep_samples, batch, config, t0
+    field, spec, region, tol, reference, keep_samples, batch, config, t0
 ) -> CheckReport:
     gspace = _resolve_gspace(field.space, spec)
-    n_adm = batch.n_admissible
-    if n_adm == 0:
-        return _vacuous_report("inequality", tol, region, batch, config, t0)
-
     profile = _own_profile(field)
-    reference = None
-    if mode == "formula":
-        key = (getattr(getattr(field, "profile", None), "name", None), spec.second_order)
-        reference = None if profile is None else _REFERENCES.get(key)
-        if reference is None:
-            raise ValueError(f"no closed-form reference registered for {key!r}")
     # The spectral path reads only the chart.  Without a Bellman part or
     # keep_samples it places just the dense-check rows and the witness.
     place = profile is None or spec.first_order is not None or keep_samples
     factor = operators.OPERATORS[spec.second_order].magnitude(spec.params)
+    n_adm = batch.n_admissible
     # Positions, among the admissible rows, that the dense path checks again.
     check_at = None
     if profile is not None:
         check_at = np.linspace(0, n_adm - 1, min(n_adm, _DENSE_CHECK_POINTS)).astype(np.intp)
-
-    rule = _PassRule()
-    n_alive = n_looked = n_compared = n_nonzero = 0
-    max_abs = max_rel = witness = witness_row = None
     picked, kept = [], []
-    for rows, position in _chunks(batch.admissible):
+
+    def chunk(rows, position):
         radius = batch.radius[rows]
         tau = None if batch.tau is None else batch.tau[rows]
         pts = batch.place(rows) if place else None
@@ -955,87 +986,67 @@ def _inequality_from_batch(
                 (rows[k], None if pts is None else pts[k], terms["eigs"][k], None if e_q is None else e_q[k])
             )
         alive = terms["alive"]
-        n_alive += int(np.count_nonzero(alive))
+        named = {"n_evaluated": int(np.count_nonzero(alive))}
         if reference is not None:
             ref_vals, ref_valid = reference(radius, tau, profile.params, spec)
             looked = ref_valid & alive
-            value = np.abs(terms["total"] - ref_vals)
-            allow = _allowance(tol, np.abs(ref_vals))
+            value, mag = np.abs(terms["total"] - ref_vals), np.abs(ref_vals)
             nonzero = looked & (ref_vals != 0.0)
-            n_compared += int(np.count_nonzero(looked))
-            n_nonzero += int(np.count_nonzero(nonzero))
-            if np.any(looked):
-                max_abs = _running(np.max, max_abs, value[looked])
-            if np.any(nonzero):
-                max_rel = _running(np.max, max_rel, value[nonzero] / np.abs(ref_vals[nonzero]))
+            named |= {
+                "n_compared": int(np.count_nonzero(looked)),
+                "n_nonzero_reference": int(np.count_nonzero(nonzero)),
+                "max_abs_deviation": value[looked] if np.any(looked) else None,
+                "max_rel_deviation": value[nonzero] / mag[nonzero] if np.any(nonzero) else None,
+            }
         else:
-            allow = _allowance(tol, factor * hgroup._rowsum(np.abs(terms["eigs"])) + np.abs(terms["first"]))
+            mag = factor * hgroup._rowsum(np.abs(terms["eigs"])) + np.abs(terms["first"])
             looked, value = alive, terms["total"] if spec.sense == "subsolution" else -terms["total"]
-        n_looked += int(np.count_nonzero(looked))
+        named["n_looked"] = int(np.count_nonzero(looked))
         excess = np.where(looked, value, -np.inf)
-        k = rule.add(excess, allow)
-        if k is not None:
-            witness, witness_row = _witness(batch, rows, pts, terms, excess, allow, k), rows[k]
         if keep_samples:
             kept.append({"points": pts, "radius": radius, "tau": tau, **terms})
 
-    dense_check = None
-    if profile is not None:
-        rows, pts, got, got_e_q = (None if p[0] is None else np.concatenate(p) for p in zip(*picked))
-        if pts is None:  # one placement for the dense-check rows and the witness
-            pts, last = np.split(batch.place(np.append(rows, witness_row)), [rows.size])
-            witness["point"] = [float(v) for v in last[0]]
-        dense_check = _dense_check(field, gspace, pts, got, got_e_q, tol)
-    paths = {
-        "spectral": 0 if profile is None else n_adm,
-        "dense": n_adm if profile is None else 0,
-        "dense_check": dense_check,
-    }
-    excluded_by = dict(batch.excluded_by)
-    if n_alive < n_adm:
-        excluded_by["zero_gradient"] = n_adm - n_alive
-    if n_alive == 0:
-        rep = _vacuous_report("inequality", tol, region, batch, config, t0)
-        rep.excluded_by = excluded_by
-        rep.paths = paths
-        return rep
+        def fields(k):
+            return {
+                "value": float(terms["value"][k]),
+                "eigenvalues": [float(v) for v in terms["eigs"][k]],
+                "second_order": float(terms["second"][k]),
+                "first_order": float(terms["first"][k]),
+                "total": float(terms["total"][k]),
+                "excess": float(excess[k]),
+            }
 
-    if n_looked:
-        verdict, worst = rule.verdict()
-    else:
-        verdict, worst, witness = "vacuous", None, None
-    formula = None
-    if reference is not None:
-        formula = {
-            "n_compared": n_compared,
-            "n_nonzero_reference": n_nonzero,
-            "max_abs_deviation": max_abs,
-            "max_rel_deviation": max_rel,
-            "pass": verdict == "pass",
-        }
-    samples = None
-    if keep_samples:
-        samples = {
-            key: None if kept[0][key] is None else np.concatenate([chunk[key] for chunk in kept])
-            for key in kept[0]
-        }
+        return pts, excess, mag, named, fields
 
-    return CheckReport(
-        kind="inequality",
-        verdict=verdict,
-        worst_violation=worst,
-        tol=tol,
-        n_samples=region.n_samples,
-        n_evaluated=n_alive,
-        n_excluded=region.n_samples - n_alive,
-        excluded_by=excluded_by,
-        witness=witness,
-        config=config,
-        formula_comparison=formula,
-        paths=paths,
-        wall_time=time.perf_counter() - t0,
-        samples=samples,
-    )
+    def finish(folded, verdict, witness, witness_row):
+        dense_check = None
+        if profile is not None:
+            rows, pts, got, got_e_q = (None if p[0] is None else np.concatenate(p) for p in zip(*picked))
+            if pts is None:  # one placement for the dense-check rows and the witness
+                pts, last = np.split(batch.place(np.append(rows, witness_row)), [rows.size])
+                witness["point"] = [float(v) for v in last[0]]
+            dense_check = _dense_check(field, gspace, pts, got, got_e_q, tol)
+        extras = {"paths": {
+            "spectral": 0 if profile is None else n_adm,
+            "dense": n_adm if profile is None else 0,
+            "dense_check": dense_check,
+        }}
+        if reference is not None:
+            extras["formula_comparison"] = {
+                "n_compared": folded["n_compared"],
+                "n_nonzero_reference": folded["n_nonzero_reference"],
+                "max_abs_deviation": folded.get("max_abs_deviation"),
+                "max_rel_deviation": folded.get("max_rel_deviation"),
+                "pass": verdict == "pass",
+            }
+        if keep_samples:
+            extras["samples"] = {
+                key: None if kept[0][key] is None else np.concatenate([c[key] for c in kept])
+                for key in kept[0]
+            }
+        return extras
+
+    return _fold_chunks("inequality", batch, region, tol, config, t0, chunk, finish)
 
 
 @dataclass(frozen=True)
@@ -1171,9 +1182,9 @@ class LyapunovRoute:
     margin(pts, rho, data, params) returns, for one chunk of points,
     (margins (parts, N), magnitude for the allowance, components); margins
     are positive where a part holds, and the witness and scan report the
-    first part.  Components are named min_* or max_* and fold over chunks
-    by min or max.  A strict part needs margin > 0.  divides_by_s: the
-    region needs char_eps > 0.
+    first part.  Components are named min_* or max_*, and _fold_chunks
+    folds them over chunks by that prefix.  A strict part needs margin > 0.
+    divides_by_s: the region needs char_eps > 0.
     """
 
     params: Callable
@@ -1243,52 +1254,25 @@ def check_lyapunov(
         "coefficients": getattr(data, "label", ""),
         "region": dataclasses.asdict(region),
     }
-    n_adm = batch.n_admissible
-    if n_adm == 0:
-        return _vacuous_report("lyapunov", tol, region, batch, config, t0)
-
-    rule = _PassRule(route.strict)
     ladder = [region.rho_min * 2.0**j for j in range(8)]
     scan = [{"R": float(R), "n": 0, "min_margin": None} for R in ladder if R <= region.rho_max]
-    components = {}
-    for rows, _ in _chunks(batch.admissible):
+
+    def chunk(rows, position):
         pts, rho = batch.place(rows), batch.radius[rows]
-        margins, mag, parts = route.margin(pts, rho, data, params)
-        allow = _allowance(tol, mag)
-        k = rule.add(-margins, allow)
+        margins, mag, components = route.margin(pts, rho, data, params)
         margin = margins[0]
-        if k is not None:
-            witness = {
-                "point": [float(v) for v in pts[k]],
-                "radius": float(rho[k]),
-                "tau": float(batch.tau[rows[k]]),
-                "margin": float(margin[k]),
-                "allowance": float(allow[k]),
-            }
-        for key, value in parts.items():
-            reduce = np.min if key.startswith("min_") else np.max
-            components[key] = _running(reduce, components.get(key), value)
         for entry in scan:
             sel = rho >= entry["R"]
             if np.any(sel):
                 entry["n"] += int(np.count_nonzero(sel))
                 entry["min_margin"] = _running(np.min, entry["min_margin"], margin[sel])
-    verdict, worst = rule.verdict()
-    return CheckReport(
-        kind="lyapunov",
-        verdict=verdict,
-        worst_violation=worst,
-        tol=tol,
-        n_samples=region.n_samples,
-        n_evaluated=n_adm,
-        n_excluded=region.n_samples - n_adm,
-        excluded_by=dict(batch.excluded_by),
-        witness=witness,
-        config=config,
-        scan=scan,
-        components=components,
-        wall_time=time.perf_counter() - t0,
-    )
+        named = {"n_evaluated": rows.size, "n_looked": rows.size, **components}
+        return pts, -margins, mag, named, lambda k: {"margin": float(margin[k])}
+
+    def finish(folded, verdict, witness, row):
+        return {"scan": scan, "components": folded}
+
+    return _fold_chunks("lyapunov", batch, region, tol, config, t0, chunk, finish, route.strict)
 
 
 @dataclasses.dataclass

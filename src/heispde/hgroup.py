@@ -5,13 +5,14 @@ first 2d coordinates are horizontal, the last one is vertical.  The group
 law is
 
     (x o y)_i = x_i + y_i                       for i <= 2d,
-    (x o y)_t = x_t + y_t + 2 * sum_i (x_i y_{i+d} - x_{i+d} y_i),
+    (x o y)_t = x_t + y_t + 2 * sum_i (x_{i+d} y_i - x_i y_{i+d}),
 
 with identity 0 and inverse -x.  Anisotropic dilations scale the horizontal
 block by lam and the vertical coordinate by lam^2; the homogeneous dimension
 is Q = 2d + 2.  The gauge norm is rho(x) = (|x_H|^4 + t^2)^(1/4).
 
-The left-invariant horizontal frame is
+The horizontal frame, left-invariant for this law (X_i u(x) is the
+derivative of u(x o s e_i) at s = 0), is
 
     X_i     = d_i     + 2 x_{i+d} d_t,
     X_{i+d} = d_{i+d} - 2 x_i     d_t,        i = 1..d,
@@ -115,8 +116,8 @@ def group_mul(x, y) -> np.ndarray:
     if d != dy:
         raise ValueError("x and y live on different groups")
     out_h = xa[..., : 2 * d] + ya[..., : 2 * d]
-    twist = _rowdot(xa[..., :d], ya[..., d : 2 * d])
-    twist -= _rowdot(xa[..., d : 2 * d], ya[..., :d])
+    twist = _rowdot(xa[..., d : 2 * d], ya[..., :d])
+    twist -= _rowdot(xa[..., :d], ya[..., d : 2 * d])
     out_t = xa[..., -1] + ya[..., -1] + 2.0 * twist
     return np.concatenate([out_h, out_t[..., None]], axis=-1)
 

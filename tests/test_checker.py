@@ -234,7 +234,7 @@ def test_check_inequality_threads_do_not_change_results(monkeypatch):
     assert base == threaded
 
 
-def test_check_tabulated_threads_do_not_change_results():
+def test_check_tabulated_tells_rows_apart_by_position():
     # The same points twice, with u4 jets and then -u4 jets: rows must be
     # told apart by position, not by their coordinates.
     e = Ellipticity(1.0, 1.5)

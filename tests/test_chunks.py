@@ -22,7 +22,7 @@ from heispde.checker import (
     check_tabulated,
     lyapunov_fixture,
 )
-from heispde.gallery import field_from_profile, make_profile
+from heispde.gallery import ProfilePiece, RadialProfile, field_from_profile, make_profile
 from heispde.hgroup import HeisDims
 from heispde.operators import Ellipticity, HJBCoefficients
 
@@ -93,6 +93,14 @@ def test_fixture_reports_do_not_depend_on_the_chunk_size(name, monkeypatch, tmp_
 
 
 REGION = Region(0.05, 5.0, n_samples=20000, seed=5, char_eps=1e-3)
+# A constant core glued to rho^2: the gradient vanishes on rho < 1 only.
+_FLAT_CORE = field_from_profile(
+    RadialProfile(
+        "flat_core", "heisenberg",
+        (ProfilePiece(0.0, 1.0, "power", (0.0,)), ProfilePiece(1.0, np.inf, "power", (2.0,))), {}, bounded=False,
+    ),
+    HeisDims(1),
+)
 DRIFT = HJBCoefficients(
     (hgroup.eta, lambda x: -hgroup.eta(x)), (_zeros, _ones), "horizontal", label="two controls"
 )
@@ -133,13 +141,45 @@ INEQUALITY_RUNS = {
         _field("u_tilde", 1, None), OperatorSpec("neg_trace", "subsolution"),
         Region(0.25, 4.0, n_samples=20000, seed=2, char_eps=0.05),
     ),
+    # Late-vacuous runs: admissible rows, yet nothing the verdict looks at.
+    "every admissible row has zero gradient": lambda: check_inequality(
+        _FLAT_CORE, OperatorSpec("pnorm", p=3.0), Region(0.25, 0.9, n_samples=256, char_eps=0.0)
+    ),
+    "formula whose reference holds on no row": lambda: check_inequality(
+        _field("u4", 1), OperatorSpec("pucci_max", ell=E15),
+        Region(0.1, 0.9, n_samples=500, char_eps=0.02), mode="formula",
+    ),
+    "formula against a zero reference": lambda: check_inequality(
+        _field("folland", 2, None), OperatorSpec("neg_trace", "supersolution"),
+        Region(0.5, 4.0, n_samples=20000, seed=9, char_eps=0.05), mode="formula",
+    ),
 }
+
+
+LATE_VACUOUS = {"every admissible row has zero gradient", "formula whose reference holds on no row"}
 
 
 @pytest.mark.parametrize("name", sorted(INEQUALITY_RUNS))
 def test_inequality_reports_do_not_depend_on_the_chunk_size(name, monkeypatch):
     rep = _at_every_chunk_size(monkeypatch, INEQUALITY_RUNS[name])
-    assert rep.verdict in ("pass", "fail") and rep.witness["point"] is not None
+    if name in LATE_VACUOUS:
+        assert rep.verdict == "vacuous" and rep.witness is None and rep.worst_violation is None
+    else:
+        assert rep.verdict in ("pass", "fail") and rep.witness["point"] is not None
+
+
+def test_late_vacuous_runs_keep_their_counts():
+    flat = INEQUALITY_RUNS["every admissible row has zero gradient"]()
+    assert (flat.verdict, flat.n_evaluated, flat.excluded_by) == ("vacuous", 0, {"zero_gradient": 256})
+    assert flat.paths["spectral"] == 256 and flat.formula_comparison is None
+    nowhere = INEQUALITY_RUNS["formula whose reference holds on no row"]()
+    assert (nowhere.verdict, nowhere.n_evaluated) == ("vacuous", 490)
+    assert nowhere.formula_comparison == {
+        "n_compared": 0, "n_nonzero_reference": 0, "max_abs_deviation": None, "max_rel_deviation": None, "pass": False,
+    }
+    zero = INEQUALITY_RUNS["formula against a zero reference"]()
+    assert zero.verdict == "pass" and zero.formula_comparison["n_compared"] == zero.n_evaluated > 0
+    assert zero.formula_comparison["n_nonzero_reference"] == 0 and zero.formula_comparison["max_rel_deviation"] is None
 
 
 def _table(n_outside=1500, rows=6000):
@@ -257,6 +297,15 @@ def test_lyapunov_reports_do_not_depend_on_the_chunk_size(cond, kind, d, monkeyp
     assert "fail" in verdicts
 
 
+def test_margins_that_overflow_still_pass_with_a_witness(monkeypatch):
+    # A finite cost near the largest double makes every margin +inf: each
+    # row is still looked at, so the run is no less than a pass.
+    data, region = _lyapunov_data("barrier", cost=1e308), Region(2.0, 16.0, n_samples=3000, seed=5, char_eps=0.05)
+    with np.errstate(over="ignore"):
+        rep = _at_every_chunk_size(monkeypatch, lambda: check_lyapunov("condcor1bis", data, E12, region, HeisDims(1)))
+    assert (rep.verdict, rep.worst_violation, rep.witness["margin"]) == ("pass", -np.inf, np.inf)
+
+
 # ---------------------------------------------------------------------------
 # memory
 
@@ -281,12 +330,12 @@ def _hou(d):
     return lambda n: check_lyapunov(cond, data, E12, Region(4.0, 16.0, n_samples=n, seed=1, char_eps=0.05), dims)
 
 
-def _u4(d, dense=False):
+def _u4(d, dense=False, region=Region(0.05, 5.0, seed=1)):
     field = _field("u4", d)
     if dense:
         field = dataclasses.replace(field, name="u4, renamed")
     spec = OperatorSpec("pucci_max", ell=E15)
-    return lambda n: check_inequality(field, spec, Region(0.05, 5.0, n_samples=n, seed=1))
+    return lambda n: check_inequality(field, spec, dataclasses.replace(region, n_samples=n))
 
 
 MEMORY_CASES = [
@@ -317,6 +366,26 @@ def test_drawing_the_chart_adds_nothing_per_sample(label, make, n0, n1):
     make(n0)
     growth = (_peak(lambda: make(n1)) - _peak(lambda: make(n0))) / (n1 - n0)
     assert growth <= CHART_BYTES_PER_SAMPLE, f"{label}: {growth:.1f} B per sample"
+
+
+# 4 chunks against 1: past the chart's growth per extra sample, the peak
+# may grow by a few small arrays, not by one chunk's points, margins or
+# terms held while the next chunk is computed (0.4 to 1.8 MB when they were).
+_DENSE_REGION = Region(0.1, 5.0, seed=1, char_eps=0.02)
+CHUNK_COUNT_CASES = {
+    "check_lyapunov hou d=1": _hou(1),
+    "check_lyapunov hou d=4": _hou(4),
+    "dense u4 d=1": _u4(1, dense=True, region=_DENSE_REGION),
+    "dense u4 d=4": _u4(4, dense=True, region=_DENSE_REGION),
+}
+
+
+@pytest.mark.parametrize("label", sorted(CHUNK_COUNT_CASES))
+def test_more_chunks_hold_no_more_than_one_chunk(label):
+    make, n0, n1 = CHUNK_COUNT_CASES[label], checker._CHUNK_ROWS, 4 * checker._CHUNK_ROWS
+    make(n0)
+    extra = _peak(lambda: make(n1)) - _peak(lambda: make(n0)) - CHART_BYTES_PER_SAMPLE * (n1 - n0)
+    assert extra <= 64 * 1024, f"{label}: {extra / 1e6:+.3f} MB past the chart"
 
 
 # tracemalloc peaks of the dense path, in doubles per row, as measured when
@@ -413,7 +482,10 @@ LAYOUT_RUNS = {
 @pytest.mark.parametrize("name", sorted(LAYOUT_RUNS))
 def test_inequality_reports_do_not_depend_on_the_point_layout(name, monkeypatch):
     rep = _in_both_layouts(monkeypatch, LAYOUT_RUNS[name])
-    assert rep.verdict in ("pass", "fail") and rep.witness["point"] is not None
+    if name in LATE_VACUOUS:
+        assert rep.verdict == "vacuous" and rep.witness is None and rep.worst_violation is None
+    else:
+        assert rep.verdict in ("pass", "fail") and rep.witness["point"] is not None
 
 
 @pytest.mark.parametrize("d", [1, 2, 4])

@@ -267,6 +267,16 @@ def test_compare_formula_flag(tmp_path):
     assert rep["formula_comparison"]["max_rel_deviation"] <= 1e-12
 
 
+@pytest.mark.parametrize("region", [[], ["--rho-min", "0.99999999", "--rho-max", "1.00000001"]])
+def test_compare_formula_without_a_reference_exits_two_on_any_region(region, tmp_path, capsys):
+    # The second region leaves no admissible point: the pair is refused before sampling.
+    out = tmp_path / "rep.json"
+    argv = ["verify", "--field", "u4", "--op", "neg_trace", "--compare-formula", "--n-samples", "32"]
+    assert main(argv + region + ["--out", str(out)]) == 2
+    assert "no closed-form reference registered" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_field_table_csv(tmp_path):
     out = tmp_path / "rep.json"
     table = tmp_path / "table.csv"

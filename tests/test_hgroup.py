@@ -11,7 +11,25 @@ import _oracles
 
 def test_group_law_example():
     out = hgroup.group_mul([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
-    assert np.array_equal(out, [1.0, 1.0, 2.0])
+    assert np.array_equal(out, [1.0, 1.0, -2.0])
+
+
+def test_the_horizontal_gradient_commutes_with_left_translation():
+    # u = x_1 t at d = 2 is not radial, so a right-invariant frame fails here.
+    def u(p):
+        return p[..., 0] * p[..., -1]
+
+    def grad_u(p):
+        return np.stack([p[..., -1], *np.zeros((3,) + p.shape[:-1]), p[..., 0]], axis=-1)
+
+    rng = np.random.default_rng(3)
+    g, x = rng.standard_normal((2, 8, 5))
+    h = 1e-5
+    steps = h * np.eye(5)
+    # Euclidean gradient of u o L_g at x by central differences.
+    fd = np.stack([(u(hgroup.group_mul(g, x + e)) - u(hgroup.group_mul(g, x - e))) / (2 * h) for e in steps], axis=-1)
+    gx = hgroup.group_mul(g, x)
+    assert np.allclose(hgroup.h_gradient(fd, x), hgroup.h_gradient(grad_u(gx), gx), rtol=0, atol=1e-7)
 
 
 def test_identity_and_inverse_are_exact():
