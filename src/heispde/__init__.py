@@ -41,7 +41,6 @@ from .hgroup import (
     h_hessian,
     hnorm,
     hperp,
-    radial_h_gradient,
 )
 from .operators import (
     Ellipticity,
@@ -90,7 +89,6 @@ __all__ = [
     "make_profile",
     "pnorm_operator",
     "profile_catalog",
-    "radial_h_gradient",
     "sample_region",
     "sym_eigenvalues",
 ]

@@ -56,8 +56,11 @@ difference (Weyl's, or measured after eigvalsh), absolute and relative to
 max(1, |e|).
 
 Growth conditions are data: LYAPUNOV_CONDITIONS maps a condition and the
-kind of data it gets to a LyapunovRoute (parameter check, margin function,
-strict, divides by |x_H|^2).  Bellman parts and growth conditions read a
+kind of data it gets to a LyapunovRoute (operator, margin, strict,
+divides_by_s).  A route that rescales log rho's supersolution inequality
+names its table operator, and its threshold is that operator on log rho at
+rho = tau = 1, read from the closed form formula mode checks
+(_REFERENCES).  Bellman parts and growth conditions read a
 control family through operators._controls, so bad drifts and costs raise
 one ValueError everywhere.  Every check runs one loop, _fold_chunks, over
 its chunks: it takes the verdict, worst excess and witness from one rule,
@@ -521,10 +524,10 @@ def _spectral_jets(profile, dim: int, pts, radius, tau, gspace: str, reads_e_q: 
         w = tau**2
         t = fp * w / radius
         eigs = hgroup.radial_eigenvalues(fpp * w, t, dim - 3, 3.0 * t)  # dim = 2d + 1
-        if needs_q and gspace == "horizontal":
-            q = hgroup.radial_h_gradient(fp, pts, radius)
-        elif needs_q:
+        if needs_q:
+            # The field's Euclidean gradient, made horizontal as _dense_matrix does.
             q = fp[:, None] * hgroup.euclid_grad_rho(pts, radius)
+            q = hgroup.h_gradient(q, pts) if gspace == "horizontal" else q
     else:
         w = 1.0
         t = fp / radius
@@ -824,8 +827,10 @@ _REFERENCES = {
     ("log_rho", "pucci_min"): lambda rho, tau, p, spec: (
         (spec.ell.lam - spec.ell.Lam * (p["Q"] - 1)) * tau**2 / rho**2, np.ones_like(rho, bool)
     ),
+    # PucciAlpha refuses an alpha outside (0, 1/m], where the form does not hold.
     ("log_rho", "pucci_minus_alpha"): lambda rho, tau, p, spec: (
-        (4.0 * p["d"] * spec.alpha - 3.0) * tau**2 / rho**2, np.ones_like(rho, bool)
+        (4.0 * p["d"] * PucciAlpha(spec.alpha, 2 * p["d"]).alpha - 3.0) * tau**2 / rho**2,
+        np.ones_like(rho, bool),
     ),
     ("u_tilde", "neg_trace"): lambda rho, tau, p, spec: (
         np.where(rho < 1.0, 0.5 * (p["Q"] - 2.0) * p["Q"] * (p["Q"] + 2.0) * (1.0 - rho**2) * tau**2, 0.0),
@@ -1097,31 +1102,16 @@ def lyapunov_fixture(name: str, dims: HeisDims, *, gamma0: float = 1.0, c0: floa
     raise ValueError(f"unknown Lyapunov fixture {name!r}")
 
 
-def _pucci_rhs(e, dims, alpha, gammas) -> float:
-    return e.lam - e.Lam * (dims.Q - 1)
-
-
-def _alpha_rhs(e, dims, alpha, gammas) -> float:
-    if alpha is None:
-        raise ValueError("condcor1p needs alpha")
-    PucciAlpha(alpha, dims.m)
-    return 4.0 * dims.d * float(alpha) - 3.0
-
-
-def _ou_params(e, dims, alpha, gammas) -> tuple[np.ndarray, float]:
+def _ou_gammas(gammas, dims) -> np.ndarray:
     if gammas is None:
         raise ValueError("OUtype needs the gamma vector")
     g = np.asarray(gammas, dtype=float)
     if g.shape != (dims.n,) or np.any(g <= 0.0):
         raise ValueError(f"gammas must be {dims.n} positive reals")
-    return g, e.Lam * (2 * dims.d + 1) - e.lam
+    return g
 
 
-def _no_params(e, dims, alpha, gammas) -> None:
-    return None
-
-
-def _drift_margin(pts, rho, data, r):
+def _drift_margin(pts, rho, data, r, gammas):
     """Margin r - max_k (b_k . eta - c_k rho^4 log rho) / |x_H|^2 of horizontal drifts."""
     bs, cs = operators._controls(data, pts, rho.shape)
     et, s, lg = hgroup.eta(pts), hgroup._hsq(pts), np.log(rho)
@@ -1131,7 +1121,7 @@ def _drift_margin(pts, rho, data, r):
     return m[None], np.abs(lhs) + abs(r), {"min_margin": _extreme(np.min, m)}
 
 
-def _barrier_margin(pts, rho, data, r):
+def _barrier_margin(pts, rho, data, r, gammas):
     """Margin c rho^4 log rho / s + r - (b . eta + g |eta|) / s, s = |x_H|^2."""
     bv = _finite("bbar", data.bbar(pts))
     gv = np.broadcast_to(_finite("gbar", data.gbar(pts)), rho.shape)
@@ -1145,14 +1135,14 @@ def _barrier_margin(pts, rho, data, r):
     return m[None], np.abs(lhs) + np.abs(rhs), {"min_margin": _extreme(np.min, m)}
 
 
-def _ou_margin(pts, rho, data, params):
-    """The smaller of the scaled drift margin against -gamma x and the proof's margin."""
-    g, c1 = params
+def _ou_margin(pts, rho, data, r, g):
+    """The smaller of the scaled drift margin against -gamma x and the proof's margin, c1 = -r."""
+    c1 = -r
     bs, cs = operators._controls(data, pts, rho.shape)
     grad_rho, s, lg = hgroup.euclid_grad_rho(pts, rho), hgroup._hsq(pts), np.log(rho)
     dots = [hgroup._rowdot(bv, grad_rho) for bv in bs]
     drift_dot = np.max(np.stack(dots), axis=0)
-    ou_dot = np.einsum("ij,j,ij->i", pts, g, grad_rho)
+    ou_dot = hgroup._rowdot(pts * g, grad_rho)
     hyp = rho**3 * (-ou_dot - drift_dot)
     proof_min = np.min(np.stack([cv * lg - dot / rho for dot, cv in zip(dots, cs)]), axis=0)
     proof = -c1 * s / rho**4 + proof_min
@@ -1161,7 +1151,7 @@ def _ou_margin(pts, rho, data, params):
     return np.minimum(hyp, proof)[None], mag, components
 
 
-def _cost_margin(pts, rho, data, params):
+def _cost_margin(pts, rho, data, r, gammas):
     """Cost margin min_k c_k log rho; second part: the radial drift sign max_k b_k . grad rho <= 0."""
     bs, cs = operators._controls(data, pts, rho.shape)
     lg = np.log(rho)
@@ -1176,10 +1166,11 @@ def _cost_margin(pts, rho, data, params):
 class LyapunovRoute:
     """How check_lyapunov tests one condition on one kind of data.
 
-    params(e, dims, alpha, gammas) checks the parameters the route reads and
-    returns what margin needs of them; it runs once, before sampling, so a
-    missing alpha or gammas is refused even where no point is admissible.
-    margin(pts, rho, data, params) returns, for one chunk of points,
+    operator names the table operator whose supersolution inequality on
+    log rho the margin rescales, or None; the threshold r is its closed
+    form at rho = tau = 1 (_REFERENCES), checked before sampling, so a
+    missing or bad alpha is refused even where no point is admissible.
+    margin(pts, rho, data, r, gammas) returns, for one chunk of points,
     (margins (parts, N), magnitude for the allowance, components); margins
     are positive where a part holds, and the witness and scan report the
     first part.  Components are named min_* or max_*, and _fold_chunks
@@ -1187,7 +1178,7 @@ class LyapunovRoute:
     divides_by_s: the region needs char_eps > 0.
     """
 
-    params: Callable
+    operator: str | None
     margin: Callable
     strict: tuple[bool, ...]
     divides_by_s: bool
@@ -1195,13 +1186,13 @@ class LyapunovRoute:
 
 # condition -> kind of data -> route.
 LYAPUNOV_CONDITIONS: dict[str, dict[str, LyapunovRoute]] = {
-    "condcor1": {"horizontal": LyapunovRoute(_pucci_rhs, _drift_margin, (False,), True)},
-    "condcor1bis": {"barrier": LyapunovRoute(_pucci_rhs, _barrier_margin, (False,), True)},
-    "condcor1p": {"horizontal": LyapunovRoute(_alpha_rhs, _drift_margin, (False,), True)},
-    "OUtype": {"euclidean": LyapunovRoute(_ou_params, _ou_margin, (False,), False)},
+    "condcor1": {"horizontal": LyapunovRoute("pucci_min", _drift_margin, (False,), True)},
+    "condcor1bis": {"barrier": LyapunovRoute("pucci_min", _barrier_margin, (False,), True)},
+    "condcor1p": {"horizontal": LyapunovRoute("pucci_minus_alpha", _drift_margin, (False,), True)},
+    "OUtype": {"euclidean": LyapunovRoute("pucci_min", _ou_margin, (False,), False)},
     "schrodinger": {
-        "horizontal": LyapunovRoute(_pucci_rhs, _drift_margin, (True,), True),
-        "euclidean": LyapunovRoute(_no_params, _cost_margin, (True, False), False),
+        "horizontal": LyapunovRoute("pucci_min", _drift_margin, (True,), True),
+        "euclidean": LyapunovRoute(None, _cost_margin, (True, False), False),
     },
 }
 
@@ -1242,7 +1233,12 @@ def check_lyapunov(
         raise TypeError(f"{cond} expects {' or '.join(routes)} data, got {kind or 'other'} data ({type(data).__name__})")
     if route.divides_by_s and region.char_eps <= 0.0:
         raise ValueError(f"{cond} divides by |x_H|^2; the region needs char_eps > 0")
-    params = route.params(e, dims, alpha, gammas)
+    r = None
+    if route.operator is not None:
+        # OperatorSpec refuses a missing alpha, the closed form a bad one.
+        spec = OperatorSpec(route.operator, ell=e, alpha=alpha)
+        r = float(_REFERENCES["log_rho", route.operator](1.0, 1.0, {"d": dims.d, "Q": dims.Q}, spec)[0])
+    g = _ou_gammas(gammas, dims) if cond == "OUtype" else None
     batch = sample_region(region, space="heisenberg", dim=dims.n)
     config = {
         "condition": cond,
@@ -1259,7 +1255,7 @@ def check_lyapunov(
 
     def chunk(rows, position):
         pts, rho = batch.place(rows), batch.radius[rows]
-        margins, mag, components = route.margin(pts, rho, data, params)
+        margins, mag, components = route.margin(pts, rho, data, r, g)
         margin = margins[0]
         for entry in scan:
             sel = rho >= entry["R"]

@@ -231,7 +231,6 @@ OPTIONS: dict[str, dict[str, tuple]] = {
         "fixture": (None, _one_of("zero-coeffs", "schro", "hou", "ou")),
         "d": (1, _as_int),
         **_ELLIPTICITY,
-        "alpha": (None, _as_float),
         "gamma0": (1.0, _as_float),
         "c0": (1.0, _as_float),
         "gammas": (None, _as_gammas),
@@ -426,7 +425,7 @@ def _cmd_lyapunov(eff: dict) -> int:
         eff["fixture"], dims, gamma0=eff["gamma0"], c0=eff["c0"], gammas=eff["gammas"]
     )
     report = checker.check_lyapunov(
-        cond, data, e, _region_from(eff), dims, alpha=eff["alpha"], gammas=extra.get("gammas"), tol=eff["tol"]
+        cond, data, e, _region_from(eff), dims, gammas=extra.get("gammas"), tol=eff["tol"]
     )
     if eff["out"]:
         write_json_report(eff["out"], _payload("lyapunov", report))

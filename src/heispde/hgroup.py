@@ -57,7 +57,6 @@ __all__ = [
     "hnorm",
     "hperp",
     "radial_eigenvalues",
-    "radial_h_gradient",
 ]
 
 # Largest d accepted, so a mistyped dimension cannot allocate absurd stencils.
@@ -300,19 +299,6 @@ def euclid_hess_rho(x, rho, grad) -> np.ndarray:
     )
     out[..., m, m] += 1.0 / (2.0 * rho**3)
     return out
-
-
-def radial_h_gradient(fp, x, rho) -> np.ndarray:
-    """Horizontal gradient of f(rho(.)): f'(rho) * eta / rho^3.
-
-    fp is f'(rho) and rho the gauge norm, both at the points x.
-    """
-    xa, d = _as_points(x)
-    s_r2 = _hsq(xa) / rho**2
-    xh_r = xa[..., : 2 * d] / rho[..., None]
-    hp_r = hperp(xa) / rho[..., None]
-    dh_rho = s_r2[..., None] * xh_r + (xa[..., -1] / rho**2)[..., None] * hp_r
-    return fp[..., None] * dh_rho
 
 
 def radial_eigenvalues(lead, rest, mult: int, rotated=None) -> np.ndarray:

@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from heispde import checker, gallery, hgroup, operators
+import heispde
+from heispde import checker, cli, gallery, hgroup, operators
 from heispde.checker import (
     BarrierBundle,
     OperatorSpec,
@@ -775,3 +776,14 @@ def test_lyapunov_report_is_reproducible():
     b = check_lyapunov(cond, data, E12, region, D2).to_dict()
     a.pop("wall_time"), b.pop("wall_time")
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# public names
+
+
+@pytest.mark.parametrize("module", [heispde, checker, cli, gallery, hgroup, operators], ids=lambda m: m.__name__)
+def test_every_exported_name_exists(module):
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert not missing
+    assert len(set(module.__all__)) == len(module.__all__)

@@ -111,7 +111,7 @@ _NEG_U4 = [
     ["op-eval", "--op", "pnorm", "--matrix", "[[1, 0], [0, -1]]", "--q", "[1, 1]", "--p", "-1e-3"],
     # Every number is refused if not finite, also where the check does not read it.
     ["verify", "--field", "u4", "--d", "1", "--alpha", "nan"],
-    ["lyapunov", "--fixture", "hou", "--rho-min", "2", "--rho-max", "16", "--alpha", "inf"],
+    ["lyapunov", "--fixture", "hou", "--rho-min", "2", "--rho-max", "16", "--c0", "inf"],
     ["lyapunov", "--fixture", "ou", "--rho-min", "2", "--rho-max", "16", "--gammas", "1,nan,1"],
     ["convergence", "--field", "folland", "--min-order", "nan"],
     _NEG_U4[:-2] + ["--seed", "inf"],
@@ -373,6 +373,18 @@ def test_the_sampler_option_is_gone(tmp_path, capsys):
     cfg.write_text(json.dumps({"sampler": "kronecker"}))
     assert main(argv + ["--config", str(cfg)]) == 2
     assert "unknown config key 'sampler' for verify" in capsys.readouterr().err
+
+
+def test_the_lyapunov_alpha_option_is_gone(tmp_path, capsys):
+    # No fixture reaches condcor1p, so alpha changed only the report's echo.
+    argv = FIXTURES["lyapunov-hou"]["argv"]
+    assert "alpha" not in cli.OPTIONS["lyapunov"]
+    assert main(argv + ["--alpha", "0.3"]) == 2
+    assert "unrecognized arguments: --alpha" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alpha": 0.3}))
+    assert main(argv + ["--config", str(cfg)]) == 2
+    assert "unknown config key 'alpha' for lyapunov" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key", ["seed", "n_samples"])

@@ -4,6 +4,7 @@ from hypothesis import given, seed, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from heispde import hgroup
+from heispde.checker import fd_h_hessian
 from heispde.hgroup import HeisDims
 
 import _oracles
@@ -30,6 +31,70 @@ def test_the_horizontal_gradient_commutes_with_left_translation():
     fd = np.stack([(u(hgroup.group_mul(g, x + e)) - u(hgroup.group_mul(g, x - e))) / (2 * h) for e in steps], axis=-1)
     gx = hgroup.group_mul(g, x)
     assert np.allclose(hgroup.h_gradient(fd, x), hgroup.h_gradient(grad_u(gx), gx), rtol=0, atol=1e-7)
+
+
+# u = x_1 t + 0.3 x_2^2 x_4 at d = 2: not radial, with exact jets.
+def _u(p):
+    return p[..., 0] * p[..., -1] + 0.3 * p[..., 1] ** 2 * p[..., 3]
+
+
+def _u_h_hessian(p):
+    """Horizontal Hessian of _u at points p of shape (N, 5), from its exact Euclidean Hessian."""
+    hess = np.zeros((p.shape[0], 5, 5))
+    hess[:, 0, 4] = hess[:, 4, 0] = 1.0
+    hess[:, 1, 1] = 0.6 * p[:, 3]
+    hess[:, 1, 3] = hess[:, 3, 1] = 0.6 * p[:, 1]
+    return hgroup.h_hessian(None, hess, p)
+
+
+def test_the_horizontal_hessian_commutes_with_left_translation():
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal((8, 5))
+    for g in rng.standard_normal((3, 5)):
+        left, _ = fd_h_hessian(lambda p: _u(hgroup.group_mul(g, p)), x, 1e-3)
+        right, _ = fd_h_hessian(lambda p: _u(hgroup.group_mul(p, g)), x, 1e-3)
+        expected = _u_h_hessian(hgroup.group_mul(g, x))
+        assert np.abs(left - expected).max() <= 1e-6 * max(1.0, np.abs(expected).max())
+        # The frame is left-invariant only: right translation moves the Hessian.
+        assert np.abs(right - _u_h_hessian(hgroup.group_mul(x, g))).max() > 0.1
+
+
+@pytest.mark.parametrize("lam", [0.6, 1.7])
+def test_the_horizontal_hessian_scales_by_lam_squared_under_dilation(lam):
+    x = np.random.default_rng(14).standard_normal((8, 5))
+    fd, _ = fd_h_hessian(lambda p: _u(hgroup.dilate(lam, p)), x, 1e-3)
+    expected = lam**2 * _u_h_hessian(hgroup.dilate(lam, x))
+    assert np.abs(fd - expected).max() <= 1e-6 * max(1.0, np.abs(expected).max())
+
+
+def _unitary_rotation(d, rng):
+    """A rotation [[A, -B], [B, A]] of x_H from a random unitary A + iB; it commutes with hperp."""
+    u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return np.block([[u.real, -u.imag], [u.imag, u.real]])
+
+
+def _log_rho_h_spectrum(x):
+    """Sorted horizontal Hessian spectrum of log rho, assembled from its Euclidean jets."""
+    rho = hgroup.hnorm(x)
+    g = hgroup.euclid_grad_rho(x, rho)
+    hess = -np.einsum("ia,ib->iab", g, g) / rho[:, None, None] ** 2
+    hess += hgroup.euclid_hess_rho(x, rho, g) / rho[:, None, None]
+    return np.linalg.eigvalsh(hgroup.h_hessian(None, hess, x))
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_reflection_and_unitary_rotations_keep_the_gauge_norm_and_radial_spectrum(d):
+    rng = np.random.default_rng(15 + d)
+    x = rng.standard_normal((16, 2 * d + 1))
+    rot = _unitary_rotation(d, rng)
+    reflected = x * np.append(np.ones(2 * d), -1.0)
+    rotated = np.column_stack([x[:, :-1] @ rot.T, x[:, -1]])
+    assert np.allclose(hgroup.hperp(rotated), hgroup.hperp(x) @ rot.T, rtol=0.0, atol=1e-14 * np.abs(x).max())
+    spectrum = _log_rho_h_spectrum(x)
+    assert np.array_equal(hgroup.hnorm(reflected), hgroup.hnorm(x))
+    assert np.allclose(hgroup.hnorm(rotated), hgroup.hnorm(x), rtol=1e-14, atol=0.0)
+    for y in (reflected, rotated):
+        assert np.allclose(_log_rho_h_spectrum(y), spectrum, rtol=0.0, atol=1e-12 * np.abs(spectrum).max())
 
 
 def test_identity_and_inverse_are_exact():
@@ -284,7 +349,7 @@ def test_h_hessian_rank_two_form_matches_frame_sandwich(d):
 
 
 def test_radial_h_hessian_matches_assembled_pipeline():
-    # f = log rho: the closed-form spectrum and gradient against h_hessian and h_gradient.
+    # f = log rho: the closed-form spectrum against h_hessian.
     rng = np.random.default_rng(10)
     for d in (1, 2, 3):
         dims = HeisDims(d)
@@ -302,9 +367,6 @@ def test_radial_h_hessian_matches_assembled_pipeline():
         t = fp * w / rho
         eigs_closed = hgroup.radial_eigenvalues(fpp * w, t, dims.m - 2, 3.0 * t)
         assert np.allclose(np.linalg.eigvalsh(assembled), eigs_closed, atol=1e-12)
-
-        hg = hgroup.radial_h_gradient(fp, x, rho)
-        assert np.allclose(hg, hgroup.h_gradient(grad, x), atol=1e-13)
 
 
 def test_radial_spectrum_structure():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from heispde import checker, hgroup
+from heispde import checker, hgroup, operators
 from heispde.checker import BarrierBundle, OperatorSpec, Region, check_inequality, check_lyapunov
 from heispde.gallery import field_from_profile, make_profile
 from heispde.hgroup import HeisDims
@@ -230,7 +230,7 @@ def test_alpha_and_gammas_are_checked_before_sampling():
     ou = checker.lyapunov_fixture("ou", dims)[1]
     assert check_lyapunov("condcor1p", hou, E12, NO_ADMISSIBLE_POINT, dims, alpha=0.25).verdict == "vacuous"
     assert check_lyapunov("OUtype", ou, E12, NO_ADMISSIBLE_POINT, dims, gammas=np.ones(3)).verdict == "vacuous"
-    with pytest.raises(ValueError, match="condcor1p needs alpha"):
+    with pytest.raises(ValueError, match="pucci_minus_alpha needs alpha"):
         check_lyapunov("condcor1p", hou, E12, NO_ADMISSIBLE_POINT, dims)
     with pytest.raises(ValueError, match="alpha"):
         check_lyapunov("condcor1p", hou, E12, NO_ADMISSIBLE_POINT, dims, alpha=1.0)
@@ -266,15 +266,46 @@ def _growth_families(dims):
     return out + [("random", HJBCoefficients(drifts, costs, "horizontal"))]
 
 
-# condition -> (operator table entry, its parameters at d, the route's threshold).
+# condition -> (operator table entry, its parameters at d).
 GROWTH_INEQUALITIES = {
-    "condcor1": ("pucci_min", lambda d: {}, checker._pucci_rhs),
-    "condcor1p": ("pucci_minus_alpha", lambda d: {"alpha": 1.0 / (4 * d)}, checker._alpha_rhs),
+    "condcor1": ("pucci_min", lambda d: {}),
+    "condcor1p": ("pucci_minus_alpha", lambda d: {"alpha": 1.0 / (4 * d)}),
 }
 
 
+def _log_rho_spectrum(d):
+    """The horizontal Hessian spectrum of log rho at rho = tau = 1: (-1, 3, 1, ..., 1), sorted."""
+    return hgroup.radial_eigenvalues(-1.0, 1.0, 2 * d - 2, 3.0)
+
+
+def test_every_route_names_the_operator_whose_log_rho_inequality_it_rescales():
+    assert {(c, k): route.operator for c, routes in checker.LYAPUNOV_CONDITIONS.items() for k, route in routes.items()} == {
+        ("condcor1", "horizontal"): "pucci_min",
+        ("condcor1bis", "barrier"): "pucci_min",
+        ("condcor1p", "horizontal"): "pucci_minus_alpha",
+        ("OUtype", "euclidean"): "pucci_min",
+        ("schrodinger", "horizontal"): "pucci_min",
+        ("schrodinger", "euclidean"): None,
+    }
+
+
+@pytest.mark.parametrize("op", ["pucci_min", "pucci_minus_alpha"])
+def test_the_thresholds_are_the_table_operators_on_log_rho(op):
+    # check_lyapunov reads lam - Lam (Q - 1) and 4 d alpha - 3 from these closed forms.
+    rng = np.random.default_rng(22)
+    for d in range(1, 17):
+        dims = HeisDims(d)
+        for _ in range(50):
+            lam = rng.uniform(0.1, 3.0)
+            e = Ellipticity(lam, lam * rng.uniform(1.0, 4.0))
+            spec = OperatorSpec(op, ell=e, alpha=(1.0 - rng.random()) / dims.m)
+            closed = checker._REFERENCES["log_rho", op](1.0, 1.0, {"d": d, "Q": dims.Q}, spec)[0]
+            table = operators.OPERATORS[op].value(_log_rho_spectrum(d)[None], None, spec.params)[0]
+            assert abs(closed - table) <= 4 * np.finfo(float).eps * max(1.0, abs(table)), (d, e, spec.alpha)
+
+
 def _log_rho_inequality(cond, family, dims, keep_samples=False):
-    op, params, _ = GROWTH_INEQUALITIES[cond]
+    op, params = GROWTH_INEQUALITIES[cond]
     log_rho = field_from_profile(make_profile("log_rho", dims=dims), dims)
     spec = OperatorSpec(op, "supersolution", ell=E12, first_order=family, **params(dims.d))
     return check_inequality(log_rho, spec, GROWTH_REGION, keep_samples=keep_samples)
@@ -285,12 +316,13 @@ def _log_rho_inequality(cond, family, dims, keep_samples=False):
 def test_the_drift_margin_is_the_log_rho_inequality_scaled(cond, d):
     # The Hessian of log rho has eigenvalues (-1, 3, 1, ..., 1) tau^2 / rho^2,
     # so the operator is the threshold times tau^2 / rho^2.
+    # r is the table operator on that spectrum, not the closed form the checker reads.
     dims = HeisDims(d)
-    _, params, rhs = GROWTH_INEQUALITIES[cond]
-    r = rhs(E12, dims, params(d).get("alpha"), None)
+    op, params = GROWTH_INEQUALITIES[cond]
+    r = float(operators.OPERATORS[op].value(_log_rho_spectrum(d)[None], None, {"ell": E12, **params(d)})[0])
     for label, family in _growth_families(dims):
         kept = _log_rho_inequality(cond, family, dims, keep_samples=True).samples
-        margin = checker._drift_margin(kept["points"], kept["radius"], family, r)[0][0]
+        margin = checker._drift_margin(kept["points"], kept["radius"], family, r, None)[0][0]
         scaled = margin * kept["tau"] ** 2 / kept["radius"] ** 2
         scale = np.abs(kept["second"]) + np.abs(kept["first"])
         assert np.all(np.abs(scaled - kept["total"]) <= 1e-13 * scale), label
@@ -300,7 +332,7 @@ def test_the_drift_margin_is_the_log_rho_inequality_scaled(cond, d):
 def test_growth_verdicts_are_the_log_rho_inequality_verdicts(d):
     dims = HeisDims(d)
     verdicts = set()
-    for cond, (_, params, _) in GROWTH_INEQUALITIES.items():
+    for cond, (_, params) in GROWTH_INEQUALITIES.items():
         for label, family in _growth_families(dims):
             got = check_lyapunov(cond, family, E12, GROWTH_REGION, dims, alpha=params(d).get("alpha")).verdict
             assert got == _log_rho_inequality(cond, family, dims).verdict, (cond, label)
