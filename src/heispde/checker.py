@@ -42,18 +42,19 @@ sorted eigenvalues from hgroup.radial_eigenvalues, on H^d and on R^n.
 The gradient is the eigenvector of f'' w, so e_q = f'' w and |q|^2 = f'^2 w
 (w = 1 on R^n).  The dense path takes fields without an own profile and
 TabulatedField rows: it forms the horizontal Hessian from the Euclidean
-jets, calls eigvalsh and takes e_q from the matrix.  After a spectral run
-the dense path forms the matrix again, from the Hessian alone, at most 256
-evenly spaced admissible points.  A row whose eigenvalues Weyl's inequality
-keeps within the check's allowance (_weyl_bound) skips eigvalsh; the
-allowance is never below the row's rounding budget (2m + 20) eps ||M||_F,
-so tol = 0 does not ask the paths to agree beyond rounding.  If an
-eigenvalue (or e_q) differs by more than the allowance, the run raises
-ValueError instead of reporting a verdict.  The report's "paths" block gives
-the points each path evaluated and, as "dense_check", that subsample's size
-n, the n_eigvalsh rows sent to eigvalsh, and the largest bound on a
-difference (Weyl's, or measured after eigvalsh), absolute and relative to
-max(1, |e|).
+jets, solves it by operators._eigenvalues (eigvalsh's results; a 2 x 2
+matrix by LAPACK's closed form) and takes e_q from the matrix.  After a
+spectral run the dense path forms the matrix again, from the Hessian alone,
+at most 256 evenly spaced admissible points.  A row whose eigenvalues Weyl's
+inequality keeps within the check's allowance (_weyl_bound) skips the
+solver; the allowance is never below the row's rounding budget
+(2m + 20) eps ||M||_F, so tol = 0 does not ask the paths to agree beyond
+rounding.  If an eigenvalue (or e_q) differs by more than the allowance, the
+run raises ValueError instead of reporting a verdict.  The report's "paths"
+block gives the points each path evaluated and, as "dense_check", that
+subsample's size n, the n_eigvalsh rows sent to the solver, and the largest
+bound on a difference (Weyl's, or measured after the solve), absolute and
+relative to max(1, |e|).
 
 Growth conditions are data: LYAPUNOV_CONDITIONS maps a condition and the
 kind of data it gets to a LyapunovRoute (operator, margin, strict,
@@ -507,7 +508,7 @@ def _dense_jets(field, pts: np.ndarray, rows: np.ndarray, gspace: str, reads_e_q
         hess = np.asarray(field.hessian(pts), dtype=float)
     mat, q = _dense_matrix(field, pts, hess, grad, gspace)
     e_q, qq = operators.rayleigh_quotient(q, mat) if reads_e_q else (None, None)
-    return val, q, np.linalg.eigvalsh(mat), e_q, qq
+    return val, q, operators._eigenvalues(mat), e_q, qq
 
 
 def _spectral_jets(profile, dim: int, pts, radius, tau, gspace: str, reads_e_q: bool, needs_q: bool):
@@ -584,10 +585,11 @@ def _terms_for(field, spec: OperatorSpec, gspace: str, profile, pts, rows, radiu
 def _dense_check(field, gspace, pts, got, got_e_q, tol) -> dict:
     """Compare the spectral path's got and got_e_q (or None) at pts with the dense path.
 
-    Rows that _weyl_bound keeps within their allowance skip eigvalsh.  e_q is
-    compared as one more eigenvalue; a row failing on it gets eigvalsh too, so
-    the message quotes its spectrum.  Raises ValueError at the first row off
-    by more than the allowance, so disagreeing paths give no verdict.
+    Rows that _weyl_bound keeps within their allowance skip the eigenvalue
+    solver, operators._eigenvalues.  e_q is compared as one more eigenvalue; a
+    row failing on it is solved too, so the message quotes its spectrum.
+    Raises ValueError at the first row off by more than the allowance, so
+    disagreeing paths give no verdict.
     """
     m = got.shape[1]
     grad = None if got_e_q is None else np.asarray(field.gradient(pts), dtype=float)
@@ -606,7 +608,7 @@ def _dense_check(field, gspace, pts, got, got_e_q, tol) -> dict:
 
     need = ~np.all(bound <= allowed(mag), axis=-1)
     if np.any(need):
-        dense[need, :m] = np.linalg.eigvalsh(mat[need])
+        dense[need, :m] = operators._eigenvalues(mat[need])
         bound[need, :m] = np.abs(got[need, :m] - dense[need, :m])
         mag[need, :m] = np.abs(dense[need, :m])
     bad = bound > allowed(mag)
@@ -628,7 +630,7 @@ def _dense_check(field, gspace, pts, got, got_e_q, tol) -> dict:
 def _weyl_bound(mat, pts, space, got) -> tuple[np.ndarray, np.ndarray]:
     """(bounds on |eigenvalue - got|, rounding budget) for the sorted eigenvalues of mat.
 
-    No eigvalsh runs.
+    No eigenvalue problem is solved.
 
     B has a radial Hessian's eigen-directions g (eta / |eta| on H^d, x / |x|
     on R^n) and, on H^d, h = g turned by hperp, with eigenvalues a = g^T M g,
@@ -639,10 +641,10 @@ def _weyl_bound(mat, pts, space, got) -> tuple[np.ndarray, np.ndarray]:
     |a|, |b|, |c| sqrt(m - 2) <= ||M|| and |a - c|, |b - c| <= 2 ||M||.  h is
     exactly orthogonal to g and as long, and |g|^2 = 1 within (m + 4) eps / 2,
     so B lies within (m + 4) eps ||M|| of a matrix with exactly its spectrum.
-    Forming M - B rounds each entry at most six times: 16 eps ||M||.  eigvalsh,
-    whose rule this stands in for, errs by about m eps ||M||_2.  The m^2
-    squares in ||M - B||_F and |sorted - got| + delta round by a relative
-    (m^2 + 4) eps at most.  The budget, (2m + 20) eps ||M||_F, also bounds
+    Forming M - B rounds each entry at most six times: 16 eps ||M||.  The
+    solver (eigvalsh's results), whose rule this stands in for, errs by about
+    m eps ||M||_2.  The m^2 squares in ||M - B||_F and |sorted - got| + delta
+    round by a relative (m^2 + 4) eps at most.  The budget, (2m + 20) eps ||M||_F, also bounds
     how far two correct paths may differ by rounding alone.
 
     mat is read C-contiguous: einsum's order of adds over a matrix depends on
@@ -1065,7 +1067,12 @@ class BarrierBundle:
 
 
 def lyapunov_fixture(name: str, dims: HeisDims, *, gamma0: float = 1.0, c0: float = 1.0, gammas=None):
-    """Built-in coefficient families: returns (condition, data, kwargs)."""
+    """Built-in coefficient families: returns (condition, data, kwargs).
+
+    gammas is the ou fixture's; any other fixture refuses it.
+    """
+    if gammas is not None and name != "ou":
+        raise ValueError(f"gammas apply to the ou fixture only, not to {name!r}")
     m, n = dims.m, dims.n
     zero_vec_h = lambda x: np.zeros(x.shape[:-1] + (m,))  # noqa: E731
     zero_scalar = lambda x: np.zeros(x.shape[:-1])  # noqa: E731
@@ -1106,7 +1113,8 @@ def _ou_gammas(gammas, dims) -> np.ndarray:
     if gammas is None:
         raise ValueError("OUtype needs the gamma vector")
     g = np.asarray(gammas, dtype=float)
-    if g.shape != (dims.n,) or np.any(g <= 0.0):
+    # NaN fails g > 0 and inf is not finite: neither is a positive real.
+    if g.shape != (dims.n,) or not np.all(np.isfinite(g) & (g > 0.0)):
         raise ValueError(f"gammas must be {dims.n} positive reals")
     return g
 
@@ -1218,6 +1226,8 @@ def check_lyapunov(
     """Test a coefficient growth condition on sampled points.
 
     The route is LYAPUNOV_CONDITIONS[cond][kind of data] (TypeError if none).
+    alpha and gammas, when given, must be valid on every route (0 < alpha <=
+    1/m, and n positive reals), checked before sampling.
     The verdict requires margin >= -allowance at every admissible sample, or
     margin > 0 for a strict part.  An R-ladder scan of the worst margin over
     rho >= R is attached as evidence at sampled scales.
@@ -1233,12 +1243,16 @@ def check_lyapunov(
         raise TypeError(f"{cond} expects {' or '.join(routes)} data, got {kind or 'other'} data ({type(data).__name__})")
     if route.divides_by_s and region.char_eps <= 0.0:
         raise ValueError(f"{cond} divides by |x_H|^2; the region needs char_eps > 0")
+    # alpha and gammas are checked whenever given, also on routes that do
+    # not read them, since the report echoes them.
+    if alpha is not None:
+        PucciAlpha(alpha, dims.m)
+    g = None if gammas is None and cond != "OUtype" else _ou_gammas(gammas, dims)
     r = None
     if route.operator is not None:
-        # OperatorSpec refuses a missing alpha, the closed form a bad one.
+        # OperatorSpec refuses a missing alpha.
         spec = OperatorSpec(route.operator, ell=e, alpha=alpha)
         r = float(_REFERENCES["log_rho", route.operator](1.0, 1.0, {"d": dims.d, "Q": dims.Q}, spec)[0])
-    g = _ou_gammas(gammas, dims) if cond == "OUtype" else None
     batch = sample_region(region, space="heisenberg", dim=dims.n)
     config = {
         "condition": cond,

@@ -33,6 +33,8 @@ and nothing else.
 Eigenvalues with |e| <= ZERO_TOL * ||M||_F (a fixed 1e-12) count as zero in
 the Pucci pair.  Matrix arguments may carry leading batch axes.  _controls
 evaluates a Bellman family once, for hjb_inf, hjb_sup and the checker.
+Every eigenvalue solve in the package goes through _eigenvalues, which
+gives eigvalsh's bits and solves a 2 x 2 matrix by LAPACK's own formulas.
 """
 
 from __future__ import annotations
@@ -122,7 +124,83 @@ def sym_eigenvalues(mat) -> np.ndarray:
 
     Validates symmetry within 1e-12 (absolute, entrywise) and finiteness.
     """
-    return np.linalg.eigvalsh(_as_sym(mat))
+    return _eigenvalues(_as_sym(mat))
+
+
+# Largest entries of a 2 x 2 batch that LAPACK's dsyevd and dsterf take
+# unscaled (they rescale below about 2^-405 and above 2^485).
+_LAE2_RANGE = (2.0**-400, 2.0**400)
+
+
+def _eigenvalues(mat) -> np.ndarray:
+    """Ascending eigenvalues of finite symmetric (..., m, m) matrices: eigvalsh's, bit for bit.
+
+    For m = 2, eigvalsh (LAPACK dsyevd, lower triangle) runs dsterf's 2 x 2
+    step, done here as array operations on a = M[0, 0], b = M[1, 0] and
+    c = M[1, 1]: a row splits into (a, c) when |b| <= sqrt|a| sqrt|c| 2^-53
+    or b^2 <= 2^-106 |a c|, else takes _dlae2(a, sqrt(b^2), c), and the pair
+    is swapped where the second value is strictly below the first.  dsterf
+    stores the dlae2 pair as (rt2, rt1) where |c| < |a|; after the swap the
+    order is moot, as rt1 != 0 on a row that does not split and equal values
+    have equal bits.  Other sizes, and a batch with a nonzero row LAPACK
+    would rescale (largest entry outside _LAE2_RANGE), go to eigvalsh whole.
+    """
+    mat = np.asarray(mat, dtype=float)
+    if mat.shape[-2:] != (2, 2) or _rescaled(mat):
+        return np.linalg.eigvalsh(mat)
+    rows = mat.reshape(-1, 2, 2)
+    a, b, c = rows[:, 0, 0], rows[:, 1, 0], rows[:, 1, 1]
+    bb = b * b
+    split = np.abs(b) <= np.sqrt(np.abs(a)) * np.sqrt(np.abs(c)) * 2.0**-53
+    split |= bb <= 2.0**-106 * np.abs(a * c)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        # Rows that split may divide 0 by 0.
+        lo, hi = _dlae2(a, np.sqrt(bb, out=bb), c)
+    del bb
+    lo = np.where(split, a, lo)
+    hi = np.where(split, c, hi)
+    swap = hi < lo
+    out = np.stack([np.where(swap, hi, lo), np.where(swap, lo, hi)], axis=-1)
+    return out.reshape(mat.shape[:-1])
+
+
+def _rescaled(mat) -> bool:
+    """Whether LAPACK would rescale a nonzero 2 x 2 matrix of mat: its largest entry lies outside _LAE2_RANGE."""
+    top = np.maximum(np.maximum(np.abs(mat[..., 0, 0]), np.abs(mat[..., 1, 0])), np.abs(mat[..., 1, 1]))
+    return bool(np.any((top > _LAE2_RANGE[1]) | ((top < _LAE2_RANGE[0]) & (top != 0.0))))
+
+
+def _dlae2(a, b, c) -> tuple[np.ndarray, np.ndarray]:
+    """LAPACK dlae2's eigenvalues (rt1, rt2) of [[a, b], [b, c]], b >= 0: |rt1| >= |rt2|.
+
+    Its operations in its order, on arrays: rt is the larger of |a - c| and
+    2b times sqrt(1 + (smaller / larger)^2), rt1 = (a + c +- rt) / 2 with the
+    sign of a + c, and rt2 = (acmx / rt1) acmn - (b / rt1) b, acmx the one
+    of a and c larger in size (c on a tie).  Where a + c = 0 (-0 too) dlae2
+    gives (rt / 2, -rt / 2); here rt2 = -rt1 and rt1 may be -rt / 2.
+    """
+    sm = a + c
+    rt = np.abs(a - c)
+    ab = b + b
+    ratio = np.minimum(rt, ab)
+    np.maximum(rt, ab, out=rt)
+    ratio /= rt
+    ratio *= ratio
+    ratio += 1.0
+    rt *= np.sqrt(ratio, out=ratio)
+    rt1 = np.copysign(rt, sm, out=rt)
+    rt1 += sm
+    rt1 *= 0.5
+    larger = np.abs(a) > np.abs(c)
+    rt2 = np.where(larger, a, c)
+    rt2 /= rt1
+    rt2 *= np.where(larger, c, a)
+    q = np.divide(b, rt1, out=ab)
+    q *= b
+    rt2 -= q
+    zero = np.flatnonzero(sm == 0.0)
+    rt2[zero] = -rt1[zero]
+    return rt1, rt2
 
 
 def _fro(eigs: np.ndarray) -> np.ndarray:
@@ -244,7 +322,7 @@ def evaluate(name: str, mat, params: dict, q=None) -> tuple[np.ndarray, np.ndarr
         e_q, qq = rayleigh_quotient(q, m)
         if np.any(qq == 0.0):
             raise ValueError(f"{name} is undefined at q = 0")
-    eigs = np.linalg.eigvalsh(m)
+    eigs = _eigenvalues(m)
     return entry.value(eigs, e_q, params), eigs
 
 

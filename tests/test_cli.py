@@ -128,6 +128,17 @@ def test_bad_numbers_exit_two_without_a_report(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fixture", ["zero-coeffs", "schro", "hou"])
+def test_gammas_for_a_fixture_other_than_ou_exit_two(fixture, tmp_path, capsys):
+    # They were dropped: the run passed with config.gammas null.
+    out = tmp_path / "rep.json"
+    argv = ["lyapunov", "--fixture", fixture, "--d", "1", "--rho-min", "2", "--rho-max", "16",
+            "--n-samples", "200", "--gammas", "1,2,3", "--out", str(out)]
+    assert main(argv) == 2
+    assert "error: gammas apply to the ou fixture only" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv,name,value", [
     (["verify", "--field", "u4"], "alpha", "nan"),
     (["verify", "--field", "u4"], "lam", "inf"),

@@ -240,6 +240,31 @@ def test_alpha_and_gammas_are_checked_before_sampling():
         check_lyapunov("OUtype", ou, E12, NO_ADMISSIBLE_POINT, dims, gammas=[1.0, -1.0, 1.0])
 
 
+@pytest.mark.parametrize("cond,kind", ROUTES)
+def test_alpha_and_gammas_are_checked_on_every_route(cond, kind):
+    # The report echoes both, so a bad value must not pass silently where the
+    # route does not read it; NaN also passed OUtype's own g <= 0 test.
+    dims = HeisDims(1)
+    data = _data(kind, dims)
+    good = {"alpha": 0.25, "gammas": np.ones(dims.n)}
+    for bad in (
+        {"alpha": 7.0, "gammas": [np.nan, -1.0]},
+        {"alpha": np.nan},
+        {"gammas": [np.nan, 1.0, 1.0]},
+        {"gammas": [1.0, np.inf, 1.0]},
+    ):
+        with pytest.raises(ValueError, match="alpha|gammas"):
+            check_lyapunov(cond, data, E12, NO_ADMISSIBLE_POINT, dims, **{**good, **bad})
+
+
+@pytest.mark.parametrize("name", ["zero-coeffs", "schro", "hou"])
+def test_only_the_ou_fixture_takes_gammas(name):
+    dims = HeisDims(1)
+    with pytest.raises(ValueError, match=f"gammas apply to the ou fixture only, not to '{name}'"):
+        checker.lyapunov_fixture(name, dims, gammas=np.ones(dims.n))
+    assert checker.lyapunov_fixture("ou", dims, gammas=[1.0, 2.0, 3.0])[2]["gammas"].tolist() == [1.0, 2.0, 3.0]
+
+
 # ---------------------------------------------------------------------------
 # horizontal growth conditions are the supersolution inequality of log rho
 

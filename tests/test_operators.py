@@ -1,11 +1,15 @@
 import json
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from heispde import cli, operators
-from heispde.checker import OperatorSpec, Region, TabulatedField, check_tabulated
+from heispde import cli, hgroup, operators
+from heispde.checker import OperatorSpec, Region, TabulatedField, check_inequality, check_tabulated
 from heispde.cli import main
+from heispde.gallery import field_from_profile, make_profile
+from heispde.hgroup import HeisDims
 from heispde.operators import Ellipticity, HJBCoefficients, PucciAlpha
 
 import _oracles
@@ -340,3 +344,130 @@ def test_missing_operator_parameter_is_rejected(name, capsys):
     argv = ["op-eval", "--op", name, "--matrix", "[[1, 0], [0, 2]]", "--q", "[1, 1]"]
     assert main(argv + _flags(params)) == 2
     assert "error:" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# operators._eigenvalues: eigvalsh's bits, a 2 x 2 matrix by LAPACK's formulas
+
+
+def _sym2(a, b, c):
+    """The symmetric matrices [[a, b], [b, c]] of equal-shape arrays."""
+    return np.stack([np.stack([a, b], axis=-1), np.stack([b, c], axis=-1)], axis=-2)
+
+
+def _batches_2x2(n=50000):
+    rng = np.random.default_rng(24)
+    a, b, c = rng.standard_normal((3, n))
+    random = _sym2(a, b, c)
+    u, v = rng.standard_normal((2, n))
+    out = {
+        "random": random,
+        **{f"b = {s:g} b": _sym2(a, s * b, c) for s in (1e-9, 1e-17, 1e-20)},
+        # Off-diagonals about the size of both split thresholds.
+        "b at the split": _sym2(a, np.sqrt(np.abs(a * c)) * 2.0**-53 * rng.choice([0.5, 1.0, 2.0], n), c),
+        "b = 0": _sym2(a, np.zeros(n), c),
+        "b = -0": _sym2(a, np.full(n, -0.0), c),
+        "a = c": _sym2(a, b, a),
+        "c = -a": _sym2(a, b, -a),
+        "zero": np.zeros((n, 2, 2)),
+        "signed zero": _sym2(*np.where(rng.random((3, n)) < 0.5, -0.0, 0.0)),
+        "zero diagonal": _sym2(np.where(a < 0.0, -0.0, 0.0), b, np.where(c < 0.0, -0.0, 0.0)),
+        # b * b is subnormal, so sqrt(b * b) is not |b|, and as large as a c.
+        "b * b underflows": _sym2(1e-120 * (1.0 + np.abs(a)), 1e-155 * b, 1e-190 * c),
+        "integer": _sym2(*rng.integers(-3, 4, (3, n))),
+        "rank one": _sym2(u * u, u * v, v * v),
+        "mixed scales": random * 10.0 ** rng.integers(-300, 301, n)[:, None, None],
+        "mixed scales in range": random * 10.0 ** rng.integers(-100, 101, n)[:, None, None],
+        "mixed entries": _sym2(*(rng.standard_normal((3, n)) * 10.0 ** rng.integers(-100, 101, (3, n)))),
+    }
+    for e in (-300, -200, -100, 100, 200, 300):
+        out[f"scale 1e{e}"] = random * 10.0**e
+    return out
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("name", list(_batches_2x2(1)))
+def test_the_solver_gives_eigvalsh_s_bits_on_2x2_batches(name):
+    mats = _batches_2x2()[name]
+    assert _same_bits(operators._eigenvalues(mats), np.linalg.eigvalsh(mats))
+
+
+def test_the_solver_takes_a_single_matrix_and_any_batch_shape():
+    # op-eval passes one matrix, a batch of no axes.
+    rng = np.random.default_rng(5)
+    for shape in [(), (1,), (3, 4), (0,)]:
+        for m in (1, 2, 3, 4):
+            mats = rng.standard_normal(shape + (m, m))
+            mats = mats + np.swapaxes(mats, -1, -2)
+            assert _same_bits(operators._eigenvalues(mats), np.linalg.eigvalsh(mats)), (shape, m)
+    assert _same_bits(operators._eigenvalues([[1.0, 2.0], [2.0, -3.0]]), np.linalg.eigvalsh([[1.0, 2.0], [2.0, -3.0]]))
+
+
+def test_the_solver_reads_the_layout_h_hessian_returns():
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((1000, 3))
+    hess = rng.standard_normal((1000, 3, 3))
+    mats = hgroup.h_hessian(None, hess + np.swapaxes(hess, 1, 2), x)
+    assert mats.shape == (1000, 2, 2) and not mats.flags.c_contiguous
+    want = np.linalg.eigvalsh(np.ascontiguousarray(mats))
+    assert _same_bits(operators._eigenvalues(mats), want)
+    assert _same_bits(np.linalg.eigvalsh(mats), want)
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e-300, 1e200, 0.0])
+def test_the_solver_raises_no_floating_point_warning(scale):
+    # At 1e300 b * b overflows; tier-1 turns warnings into errors anyway.
+    mats = _sym2(*np.random.default_rng(7).standard_normal((3, 100))) * scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _same_bits(operators._eigenvalues(mats), np.linalg.eigvalsh(mats))
+
+
+def test_a_2x2_solve_stays_within_five_outputs_of_memory():
+    # 7600 rows, the admissible rows of a d = 1 table chunk: at most 600 KB,
+    # about five times the 122 KB result.
+    a, b, c = np.random.default_rng(10).standard_normal((3, 7600))
+    mats = np.moveaxis(np.array([[a, b], [b, c]]), -1, 0)  # batch-last, as h_hessian's
+    operators._eigenvalues(mats)
+    tracemalloc.start()
+    try:
+        operators._eigenvalues(mats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 600_000
+
+
+def test_every_eigen_solve_goes_through_the_solver(monkeypatch):
+    seen = []
+    solve = operators._eigenvalues
+
+    def counted(mat):
+        seen.append(np.shape(mat))
+        return solve(mat)
+
+    monkeypatch.setattr(operators, "_eigenvalues", counted)
+    mats = _sym2(*np.random.default_rng(8).standard_normal((3, 5)))
+    operators.sym_eigenvalues(mats)
+    operators.evaluate("pucci_max", mats, {"ell": E12})
+    assert seen == [(5, 2, 2), (5, 2, 2)]
+
+    # The dense path: a d = 1 jet table, and a spectral run's dense-check
+    # rows that Weyl's bound cannot clear at tol 0.
+    seen.clear()
+    dims = HeisDims(1)
+    u4 = field_from_profile(make_profile("u4", E12, dims), dims)
+    g = np.random.default_rng(9).standard_normal((400, 3))
+    pts = hgroup.dilate(np.linspace(0.5, 4.0, 400) / hgroup.hnorm(g), g)
+    table = TabulatedField(pts, u4.value(pts), u4.gradient(pts), u4.hessian(pts))
+    rep = check_tabulated(table, OperatorSpec("pucci_max", ell=E12), Region(0.25, 5.0, char_eps=0.01))
+    assert rep.n_evaluated > 0 and seen == [(rep.n_evaluated, 2, 2)]
+
+    seen.clear()
+    folland = field_from_profile(make_profile("folland", None, dims), dims)
+    rep = check_inequality(folland, OperatorSpec("pucci_max", ell=E12), Region(0.1, 5.0, n_samples=3000, seed=9, char_eps=0.01), tol=0.0)
+    n = rep.paths["dense_check"]["n_eigvalsh"]
+    assert n > 0 and seen == [(n, 2, 2)]
