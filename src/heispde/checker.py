@@ -22,8 +22,9 @@ SampleBatch.place(rows) draws the sign (the top bit of its coordinate's
 of just those rows.  The sequence has random access, so a row
 placed alone is bit-identical to the same row of the full batch.  A
 spectral run without a Bellman part or keep_samples places only the
-dense-check rows and the witness, in one call; every other run places each
-chunk's admissible rows once.  Placed points are column-major (every
+dense-check rows and the witness, in one call after the fold; every other
+run places each chunk's admissible rows once, and a spectral one then the
+dense-check rows again.  Placed points are column-major (every
 coordinate contiguous), and sums over the coordinate or eigenvalue axis go
 through hgroup._rowdot and hgroup._rowsum, which add left to right, so no
 value depends on that layout or on numpy's sum kernels.
@@ -44,8 +45,10 @@ The gradient is the eigenvector of f'' w, so e_q = f'' w and |q|^2 = f'^2 w
 TabulatedField rows: it forms the horizontal Hessian from the Euclidean
 jets, solves it by operators._eigenvalues (eigvalsh's results; a 2 x 2
 matrix by LAPACK's closed form) and takes e_q from the matrix.  After a
-spectral run the dense path forms the matrix again, from the Hessian alone,
-at most 256 evenly spaced admissible points.  A row whose eigenvalues Weyl's
+spectral run's fold, at most 256 evenly spaced admissible rows are placed,
+and both paths are compared at each point's own (rho, tau) (_radius_tau):
+the spectral path's spectrum there against the matrix the dense path forms
+from the Hessian alone.  A row whose eigenvalues Weyl's
 inequality keeps within the check's allowance (_weyl_bound) skips the
 solver; the allowance is never below the row's rounding budget
 (2m + 20) eps ||M||_F, so tol = 0 does not ask the paths to agree beyond
@@ -705,18 +708,12 @@ def _running(reduce, old, values) -> float:
 
 
 def _chunks(admissible: np.ndarray):
-    """(rows, position) of each chunk of _CHUNK_ROWS sample indices with an admissible row.
-
-    rows are the chunk's admissible rows; position counts the admissible
-    rows of the chunks before it.
-    """
-    position = 0
+    """The admissible rows of each chunk of _CHUNK_ROWS sample indices that has one."""
     for start in range(0, admissible.shape[0], _CHUNK_ROWS):
         rows = np.flatnonzero(admissible[start : start + _CHUNK_ROWS])
         if rows.size:
             rows += start
-            yield rows, position
-            position += rows.size
+            yield rows
 
 
 class _PassRule:
@@ -758,7 +755,7 @@ class _PassRule:
 
 
 def _fold_chunks(kind, batch, region, tol, config, t0, chunk, finish, strict=False) -> CheckReport:
-    """Fold chunk(rows, position) over the chunks of batch's admissible rows into one report.
+    """Fold chunk(rows) over the chunks of batch's admissible rows into one report.
 
     chunk returns (points or None, excess, magnitude, named, fields): the
     chunk's placed points; its excesses for _PassRule, (N,) or (parts, N),
@@ -772,14 +769,14 @@ def _fold_chunks(kind, batch, region, tol, config, t0, chunk, finish, strict=Fal
     zero_gradient, and a run that looked at no row (none admissible, none
     evaluated, or none compared) is vacuous, without a witness.  If any row
     was admissible, finish(folded, verdict, witness, row) returns the kind's
-    own report fields, row being the witness's sample row; it may place the
-    witness's point.  No chunk's arrays are held while the next one is
-    computed.
+    own report fields, row being the witness's sample row; it may place
+    points, the witness's among them.  No chunk's arrays are held while the
+    next one is computed.
     """
     rule = _PassRule(strict)
     folded, witness, witness_row = {}, None, None
-    for rows, position in _chunks(batch.admissible):
-        pts, excess, mag, named, fields = chunk(rows, position)
+    for rows in _chunks(batch.admissible):
+        pts, excess, mag, named, fields = chunk(rows)
         allow = _allowance(tol, mag)
         k = rule.add(excess, allow)
         if k is not None:
@@ -970,28 +967,17 @@ def _inequality_from_batch(
     gspace = _resolve_gspace(field.space, spec)
     profile = _own_profile(field)
     # The spectral path reads only the chart.  Without a Bellman part or
-    # keep_samples it places just the dense-check rows and the witness.
+    # keep_samples no chunk places its points.
     place = profile is None or spec.first_order is not None or keep_samples
-    factor = operators.OPERATORS[spec.second_order].magnitude(spec.params)
-    n_adm = batch.n_admissible
-    # Positions, among the admissible rows, that the dense path checks again.
-    check_at = None
-    if profile is not None:
-        check_at = np.linspace(0, n_adm - 1, min(n_adm, _DENSE_CHECK_POINTS)).astype(np.intp)
-    picked, kept = [], []
+    entry = operators.OPERATORS[spec.second_order]
+    factor = entry.magnitude(spec.params)
+    kept = []
 
-    def chunk(rows, position):
+    def chunk(rows):
         radius = batch.radius[rows]
         tau = None if batch.tau is None else batch.tau[rows]
         pts = batch.place(rows) if place else None
         terms = _terms_for(field, spec, gspace, profile, pts, rows, radius, tau)
-        if check_at is not None:
-            lo, hi = np.searchsorted(check_at, [position, position + rows.size])
-            k = check_at[lo:hi] - position
-            e_q = terms.get("e_q")
-            picked.append(
-                (rows[k], None if pts is None else pts[k], terms["eigs"][k], None if e_q is None else e_q[k])
-            )
         alive = terms["alive"]
         named = {"n_evaluated": int(np.count_nonzero(alive))}
         if reference is not None:
@@ -1026,12 +1012,17 @@ def _inequality_from_batch(
         return pts, excess, mag, named, fields
 
     def finish(folded, verdict, witness, witness_row):
-        dense_check = None
+        n_adm, dense_check = batch.n_admissible, None
         if profile is not None:
-            rows, pts, got, got_e_q = (None if p[0] is None else np.concatenate(p) for p in zip(*picked))
-            if pts is None:  # one placement for the dense-check rows and the witness
-                pts, last = np.split(batch.place(np.append(rows, witness_row)), [rows.size])
-                witness["point"] = [float(v) for v in last[0]]
+            # Evenly spaced admissible rows, placed (with the witness if no
+            # chunk placed it) and compared at their points' own (rho, tau).
+            rows = np.flatnonzero(batch.admissible)
+            rows = rows[np.linspace(0, n_adm - 1, min(n_adm, _DENSE_CHECK_POINTS)).astype(np.intp)]
+            pts = batch.place(rows if place else np.append(rows, witness_row))
+            if not place:
+                witness["point"], pts = [float(v) for v in pts[-1]], pts[:-1]
+            radius, tau = _radius_tau(pts, field.space)
+            got, got_e_q = _spectral_jets(profile, field.dim, pts, radius, tau, gspace, entry.reads_e_q, False)[2:4]
             dense_check = _dense_check(field, gspace, pts, got, got_e_q, tol)
         extras = {"paths": {
             "spectral": 0 if profile is None else n_adm,
@@ -1267,7 +1258,7 @@ def check_lyapunov(
     ladder = [region.rho_min * 2.0**j for j in range(8)]
     scan = [{"R": float(R), "n": 0, "min_margin": None} for R in ladder if R <= region.rho_max]
 
-    def chunk(rows, position):
+    def chunk(rows):
         pts, rho = batch.place(rows), batch.radius[rows]
         margins, mag, components = route.margin(pts, rho, data, r, g)
         margin = margins[0]

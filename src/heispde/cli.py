@@ -349,6 +349,8 @@ def _field_from(eff: dict):
     name = eff["field"]
     if name is None:
         raise CliError("--field is required")
+    if eff["kappa"] is not None and name != "power":
+        raise CliError(f"--kappa is read by the power field only, not by {name!r}")
     dims = HeisDims(eff["d"])
     kind, _, needs_e = PROFILE_NAMES[name]
     e = Ellipticity(eff["lam"], eff["Lam"])
@@ -506,7 +508,9 @@ def _cmd_convergence(eff: dict) -> int:
 def _cmd_gallery(eff: dict) -> int:
     dims = None if eff["d"] is None else HeisDims(eff["d"])
     e = None
-    if eff["lam"] is not None and eff["Lam"] is not None:
+    if eff["lam"] is not None or eff["Lam"] is not None:
+        if eff["lam"] is None or eff["Lam"] is None or dims is None:
+            raise CliError("gallery list reads --lam and --Lam together, and only with --d")
         e = Ellipticity(eff["lam"], eff["Lam"])
     rows = gallery.profile_catalog(e, dims)
     payload = {"schema": SCHEMA, "command": "gallery", "kind": "gallery", "rows": rows}
@@ -570,6 +574,10 @@ FIXTURES: dict[str, dict] = {
             "--rho-min", "0.25", "--rho-max", "4.0", "--n-samples", "512",
             "--char-eps", "0.05", "--seed", "5",
         ],
+        "expected_exit": 0,
+    },
+    "verify-power-steep": {
+        "argv": ["verify", "--field", "power", "--kappa", "-20", "--d", "1", "--tol", "0", "--n-samples", "512"],
         "expected_exit": 0,
     },
     "lyapunov-zero-coeffs": {

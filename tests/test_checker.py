@@ -293,6 +293,57 @@ def test_negated_field_satisfies_dual_inequality():
     assert abs(plus.worst_violation - minus.worst_violation) <= 1e-12
 
 
+def _dilated(field, lam):
+    """u o delta_lam as a wrapped field (dense path), its gluing radii scaled by 1 / lam."""
+    scale = np.full(field.dim, lam)
+    if field.space == "heisenberg":
+        scale[-1] = lam**2
+    outer = scale[:, None] * scale  # one product per entry keeps the Hessian symmetric
+    return dataclasses.replace(
+        field,
+        name=f"{field.name}.dilated",
+        value=lambda x: field.value(x * scale),
+        gradient=lambda x: field.gradient(x * scale) * scale,
+        hessian=lambda x: field.hessian(x * scale) * outer,
+        singular_radii=tuple(r / lam for r in field.singular_radii),
+        profile=None,
+    )
+
+
+_E15 = Ellipticity(1.0, 1.5)
+_TABLE_PARAMS = {
+    "pucci_max": {"ell": _E15},
+    "pucci_min": {"ell": _E15},
+    "pucci_plus_alpha": {"alpha": 0.1},
+    "pucci_minus_alpha": {"alpha": 0.1},
+    "pnorm": {"p": 3.0},
+    "neg_trace": {},
+}
+
+
+@pytest.mark.parametrize("lam", [0.5, 3.0])
+@pytest.mark.parametrize("op", list(operators.OPERATORS))
+@pytest.mark.parametrize("name,d,kw", [
+    ("log_rho", 1, {}), ("power", 2, {"kappa": 0.5}), ("u5", 2, {}), ("u2", 3, {}),
+])
+def test_a_dilated_field_on_the_scaled_region_gets_the_same_verdict(name, d, kw, op, lam):
+    # D^2_H(u o delta_lam)(x) = lam^2 (D^2_H u)(delta_lam x), and every table
+    # operator is 1-homogeneous, so on the region scaled by 1 / lam (same
+    # seed, same chart up to rounding) u o delta_lam sees lam^2 times what u
+    # sees.  The cases keep their worst excess far from the allowance.
+    dims = HeisDims(d)
+    field = field_from_profile(make_profile(name, _E15 if gallery.PROFILE_NAMES[name][2] else None, dims, **kw), dims)
+    spec = OperatorSpec(op, **_TABLE_PARAMS[op])
+    region = Region(0.3, 3.0, n_samples=2000, seed=4, char_eps=0.05)
+    base = check_inequality(field, spec, region)
+    assert abs(base.worst_violation) > 1e3 * base.witness["allowance"]
+    scaled = dataclasses.replace(region, rho_min=0.3 / lam, rho_max=3.0 / lam, kink_eps=region.kink_eps / lam)
+    rep = check_inequality(_dilated(field, lam), spec, scaled)
+    assert rep.paths["dense"] == rep.n_evaluated
+    assert (rep.verdict, rep.n_evaluated) == (base.verdict, base.n_evaluated)
+    assert rep.worst_violation == pytest.approx(lam**2 * base.worst_violation, rel=1e-12)
+
+
 def test_vacuous_region_never_passes():
     field = _field("u4", Ellipticity(1.0, 1.5), D1)
     region = Region(1.0 - 1e-8, 1.0 + 1e-8, n_samples=32, kink_eps=1e-6)

@@ -139,6 +139,20 @@ def test_gammas_for_a_fixture_other_than_ou_exit_two(fixture, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "--field", "folland", "--d", "1", "--kappa", "3"], "--kappa is read by the power field only"),
+    (["convergence", "--field", "folland", "--d", "1", "--kappa", "3"], "--kappa is read by the power field only"),
+    (["gallery", "list", "--d", "1", "--lam", "1"], "gallery list reads --lam and --Lam together, and only with --d"),
+    (["gallery", "list", "--lam", "1", "--Lam", "2"], "gallery list reads --lam and --Lam together, and only with --d"),
+])
+def test_a_flag_nothing_reads_exits_two(argv, message, tmp_path, capsys):
+    # Each of these ran and exited 0 with the flag ignored.
+    out = tmp_path / "rep.json"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv,name,value", [
     (["verify", "--field", "u4"], "alpha", "nan"),
     (["verify", "--field", "u4"], "lam", "inf"),

@@ -315,18 +315,29 @@ def test_rows_weyl_cannot_clear_fall_back_to_eigvalsh(d):
     assert a == b
 
 
+def _guard_rows(field, spec, region):
+    """(points, eigenvalues, e_q or None) the dense check compares after a run.
+
+    Its rows are evenly spaced among the admissible rows, and the spectral
+    path is evaluated at their placed points' own (rho, tau).
+    """
+    batch = sample_region(region, space=field.space, dim=field.dim, singular_radii=field.singular_radii)
+    adm = np.flatnonzero(batch.admissible)
+    pts = batch.place(adm[np.linspace(0, adm.size - 1, min(adm.size, checker._DENSE_CHECK_POINTS)).astype(np.intp)])
+    radius, tau = checker._radius_tau(pts, field.space)
+    reads_e_q = operators.OPERATORS[spec.second_order].reads_e_q
+    jets = checker._spectral_jets(field.profile, field.dim, pts, radius, tau, "horizontal", reads_e_q, False)
+    return pts, jets[2], jets[3]
+
+
 def test_a_doubled_hessian_raises_the_eigvalsh_rules_message():
     field = _field("u4", 1)
     spec = OperatorSpec("pucci_max", ell=E15)
     region = Region(0.25, 4.0, n_samples=512, seed=5, char_eps=0.05)
     hessian = field.hessian
     doubled = dataclasses.replace(field, hessian=lambda x: 2.0 * hessian(x))
-    # The dense-check rows: evenly spaced positions among the admissible rows.
-    kept = check_inequality(field, spec, region, keep_samples=True).samples
-    n = kept["eigs"].shape[0]
-    pos = np.linspace(0, n - 1, min(n, checker._DENSE_CHECK_POINTS)).astype(np.intp)
-    pts = kept["points"][pos]
-    want = _eigvalsh_rule("heisenberg", doubled.hessian(pts), pts, kept["eigs"][pos], 1e-9)
+    pts, got, _ = _guard_rows(field, spec, region)
+    want = _eigvalsh_rule("heisenberg", doubled.hessian(pts), pts, got, 1e-9)
     assert want is not None
     with pytest.raises(ValueError) as err:
         check_inequality(doubled, spec, region)
@@ -340,15 +351,12 @@ def test_a_wrong_e_q_raises_the_eigvalsh_rules_message(name, d, monkeypatch):
     m = 2 * d if field.space == "heisenberg" else d
     spec = OperatorSpec("pnorm", p=3.0)
     region = Region(0.25, 4.0, n_samples=512, seed=5, char_eps=0.05)
-    kept = check_inequality(field, spec, region, keep_samples=True).samples
-    n = kept["eigs"].shape[0]
-    pos = np.linspace(0, n - 1, min(n, checker._DENSE_CHECK_POINTS)).astype(np.intp)
-    pts = kept["points"][pos]
+    pts, got, got_e_q = _guard_rows(field, spec, region)
     grad = field.gradient(pts)
     q = hgroup.h_gradient(grad, pts) if field.space == "heisenberg" else grad
     skew = 1.0 + 1e-6
-    want = _eigvalsh_rule(field.space, field.hessian(pts), pts, kept["eigs"][pos], 1e-9, q, kept["e_q"][pos] * skew)
-    assert want is not None and m == kept["eigs"].shape[1]
+    want = _eigvalsh_rule(field.space, field.hessian(pts), pts, got, 1e-9, q, got_e_q * skew)
+    assert want is not None and m == got.shape[1]
     spectral_jets = checker._spectral_jets
 
     def skewed(*args):
@@ -381,6 +389,15 @@ def test_tol_0_allows_the_rounding_of_two_correct_paths(d, op):
     for tol in (0.0, 1e-9):
         with pytest.raises(ValueError, match="spectral and dense paths disagree"):
             check_inequality(scaled, spec, region, tol=tol)
+
+
+@pytest.mark.parametrize("kappa,d", [*((k, d) for k in (-20, -30, -40) for d in (1, 2, 4)), (-1000, 1)])
+def test_steep_power_fields_pass_at_tol_0(kappa, d, capsys):
+    # The chart's rho differs from the placed point's by a few ulp, which a
+    # steep tail magnifies past the rounding budget, so the guard must read
+    # each point's own (rho, tau) on both paths.
+    assert cli.main(["verify", "--field", "power", "--kappa", str(kappa), "--d", str(d), "--tol", "0"]) == 0
+    assert "verdict=pass" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
