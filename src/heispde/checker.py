@@ -59,17 +59,18 @@ subsample's size n, the n_eigvalsh rows sent to the solver, and the largest
 bound on a difference (Weyl's, or measured after the solve), absolute and
 relative to max(1, |e|).
 
-Growth conditions are data: LYAPUNOV_CONDITIONS maps a condition and the
-kind of data it gets to a LyapunovRoute (operator, margin, strict,
-divides_by_s).  A route that rescales log rho's supersolution inequality
-names its table operator, and its threshold is that operator on log rho at
-rho = tau = 1, read from the closed form formula mode checks
-(_REFERENCES).  Bellman parts and growth conditions read a
-control family through operators._controls, so bad drifts and costs raise
-one ValueError everywhere.  Every check runs one loop, _fold_chunks, over
-its chunks: it takes the verdict, worst excess and witness from one rule,
-_PassRule, folds each check's named values by prefix (n_* add, min_* and
-max_* keep the extreme) and writes the one CheckReport.
+Formula mode compares with the closed forms of gallery.PROFILES, at the
+field's own d and Q.  Growth conditions are data: LYAPUNOV_CONDITIONS maps
+a condition and the kind of data it gets to a LyapunovRoute (operator,
+margin, strict, divides_by_s).  A route that rescales log rho's
+supersolution inequality names its table operator, and its threshold is
+log_rho's closed form for it at rho = tau = 1.  Bellman parts and growth
+conditions read a control family through operators._controls, so bad
+drifts and costs raise one ValueError everywhere.  Every check runs one
+loop, _fold_chunks, over its chunks: it takes the verdict, worst excess
+and witness from one rule, _PassRule, folds each check's named values by
+prefix (n_* add, min_* and max_* keep the extreme) and writes the one
+CheckReport.
 
 Reports are deterministic functions of (config, seed): identical inputs give
 identical reports except for wall_time.  CheckReport declares its fields in
@@ -89,7 +90,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import hgroup, operators
+from . import gallery, hgroup, operators
 from .hgroup import HeisDims
 from .operators import Ellipticity, HJBCoefficients, PucciAlpha, _finite
 
@@ -491,9 +492,9 @@ def _own_profile(field):
 
 
 def _dense_matrix(field, pts, hess, grad, gspace: str):
-    """(horizontal Hessian, gradient q); grad may be None.  The Hessian, symmetric by construction, must be finite."""
+    """(horizontal Hessian, gradient q); grad may be None.  The Hessian must be finite and pass hgroup's symmetry gate."""
     heis = field.space == "heisenberg"
-    mat = hgroup.h_hessian(grad, hess, pts) if heis else 0.5 * (hess + np.swapaxes(hess, -1, -2))
+    mat = hgroup.h_hessian(grad, hess, pts) if heis else operators._as_sym(hess)
     if not np.isfinite(mat).all():
         raise ValueError("matrix entries must be finite")
     return mat, hgroup.h_gradient(grad, pts) if heis and grad is not None and gspace == "horizontal" else grad
@@ -820,29 +821,6 @@ def _fold_chunks(kind, batch, region, tol, config, t0, chunk, finish, strict=Fal
     )
 
 
-# (profile, operator) -> closed-form operator values: (rho, tau, profile
-# params, spec) -> (values, where they hold).
-_REFERENCES = {
-    ("log_rho", "pucci_min"): lambda rho, tau, p, spec: (
-        (spec.ell.lam - spec.ell.Lam * (p["Q"] - 1)) * tau**2 / rho**2, np.ones_like(rho, bool)
-    ),
-    # PucciAlpha refuses an alpha outside (0, 1/m], where the form does not hold.
-    ("log_rho", "pucci_minus_alpha"): lambda rho, tau, p, spec: (
-        (4.0 * p["d"] * PucciAlpha(spec.alpha, 2 * p["d"]).alpha - 3.0) * tau**2 / rho**2,
-        np.ones_like(rho, bool),
-    ),
-    ("u_tilde", "neg_trace"): lambda rho, tau, p, spec: (
-        np.where(rho < 1.0, 0.5 * (p["Q"] - 2.0) * p["Q"] * (p["Q"] + 2.0) * (1.0 - rho**2) * tau**2, 0.0),
-        np.ones_like(rho, bool),
-    ),
-    ("folland", "neg_trace"): lambda rho, tau, p, spec: (np.zeros_like(rho), np.ones_like(rho, bool)),
-    **{
-        (name, "pucci_max"): lambda rho, tau, p, spec: (np.zeros_like(rho), rho >= 1.0)
-        for name in ("u4", "u5", "u2", "u3")
-    },
-}
-
-
 def _field_echo(field) -> dict:
     echo = {"name": field.name, "space": field.space, "dim": int(field.dim)}
     profile = getattr(field, "profile", None)
@@ -904,9 +882,13 @@ def check_inequality(
     reference = None
     if mode == "formula":
         key = (getattr(getattr(field, "profile", None), "name", None), spec.second_order)
-        reference = None if _own_profile(field) is None else _REFERENCES.get(key)
+        example = gallery.PROFILES.get(key[0]) if _own_profile(field) is not None else None
+        reference = None if example is None else example.closed_forms.get(key[1])
         if reference is None:
             raise ValueError(f"no closed-form reference registered for {key!r}")
+        # d and Q are the field's own, not its profile's params.
+        dims = HeisDims(field.dim if field.space == "euclidean" else (field.dim - 1) // 2)
+        reference = functools.partial(reference, dims=dims, params=spec.params)
 
     batch = sample_region(
         region, space=field.space, dim=field.dim, singular_radii=field.singular_radii
@@ -981,7 +963,7 @@ def _inequality_from_batch(
         alive = terms["alive"]
         named = {"n_evaluated": int(np.count_nonzero(alive))}
         if reference is not None:
-            ref_vals, ref_valid = reference(radius, tau, profile.params, spec)
+            ref_vals, ref_valid = reference(radius, tau)
             looked = ref_valid & alive
             value, mag = np.abs(terms["total"] - ref_vals), np.abs(ref_vals)
             nonzero = looked & (ref_vals != 0.0)
@@ -1166,9 +1148,10 @@ class LyapunovRoute:
     """How check_lyapunov tests one condition on one kind of data.
 
     operator names the table operator whose supersolution inequality on
-    log rho the margin rescales, or None; the threshold r is its closed
-    form at rho = tau = 1 (_REFERENCES), checked before sampling, so a
-    missing or bad alpha is refused even where no point is admissible.
+    log rho the margin rescales, or None; the threshold r is log_rho's
+    closed form for it (gallery.PROFILES) at rho = tau = 1, computed before
+    sampling, so a missing or bad alpha is refused even where no point is
+    admissible.
     margin(pts, rho, data, r, gammas) returns, for one chunk of points,
     (margins (parts, N), magnitude for the allowance, components); margins
     are positive where a part holds, and the witness and scan report the
@@ -1243,7 +1226,7 @@ def check_lyapunov(
     if route.operator is not None:
         # OperatorSpec refuses a missing alpha.
         spec = OperatorSpec(route.operator, ell=e, alpha=alpha)
-        r = float(_REFERENCES["log_rho", route.operator](1.0, 1.0, {"d": dims.d, "Q": dims.Q}, spec)[0])
+        r = float(gallery.PROFILES["log_rho"].closed_forms[route.operator](1.0, 1.0, dims, spec.params)[0])
     batch = sample_region(region, space="heisenberg", dim=dims.n)
     config = {
         "condition": cond,

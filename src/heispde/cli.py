@@ -32,26 +32,13 @@ import numpy as np
 
 from . import checker, gallery, operators
 from .checker import OperatorSpec, Region
-from .gallery import PROFILE_NAMES, ProfileRegimeError
+from .gallery import PROFILES, ProfileRegimeError
 from .hgroup import HeisDims
 from .operators import Ellipticity
 
-__all__ = ["FIXTURES", "OPTIONS", "PROFILE_DEFAULTS", "main", "run_fixture", "write_json_report"]
+__all__ = ["FIXTURES", "OPTIONS", "main", "run_fixture", "write_json_report"]
 
 SCHEMA = checker.SCHEMA
-
-# Default (operator, sense) under which each shipped profile is checked.
-PROFILE_DEFAULTS: dict[str, tuple[str, str]] = {
-    "u2": ("pucci_max", "supersolution"),
-    "u3": ("pucci_max", "subsolution"),
-    "u_tilde": ("neg_trace", "supersolution"),
-    "u4": ("pucci_max", "subsolution"),
-    "u5": ("pucci_max", "supersolution"),
-    "folland": ("neg_trace", "supersolution"),
-    "log_rho": ("pucci_min", "subsolution"),
-    "neg_log_rho": ("pucci_max", "supersolution"),
-    "power": ("neg_trace", "subsolution"),
-}
 
 _EXIT_BY_VERDICT = {"pass": 0, "fail": 1, "vacuous": 3}
 # A negative number that argparse would take for a flag.
@@ -197,7 +184,7 @@ def _as_vector(v):
 _SECOND_ORDER = _one_of(*operators.OPERATORS)
 _ELLIPTICITY = {"lam": (1.0, _as_float), "Lam": (2.0, _as_float)}
 _FIELD = {
-    "field": (None, _one_of(*sorted(PROFILE_NAMES))),
+    "field": (None, _one_of(*sorted(PROFILES))),
     "kappa": (None, _as_float),
     "negate": (False, _as_bool),
     "d": (1, _as_int),
@@ -349,14 +336,12 @@ def _field_from(eff: dict):
     name = eff["field"]
     if name is None:
         raise CliError("--field is required")
-    if eff["kappa"] is not None and name != "power":
+    needs = PROFILES[name].needs
+    if eff["kappa"] is not None and "kappa" not in needs:
         raise CliError(f"--kappa is read by the power field only, not by {name!r}")
     dims = HeisDims(eff["d"])
-    kind, _, needs_e = PROFILE_NAMES[name]
     e = Ellipticity(eff["lam"], eff["Lam"])
-    profile = gallery.make_profile(
-        name, e if needs_e else None, dims, kappa=eff["kappa"]
-    )
+    profile = gallery.make_profile(name, e if "e" in needs else None, dims, kappa=eff["kappa"])
     field = gallery.field_from_profile(profile, dims)
     if eff["negate"]:
         field = -field
@@ -400,9 +385,8 @@ def _write_field_table(path: str, report: checker.CheckReport, space: str) -> No
 
 def _cmd_verify(eff: dict) -> int:
     field, e, _ = _field_from(eff)
-    default_op, default_sense = PROFILE_DEFAULTS[eff["field"]]
-    op = eff["op"] or default_op
-    sense = eff["sense"] or default_sense
+    op, sense = PROFILES[eff["field"]].checked_as
+    op, sense = eff["op"] or op, eff["sense"] or sense
     ell = e if operators.OPERATORS[op].param == "ell" else None
     spec = OperatorSpec(op, sense, ell=ell, alpha=eff["alpha"], p=eff["p"])
     mode = "formula" if eff["compare_formula"] else "sense"

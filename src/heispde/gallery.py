@@ -14,36 +14,33 @@ to a decaying power tail,
     f(r) = s * r^(2-k)                                   for r >= 1,
 
 with sign s in {+1, -1} and exponent k > 2.  The gluing is C^1 (in fact C^2)
-and the field is bounded, nonconstant, and one-signed.  Each named profile
-fixes (s, k):
-
-    u2       s=+1  k = (Lam/lam)(d-1) + 1     euclidean, needs k > 2
-    u3       s=-1  k = (lam/Lam)(d-1) + 1     euclidean, needs k > 2
-    u_tilde  s=+1  k = Q                      heisenberg
-    u4       s=-1  k = (lam/Lam)(Q-1) + 1     heisenberg, needs k > 2
-    u5       s=+1  k = (Lam/lam)(Q-1) + 1     heisenberg
-
-Single-piece profiles: folland (rho^(2-Q), annihilated by the horizontal
-Laplacian away from the origin), log_rho / neg_log_rho, and power (rho^kappa
-for a caller-chosen kappa).
+and the field is bounded, nonconstant, and one-signed.  u2 and u3 (on R^d),
+u_tilde, u4 and u5 each fix (s, k).  Single-piece profiles: folland
+(rho^(2-Q), annihilated by the horizontal Laplacian away from the origin),
+log_rho / neg_log_rho, and power (rho^kappa for a caller-chosen kappa).
 
 Every piece is data, (lo, hi, kind, coefficients, sign) with kind quartic,
 power or log, and one evaluator gives f, f' and f'' of any piece.
+
+Each shipped profile is one record of PROFILES (an Example), which
+make_profile, profile_catalog, the command line and the checker's formula
+mode and growth thresholds read: a new profile is one new entry there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from . import hgroup
 from .hgroup import HeisDims
-from .operators import Ellipticity
+from .operators import Ellipticity, PucciAlpha
 
 __all__ = [
-    "PROFILE_NAMES",
+    "PROFILES",
+    "Example",
     "ProfilePiece",
     "ProfileRegimeError",
     "RadialProfile",
@@ -141,144 +138,162 @@ class RadialProfile:
         return replace(self, name=f"-({self.name})", pieces=pieces)
 
 
-# name -> (kind, description, needs ellipticity)
-PROFILE_NAMES: dict[str, tuple[str, str, bool]] = {
-    "u2": (
+@dataclass(frozen=True)
+class Example:
+    """One shipped profile and the claim it makes.
+
+    needs: the make_profile inputs it requires, among "e", "dims" and
+    "kappa".  checked_as: the (operator, sense) verify uses when neither is
+    given.  build(name, e, dims, kappa) -> (pieces, params after kind, lam,
+    Lam, d and Q, sup |f| or None).  closed_forms: operator -> form(rho,
+    tau, dims, params) -> (values, where they hold), params the operator
+    table's and dims the field's own (dims.d = n on R^n).
+    """
+
+    kind: str
+    description: str
+    needs: tuple[str, ...]
+    checked_as: tuple[str, str]
+    build: Callable
+    closed_forms: dict[str, Callable] = field(default_factory=dict)
+
+
+def _bump(sign: float, label: str | None, exponent: Callable) -> Callable:
+    """Builder of the quartic core and tail r^(2-k), k = exponent(e, dims); label None skips k > 2."""
+
+    def build(name, e, dims, kappa):
+        k = exponent(e, dims)
+        if label is not None and not k > 2.0:
+            raise ProfileRegimeError(
+                f"{name}: exponent {label} = {k:.6g} must exceed 2; at or below "
+                "the threshold the profile degenerates to a constant"
+            )
+        core = (k * (k - 2.0) / 8.0, (k * k - 4.0) / 4.0, k * (k + 2.0) / 8.0)
+        pieces = (ProfilePiece(0.0, 1.0, "quartic", core, sign), ProfilePiece(1.0, np.inf, "power", (2.0 - k,), sign))
+        return pieces, {"exponent": k, "sign": sign}, k * (k + 2.0) / 8.0
+
+    return build
+
+
+def _power(exponent: Callable) -> Callable:
+    def build(name, e, dims, kappa):
+        k = exponent(dims, kappa)
+        if not np.isfinite(k):
+            raise ValueError(f"profile {name!r} needs a finite kappa, got {k}")
+        return (ProfilePiece(0.0, np.inf, "power", (k,)),), {"exponent": k}, 1.0 if k == 0.0 else None
+
+    return build
+
+
+def _log(sign: float) -> Callable:
+    return lambda name, e, dims, kappa: ((ProfilePiece(0.0, np.inf, "log", (), sign),), {"sign": sign}, None)
+
+
+def _everywhere(values: Callable) -> Callable:
+    return lambda rho, tau, dims, params: (values(rho, tau, dims, params), np.ones_like(rho, bool))
+
+
+# Each tail's exponent makes its maximal operator vanish.
+_TAIL = {"pucci_max": lambda rho, tau, dims, params: (np.zeros_like(rho), rho >= 1.0)}
+
+PROFILES: dict[str, Example] = {
+    "u2": Example(
         "euclidean",
         "positive quartic core / power tail, exponent (Lam/lam)(d-1)+1; "
         "maximal operator of its Hessian is >= 0, valid for exponent > 2",
-        True,
+        ("e", "dims"), ("pucci_max", "supersolution"),
+        _bump(+1.0, "beta", lambda e, dims: (e.Lam / e.lam) * (dims.d - 1) + 1.0), _TAIL,
     ),
-    "u3": (
+    "u3": Example(
         "euclidean",
         "negative quartic core / power tail, exponent (lam/Lam)(d-1)+1; "
         "maximal operator of its Hessian is <= 0, valid for exponent > 2",
-        True,
+        ("e", "dims"), ("pucci_max", "subsolution"),
+        _bump(-1.0, "alpha", lambda e, dims: (e.lam / e.Lam) * (dims.d - 1) + 1.0), _TAIL,
     ),
-    "u_tilde": (
+    "u_tilde": Example(
         "heisenberg",
         "positive quartic core / power tail with exponent Q; horizontal "
         "Laplacian is <= 0, and vanishes outside the unit gauge ball",
-        False,
+        ("dims",), ("neg_trace", "supersolution"),
+        _bump(+1.0, None, lambda e, dims: float(dims.Q)),
+        {"neg_trace": _everywhere(lambda rho, tau, dims, params: np.where(
+            rho < 1.0, 0.5 * (dims.Q - 2.0) * dims.Q * (dims.Q + 2.0) * (1.0 - rho**2) * tau**2, 0.0
+        ))},
     ),
-    "u4": (
+    "u4": Example(
         "heisenberg",
         "negative quartic core / power tail, exponent (lam/Lam)(Q-1)+1; "
-        "maximal operator of the horizontal Hessian is <= 0, valid for "
-        "exponent > 2",
-        True,
+        "maximal operator of the horizontal Hessian is <= 0, valid for exponent > 2",
+        ("e", "dims"), ("pucci_max", "subsolution"),
+        _bump(-1.0, "alpha_tilde", lambda e, dims: (e.lam / e.Lam) * (dims.Q - 1) + 1.0), _TAIL,
     ),
-    "u5": (
+    "u5": Example(
         "heisenberg",
         "positive quartic core / power tail, exponent (Lam/lam)(Q-1)+1; "
         "maximal operator of the horizontal Hessian is >= 0",
-        True,
+        ("e", "dims"), ("pucci_max", "supersolution"),
+        _bump(+1.0, "beta_tilde", lambda e, dims: (e.Lam / e.lam) * (dims.Q - 1) + 1.0), _TAIL,
     ),
-    "folland": (
-        "heisenberg",
-        "rho^(2-Q); horizontal Laplacian vanishes away from the origin",
-        False,
+    "folland": Example(
+        "heisenberg", "rho^(2-Q); horizontal Laplacian vanishes away from the origin",
+        ("dims",), ("neg_trace", "supersolution"), _power(lambda dims, kappa: 2.0 - dims.Q),
+        {"neg_trace": _everywhere(lambda rho, tau, dims, params: np.zeros_like(rho))},
     ),
-    "log_rho": (
-        "heisenberg",
-        "log rho; minimal-operator value has a closed form in |x_H| and rho",
-        False,
+    "log_rho": Example(
+        "heisenberg", "log rho; minimal-operator value has a closed form in |x_H| and rho",
+        (), ("pucci_min", "subsolution"), _log(1.0),
+        {
+            "pucci_min": _everywhere(lambda rho, tau, dims, params: (
+                (params["ell"].lam - params["ell"].Lam * (dims.Q - 1)) * tau**2 / rho**2
+            )),
+            # PucciAlpha refuses an alpha outside (0, 1/m], where the form does not hold.
+            "pucci_minus_alpha": _everywhere(lambda rho, tau, dims, params: (
+                (4.0 * dims.d * PucciAlpha(params["alpha"], dims.m).alpha - 3.0) * tau**2 / rho**2
+            )),
+        },
     ),
-    "neg_log_rho": ("heisenberg", "-log rho", False),
-    "power": ("heisenberg", "rho^kappa for a caller-chosen kappa", False),
+    "neg_log_rho": Example("heisenberg", "-log rho", (), ("pucci_max", "supersolution"), _log(-1.0)),
+    "power": Example(
+        "heisenberg", "rho^kappa for a caller-chosen kappa",
+        ("kappa",), ("neg_trace", "subsolution"), _power(lambda dims, kappa: float(kappa)),
+    ),
 }
 
+# How a missing input is named when make_profile refuses it.
+_NEEDS = {"e": "an Ellipticity", "dims": "HeisDims", "kappa": "kappa"}
 
-def _require_regime(name: str, label: str, k: float) -> None:
-    if not k > 2.0:
-        raise ProfileRegimeError(
-            f"{name}: exponent {label} = {k:.6g} must exceed 2; at or below "
-            "the threshold the profile degenerates to a constant"
-        )
+
+def _missing(example: Example, e, dims, kappa) -> str | None:
+    """The first input example needs that was not given, or None."""
+    given = {"e": e, "dims": dims, "kappa": kappa}
+    return next((need for need in example.needs if given[need] is None), None)
 
 
 def make_profile(
-    name: str,
-    e: Ellipticity | None = None,
-    dims: HeisDims | None = None,
-    *,
-    kappa: float | None = None,
+    name: str, e: Ellipticity | None = None, dims: HeisDims | None = None, *, kappa: float | None = None
 ) -> RadialProfile:
-    """Build a named profile.
+    """Build the profile of record PROFILES[name].
 
-    dims is required for every name except power/log variants; e is required
-    exactly for the names whose exponent depends on the ellipticity pair.
-    For euclidean-kind names (u2, u3) dims.d is read as the ambient Euclidean
-    dimension.
+    The record's needs name the inputs it requires (ValueError if one is
+    None); e and dims are echoed into params whenever given, kappa is read
+    only by power.  For euclidean-kind names (u2, u3) dims.d is read as the
+    ambient Euclidean dimension.
     """
-    if name not in PROFILE_NAMES:
-        raise ValueError(f"unknown profile {name!r}; see PROFILE_NAMES")
-    kind, _, needs_e = PROFILE_NAMES[name]
-    if needs_e and e is None:
-        raise ValueError(f"profile {name!r} needs an Ellipticity")
-    params: dict = {"kind": kind}
+    example = PROFILES.get(name)
+    if example is None:
+        raise ValueError(f"unknown profile {name!r}; see PROFILES")
+    need = _missing(example, e, dims, kappa)
+    if need is not None:
+        raise ValueError(f"profile {name!r} needs {_NEEDS[need]}")
+    params: dict = {"kind": example.kind}
     if e is not None:
         params.update(lam=e.lam, Lam=e.Lam)
     if dims is not None:
         params.update(d=dims.d, Q=dims.Q)
-
-    def bump(k: float, s: float, label: str, check: bool = True) -> RadialProfile:
-        if check:
-            _require_regime(name, label, k)
-        params.update(exponent=k, sign=s)
-        core = (k * (k - 2.0) / 8.0, (k * k - 4.0) / 4.0, k * (k + 2.0) / 8.0)
-        return RadialProfile(
-            name=name,
-            kind=kind,
-            pieces=(
-                ProfilePiece(0.0, 1.0, "quartic", core, s),
-                ProfilePiece(1.0, np.inf, "power", (2.0 - k,), s),
-            ),
-            params=params,
-            bounded=True,
-            sup_abs=k * (k + 2.0) / 8.0,
-        )
-
-    if name in ("u2", "u3", "u_tilde", "u4", "u5", "folland"):
-        if dims is None:
-            raise ValueError(f"profile {name!r} needs HeisDims")
-
-    if name == "u2":
-        return bump((e.Lam / e.lam) * (dims.d - 1) + 1.0, +1.0, "beta")
-    if name == "u3":
-        return bump((e.lam / e.Lam) * (dims.d - 1) + 1.0, -1.0, "alpha")
-    if name == "u_tilde":
-        return bump(float(dims.Q), +1.0, "Q", check=False)
-    if name == "u4":
-        return bump((e.lam / e.Lam) * (dims.Q - 1) + 1.0, -1.0, "alpha_tilde")
-    if name == "u5":
-        return bump((e.Lam / e.lam) * (dims.Q - 1) + 1.0, +1.0, "beta_tilde")
-    if name == "folland":
-        k = 2.0 - dims.Q
-        params.update(exponent=k)
-        pieces = (ProfilePiece(0.0, np.inf, "power", (k,)),)
-        return RadialProfile(name, kind, pieces, params, bounded=False)
-    if name in ("log_rho", "neg_log_rho"):
-        s = 1.0 if name == "log_rho" else -1.0
-        params.update(sign=s)
-        pieces = (ProfilePiece(0.0, np.inf, "log", (), s),)
-        return RadialProfile(name, kind, pieces, params, bounded=False)
-    if name == "power":
-        if kappa is None:
-            raise ValueError("profile 'power' needs kappa")
-        k = float(kappa)
-        if not np.isfinite(k):
-            raise ValueError(f"profile 'power' needs a finite kappa, got {k}")
-        params.update(exponent=k)
-        return RadialProfile(
-            name,
-            kind,
-            (ProfilePiece(0.0, np.inf, "power", (k,)),),
-            params,
-            bounded=(k == 0.0),
-            sup_abs=1.0 if k == 0.0 else None,
-        )
-    raise AssertionError("unreachable")
+    pieces, extra, sup_abs = example.build(name, e, dims, kappa)
+    params.update(extra)
+    return RadialProfile(name, example.kind, pieces, params, bounded=sup_abs is not None, sup_abs=sup_abs)
 
 
 @dataclass(frozen=True)
@@ -387,9 +402,9 @@ def profile_catalog(
 ) -> list[dict]:
     """Rows describing every shipped profile, optionally instantiated."""
     rows = []
-    for name, (kind, desc, needs_e) in PROFILE_NAMES.items():
-        row = {"name": name, "kind": kind, "description": desc}
-        if dims is not None and name != "power" and (e is not None or not needs_e):
+    for name, example in PROFILES.items():
+        row = {"name": name, "kind": example.kind, "description": example.description}
+        if dims is not None and _missing(example, e, dims, None) is None:
             try:
                 prof = make_profile(name, e, dims)
                 row["exponent"] = prof.params.get("exponent")

@@ -61,8 +61,10 @@ __all__ = [
 
 # Largest d accepted, so a mistyped dimension cannot allocate absurd stencils.
 _D_CAP = 16
-# Largest |M - M^T| entry a symmetric matrix argument may have, here and in operators.
-_SYM_ATOL = 1e-12
+# A matrix argument is symmetric when its max |M - M^T| is at most _SYM_RTOL
+# times its own largest |entry|: a scale taken over the batch would make a
+# refusal depend on the chunk a matrix arrives in.
+_SYM_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -208,6 +210,23 @@ def eta(x) -> np.ndarray:
     return np.moveaxis(out, 0, -1)
 
 
+def _symmetry_gate(skew, mats, axes, what: str) -> float:
+    """The batch's largest skew; ValueError if a matrix is not symmetric by _SYM_RTOL.
+
+    skew holds |M_ij - M_ji| and mats the matrices, each matrix's entries on
+    `axes`; what ("Hessian" or "matrix") heads the message.  A batch whose
+    skew is 0 skips the per-matrix pass.
+    """
+    worst = skew.max()
+    if worst > 0.0:
+        own = skew.max(axis=axes)
+        bad = own > _SYM_RTOL * np.maximum(mats.max(axis=axes), -mats.min(axis=axes))
+        if np.any(bad):
+            m = what[0].upper()
+            raise ValueError(f"{what} is not symmetric: max |{m} - {m}^T| = {np.max(own, where=bad, initial=0.0):.3e}")
+    return worst
+
+
 def h_gradient(grad_u, x) -> np.ndarray:
     """Horizontal gradient sigma(x)^T Du from the Euclidean gradient Du."""
     xa, d = _as_points(x)
@@ -222,9 +241,9 @@ def h_hessian(grad_u, hess_u, x) -> np.ndarray:
 
     The frame-Jacobian term of X_i X_j u is Du_t times an antisymmetric
     matrix, since [X_i, X_{i+d}] = -4 d_t, so symmetrizing removes it and
-    grad_u does not enter.  hess_u must be symmetric within 1e-12 (absolute,
-    entrywise).  The output, symmetrized exactly, is built batch-last and
-    returned as a view that is not C-contiguous.
+    grad_u does not enter.  hess_u must pass _symmetry_gate, each matrix
+    within 1e-12 of its largest |entry|.  The output, symmetrized exactly,
+    is built batch-last and returned as a view that is not C-contiguous.
     """
     xa, d = _as_points(x)
     h = np.asarray(hess_u, dtype=float)
@@ -238,9 +257,9 @@ def h_hessian(grad_u, hess_u, x) -> np.ndarray:
     # |H - H^T| on the upper triangle alone, so no full-size temporary.
     iu = tuple(zip(*[(i, j) for i in range(n) for j in range(i + 1, n)]))
     skew = hs[iu]
-    skew = np.abs(np.subtract(skew, hs[iu[::-1]], out=skew), out=skew).max()
-    if skew > _SYM_ATOL:
-        raise ValueError(f"Hessian is not symmetric: max |H - H^T| = {skew:.3e}")
+    np.abs(np.subtract(skew, hs[iu[::-1]], out=skew), out=skew)
+    _symmetry_gate(skew[:, None], hs, (0, 1), "Hessian")
+    del skew
     hs = np.add(hs, hs.swapaxes(0, 1))
     hs *= 0.5
     # sigma = [I; hp^T] with hp = 2 hperp, and D^2u = [[A, b], [b^T, c]], so

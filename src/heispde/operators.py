@@ -44,7 +44,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .hgroup import _SYM_ATOL, _rowdot, _rowsum
+from .hgroup import _rowdot, _rowsum, _symmetry_gate
 
 __all__ = [
     "Ellipticity",
@@ -111,10 +111,7 @@ def _as_sym(mat) -> np.ndarray:
         raise ValueError(f"expected square matrices, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
-    skew = np.abs(m - np.swapaxes(m, -1, -2)).max()
-    if skew > _SYM_ATOL:
-        raise ValueError(f"matrix is not symmetric: max |M - M^T| = {skew:.3e}")
-    if skew == 0.0:
+    if _symmetry_gate(np.abs(m - np.swapaxes(m, -1, -2)), m, (-2, -1), "matrix") == 0.0:
         return m
     return 0.5 * (m + np.swapaxes(m, -1, -2))
 
@@ -122,7 +119,8 @@ def _as_sym(mat) -> np.ndarray:
 def sym_eigenvalues(mat) -> np.ndarray:
     """Eigenvalues of symmetric matrices, ascending along the last axis.
 
-    Validates symmetry within 1e-12 (absolute, entrywise) and finiteness.
+    Validates finiteness, and symmetry within 1e-12 of each matrix's
+    largest |entry|.
     """
     return _eigenvalues(_as_sym(mat))
 

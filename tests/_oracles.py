@@ -145,9 +145,11 @@ def h_hessian_rank2(hess_u, x):
         raise ValueError("Hessian shape does not match the point width")
     if not np.isfinite(h).all():
         raise ValueError("Hessian entries must be finite")
-    skew = np.abs(h - np.swapaxes(h, -1, -2)).max()
-    if skew > 1e-12:
-        raise ValueError(f"Hessian is not symmetric: max |H - H^T| = {skew:.3e}")
+    # Each matrix is held to its own largest |entry|.
+    skew = np.atleast_1d(np.abs(h - np.swapaxes(h, -1, -2)).max(axis=(-2, -1)))
+    bad = skew > 1e-12 * np.atleast_1d(np.abs(h).max(axis=(-2, -1)))
+    if bad.any():
+        raise ValueError(f"Hessian is not symmetric: max |H - H^T| = {skew[bad].max():.3e}")
     hs = 0.5 * (h + np.swapaxes(h, -1, -2))
     a, b, c = hs[..., :m, :m], hs[..., :m, m], hs[..., m, m]
     hp = 2.0 * np.concatenate([xa[..., d:m], -xa[..., :d]], axis=-1)

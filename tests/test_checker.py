@@ -332,7 +332,7 @@ def test_a_dilated_field_on_the_scaled_region_gets_the_same_verdict(name, d, kw,
     # seed, same chart up to rounding) u o delta_lam sees lam^2 times what u
     # sees.  The cases keep their worst excess far from the allowance.
     dims = HeisDims(d)
-    field = field_from_profile(make_profile(name, _E15 if gallery.PROFILE_NAMES[name][2] else None, dims, **kw), dims)
+    field = field_from_profile(make_profile(name, _E15 if "e" in gallery.PROFILES[name].needs else None, dims, **kw), dims)
     spec = OperatorSpec(op, **_TABLE_PARAMS[op])
     region = Region(0.3, 3.0, n_samples=2000, seed=4, char_eps=0.05)
     base = check_inequality(field, spec, region)

@@ -242,7 +242,7 @@ def test_fields_are_genuinely_nonconstant():
 def test_catalog_lists_every_profile():
     rows = gallery.profile_catalog(E12, HeisDims(1))
     names = {r["name"] for r in rows}
-    assert names == set(gallery.PROFILE_NAMES)
+    assert names == set(gallery.PROFILES)
     by_name = {r["name"]: r for r in rows}
     assert by_name["u2"]["valid"] is False  # d = 1 puts the exponent at 1
     assert by_name["u5"]["valid"] is True

@@ -294,8 +294,9 @@ def test_h_hessian_matches_the_rank_two_oracle_bit_for_bit(data):
     a = _entries(data, h_lead + (n, n))
     hess = a + np.swapaxes(a, -1, -2)
     if data.draw(st.booleans()):
-        # A skew the check lets through, which the symmetrization removes.
-        hess[..., -1, 0] += data.draw(st.floats(-4e-13, 4e-13))
+        # A skew the check lets through, relative to each matrix's largest
+        # entry, which the symmetrization removes.
+        hess[..., -1, 0] += data.draw(st.floats(-4e-13, 4e-13)) * np.abs(hess).max(axis=(-2, -1))
     x = _entries(data, x_lead + (n,))
     hess_in, x_in = _layout(data, hess), _layout(data, x)
     # Entries of 1e150 overflow to inf, and inf - inf gives NaN: their bits must match too.

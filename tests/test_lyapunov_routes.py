@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from heispde import checker, hgroup, operators
+from heispde import checker, gallery, hgroup, operators
 from heispde.checker import BarrierBundle, OperatorSpec, Region, check_inequality, check_lyapunov
 from heispde.gallery import field_from_profile, make_profile
 from heispde.hgroup import HeisDims
@@ -324,7 +324,7 @@ def test_the_thresholds_are_the_table_operators_on_log_rho(op):
             lam = rng.uniform(0.1, 3.0)
             e = Ellipticity(lam, lam * rng.uniform(1.0, 4.0))
             spec = OperatorSpec(op, ell=e, alpha=(1.0 - rng.random()) / dims.m)
-            closed = checker._REFERENCES["log_rho", op](1.0, 1.0, {"d": d, "Q": dims.Q}, spec)[0]
+            closed = gallery.PROFILES["log_rho"].closed_forms[op](1.0, 1.0, dims, spec.params)[0]
             table = operators.OPERATORS[op].value(_log_rho_spectrum(d)[None], None, spec.params)[0]
             assert abs(closed - table) <= 4 * np.finfo(float).eps * max(1.0, abs(table)), (d, e, spec.alpha)
 

@@ -9,13 +9,13 @@ import pytest
 
 from heispde import checker, cli, gallery, hgroup, operators
 from heispde.checker import OperatorSpec, Region, TabulatedField, check_inequality, check_tabulated
-from heispde.gallery import PROFILE_NAMES, ProfilePiece, RadialProfile, field_from_profile, make_profile
+from heispde.gallery import PROFILES, ProfilePiece, RadialProfile, field_from_profile, make_profile
 from heispde.hgroup import HeisDims
 from heispde.operators import Ellipticity, HJBCoefficients
 
 E15 = Ellipticity(1.0, 1.5)
 REGION = Region(0.25, 4.0, n_samples=512, seed=5, char_eps=0.05)
-GROUP_PROFILES = [name for name, (kind, _, _) in PROFILE_NAMES.items() if kind == "heisenberg"]
+GROUP_PROFILES = [name for name, example in PROFILES.items() if example.kind == "heisenberg"]
 CASES = [(name, d) for name in GROUP_PROFILES for d in (1, 2, 4)] + [("u2", 3), ("u3", 4)]
 
 
