@@ -26,7 +26,7 @@ dense-check rows and the witness, in one call after the fold; every other
 run places each chunk's admissible rows once, and a spectral one then the
 dense-check rows again.  Placed points are column-major (every
 coordinate contiguous), and sums over the coordinate or eigenvalue axis go
-through hgroup._rowdot and hgroup._rowsum, which add left to right, so no
+through hgroup._rowdot and hgroup._colsum, which add left to right, so no
 value depends on that layout or on numpy's sum kernels.
 Results do not depend on which rows were placed.  What stays O(n_samples):
 the chart, keep_samples arrays and a table's own arrays.  Only numpy is used.
@@ -39,25 +39,27 @@ Two paths evaluate the second-order part.  The spectral path takes every
 ScalarField whose jets are its own radial profile (profile set and
 field.name == profile.name; negation negates both): it reads rho (or r) and
 w = tau^2 from the batch and f, f', f'' from the profile, and takes the
-sorted eigenvalues from hgroup.radial_eigenvalues, on H^d and on R^n.
-The gradient is the eigenvector of f'' w, so e_q = f'' w and |q|^2 = f'^2 w
-(w = 1 on R^n).  The dense path takes fields without an own profile and
-TabulatedField rows: it forms the horizontal Hessian from the Euclidean
-jets, solves it by operators._eigenvalues (eigvalsh's results; a 2 x 2
-matrix by LAPACK's closed form) and takes e_q from the matrix.  After a
-spectral run's fold, at most 256 evenly spaced admissible rows are placed,
-and both paths are compared at each point's own (rho, tau) (_radius_tau):
-the spectral path's spectrum there against the matrix the dense path forms
-from the Hessian alone.  A row whose eigenvalues Weyl's
-inequality keeps within the check's allowance (_weyl_bound) skips the
-solver; the allowance is never below the row's rounding budget
-(2m + 20) eps ||M||_F, so tol = 0 does not ask the paths to agree beyond
-rounding.  If an eigenvalue (or e_q) differs by more than the allowance, the
-run raises ValueError instead of reporting a verdict.  The report's "paths"
-block gives the points each path evaluated and, as "dense_check", that
-subsample's size n, the n_eigvalsh rows sent to the solver, and the largest
-bound on a difference (Weyl's, or measured after the solve), absolute and
-relative to max(1, |e|).
+closed form's distinct values with their multiplicities, on H^d and on R^n;
+hgroup.radial_eigenvalues lays out sorted rows only for the witness,
+keep_samples and the dense check.  The gradient is the eigenvector of f'' w,
+so e_q = f'' w and |q|^2 = f'^2 w (w = 1 on R^n).  The dense path takes
+fields without an own profile and TabulatedField rows: it forms the
+horizontal Hessian from the Euclidean jets, solves it by
+operators._eigenvalues (eigvalsh's results; a 2 x 2 matrix by LAPACK's
+closed form), passes its sorted columns, each of multiplicity 1, and takes
+e_q from the matrix.  After a spectral run's fold, at most 256 evenly spaced
+admissible rows are placed, and both paths are compared at each point's own
+(rho, tau) (_radius_tau): the spectral path's spectrum there against the
+matrix the dense path forms from the Hessian alone.  A row whose eigenvalues
+Weyl's inequality keeps within the check's allowance (_weyl_bound) skips the
+solver; the allowance is never below the row's rounding budget (2m + 20) eps
+||M||_F, so tol = 0 does not ask the paths to agree beyond rounding.  If an
+eigenvalue (or e_q) differs by more than the allowance, the run raises
+ValueError instead of reporting a verdict.  The report's "paths" block gives
+the points each path evaluated and, as "dense_check", that subsample's size
+n, the n_eigvalsh rows sent to the solver, and the largest bound on a
+difference (Weyl's, or measured after the solve), absolute and relative to
+max(1, |e|).
 
 Formula mode compares with the closed forms of gallery.PROFILES, at the
 field's own d and Q.  Growth conditions are data: LYAPUNOV_CONDITIONS maps
@@ -381,7 +383,7 @@ def _radius_tau(pts: np.ndarray, space: str) -> tuple[np.ndarray, np.ndarray | N
         return np.sqrt(hgroup._rowdot(pts, pts)), None
     rho = np.sqrt(np.hypot(xh2 := hgroup._hsq(pts), np.abs(pts[:, -1])))
     # tau = 0 at the identity, which lies outside every region anyway.
-    return rho, np.divide(np.sqrt(xh2), rho, out=np.zeros_like(rho), where=rho > 0.0)
+    return rho, np.sqrt(xh2) / np.where(rho > 0.0, rho, 1.0)
 
 
 def _exclude_tubes(admissible, radius, tau, region, singular_radii, excluded_by) -> None:
@@ -452,8 +454,9 @@ def sample_region(
         _unit_vectors(_kronecker_unit(idx, shift, range(chart + 1, k)), out[:m])
         out[:m] *= r_s * tau_s
         vert = np.multiply(r_s, r_s, out=out[m])
-        # The sign coordinate's u >= 0.5 (so t < 0) exactly when its word's top bit is set.
-        np.negative(vert, out=vert, where=_kronecker_words(idx, shift, chart) >= np.uint64(1 << 63))
+        # The sign coordinate's u >= 0.5 (so t < 0) exactly when its word's top bit is set: vert's sign bit.
+        top = _kronecker_words(idx, shift, chart)
+        np.bitwise_xor(vert.view(np.uint64), np.bitwise_and(top, np.uint64(1 << 63), out=top), out=vert.view(np.uint64))
         tau_s *= tau_s
         tau_s *= tau_s  # (tau tau)^2
         np.subtract(1.0, tau_s, out=tau_s)
@@ -516,19 +519,19 @@ def _dense_jets(field, pts: np.ndarray, rows: np.ndarray, gspace: str, reads_e_q
 
 
 def _spectral_jets(profile, dim: int, pts, radius, tau, gspace: str, reads_e_q: bool, needs_q: bool):
-    """(value, gradient q, eigenvalues, e_q, |q|^2) of a radial field from its profile.
+    """(value, gradient q, spectrum, e_q, |q|^2) of a radial field from its profile.
 
-    radius and tau are the sampler's own; the sorted eigenvalues come from
-    the closed-form spectrum, so no Hessian is built and no eigenproblem is
-    solved.  q is None unless needs_q, e_q and |q|^2 unless reads_e_q; pts
-    (N, dim) is read only for q.
+    radius and tau are the sampler's own; the spectrum is the closed form's
+    (values, multiplicity) columns, none of multiplicity 0, so no Hessian is
+    built and no eigenproblem is solved.  q is None unless needs_q, e_q and
+    |q|^2 unless reads_e_q; pts (N, dim) is read only for q.
     """
     val, fp, fpp = profile.jets(radius)
     q = e_q = qq = None
     if profile.kind == "heisenberg":
         w = tau**2
         t = fp * w / radius
-        eigs = hgroup.radial_eigenvalues(fpp * w, t, dim - 3, 3.0 * t)  # dim = 2d + 1
+        spectrum = ((fpp * w, 1), (3.0 * t, 1), (t, dim - 3))[: 3 if dim > 3 else 2]  # dim = 2d + 1
         if needs_q:
             # The field's Euclidean gradient, made horizontal as _dense_matrix does.
             q = fp[:, None] * hgroup.euclid_grad_rho(pts, radius)
@@ -536,14 +539,20 @@ def _spectral_jets(profile, dim: int, pts, radius, tau, gspace: str, reads_e_q: 
     else:
         w = 1.0
         t = fp / radius
-        eigs = hgroup.radial_eigenvalues(fpp, t, dim - 1)
+        spectrum = ((fpp, 1), (t, dim - 1))
         if needs_q:
             q = t[:, None] * pts
     if reads_e_q:
         # The gradient is the eigenvector of f'' w; e_q is 0 where q = 0, as on the dense path.
         qq = fp * fp * w
         e_q = np.where(qq > 0.0, fpp * w, 0.0)
-    return val, q, eigs, e_q, qq
+    return val, q, spectrum, e_q, qq
+
+
+def _sorted_rows(spectrum, radial: bool, rows=slice(None)) -> np.ndarray:
+    """Sorted eigenvalues of the given rows: eigvalsh's columns side by side, or radial_eigenvalues' layout."""
+    cols = [v[rows] for v, _ in spectrum]
+    return hgroup.radial_eigenvalues(cols[0], cols[-1], spectrum[-1][1], *cols[1:-1]) if radial else np.stack(cols, -1)
 
 
 def _terms_for(field, spec: OperatorSpec, gspace: str, profile, pts, rows, radius, tau) -> dict:
@@ -559,10 +568,11 @@ def _terms_for(field, spec: OperatorSpec, gspace: str, profile, pts, rows, radiu
     needs_q = spec.first_order is not None
     if profile is None:
         val, q, eigs, e_q, qq = _dense_jets(field, pts, rows, gspace, entry.reads_e_q, needs_q)
+        spectrum = operators._columns(eigs)
     else:
-        val, q, eigs, e_q, qq = _spectral_jets(profile, field.dim, pts, radius, tau, gspace, entry.reads_e_q, needs_q)
+        val, q, spectrum, e_q, qq = _spectral_jets(profile, field.dim, pts, radius, tau, gspace, entry.reads_e_q, needs_q)
 
-    second = entry.value(eigs, e_q, spec.params)
+    second = entry.value(spectrum, e_q, spec.params)
     alive = np.ones(rows.shape[0], dtype=bool)
     if e_q is not None:
         # e_q is undefined at q = 0; those rows are excluded.
@@ -577,7 +587,7 @@ def _terms_for(field, spec: OperatorSpec, gspace: str, profile, pts, rows, radiu
 
     return {
         "value": val,
-        "eigs": eigs,
+        "spectrum": spectrum,
         "second": second,
         "first": first,
         "total": second + first,
@@ -715,6 +725,15 @@ def _chunks(admissible: np.ndarray):
         if rows.size:
             rows += start
             yield rows
+
+
+def _ranked_rows(admissible: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """The rows of the admissible samples with the given ascending ranks, found chunk by chunk."""
+    found, seen = [], 0
+    for rows in _chunks(admissible):
+        found.append(rows[ranks[(ranks >= seen) & (ranks < seen + rows.size)] - seen])
+        seen += rows.size
+    return np.concatenate(found)
 
 
 class _PassRule:
@@ -974,17 +993,18 @@ def _inequality_from_batch(
                 "max_rel_deviation": value[nonzero] / mag[nonzero] if np.any(nonzero) else None,
             }
         else:
-            mag = factor * hgroup._rowsum(np.abs(terms["eigs"])) + np.abs(terms["first"])
+            mag = factor * hgroup._colsum(terms["spectrum"], np.abs) + np.abs(terms["first"])
             looked, value = alive, terms["total"] if spec.sense == "subsolution" else -terms["total"]
         named["n_looked"] = int(np.count_nonzero(looked))
         excess = np.where(looked, value, -np.inf)
+        spectrum = terms.pop("spectrum")
         if keep_samples:
-            kept.append({"points": pts, "radius": radius, "tau": tau, **terms})
+            kept.append({"points": pts, "radius": radius, "tau": tau, "eigs": _sorted_rows(spectrum, profile is not None), **terms})
 
         def fields(k):
             return {
                 "value": float(terms["value"][k]),
-                "eigenvalues": [float(v) for v in terms["eigs"][k]],
+                "eigenvalues": [float(v) for v in _sorted_rows(spectrum, profile is not None, k)],
                 "second_order": float(terms["second"][k]),
                 "first_order": float(terms["first"][k]),
                 "total": float(terms["total"][k]),
@@ -998,14 +1018,14 @@ def _inequality_from_batch(
         if profile is not None:
             # Evenly spaced admissible rows, placed (with the witness if no
             # chunk placed it) and compared at their points' own (rho, tau).
-            rows = np.flatnonzero(batch.admissible)
-            rows = rows[np.linspace(0, n_adm - 1, min(n_adm, _DENSE_CHECK_POINTS)).astype(np.intp)]
+            ranks = np.linspace(0, n_adm - 1, min(n_adm, _DENSE_CHECK_POINTS)).astype(np.intp)
+            rows = _ranked_rows(batch.admissible, ranks)
             pts = batch.place(rows if place else np.append(rows, witness_row))
             if not place:
                 witness["point"], pts = [float(v) for v in pts[-1]], pts[:-1]
             radius, tau = _radius_tau(pts, field.space)
-            got, got_e_q = _spectral_jets(profile, field.dim, pts, radius, tau, gspace, entry.reads_e_q, False)[2:4]
-            dense_check = _dense_check(field, gspace, pts, got, got_e_q, tol)
+            spectrum, got_e_q = _spectral_jets(profile, field.dim, pts, radius, tau, gspace, entry.reads_e_q, False)[2:4]
+            dense_check = _dense_check(field, gspace, pts, _sorted_rows(spectrum, True), got_e_q, tol)
         extras = {"paths": {
             "spectral": 0 if profile is None else n_adm,
             "dense": n_adm if profile is None else 0,

@@ -5,7 +5,7 @@ gauge norm rho on H^d and are differentiated exactly through rho; their
 horizontal Hessian has the closed-form three-eigenvalue spectrum f'' w,
 3 f' w / rho and f' w / rho (w = |x_H|^2 / rho^2).  "euclidean" profiles
 are functions of |x| on R^d with the usual radial spectrum f'' (simple) and
-f'/r (multiplicity d - 1).  hgroup.radial_eigenvalues lays out both.
+f'/r (multiplicity d - 1).  The checker reads both by multiplicity.
 
 The two-piece profiles share one template: a quartic core glued at radius 1
 to a decaying power tail,
@@ -117,15 +117,19 @@ class RadialProfile:
         ra = np.asarray(r, dtype=float)
         if np.any(ra < 0.0):
             raise ValueError("radius must be nonnegative")
-        # side="right": a radius equal to a breakpoint uses the outer piece.
-        idx = np.searchsorted(np.asarray(self.breakpoints), ra, side="right")
-        outs = (np.empty_like(ra), np.empty_like(ra), np.empty_like(ra))
-        for k, piece in enumerate(self.pieces):
-            mask = idx == k
-            if np.any(mask):
-                for out, jet in zip(outs, piece.jets(ra[mask])):
-                    out[mask] = jet
-        return outs
+        # Piece k takes the radii below breakpoint k that no earlier piece took, so a breakpoint or NaN goes outward.
+        below = [ra < b for b in self.breakpoints] + [np.ones(ra.shape, bool)]
+        masks = below[:1] + [hi & ~lo for lo, hi in zip(below, below[1:])]
+        counts = [np.count_nonzero(mask) for mask in masks]
+        if ra.size in counts:
+            return self.pieces[counts.index(ra.size)].jets(ra)
+        outs = np.empty((3, ra.size))
+        for piece, mask, n in zip(self.pieces, masks, counts):
+            if n:
+                at = np.flatnonzero(mask)
+                for out, jet in zip(outs, piece.jets(ra.ravel()[at])):
+                    out[at] = jet
+        return tuple(outs.reshape((3, *ra.shape)))
 
     def value(self, r) -> np.ndarray:
         return self.jets(r)[0]

@@ -26,7 +26,7 @@ of X_i X_j u is Du_t * A[i, j] with A antisymmetric (A[i, i+d] = -2 =
 
 Every function accepts arbitrary leading batch axes; the last axis is the
 coordinate axis, in any memory layout.  Sums over it go through _rowdot
-and _rowsum, which add its columns left to right, so a value has the same
+and _colsum, which add its columns left to right, so a value has the same
 bits whether the points are stored row by row or column by column, and on
 any of numpy's sum kernels.  eta and
 euclid_grad_rho build their output one coordinate at a time and return it
@@ -34,8 +34,8 @@ column-major; h_hessian builds its matrices batch-last, entry (i, j) of
 every matrix one contiguous row, and returns a view that is not C-contiguous.
 
 A field f(rho(.)) has a closed-form horizontal Hessian spectrum of three
-values; radial_eigenvalues lays it out sorted without a sort, for the
-group and for f(|x|) on R^n alike.
+values, which the checker reads with their multiplicities; radial_eigenvalues
+lays them out sorted without a sort, on the group and for f(|x|) on R^n.
 """
 
 from __future__ import annotations
@@ -169,12 +169,19 @@ def _rowdot(a, b) -> np.ndarray:
     return out
 
 
-def _rowsum(x) -> np.ndarray:
-    """sum_j x[..., j], added left to right onto +0.0, so -0.0 terms sum to +0.0."""
-    x = np.asarray(x)
-    out = x[..., 0] + 0.0
-    for j in range(1, x.shape[-1]):
-        out += x[..., j]
+def _colsum(columns, term=None) -> np.ndarray:
+    """sum_j k_j term(c_j) over pairs (c_j, k_j), added left to right onto +0.0, so -0.0 terms sum to +0.0.
+
+    term defaults to the identity; k_j >= 1, and k_j term(c_j) is one product.
+    """
+    out = None
+    for c, k in columns:
+        t = c if term is None else term(c)
+        t = t if k == 1 else t * k
+        if out is None:
+            out = t + 0.0
+        else:
+            out += t
     return out
 
 

@@ -6,7 +6,7 @@ F(D^2 u) <= 0 is the subsolution inequality and >= 0 the supersolution one.
 
 Every second-order operator is one entry of the table OPERATORS, keyed by
 name.  An entry gives the parameter the operator requires (ell, alpha, p or
-none), its value as a function of (eigenvalues, e_q, params), and the factor
+none), its value as a function of (spectrum, e_q, params), and the factor
 that scales sum |e_k| into a bound on its magnitude:
 
     name               param  value                                     factor
@@ -17,12 +17,14 @@ that scales sum |e_k| into a bound on its magnitude:
     pnorm              p      -(sum(e_k) + (p - 2) e_q)                 1 + |p-2|
     neg_trace          -      -sum(e_k)                                 1
 
-No entry reads the matrix: the trace is sum(e_k) (hgroup._rowsum, added left
-to right), the Frobenius norm sqrt(sum(e_k^2)), and pnorm, -Tr[(I + (p-2)
-qq^T/|q|^2) M], reads e_q = q^T M q / |q|^2 for the gradient q.  So the
-checker can feed them the eigenvalues of a dense horizontal Hessian (e_q
-from rayleigh_quotient) or the closed-form spectrum of a radial field, whose
-gradient is an eigenvector.
+No entry reads the matrix.  A spectrum is a tuple of columns (v_j, k_j): each
+matrix's eigenvalues are v_j repeated k_j >= 1 times.  Sums (the trace, the
+Frobenius norm sqrt(sum k_j v_j^2)) add left to right onto +0.0, k_j v_j as
+one product (hgroup._colsum), so on eigvalsh's sorted columns, each of
+multiplicity 1 (_columns), a value has a sorted row's bits.  pnorm reads
+e_q = q^T M q / |q|^2 for the gradient q.  So the checker can feed them a
+dense Hessian's eigenvalues (e_q from rayleigh_quotient) or a radial field's
+two or three distinct values, whose gradient is an eigenvector.
 
 The Pucci pair is extremal over lam I <= A <= Lam I, the alpha pair over
 B_alpha = {A >= alpha I, Tr A = 1} (needs 0 < alpha <= 1/m), and pnorm is
@@ -39,12 +41,13 @@ gives eigvalsh's bits and solves a 2 x 2 matrix by LAPACK's own formulas.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .hgroup import _rowdot, _rowsum, _symmetry_gate
+from .hgroup import _colsum, _rowdot, _symmetry_gate
 
 __all__ = [
     "Ellipticity",
@@ -201,23 +204,25 @@ def _dlae2(a, b, c) -> tuple[np.ndarray, np.ndarray]:
     return rt1, rt2
 
 
-def _fro(eigs: np.ndarray) -> np.ndarray:
-    """Frobenius norm of a symmetric matrix from its eigenvalues."""
-    return np.sqrt(_rowdot(eigs, eigs))
+def _columns(eigs) -> tuple:
+    """The spectrum of sorted eigenvalues (..., m): each column, copied contiguous, with multiplicity 1."""
+    return tuple((c, 1) for c in np.moveaxis(np.asarray(eigs, dtype=float), -1, 0).copy())
 
 
-def signed_eig_sums(eigs: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def signed_eig_sums(eigs, scale) -> tuple[np.ndarray, np.ndarray]:
     """(sum of negative, sum of positive) eigenvalues per matrix.
 
-    Eigenvalues within ZERO_TOL * scale of zero count in neither sum; scale
-    is normally the Frobenius norm of the source matrix.
+    eigs is a spectrum or sorted (..., m) eigenvalues.  Eigenvalues within
+    ZERO_TOL * scale of zero, and NaNs, count in neither sum; scale >= 0 is
+    normally the Frobenius norm of the source matrix.
     """
-    eigs = np.asarray(eigs, dtype=float)
-    scale = np.asarray(scale, dtype=float)
-    dead = np.abs(eigs) <= ZERO_TOL * scale[..., None]
-    neg = _rowsum(np.where((eigs < 0.0) & ~dead, eigs, 0.0))
-    pos = _rowsum(np.where((eigs > 0.0) & ~dead, eigs, 0.0))
-    return neg, pos
+    cut = ZERO_TOL * np.asarray(scale, dtype=float)
+    live = []
+    for v, k in eigs if isinstance(eigs, tuple) else _columns(eigs):
+        # +0.0 in the dead zone by clearing bits (np.where branches per element); fmin and fmax drop NaNs.
+        keep = np.asarray(np.subtract(np.abs(v) <= cut, 1, dtype=np.int64))
+        live.append((np.bitwise_and(np.asarray(v, dtype=float).view(np.int64), keep, out=keep).view(float), k))
+    return _colsum(live, lambda v: np.fmin(v, 0.0)), _colsum(live, lambda v: np.fmax(v, 0.0))
 
 
 def rayleigh_quotient(q, mat) -> tuple[np.ndarray, np.ndarray]:
@@ -248,11 +253,11 @@ def pnorm_operator(p: float, q, mat) -> np.ndarray:
 class SecondOrderOp(NamedTuple):
     """One entry of OPERATORS: required parameter, value, magnitude factor.
 
-    value(eigs, e_q, params) takes the ascending eigenvalues of symmetric
-    matrices, e_q = q^T M q / |q|^2 (None unless reads_e_q) and a dict
-    holding the parameter under its name.  Module functions are looked up
-    when a value is computed, so replacing one on the module (as a profiler
-    does) reaches every caller.
+    value(spectrum, e_q, params) takes the spectrum of symmetric matrices
+    (see the module docstring), e_q = q^T M q / |q|^2 (None unless
+    reads_e_q) and a dict holding the parameter under its name.  Module
+    functions are looked up when a value is computed, so replacing one on
+    the module (as a profiler does) reaches every caller.
     """
 
     param: str | None
@@ -262,18 +267,22 @@ class SecondOrderOp(NamedTuple):
 
 
 def _pucci(maximal: bool) -> Callable:
-    def value(eigs, e_q, params):
+    def value(spectrum, e_q, params):
         e = params["ell"]
-        neg, pos = signed_eig_sums(eigs, _fro(eigs))
+        neg, pos = signed_eig_sums(spectrum, np.sqrt(_colsum(spectrum, np.square)))
         return -e.Lam * neg - e.lam * pos if maximal else -e.Lam * pos - e.lam * neg
 
     return value
 
 
-def _alpha(extreme: int) -> Callable:
-    def value(eigs, e_q, params):
-        pa = PucciAlpha(params["alpha"], eigs.shape[-1])
-        return -pa.alpha * _rowsum(eigs) - (1.0 - pa.m * pa.alpha) * eigs[..., extreme]
+def _alpha(lowest: bool) -> Callable:
+    # The smallest (largest) value: the column a stable sort of the rows puts first (last).
+    pick = (lambda out, v: np.where(v < out, v, out)) if lowest else (lambda out, v: np.where(v >= out, v, out))
+
+    def value(spectrum, e_q, params):
+        pa = PucciAlpha(params["alpha"], sum(k for _, k in spectrum))
+        extreme = functools.reduce(pick, [v for v, _ in spectrum])
+        return -pa.alpha * _colsum(spectrum) - (1.0 - pa.m * pa.alpha) * extreme
 
     return value
 
@@ -281,15 +290,15 @@ def _alpha(extreme: int) -> Callable:
 OPERATORS: dict[str, SecondOrderOp] = {
     "pucci_max": SecondOrderOp("ell", _pucci(maximal=True), lambda pr: pr["ell"].Lam),
     "pucci_min": SecondOrderOp("ell", _pucci(maximal=False), lambda pr: pr["ell"].Lam),
-    "pucci_plus_alpha": SecondOrderOp("alpha", _alpha(extreme=0), lambda pr: 1.0),
-    "pucci_minus_alpha": SecondOrderOp("alpha", _alpha(extreme=-1), lambda pr: 1.0),
+    "pucci_plus_alpha": SecondOrderOp("alpha", _alpha(lowest=True), lambda pr: 1.0),
+    "pucci_minus_alpha": SecondOrderOp("alpha", _alpha(lowest=False), lambda pr: 1.0),
     "pnorm": SecondOrderOp(
         "p",
-        lambda eigs, e_q, pr: -(_rowsum(eigs) + (pr["p"] - 2.0) * e_q),
+        lambda spectrum, e_q, pr: -(_colsum(spectrum) + (pr["p"] - 2.0) * e_q),
         lambda pr: 1.0 + abs(pr["p"] - 2.0),
         reads_e_q=True,
     ),
-    "neg_trace": SecondOrderOp(None, lambda eigs, e_q, pr: -_rowsum(eigs), lambda pr: 1.0),
+    "neg_trace": SecondOrderOp(None, lambda spectrum, e_q, pr: -_colsum(spectrum), lambda pr: 1.0),
 }
 
 
@@ -321,7 +330,7 @@ def evaluate(name: str, mat, params: dict, q=None) -> tuple[np.ndarray, np.ndarr
         if np.any(qq == 0.0):
             raise ValueError(f"{name} is undefined at q = 0")
     eigs = _eigenvalues(m)
-    return entry.value(eigs, e_q, params), eigs
+    return entry.value(_columns(eigs), e_q, params), eigs
 
 
 @dataclass(frozen=True)

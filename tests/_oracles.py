@@ -236,3 +236,29 @@ def left_to_right_dot(a, b) -> np.ndarray:
     for idx in np.ndindex(*a.shape):
         prods[idx] = float(a[idx]) * float(b[idx])
     return left_to_right_sum(prods)
+
+
+def sorted_row_operator(name, rows, e_q, params, zero_tol=1e-12) -> np.ndarray:
+    """A table operator on sorted eigenvalue rows (N, m) by its row formula, every sum added as above.
+
+    The Pucci pair drops eigenvalues with |e| <= zero_tol times the row's
+    Frobenius norm; the alpha pair reads the first (plus) or last (minus)
+    entry of each row.
+    """
+    rows = np.asarray(rows, dtype=float)
+    m = rows.shape[-1]
+    trace = left_to_right_sum(rows)
+    if name in ("pucci_max", "pucci_min"):
+        fro = np.sqrt(left_to_right_dot(rows, rows))
+        live = ~(np.abs(rows) <= zero_tol * fro[..., None])
+        neg = left_to_right_sum(np.where((rows < 0.0) & live, rows, 0.0))
+        pos = left_to_right_sum(np.where((rows > 0.0) & live, rows, 0.0))
+        lam, Lam = params["ell"].lam, params["ell"].Lam
+        return -Lam * neg - lam * pos if name == "pucci_max" else -Lam * pos - lam * neg
+    if name in ("pucci_plus_alpha", "pucci_minus_alpha"):
+        a = params["alpha"]
+        return -a * trace - (1.0 - m * a) * rows[..., 0 if name == "pucci_plus_alpha" else -1]
+    if name == "pnorm":
+        return -(trace + (params["p"] - 2.0) * e_q)
+    assert name == "neg_trace"
+    return -trace

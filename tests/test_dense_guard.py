@@ -28,7 +28,7 @@ def _field(name, d):
 
 
 # ---------------------------------------------------------------------------
-# hgroup._rowsum and hgroup._rowdot: left to right in every layout
+# hgroup._colsum and hgroup._rowdot: left to right in every layout
 
 _EDGE = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.0**-1022, 1e308, -1e308])
 WIDTHS = [*range(1, 34), 129, 200, 300]
@@ -61,6 +61,12 @@ def _reversed(x):
 LAYOUTS = (np.ascontiguousarray, np.asfortranarray, _strided, _reversed)
 
 
+def _rowsum(x):
+    """The sum over x's last axis, as hgroup._colsum of its columns, each of multiplicity 1."""
+    x = np.asarray(x)
+    return hgroup._colsum([(x[..., j], 1) for j in range(x.shape[-1])])
+
+
 def _wide(rng, m):
     # Terms spread over 30 decades, so any other order of adds shows in the bits.
     return rng.standard_normal((500, m)) * 10.0 ** rng.integers(-15, 15, (500, m))
@@ -76,7 +82,7 @@ def test_rowsum_adds_left_to_right_in_every_layout(data):
     want = _oracles.left_to_right_sum(x)
     with np.errstate(all="ignore"):
         for layout in LAYOUTS:
-            assert _same_bits(hgroup._rowsum(layout(x)), want), layout.__name__
+            assert _same_bits(_rowsum(layout(x)), want), layout.__name__
 
 
 @pytest.mark.parametrize("m", WIDTHS)
@@ -84,8 +90,8 @@ def test_rowsum_keeps_its_order_on_wide_ranges(m):
     x = _wide(np.random.default_rng(m), m)
     want = _oracles.left_to_right_sum(x)
     for layout in LAYOUTS:
-        assert _same_bits(hgroup._rowsum(layout(x)), want), layout.__name__
-    assert _same_bits(hgroup._rowsum(x[7]), want[7])
+        assert _same_bits(_rowsum(layout(x)), want), layout.__name__
+    assert _same_bits(_rowsum(x[7]), want[7])
 
 
 @seed(12)
@@ -113,9 +119,9 @@ def test_rowdot_keeps_its_order_on_wide_ranges(m):
 
 def test_sums_of_negative_zeros_are_positive_zero():
     x = np.full((4, 5), -0.0)
-    assert _same_bits(hgroup._rowsum(x), np.zeros(4))
+    assert _same_bits(_rowsum(x), np.zeros(4))
     assert _same_bits(hgroup._rowdot(x, np.ones((4, 5))), np.zeros(4))
-    assert _same_bits(hgroup._rowsum(x[0]), 0.0)
+    assert _same_bits(_rowsum(x[0]), 0.0)
 
 
 @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
@@ -123,7 +129,7 @@ def test_row_sums_hold_one_column_at_a_time(layout):
     # Beside the (N,) result, at most one (N,) temporary: never an (N, m) product.
     n, m = 2**15, 8
     a, b = (layout(np.random.default_rng(k).standard_normal((n, m))) for k in (0, 1))
-    for call, limit in ((lambda: hgroup._rowsum(a), 1), (lambda: hgroup._rowdot(a, b), 2)):
+    for call, limit in ((lambda: _rowsum(a), 1), (lambda: hgroup._rowdot(a, b), 2)):
         tracemalloc.start()
         try:
             call()
@@ -202,9 +208,9 @@ def _spectral_rows(field, n=160, seed=0):
     batch = sample_region(region, space=field.space, dim=field.dim, singular_radii=field.singular_radii)
     rows = np.flatnonzero(batch.admissible)[:n]
     tau = None if batch.tau is None else batch.tau[rows]
-    got = checker._spectral_jets(
+    got = checker._sorted_rows(checker._spectral_jets(
         field.profile, field.dim, None, batch.radius[rows], tau, "horizontal", False, False
-    )[2]
+    )[2], True)
     pts = batch.place(rows)
     return pts, np.asarray(field.hessian(pts)), got
 
@@ -327,7 +333,7 @@ def _guard_rows(field, spec, region):
     radius, tau = checker._radius_tau(pts, field.space)
     reads_e_q = operators.OPERATORS[spec.second_order].reads_e_q
     jets = checker._spectral_jets(field.profile, field.dim, pts, radius, tau, "horizontal", reads_e_q, False)
-    return pts, jets[2], jets[3]
+    return pts, checker._sorted_rows(jets[2], True), jets[3]
 
 
 def test_a_doubled_hessian_raises_the_eigvalsh_rules_message():
@@ -411,9 +417,9 @@ def _steep_rows():
     region = Region(0.5, 0.6, n_samples=64, seed=2, char_eps=0.05)
     batch = sample_region(region, space=field.space, dim=field.dim, singular_radii=field.singular_radii)
     rows = np.flatnonzero(batch.admissible)[:8]
-    got = checker._spectral_jets(
+    got = checker._sorted_rows(checker._spectral_jets(
         field.profile, field.dim, None, batch.radius[rows], batch.tau[rows], "horizontal", False, False
-    )[2]
+    )[2], True)
     return field, batch.place(rows), got
 
 

@@ -325,7 +325,7 @@ def test_the_thresholds_are_the_table_operators_on_log_rho(op):
             e = Ellipticity(lam, lam * rng.uniform(1.0, 4.0))
             spec = OperatorSpec(op, ell=e, alpha=(1.0 - rng.random()) / dims.m)
             closed = gallery.PROFILES["log_rho"].closed_forms[op](1.0, 1.0, dims, spec.params)[0]
-            table = operators.OPERATORS[op].value(_log_rho_spectrum(d)[None], None, spec.params)[0]
+            table = operators.OPERATORS[op].value(operators._columns(_log_rho_spectrum(d)[None]), None, spec.params)[0]
             assert abs(closed - table) <= 4 * np.finfo(float).eps * max(1.0, abs(table)), (d, e, spec.alpha)
 
 
@@ -344,7 +344,7 @@ def test_the_drift_margin_is_the_log_rho_inequality_scaled(cond, d):
     # r is the table operator on that spectrum, not the closed form the checker reads.
     dims = HeisDims(d)
     op, params = GROWTH_INEQUALITIES[cond]
-    r = float(operators.OPERATORS[op].value(_log_rho_spectrum(d)[None], None, {"ell": E12, **params(d)})[0])
+    r = float(operators.OPERATORS[op].value(operators._columns(_log_rho_spectrum(d)[None]), None, {"ell": E12, **params(d)})[0])
     for label, family in _growth_families(dims):
         kept = _log_rho_inequality(cond, family, dims, keep_samples=True).samples
         margin = checker._drift_margin(kept["points"], kept["radius"], family, r, None)[0][0]
