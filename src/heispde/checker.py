@@ -8,7 +8,8 @@ pass/fail/vacuous verdict with the worst signed violation and a witness.
 
 Points are placed through the chart (rho, tau = |x_H|/rho, vertical sign,
 horizontal direction) by one Kronecker low-discrepancy sequence (see
-Region).  The batch keeps the chart's radius, tau and admissibility
+Region; its shift is default_rng's PCG64 words, from _pcg64, not numpy.random).
+The batch keeps the chart's radius, tau and admissibility
 (17 bytes per sample); the tubes, the spectral path, the reference formulas
 and the witness read them instead of computing the gauge norm of the points
 again.  Every check then runs over chunks of _CHUNK_ROWS consecutive sample
@@ -92,7 +93,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import gallery, hgroup, operators
+from . import _pcg64, gallery, hgroup, operators
 from .hgroup import HeisDims
 from .operators import Ellipticity, HJBCoefficients, PucciAlpha, _finite
 
@@ -316,8 +317,8 @@ def _kronecker_steps(k: int) -> np.ndarray:
 
 
 def _kronecker_shift(k: int, seed: int) -> np.ndarray:
-    """The seed's random shift of the R_k sequence, one 64-bit word per coordinate."""
-    return np.random.default_rng(seed).integers(0, 2**64, size=k, dtype=np.uint64)
+    """The seed's shift of the R_k sequence: PCG64's first k 64-bit words, as default_rng(seed) draws them."""
+    return np.array(list(_pcg64.words(seed, k)), dtype=np.uint64)
 
 
 def _kronecker_words(idx: np.ndarray, shift: np.ndarray, j: int) -> np.ndarray:
@@ -996,7 +997,7 @@ def _inequality_from_batch(
             mag = factor * hgroup._colsum(terms["spectrum"], np.abs) + np.abs(terms["first"])
             looked, value = alive, terms["total"] if spec.sense == "subsolution" else -terms["total"]
         named["n_looked"] = int(np.count_nonzero(looked))
-        excess = np.where(looked, value, -np.inf)
+        excess = value if looked.all() else np.where(looked, value, -np.inf)
         spectrum = terms.pop("spectrum")
         if keep_samples:
             kept.append({"points": pts, "radius": radius, "tau": tau, "eigs": _sorted_rows(spectrum, profile is not None), **terms})
