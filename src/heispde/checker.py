@@ -509,12 +509,18 @@ def _dense_jets(field, pts: np.ndarray, rows: np.ndarray, gspace: str, reads_e_q
     if isinstance(field, TabulatedField):
         val = field.values[rows]
         grad = field.gradients[rows] if needs_q or reads_e_q else None
-        hess = field.hessians[rows]
+        # Gathered batch-last 512 rows at a time, so no (N, n, n) copy is made.
+        src = np.moveaxis(field.hessians, 0, -1)
+        hess = np.empty(src.shape[:-1] + rows.shape)
+        for k in range(0, rows.shape[0], 512):
+            hess[..., k : k + 512] = src[..., rows[k : k + 512]]
+        hess = np.moveaxis(hess, -1, 0)
     else:
         val = np.asarray(field.value(pts), dtype=float)
         grad = np.asarray(field.gradient(pts), dtype=float) if needs_q or reads_e_q else None
         hess = np.asarray(field.hessian(pts), dtype=float)
     mat, q = _dense_matrix(field, pts, hess, grad, gspace)
+    del hess  # before the solver's copies of mat
     e_q, qq = operators.rayleigh_quotient(q, mat) if reads_e_q else (None, None)
     return val, q, operators._eigenvalues(mat), e_q, qq
 
@@ -1085,7 +1091,7 @@ def lyapunov_fixture(name: str, dims: HeisDims, *, gamma0: float = 1.0, c0: floa
         return "schrodinger", coeffs, {}
     if name == "hou":
         coeffs = HJBCoefficients(
-            (lambda x: -float(gamma0) * hgroup.eta(x),),
+            (lambda x: np.multiply(b := hgroup.eta(x), -float(gamma0), out=b),),
             (zero_scalar,),
             "horizontal",
             label=f"hou(gamma0={gamma0})",
@@ -1116,7 +1122,7 @@ def _ou_gammas(gammas, dims) -> np.ndarray:
 def _drift_margin(pts, rho, data, r, gammas):
     """Margin r - max_k (b_k . eta - c_k rho^4 log rho) / |x_H|^2 of horizontal drifts."""
     bs, cs = operators._controls(data, pts, rho.shape)
-    et, s, lg = hgroup.eta(pts), hgroup._hsq(pts), np.log(rho)
+    et, lg = hgroup._eta(pts, s := hgroup._hsq(pts)), np.log(rho)
     terms = [hgroup._rowdot(bv, et) / s - cv * rho**4 * lg / s for bv, cv in zip(bs, cs)]
     lhs = np.max(np.stack(terms), axis=0)
     m = r - lhs
@@ -1130,7 +1136,7 @@ def _barrier_margin(pts, rho, data, r, gammas):
     cv = np.broadcast_to(_finite("cbar", data.cbar(pts)), rho.shape)
     if np.any(gv < 0.0) or np.any(cv < 0.0):
         raise ValueError("gbar and cbar must be nonnegative")
-    et, s = hgroup.eta(pts), hgroup._hsq(pts)
+    et = hgroup._eta(pts, s := hgroup._hsq(pts))
     lhs = hgroup._rowdot(bv, et) / s + gv * np.sqrt(hgroup._rowdot(et, et)) / s
     rhs = cv * rho**4 * np.log(rho) / s + r
     m = rhs - lhs

@@ -335,9 +335,12 @@ class ScalarField:
 
 
 def field_from_profile(profile: RadialProfile, dims: HeisDims) -> ScalarField:
-    """Exact field evaluators for a profile, chain-ruled through its radius."""
+    """Exact field evaluators for a profile, chain-ruled through its radius.
+
+    hessian returns the (..., n, n) view of a batch-last (n, n, ...) array.
+    """
     if profile.kind == "heisenberg":
-        dim = dims.n
+        dim, m = dims.n, dims.m
 
         def value(x):
             return profile.value(hgroup.hnorm(x))
@@ -347,12 +350,32 @@ def field_from_profile(profile: RadialProfile, dims: HeisDims) -> ScalarField:
             return profile.deriv(rho)[..., None] * hgroup.euclid_grad_rho(x, rho)
 
         def hessian(x):
-            rho = hgroup.hnorm(x)
-            g = hgroup.euclid_grad_rho(x, rho)  # raises at the group identity
+            # f'' g g^T + f' D^2 rho, g = D rho, one row at a time into one (dim, dim, ...) array:
+            # D^2 rho = -3 g g^T / rho + D^2 (rho^4) / (4 rho^3), which is
+            # (|x_H|^2 I + 2 x_H x_H^T) / rho^3 on the horizontal block and 1 / (2 rho^3) at (m, m).
+            xa = np.asarray(x, dtype=float)
+            rho = hgroup.hnorm(xa)
+            g = np.moveaxis(hgroup.euclid_grad_rho(xa, rho), -1, 0)  # raises at the group identity
             _, fp, fpp = profile.jets(rho)
-            out = fpp[..., None, None] * np.einsum("...a,...b->...ab", g, g)
-            out += fp[..., None, None] * hgroup.euclid_hess_rho(x, rho, g)
-            return out
+            xh, r3, c3 = np.moveaxis(xa[..., :m], -1, 0), rho**3, -3.0 / rho
+            s_r3 = hgroup._hsq(xa) / r3
+            out, e, h = np.empty((dim, dim) + rho.shape), np.empty((dim,) + rho.shape), np.empty((m,) + rho.shape)
+            for i, row in enumerate(out):
+                np.multiply(g[i], g, out=row)  # g_i g^T, formed once
+                np.multiply(row, c3, out=e)
+                if i < m:
+                    np.multiply(xh[i], xh, out=h)
+                    h *= 2.0
+                    h /= r3
+                    h += 0.0  # (s / rho^3) 0.0 + 2 x_i x_j / rho^3 off the diagonal
+                    h[i] += s_r3
+                    e[:m] += h
+                else:
+                    e[m] += 1.0 / (2.0 * r3)
+                e *= fp
+                row *= fpp
+                row += e
+            return np.moveaxis(out, (0, 1), (-2, -1))
 
     elif profile.kind == "euclidean":
         dim = dims.d
@@ -380,11 +403,15 @@ def field_from_profile(profile: RadialProfile, dims: HeisDims) -> ScalarField:
             xa, r = _radius(x)
             if np.any(r == 0.0):
                 raise ValueError("radial Hessian undefined at the origin")
-            xh = xa / r[..., None]
-            pr = np.einsum("...a,...b->...ab", xh, xh)
-            fp, fpp = (j[..., None, None] for j in profile.jets(r)[1:])
-            eye = np.eye(dim)
-            return fpp * pr + (fp / r[..., None, None]) * (eye - pr)
+            # f'' u u^T + (f' / r) (I - u u^T), u = x / r, in one (n, n, ...) array.
+            u = np.moveaxis(xa / r[..., None], -1, 0)
+            _, fp, fpp = profile.jets(r)
+            out = np.multiply(u[:, None], u[None, :], order="C")
+            rest = np.subtract(np.eye(dim).reshape((dim, dim) + (1,) * r.ndim), out)
+            rest *= fp / r
+            out *= fpp
+            out += rest
+            return np.moveaxis(out, (0, 1), (-2, -1))
 
     else:
         raise ValueError(f"unknown profile kind {profile.kind!r}")

@@ -28,9 +28,8 @@ Every function accepts arbitrary leading batch axes; the last axis is the
 coordinate axis, in any memory layout.  Sums over it go through _rowdot
 and _colsum, which add its columns left to right, so a value has the same
 bits whether the points are stored row by row or column by column, and on
-any of numpy's sum kernels.  eta and
-euclid_grad_rho build their output one coordinate at a time and return it
-column-major; h_hessian builds its matrices batch-last, entry (i, j) of
+any of numpy's sum kernels.  eta and euclid_grad_rho return column-major
+output; h_hessian reads and builds matrices batch-last, entry (i, j) of
 every matrix one contiguous row, and returns a view that is not C-contiguous.
 
 A field f(rho(.)) has a closed-form horizontal Hessian spectrum of three
@@ -49,7 +48,6 @@ __all__ = [
     "dilate",
     "eta",
     "euclid_grad_rho",
-    "euclid_hess_rho",
     "group_inverse",
     "group_mul",
     "h_gradient",
@@ -204,8 +202,13 @@ def eta(x) -> np.ndarray:
 
     Satisfies |eta|^2 = |x_H|^2 rho^4 and D_H rho = eta / rho^3.
     """
-    xa, d = _as_points(x)
-    s, t = _hsq(xa), xa[..., -1]
+    xa, _ = _as_points(x)
+    return _eta(xa, _hsq(xa))
+
+
+def _eta(xa, s) -> np.ndarray:
+    """eta of checked points xa, given s = _hsq(xa)."""
+    d, t = xa.shape[-1] // 2, xa[..., -1]
     out = np.empty((2 * d,) + xa.shape[:-1])
     for i in range(d):
         # Row i is s x_i + t x_{i+d}, row i + d is s x_{i+d} + t (-x_i).
@@ -217,16 +220,15 @@ def eta(x) -> np.ndarray:
     return np.moveaxis(out, 0, -1)
 
 
-def _symmetry_gate(skew, mats, axes, what: str) -> float:
+def _symmetry_gate(own, mats, axes, what: str) -> float:
     """The batch's largest skew; ValueError if a matrix is not symmetric by _SYM_RTOL.
 
-    skew holds |M_ij - M_ji| and mats the matrices, each matrix's entries on
-    `axes`; what ("Hessian" or "matrix") heads the message.  A batch whose
-    skew is 0 skips the per-matrix pass.
+    own holds each matrix's largest |M_ij - M_ji| and mats the matrices, each
+    matrix's entries on `axes`; what ("Hessian" or "matrix") heads the
+    message.  An empty batch, or one whose skew is 0, skips the per-matrix pass.
     """
-    worst = skew.max()
+    worst = own.max(initial=0.0)
     if worst > 0.0:
-        own = skew.max(axis=axes)
         bad = own > _SYM_RTOL * np.maximum(mats.max(axis=axes), -mats.min(axis=axes))
         if np.any(bad):
             m = what[0].upper()
@@ -249,8 +251,9 @@ def h_hessian(grad_u, hess_u, x) -> np.ndarray:
     The frame-Jacobian term of X_i X_j u is Du_t times an antisymmetric
     matrix, since [X_i, X_{i+d}] = -4 d_t, so symmetrizing removes it and
     grad_u does not enter.  hess_u must pass _symmetry_gate, each matrix
-    within 1e-12 of its largest |entry|.  The output, symmetrized exactly,
-    is built batch-last and returned as a view that is not C-contiguous.
+    within 1e-12 of its largest |entry|; it is read batch-last, in place if
+    its batch axis is the fastest, else copied once, and never written.  The
+    output, symmetrized exactly, is batch-last: a view, not C-contiguous.
     """
     xa, d = _as_points(x)
     h = np.asarray(hess_u, dtype=float)
@@ -260,27 +263,34 @@ def h_hessian(grad_u, hess_u, x) -> np.ndarray:
     if not np.isfinite(h).all():
         raise ValueError("Hessian entries must be finite")
     batch = np.broadcast_shapes(h.shape[:-2], xa.shape[:-1])
-    hs = np.ascontiguousarray(np.moveaxis(np.broadcast_to(h, batch + (n, n)), (-2, -1), (0, 1)))
-    # |H - H^T| on the upper triangle alone, so no full-size temporary.
-    iu = tuple(zip(*[(i, j) for i in range(n) for j in range(i + 1, n)]))
-    skew = hs[iu]
-    np.abs(np.subtract(skew, hs[iu[::-1]], out=skew), out=skew)
-    _symmetry_gate(skew[:, None], hs, (0, 1), "Hessian")
+    hs = np.moveaxis(np.broadcast_to(h, batch + (n, n)), (-2, -1), (0, 1))
+    if hs.strides[-1] not in (0, hs.itemsize):
+        hs = np.ascontiguousarray(hs)
+    # H_ij - H_ji over the upper triangle, written straight from hs one row of it at a time.
+    skew, k = np.empty((n * (n - 1) // 2,) + batch), 0
+    for i in range(n - 1):
+        np.subtract(hs[i, i + 1 :], hs[i + 1 :, i], out=skew[k : k + n - 1 - i])
+        k += n - 1 - i
+    _symmetry_gate(np.abs(skew, out=skew).max(axis=0), hs, (0, 1), "Hessian")
     del skew
-    hs = np.add(hs, hs.swapaxes(0, 1))
-    hs *= 0.5
-    # sigma = [I; hp^T] with hp = 2 hperp, and D^2u = [[A, b], [b^T, c]], so
-    # sigma^T D^2u sigma = A + b hp^T + hp b^T + c hp hp^T, added in that order.
+    # D^2u = [[A, b], [b^T, c]], each symmetrized straight from hs.
+    out = np.add(hs[:m, :m], hs[:m, :m].swapaxes(0, 1))
+    out *= 0.5
+    b, c = (hs[:m, m] + hs[m, :m]) * 0.5, (hs[m, m] + hs[m, m]) * 0.5
+    del hs  # a transposed copy goes before the next temporary
+    # sigma = [I; hp^T] with hp = 2 hperp, so sigma^T D^2u sigma = A + b hp^T + hp b^T
+    # + c hp hp^T, added in that order one row at a time, last row first: rows
+    # i.. are complete when the pairs (i, j >= i) are symmetrized in place.
     xt = np.moveaxis(np.broadcast_to(xa, batch + (n,)), -1, 0)
     hp = 2.0 * np.concatenate([xt[d:m], -xt[:d]])
-    a, b, c = hs[:m, :m], hs[:m, m], hs[m, m]
-    out = b[:, None] * hp[None, :]
-    a += out
-    a += out.swapaxes(0, 1)
-    np.multiply((c * hp)[:, None], hp[None, :], out=out)
-    a += out
-    np.add(a, a.swapaxes(0, 1), out=out)
-    out *= 0.5
+    ch, t = c * hp, np.empty((m,) + batch)
+    for i in reversed(range(m)):
+        out[i] += np.multiply(b[i], hp, out=t)
+        out[i] += np.multiply(hp[i], b, out=t)
+        out[i] += np.multiply(ch[i], hp, out=t)
+        s = np.add(out[i, i:], out[i:, i], out=t[: m - i])
+        s *= 0.5
+        out[i, i:] = out[i:, i] = s
     return np.moveaxis(out, (0, 1), (-2, -1))
 
 
@@ -305,26 +315,6 @@ def euclid_grad_rho(x, rho) -> np.ndarray:
     np.divide(xa[..., -1], rho2, out=col)
     col /= 2.0 * rho
     return np.moveaxis(out, 0, -1)
-
-
-def euclid_hess_rho(x, rho, grad) -> np.ndarray:
-    """Euclidean Hessian of the gauge norm, given rho(x) and grad = euclid_grad_rho(x, rho).
-
-    With phi = rho^4 (a polynomial), D^2 rho = D^2 phi / (4 rho^3)
-    - 3 Drho Drho^T / rho; the phi block is diagonal-plus-rank-one in the
-    horizontal coordinates and constant in the vertical one.
-    """
-    xa, d = _as_points(x)
-    m = 2 * d
-    s = _hsq(xa)
-    out = np.einsum("...a,...b->...ab", grad, grad) * (-3.0 / rho[..., None, None])
-    xh = xa[..., :m]
-    out[..., :m, :m] += (
-        (s / rho**3)[..., None, None] * np.eye(m)
-        + 2.0 * np.einsum("...a,...b->...ab", xh, xh) / rho[..., None, None] ** 3
-    )
-    out[..., m, m] += 1.0 / (2.0 * rho**3)
-    return out
 
 
 def radial_eigenvalues(lead, rest, mult: int, rotated=None) -> np.ndarray:

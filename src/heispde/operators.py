@@ -114,7 +114,8 @@ def _as_sym(mat) -> np.ndarray:
         raise ValueError(f"expected square matrices, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
-    if _symmetry_gate(np.abs(m - np.swapaxes(m, -1, -2)), m, (-2, -1), "matrix") == 0.0:
+    own = np.abs(m - np.swapaxes(m, -1, -2)).max(axis=(-2, -1), initial=0.0)
+    if _symmetry_gate(own, m, (-2, -1), "matrix") == 0.0:
         return m
     return 0.5 * (m + np.swapaxes(m, -1, -2))
 

@@ -158,6 +158,45 @@ def h_hessian_rank2(hess_u, x):
     return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
+def gauge_radial_hessian(x, rho, g, fp, fpp):
+    """Euclidean Hessian f'' g g^T + f' D^2 rho of f(rho) on H^d, by the einsum formula on (..., n, n) stacks.
+
+    rho is the gauge norm of x, g its Euclidean gradient, fp and fpp the
+    profile's f' and f'' at rho.  D^2 rho = -3 g g^T / rho + D^2 (rho^4) /
+    (4 rho^3), with the horizontal block (|x_H|^2 I + 2 x_H x_H^T) / rho^3
+    and 1 / (2 rho^3) at the vertical corner.  The reference for the
+    gallery's H^d Hessians: it fixes the IEEE operations of each entry,
+    rho^3 by np.power and |x_H|^2 added left to right onto +0.0.
+    """
+    xa, rho, fp, fpp = (np.asarray(v, dtype=float) for v in (x, rho, fp, fpp))
+    m = xa.shape[-1] - 1
+    s = np.zeros(xa.shape[:-1])
+    for j in range(m):
+        s = s + xa[..., j] * xa[..., j]
+    gg = np.einsum("...a,...b->...ab", g, g)
+    hess_rho = gg * (-3.0 / rho[..., None, None])
+    xh = xa[..., :m]
+    hess_rho[..., :m, :m] += (s / rho**3)[..., None, None] * np.eye(m) + 2.0 * np.einsum(
+        "...a,...b->...ab", xh, xh
+    ) / rho[..., None, None] ** 3
+    hess_rho[..., m, m] += 1.0 / (2.0 * rho**3)
+    out = fpp[..., None, None] * gg
+    out += fp[..., None, None] * hess_rho
+    return out
+
+
+def euclidean_radial_hessian(x, r, fp, fpp):
+    """Hessian f'' u u^T + (f' / r) (I - u u^T) of f(|x|) on R^n, u = x / r, on (..., n, n) stacks.
+
+    The reference for the gallery's R^n Hessians; r is |x| and fp, fpp the
+    profile's f' and f'' at r.
+    """
+    xa, r, fp, fpp = (np.asarray(v, dtype=float) for v in (x, r, fp, fpp))
+    u = xa / r[..., None]
+    pr = np.einsum("...a,...b->...ab", u, u)
+    return fpp[..., None, None] * pr + (fp[..., None, None] / r[..., None, None]) * (np.eye(xa.shape[-1]) - pr)
+
+
 def fd_h_hessian_one(value_fn, x, h, *, space="heisenberg", singular_radii=()):
     """(Hessian, step) of checker.fd_h_hessian at one point, one stencil row at a time.
 

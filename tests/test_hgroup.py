@@ -5,6 +5,7 @@ from hypothesis.extra.numpy import arrays
 
 from heispde import hgroup
 from heispde.checker import fd_h_hessian
+from heispde.gallery import field_from_profile, make_profile
 from heispde.hgroup import HeisDims
 
 import _oracles
@@ -76,9 +77,7 @@ def _unitary_rotation(d, rng):
 def _log_rho_h_spectrum(x):
     """Sorted horizontal Hessian spectrum of log rho, assembled from its Euclidean jets."""
     rho = hgroup.hnorm(x)
-    g = hgroup.euclid_grad_rho(x, rho)
-    hess = -np.einsum("ia,ib->iab", g, g) / rho[:, None, None] ** 2
-    hess += hgroup.euclid_hess_rho(x, rho, g) / rho[:, None, None]
+    hess = _oracles.gauge_radial_hessian(x, rho, hgroup.euclid_grad_rho(x, rho), 1.0 / rho, -1.0 / rho**2)
     return np.linalg.eigvalsh(hgroup.h_hessian(None, hess, x))
 
 
@@ -259,8 +258,10 @@ def test_h_hessian_rejects_bad_input_with_the_same_messages(d):
         "Hessian shape does not match the point width": hess[..., :-1, :-1],
     }
     for want, h in bad.items():
-        for got in (_raised(hgroup.h_hessian, None, h, x), _raised(_oracles.h_hessian_rank2, h, x)):
-            assert got == want
+        assert _raised(_oracles.h_hessian_rank2, h, x) == want
+        # Read in place (batch-last, Fortran-ordered) or through a copy (C-ordered).
+        for layout in ("C", "F", "batch-last"):
+            assert _raised(hgroup.h_hessian, None, _in_layout(layout, h, 2), x) == want
 
 
 def _entries(data, shape):
@@ -272,12 +273,18 @@ def _entries(data, shape):
     return np.where(rng.random(shape) < zeros, rng.choice([0.0, -0.0], shape), mag)
 
 
-def _layout(data, a):
-    """a C-ordered, Fortran-ordered or as a strided view of a wider array."""
-    kind = data.draw(st.sampled_from(["C", "F", "strided"]))
+def _in_layout(kind, a, entries):
+    """a C-ordered, Fortran-ordered, batch-last (its last `entries` axes first in memory) or strided."""
     if kind == "strided":
         return np.repeat(a, 2, axis=-1)[..., ::2]
+    if kind == "batch-last":
+        axes = list(range(a.ndim - entries, a.ndim))
+        return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, axes, range(entries))), range(entries), axes)
     return np.asfortranarray(a) if kind == "F" else np.ascontiguousarray(a)
+
+
+def _layout(data, a, entries):
+    return _in_layout(data.draw(st.sampled_from(["C", "F", "batch-last", "strided"])), a, entries)
 
 
 @settings(max_examples=300, deadline=None)
@@ -298,13 +305,15 @@ def test_h_hessian_matches_the_rank_two_oracle_bit_for_bit(data):
         # entry, which the symmetrization removes.
         hess[..., -1, 0] += data.draw(st.floats(-4e-13, 4e-13)) * np.abs(hess).max(axis=(-2, -1))
     x = _entries(data, x_lead + (n,))
-    hess_in, x_in = _layout(data, hess), _layout(data, x)
+    hess_in, x_in = _layout(data, hess, 2), _layout(data, x, 1)
+    kept = hess_in.copy()
     # Entries of 1e150 overflow to inf, and inf - inf gives NaN: their bits must match too.
     with np.errstate(over="ignore", invalid="ignore"):
         want = _oracles.h_hessian_rank2(hess, x)
         got = hgroup.h_hessian(None, hess_in, x_in)
     assert got.shape == want.shape
     assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+    assert hess_in.tobytes() == kept.tobytes()  # the input is never written
 
 
 def test_frame_fields_realize_commutator():
@@ -360,8 +369,7 @@ def test_radial_h_hessian_matches_assembled_pipeline():
 
         g = hgroup.euclid_grad_rho(x, rho)
         grad = fp[:, None] * g
-        hess = fpp[:, None, None] * np.einsum("ia,ib->iab", g, g)
-        hess += fp[:, None, None] * hgroup.euclid_hess_rho(x, rho, g)
+        hess = _oracles.gauge_radial_hessian(x, rho, g, fp, fpp)
         assembled = hgroup.h_hessian(grad, hess, x)
 
         w = np.einsum("ia,ia->i", x[:, :-1], x[:, :-1]) / rho**2
@@ -385,7 +393,7 @@ def test_radial_spectrum_structure():
     assert np.allclose(eigs, [w] * (2 * dims.d - 1) + [3.0 * w], rtol=1e-12)
     # The assembled horizontal Hessian of rho^2 / 2 has the same spectrum.
     g = hgroup.euclid_grad_rho(x, hgroup.hnorm(x))
-    hess = fpp * np.outer(g, g) + fp * hgroup.euclid_hess_rho(x, hgroup.hnorm(x), g)
+    hess = _oracles.gauge_radial_hessian(x, hgroup.hnorm(x), g, fp, fpp)
     assembled = hgroup.h_hessian(fp * g, hess, x)
     assert np.allclose(np.linalg.eigvalsh(assembled), eigs, rtol=1e-12)
 
@@ -397,10 +405,9 @@ def test_euclid_grad_rho_matches_fd():
     assert np.allclose(grad, ref, atol=1e-8)
 
 
-def test_euclid_hess_rho_matches_fd():
+def test_gauge_norm_hessian_matches_fd():
     x = np.array([0.4, -0.7, 0.9])
-    rho = hgroup.hnorm(x)
-    hess = hgroup.euclid_hess_rho(x, rho, hgroup.euclid_grad_rho(x, rho))
+    hess = field_from_profile(make_profile("power", kappa=1.0), HeisDims(1)).hessian(x)
     ref = _oracles.fd_hessian(lambda p: float(hgroup.hnorm(p)), x, h=1e-4)
     assert np.allclose(hess, ref, atol=1e-6)
 

@@ -375,3 +375,15 @@ def test_horizontal_schrodinger_passes_exactly_where_every_total_is_positive(d):
         assert got == ("pass" if np.all(total > 0.0) else "fail"), label
         verdicts.add(got)
     assert verdicts == {"pass", "fail"}
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_the_hou_drift_and_eta_from_a_given_xh_square_keep_their_bits(d):
+    # The margins pass |x_H|^2 to hgroup._eta instead of recomputing it, and
+    # the hou drift scales eta in place: -gamma0 * eta(x) to the bit.
+    rng = np.random.default_rng(d)
+    x = np.asfortranarray(rng.standard_normal((257, 2 * d + 1)) * 10.0 ** rng.integers(-3, 4, (257, 1)))
+    eta = hgroup.eta(x)
+    assert np.array_equal(hgroup._eta(x, hgroup._hsq(x)), eta)
+    drift = checker.lyapunov_fixture("hou", HeisDims(d), gamma0=0.7)[1].drifts[0]
+    assert drift(x).tobytes() == (-0.7 * eta).tobytes()
