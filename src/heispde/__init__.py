@@ -11,15 +11,12 @@ command.
 from .checker import (
     BarrierBundle,
     CheckReport,
-    ConvergenceResult,
     OperatorSpec,
     Region,
     TabulatedField,
     check_inequality,
     check_lyapunov,
     check_tabulated,
-    convergence_study,
-    fd_h_hessian,
     lyapunov_fixture,
     sample_region,
 )
@@ -57,7 +54,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BarrierBundle",
     "CheckReport",
-    "ConvergenceResult",
     "Ellipticity",
     "HJBCoefficients",
     "HeisDims",
@@ -72,10 +68,8 @@ __all__ = [
     "check_inequality",
     "check_lyapunov",
     "check_tabulated",
-    "convergence_study",
     "dilate",
     "eta",
-    "fd_h_hessian",
     "field_from_profile",
     "group_inverse",
     "group_mul",

@@ -100,7 +100,6 @@ from .operators import Ellipticity, HJBCoefficients, PucciAlpha, _finite
 __all__ = [
     "BarrierBundle",
     "CheckReport",
-    "ConvergenceResult",
     "LYAPUNOV_CONDITIONS",
     "Region",
     "OperatorSpec",
@@ -108,8 +107,6 @@ __all__ = [
     "check_inequality",
     "check_lyapunov",
     "check_tabulated",
-    "convergence_study",
-    "fd_h_hessian",
     "lyapunov_fixture",
     "sample_region",
 ]
@@ -120,8 +117,6 @@ THREADS_ENV = "HEISPDE_THREADS"
 
 _ABS_FLOOR = 1e-12
 _EPS = np.finfo(float).eps
-# Halvings fd_h_hessian may make before it gives up on a stencil.
-_MAX_SHRINKS = 40
 # Fractional bits of phi when the Kronecker steps are computed.
 _PHI_BITS = 96
 # Points of a spectral-path run that the dense path evaluates again.
@@ -749,10 +744,11 @@ class _PassRule:
     add(excess, allowance) takes one chunk's excesses, (N,) or (parts, N),
     with -inf at points not looked at.  A point fails a part where the
     excess is above the allowance or, for a strict part (strict: one flag or
-    one per part), where it is >= 0; a NaN fails.  The witness is the first
-    point farthest above its allowance, a NaN first, over the chunks in
-    order: the point one argmax over the whole sample picks.  add returns
-    the witness's position in the chunk if the chunk holds it so far.
+    one per part), where it is >= 0; a NaN fails, and _fold_chunks raises
+    on it.  The witness is the first point farthest above its allowance, a
+    NaN first, over the chunks in order: the point one argmax over the whole
+    sample picks.  add returns the witness's position in the chunk if the
+    chunk holds it so far.
     """
 
     def __init__(self, strict=False):
@@ -792,13 +788,15 @@ def _fold_chunks(kind, batch, region, tol, config, t0, chunk, finish, strict=Fal
     evaluated as n_evaluated and the rows the verdict looks at as n_looked;
     and fields(k), the witness fields at position k.  The witness is
     {point, radius, tau, **fields(k), allowance}; its point stays None if
-    the chunk placed none.  An admissible row not evaluated is excluded as
-    zero_gradient, and a run that looked at no row (none admissible, none
-    evaluated, or none compared) is vacuous, without a witness.  If any row
-    was admissible, finish(folded, verdict, witness, row) returns the kind's
-    own report fields, row being the witness's sample row; it may place
-    points, the witness's among them.  No chunk's arrays are held while the
-    next one is computed.
+    the chunk placed none.  A NaN witness (a NaN excess or allowance) raises
+    ValueError naming its (rho, tau), the first NaN row at any chunk size,
+    so a NaN is never a pass or a fail.  An admissible row not evaluated is
+    excluded as zero_gradient, and a run that looked at no row (none
+    admissible, none evaluated, or none compared) is vacuous, without a
+    witness.  If any row was admissible, finish(folded, verdict, witness,
+    row) returns the kind's own report fields, row being the witness's
+    sample row; it may place points, the witness's among them.  No chunk's
+    arrays are held while the next one is computed.
     """
     rule = _PassRule(strict)
     folded, witness, witness_row = {}, None, None
@@ -815,6 +813,9 @@ def _fold_chunks(kind, batch, region, tol, config, t0, chunk, finish, strict=Fal
                 "allowance": float(allow[k]),
             }
             witness_row = rows[k]
+            if np.isnan(rule.best):
+                at = f"rho = {witness['radius']!r}" + ("" if witness["tau"] is None else f", tau = {witness['tau']!r}")
+                raise ValueError(f"the {kind} check got NaN at {at}")
         for key, value in named.items():
             if value is None:
                 continue
@@ -1284,102 +1285,3 @@ def check_lyapunov(
         return {"scan": scan, "components": folded}
 
     return _fold_chunks("lyapunov", batch, region, tol, config, t0, chunk, finish, route.strict)
-
-
-@dataclasses.dataclass
-class ConvergenceResult:
-    rows: list
-    c_estimate: float
-    n_points: int
-    n_shrinks: int
-
-
-def fd_h_hessian(value_fn, x, h: float, *, space: str = "heisenberg", singular_radii: tuple[float, ...] = ()):
-    """Central-difference horizontal (or Euclidean) Hessians at points of shape (..., dim).
-
-    Returns (Hessians, steps).  A point's step starts at h and is halved
-    until its stencil clears the origin and every declared gluing radius
-    (ValueError after _MAX_SHRINKS halvings).  value_fn gets flat (N, dim)
-    arrays of at most _CHUNK_ROWS stencil rows; if it acts row by row, a
-    point gets the same bits in any batch.
-    """
-    xa = np.asarray(x, dtype=float)
-    if xa.ndim == 0:
-        raise ValueError("a point needs a coordinate axis")
-    if h <= 0.0 or not np.isfinite(h):
-        raise ValueError("step h must be positive and finite")
-    lead, dim = xa.shape[:-1], xa.shape[-1]
-    xs = xa.reshape(-1, dim)
-    # Stencil rows: centre, +-e_i, then (+-e_i +-e_j) for i < j in the order ++, +-, -+, --.
-    eye = np.eye(dim)
-    iu, ju = np.triu_indices(dim, 1)
-    si, sj = np.array([[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0]])[:, :, None]
-    pairs = (si * eye[iu, None] + sj * eye[ju, None]).reshape(-1, dim)
-    offsets = np.concatenate([np.zeros((1, dim)), np.stack([eye, -eye], axis=1).reshape(-1, dim), pairs])
-    heis = space == "heisenberg"
-
-    def radius(p):
-        return hgroup.hnorm(p) if heis else np.sqrt(hgroup._rowdot(p, p))
-
-    m = dim - 1 if heis else dim
-    out = np.empty((xs.shape[0], m, m))
-    steps = np.full(xs.shape[0], float(h))
-    per_chunk = max(1, _CHUNK_ROWS // offsets.shape[0])
-    for start in range(0, xs.shape[0], per_chunk):
-        xc, step = xs[start : start + per_chunk], steps[start : start + per_chunk]
-        rc, todo, n_shrinks = radius(xc), np.arange(xc.shape[0]), 0
-        while True:
-            rad = radius(xc[todo, None] + step[todo, None, None] * offsets)
-            ok, r = np.all(rad > 0.0, axis=1), rc[todo]
-            for rk in singular_radii:
-                ok &= (r != rk) & np.where(r > rk, np.all(rad > rk, axis=1), np.all(rad < rk, axis=1))
-            todo = todo[~ok]
-            if todo.size == 0:
-                break
-            n_shrinks += 1
-            if n_shrinks > _MAX_SHRINKS:
-                raise ValueError("stencil still crosses a singular set at the minimum step")
-            step[todo] *= 0.5
-        pts = xc[:, None] + step[:, None, None] * offsets
-        vals = np.asarray(value_fn(pts.reshape(-1, dim)), dtype=float).reshape(pts.shape[:2])
-        # Python's float power (libm pow), not s * s: it rounds a few squares differently.
-        h2 = np.array([s**2 for s in step.tolist()])[:, None]
-        v0, plus, minus = vals[:, :1], vals[:, 1 : 2 * dim + 1 : 2], vals[:, 2 : 2 * dim + 1 : 2]
-        vpp, vpm, vmp, vmm = vals[:, 2 * dim + 1 :].reshape(xc.shape[0], iu.size, 4).transpose(2, 0, 1)
-        hess = np.zeros((xc.shape[0], dim, dim))
-        hess[:, range(dim), range(dim)] = (plus - 2.0 * v0 + minus) / h2
-        hess[:, iu, ju] = hess[:, ju, iu] = (vpp - vpm - vmp + vmm) / (4.0 * h2)
-        out[start : start + per_chunk] = hgroup.h_hessian(None, hess, xc) if heis else hess
-    return out.reshape(lead + (m, m)), steps.reshape(lead)
-
-
-def convergence_study(field, region: Region, h0: float = 1e-2, levels: int = 4, n_points: int = 48) -> ConvergenceResult:
-    """Max deviation between analytic and FD Hessians over halved steps.
-
-    Needs at least two levels so an observed order can be formed; raises on
-    a region with no admissible points and on a level whose error is 0.
-    """
-    if levels < 2:
-        raise ValueError("need at least two levels to observe an order")
-    if n_points < 1:
-        raise ValueError("n_points must be positive")
-    batch = sample_region(region, space=field.space, dim=field.dim, singular_radii=field.singular_radii)
-    if batch.n_admissible == 0:
-        raise ValueError("region left no admissible sample points")
-    pts = batch.place(np.flatnonzero(batch.admissible)[:n_points])
-    refs, _ = _dense_matrix(field, pts, np.asarray(field.hessian(pts), dtype=float), None, None)
-    rows, n_shrinks, prev_err = [], 0, None
-    for level in range(levels):
-        h = h0 / 2.0**level
-        fd, steps = fd_h_hessian(field.value, pts, h, space=field.space, singular_radii=field.singular_radii)
-        n_shrinks += int(np.log2(h / steps).sum())
-        fd -= refs
-        worst = float(np.abs(fd, out=fd).max())
-        if worst == 0.0:
-            raise ValueError(f"the finite-difference error is 0 at h = {h!r}, so no order can be observed")
-        order = None if prev_err is None else math.log2(prev_err / worst)
-        rows.append({"h": h, "max_err": worst, "order": order})
-        prev_err = worst
-
-    c_est = float(np.median([r["max_err"] / r["h"] ** 2 for r in rows]))
-    return ConvergenceResult(rows, c_est, int(pts.shape[0]), n_shrinks)

@@ -4,7 +4,6 @@ Subcommands
     verify       sampled inequality (or closed-form comparison) for a field
     lyapunov     growth-condition check for a built-in coefficient fixture
     op-eval      evaluate one extremal operator on explicit matrices
-    convergence  finite-difference consistency study for a field
     gallery list describe the shipped radial profiles
 
 Every option is one row of OPTIONS: its flag is the name with `_` spelled
@@ -234,15 +233,6 @@ OPTIONS: dict[str, dict[str, tuple]] = {
         "q": (None, _as_vector),
         "out": (None, _as_str),
     },
-    "convergence": {
-        **_FIELD,
-        **_REGION,
-        "h0": (1e-2, _as_float),
-        "levels": (4, _as_int),
-        "n_points": (48, _as_int),
-        "min_order": (1.9, _as_float),
-        "out": (None, _as_str),
-    },
     "gallery": {
         "d": (None, _as_int),
         "lam": (None, _as_float),
@@ -256,7 +246,6 @@ _HELP = {
     "verify": "check an inequality for a shipped field",
     "lyapunov": "check a growth condition fixture",
     "op-eval": "evaluate an extremal operator",
-    "convergence": "finite-difference consistency study",
     "gallery": "describe the shipped radial profiles",
 }
 
@@ -449,46 +438,6 @@ def _cmd_op_eval(eff: dict) -> int:
     return 0
 
 
-def _cmd_convergence(eff: dict) -> int:
-    field, _, _ = _field_from(eff)
-    region = _region_from(eff)
-    result = checker.convergence_study(
-        field, region, h0=eff["h0"], levels=eff["levels"], n_points=eff["n_points"]
-    )
-    orders = [r["order"] for r in result.rows if r["order"] is not None]
-    median_order = float(np.median(orders))
-    verdict = "pass" if median_order >= eff["min_order"] else "fail"
-    payload = {
-        "schema": SCHEMA,
-        "command": "convergence",
-        "kind": "convergence",
-        "verdict": verdict,
-        "median_order": median_order,
-        "min_order": eff["min_order"],
-        "c_estimate": result.c_estimate,
-        "n_points": result.n_points,
-        "n_shrinks": result.n_shrinks,
-        "rows": result.rows,
-        "config": {
-            "field": eff["field"],
-            "d": eff["d"],
-            "lam": eff["lam"],
-            "Lam": eff["Lam"],
-            "h0": eff["h0"],
-            "levels": eff["levels"],
-        },
-    }
-    if eff["out"]:
-        write_json_report(eff["out"], payload)
-    print(f"{'h':>12}  {'max_err':>12}  {'order':>8}")
-    for row in result.rows:
-        order = "" if row["order"] is None else format(row["order"], "8.4f")
-        print(f"{row['h']:>12.6g}  {row['max_err']:>12.6g}  {order:>8}")
-    print(f"convergence: verdict={verdict} median_order={median_order:.4f} "
-          f"c_estimate={result.c_estimate:.6g}")
-    return 0 if verdict == "pass" else 1
-
-
 def _cmd_gallery(eff: dict) -> int:
     dims = None if eff["d"] is None else HeisDims(eff["d"])
     e = None
@@ -518,7 +467,6 @@ _DISPATCH = {
     "verify": _cmd_verify,
     "lyapunov": _cmd_lyapunov,
     "op-eval": _cmd_op_eval,
-    "convergence": _cmd_convergence,
     "gallery": _cmd_gallery,
 }
 
@@ -600,15 +548,6 @@ FIXTURES: dict[str, dict] = {
         "argv": [
             "op-eval", "--op", "pucci_max", "--lam", "1.0", "--Lam", "2.0",
             "--matrix", "[[1.0, 0.0], [0.0, -1.0]]",
-        ],
-        "expected_exit": 0,
-    },
-    "convergence-folland": {
-        "argv": [
-            "convergence", "--field", "folland", "--d", "1",
-            "--rho-min", "0.8", "--rho-max", "2.0", "--n-samples", "64",
-            "--seed", "2", "--h0", "0.01", "--levels", "3", "--n-points", "6",
-            "--min-order", "1.8",
         ],
         "expected_exit": 0,
     },

@@ -198,9 +198,10 @@ def euclidean_radial_hessian(x, r, fp, fpp):
 
 
 def fd_h_hessian_one(value_fn, x, h, *, space="heisenberg", singular_radii=()):
-    """(Hessian, step) of checker.fd_h_hessian at one point, one stencil row at a time.
+    """(Hessian, step): a central-difference horizontal (or Euclidean) Hessian at one point.
 
-    The stencil is the centre, +-e_i, then +-e_i +-e_j (i < j) in the order
+    The tests check the gallery's exact jets and the group's invariances
+    against it, one stencil row at a time.  The stencil is the centre, +-e_i, then +-e_i +-e_j (i < j) in the order
     ++, +-, -+, --; the step is halved until every row clears the origin and
     each singular radius on the centre's side (ValueError after 40 halvings).
     The horizontal Hessian is h_hessian_rank2 of the Euclidean one.

@@ -222,8 +222,8 @@ def test_chunks_without_an_admissible_row_are_skipped(monkeypatch):
 
 def test_a_nan_witness_is_the_first_nan_in_every_chunking(monkeypatch):
     # NaN eigenvalues on a thin radius band: the allowance is NaN there, so
-    # the run fails and the witness is the first row in the band, which
-    # lies beyond the first chunks at size 1000.
+    # the run raises, naming the first row in the band, which lies beyond
+    # the first chunks at size 1000.  A NaN is never a fail or a pass.
     lo, hi = 1.5, 1.5006
     spectral_jets = checker._spectral_jets
 
@@ -237,12 +237,15 @@ def test_a_nan_witness_is_the_first_nan_in_every_chunking(monkeypatch):
     field = _field("u4", 1)
     region = Region(0.5, 4.0, n_samples=20000, seed=4, char_eps=0.02)
     spec = OperatorSpec("pucci_max", ell=E15)
-    rep = _at_every_chunk_size(monkeypatch, lambda: check_inequality(field, spec, region))
     batch = checker.sample_region(region, space="heisenberg", dim=3, singular_radii=field.singular_radii)
     rows = np.flatnonzero(batch.admissible & (batch.radius > lo) & (batch.radius < hi))
     assert rows.size > 1 and rows[0] >= 2000
-    assert rep.verdict == "fail" and np.isnan(rep.witness["allowance"])
-    assert rep.witness["radius"] == batch.radius[rows[0]]
+    at = f"rho = {float(batch.radius[rows[0]])!r}, tau = {float(batch.tau[rows[0]])!r}"
+    for size in CHUNK_SIZES:
+        monkeypatch.setattr(checker, "_CHUNK_ROWS", size)
+        with pytest.raises(ValueError) as info:
+            check_inequality(field, spec, region)
+        assert str(info.value) == f"the inequality check got NaN at {at}"
 
 
 def test_extremes_order_the_zeros_and_keep_a_nan():

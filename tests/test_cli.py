@@ -74,7 +74,6 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert main(["verify", "--field", "u3", "--d", "3"]) == 2  # degenerate exponent
     assert main(["op-eval", "--op", "pucci_max", "--matrix", "[[1,0],[0,1"]) == 2
     assert main(["op-eval", "--op", "pucci_max", "--matrix", "[[1,0,0],[0,1,0]]"]) == 2
-    assert main(["convergence", "--field", "folland", "--levels", "1"]) == 2
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"field": "log_rho", "no_such_key": 5}))
     assert main(["verify", "--config", str(cfg)]) == 2
@@ -113,7 +112,6 @@ _NEG_U4 = [
     ["verify", "--field", "u4", "--d", "1", "--alpha", "nan"],
     ["lyapunov", "--fixture", "hou", "--rho-min", "2", "--rho-max", "16", "--c0", "inf"],
     ["lyapunov", "--fixture", "ou", "--rho-min", "2", "--rho-max", "16", "--gammas", "1,nan,1"],
-    ["convergence", "--field", "folland", "--min-order", "nan"],
     _NEG_U4[:-2] + ["--seed", "inf"],
     _NEG_U4 + ["--n-samples", "nan"],
     _NEG_U4 + ["--n-samples", "1000.5"],
@@ -141,7 +139,7 @@ def test_gammas_for_a_fixture_other_than_ou_exit_two(fixture, tmp_path, capsys):
 
 @pytest.mark.parametrize("argv,message", [
     (["verify", "--field", "folland", "--d", "1", "--kappa", "3"], "--kappa is read by the power field only"),
-    (["convergence", "--field", "folland", "--d", "1", "--kappa", "3"], "--kappa is read by the power field only"),
+    (["verify", "--field", "u4", "--d", "2", "--compare-formula", "--kappa", "3"], "--kappa is read by the power field only"),
     (["gallery", "list", "--d", "1", "--lam", "1"], "gallery list reads --lam and --Lam together, and only with --d"),
     (["gallery", "list", "--lam", "1", "--Lam", "2"], "gallery list reads --lam and --Lam together, and only with --d"),
 ])
@@ -156,7 +154,6 @@ def test_a_flag_nothing_reads_exits_two(argv, message, tmp_path, capsys):
 @pytest.mark.parametrize("argv,name,value", [
     (["verify", "--field", "u4"], "alpha", "nan"),
     (["verify", "--field", "u4"], "lam", "inf"),
-    (["convergence", "--field", "folland"], "min_order", "-inf"),
     (["lyapunov", "--fixture", "ou"], "gammas", "1,inf,1"),
 ])
 def test_a_non_finite_number_is_refused_by_name_as_flag_and_as_config_value(argv, name, value, tmp_path, capsys):
@@ -358,41 +355,35 @@ def test_op_eval_prints_values(tmp_path, capsys):
     assert _load(out)["values"] == [-3.0]
 
 
-def test_convergence_command(tmp_path):
+def test_a_nan_margin_exits_two_with_and_without_a_report(tmp_path, capsys):
+    # hou's margins overflow to NaN at rho near 1e80.  The run printed
+    # verdict=fail worst_violation=nan and exited 1, and 2 only with --out,
+    # when the report writer refused the NaN.
+    argv = ["lyapunov", "--fixture", "hou", "--d", "1", "--rho-min", "1e70", "--rho-max", "1e80",
+            "--n-samples", "4096"]
     out = tmp_path / "rep.json"
-    rc = main([
-        "convergence", "--field", "folland", "--d", "1",
-        "--rho-min", "0.8", "--rho-max", "2", "--n-samples", "64", "--seed", "2",
-        "--h0", "0.01", "--levels", "3", "--n-points", "6",
-        "--min-order", "1.8", "--out", str(out),
-    ])
-    assert rc == 0
-    rep = _load(out)
-    assert rep["kind"] == "convergence"
-    assert rep["median_order"] >= 1.8
-    assert len(rep["rows"]) == 3
-    hs = [row["h"] for row in rep["rows"]]
-    assert hs == sorted(hs, reverse=True)
-
-
-def test_convergence_with_a_zero_error_level_exits_two(tmp_path, capsys):
-    # rho^0 is constant, so its finite-difference error is 0 at every step.
-    out = tmp_path / "rep.json"
-    rc = main([
-        "convergence", "--field", "power", "--kappa", "0", "--d", "1",
-        "--rho-min", "0.8", "--rho-max", "2", "--n-samples", "64",
-        "--levels", "3", "--n-points", "4", "--out", str(out),
-    ])
-    assert rc == 2
-    assert "finite-difference error is 0 at h = 0.01," in capsys.readouterr().err
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(argv) == 2
+        assert main(argv + ["--out", str(out)]) == 2
+    text = capsys.readouterr()
+    assert "nan" not in text.out
+    assert text.err.count("error: the lyapunov check got NaN at rho = ") == 2
     assert not out.exists()
+
+
+def test_the_convergence_command_is_gone(capsys):
+    # The finite-difference study checked no inequality, and no check read its output.
+    assert "convergence" not in cli.OPTIONS
+    assert main(["convergence", "--field", "folland", "--d", "1"]) == 2
+    assert "invalid choice: 'convergence'" in capsys.readouterr().err
 
 
 def test_the_sampler_option_is_gone(tmp_path, capsys):
     argv = FIXTURES["verify-u4"]["argv"]
     assert main(argv + ["--sampler", "kronecker"]) == 2
     assert "--sampler" in capsys.readouterr().err
-    for command in ("verify", "lyapunov", "convergence"):
+    for command in ("verify", "lyapunov"):
         assert "sampler" not in cli.OPTIONS[command]
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"sampler": "kronecker"}))
@@ -424,7 +415,7 @@ def test_an_integer_config_value_beyond_float_range_exits_two(key, tmp_path, cap
 @pytest.mark.parametrize("argv", [
     ["verify", "--field", "u4", "--d", "1", "--seed", "-1"],
     ["lyapunov", "--fixture", "hou", "--d", "1", "--seed", "-1"],
-    ["convergence", "--field", "folland", "--d", "1", "--seed", "-1"],
+    ["verify", "--field", "folland", "--d", "2", "--compare-formula", "--seed", "-1"],
 ])
 def test_a_negative_seed_exits_two_naming_the_seed(argv, tmp_path, capsys):
     out = tmp_path / "rep.json"

@@ -7,7 +7,8 @@ import sys
 
 import numpy as np
 
-_TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "corpus.py"
+_ROOT = pathlib.Path(__file__).resolve().parents[1]
+_TOOL = _ROOT / "tools" / "corpus.py"
 
 
 def _load():
@@ -66,3 +67,27 @@ def test_diff_lists_verdicts_counts_witnesses_and_exit_codes_apart(tmp_path, cap
     assert "f: 0 -> 1" in out and "r/ulp.json: verdict: 'pass' -> 'fail'" in out
     assert "r/ulp.json: n_evaluated: 10 -> 9" in out and "r/ulp.json: radius 2.0 -> 2.5" in out
     assert "witness.value" not in out  # a moved witness's fields are another point's
+
+
+def test_write_exits_one_naming_each_fixture_off_its_expected_exit(tmp_path, monkeypatch, capsys):
+    from heispde import cli
+
+    monkeypatch.syspath_prepend(str(_ROOT / "perfbench"))
+    listing = cli.FIXTURES["gallery-list"]
+    monkeypatch.setattr(cli, "FIXTURES", {
+        "listed": listing,
+        "off-by-one": dict(listing, expected_exit=1),
+        "usage": {"argv": ["verify"], "expected_exit": 0},
+    })
+    monkeypatch.setattr(corpus, "WORKLOADS", ())
+    monkeypatch.setattr(corpus, "OP_EVAL_SIZES", ())
+    out = tmp_path / "corpus"
+    assert corpus.main(["write", str(out), "--seeds", "0"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["fixture off-by-one: exit 0, expected 1", "fixture usage: exit 2, expected 0"]
+    # The whole corpus is written before the exit.
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert {name: f["exit"] for name, f in manifest["fixtures"].items()} == {"listed": 0, "off-by-one": 0, "usage": 2}
+    assert sorted(p.name for p in (out / "fixtures").iterdir()) == ["listed.json", "off-by-one.json"]
+    monkeypatch.setattr(cli, "FIXTURES", {"listed": listing})
+    assert corpus.main(["write", str(tmp_path / "ok"), "--seeds", "0"]) == 0

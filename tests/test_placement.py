@@ -15,7 +15,6 @@ from heispde.checker import (
     check_inequality,
     check_lyapunov,
     check_tabulated,
-    convergence_study,
     lyapunov_fixture,
     sample_region,
 )
@@ -213,11 +212,6 @@ def placements(monkeypatch):
     return calls
 
 
-def _placed_once(calls, rows):
-    assert len(calls) == 1
-    assert np.array_equal(calls[0][1], rows)
-
-
 def _placed_once_per_chunk(calls, witness):
     """Every admissible row is placed exactly once, one call per chunk in order.
 
@@ -295,14 +289,6 @@ def test_check_lyapunov_places_its_admissible_rows_once(placements, monkeypatch)
         placements.clear()
         rep = check_lyapunov(cond, data, E15, region, HeisDims(1))
         _placed_once_per_chunk(placements, rep.witness)
-
-
-def test_convergence_study_places_only_the_points_it_uses(placements):
-    field = _field("folland", 1)
-    region = Region(0.8, 2.0, n_samples=64, seed=2)
-    res = convergence_study(field, region, h0=1e-2, levels=2, n_points=6)
-    assert res.n_points == 6
-    _placed_once(placements, np.flatnonzero(placements[0][0].admissible)[:6])
 
 
 def test_a_table_row_at_the_identity_is_out_of_range_without_a_warning():

@@ -12,7 +12,9 @@ It writes each report without wall_time, through the package's own JSON
 writer, under DIR/fixtures, DIR/bench/<workload>/seed<k> and
 DIR/op-eval/seed<k>, and a manifest.json with the commit, the numpy version,
 the CPU features numpy dispatches to (NPY_DISABLE_CPU_FEATURES switches some
-off) and the exit codes.  Work files go to a temporary directory.
+off) and the exit codes.  Work files go to a temporary directory.  Once the
+whole corpus is written, it exits 1 and names each fixture whose exit code
+is not its expected_exit.
 
 `diff` compares two corpora report by report and key by key.  It lists
 changed exit codes, verdicts, counts and witnesses apart, then, per key path
@@ -80,7 +82,8 @@ def _run_cli(argv: list[str], out: str) -> int:
         return cli.main([*argv, "--out", out])
 
 
-def write(out_dir: str, seeds: list[int]) -> None:
+def write(out_dir: str, seeds: list[int]) -> dict:
+    """Write the corpus; returns the manifest's fixtures, name -> {exit, expected_exit}."""
     from heispde import cli, operators
 
     import inputs
@@ -130,6 +133,7 @@ def write(out_dir: str, seeds: list[int]) -> None:
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
+    return manifest["fixtures"]
 
 
 def _reports(root: str) -> dict[str, str]:
@@ -245,8 +249,10 @@ def main(argv=None) -> int:
     d.add_argument("b")
     args = parser.parse_args(argv)
     if args.command == "write":
-        write(args.dir, args.seeds)
-        return 0
+        wrong = {name: f for name, f in write(args.dir, args.seeds).items() if f["exit"] != f["expected_exit"]}
+        for name, f in wrong.items():
+            print(f"fixture {name}: exit {f['exit']}, expected {f['expected_exit']}", file=sys.stderr)
+        return 1 if wrong else 0
     return diff(args.a, args.b)
 
 
