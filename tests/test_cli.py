@@ -151,11 +151,22 @@ def test_a_flag_nothing_reads_exits_two(argv, message, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv,name,value", [
-    (["verify", "--field", "u4"], "alpha", "nan"),
-    (["verify", "--field", "u4"], "lam", "inf"),
-    (["lyapunov", "--fixture", "ou"], "gammas", "1,inf,1"),
-])
+# Every float option of every command, read from the option table.
+_HEADS = {
+    "verify": ["verify", "--field", "u4"],
+    "lyapunov": ["lyapunov", "--fixture", "ou"],
+    "op-eval": ["op-eval", "--op", "pucci_max", "--matrix", "[[1,0],[0,1]]"],
+    "gallery": ["gallery", "list", "--d", "1"],
+}
+_NON_FINITE = [
+    (_HEADS[command], name, "1,inf,1" if conv is cli._as_gammas else ("nan", "inf", "-inf")[k % 3])
+    for command, options in cli.OPTIONS.items()
+    for k, (name, (_, conv)) in enumerate(options.items())
+    if conv in (cli._as_float, cli._as_gammas)
+]
+
+
+@pytest.mark.parametrize("argv,name,value", _NON_FINITE, ids=[f"{a[0]}-{n}-{v}" for a, n, v in _NON_FINITE])
 def test_a_non_finite_number_is_refused_by_name_as_flag_and_as_config_value(argv, name, value, tmp_path, capsys):
     assert main(argv + [f"--{name.replace('_', '-')}={value}"]) == 2
     assert f"error: flag {name!r}: expected a finite number" in capsys.readouterr().err

@@ -172,6 +172,59 @@ def test_euclidean_field_jets_match_fd():
         assert np.allclose(field.hessian(x), _oracles.fd_hessian(fn, x), atol=2e-5)
 
 
+def _valid_fields():
+    """(name, d) for every profile at d = 1, 2, 3 that its regime admits."""
+    cases = []
+    for name in gallery.PROFILES:
+        for d in (1, 2, 3):
+            try:
+                make_profile(name, Ellipticity(1.0, 1.5), HeisDims(d), kappa=-0.5)
+            except ProfileRegimeError:
+                continue
+            cases.append((name, d))
+    return cases
+
+
+@pytest.mark.parametrize("name,d", _valid_fields())
+def test_every_field_s_exact_hessian_matches_central_differences_to_second_order(name, d):
+    # The horizontal Hessian on the group, the Euclidean one for the Euclidean
+    # bumps.  The points sit at radii 0.6 and 1.6, on both sides of the gluing
+    # sphere, and far enough from it that no stencil shrinks its step.
+    dims = HeisDims(d)
+    field = field_from_profile(make_profile(name, Ellipticity(1.0, 1.5), dims, kappa=-0.5), dims)
+    rng = np.random.default_rng(31 + d)
+    x = rng.standard_normal((6, field.dim))
+    scale = np.where(np.arange(6) % 2, 1.6, 0.6)
+    if field.space == "heisenberg":
+        x = hgroup.dilate(scale / hgroup.hnorm(x), x)
+        exact = hgroup.h_hessian(None, field.hessian(x), x)
+    else:
+        x *= (scale / np.linalg.norm(x, axis=-1))[:, None]
+        exact = field.hessian(x)
+    kw = {"space": field.space, "singular_radii": field.singular_radii}
+    errs = []
+    for h in (1e-2, 5e-3):
+        fd = [_oracles.fd_h_hessian_one(field.value, p, h, **kw) for p in x]
+        assert [step for _, step in fd] == [h] * 6
+        errs.append(np.abs(np.stack([m for m, _ in fd]) - exact).max())
+    # At h = 1e-2 the largest relative error, folland's at d = 3, is 1.4e-3.
+    assert errs[0] <= 5e-3 * max(1.0, np.abs(exact).max())
+    assert 1.9 <= np.log2(errs[0] / errs[1]) <= 2.1
+
+
+def test_the_oracle_shrinks_its_step_away_from_the_gluing_sphere():
+    field = field_from_profile(make_profile("u4", Ellipticity(1.0, 1.5), HeisDims(1)), HeisDims(1))
+    # a point whose gauge distance to the kink is far smaller than h
+    x = hgroup.dilate(1.0 + 1e-4, np.array([1.0, 0.0, 0.0]))
+    exact = hgroup.h_hessian(None, field.hessian(x), x)
+    fd, step = _oracles.fd_h_hessian_one(field.value, x, 1e-2, singular_radii=field.singular_radii)
+    assert step < 1e-2
+    assert np.abs(fd - exact).max() <= 1e-3
+    # sitting exactly on the kink can never be resolved
+    with pytest.raises(ValueError):
+        _oracles.fd_h_hessian_one(field.value, np.array([1.0, 0.0, 0.0]), 1e-2, singular_radii=(1.0,))
+
+
 def test_log_field_horizontal_identity():
     dims = HeisDims(2)
     field = field_from_profile(make_profile("log_rho", None, dims), dims)
