@@ -16,21 +16,20 @@ again.  Every check then runs over chunks of _CHUNK_ROWS consecutive sample
 indices and folds each chunk into running counts, minima and maxima,
 verdict and witness (_PassRule), so no full-length point, margin or
 eigenvalue array is held and reports do not depend on the chunk size.
-Points are placed on demand: the sampler draws only rho (and tau on the
-group) for every sample, in blocks of _CHUNK_ROWS indices, and
-SampleBatch.place(rows) draws the sign (the top bit of its coordinate's
-64-bit word) and the direction (half-angle Box-Muller pairs, no sin or cos)
-of just those rows.  The sequence has random access, so a row
-placed alone is bit-identical to the same row of the full batch.  A
-spectral run without a Bellman part or keep_samples places only the
-dense-check rows and the witness, in one call after the fold; every other
-run places each chunk's admissible rows once, and a spectral one then the
-dense-check rows again.  Placed points are column-major (every
+Points are placed on demand: the sampler draws only rho (and tau on the group)
+for every sample, in blocks of _CHUNK_ROWS indices, and SampleBatch.place(rows)
+draws the sign (the top bit of its coordinate's 64-bit word) and the direction
+(half-angle Box-Muller pairs, no sin or cos) of just those rows.  The sequence
+has random access, so a row placed alone is bit-identical to the same row of
+the full batch.  A chart run and a spectral run without a Bellman part or
+keep_samples place only the check rows and the witness, in one call after the
+fold; every other run places each chunk's admissible rows once, and a spectral
+one then the check rows again.  Placed points are column-major (every
 coordinate contiguous), and sums over the coordinate or eigenvalue axis go
-through hgroup._rowdot and hgroup._colsum, which add left to right, so no
-value depends on that layout or on numpy's sum kernels.
-Results do not depend on which rows were placed.  What stays O(n_samples):
-the chart, keep_samples arrays and a table's own arrays.  Only numpy is used.
+through hgroup._rowdot and hgroup._colsum, which add left to right, so no value
+depends on that layout or on numpy's sum kernels.  Results do not depend on
+which rows were placed.  What stays O(n_samples): the chart, keep_samples
+arrays and a table's own arrays.  Only numpy is used.
 
 A point passes the declared sense when the signed excess does not exceed
 max(1e-12, tol * max(1, local operator magnitude)); the raw per-sample
@@ -62,16 +61,21 @@ n, the n_eigvalsh rows sent to the solver, and the largest bound on a
 difference (Weyl's, or measured after the solve), absolute and relative to
 max(1, |e|).
 
-Formula mode compares with the closed forms of gallery.PROFILES, at the
-field's own d and Q.  Growth conditions are data: LYAPUNOV_CONDITIONS maps
-a condition and the kind of data it gets to a LyapunovRoute (operator,
-margin, strict, divides_by_s).  A route that rescales log rho's
-supersolution inequality names its table operator, and its threshold is
-log_rho's closed form for it at rho = tau = 1.  Bellman parts and growth
-conditions read a control family through operators._controls, so bad
-drifts and costs raise one ValueError everywhere.  Every check runs one
-loop, _fold_chunks, over its chunks: it takes the verdict, worst excess
-and witness from one rule, _PassRule, folds each check's named values by
+Formula mode compares with the closed forms of gallery.PROFILES, at the field's
+own d and Q.  Growth conditions are data: LYAPUNOV_CONDITIONS maps a condition
+and the kind of data it gets to a LyapunovRoute (operator, margin, strict,
+divides_by_s).  A route that rescales log rho's supersolution inequality names
+its table operator, and its threshold is log_rho's closed form for it at rho =
+tau = 1.  Bellman parts and growth conditions read a control family through
+operators._controls, so bad drifts and costs raise one ValueError everywhere.
+On the _drift_margin routes an _eta_family (drifts beta_k eta, costs c_k: the
+zero-coeffs, schro and hou fixtures) takes the chart path: its margin, r -
+max_k (beta_k rho^4 - c_k rho^2 log rho / tau^2), reads only the chart.  Then
+at most 256 rows are placed, and _placed_check holds it to the generic margin
+at their own (rho, tau) within (2m + 24) eps M.  Such reports' "paths" give
+{chart, placed, placed_check}; None where every row is placed.  Every check
+runs one loop, _fold_chunks, over its chunks: it takes the verdict, worst
+excess and witness from one rule, _PassRule, folds each check's named values by
 prefix (n_* add, min_* and max_* keep the extreme) and writes the one
 CheckReport.
 
@@ -119,7 +123,7 @@ _ABS_FLOOR = 1e-12
 _EPS = np.finfo(float).eps
 # Fractional bits of phi when the Kronecker steps are computed.
 _PHI_BITS = 96
-# Points of a spectral-path run that the dense path evaluates again.
+# Points of a spectral (chart) run that the dense (placed) path evaluates again.
 _DENSE_CHECK_POINTS = 256
 # Sample indices a check evaluates together, so per-point temporaries stay
 # O(_CHUNK_ROWS) at any n_samples.  Reports do not depend on it.
@@ -738,6 +742,16 @@ def _ranked_rows(admissible: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     return np.concatenate(found)
 
 
+def _place_check_rows(batch, witness, witness_row) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, points) of at most _DENSE_CHECK_POINTS evenly spaced admissible rows, placed in one call with the witness's row if its point is None."""
+    n, placed = batch.n_admissible, witness["point"] is not None
+    rows = _ranked_rows(batch.admissible, np.linspace(0, n - 1, min(n, _DENSE_CHECK_POINTS)).astype(np.intp))
+    pts = batch.place(rows if placed else np.append(rows, witness_row))
+    if not placed:
+        witness["point"], pts = [float(v) for v in pts[-1]], pts[:-1]
+    return rows, pts
+
+
 class _PassRule:
     """Verdict, worst excess and witness of excesses added chunk by chunk.
 
@@ -765,7 +779,7 @@ class _PassRule:
         self.worst = _running(np.max, self.worst, excess)
         col = viol.max(axis=0)
         k = int(np.argmax(col))
-        if self.best is None or col[k] > self.best or (np.isnan(col[k]) and not np.isnan(self.best)):
+        if self.best is None or col[k] > self.best or np.isnan(col[k]):
             self.best = col[k]
             return k
         return None
@@ -775,6 +789,10 @@ class _PassRule:
         strict = np.broadcast_to(self.strict, self.top.shape)
         ok = np.all(np.where(strict, self.top < 0.0, self.top <= 0.0))
         return ("pass" if ok else "fail"), self.worst
+
+
+def _nan_error(kind, radius, tau) -> ValueError:
+    return ValueError(f"the {kind} check got NaN at rho = {float(radius)!r}" + ("" if tau is None else f", tau = {float(tau)!r}"))
 
 
 def _fold_chunks(kind, batch, region, tol, config, t0, chunk, finish, strict=False) -> CheckReport:
@@ -814,8 +832,7 @@ def _fold_chunks(kind, batch, region, tol, config, t0, chunk, finish, strict=Fal
             }
             witness_row = rows[k]
             if np.isnan(rule.best):
-                at = f"rho = {witness['radius']!r}" + ("" if witness["tau"] is None else f", tau = {witness['tau']!r}")
-                raise ValueError(f"the {kind} check got NaN at {at}")
+                raise _nan_error(kind, witness["radius"], witness["tau"])
         for key, value in named.items():
             if value is None:
                 continue
@@ -1024,13 +1041,7 @@ def _inequality_from_batch(
     def finish(folded, verdict, witness, witness_row):
         n_adm, dense_check = batch.n_admissible, None
         if profile is not None:
-            # Evenly spaced admissible rows, placed (with the witness if no
-            # chunk placed it) and compared at their points' own (rho, tau).
-            ranks = np.linspace(0, n_adm - 1, min(n_adm, _DENSE_CHECK_POINTS)).astype(np.intp)
-            rows = _ranked_rows(batch.admissible, ranks)
-            pts = batch.place(rows if place else np.append(rows, witness_row))
-            if not place:
-                witness["point"], pts = [float(v) for v in pts[-1]], pts[:-1]
+            pts = _place_check_rows(batch, witness, witness_row)[1]
             radius, tau = _radius_tau(pts, field.space)
             spectrum, got_e_q = _spectral_jets(profile, field.dim, pts, radius, tau, gspace, entry.reads_e_q, False)[2:4]
             dense_check = _dense_check(field, gspace, pts, _sorted_rows(spectrum, True), got_e_q, tol)
@@ -1067,6 +1078,19 @@ class BarrierBundle:
     label: str = ""
 
 
+@dataclass(frozen=True)
+class _EtaFamily(HJBCoefficients):
+    """Drifts beta_k eta(x) and constant costs c_k; check_lyapunov's chart path reads (beta_k, c_k)."""
+    betas: tuple[float, ...] = ()
+    levels: tuple[float, ...] = ()
+
+
+def _eta_family(betas, costs, label: str) -> _EtaFamily:
+    """The horizontal family of drifts beta_k eta(x), each eta scaled in place, and constant costs c_k (floats)."""
+    drifts = tuple(lambda x, b=b: np.multiply(e := hgroup.eta(x), b, out=e) for b in betas)
+    return _EtaFamily(drifts, tuple(lambda x, c=c: np.full(x.shape[:-1], c) for c in costs), "horizontal", label, betas, costs)
+
+
 def lyapunov_fixture(name: str, dims: HeisDims, *, gamma0: float = 1.0, c0: float = 1.0, gammas=None):
     """Built-in coefficient families: returns (condition, data, kwargs).
 
@@ -1074,38 +1098,15 @@ def lyapunov_fixture(name: str, dims: HeisDims, *, gamma0: float = 1.0, c0: floa
     """
     if gammas is not None and name != "ou":
         raise ValueError(f"gammas apply to the ou fixture only, not to {name!r}")
-    m, n = dims.m, dims.n
-    zero_vec_h = lambda x: np.zeros(x.shape[:-1] + (m,))  # noqa: E731
-    zero_scalar = lambda x: np.zeros(x.shape[:-1])  # noqa: E731
     if name == "zero-coeffs":
-        coeffs = HJBCoefficients(
-            (zero_vec_h,), (zero_scalar,), "horizontal", label="zero-coeffs"
-        )
-        return "condcor1", coeffs, {}
+        return "condcor1", _eta_family((0.0,), (0.0,), "zero-coeffs"), {}
     if name == "schro":
-        coeffs = HJBCoefficients(
-            (zero_vec_h,),
-            (lambda x: np.full(x.shape[:-1], float(c0)),),
-            "horizontal",
-            label=f"schro(c0={c0})",
-        )
-        return "schrodinger", coeffs, {}
+        return "schrodinger", _eta_family((0.0,), (float(c0),), f"schro(c0={c0})"), {}
     if name == "hou":
-        coeffs = HJBCoefficients(
-            (lambda x: np.multiply(b := hgroup.eta(x), -float(gamma0), out=b),),
-            (zero_scalar,),
-            "horizontal",
-            label=f"hou(gamma0={gamma0})",
-        )
-        return "condcor1", coeffs, {}
+        return "condcor1", _eta_family((-float(gamma0),), (0.0,), f"hou(gamma0={gamma0})"), {}
     if name == "ou":
-        g = np.ones(n) if gammas is None else np.asarray(gammas, dtype=float)
-        coeffs = HJBCoefficients(
-            (lambda x: -(g * x),),
-            (zero_scalar,),
-            "euclidean",
-            label="ou(b=-gamma*x)",
-        )
+        g = np.ones(dims.n) if gammas is None else np.asarray(gammas, dtype=float)
+        coeffs = HJBCoefficients((lambda x: -(g * x),), (lambda x: np.zeros(x.shape[:-1]),), "euclidean", "ou(b=-gamma*x)")
         return "OUtype", coeffs, {"gammas": g}
     raise ValueError(f"unknown Lyapunov fixture {name!r}")
 
@@ -1128,6 +1129,17 @@ def _drift_margin(pts, rho, data, r, gammas):
     lhs = np.max(np.stack(terms), axis=0)
     m = r - lhs
     return m[None], np.abs(lhs) + abs(r), {"min_margin": _extreme(np.min, m)}
+
+
+def _eta_margin(data: _EtaFamily, rho, tau, r):
+    """_drift_margin's (margins, magnitude, components) and each control's two terms from (rho, tau) alone:
+    b_k . eta / s = beta_k rho^4 and c_k rho^4 log rho / s = c_k rho^2 log rho / tau^2."""
+    rho2 = rho * rho
+    rho4, cost = rho2 * rho2, rho2 * np.log(rho) / (tau * tau)
+    terms = [(b * rho4, c * cost) for b, c in zip(data.betas, data.levels)]
+    lhs = functools.reduce(np.maximum, [p - q for p, q in terms])
+    m = r - lhs
+    return m[None], np.abs(lhs) + abs(r), {"min_margin": _extreme(np.min, m)}, terms
 
 
 def _barrier_margin(pts, rho, data, r, gammas):
@@ -1169,6 +1181,31 @@ def _cost_margin(pts, rho, data, r, gammas):
     sign = np.max(np.stack([hgroup._rowdot(bv, grad_rho) for bv in bs]), axis=0)
     components = {"min_cost_margin": _extreme(np.min, c_margin), "max_drift_sign": _extreme(np.max, sign)}
     return np.stack([c_margin, -sign]), np.abs(c_margin) + np.abs(sign), components
+
+
+def _placed_check(batch, witness, witness_row, data: _EtaFamily, r) -> dict:
+    """Compare _eta_margin with _drift_margin at each of _place_check_rows' points' own (rho, tau).
+
+    A NaN placed margin raises the NaN rule's error and an infinite one is counted.  A finite one must lie
+    within (2m + 24) eps M of the closed form, M = max_k (|beta_k| rho^4 + c_k rho^2 |log rho| / tau^2) + |r|,
+    twice the first-order bound on their rounding derived in README's Growth conditions.
+    """
+    rows, pts = _place_check_rows(batch, witness, witness_row)
+    rho, tau = _radius_tau(pts, "heisenberg")
+    placed = _drift_margin(pts, rho, data, r, None)[0][0]
+    if np.isnan(placed).any():
+        row = rows[np.argmax(np.isnan(placed))]
+        raise _nan_error("lyapunov", batch.radius[row], batch.tau[row])
+    margins, _, _, terms = _eta_margin(data, rho, tau, r)
+    fin = np.isfinite(placed)
+    scale = (functools.reduce(np.maximum, [np.abs(p) + np.abs(q) for p, q in terms]) + abs(r))[fin]
+    diff = np.abs(placed - margins[0])[fin]
+    bad = ~(diff <= (2 * pts.shape[1] + 22) * _EPS * scale)  # m = dim - 1
+    if np.any(bad):
+        k = int(np.flatnonzero(fin)[np.argmax(bad)])
+        raise ValueError(f"chart and placed margins disagree at point {pts[k].tolist()}: {margins[0][k]!r} against {placed[k]!r}")
+    return {"n": int(pts.shape[0]), "n_overflow": int(np.count_nonzero(~fin)), "max_abs_diff": float(diff.max(initial=0.0)),
+            "max_rel_diff": float((diff / np.maximum(1.0, scale)).max(initial=0.0))}
 
 
 @dataclass(frozen=True)
@@ -1268,10 +1305,11 @@ def check_lyapunov(
     }
     ladder = [region.rho_min * 2.0**j for j in range(8)]
     scan = [{"R": float(R), "n": 0, "min_margin": None} for R in ladder if R <= region.rho_max]
+    chart = isinstance(data, _EtaFamily) and route.margin is _drift_margin
 
     def chunk(rows):
-        pts, rho = batch.place(rows), batch.radius[rows]
-        margins, mag, components = route.margin(pts, rho, data, r, g)
+        rho, pts = batch.radius[rows], None if chart else batch.place(rows)
+        margins, mag, components = _eta_margin(data, rho, batch.tau[rows], r)[:3] if chart else route.margin(pts, rho, data, r, g)
         margin = margins[0]
         for entry in scan:
             sel = rho >= entry["R"]
@@ -1282,6 +1320,8 @@ def check_lyapunov(
         return pts, -margins, mag, named, lambda k: {"margin": float(margin[k])}
 
     def finish(folded, verdict, witness, row):
-        return {"scan": scan, "components": folded}
+        paths = {"chart": batch.n_admissible, "placed": 0, "placed_check": _placed_check(batch, witness, row, data, r)} if chart else None
+        return {"scan": scan, "components": folded, "paths": paths}
 
-    return _fold_chunks("lyapunov", batch, region, tol, config, t0, chunk, finish, route.strict)
+    with np.errstate(all="ignore"):  # the NaN and overflow rules decide, not numpy's warnings
+        return _fold_chunks("lyapunov", batch, region, tol, config, t0, chunk, finish, route.strict)

@@ -334,6 +334,13 @@ def _hou(d):
     return lambda n: check_lyapunov(cond, data, E12, Region(4.0, 16.0, n_samples=n, seed=1, char_eps=0.05), dims)
 
 
+def _ou(d):
+    # ou's margin reads the points, so it places every admissible row; hou takes the chart path.
+    dims = HeisDims(d)
+    cond, data, extra = lyapunov_fixture("ou", dims)
+    return lambda n: check_lyapunov(cond, data, E12, Region(2.5, 20.0, n_samples=n, seed=1), dims, gammas=extra["gammas"])
+
+
 def _u4(d, dense=False, region=Region(0.05, 5.0, seed=1)):
     field = _field("u4", d)
     if dense:
@@ -348,6 +355,7 @@ MEMORY_CASES = [
     ("spectral u4 d=1", _u4(1), 1 << 16, 1 << 18),
     ("spectral u4 d=4", _u4(4), 1 << 16, 1 << 18),
     ("dense u4 d=4", _u4(4, dense=True), 1 << 15, 1 << 17),
+    ("check_lyapunov ou d=1", _ou(1), 1 << 16, 1 << 18),
 ]
 
 
@@ -379,6 +387,7 @@ _DENSE_REGION = Region(0.1, 5.0, seed=1, char_eps=0.02)
 CHUNK_COUNT_CASES = {
     "check_lyapunov hou d=1": _hou(1),
     "check_lyapunov hou d=4": _hou(4),
+    "check_lyapunov ou d=1": _ou(1),
     "dense u4 d=1": _u4(1, dense=True, region=_DENSE_REGION),
     "dense u4 d=4": _u4(4, dense=True, region=_DENSE_REGION),
 }

@@ -383,6 +383,24 @@ def test_a_nan_margin_exits_two_with_and_without_a_report(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rho_min,rho_max,code", [("1e70", "1e80", 2), ("1e-300", "16", 2), ("1e60", "1e76", 0)])
+def test_hou_at_extreme_radii_keeps_its_exit_code_and_prints_no_warning(tmp_path, rho_min, rho_max, code):
+    # Placed margins go NaN where rho^4 overflows (1e70-1e80) or |x_H|^2
+    # underflows (1e-300-16), and |eta|^2 overflows to inf on 1e60-1e76, where
+    # the closed form stays finite: so that run writes its report.  numpy's
+    # RuntimeWarnings used to reach stderr on all three.
+    out = tmp_path / "rep.json"
+    proc = _run_module("lyapunov", "--fixture", "hou", "--d", "1", "--rho-min", rho_min, "--rho-max", rho_max,
+                       "--n-samples", "4096", "--out", str(out))
+    assert proc.returncode == code, proc.stderr
+    if code == 2:
+        assert proc.stderr.startswith("error: the lyapunov check got NaN at rho = ")
+        assert proc.stderr.count("\n") == 1 and not out.exists()
+    else:
+        assert proc.stderr == ""
+        assert _load(out)["paths"]["placed_check"]["n_overflow"] == 256
+
+
 def test_the_convergence_command_is_gone(capsys):
     # The finite-difference study checked no inequality, and no check read its output.
     assert "convergence" not in cli.OPTIONS

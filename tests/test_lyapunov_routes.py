@@ -1,5 +1,7 @@
 """The growth-condition route table of check_lyapunov."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -387,3 +389,88 @@ def test_the_hou_drift_and_eta_from_a_given_xh_square_keep_their_bits(d):
     assert np.array_equal(hgroup._eta(x, hgroup._hsq(x)), eta)
     drift = checker.lyapunov_fixture("hou", HeisDims(d), gamma0=0.7)[1].drifts[0]
     assert drift(x).tobytes() == (-0.7 * eta).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the chart path of the eta fixtures against the placed path
+
+EPS = np.finfo(float).eps
+CHART_FIXTURES = ["zero-coeffs", "schro", "hou"]
+CHART_CONDITIONS = ["condcor1", "condcor1p", "schrodinger"]
+
+
+def _placed_twin(family):
+    """The same callables in a plain HJBCoefficients, which takes the placed path."""
+    return HJBCoefficients(family.drifts, family.costs, family.gradient_space, family.label)
+
+
+def _threshold(cond, d):
+    """The route's r: its table operator on log rho at rho = tau = 1 (schrodinger reads pucci_min, as condcor1)."""
+    op, params = GROWTH_INEQUALITIES["condcor1p" if cond == "condcor1p" else "condcor1"]
+    spec = OperatorSpec(op, ell=E12, **params(d))
+    return float(gallery.PROFILES["log_rho"].closed_forms[op](1.0, 1.0, HeisDims(d), spec.params)[0])
+
+
+def _chart_and_placed(name, cond, d, seed):
+    dims = HeisDims(d)
+    family = checker.lyapunov_fixture(name, dims)[1]
+    # rho < 1 and rho > 1, so schro's cost term takes both signs.
+    region = Region(0.5, 8.0, n_samples=3000, seed=seed, char_eps=0.05)
+    alpha = 1.0 / (4 * d) if cond == "condcor1p" else None
+    return [check_lyapunov(cond, data, E12, region, dims, alpha=alpha) for data in (family, _placed_twin(family))]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("d", [1, 2, 4])
+@pytest.mark.parametrize("cond", CHART_CONDITIONS)
+@pytest.mark.parametrize("name", CHART_FIXTURES)
+def test_the_chart_path_reports_what_the_placed_path_does(name, cond, d, seed):
+    chart, placed = _chart_and_placed(name, cond, d, seed)
+    assert (chart.verdict, chart.n_evaluated, chart.n_excluded, chart.excluded_by) == (
+        placed.verdict, placed.n_evaluated, placed.n_excluded, placed.excluded_by
+    )
+    assert placed.paths is None
+    assert chart.paths["chart"] == chart.n_evaluated and chart.paths["placed"] == 0
+    check = chart.paths["placed_check"]
+    assert check["n"] == 256 and check["n_overflow"] == 0
+    # The first-order bound on the guard's differences, half its budget.
+    assert check["max_rel_diff"] <= (2 * d + 12) * EPS
+
+    # The guard's budget (2m + 24) eps M, where M = |lhs| + |r| <= |margin| + 2 |r| for one-term families.
+    r = abs(_threshold(cond, d))
+
+    def close(a, b):
+        return a is b is None or abs(a - b) <= (4 * d + 24) * EPS * (abs(a) + 2 * r)
+
+    assert close(chart.worst_violation, placed.worst_violation)
+    assert close(chart.components["min_margin"], placed.components["min_margin"])
+    assert [(e["R"], e["n"]) for e in chart.scan] == [(e["R"], e["n"]) for e in placed.scan]
+    for a, b in zip(chart.scan, placed.scan):
+        assert close(a["min_margin"], b["min_margin"])
+    # The same witness row and point, or a row tied with it to rounding.
+    cw, pw = chart.witness, placed.witness
+    assert close(cw["margin"], pw["margin"])
+    if cw["radius"] == pw["radius"]:
+        assert (cw["tau"], cw["point"]) == (pw["tau"], pw["point"])
+
+
+@pytest.mark.parametrize("name,field", [("hou", "betas"), ("schro", "levels")])
+def test_a_family_whose_recorded_coefficients_are_off_raises(name, field):
+    # The chunks read the recorded (beta_k, c_k), the guard the callables.
+    dims = HeisDims(1)
+    cond, family, _ = checker.lyapunov_fixture(name, dims)
+    off = dataclasses.replace(family, **{field: tuple(v * (1.0 + 1e-9) for v in getattr(family, field))})
+    region = Region(2.0, 16.0, n_samples=2000, seed=3, char_eps=0.05)
+    assert check_lyapunov(cond, family, E12, region, dims).paths["placed_check"]["n"] == 256
+    with pytest.raises(ValueError, match="chart and placed margins disagree at point"):
+        check_lyapunov(cond, off, E12, region, dims)
+
+
+def test_the_guard_counts_overflowing_placed_margins_and_compares_the_rest():
+    # |eta|^2 = tau^2 rho^6 overflows beyond about rho = 1e51.4 at tau = 1.
+    dims = HeisDims(1)
+    cond, family, _ = checker.lyapunov_fixture("hou", dims)
+    rep = check_lyapunov(cond, family, E12, Region(1e45, 1e55, n_samples=4096, seed=2, char_eps=0.05), dims)
+    check = rep.paths["placed_check"]
+    assert rep.verdict == "pass" and 0 < check["n_overflow"] < check["n"] == 256
+    assert 0.0 < check["max_rel_diff"] <= 14 * EPS

@@ -282,13 +282,33 @@ def test_bellman_and_keep_samples_runs_place_every_admissible_row_once(placement
 
 
 def test_check_lyapunov_places_its_admissible_rows_once(placements, monkeypatch):
-    cond, data, _ = lyapunov_fixture("hou", HeisDims(1))
+    # ou's margin reads the points; the eta fixtures take the chart path (below).
+    cond, data, extra = lyapunov_fixture("ou", HeisDims(1))
+    region = Region(2.5, 20.0, n_samples=2000, seed=1, char_eps=0.05)
+    for chunk in CHUNK_SIZES:
+        monkeypatch.setattr(checker, "_CHUNK_ROWS", chunk)
+        placements.clear()
+        rep = check_lyapunov(cond, data, E15, region, HeisDims(1), gammas=extra["gammas"])
+        assert rep.paths is None
+        _placed_once_per_chunk(placements, rep.witness)
+
+
+@pytest.mark.parametrize("d", [1, 4])
+def test_a_hou_run_places_only_its_guard_rows_and_the_witness(placements, monkeypatch, d):
+    # One place call, after the chunks: the evenly spaced guard rows, then the witness.
+    cond, data, _ = lyapunov_fixture("hou", HeisDims(d))
     region = Region(2.0, 16.0, n_samples=2000, seed=1, char_eps=0.05)
     for chunk in CHUNK_SIZES:
         monkeypatch.setattr(checker, "_CHUNK_ROWS", chunk)
         placements.clear()
-        rep = check_lyapunov(cond, data, E15, region, HeisDims(1))
-        _placed_once_per_chunk(placements, rep.witness)
+        rep = check_lyapunov(cond, data, E15, region, HeisDims(d))
+        assert rep.paths["chart"] == rep.n_evaluated > 257 and rep.paths["placed"] == 0
+        assert len(placements) == 1
+        batch, rows = placements[0]
+        assert np.array_equal(rows[:-1], _dense_check_rows(batch))
+        assert rep.paths["placed_check"]["n"] == rows.size - 1 == checker._DENSE_CHECK_POINTS
+        assert batch.radius[rows[-1]] == rep.witness["radius"]
+        assert rep.witness["point"] == batch.place(rows[-1:])[0].tolist()
 
 
 def test_a_table_row_at_the_identity_is_out_of_range_without_a_warning():
