@@ -39,16 +39,17 @@ Two paths evaluate the second-order part.  The spectral path takes every
 ScalarField whose jets are its own radial profile (profile set and
 field.name == profile.name; negation negates both): it reads rho (or r) and
 w = tau^2 from the batch and f, f', f'' from the profile, and takes the
-closed form's distinct values with their multiplicities, on H^d and on R^n;
-hgroup.radial_eigenvalues lays out sorted rows only for the witness,
-keep_samples and the dense check.  The gradient is the eigenvector of f'' w,
-so e_q = f'' w and |q|^2 = f'^2 w (w = 1 on R^n).  The dense path takes
-fields without an own profile and TabulatedField rows: it forms the
-horizontal Hessian from the Euclidean jets, solves it by
-operators._eigenvalues (eigvalsh's results; a 2 x 2 matrix by LAPACK's
-closed form), passes its sorted columns, each of multiplicity 1, and takes
-e_q from the matrix.  After a spectral run's fold, at most 256 evenly spaced
-admissible rows are placed, and both paths are compared at each point's own
+closed form's distinct values with their multiplicities, on H^d and on R^n.
+The gradient is the eigenvector of f'' w, so e_q = f'' w and |q|^2 = f'^2 w
+(w = 1 on R^n).  The dense path takes fields without an own profile and
+TabulatedField rows: it forms the horizontal Hessian from the Euclidean
+jets, solves it by operators._eigenvalues (eigvalsh's results; a 2 x 2
+matrix by LAPACK's closed form), passes its sorted columns, each of
+multiplicity 1, and takes e_q from the matrix.  On either path sorted rows
+are laid out only for the witness, keep_samples and the dense check, by
+operators._sorted_rows: a stable sort of the repeated columns, which keeps
+the bits of sorted columns.  After a spectral run's fold, at most 256 evenly
+spaced admissible rows are placed, and both paths are compared at each point's own
 (rho, tau) (_radius_tau): the spectral path's spectrum there against the
 matrix the dense path forms from the Hessian alone.  A row whose eigenvalues
 Weyl's inequality keeps within the check's allowance (_weyl_bound) skips the
@@ -225,6 +226,8 @@ class TabulatedField:
         if pts.ndim != 2:
             raise ValueError("tabulated points must form an (N, dim) array")
         n, dim = pts.shape
+        if n == 0:
+            raise ValueError(f"tabulated field {self.name!r} has no rows")
         vals = np.asarray(self.values, dtype=float)
         grads = np.asarray(self.gradients, dtype=float)
         hess = np.asarray(self.hessians, dtype=float)
@@ -555,12 +558,6 @@ def _spectral_jets(profile, dim: int, pts, radius, tau, gspace: str, reads_e_q: 
     return val, q, spectrum, e_q, qq
 
 
-def _sorted_rows(spectrum, radial: bool, rows=slice(None)) -> np.ndarray:
-    """Sorted eigenvalues of the given rows: eigvalsh's columns side by side, or radial_eigenvalues' layout."""
-    cols = [v[rows] for v, _ in spectrum]
-    return hgroup.radial_eigenvalues(cols[0], cols[-1], spectrum[-1][1], *cols[1:-1]) if radial else np.stack(cols, -1)
-
-
 def _terms_for(field, spec: OperatorSpec, gspace: str, profile, pts, rows, radius, tau) -> dict:
     """Evaluate operator ingredients at the given batch rows.
 
@@ -655,8 +652,8 @@ def _weyl_bound(mat, pts, space, got) -> tuple[np.ndarray, np.ndarray]:
     B has a radial Hessian's eigen-directions g (eta / |eta| on H^d, x / |x|
     on R^n) and, on H^d, h = g turned by hperp, with eigenvalues a = g^T M g,
     b = h^T M h and c = (Tr M - a - b) / (m - 2) on the rest.  By Weyl's
-    inequality M's sorted spectrum lies within ||M - B||_F of np.sort of B's,
-    a check of got's sort-free layout.  Rows at eta = 0 or x = 0 get NaN.
+    inequality M's sorted spectrum lies within ||M - B||_F of B's sorted
+    rows.  Rows at eta = 0 or x = 0 get NaN.
     Rounding budget, in ||.|| = ||.||_F: a compression does not raise it, so
     |a|, |b|, |c| sqrt(m - 2) <= ||M|| and |a - c|, |b - c| <= 2 ||M||.  h is
     exactly orthogonal to g and as long, and |g|^2 = 1 within (m + 4) eps / 2,
@@ -685,7 +682,7 @@ def _weyl_bound(mat, pts, space, got) -> tuple[np.ndarray, np.ndarray]:
         diff = mat - c[:, None, None] * np.eye(m)
         for v, a in zip(dirs, quot):
             diff -= (a - c)[:, None, None] * (v[:, :, None] * v[:, None, :])
-        spec = np.sort(np.column_stack([*quot, np.repeat(c[:, None], rest, axis=1)]), axis=-1)
+        spec = operators._sorted_rows((*((a, 1) for a in quot), (c, rest)))
         budget = (2 * m + 20) * _EPS * np.sqrt(np.einsum("nij,nij->n", mat, mat))
         delta = np.sqrt(np.einsum("nij,nij->n", diff, diff)) + budget
         bound = (np.abs(spec - got) + delta[:, None]) * (1.0 + (m * m + 4) * _EPS)
@@ -1024,12 +1021,12 @@ def _inequality_from_batch(
         excess = value if looked.all() else np.where(looked, value, -np.inf)
         spectrum = terms.pop("spectrum")
         if keep_samples:
-            kept.append({"points": pts, "radius": radius, "tau": tau, "eigs": _sorted_rows(spectrum, profile is not None), **terms})
+            kept.append({"points": pts, "radius": radius, "tau": tau, "eigs": operators._sorted_rows(spectrum), **terms})
 
         def fields(k):
             return {
                 "value": float(terms["value"][k]),
-                "eigenvalues": [float(v) for v in _sorted_rows(spectrum, profile is not None, k)],
+                "eigenvalues": [float(v) for v in operators._sorted_rows(spectrum, k)],
                 "second_order": float(terms["second"][k]),
                 "first_order": float(terms["first"][k]),
                 "total": float(terms["total"][k]),
@@ -1044,7 +1041,7 @@ def _inequality_from_batch(
             pts = _place_check_rows(batch, witness, witness_row)[1]
             radius, tau = _radius_tau(pts, field.space)
             spectrum, got_e_q = _spectral_jets(profile, field.dim, pts, radius, tau, gspace, entry.reads_e_q, False)[2:4]
-            dense_check = _dense_check(field, gspace, pts, _sorted_rows(spectrum, True), got_e_q, tol)
+            dense_check = _dense_check(field, gspace, pts, operators._sorted_rows(spectrum), got_e_q, tol)
         extras = {"paths": {
             "spectral": 0 if profile is None else n_adm,
             "dense": n_adm if profile is None else 0,

@@ -346,14 +346,13 @@ def _summary(line_prefix: str, report: checker.CheckReport) -> None:
     )
 
 
-def _write_field_table(path: str, report: checker.CheckReport, space: str) -> None:
+def _write_field_table(path: str, report: checker.CheckReport, field) -> None:
+    """One row per admissible sample; a run without one (no samples) writes the header alone."""
     samples = report.samples
-    pts = samples["points"]
-    n, dim = pts.shape
-    n_eig = samples["eigs"].shape[1]
+    n_eig = field.dim - (field.space == "heisenberg")  # the horizontal Hessian's, or the Euclidean one's
     header = (
         ["space"]
-        + [f"x{i + 1}" for i in range(dim)]
+        + [f"x{i + 1}" for i in range(field.dim)]
         + ["radius", "tau", "value", "second_order", "first_order", "total", "alive"]
         + [f"eig{i + 1}" for i in range(n_eig)]
     )
@@ -361,10 +360,10 @@ def _write_field_table(path: str, report: checker.CheckReport, space: str) -> No
     def write(fh):
         writer = csv.writer(fh)
         writer.writerow(header)
-        for i in range(n):
+        for i in range(0 if samples is None else samples["points"].shape[0]):
             tau = "" if samples["tau"] is None else _format_float(samples["tau"][i])
             writer.writerow(
-                [space, *map(_format_float, pts[i]), _format_float(samples["radius"][i]), tau]
+                [field.space, *map(_format_float, samples["points"][i]), _format_float(samples["radius"][i]), tau]
                 + [_format_float(samples[k][i]) for k in ("value", "second", "first", "total")]
                 + [int(samples["alive"][i]), *map(_format_float, samples["eigs"][i])]
             )
@@ -382,8 +381,8 @@ def _cmd_verify(eff: dict) -> int:
     report = checker.check_inequality(
         field, spec, _region_from(eff), eff["tol"], mode=mode, keep_samples=eff["field_table"] is not None
     )
-    if eff["field_table"] is not None and report.samples is not None:
-        _write_field_table(eff["field_table"], report, field.space)
+    if eff["field_table"] is not None:
+        _write_field_table(eff["field_table"], report, field)
     if eff["out"]:
         write_json_report(eff["out"], _payload("verify", report))
     _summary("verify", report)

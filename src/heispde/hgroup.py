@@ -31,10 +31,6 @@ bits whether the points are stored row by row or column by column, and on
 any of numpy's sum kernels.  eta and euclid_grad_rho return column-major
 output; h_hessian reads and builds matrices batch-last, entry (i, j) of
 every matrix one contiguous row, and returns a view that is not C-contiguous.
-
-A field f(rho(.)) has a closed-form horizontal Hessian spectrum of three
-values, which the checker reads with their multiplicities; radial_eigenvalues
-lays them out sorted without a sort, on the group and for f(|x|) on R^n.
 """
 
 from __future__ import annotations
@@ -54,7 +50,6 @@ __all__ = [
     "h_hessian",
     "hnorm",
     "hperp",
-    "radial_eigenvalues",
 ]
 
 # Largest d accepted, so a mistyped dimension cannot allocate absurd stencils.
@@ -191,7 +186,9 @@ def _hsq(x: np.ndarray) -> np.ndarray:
 def hnorm(x) -> np.ndarray:
     """Gauge norm rho(x) = (|x_H|^4 + t^2)^(1/4).
 
-    Uses hypot-style scaling so coordinates up to ~1e75 do not overflow.
+    np.hypot(|x_H|^2, |t|) squares neither, so rho is finite for |x_H| up to
+    about 1.3e154 and any finite t, unless |x_H|^2 and |t| both near overflow:
+    (1e150, 0, 1e300) gives 1.19e150, (1e160, 0, 0) gives inf.
     """
     xa, d = _as_points(x)
     return np.sqrt(np.hypot(_hsq(xa), np.abs(xa[..., -1])))
@@ -315,31 +312,3 @@ def euclid_grad_rho(x, rho) -> np.ndarray:
     np.divide(xa[..., -1], rho2, out=col)
     col /= 2.0 * rho
     return np.moveaxis(out, 0, -1)
-
-
-def radial_eigenvalues(lead, rest, mult: int, rotated=None) -> np.ndarray:
-    """Sorted Hessian spectrum of a radial field, shape (..., mult + 1 or mult + 2).
-
-    lead is the simple eigenvalue along the gradient, rotated the simple one
-    along hperp (on H^d; None on R^n) and rest has multiplicity mult.  For
-    f(rho(.)) on H^d, with w = |x_H|^2 / rho^2, they are f'' w, 3 f' w / rho
-    and f' w / rho (mult 2d - 2); for f(|x|) on R^n, f'' and f' / r (mult
-    n - 1).  No sort runs: each row is laid out from comparisons, in the
-    order a stable sort of (lead, rotated, rest, ..., rest) gives.
-    """
-    if rotated is None:
-        a, c = np.broadcast_arrays(lead, rest)
-        placed = ((mult * (c < a), a),)
-    else:
-        a, b, c = np.broadcast_arrays(lead, rotated, rest)
-        k = (b < a) + mult * (c < a)  # column of lead
-        ib = mult * (c < b)  # column of rotated among (rotated, rest, ...)
-        placed = ((ib + (ib >= k), b), (k, a))
-    n = mult + len(placed)
-    out = np.empty(c.shape + (n,), dtype=np.result_type(c, *(v for _, v in placed)))
-    out[...] = c[..., None]
-    flat = out.reshape(-1)
-    base = np.arange(0, flat.size, n)
-    for j, v in placed:
-        flat[base + j.ravel()] = v.ravel()
-    return out

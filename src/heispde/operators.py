@@ -210,6 +210,15 @@ def _columns(eigs) -> tuple:
     return tuple((c, 1) for c in np.moveaxis(np.asarray(eigs, dtype=float), -1, 0).copy())
 
 
+def _sorted_rows(spectrum, rows=slice(None)) -> np.ndarray:
+    """The sorted eigenvalues (..., m) of the given rows of a spectrum, the inverse of _columns.
+
+    Each column v repeats k times; a stable sort keeps sorted columns' bits
+    and, in a tie such as -0.0 and +0.0, the columns' order.
+    """
+    return np.sort(np.stack([v[rows] for v, k in spectrum for _ in range(k)], axis=-1), axis=-1, kind="stable")
+
+
 def signed_eig_sums(eigs, scale) -> tuple[np.ndarray, np.ndarray]:
     """(sum of negative, sum of positive) eigenvalues per matrix.
 

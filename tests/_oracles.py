@@ -278,6 +278,16 @@ def left_to_right_dot(a, b) -> np.ndarray:
     return left_to_right_sum(prods)
 
 
+def sorted_spectrum_rows(spectrum) -> np.ndarray:
+    """Sorted eigenvalue rows (..., m) of a spectrum ((v_j, k_j), ...), whose columns may be scalars.
+
+    The columns side by side, column j repeated k_j times (k_j = 0 adds
+    none), then np.sort(kind="stable"): ties keep the columns' order.
+    """
+    cols = np.stack(np.broadcast_arrays(*(np.asarray(v, dtype=float) for v, _ in spectrum)), axis=-1)
+    return np.sort(np.repeat(cols, [k for _, k in spectrum], axis=-1), axis=-1, kind="stable")
+
+
 def sorted_row_operator(name, rows, e_q, params, zero_tol=1e-12) -> np.ndarray:
     """A table operator on sorted eigenvalue rows (N, m) by its row formula, every sum added as above.
 

@@ -542,6 +542,9 @@ def test_tabulated_field_validation():
         TabulatedField(np.zeros((2, 4)), np.zeros(2), np.zeros((2, 4)), np.zeros((2, 4, 4)))
     with pytest.raises(ValueError):
         TabulatedField(np.zeros((2, 3)), np.zeros(3), np.zeros((2, 3)), np.zeros((2, 3, 3)))
+    # No rows: check_tabulated's Region would refuse n_samples = 0, an option the caller never set.
+    with pytest.raises(ValueError, match="^tabulated field 'empty' has no rows$"):
+        TabulatedField(np.zeros((0, 3)), np.zeros(0), np.zeros((0, 3)), np.zeros((0, 3, 3)), name="empty")
 
 
 # ---------------------------------------------------------------------------

@@ -331,6 +331,34 @@ def test_field_table_csv(tmp_path):
     assert not list(tmp_path.glob("*.tmp*"))
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_a_vacuous_run_writes_a_header_only_field_table(d, tmp_path, capsys):
+    # One sample in the characteristic tube: no admissible point.
+    out, table = tmp_path / "rep.json", tmp_path / "t.csv"
+    argv = [
+        "verify", "--field", "u4", "--d", str(d), "--lam", "1", "--Lam", "1.5", "--n-samples", "1",
+        "--char-eps", "0.99999", "--field-table", str(table),
+    ]
+    assert main(argv) == 3
+    assert "verdict=vacuous" in capsys.readouterr().out
+    with open(table, newline="") as fh:
+        rows = list(csv.reader(fh))
+    m = 2 * d
+    assert rows == [
+        ["space", *(f"x{i + 1}" for i in range(m + 1)), "radius", "tau", "value", "second_order", "first_order",
+         "total", "alive", *(f"eig{i + 1}" for i in range(m))]
+    ]
+    # A run with admissible points writes the same header above its rows.
+    full = tmp_path / "full.csv"
+    assert main([*argv[:9], "--n-samples", "64", "--field-table", str(full)]) == 0
+    with open(full, newline="") as fh:
+        full_rows = list(csv.reader(fh))
+    assert full_rows[0] == rows[0] and len(full_rows) > 1 and all(len(r) == len(rows[0]) for r in full_rows)
+    assert main([*argv, "--out", str(out)]) == 3
+    assert _load(out)["verdict"] == "vacuous"
+    assert not list(tmp_path.glob("*.tmp*"))
+
+
 def test_lyapunov_command(tmp_path):
     out = tmp_path / "rep.json"
     rc = main([
@@ -539,7 +567,7 @@ def test_field_table_leaves_nothing_on_non_finite(tmp_path):
     }
     report = SimpleNamespace(samples=samples)
     with pytest.raises(ValueError):
-        cli._write_field_table(str(table), report, "euclidean")
+        cli._write_field_table(str(table), report, SimpleNamespace(dim=3, space="euclidean"))
     assert list(tmp_path.iterdir()) == []
 
 

@@ -208,9 +208,9 @@ def _spectral_rows(field, n=160, seed=0):
     batch = sample_region(region, space=field.space, dim=field.dim, singular_radii=field.singular_radii)
     rows = np.flatnonzero(batch.admissible)[:n]
     tau = None if batch.tau is None else batch.tau[rows]
-    got = checker._sorted_rows(checker._spectral_jets(
+    got = operators._sorted_rows(checker._spectral_jets(
         field.profile, field.dim, None, batch.radius[rows], tau, "horizontal", False, False
-    )[2], True)
+    )[2])
     pts = batch.place(rows)
     return pts, np.asarray(field.hessian(pts)), got
 
@@ -333,7 +333,7 @@ def _guard_rows(field, spec, region):
     radius, tau = checker._radius_tau(pts, field.space)
     reads_e_q = operators.OPERATORS[spec.second_order].reads_e_q
     jets = checker._spectral_jets(field.profile, field.dim, pts, radius, tau, "horizontal", reads_e_q, False)
-    return pts, checker._sorted_rows(jets[2], True), jets[3]
+    return pts, operators._sorted_rows(jets[2]), jets[3]
 
 
 def test_a_doubled_hessian_raises_the_eigvalsh_rules_message():
@@ -417,9 +417,9 @@ def _steep_rows():
     region = Region(0.5, 0.6, n_samples=64, seed=2, char_eps=0.05)
     batch = sample_region(region, space=field.space, dim=field.dim, singular_radii=field.singular_radii)
     rows = np.flatnonzero(batch.admissible)[:8]
-    got = checker._sorted_rows(checker._spectral_jets(
+    got = operators._sorted_rows(checker._spectral_jets(
         field.profile, field.dim, None, batch.radius[rows], batch.tau[rows], "horizontal", False, False
-    )[2], True)
+    )[2])
     return field, batch.place(rows), got
 
 

@@ -378,7 +378,7 @@ def test_radial_h_hessian_matches_assembled_pipeline():
 
         w = np.einsum("ia,ia->i", x[:, :-1], x[:, :-1]) / rho**2
         t = fp * w / rho
-        eigs_closed = hgroup.radial_eigenvalues(fpp * w, t, dims.m - 2, 3.0 * t)
+        eigs_closed = _oracles.sorted_spectrum_rows(((fpp * w, 1), (3.0 * t, 1), (t, dims.m - 2)))
         assert np.allclose(np.linalg.eigvalsh(assembled), eigs_closed, atol=1e-12)
 
 
@@ -391,7 +391,7 @@ def test_radial_spectrum_structure():
     s = float(x[: 2 * dims.d] @ x[: 2 * dims.d])
     w = s / rho**2
     fp, fpp = rho, 1.0
-    eigs = hgroup.radial_eigenvalues(fpp * w, fp * w / rho, dims.m - 2, 3.0 * fp * w / rho)
+    eigs = _oracles.sorted_spectrum_rows(((fpp * w, 1), (3.0 * fp * w / rho, 1), (fp * w / rho, dims.m - 2)))
     # f'' w = w, 3 f' w / rho = 3 w and f' w / rho = w (multiplicity 2d - 2)
     assert eigs.shape == (2 * dims.d,)
     assert np.allclose(eigs, [w] * (2 * dims.d - 1) + [3.0 * w], rtol=1e-12)

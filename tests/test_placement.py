@@ -1,13 +1,12 @@
 """Points placed on demand, and the sort-free radial spectra."""
 
 import dataclasses
-import math
 import warnings
 
 import numpy as np
 import pytest
 
-from heispde import checker, hgroup
+from heispde import checker, hgroup, operators
 from heispde.checker import (
     OperatorSpec,
     Region,
@@ -22,7 +21,7 @@ from heispde.gallery import field_from_profile, make_profile
 from heispde.hgroup import HeisDims
 from heispde.operators import Ellipticity, HJBCoefficients
 
-from _oracles import box_muller
+from _oracles import box_muller, sorted_spectrum_rows
 
 E15 = Ellipticity(1.0, 1.5)
 # (space, dim): H^1, H^2, H^4, R^3, R^4.
@@ -322,7 +321,7 @@ def test_a_table_row_at_the_identity_is_out_of_range_without_a_warning():
 
 
 # ---------------------------------------------------------------------------
-# sort-free spectra
+# sorted rows of compact spectra
 
 
 def _jets_with_ties_and_signed_zeros(n=4000, seed=0):
@@ -348,27 +347,34 @@ def _group_parts(fp, fpp, w, rho):
     return fpp * w, t, 3.0 * t
 
 
+def _group_spectrum(lead, rest, rotated, d):
+    """The checker's compact spectrum on H^d: on H^1 the rest column is left out."""
+    return ((lead, 1), (rotated, 1), (rest, 2 * d - 2))[: 3 if d > 1 else 2]
+
+
+def _assert_sorted_rows(spectrum, parts):
+    got = operators._sorted_rows(spectrum)
+    by_sort, by_stable_sort = _sorted_stack(parts)
+    assert np.array_equal(got, by_sort)
+    assert _same_bits(got, by_stable_sort)
+    assert _same_bits(got, sorted_spectrum_rows(spectrum))
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
-def test_group_spectrum_is_sorted_without_a_sort(d):
+def test_a_group_spectrum_gives_its_sorted_rows(d):
     fp, fpp, w, rho = _jets_with_ties_and_signed_zeros()
     lead, rest, rotated = _group_parts(fp, fpp, w, rho)
     # ties of lead with each of the other two values
     lead = np.where(np.arange(fp.size) % 19 == 0, rest, lead)
     lead = np.where(np.arange(fp.size) % 23 == 0, rotated, lead)
-    got = hgroup.radial_eigenvalues(lead, rest, 2 * d - 2, rotated)
-    by_sort, by_stable_sort = _sorted_stack([lead, rotated] + [rest] * (2 * d - 2))
-    assert np.array_equal(got, by_sort)
-    assert _same_bits(got, by_stable_sort)
+    _assert_sorted_rows(_group_spectrum(lead, rest, rotated, d), [lead, rotated] + [rest] * (2 * d - 2))
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
-def test_euclidean_spectrum_is_sorted_without_a_sort(dim):
+def test_a_euclidean_spectrum_gives_its_sorted_rows(dim):
     fp, fpp, _, r = _jets_with_ties_and_signed_zeros()
     fpp[::19] = (fp / r)[::19]
-    got = hgroup.radial_eigenvalues(fpp, fp / r, dim - 1)
-    by_sort, by_stable_sort = _sorted_stack([fpp] + [fp / r] * (dim - 1))
-    assert np.array_equal(got, by_sort)
-    assert _same_bits(got, by_stable_sort)
+    _assert_sorted_rows(((fpp, 1), (fp / r, dim - 1)), [fpp] + [fp / r] * (dim - 1))
 
 
 @pytest.mark.parametrize("d", [1, 2, 4])
@@ -381,10 +387,7 @@ def test_signed_zero_spectra_of_shipped_profiles(d):
         _, fp, fpp = prof.jets(rho)
         for w in (np.zeros_like(rho), np.linspace(0.0, 1.0, rho.size)):
             lead, rest, rotated = _group_parts(fp, fpp, w, rho)
-            got = hgroup.radial_eigenvalues(lead, rest, 2 * d - 2, rotated)
-            by_sort, by_stable_sort = _sorted_stack([lead, rotated] + [rest] * (2 * d - 2))
-            assert np.array_equal(got, by_sort)
-            assert _same_bits(got, by_stable_sort)
+            _assert_sorted_rows(_group_spectrum(lead, rest, rotated, d), [lead, rotated] + [rest] * (2 * d - 2))
 
 
 @pytest.mark.parametrize("space,d", [("heisenberg", 1), ("heisenberg", 2), ("euclidean", 3)])
@@ -410,11 +413,15 @@ def test_constant_field_run_reports_signed_zero_spectra(space, d):
         assert _same_bits(s["eigs"], by_stable_sort)
 
 
-def test_radial_eigenvalues_handles_scalars_and_broadcasts():
-    lead, rest, rotated = _group_parts(np.float64(2.0), np.array([-1.0, 5.0]), 1.0, 1.0)
-    got = hgroup.radial_eigenvalues(lead, rest, 2, rotated)
-    assert np.array_equal(got, [[-1.0, 2.0, 2.0, 6.0], [2.0, 2.0, 5.0, 6.0]])
-    lead, rest, rotated = _group_parts(1.0, 1.0, 0.25, 0.5)
-    one = hgroup.radial_eigenvalues(lead, rest, 0, rotated)
-    assert one.shape == (2,) and math.isclose(one[1], 1.5)
-    assert np.array_equal(hgroup.radial_eigenvalues(np.array([3.0, -1.0]), 1.0, 2), [[1.0, 1.0, 3.0], [-1.0, 1.0, 1.0]])
+def test_sorted_rows_of_a_trimmed_spectrum_and_of_one_row():
+    # H^1's spectrum has two columns, and the witness asks for one row by its index.
+    lead, rest, rotated = _group_parts(np.array([2.0, -0.0, 1.0]), np.array([-1.0, 0.0, 5.0]), 1.0, 1.0)
+    spectrum = _group_spectrum(lead, rest, rotated, 1)
+    rows = operators._sorted_rows(spectrum)
+    assert len(spectrum) == 2 and rows.shape == (3, 2)
+    assert _same_bits(rows, np.array([[-1.0, 6.0], [0.0, -0.0], [3.0, 5.0]]))
+    for spectrum in (spectrum, _group_spectrum(lead, rest, rotated, 3)):
+        rows = operators._sorted_rows(spectrum)
+        for k in range(3):
+            one = operators._sorted_rows(spectrum, k)
+            assert one.shape == rows.shape[1:] and _same_bits(one, rows[k])

@@ -11,7 +11,7 @@ bit.
 import numpy as np
 import pytest
 
-from _oracles import left_to_right_sum, sorted_row_operator
+from _oracles import left_to_right_sum, sorted_row_operator, sorted_spectrum_rows
 from heispde import hgroup, operators
 from heispde.gallery import PROFILES, make_profile
 from heispde.hgroup import HeisDims
@@ -60,11 +60,9 @@ def _compact(space, n, seed=0):
     rest[156:158] = np.inf
     if heis:
         spectrum = ((lead, 1), (3.0 * rest, 1), (rest, mult))[: 3 if mult else 2]
-        rows = hgroup.radial_eigenvalues(lead, rest, mult, 3.0 * rest)
     else:
         spectrum = ((lead, 1), (rest, mult))
-        rows = hgroup.radial_eigenvalues(lead, rest, mult)
-    return spectrum, rows
+    return spectrum, sorted_spectrum_rows(spectrum)
 
 
 @pytest.mark.parametrize("op", sorted(operators.OPERATORS))
