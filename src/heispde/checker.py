@@ -16,20 +16,15 @@ again.  Every check then runs over chunks of _CHUNK_ROWS consecutive sample
 indices and folds each chunk into running counts, minima and maxima,
 verdict and witness (_PassRule), so no full-length point, margin or
 eigenvalue array is held and reports do not depend on the chunk size.
-Points are placed on demand: the sampler draws only rho (and tau on the group)
-for every sample, in blocks of _CHUNK_ROWS indices, and SampleBatch.place(rows)
-draws the sign (the top bit of its coordinate's 64-bit word) and the direction
-(half-angle Box-Muller pairs, no sin or cos) of just those rows.  The sequence
-has random access, so a row placed alone is bit-identical to the same row of
-the full batch.  A chart run and a spectral run without a Bellman part or
-keep_samples place only the check rows and the witness, in one call after the
-fold; every other run places each chunk's admissible rows once, and a spectral
-one then the check rows again.  Placed points are column-major (every
-coordinate contiguous), and sums over the coordinate or eigenvalue axis go
-through hgroup._rowdot and hgroup._colsum, which add left to right, so no value
-depends on that layout or on numpy's sum kernels.  Results do not depend on
-which rows were placed.  What stays O(n_samples): the chart, keep_samples
-arrays and a table's own arrays.  Only numpy is used.
+SampleBatch.place(rows) draws the sign (the top bit of its coordinate's
+64-bit word) and the direction (half-angle Box-Muller pairs, no sin or cos)
+of just those rows, and only _fold_chunks calls it.  The sequence has random
+access, so a row placed alone is bit-identical to the same row of the full
+batch, and results do not depend on which rows were placed.  Placed points
+are column-major, and sums over the coordinate or eigenvalue axis go through
+hgroup._rowdot and hgroup._colsum, which add left to right, so no value
+depends on that layout or on numpy's sum kernels.  What stays O(n_samples):
+the chart, keep_samples arrays and a table's own arrays.  Only numpy is used.
 
 A point passes the declared sense when the signed excess does not exceed
 max(1e-12, tol * max(1, local operator magnitude)); the raw per-sample
@@ -38,47 +33,46 @@ operator values are available for stricter downstream assertions.
 Two paths evaluate the second-order part.  The spectral path takes every
 ScalarField whose jets are its own radial profile (profile set and
 field.name == profile.name; negation negates both): it reads rho (or r) and
-w = tau^2 from the batch and f, f', f'' from the profile, and takes the
-closed form's distinct values with their multiplicities, on H^d and on R^n.
-The gradient is the eigenvector of f'' w, so e_q = f'' w and |q|^2 = f'^2 w
-(w = 1 on R^n).  The dense path takes fields without an own profile and
-TabulatedField rows: it forms the horizontal Hessian from the Euclidean
-jets, solves it by operators._eigenvalues (eigvalsh's results; a 2 x 2
-matrix by LAPACK's closed form), passes its sorted columns, each of
-multiplicity 1, and takes e_q from the matrix.  On either path sorted rows
-are laid out only for the witness, keep_samples and the dense check, by
-operators._sorted_rows: a stable sort of the repeated columns, which keeps
-the bits of sorted columns.  After a spectral run's fold, at most 256 evenly
-spaced admissible rows are placed, and both paths are compared at each point's own
-(rho, tau) (_radius_tau): the spectral path's spectrum there against the
-matrix the dense path forms from the Hessian alone.  A row whose eigenvalues
-Weyl's inequality keeps within the check's allowance (_weyl_bound) skips the
-solver; the allowance is never below the row's rounding budget (2m + 20) eps
-||M||_F, so tol = 0 does not ask the paths to agree beyond rounding.  If an
-eigenvalue (or e_q) differs by more than the allowance, the run raises
-ValueError instead of reporting a verdict.  The report's "paths" block gives
-the points each path evaluated and, as "dense_check", that subsample's size
-n, the n_eigvalsh rows sent to the solver, and the largest bound on a
+w = tau^2 from the batch and f, f', f'' from the profile, and takes the closed
+form's distinct values with their multiplicities, on H^d and on R^n.  The
+gradient is the eigenvector of f'' w, so e_q = f'' w and |q|^2 = f'^2 w (w = 1
+on R^n).  A Bellman part's q is the field's Euclidean gradient made horizontal
+by the dense path's one rule (_field_q), on either path.  The dense path takes
+fields without an own profile and TabulatedField rows: it forms the horizontal
+Hessian from the Euclidean jets, solves it by operators._eigenvalues
+(eigvalsh's results; a 2 x 2 matrix by LAPACK's closed form), passes its sorted
+columns, each of multiplicity 1, and takes e_q from the matrix.  On either path
+sorted rows are laid out only for the witness, keep_samples and the dense
+check, by operators._sorted_rows: a stable sort of the repeated columns, which
+keeps the bits of sorted columns.  A spectral run's guard, _dense_check,
+compares both paths at the guard rows' own (rho, tau): the spectral path's
+spectrum there against the matrix the dense path forms from the Hessian alone.
+A row whose eigenvalues Weyl's inequality keeps within the check's allowance
+(_weyl_bound) skips the solver; the allowance is never below the row's rounding
+budget (2m + 20) eps ||M||_F, so tol = 0 does not ask the paths to agree beyond
+rounding.  If an eigenvalue (or e_q) differs by more than the allowance, the run
+raises ValueError instead of reporting a verdict.  The report's "paths" block
+gives the points each path evaluated and, as "dense_check", that subsample's
+size n, the n_eigvalsh rows sent to the solver, and the largest bound on a
 difference (Weyl's, or measured after the solve), absolute and relative to
 max(1, |e|).
 
 Formula mode compares with the closed forms of gallery.PROFILES, at the field's
 own d and Q.  Growth conditions are data: LYAPUNOV_CONDITIONS maps a condition
-and the kind of data it gets to a LyapunovRoute (operator, margin, strict,
-divides_by_s).  A route that rescales log rho's supersolution inequality names
-its table operator, and its threshold is log_rho's closed form for it at rho =
-tau = 1.  Bellman parts and growth conditions read a control family through
+and the kind of data it gets to a LyapunovRoute (operator, margin, strict).  A
+route that rescales log rho's supersolution inequality names its table
+operator, and its threshold is log_rho's closed form for it at rho = tau = 1.
+Bellman parts and growth conditions read a control family through
 operators._controls, so bad drifts and costs raise one ValueError everywhere.
 On the _drift_margin routes an _eta_family (drifts beta_k eta, costs c_k: the
 zero-coeffs, schro and hou fixtures) takes the chart path: its margin, r -
-max_k (beta_k rho^4 - c_k rho^2 log rho / tau^2), reads only the chart.  Then
-at most 256 rows are placed, and _placed_check holds it to the generic margin
-at their own (rho, tau) within (2m + 24) eps M.  Such reports' "paths" give
-{chart, placed, placed_check}; None where every row is placed.  Every check
-runs one loop, _fold_chunks, over its chunks: it takes the verdict, worst
-excess and witness from one rule, _PassRule, folds each check's named values by
-prefix (n_* add, min_* and max_* keep the extreme) and writes the one
-CheckReport.
+max_k (beta_k rho^4 - c_k rho^2 log rho / tau^2), reads only the chart.  Its
+guard, _placed_check, holds it to the generic margin at the guard rows' own
+(rho, tau) within (2m + 24) eps M.  Such reports' "paths" give {chart, placed,
+placed_check}; None where every row is placed.  Every check runs one loop,
+_fold_chunks, over its chunks: it takes the verdict, worst excess and witness
+from one rule, _PassRule, folds each check's named values by prefix (n_* add,
+min_* and max_* keep the extreme) and writes the one CheckReport.
 
 Reports are deterministic functions of (config, seed): identical inputs give
 identical reports except for wall_time.  CheckReport declares its fields in
@@ -384,9 +378,9 @@ def _radius_tau(pts: np.ndarray, space: str) -> tuple[np.ndarray, np.ndarray | N
     """Gauge (or Euclidean) radius and, on the group, tau = |x_H| / rho."""
     if space == "euclidean":
         return np.sqrt(hgroup._rowdot(pts, pts)), None
-    rho = np.sqrt(np.hypot(xh2 := hgroup._hsq(pts), np.abs(pts[:, -1])))
+    rho, xh = hgroup._gauge(pts)
     # tau = 0 at the identity, which lies outside every region anyway.
-    return rho, np.sqrt(xh2) / np.where(rho > 0.0, rho, 1.0)
+    return rho, xh / np.where(rho > 0.0, rho, 1.0)
 
 
 def _exclude_tubes(admissible, radius, tau, region, singular_radii, excluded_by) -> None:
@@ -497,20 +491,24 @@ def _own_profile(field):
     return profile
 
 
-def _dense_matrix(field, pts, hess, grad, gspace: str):
-    """(horizontal Hessian, gradient q); grad may be None.  The Hessian must be finite and pass hgroup's symmetry gate."""
-    heis = field.space == "heisenberg"
-    mat = hgroup.h_hessian(grad, hess, pts) if heis else operators._as_sym(hess)
+def _field_q(field, pts, rows, gspace: str) -> np.ndarray:
+    """The gradient q the operators read: the field's Euclidean gradient at pts (a table's at rows), horizontal if gspace is."""
+    grad = field.gradients[rows] if isinstance(field, TabulatedField) else np.asarray(field.gradient(pts), dtype=float)
+    return hgroup.h_gradient(grad, pts) if gspace == "horizontal" else grad
+
+
+def _dense_matrix(field, pts, hess) -> np.ndarray:
+    """The horizontal Hessian (on R^n the Hessian); it must be finite and pass hgroup's symmetry gate."""
+    mat = hgroup.h_hessian(None, hess, pts) if field.space == "heisenberg" else operators._as_sym(hess)
     if not np.isfinite(mat).all():
         raise ValueError("matrix entries must be finite")
-    return mat, hgroup.h_gradient(grad, pts) if heis and grad is not None and gspace == "horizontal" else grad
+    return mat
 
 
-def _dense_jets(field, pts: np.ndarray, rows: np.ndarray, gspace: str, reads_e_q: bool, needs_q: bool):
-    """(value, q, eigenvalues, e_q, |q|^2) from the Euclidean jets; q if needs_q or reads_e_q, e_q, |q|^2 if reads_e_q."""
+def _dense_jets(field, pts: np.ndarray, rows: np.ndarray, q, reads_e_q: bool):
+    """(value, eigenvalues, e_q, |q|^2) from the Euclidean jets; e_q and |q|^2 of q if reads_e_q, else None."""
     if isinstance(field, TabulatedField):
         val = field.values[rows]
-        grad = field.gradients[rows] if needs_q or reads_e_q else None
         # Gathered batch-last 512 rows at a time, so no (N, n, n) copy is made.
         src = np.moveaxis(field.hessians, 0, -1)
         hess = np.empty(src.shape[:-1] + rows.shape)
@@ -519,43 +517,35 @@ def _dense_jets(field, pts: np.ndarray, rows: np.ndarray, gspace: str, reads_e_q
         hess = np.moveaxis(hess, -1, 0)
     else:
         val = np.asarray(field.value(pts), dtype=float)
-        grad = np.asarray(field.gradient(pts), dtype=float) if needs_q or reads_e_q else None
         hess = np.asarray(field.hessian(pts), dtype=float)
-    mat, q = _dense_matrix(field, pts, hess, grad, gspace)
+    mat = _dense_matrix(field, pts, hess)
     del hess  # before the solver's copies of mat
     e_q, qq = operators.rayleigh_quotient(q, mat) if reads_e_q else (None, None)
-    return val, q, operators._eigenvalues(mat), e_q, qq
+    return val, operators._eigenvalues(mat), e_q, qq
 
 
-def _spectral_jets(profile, dim: int, pts, radius, tau, gspace: str, reads_e_q: bool, needs_q: bool):
-    """(value, gradient q, spectrum, e_q, |q|^2) of a radial field from its profile.
+def _spectral_jets(profile, dim: int, radius, tau, reads_e_q: bool):
+    """(value, spectrum, e_q, |q|^2) of a radial field from its profile at the chart's (radius, tau).
 
-    radius and tau are the sampler's own; the spectrum is the closed form's
-    (values, multiplicity) columns, none of multiplicity 0, so no Hessian is
-    built and no eigenproblem is solved.  q is None unless needs_q, e_q and
-    |q|^2 unless reads_e_q; pts (N, dim) is read only for q.
+    The spectrum is the closed form's (values, multiplicity) columns, none
+    of multiplicity 0, so no Hessian is built and no eigenproblem is solved.
+    e_q and |q|^2 are None unless reads_e_q.
     """
     val, fp, fpp = profile.jets(radius)
-    q = e_q = qq = None
+    e_q = qq = None
     if profile.kind == "heisenberg":
         w = tau**2
         t = fp * w / radius
         spectrum = ((fpp * w, 1), (3.0 * t, 1), (t, dim - 3))[: 3 if dim > 3 else 2]  # dim = 2d + 1
-        if needs_q:
-            # The field's Euclidean gradient, made horizontal as _dense_matrix does.
-            q = fp[:, None] * hgroup.euclid_grad_rho(pts, radius)
-            q = hgroup.h_gradient(q, pts) if gspace == "horizontal" else q
     else:
         w = 1.0
         t = fp / radius
         spectrum = ((fpp, 1), (t, dim - 1))
-        if needs_q:
-            q = t[:, None] * pts
     if reads_e_q:
         # The gradient is the eigenvector of f'' w; e_q is 0 where q = 0, as on the dense path.
         qq = fp * fp * w
         e_q = np.where(qq > 0.0, fpp * w, 0.0)
-    return val, q, spectrum, e_q, qq
+    return val, spectrum, e_q, qq
 
 
 def _terms_for(field, spec: OperatorSpec, gspace: str, profile, pts, rows, radius, tau) -> dict:
@@ -568,12 +558,13 @@ def _terms_for(field, spec: OperatorSpec, gspace: str, profile, pts, rows, radiu
     None.
     """
     entry = operators.OPERATORS[spec.second_order]
-    needs_q = spec.first_order is not None
+    needs_q = spec.first_order is not None or (profile is None and entry.reads_e_q)
+    q = _field_q(field, pts, rows, gspace) if needs_q else None
     if profile is None:
-        val, q, eigs, e_q, qq = _dense_jets(field, pts, rows, gspace, entry.reads_e_q, needs_q)
+        val, eigs, e_q, qq = _dense_jets(field, pts, rows, q, entry.reads_e_q)
         spectrum = operators._columns(eigs)
     else:
-        val, q, spectrum, e_q, qq = _spectral_jets(profile, field.dim, pts, radius, tau, gspace, entry.reads_e_q, needs_q)
+        val, spectrum, e_q, qq = _spectral_jets(profile, field.dim, radius, tau, entry.reads_e_q)
 
     second = entry.value(spectrum, e_q, spec.params)
     alive = np.ones(rows.shape[0], dtype=bool)
@@ -609,13 +600,12 @@ def _dense_check(field, gspace, pts, got, got_e_q, tol) -> dict:
     disagreeing paths give no verdict.
     """
     m = got.shape[1]
-    grad = None if got_e_q is None else np.asarray(field.gradient(pts), dtype=float)
-    mat, q = _dense_matrix(field, pts, np.asarray(field.hessian(pts), dtype=float), grad, gspace)
+    mat = _dense_matrix(field, pts, np.asarray(field.hessian(pts), dtype=float))
     bound, budget = _weyl_bound(mat, pts, field.space, got)
     mag = np.maximum(0.0, np.abs(got) - bound)
     dense = np.empty_like(got)
     if got_e_q is not None:
-        dense_e_q = operators.rayleigh_quotient(q, mat)[0]
+        dense_e_q = operators.rayleigh_quotient(_field_q(field, pts, None, gspace), mat)[0]
         got, dense = np.column_stack([got, got_e_q]), np.column_stack([dense, dense_e_q])
         bound, mag = np.column_stack([bound, np.abs(got_e_q - dense_e_q)]), np.column_stack([mag, np.abs(dense_e_q)])
 
@@ -730,25 +720,6 @@ def _chunks(admissible: np.ndarray):
             yield rows
 
 
-def _ranked_rows(admissible: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-    """The rows of the admissible samples with the given ascending ranks, found chunk by chunk."""
-    found, seen = [], 0
-    for rows in _chunks(admissible):
-        found.append(rows[ranks[(ranks >= seen) & (ranks < seen + rows.size)] - seen])
-        seen += rows.size
-    return np.concatenate(found)
-
-
-def _place_check_rows(batch, witness, witness_row) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, points) of at most _DENSE_CHECK_POINTS evenly spaced admissible rows, placed in one call with the witness's row if its point is None."""
-    n, placed = batch.n_admissible, witness["point"] is not None
-    rows = _ranked_rows(batch.admissible, np.linspace(0, n - 1, min(n, _DENSE_CHECK_POINTS)).astype(np.intp))
-    pts = batch.place(rows if placed else np.append(rows, witness_row))
-    if not placed:
-        witness["point"], pts = [float(v) for v in pts[-1]], pts[:-1]
-    return rows, pts
-
-
 class _PassRule:
     """Verdict, worst excess and witness of excesses added chunk by chunk.
 
@@ -792,31 +763,38 @@ def _nan_error(kind, radius, tau) -> ValueError:
     return ValueError(f"the {kind} check got NaN at rho = {float(radius)!r}" + ("" if tau is None else f", tau = {float(tau)!r}"))
 
 
-def _fold_chunks(kind, batch, region, tol, config, t0, chunk, finish, strict=False) -> CheckReport:
-    """Fold chunk(rows) over the chunks of batch's admissible rows into one report.
+def _fold_chunks(kind, batch, region, tol, config, t0, chunk, finish, *, reads_points, guard=None, strict=False) -> CheckReport:
+    """Fold chunk(rows, pts) over the chunks of batch's admissible rows into one report.
 
-    chunk returns (points or None, excess, magnitude, named, fields): the
-    chunk's placed points; its excesses for _PassRule, (N,) or (parts, N),
-    -inf where no point was looked at; the magnitudes _allowance reads; named
-    values, which fold over chunks by prefix (n_* add, min_* and max_* keep
-    the extreme through _running, None is skipped) and must count the rows
-    evaluated as n_evaluated and the rows the verdict looks at as n_looked;
-    and fields(k), the witness fields at position k.  The witness is
-    {point, radius, tau, **fields(k), allowance}; its point stays None if
-    the chunk placed none.  A NaN witness (a NaN excess or allowance) raises
-    ValueError naming its (rho, tau), the first NaN row at any chunk size,
-    so a NaN is never a pass or a fail.  An admissible row not evaluated is
-    excluded as zero_gradient, and a run that looked at no row (none
-    admissible, none evaluated, or none compared) is vacuous, without a
-    witness.  If any row was admissible, finish(folded, verdict, witness,
-    row) returns the kind's own report fields, row being the witness's
-    sample row; it may place points, the witness's among them.  No chunk's
-    arrays are held while the next one is computed.
+    The one rule of placement: pts are the chunk's rows placed if
+    reads_points, else None; after the fold, at most _DENSE_CHECK_POINTS
+    evenly spaced admissible rows and an unplaced witness are placed in one
+    call, and guard(rows, pts, radius, tau) gets the rows with their points'
+    own (radius, tau).  A check that reads no points has a guard.
+
+    chunk returns (excess, magnitude, named, fields): the chunk's excesses
+    for _PassRule, (N,) or (parts, N), -inf where no point was looked at;
+    the magnitudes _allowance reads; named values, which fold over chunks by
+    prefix (n_* add, min_* and max_* keep the extreme through _running,
+    None is skipped) and must count the rows evaluated as n_evaluated and
+    the rows the verdict looks at as n_looked; and fields(k), the witness
+    fields at position k.  The witness is {point, radius, tau, **fields(k),
+    allowance}.  A NaN witness (a NaN excess or allowance) raises ValueError
+    naming its (rho, tau), the first NaN row at any chunk size, so a NaN is
+    never a pass or a fail.  An admissible row not evaluated is excluded as
+    zero_gradient, and a run that looked at no row (none admissible, none
+    evaluated, or none compared) is vacuous, without a witness.  If any row
+    was admissible, finish(folded, verdict, checked) returns the kind's own
+    report fields, checked being the guard's result (None without one).  No
+    chunk's arrays are held while the next one is computed.
     """
     rule = _PassRule(strict)
-    folded, witness, witness_row = {}, None, None
+    n_adm = batch.n_admissible
+    ranks = np.linspace(0, n_adm - 1, 0 if guard is None else min(n_adm, _DENSE_CHECK_POINTS)).astype(np.intp)
+    folded, witness, witness_row, guard_rows, seen = {}, None, None, [], 0
     for rows in _chunks(batch.admissible):
-        pts, excess, mag, named, fields = chunk(rows)
+        pts = batch.place(rows) if reads_points else None
+        excess, mag, named, fields = chunk(rows, pts)
         allow = _allowance(tol, mag)
         k = rule.add(excess, allow)
         if k is not None:
@@ -837,15 +815,24 @@ def _fold_chunks(kind, batch, region, tol, config, t0, chunk, finish, strict=Fal
                 folded[key] = folded.get(key, 0) + value
             else:
                 folded[key] = _running(np.min if key.startswith("min_") else np.max, folded.get(key), value)
+        guard_rows.append(rows[ranks[(ranks >= seen) & (ranks < seen + rows.size)] - seen])
+        seen += rows.size
         # Without this the loop variables keep the chunk's arrays alive
         # while the next chunk is computed.
         del rows, pts, excess, mag, named, fields, allow
-    n_adm, n_evaluated = batch.n_admissible, folded.pop("n_evaluated", 0)
+    n_evaluated = folded.pop("n_evaluated", 0)
     excluded_by = dict(batch.excluded_by)
     if n_evaluated < n_adm:
         excluded_by["zero_gradient"] = n_adm - n_evaluated
     verdict, worst = rule.verdict() if folded.pop("n_looked", 0) else ("vacuous", None)
-    extras = finish(folded, verdict, witness, witness_row) if n_adm else {}
+    checked = None
+    if guard is not None and n_adm:
+        rows, placed = np.concatenate(guard_rows), witness["point"] is not None
+        pts = batch.place(rows if placed else np.append(rows, witness_row))
+        if not placed:
+            witness["point"], pts = [float(v) for v in pts[-1]], pts[:-1]
+        checked = guard(rows, pts, *_radius_tau(pts, "euclidean" if batch.tau is None else "heisenberg"))
+    extras = finish(folded, verdict, checked) if n_adm else {}
     return CheckReport(
         kind=kind,
         verdict=verdict,
@@ -989,17 +976,13 @@ def _inequality_from_batch(
 ) -> CheckReport:
     gspace = _resolve_gspace(field.space, spec)
     profile = _own_profile(field)
-    # The spectral path reads only the chart.  Without a Bellman part or
-    # keep_samples no chunk places its points.
-    place = profile is None or spec.first_order is not None or keep_samples
     entry = operators.OPERATORS[spec.second_order]
     factor = entry.magnitude(spec.params)
     kept = []
 
-    def chunk(rows):
+    def chunk(rows, pts):
         radius = batch.radius[rows]
         tau = None if batch.tau is None else batch.tau[rows]
-        pts = batch.place(rows) if place else None
         terms = _terms_for(field, spec, gspace, profile, pts, rows, radius, tau)
         alive = terms["alive"]
         named = {"n_evaluated": int(np.count_nonzero(alive))}
@@ -1033,19 +1016,18 @@ def _inequality_from_batch(
                 "excess": float(excess[k]),
             }
 
-        return pts, excess, mag, named, fields
+        return excess, mag, named, fields
 
-    def finish(folded, verdict, witness, witness_row):
-        n_adm, dense_check = batch.n_admissible, None
-        if profile is not None:
-            pts = _place_check_rows(batch, witness, witness_row)[1]
-            radius, tau = _radius_tau(pts, field.space)
-            spectrum, got_e_q = _spectral_jets(profile, field.dim, pts, radius, tau, gspace, entry.reads_e_q, False)[2:4]
-            dense_check = _dense_check(field, gspace, pts, operators._sorted_rows(spectrum), got_e_q, tol)
+    def guard(rows, pts, radius, tau):
+        spectrum, got_e_q = _spectral_jets(profile, field.dim, radius, tau, entry.reads_e_q)[1:3]
+        return _dense_check(field, gspace, pts, operators._sorted_rows(spectrum), got_e_q, tol)
+
+    def finish(folded, verdict, checked):
+        n_adm = batch.n_admissible
         extras = {"paths": {
             "spectral": 0 if profile is None else n_adm,
             "dense": n_adm if profile is None else 0,
-            "dense_check": dense_check,
+            "dense_check": checked,
         }}
         if reference is not None:
             extras["formula_comparison"] = {
@@ -1062,7 +1044,9 @@ def _inequality_from_batch(
             }
         return extras
 
-    return _fold_chunks("inequality", batch, region, tol, config, t0, chunk, finish)
+    # The spectral path reads only the chart, unless a Bellman part or keep_samples reads the points.
+    return _fold_chunks("inequality", batch, region, tol, config, t0, chunk, finish, guard=None if profile is None else guard,
+                        reads_points=profile is None or spec.first_order is not None or keep_samples)
 
 
 @dataclass(frozen=True)
@@ -1180,15 +1164,13 @@ def _cost_margin(pts, rho, data, r, gammas):
     return np.stack([c_margin, -sign]), np.abs(c_margin) + np.abs(sign), components
 
 
-def _placed_check(batch, witness, witness_row, data: _EtaFamily, r) -> dict:
-    """Compare _eta_margin with _drift_margin at each of _place_check_rows' points' own (rho, tau).
+def _placed_check(batch, data: _EtaFamily, r, rows, pts, rho, tau) -> dict:
+    """The chart path's guard: compare _eta_margin with _drift_margin at the guard rows' points, at their own (rho, tau).
 
     A NaN placed margin raises the NaN rule's error and an infinite one is counted.  A finite one must lie
     within (2m + 24) eps M of the closed form, M = max_k (|beta_k| rho^4 + c_k rho^2 |log rho| / tau^2) + |r|,
     twice the first-order bound on their rounding derived in README's Growth conditions.
     """
-    rows, pts = _place_check_rows(batch, witness, witness_row)
-    rho, tau = _radius_tau(pts, "heisenberg")
     placed = _drift_margin(pts, rho, data, r, None)[0][0]
     if np.isnan(placed).any():
         row = rows[np.argmax(np.isnan(placed))]
@@ -1219,24 +1201,23 @@ class LyapunovRoute:
     are positive where a part holds, and the witness and scan report the
     first part.  Components are named min_* or max_*, and _fold_chunks
     folds them over chunks by that prefix.  A strict part needs margin > 0.
-    divides_by_s: the region needs char_eps > 0.
+    A route for any data but a Euclidean family divides by |x_H|^2: char_eps > 0.
     """
 
     operator: str | None
     margin: Callable
     strict: tuple[bool, ...]
-    divides_by_s: bool
 
 
 # condition -> kind of data -> route.
 LYAPUNOV_CONDITIONS: dict[str, dict[str, LyapunovRoute]] = {
-    "condcor1": {"horizontal": LyapunovRoute("pucci_min", _drift_margin, (False,), True)},
-    "condcor1bis": {"barrier": LyapunovRoute("pucci_min", _barrier_margin, (False,), True)},
-    "condcor1p": {"horizontal": LyapunovRoute("pucci_minus_alpha", _drift_margin, (False,), True)},
-    "OUtype": {"euclidean": LyapunovRoute("pucci_min", _ou_margin, (False,), False)},
+    "condcor1": {"horizontal": LyapunovRoute("pucci_min", _drift_margin, (False,))},
+    "condcor1bis": {"barrier": LyapunovRoute("pucci_min", _barrier_margin, (False,))},
+    "condcor1p": {"horizontal": LyapunovRoute("pucci_minus_alpha", _drift_margin, (False,))},
+    "OUtype": {"euclidean": LyapunovRoute("pucci_min", _ou_margin, (False,))},
     "schrodinger": {
-        "horizontal": LyapunovRoute("pucci_min", _drift_margin, (True,), True),
-        "euclidean": LyapunovRoute(None, _cost_margin, (True, False), False),
+        "horizontal": LyapunovRoute("pucci_min", _drift_margin, (True,)),
+        "euclidean": LyapunovRoute(None, _cost_margin, (True, False)),
     },
 }
 
@@ -1277,7 +1258,7 @@ def check_lyapunov(
     route = routes.get(kind)
     if route is None:
         raise TypeError(f"{cond} expects {' or '.join(routes)} data, got {kind or 'other'} data ({type(data).__name__})")
-    if route.divides_by_s and region.char_eps <= 0.0:
+    if kind != "euclidean" and region.char_eps <= 0.0:
         raise ValueError(f"{cond} divides by |x_H|^2; the region needs char_eps > 0")
     # alpha and gammas are checked whenever given, also on routes that do
     # not read them, since the report echoes them.
@@ -1304,8 +1285,8 @@ def check_lyapunov(
     scan = [{"R": float(R), "n": 0, "min_margin": None} for R in ladder if R <= region.rho_max]
     chart = isinstance(data, _EtaFamily) and route.margin is _drift_margin
 
-    def chunk(rows):
-        rho, pts = batch.radius[rows], None if chart else batch.place(rows)
+    def chunk(rows, pts):
+        rho = batch.radius[rows]
         margins, mag, components = _eta_margin(data, rho, batch.tau[rows], r)[:3] if chart else route.margin(pts, rho, data, r, g)
         margin = margins[0]
         for entry in scan:
@@ -1314,11 +1295,12 @@ def check_lyapunov(
                 entry["n"] += int(np.count_nonzero(sel))
                 entry["min_margin"] = _running(np.min, entry["min_margin"], margin[sel])
         named = {"n_evaluated": rows.size, "n_looked": rows.size, **components}
-        return pts, -margins, mag, named, lambda k: {"margin": float(margin[k])}
+        return -margins, mag, named, lambda k: {"margin": float(margin[k])}
 
-    def finish(folded, verdict, witness, row):
-        paths = {"chart": batch.n_admissible, "placed": 0, "placed_check": _placed_check(batch, witness, row, data, r)} if chart else None
+    def finish(folded, verdict, checked):
+        paths = {"chart": batch.n_admissible, "placed": 0, "placed_check": checked} if chart else None
         return {"scan": scan, "components": folded, "paths": paths}
 
     with np.errstate(all="ignore"):  # the NaN and overflow rules decide, not numpy's warnings
-        return _fold_chunks("lyapunov", batch, region, tol, config, t0, chunk, finish, route.strict)
+        return _fold_chunks("lyapunov", batch, region, tol, config, t0, chunk, finish, reads_points=not chart,
+                            guard=functools.partial(_placed_check, batch, data, r) if chart else None, strict=route.strict)

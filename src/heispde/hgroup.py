@@ -184,14 +184,26 @@ def _hsq(x: np.ndarray) -> np.ndarray:
 
 
 def hnorm(x) -> np.ndarray:
-    """Gauge norm rho(x) = (|x_H|^4 + t^2)^(1/4).
-
-    np.hypot(|x_H|^2, |t|) squares neither, so rho is finite for |x_H| up to
-    about 1.3e154 and any finite t, unless |x_H|^2 and |t| both near overflow:
-    (1e150, 0, 1e300) gives 1.19e150, (1e160, 0, 0) gives inf.
-    """
+    """Gauge norm rho(x) = (|x_H|^4 + t^2)^(1/4), finite and without a warning wherever it is below
+    the largest double (_gauge): (1e160, 0, 0) gives 1e160, (1e150, 0, 1e300) 1.19e150."""
     xa, d = _as_points(x)
-    return np.sqrt(np.hypot(_hsq(xa), np.abs(xa[..., -1])))
+    return _gauge(xa)[0]
+
+
+def _gauge(xa) -> tuple[np.ndarray, np.ndarray]:
+    """(rho, |x_H|) of checked points, rho = sqrt(hypot(|x_H|^2, |t|)).  A row whose |x_H|^2 overflows is
+    dilated by 2^-k, k the exponent of its largest |x_i|, and both results times 2^k: exact, and every other
+    row keeps its bits."""
+    with np.errstate(over="ignore"):
+        s = _hsq(xa)
+    t = np.abs(xa[..., -1])
+    big = np.isinf(s)
+    if np.any(big):
+        k = np.where(big, np.frexp(np.abs(xa[..., :-1]).max(axis=-1))[1], 0)
+        s, t = _hsq(np.ldexp(xa, -k[..., None])), np.ldexp(t, -2 * k)
+        with np.errstate(over="ignore"):
+            return np.ldexp(np.sqrt(np.hypot(s, t)), k), np.ldexp(np.sqrt(s), k)
+    return np.sqrt(np.hypot(s, t)), np.sqrt(s)
 
 
 def eta(x) -> np.ndarray:

@@ -250,6 +250,14 @@ def test_check_tabulated_tells_rows_apart_by_position():
     assert rep.n_evaluated < 400
 
 
+def test_a_table_row_whose_horizontal_square_overflows_is_outside_the_range(recwarn):
+    pts = np.array([[1e160, 0.0, 0.0], [0.5, 0.5, 0.5], [0.5, -0.5, 0.25]])
+    table = TabulatedField(pts, np.zeros(3), np.zeros((3, 3)), np.zeros((3, 3, 3)))
+    rep = check_tabulated(table, OperatorSpec("pucci_max", ell=E12), Region(0.25, 4.0, char_eps=0.0))
+    assert rep.excluded_by == {"outside_radius_range": 1} and rep.n_evaluated == 2
+    assert not recwarn.list
+
+
 def test_formula_mode_matches_closed_forms():
     field = _field("log_rho")
     spec = OperatorSpec("pucci_min", "subsolution", ell=E12)

@@ -227,11 +227,11 @@ def test_a_nan_witness_is_the_first_nan_in_every_chunking(monkeypatch):
     lo, hi = 1.5, 1.5006
     spectral_jets = checker._spectral_jets
 
-    def nan_band(profile, dim, pts, radius, tau, *args):
-        val, q, spectrum, e_q, qq = spectral_jets(profile, dim, pts, radius, tau, *args)
+    def nan_band(profile, dim, radius, tau, *args):
+        val, spectrum, e_q, qq = spectral_jets(profile, dim, radius, tau, *args)
         for v, _ in spectrum:
             v[(radius > lo) & (radius < hi)] = np.nan
-        return val, q, spectrum, e_q, qq
+        return val, spectrum, e_q, qq
 
     monkeypatch.setattr(checker, "_spectral_jets", nan_band)
     field = _field("u4", 1)

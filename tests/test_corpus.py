@@ -81,6 +81,7 @@ def test_write_exits_one_naming_each_fixture_off_its_expected_exit(tmp_path, mon
     })
     monkeypatch.setattr(corpus, "WORKLOADS", ())
     monkeypatch.setattr(corpus, "OP_EVAL_SIZES", ())
+    monkeypatch.setattr(corpus, "LIBRARY_DIMS", ())
     out = tmp_path / "corpus"
     assert corpus.main(["write", str(out), "--seeds", "0"]) == 1
     err = capsys.readouterr().err.splitlines()

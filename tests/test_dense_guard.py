@@ -208,9 +208,7 @@ def _spectral_rows(field, n=160, seed=0):
     batch = sample_region(region, space=field.space, dim=field.dim, singular_radii=field.singular_radii)
     rows = np.flatnonzero(batch.admissible)[:n]
     tau = None if batch.tau is None else batch.tau[rows]
-    got = operators._sorted_rows(checker._spectral_jets(
-        field.profile, field.dim, None, batch.radius[rows], tau, "horizontal", False, False
-    )[2])
+    got = operators._sorted_rows(checker._spectral_jets(field.profile, field.dim, batch.radius[rows], tau, False)[1])
     pts = batch.place(rows)
     return pts, np.asarray(field.hessian(pts)), got
 
@@ -332,8 +330,8 @@ def _guard_rows(field, spec, region):
     pts = batch.place(adm[np.linspace(0, adm.size - 1, min(adm.size, checker._DENSE_CHECK_POINTS)).astype(np.intp)])
     radius, tau = checker._radius_tau(pts, field.space)
     reads_e_q = operators.OPERATORS[spec.second_order].reads_e_q
-    jets = checker._spectral_jets(field.profile, field.dim, pts, radius, tau, "horizontal", reads_e_q, False)
-    return pts, operators._sorted_rows(jets[2]), jets[3]
+    jets = checker._spectral_jets(field.profile, field.dim, radius, tau, reads_e_q)
+    return pts, operators._sorted_rows(jets[1]), jets[2]
 
 
 def test_a_doubled_hessian_raises_the_eigvalsh_rules_message():
@@ -366,8 +364,8 @@ def test_a_wrong_e_q_raises_the_eigvalsh_rules_message(name, d, monkeypatch):
     spectral_jets = checker._spectral_jets
 
     def skewed(*args):
-        val, q, eigs, e_q, qq = spectral_jets(*args)
-        return val, q, eigs, e_q * skew, qq
+        val, eigs, e_q, qq = spectral_jets(*args)
+        return val, eigs, e_q * skew, qq
 
     monkeypatch.setattr(checker, "_spectral_jets", skewed)
     with pytest.raises(ValueError) as err:
@@ -417,9 +415,7 @@ def _steep_rows():
     region = Region(0.5, 0.6, n_samples=64, seed=2, char_eps=0.05)
     batch = sample_region(region, space=field.space, dim=field.dim, singular_radii=field.singular_radii)
     rows = np.flatnonzero(batch.admissible)[:8]
-    got = operators._sorted_rows(checker._spectral_jets(
-        field.profile, field.dim, None, batch.radius[rows], batch.tau[rows], "horizontal", False, False
-    )[2])
+    got = operators._sorted_rows(checker._spectral_jets(field.profile, field.dim, batch.radius[rows], batch.tau[rows], False)[1])
     return field, batch.place(rows), got
 
 

@@ -155,6 +155,17 @@ def test_gauge_norm_example_and_homogeneity():
     )
 
 
+def test_gauge_norm_is_finite_where_the_horizontal_square_overflows(recwarn):
+    assert abs(hgroup.hnorm(np.array([1e160, 0.0, 0.0])) - 1e160) <= np.spacing(1e160)
+    assert np.isclose(hgroup.hnorm([1e150, 0.0, 1e300]), 2.0**0.25 * 1e150, rtol=1e-15)
+    # Only the overflowing rows are rescaled: every other row keeps its bits.
+    x = np.random.default_rng(4).standard_normal((16, 5))
+    big = np.concatenate([x, [[1e160, -3e159, 2e158, 0.0, 1e300]]])
+    assert np.array_equal(hgroup.hnorm(big)[:-1].view(np.uint64), hgroup.hnorm(x).view(np.uint64))
+    assert np.isclose(hgroup.hnorm(big)[-1], np.hypot(1e160, 3e159 * np.hypot(1.0, 2e158 / 3e159)), rtol=1e-15)
+    assert not recwarn.list
+
+
 def test_gauge_norm_quartic_definition():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((32, 7))

@@ -76,6 +76,24 @@ def test_bellman_part_sees_the_same_gradient_on_both_paths(gradient_space, d):
     assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
+@pytest.mark.parametrize(
+    "name,d,gradient_space",
+    [("u5", 1, "horizontal"), ("u5", 1, "euclidean"), ("u5", 4, "horizontal"), ("u5", 4, "euclidean"), ("u2", 3, "euclidean")],
+)
+def test_a_zero_cost_bellman_part_has_the_same_bits_on_both_paths(name, d, gradient_space):
+    # Without a cost the first-order part reads only q, which both paths take
+    # from the field's gradient by one rule.
+    field = _field(name, d)
+    drift = hgroup.eta if gradient_space == "horizontal" else (lambda x: x)
+    coeffs = HJBCoefficients((lambda x: -drift(x),), (lambda x: np.zeros(x.shape[:-1]),), gradient_space)
+    spec = OperatorSpec("pucci_max", "supersolution", ell=E15, first_order=coeffs)
+    fast = check_inequality(field, spec, REGION, keep_samples=True)
+    dense = check_inequality(dataclasses.replace(field, profile=None), spec, REGION, keep_samples=True)
+    assert fast.paths["spectral"] == fast.n_evaluated > 0
+    got, want = fast.samples["first"], dense.samples["first"]
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def _report_bytes(report, path):
     payload = report.to_dict()
     payload.pop("wall_time")
@@ -170,8 +188,8 @@ def test_a_wrong_spectral_e_q_makes_the_dense_check_raise(name, d, monkeypatch):
     spectral_jets = checker._spectral_jets
 
     def skewed(*args):
-        val, q, eigs, e_q, qq = spectral_jets(*args)
-        return val, q, eigs, e_q * (1.0 + 1e-6), qq
+        val, eigs, e_q, qq = spectral_jets(*args)
+        return val, eigs, e_q * (1.0 + 1e-6), qq
 
     monkeypatch.setattr(checker, "_spectral_jets", skewed)
     with pytest.raises(ValueError, match="disagree.*e_q"):

@@ -7,12 +7,14 @@
 - every cli.FIXTURES command line, keeping its exit code;
 - every perfbench/inputs.py input of the three workloads at each seed;
 - op-eval on a fixed batch of matrices for every table operator at each
-  seed.
+  seed;
+- library check_inequality runs with a Bellman part, which no fixture and
+  no benchmark input takes, at each seed (see _library).
 It writes each report without wall_time, through the package's own JSON
-writer, under DIR/fixtures, DIR/bench/<workload>/seed<k> and
-DIR/op-eval/seed<k>, and a manifest.json with the commit, the numpy version,
-the CPU features numpy dispatches to (NPY_DISABLE_CPU_FEATURES switches some
-off) and the exit codes.  Work files go to a temporary directory.  Once the
+writer, under DIR/fixtures, DIR/bench/<workload>/seed<k>, DIR/op-eval/seed<k>
+and DIR/library/seed<k>, and a manifest.json with the commit, the numpy
+version, the CPU features numpy dispatches to (NPY_DISABLE_CPU_FEATURES
+switches some off) and the exit codes.  Work files go to a temporary directory.  Once the
 whole corpus is written, it exits 1 and names each fixture whose exit code
 is not its expected_exit.
 
@@ -46,6 +48,8 @@ WORKLOADS = ("radial_dense", "lyapunov_growth", "tabulated_subset")
 # op-eval batches: matrices per call, and their sizes.
 OP_EVAL_ROWS = 16
 OP_EVAL_SIZES = (2, 3, 4, 8)
+# d of the library runs.
+LIBRARY_DIMS = (1, 4)
 
 
 def _cpu_features() -> list[str]:
@@ -80,6 +84,29 @@ def _run_cli(argv: list[str], out: str) -> int:
 
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         return cli.main([*argv, "--out", out])
+
+
+def _library(seed: int):
+    """(label, report) of u5 on H^d under pucci_max as a supersolution, with a
+    two-control Bellman part (drifts -g and g / 2, costs 1 and 2; g = eta for a
+    horizontal family, x for a Euclidean one), on the spectral and the dense
+    path (the field without its profile), under the inf and the sup envelope."""
+    import dataclasses
+
+    from heispde import checker, gallery, hgroup, operators
+
+    e = operators.Ellipticity(1.0, 1.5)
+    costs = (lambda x: np.ones(x.shape[:-1]), lambda x: np.full(x.shape[:-1], 2.0))
+    region = checker.Region(0.25, 4.0, n_samples=2048, seed=seed, char_eps=0.05)
+    for d in LIBRARY_DIMS:
+        dims = hgroup.HeisDims(d)
+        field = gallery.field_from_profile(gallery.make_profile("u5", e, dims), dims)
+        for space, g in (("horizontal", hgroup.eta), ("euclidean", np.asarray)):
+            family = operators.HJBCoefficients((lambda x: -g(x), lambda x: 0.5 * g(x)), costs, space, f"{space} pair")
+            for path, f in (("spectral", field), ("dense", dataclasses.replace(field, profile=None))):
+                for side in ("inf", "sup"):
+                    spec = checker.OperatorSpec("pucci_max", "supersolution", ell=e, first_order=family, envelope=side)
+                    yield f"u5.d{d}.{space}.{path}.{side}", checker.check_inequality(f, spec, region).to_dict()
 
 
 def write(out_dir: str, seeds: list[int]) -> dict:
@@ -130,6 +157,8 @@ def write(out_dir: str, seeds: list[int]) -> dict:
                         raise SystemExit(f"op-eval {op} on {m} x {m} matrices failed")
                     with open(report, encoding="utf-8") as fh:
                         _save(os.path.join(out_dir, "op-eval", f"seed{seed}", f"{op}.m{m}.json"), json.load(fh))
+            for label, payload in _library(seed):
+                _save(os.path.join(out_dir, "library", f"seed{seed}", f"{label}.json"), payload)
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
