@@ -36,8 +36,8 @@ field.name == profile.name; negation negates both): it reads rho (or r) and
 w = tau^2 from the batch and f, f', f'' from the profile, and takes the closed
 form's distinct values with their multiplicities, on H^d and on R^n.  The
 gradient is the eigenvector of f'' w, so e_q = f'' w and |q|^2 = f'^2 w (w = 1
-on R^n).  A Bellman part's q is the field's Euclidean gradient made horizontal
-by the dense path's one rule (_field_q), on either path.  The dense path takes
+on R^n).  On either path a Bellman part reads u (field.value) and q (_field_q,
+one rule) at the placed point.  The dense path takes
 fields without an own profile and TabulatedField rows: it forms the horizontal
 Hessian from the Euclidean jets, solves it by operators._eigenvalues
 (eigvalsh's results; a 2 x 2 matrix by LAPACK's closed form), passes its sorted
@@ -50,12 +50,7 @@ spectrum there against the matrix the dense path forms from the Hessian alone.
 A row whose eigenvalues Weyl's inequality keeps within the check's allowance
 (_weyl_bound) skips the solver; the allowance is never below the row's rounding
 budget (2m + 20) eps ||M||_F, so tol = 0 does not ask the paths to agree beyond
-rounding.  If an eigenvalue (or e_q) differs by more than the allowance, the run
-raises ValueError instead of reporting a verdict.  The report's "paths" block
-gives the points each path evaluated and, as "dense_check", that subsample's
-size n, the n_eigvalsh rows sent to the solver, and the largest bound on a
-difference (Weyl's, or measured after the solve), absolute and relative to
-max(1, |e|).
+rounding; n_solved counts the rows sent to the solver.
 
 Formula mode compares with the closed forms of gallery.PROFILES, at the field's
 own d and Q.  Growth conditions are data: LYAPUNOV_CONDITIONS maps a condition
@@ -68,8 +63,8 @@ On the _drift_margin routes an _eta_family (drifts beta_k eta, costs c_k: the
 zero-coeffs, schro and hou fixtures) takes the chart path: its margin, r -
 max_k (beta_k rho^4 - c_k rho^2 log rho / tau^2), reads only the chart.  Its
 guard, _placed_check, holds it to the generic margin at the guard rows' own
-(rho, tau) within (2m + 24) eps M.  Such reports' "paths" give {chart, placed,
-placed_check}; None where every row is placed.  Every check runs one loop,
+(rho, tau) within (2m + 24) eps M.  Both guards end in _guard: a disagreement,
+a NaN included, raises ValueError, not a verdict.  Every check runs one loop,
 _fold_chunks, over its chunks: it takes the verdict, worst excess and witness
 from one rule, _PassRule, folds each check's named values by prefix (n_* add,
 min_* and max_* keep the extreme) and writes the one CheckReport.
@@ -110,7 +105,7 @@ __all__ = [
     "sample_region",
 ]
 
-SCHEMA = "heispde-report-v1"
+SCHEMA = "heispde-report-v2"
 # No longer read: the checker is single-threaded.  perfbench still sets it.
 THREADS_ENV = "HEISPDE_THREADS"
 
@@ -260,7 +255,7 @@ class CheckReport:
     formula_comparison: dict | None = None
     scan: list | None = None
     components: dict | None = None
-    paths: dict | None = None
+    paths: dict
     config: dict
     wall_time: float = 0.0
     samples: dict | None = None
@@ -377,7 +372,7 @@ def _unit_vectors(u: list[np.ndarray], out: np.ndarray) -> None:
 def _radius_tau(pts: np.ndarray, space: str) -> tuple[np.ndarray, np.ndarray | None]:
     """Gauge (or Euclidean) radius and, on the group, tau = |x_H| / rho."""
     if space == "euclidean":
-        return np.sqrt(hgroup._rowdot(pts, pts)), None
+        return hgroup._length(pts), None
     rho, xh = hgroup._gauge(pts)
     # tau = 0 at the identity, which lies outside every region anyway.
     return rho, xh / np.where(rho > 0.0, rho, 1.0)
@@ -565,6 +560,8 @@ def _terms_for(field, spec: OperatorSpec, gspace: str, profile, pts, rows, radiu
         spectrum = operators._columns(eigs)
     else:
         val, spectrum, e_q, qq = _spectral_jets(profile, field.dim, radius, tau, entry.reads_e_q)
+        if spec.first_order is not None:
+            val = np.asarray(field.value(pts), dtype=float)  # u at the placed point, as q and the dense path read it
 
     second = entry.value(spectrum, e_q, spec.params)
     alive = np.ones(rows.shape[0], dtype=bool)
@@ -591,13 +588,10 @@ def _terms_for(field, spec: OperatorSpec, gspace: str, profile, pts, rows, radiu
 
 
 def _dense_check(field, gspace, pts, got, got_e_q, tol) -> dict:
-    """Compare the spectral path's got and got_e_q (or None) at pts with the dense path.
+    """Compare the spectral path's got and got_e_q (or None) at pts with the dense path, through _guard.
 
-    Rows that _weyl_bound keeps within their allowance skip the eigenvalue
-    solver, operators._eigenvalues.  e_q is compared as one more eigenvalue; a
-    row failing on it is solved too, so the message quotes its spectrum.
-    Raises ValueError at the first row off by more than the allowance, so
-    disagreeing paths give no verdict.
+    Rows that _weyl_bound keeps within their allowance skip operators._eigenvalues (n_solved counts the others).
+    e_q is compared as one more eigenvalue; a row failing on it is solved too, so the message quotes its spectrum.
     """
     m = got.shape[1]
     mat = _dense_matrix(field, pts, np.asarray(field.hessian(pts), dtype=float))
@@ -618,20 +612,20 @@ def _dense_check(field, gspace, pts, got, got_e_q, tol) -> dict:
         dense[need, :m] = operators._eigenvalues(mat[need])
         bound[need, :m] = np.abs(got[need, :m] - dense[need, :m])
         mag[need, :m] = np.abs(dense[need, :m])
-    bad = bound > allowed(mag)
+    what = "eigenvalues" if got_e_q is None else "eigenvalues and e_q"
+    return _guard(bound, allowed(mag), mag, int(np.count_nonzero(need)), 0,
+                  lambda k: f"spectral and dense paths disagree at point {pts[k].tolist()}: "
+                            f"{what} {got[k].tolist()} against {dense[k].tolist()}")
+
+
+def _guard(diff, allowed, mag, n_solved, n_overflow, disagree) -> dict:
+    """Raise ValueError(disagree(k)) at the first row k of diff (N,) or (N, columns) not within allowed, a NaN
+    included; else {n, n_solved, n_overflow, max_abs, max_rel}, n counting the n_overflow rows not in diff."""
+    bad = ~(diff <= allowed)
     if np.any(bad):
-        k = int(np.flatnonzero(bad.any(axis=-1))[0])
-        what = "eigenvalues" if got_e_q is None else "eigenvalues and e_q"
-        raise ValueError(
-            f"spectral and dense paths disagree at point {pts[k].tolist()}: "
-            f"{what} {got[k].tolist()} against {dense[k].tolist()}"
-        )
-    return {
-        "n": int(pts.shape[0]),
-        "n_eigvalsh": int(np.count_nonzero(need)),
-        "max_abs_bound": float(bound.max()),
-        "max_rel_bound": float((bound / np.maximum(1.0, mag)).max()),
-    }
+        raise ValueError(disagree(int(np.argwhere(bad)[0, 0])))
+    return {"n": int(diff.shape[0]) + n_overflow, "n_solved": n_solved, "n_overflow": n_overflow,
+            "max_abs": float(diff.max(initial=0.0)), "max_rel": float((diff / np.maximum(1.0, mag)).max(initial=0.0))}
 
 
 def _weyl_bound(mat, pts, space, got) -> tuple[np.ndarray, np.ndarray]:
@@ -778,20 +772,22 @@ def _fold_chunks(kind, batch, region, tol, config, t0, chunk, finish, *, reads_p
     prefix (n_* add, min_* and max_* keep the extreme through _running,
     None is skipped) and must count the rows evaluated as n_evaluated and
     the rows the verdict looks at as n_looked; and fields(k), the witness
-    fields at position k.  The witness is {point, radius, tau, **fields(k),
-    allowance}.  A NaN witness (a NaN excess or allowance) raises ValueError
+    fields at position k.  The witness is {row, point, radius, tau,
+    **fields(k), allowance}, row being the sample index (a table's row).
+    A NaN witness (a NaN excess or allowance) raises ValueError
     naming its (rho, tau), the first NaN row at any chunk size, so a NaN is
     never a pass or a fail.  An admissible row not evaluated is excluded as
     zero_gradient, and a run that looked at no row (none admissible, none
-    evaluated, or none compared) is vacuous, without a witness.  If any row
-    was admissible, finish(folded, verdict, checked) returns the kind's own
-    report fields, checked being the guard's result (None without one).  No
-    chunk's arrays are held while the next one is computed.
+    evaluated, or none compared) is vacuous, without a witness.  The report's
+    paths count the admissible rows as chart with a guard, else as placed,
+    and hold the guard's result.  If any row was admissible, finish(folded,
+    verdict) returns the kind's own report fields.  No chunk's arrays are
+    held while the next one is computed.
     """
     rule = _PassRule(strict)
     n_adm = batch.n_admissible
     ranks = np.linspace(0, n_adm - 1, 0 if guard is None else min(n_adm, _DENSE_CHECK_POINTS)).astype(np.intp)
-    folded, witness, witness_row, guard_rows, seen = {}, None, None, [], 0
+    folded, witness, guard_rows, seen = {}, None, [], 0
     for rows in _chunks(batch.admissible):
         pts = batch.place(rows) if reads_points else None
         excess, mag, named, fields = chunk(rows, pts)
@@ -799,13 +795,13 @@ def _fold_chunks(kind, batch, region, tol, config, t0, chunk, finish, *, reads_p
         k = rule.add(excess, allow)
         if k is not None:
             witness = {
+                "row": int(rows[k]),
                 "point": None if pts is None else [float(v) for v in pts[k]],
                 "radius": float(batch.radius[rows[k]]),
                 "tau": None if batch.tau is None else float(batch.tau[rows[k]]),
                 **fields(k),
                 "allowance": float(allow[k]),
             }
-            witness_row = rows[k]
             if np.isnan(rule.best):
                 raise _nan_error(kind, witness["radius"], witness["tau"])
         for key, value in named.items():
@@ -825,14 +821,13 @@ def _fold_chunks(kind, batch, region, tol, config, t0, chunk, finish, *, reads_p
     if n_evaluated < n_adm:
         excluded_by["zero_gradient"] = n_adm - n_evaluated
     verdict, worst = rule.verdict() if folded.pop("n_looked", 0) else ("vacuous", None)
-    checked = None
+    paths = {"chart": 0 if guard is None else n_adm, "placed": n_adm if guard is None else 0, "guard": None}
     if guard is not None and n_adm:
         rows, placed = np.concatenate(guard_rows), witness["point"] is not None
-        pts = batch.place(rows if placed else np.append(rows, witness_row))
+        pts = batch.place(rows if placed else np.append(rows, witness["row"]))
         if not placed:
             witness["point"], pts = [float(v) for v in pts[-1]], pts[:-1]
-        checked = guard(rows, pts, *_radius_tau(pts, "euclidean" if batch.tau is None else "heisenberg"))
-    extras = finish(folded, verdict, checked) if n_adm else {}
+        paths["guard"] = guard(rows, pts, *_radius_tau(pts, "euclidean" if batch.tau is None else "heisenberg"))
     return CheckReport(
         kind=kind,
         verdict=verdict,
@@ -843,9 +838,10 @@ def _fold_chunks(kind, batch, region, tol, config, t0, chunk, finish, *, reads_p
         n_excluded=region.n_samples - n_evaluated,
         excluded_by=excluded_by,
         witness=None if verdict == "vacuous" else witness,
+        paths=paths,
         config=config,
         wall_time=time.perf_counter() - t0,
-        **extras,
+        **(finish(folded, verdict) if n_adm else {}),
     )
 
 
@@ -1022,13 +1018,8 @@ def _inequality_from_batch(
         spectrum, got_e_q = _spectral_jets(profile, field.dim, radius, tau, entry.reads_e_q)[1:3]
         return _dense_check(field, gspace, pts, operators._sorted_rows(spectrum), got_e_q, tol)
 
-    def finish(folded, verdict, checked):
-        n_adm = batch.n_admissible
-        extras = {"paths": {
-            "spectral": 0 if profile is None else n_adm,
-            "dense": n_adm if profile is None else 0,
-            "dense_check": checked,
-        }}
+    def finish(folded, verdict):
+        extras = {}
         if reference is not None:
             extras["formula_comparison"] = {
                 "n_compared": folded["n_compared"],
@@ -1167,9 +1158,9 @@ def _cost_margin(pts, rho, data, r, gammas):
 def _placed_check(batch, data: _EtaFamily, r, rows, pts, rho, tau) -> dict:
     """The chart path's guard: compare _eta_margin with _drift_margin at the guard rows' points, at their own (rho, tau).
 
-    A NaN placed margin raises the NaN rule's error and an infinite one is counted.  A finite one must lie
-    within (2m + 24) eps M of the closed form, M = max_k (|beta_k| rho^4 + c_k rho^2 |log rho| / tau^2) + |r|,
-    twice the first-order bound on their rounding derived in README's Growth conditions.
+    A NaN placed margin raises the NaN rule's error and an infinite one is counted as n_overflow.  A finite one must
+    lie within (2m + 24) eps M of the closed form, M = max_k (|beta_k| rho^4 + c_k rho^2 |log rho| / tau^2) + |r|,
+    twice the first-order bound on their rounding derived in README's Growth conditions; m = dim - 1.
     """
     placed = _drift_margin(pts, rho, data, r, None)[0][0]
     if np.isnan(placed).any():
@@ -1178,13 +1169,9 @@ def _placed_check(batch, data: _EtaFamily, r, rows, pts, rho, tau) -> dict:
     margins, _, _, terms = _eta_margin(data, rho, tau, r)
     fin = np.isfinite(placed)
     scale = (functools.reduce(np.maximum, [np.abs(p) + np.abs(q) for p, q in terms]) + abs(r))[fin]
-    diff = np.abs(placed - margins[0])[fin]
-    bad = ~(diff <= (2 * pts.shape[1] + 22) * _EPS * scale)  # m = dim - 1
-    if np.any(bad):
-        k = int(np.flatnonzero(fin)[np.argmax(bad)])
-        raise ValueError(f"chart and placed margins disagree at point {pts[k].tolist()}: {margins[0][k]!r} against {placed[k]!r}")
-    return {"n": int(pts.shape[0]), "n_overflow": int(np.count_nonzero(~fin)), "max_abs_diff": float(diff.max(initial=0.0)),
-            "max_rel_diff": float((diff / np.maximum(1.0, scale)).max(initial=0.0))}
+    pts, chart, placed = pts[fin], margins[0][fin], placed[fin]
+    return _guard(np.abs(placed - chart), (2 * pts.shape[1] + 22) * _EPS * scale, scale, 0, int(np.count_nonzero(~fin)),
+                  lambda k: f"chart and placed margins disagree at point {pts[k].tolist()}: {chart[k]!r} against {placed[k]!r}")
 
 
 @dataclass(frozen=True)
@@ -1297,9 +1284,8 @@ def check_lyapunov(
         named = {"n_evaluated": rows.size, "n_looked": rows.size, **components}
         return -margins, mag, named, lambda k: {"margin": float(margin[k])}
 
-    def finish(folded, verdict, checked):
-        paths = {"chart": batch.n_admissible, "placed": 0, "placed_check": checked} if chart else None
-        return {"scan": scan, "components": folded, "paths": paths}
+    def finish(folded, verdict):
+        return {"scan": scan, "components": folded}
 
     with np.errstate(all="ignore"):  # the NaN and overflow rules decide, not numpy's warnings
         return _fold_chunks("lyapunov", batch, region, tol, config, t0, chunk, finish, reads_points=not chart,

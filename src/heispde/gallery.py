@@ -386,8 +386,7 @@ def field_from_profile(profile: RadialProfile, dims: HeisDims) -> ScalarField:
             xa = np.asarray(x, dtype=float)
             if xa.shape[-1] != dim:
                 raise ValueError(f"expected points in R^{dim}")
-            r = np.sqrt(hgroup._rowdot(xa, xa))
-            return xa, r
+            return xa, hgroup._length(xa)
 
         def value(x):
             _, r = _radius(x)

@@ -191,19 +191,33 @@ def hnorm(x) -> np.ndarray:
 
 
 def _gauge(xa) -> tuple[np.ndarray, np.ndarray]:
-    """(rho, |x_H|) of checked points, rho = sqrt(hypot(|x_H|^2, |t|)).  A row whose |x_H|^2 overflows is
-    dilated by 2^-k, k the exponent of its largest |x_i|, and both results times 2^k: exact, and every other
-    row keeps its bits."""
-    with np.errstate(over="ignore"):
-        s = _hsq(xa)
+    """(rho, |x_H|) of checked points, rho = sqrt(hypot(|x_H|^2, |t|)), rescaled as _rescaled_sq and t by 2^-2k."""
+    s, k = _rescaled_sq(xa[..., :-1])
     t = np.abs(xa[..., -1])
+    if k is None:
+        return np.sqrt(np.hypot(s, t)), np.sqrt(s)
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.sqrt(np.hypot(s, np.ldexp(t, -2 * k))), k), np.ldexp(np.sqrt(s), k)
+
+
+def _length(x) -> np.ndarray:
+    """|x| over the last axis, rescaled as in _rescaled_sq."""
+    s, k = _rescaled_sq(x)
+    with np.errstate(over="ignore"):
+        return np.sqrt(s) if k is None else np.ldexp(np.sqrt(s), k)
+
+
+def _rescaled_sq(x) -> tuple[np.ndarray, np.ndarray | None]:
+    """(|2^-k x|^2 over the last axis, k): k is None if no row's |x|^2 overflows, else the exponent of its
+    largest |x_i| on a row that does and 0 on the others.  Exact, and every other row keeps its bits."""
+    with np.errstate(over="ignore"):
+        s = _rowdot(x, x)
     big = np.isinf(s)
-    if np.any(big):
-        k = np.where(big, np.frexp(np.abs(xa[..., :-1]).max(axis=-1))[1], 0)
-        s, t = _hsq(np.ldexp(xa, -k[..., None])), np.ldexp(t, -2 * k)
-        with np.errstate(over="ignore"):
-            return np.ldexp(np.sqrt(np.hypot(s, t)), k), np.ldexp(np.sqrt(s), k)
-    return np.sqrt(np.hypot(s, t)), np.sqrt(s)
+    if not np.any(big):
+        return s, None
+    k = np.where(big, np.frexp(np.abs(x).max(axis=-1))[1], 0)
+    x = np.ldexp(x, -k[..., None])
+    return _rowdot(x, x), k
 
 
 def eta(x) -> np.ndarray:

@@ -250,9 +250,10 @@ def test_check_tabulated_tells_rows_apart_by_position():
     assert rep.n_evaluated < 400
 
 
-def test_a_table_row_whose_horizontal_square_overflows_is_outside_the_range(recwarn):
+@pytest.mark.parametrize("space", ["heisenberg", "euclidean"])
+def test_a_table_row_whose_square_overflows_is_outside_the_range(space, recwarn):
     pts = np.array([[1e160, 0.0, 0.0], [0.5, 0.5, 0.5], [0.5, -0.5, 0.25]])
-    table = TabulatedField(pts, np.zeros(3), np.zeros((3, 3)), np.zeros((3, 3, 3)))
+    table = TabulatedField(pts, np.zeros(3), np.zeros((3, 3)), np.zeros((3, 3, 3)), space=space)
     rep = check_tabulated(table, OperatorSpec("pucci_max", ell=E12), Region(0.25, 4.0, char_eps=0.0))
     assert rep.excluded_by == {"outside_radius_range": 1} and rep.n_evaluated == 2
     assert not recwarn.list
@@ -342,7 +343,7 @@ def test_a_dilated_field_on_the_scaled_region_gets_the_same_verdict(name, d, kw,
     assert abs(base.worst_violation) > 1e3 * base.witness["allowance"]
     scaled = dataclasses.replace(region, rho_min=0.3 / lam, rho_max=3.0 / lam, kink_eps=region.kink_eps / lam)
     rep = check_inequality(_dilated(field, lam), spec, scaled)
-    assert rep.paths["dense"] == rep.n_evaluated
+    assert rep.paths["placed"] == rep.n_evaluated
     assert (rep.verdict, rep.n_evaluated) == (base.verdict, base.n_evaluated)
     assert rep.worst_violation == pytest.approx(lam**2 * base.worst_violation, rel=1e-12)
 
@@ -364,7 +365,7 @@ def test_witness_identifies_the_worst_point():
     assert rep.verdict == "fail"
     w = rep.witness
     assert set(w) == {
-        "point", "radius", "tau", "value", "eigenvalues",
+        "row", "point", "radius", "tau", "value", "eigenvalues",
         "second_order", "first_order", "total", "excess", "allowance",
     }
     # re-evaluate the witness point independently
@@ -500,7 +501,7 @@ def test_the_sup_envelope_takes_the_larger_control_on_both_paths():
     )
     field = _field("log_rho", dims=D1)
     region = Region(0.5, 4.0, n_samples=256, seed=7, char_eps=0.05)
-    for f, path in ((field, "spectral"), (dataclasses.replace(field, name="wrapped"), "dense")):
+    for f, path in ((field, "chart"), (dataclasses.replace(field, name="wrapped"), "placed")):
         inf, sup = (
             check_inequality(f, OperatorSpec("pucci_max", ell=E12, first_order=family, envelope=side), region, keep_samples=True)
             for side in ("inf", "sup")
@@ -609,6 +610,15 @@ def test_strict_condition_fails_without_cost():
     region = Region(10.0, 80.0, n_samples=200, seed=13)
     rep = check_lyapunov("schrodinger", coeffs, E12, region, D1)
     assert rep.verdict == "fail"
+
+
+@pytest.mark.parametrize("excess", [0.0, 5e-10])
+@pytest.mark.parametrize("strict,verdict", [(True, "fail"), (False, "pass"), ((True, False), "fail"), ((False, True), "pass")])
+def test_a_strict_part_is_granted_no_allowance(excess, strict, verdict):
+    # Part 0 holds an excess of 0, or one within the allowance 1e-9, at one point.
+    rule = checker._PassRule(strict)
+    rule.add(np.array([[-1.0, excess], [-1.0, -1.0]]), np.full(2, 1e-9))
+    assert rule.verdict() == (verdict, excess)
 
 
 def test_euclidean_cost_route():

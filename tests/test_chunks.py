@@ -171,7 +171,7 @@ def test_inequality_reports_do_not_depend_on_the_chunk_size(name, monkeypatch):
 def test_late_vacuous_runs_keep_their_counts():
     flat = INEQUALITY_RUNS["every admissible row has zero gradient"]()
     assert (flat.verdict, flat.n_evaluated, flat.excluded_by) == ("vacuous", 0, {"zero_gradient": 256})
-    assert flat.paths["spectral"] == 256 and flat.formula_comparison is None
+    assert flat.paths["chart"] == 256 and flat.formula_comparison is None
     nowhere = INEQUALITY_RUNS["formula whose reference holds on no row"]()
     assert (nowhere.verdict, nowhere.n_evaluated) == ("vacuous", 490)
     assert nowhere.formula_comparison == {

@@ -31,7 +31,7 @@ def test_verify_writes_a_report_and_exits_zero(tmp_path):
     ])
     assert rc == 0
     rep = _load(out)
-    assert rep["schema"] == "heispde-report-v1"
+    assert rep["schema"] == "heispde-report-v2"
     assert rep["command"] == "verify"
     assert rep["verdict"] == "pass"
     assert rep["n_evaluated"] + rep["n_excluded"] == rep["n_samples"] == 256
@@ -426,7 +426,7 @@ def test_hou_at_extreme_radii_keeps_its_exit_code_and_prints_no_warning(tmp_path
         assert proc.stderr.count("\n") == 1 and not out.exists()
     else:
         assert proc.stderr == ""
-        assert _load(out)["paths"]["placed_check"]["n_overflow"] == 256
+        assert _load(out)["paths"]["guard"]["n_overflow"] == 256
 
 
 def test_the_convergence_command_is_gone(capsys):
@@ -520,7 +520,7 @@ def test_fixture_registry_runs_with_expected_exits(tmp_path):
         rc = run_fixture(name, out=str(out))
         assert rc == FIXTURES[name]["expected_exit"]
         if name != "op-eval-pucci":
-            assert _load(out)["schema"] == "heispde-report-v1"
+            assert _load(out)["schema"] == "heispde-report-v2"
     with pytest.raises(KeyError):
         run_fixture("no-such-fixture")
 

@@ -69,6 +69,21 @@ def test_diff_lists_verdicts_counts_witnesses_and_exit_codes_apart(tmp_path, cap
     assert "witness.value" not in out  # a moved witness's fields are another point's
 
 
+def test_diff_groups_other_changes_and_one_sided_key_paths_by_key_path(tmp_path, capsys):
+    base = {"schema": "v1", "verdict": "pass", "paths": {"dense": 4, "dense_check": None}}
+    renamed = {"schema": "v2", "verdict": "pass", "paths": {"placed": 4, "guard": None}}
+    reports = [f"r/{k}.json" for k in range(3)]
+    a = _corpus(tmp_path / "a", dict.fromkeys(reports, base), {"f": 0})
+    b = _corpus(tmp_path / "b", dict.fromkeys(reports, renamed), {"f": 0})
+    assert corpus.diff(a, b) == 0  # a renamed count is not a changed count
+    out = capsys.readouterr().out
+    assert "other changes (key path: reports, one example):\n  schema: 3, r/0.json: 'v1' -> 'v2'\n" in out
+    assert "key paths only in A (key path: reports, one example):\n  paths.dense: 3, r/0.json: 4\n" in out
+    assert "  paths.dense_check: 3, r/0.json: None\n" in out
+    assert "key paths only in B (key path: reports, one example):\n  paths.guard: 3, r/0.json: None\n" in out
+    assert "  paths.placed: 3, r/0.json: 4\n" in out
+
+
 def test_write_exits_one_naming_each_fixture_off_its_expected_exit(tmp_path, monkeypatch, capsys):
     from heispde import cli
 

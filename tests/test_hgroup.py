@@ -163,6 +163,9 @@ def test_gauge_norm_is_finite_where_the_horizontal_square_overflows(recwarn):
     big = np.concatenate([x, [[1e160, -3e159, 2e158, 0.0, 1e300]]])
     assert np.array_equal(hgroup.hnorm(big)[:-1].view(np.uint64), hgroup.hnorm(x).view(np.uint64))
     assert np.isclose(hgroup.hnorm(big)[-1], np.hypot(1e160, 3e159 * np.hypot(1.0, 2e158 / 3e159)), rtol=1e-15)
+    # |x| on R^n follows the same rule.
+    assert np.array_equal(hgroup._length(big)[:-1], np.sqrt(hgroup._rowdot(x, x)))
+    assert np.isclose(hgroup._length(big)[-1], 1e300, rtol=1e-15)
     assert not recwarn.list
 
 

@@ -80,8 +80,8 @@ region = Region(0.1, 5.0, n_samples=2048, seed=3, char_eps=0.02)
 spec = OperatorSpec("pucci_max", ell=e)
 cond, data, _ = lyapunov_fixture("hou", dims)
 steps = {
-    "spectral": lambda: check_inequality(field, spec, region).paths["spectral"],
-    "dense": lambda: check_inequality(dataclasses.replace(field, name="wrapped"), spec, region).paths["dense"],
+    "spectral": lambda: check_inequality(field, spec, region).paths["chart"],
+    "dense": lambda: check_inequality(dataclasses.replace(field, name="wrapped"), spec, region).paths["placed"],
     "lyapunov": lambda: check_lyapunov(cond, data, e, Region(4.0, 16.0, n_samples=2048, seed=1, char_eps=0.05), dims).n_evaluated,
 }
 with tempfile.TemporaryDirectory() as tmp:

@@ -430,12 +430,12 @@ def test_the_chart_path_reports_what_the_placed_path_does(name, cond, d, seed):
     assert (chart.verdict, chart.n_evaluated, chart.n_excluded, chart.excluded_by) == (
         placed.verdict, placed.n_evaluated, placed.n_excluded, placed.excluded_by
     )
-    assert placed.paths is None
+    assert placed.paths == {"chart": 0, "placed": placed.n_evaluated, "guard": None}
     assert chart.paths["chart"] == chart.n_evaluated and chart.paths["placed"] == 0
-    check = chart.paths["placed_check"]
+    check = chart.paths["guard"]
     assert check["n"] == 256 and check["n_overflow"] == 0
     # The first-order bound on the guard's differences, half its budget.
-    assert check["max_rel_diff"] <= (2 * d + 12) * EPS
+    assert check["max_rel"] <= (2 * d + 12) * EPS
 
     # The guard's budget (2m + 24) eps M, where M = |lhs| + |r| <= |margin| + 2 |r| for one-term families.
     r = abs(_threshold(cond, d))
@@ -457,14 +457,25 @@ def test_the_chart_path_reports_what_the_placed_path_does(name, cond, d, seed):
 
 @pytest.mark.parametrize("name,field", [("hou", "betas"), ("schro", "levels")])
 def test_a_family_whose_recorded_coefficients_are_off_raises(name, field):
-    # The chunks read the recorded (beta_k, c_k), the guard the callables.
+    # The chunks read the recorded (beta_k, c_k), the guard the callables;
+    # these are off by 10 times the guard's relative budget (2m + 24) eps.
     dims = HeisDims(1)
     cond, family, _ = checker.lyapunov_fixture(name, dims)
-    off = dataclasses.replace(family, **{field: tuple(v * (1.0 + 1e-9) for v in getattr(family, field))})
+    off = dataclasses.replace(family, **{field: tuple(v * (1.0 + 10 * (2 * dims.m + 24) * EPS) for v in getattr(family, field))})
     region = Region(2.0, 16.0, n_samples=2000, seed=3, char_eps=0.05)
-    assert check_lyapunov(cond, family, E12, region, dims).paths["placed_check"]["n"] == 256
+    assert check_lyapunov(cond, family, E12, region, dims).paths["guard"]["n"] == 256
     with pytest.raises(ValueError, match="chart and placed margins disagree at point"):
         check_lyapunov(cond, off, E12, region, dims)
+
+
+def test_a_nan_chart_margin_is_a_disagreement():
+    dims = HeisDims(1)
+    family = checker.lyapunov_fixture("hou", dims)[1]
+    batch = checker.sample_region(Region(2.0, 16.0, n_samples=64, seed=3, char_eps=0.05), space="heisenberg", dim=dims.n)
+    rows = np.flatnonzero(batch.admissible)[:8]
+    pts = batch.place(rows)
+    with pytest.raises(ValueError, match="chart and placed margins disagree at point"):
+        checker._placed_check(batch, dataclasses.replace(family, betas=(np.nan,)), 0.0, rows, pts, *checker._radius_tau(pts, "heisenberg"))
 
 
 def test_the_guard_counts_overflowing_placed_margins_and_compares_the_rest():
@@ -472,6 +483,6 @@ def test_the_guard_counts_overflowing_placed_margins_and_compares_the_rest():
     dims = HeisDims(1)
     cond, family, _ = checker.lyapunov_fixture("hou", dims)
     rep = check_lyapunov(cond, family, E12, Region(1e45, 1e55, n_samples=4096, seed=2, char_eps=0.05), dims)
-    check = rep.paths["placed_check"]
+    check = rep.paths["guard"]
     assert rep.verdict == "pass" and 0 < check["n_overflow"] < check["n"] == 256
-    assert 0.0 < check["max_rel_diff"] <= 14 * EPS
+    assert 0.0 < check["max_rel"] <= 14 * EPS

@@ -469,5 +469,5 @@ def test_every_eigen_solve_goes_through_the_solver(monkeypatch):
     seen.clear()
     folland = field_from_profile(make_profile("folland", None, dims), dims)
     rep = check_inequality(folland, OperatorSpec("pucci_max", ell=E12), Region(0.1, 5.0, n_samples=3000, seed=9, char_eps=0.01), tol=0.0)
-    n = rep.paths["dense_check"]["n_eigvalsh"]
+    n = rep.paths["guard"]["n_solved"]
     assert n > 0 and seen == [(n, 2, 2)]

@@ -252,7 +252,7 @@ def test_spectral_run_places_only_the_dense_check_and_the_witness(placements, mo
         monkeypatch.setattr(checker, "_CHUNK_ROWS", chunk)
         placements.clear()
         rep = check_inequality(field, OperatorSpec(op, ell=E15), REGION, mode=mode)
-        assert rep.paths["spectral"] > 257
+        assert rep.paths["chart"] > 257
         assert len(placements) == 1
         batch, rows = placements[0]
         assert np.array_equal(rows[:-1], _dense_check_rows(batch))
@@ -288,7 +288,7 @@ def test_check_lyapunov_places_its_admissible_rows_once(placements, monkeypatch)
         monkeypatch.setattr(checker, "_CHUNK_ROWS", chunk)
         placements.clear()
         rep = check_lyapunov(cond, data, E15, region, HeisDims(1), gammas=extra["gammas"])
-        assert rep.paths is None
+        assert rep.paths == {"chart": 0, "placed": rep.n_evaluated, "guard": None}
         _placed_once_per_chunk(placements, rep.witness)
 
 
@@ -305,9 +305,59 @@ def test_a_hou_run_places_only_its_guard_rows_and_the_witness(placements, monkey
         assert len(placements) == 1
         batch, rows = placements[0]
         assert np.array_equal(rows[:-1], _dense_check_rows(batch))
-        assert rep.paths["placed_check"]["n"] == rows.size - 1 == checker._DENSE_CHECK_POINTS
+        assert rep.paths["guard"]["n"] == rows.size - 1 == checker._DENSE_CHECK_POINTS
         assert batch.radius[rows[-1]] == rep.witness["radius"]
         assert rep.witness["point"] == batch.place(rows[-1:])[0].tolist()
+
+
+# ---------------------------------------------------------------------------
+# one report shape: paths, the guard block and the witness row
+
+GUARD_KEYS = {"n", "n_solved", "n_overflow", "max_abs", "max_rel"}
+
+
+def _shape_cases():
+    """name -> (run(keep_samples), place(row) -> the point of a sample index or table row)."""
+    field, spec = _field("u4", 2), OperatorSpec("pucci_max", ell=E15)
+    region = Region(0.25, 4.0, n_samples=512, seed=5, char_eps=0.05)
+    pts = _points(sample_region(Region(0.1, 8.0, n_samples=512, seed=6), space="heisenberg", dim=field.dim))
+    table = TabulatedField(pts, field.value(pts), field.gradient(pts), field.hessian(pts))
+    dims, lyap = HeisDims(1), Region(2.0, 16.0, n_samples=2000, seed=1, char_eps=0.05)
+    ou, hou = lyapunov_fixture("ou", dims), lyapunov_fixture("hou", dims)
+    vacuous = Region(1.0 - 1e-8, 1.0 + 1e-8, n_samples=32, kink_eps=1e-6)  # inside u4's kink tube
+
+    def sampled(r, dim):
+        return lambda row: sample_region(r, space="heisenberg", dim=dim).place([row])[0]
+
+    return {
+        "spectral": (lambda keep: check_inequality(field, spec, region, keep_samples=keep), sampled(region, field.dim)),
+        "dense": (lambda keep: check_inequality(dataclasses.replace(field, profile=None), spec, region, keep_samples=keep),
+                  sampled(region, field.dim)),
+        "tabulated": (lambda keep: check_tabulated(table, spec, region, keep_samples=keep), lambda row: table.points[row]),
+        "lyapunov chart": (lambda keep: check_lyapunov(hou[0], hou[1], E15, lyap, dims), sampled(lyap, dims.n)),
+        "lyapunov placed": (lambda keep: check_lyapunov(ou[0], ou[1], E15, lyap, dims, **ou[2]), sampled(lyap, dims.n)),
+        "vacuous": (lambda keep: check_inequality(field, spec, vacuous, keep_samples=keep), None),
+    }
+
+
+@pytest.mark.parametrize("case", ["spectral", "dense", "tabulated", "lyapunov chart", "lyapunov placed", "vacuous"])
+def test_every_report_has_one_paths_shape_and_a_witness_row_that_places_its_point(case):
+    run, place = _shape_cases()[case]
+    rep = run(False)
+    assert set(rep.paths) == {"chart", "placed", "guard"}
+    assert rep.paths["guard"] is None or set(rep.paths["guard"]) == GUARD_KEYS
+    assert (rep.paths["guard"] is None) == (rep.paths["chart"] == 0)
+    assert rep.paths["chart"] + rep.paths["placed"] == rep.n_samples - sum(
+        n for reason, n in rep.excluded_by.items() if reason != "zero_gradient"
+    )
+    plain, kept = rep.to_dict(), run(True).to_dict()
+    plain.pop("wall_time"), kept.pop("wall_time")
+    assert plain == kept
+    if case == "vacuous":
+        assert rep.witness is None and rep.paths == {"chart": 0, "placed": 0, "guard": None}
+    else:
+        point = np.asarray(rep.witness["point"])
+        assert np.array_equal(place(rep.witness["row"]).view(np.uint64), point.view(np.uint64))
 
 
 def test_a_table_row_at_the_identity_is_out_of_range_without_a_warning():

@@ -42,10 +42,10 @@ def test_spectral_path_matches_dense_path(name, d):
         fast = check_inequality(f, spec, REGION, keep_samples=True)
         dense = check_inequality(dataclasses.replace(f, profile=None), spec, REGION, keep_samples=True)
         n = fast.n_evaluated
-        assert fast.paths["spectral"] == n and fast.paths["dense"] == 0
-        assert dense.paths == {"spectral": 0, "dense": n, "dense_check": None}
-        assert fast.paths["dense_check"]["n"] == min(n, 256)
-        assert fast.paths["dense_check"]["max_rel_bound"] <= 1e-12
+        assert fast.paths["chart"] == n and fast.paths["placed"] == 0
+        assert dense.paths == {"chart": 0, "placed": n, "guard": None}
+        assert fast.paths["guard"]["n"] == min(n, 256)
+        assert fast.paths["guard"]["max_rel"] <= 1e-12
         got, want = fast.samples["eigs"], dense.samples["eigs"]
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), (f.name, op)
 
@@ -60,36 +60,22 @@ def test_spectral_path_matches_dense_path(name, d):
         assert fast.verdict == dense.verdict, (f.name, op)
 
 
-@pytest.mark.parametrize("gradient_space", ["horizontal", "euclidean"])
-@pytest.mark.parametrize("d", [1, 4])
-def test_bellman_part_sees_the_same_gradient_on_both_paths(gradient_space, d):
-    field = _field("u5", d)
-    drift = hgroup.eta if gradient_space == "horizontal" else (lambda x: x)
-    coeffs = HJBCoefficients(
-        (lambda x: -drift(x),), (lambda x: np.ones(x.shape[:-1]),), gradient_space
-    )
-    spec = OperatorSpec("pucci_max", "supersolution", ell=E15, first_order=coeffs)
-    fast = check_inequality(field, spec, REGION, keep_samples=True)
-    dense = check_inequality(dataclasses.replace(field, profile=None), spec, REGION, keep_samples=True)
-    assert fast.paths["spectral"] == fast.n_evaluated
-    got, want = fast.samples["first"], dense.samples["first"]
-    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
-
-
+@pytest.mark.parametrize("costs", [(0.0,), (1.0,), (1.0, 2.0)])
 @pytest.mark.parametrize(
     "name,d,gradient_space",
     [("u5", 1, "horizontal"), ("u5", 1, "euclidean"), ("u5", 4, "horizontal"), ("u5", 4, "euclidean"), ("u2", 3, "euclidean")],
 )
-def test_a_zero_cost_bellman_part_has_the_same_bits_on_both_paths(name, d, gradient_space):
-    # Without a cost the first-order part reads only q, which both paths take
-    # from the field's gradient by one rule.
+def test_a_bellman_part_has_the_same_bits_on_both_paths(name, d, gradient_space, costs):
+    # The first-order part reads u and q at the placed point, which both paths
+    # take from the field by one rule.
     field = _field(name, d)
-    drift = hgroup.eta if gradient_space == "horizontal" else (lambda x: x)
-    coeffs = HJBCoefficients((lambda x: -drift(x),), (lambda x: np.zeros(x.shape[:-1]),), gradient_space)
+    g = hgroup.eta if gradient_space == "horizontal" else (lambda x: x)
+    drifts = (lambda x: -g(x), lambda x: 0.5 * g(x))[: len(costs)]
+    coeffs = HJBCoefficients(drifts, tuple(lambda x, c=c: np.full(x.shape[:-1], c) for c in costs), gradient_space)
     spec = OperatorSpec("pucci_max", "supersolution", ell=E15, first_order=coeffs)
     fast = check_inequality(field, spec, REGION, keep_samples=True)
     dense = check_inequality(dataclasses.replace(field, profile=None), spec, REGION, keep_samples=True)
-    assert fast.paths["spectral"] == fast.n_evaluated > 0
+    assert fast.paths["chart"] == fast.n_evaluated > 0
     got, want = fast.samples["first"], dense.samples["first"]
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -129,11 +115,11 @@ def _table(field):
 
 
 def _dense_only(report):
-    return report.paths == {"spectral": 0, "dense": report.n_evaluated, "dense_check": None}
+    return report.paths == {"chart": 0, "placed": report.n_evaluated, "guard": None}
 
 
 def _spectral_only(report):
-    return report.paths["spectral"] == report.n_evaluated > 0 and report.paths["dense"] == 0
+    return report.paths["chart"] == report.n_evaluated > 0 and report.paths["placed"] == 0
 
 
 def test_negated_and_pnorm_runs_are_spectral_tables_and_bare_fields_dense():
@@ -174,17 +160,17 @@ def test_zero_gradient_rows_are_excluded_on_both_paths():
     field = field_from_profile(profile, HeisDims(1))
     fast = check_inequality(field, _spec("pnorm", 2), region)
     dense = check_inequality(dataclasses.replace(field, profile=None), _spec("pnorm", 2), region)
-    assert fast.paths["spectral"] > 0
+    assert fast.paths["chart"] > 0
     assert fast.excluded_by["zero_gradient"] == dense.excluded_by["zero_gradient"] > 0
     assert (fast.n_evaluated, fast.verdict) == (dense.n_evaluated, dense.verdict)
-    assert 0 < fast.n_evaluated < fast.paths["spectral"]
+    assert 0 < fast.n_evaluated < fast.paths["chart"]
 
 
 @pytest.mark.parametrize("name,d", [("u4", 1), ("u2", 3)])
 def test_a_wrong_spectral_e_q_makes_the_dense_check_raise(name, d, monkeypatch):
     field = _field(name, d)
     spec = _spec("pnorm", 2 * d if field.space == "heisenberg" else d)
-    assert check_inequality(field, spec, REGION).paths["dense_check"]["max_rel_bound"] <= 1e-12
+    assert check_inequality(field, spec, REGION).paths["guard"]["max_rel"] <= 1e-12
     spectral_jets = checker._spectral_jets
 
     def skewed(*args):
@@ -201,6 +187,6 @@ def test_fixture_reports_carry_the_dense_check(tmp_path, capsys):
         out = tmp_path / f"{name}.json"
         assert cli.run_fixture(name, out=str(out)) == cli.FIXTURES[name]["expected_exit"]
         paths = json.loads(out.read_text())["paths"]
-        assert paths["spectral"] > 0 and paths["dense"] == 0
-        assert paths["dense_check"]["max_rel_bound"] <= 1e-12
+        assert paths["chart"] > 0 and paths["placed"] == 0
+        assert paths["guard"]["max_rel"] <= 1e-12
     capsys.readouterr()

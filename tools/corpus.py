@@ -19,10 +19,11 @@ whole corpus is written, it exits 1 and names each fixture whose exit code
 is not its expected_exit.
 
 `diff` compares two corpora report by report and key by key.  It lists
-changed exit codes, verdicts, counts and witnesses apart, then, per key path
-(list indices written []), how many reports differ there and the largest
-move in ulp; the fields of a witness that moved to another point are left
-out of those moves.  It exits 1 if an exit code, verdict or count changed, else 0.
+changed exit codes, verdicts, counts and witnesses apart.  Then, per key path
+(list indices written []), it gives how many reports differ there with one
+example, for other changes and for key paths found on one side only, and
+for floats the largest move in ulp; the fields of a witness that moved to
+another point are left out of those moves.  It exits 1 if an exit code, verdict or count changed, else 0.
 Reports differ between numpy's AVX512 and AVX2 kernels, so compare corpora
 written on the same dispatch.
 """
@@ -230,8 +231,10 @@ def diff(dir_a: str, dir_b: str) -> int:
     ]
     reports_a, reports_b = _reports(dir_a), _reports(dir_b)
     common = sorted(reports_a.keys() & reports_b.keys())
-    by_kind = {"verdict": [], "count": [], "other": []}
+    by_kind = {"verdict": [], "count": []}
     witnesses, differing, moves = [], [], {}
+    # Key path -> (reports, first example); one-sided paths by side.
+    grouped = {"other": {}, "A": {}, "B": {}}
     for rel in common:
         with open(reports_a[rel], "rb") as fa, open(reports_b[rel], "rb") as fb:
             raw_a, raw_b = fa.read(), fb.read()
@@ -245,8 +248,13 @@ def diff(dir_a: str, dir_b: str) -> int:
             witnesses.append(f"  {rel}: radius {wa.get('radius')!r} -> {wb.get('radius')!r}")
         for path, a, b in differences(rep_a, rep_b):
             kind = _kind(path, a, b)
-            if kind != "float":
+            if kind in by_kind:
                 by_kind[kind].append(f"  {rel}: {path}: {a!r} -> {b!r}")
+            elif kind == "other":
+                side = "A" if b is _MISSING else "B" if a is _MISSING else "other"
+                example = {"A": f"{rel}: {a!r}", "B": f"{rel}: {b!r}", "other": f"{rel}: {a!r} -> {b!r}"}[side]
+                rels, first = grouped[side].get(path, (set(), example))
+                grouped[side][path] = (rels | {rel}, first)
             elif not (moved and path.startswith("witness.")):
                 # A moved witness's own fields are another point's, not a move.
                 rels, worst = moves.get(path, (set(), (-1, None, None)))
@@ -254,10 +262,14 @@ def diff(dir_a: str, dir_b: str) -> int:
     print(f"reports: {len(common)} in both, {len(common) - len(differing)} byte-identical, "
           f"{len(reports_a.keys() - reports_b.keys())} only in A, {len(reports_b.keys() - reports_a.keys())} only in B")
     for title, lines in (("exit codes", exits), ("verdicts", by_kind["verdict"]), ("counts", by_kind["count"]),
-                         ("witnesses moved", witnesses), ("other changes", by_kind["other"])):
+                         ("witnesses moved", witnesses)):
         print(f"{title}: {len(lines) or 'none'}")
         for line in lines:
             print(line)
+    for title, key in (("other changes", "other"), ("key paths only in A", "A"), ("key paths only in B", "B")):
+        print(f"{title} (key path: reports, one example):" if grouped[key] else f"{title}: none")
+        for path, (rels, example) in sorted(grouped[key].items()):
+            print(f"  {path}: {len(rels)}, {example}")
     print(f"differing reports: {len(differing) or 'none'}")
     for rel in differing:
         print(f"  {rel}")
