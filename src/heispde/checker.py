@@ -67,7 +67,11 @@ guard, _placed_check, holds it to the generic margin at the guard rows' own
 a NaN included, raises ValueError, not a verdict.  Every check runs one loop,
 _fold_chunks, over its chunks: it takes the verdict, worst excess and witness
 from one rule, _PassRule, folds each check's named values by prefix (n_* add,
-min_* and max_* keep the extreme) and writes the one CheckReport.
+min_* and max_* keep the extreme) and writes the one CheckReport.  It also
+owns numpy's error state for every check (_ERRSTATE, every error ignored;
+cli.main sets the same for every command): overflows and NaNs are decided
+by the NaN rule and the guards, so no check sets its own and no numpy
+warning reaches stderr.
 
 Reports are deterministic functions of (config, seed): identical inputs give
 identical reports except for wall_time.  CheckReport declares its fields in
@@ -109,6 +113,9 @@ SCHEMA = "heispde-report-v2"
 # No longer read: the checker is single-threaded.  perfbench still sets it.
 THREADS_ENV = "HEISPDE_THREADS"
 
+# numpy's error state in every check (_fold_chunks) and command (cli.main): the NaN rule and the guards decide, so
+# numpy's warnings would only repeat them, and under -W error turn a run into a traceback.
+_ERRSTATE = {"all": "ignore"}
 _ABS_FLOOR = 1e-12
 _EPS = np.finfo(float).eps
 # Fractional bits of phi when the Kronecker steps are computed.
@@ -782,67 +789,68 @@ def _fold_chunks(kind, batch, region, tol, config, t0, chunk, finish, *, reads_p
     paths count the admissible rows as chart with a guard, else as placed,
     and hold the guard's result.  If any row was admissible, finish(folded,
     verdict) returns the kind's own report fields.  No chunk's arrays are
-    held while the next one is computed.
+    held while the next one is computed.  All of it runs under _ERRSTATE.
     """
-    rule = _PassRule(strict)
-    n_adm = batch.n_admissible
-    ranks = np.linspace(0, n_adm - 1, 0 if guard is None else min(n_adm, _DENSE_CHECK_POINTS)).astype(np.intp)
-    folded, witness, guard_rows, seen = {}, None, [], 0
-    for rows in _chunks(batch.admissible):
-        pts = batch.place(rows) if reads_points else None
-        excess, mag, named, fields = chunk(rows, pts)
-        allow = _allowance(tol, mag)
-        k = rule.add(excess, allow)
-        if k is not None:
-            witness = {
-                "row": int(rows[k]),
-                "point": None if pts is None else [float(v) for v in pts[k]],
-                "radius": float(batch.radius[rows[k]]),
-                "tau": None if batch.tau is None else float(batch.tau[rows[k]]),
-                **fields(k),
-                "allowance": float(allow[k]),
-            }
-            if np.isnan(rule.best):
-                raise _nan_error(kind, witness["radius"], witness["tau"])
-        for key, value in named.items():
-            if value is None:
-                continue
-            if key.startswith("n_"):
-                folded[key] = folded.get(key, 0) + value
-            else:
-                folded[key] = _running(np.min if key.startswith("min_") else np.max, folded.get(key), value)
-        guard_rows.append(rows[ranks[(ranks >= seen) & (ranks < seen + rows.size)] - seen])
-        seen += rows.size
-        # Without this the loop variables keep the chunk's arrays alive
-        # while the next chunk is computed.
-        del rows, pts, excess, mag, named, fields, allow
-    n_evaluated = folded.pop("n_evaluated", 0)
-    excluded_by = dict(batch.excluded_by)
-    if n_evaluated < n_adm:
-        excluded_by["zero_gradient"] = n_adm - n_evaluated
-    verdict, worst = rule.verdict() if folded.pop("n_looked", 0) else ("vacuous", None)
-    paths = {"chart": 0 if guard is None else n_adm, "placed": n_adm if guard is None else 0, "guard": None}
-    if guard is not None and n_adm:
-        rows, placed = np.concatenate(guard_rows), witness["point"] is not None
-        pts = batch.place(rows if placed else np.append(rows, witness["row"]))
-        if not placed:
-            witness["point"], pts = [float(v) for v in pts[-1]], pts[:-1]
-        paths["guard"] = guard(rows, pts, *_radius_tau(pts, "euclidean" if batch.tau is None else "heisenberg"))
-    return CheckReport(
-        kind=kind,
-        verdict=verdict,
-        worst_violation=worst,
-        tol=tol,
-        n_samples=region.n_samples,
-        n_evaluated=n_evaluated,
-        n_excluded=region.n_samples - n_evaluated,
-        excluded_by=excluded_by,
-        witness=None if verdict == "vacuous" else witness,
-        paths=paths,
-        config=config,
-        wall_time=time.perf_counter() - t0,
-        **(finish(folded, verdict) if n_adm else {}),
-    )
+    with np.errstate(**_ERRSTATE):
+        rule = _PassRule(strict)
+        n_adm = batch.n_admissible
+        ranks = np.linspace(0, n_adm - 1, 0 if guard is None else min(n_adm, _DENSE_CHECK_POINTS)).astype(np.intp)
+        folded, witness, guard_rows, seen = {}, None, [], 0
+        for rows in _chunks(batch.admissible):
+            pts = batch.place(rows) if reads_points else None
+            excess, mag, named, fields = chunk(rows, pts)
+            allow = _allowance(tol, mag)
+            k = rule.add(excess, allow)
+            if k is not None:
+                witness = {
+                    "row": int(rows[k]),
+                    "point": None if pts is None else [float(v) for v in pts[k]],
+                    "radius": float(batch.radius[rows[k]]),
+                    "tau": None if batch.tau is None else float(batch.tau[rows[k]]),
+                    **fields(k),
+                    "allowance": float(allow[k]),
+                }
+                if np.isnan(rule.best):
+                    raise _nan_error(kind, witness["radius"], witness["tau"])
+            for key, value in named.items():
+                if value is None:
+                    continue
+                if key.startswith("n_"):
+                    folded[key] = folded.get(key, 0) + value
+                else:
+                    folded[key] = _running(np.min if key.startswith("min_") else np.max, folded.get(key), value)
+            guard_rows.append(rows[ranks[(ranks >= seen) & (ranks < seen + rows.size)] - seen])
+            seen += rows.size
+            # Without this the loop variables keep the chunk's arrays alive
+            # while the next chunk is computed.
+            del rows, pts, excess, mag, named, fields, allow
+        n_evaluated = folded.pop("n_evaluated", 0)
+        excluded_by = dict(batch.excluded_by)
+        if n_evaluated < n_adm:
+            excluded_by["zero_gradient"] = n_adm - n_evaluated
+        verdict, worst = rule.verdict() if folded.pop("n_looked", 0) else ("vacuous", None)
+        paths = {"chart": 0 if guard is None else n_adm, "placed": n_adm if guard is None else 0, "guard": None}
+        if guard is not None and n_adm:
+            rows, placed = np.concatenate(guard_rows), witness["point"] is not None
+            pts = batch.place(rows if placed else np.append(rows, witness["row"]))
+            if not placed:
+                witness["point"], pts = [float(v) for v in pts[-1]], pts[:-1]
+            paths["guard"] = guard(rows, pts, *_radius_tau(pts, "euclidean" if batch.tau is None else "heisenberg"))
+        return CheckReport(
+            kind=kind,
+            verdict=verdict,
+            worst_violation=worst,
+            tol=tol,
+            n_samples=region.n_samples,
+            n_evaluated=n_evaluated,
+            n_excluded=region.n_samples - n_evaluated,
+            excluded_by=excluded_by,
+            witness=None if verdict == "vacuous" else witness,
+            paths=paths,
+            config=config,
+            wall_time=time.perf_counter() - t0,
+            **(finish(folded, verdict) if n_adm else {}),
+        )
 
 
 def _field_echo(field) -> dict:
@@ -1287,6 +1295,5 @@ def check_lyapunov(
     def finish(folded, verdict):
         return {"scan": scan, "components": folded}
 
-    with np.errstate(all="ignore"):  # the NaN and overflow rules decide, not numpy's warnings
-        return _fold_chunks("lyapunov", batch, region, tol, config, t0, chunk, finish, reads_points=not chart,
-                            guard=functools.partial(_placed_check, batch, data, r) if chart else None, strict=route.strict)
+    return _fold_chunks("lyapunov", batch, region, tol, config, t0, chunk, finish, reads_points=not chart,
+                        guard=functools.partial(_placed_check, batch, data, r) if chart else None, strict=route.strict)

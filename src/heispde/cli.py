@@ -14,7 +14,10 @@ shortest round-trip repr, so identical inputs produce identical files except
 for the wall_time entry.
 
 Exit codes: 0 verified, 1 inequality or condition failed, 2 usage or config
-error, 3 vacuous run (no admissible sample points).
+error (or a report that cannot be serialized, with or without --out), 3
+vacuous run (no admissible sample points).  Every command runs under the
+checker's one numpy error state, so a run prints no numpy warning, under
+python -W error too.
 """
 
 from __future__ import annotations
@@ -85,10 +88,6 @@ def write_json_report(path: str, payload: dict) -> None:
     """Serialize payload deterministically and move it into place atomically."""
     text = _dumps(payload) + "\n"
     _atomic_write(path, lambda fh: fh.write(text))
-
-
-def _payload(command: str, report: checker.CheckReport) -> dict:
-    return {"schema": SCHEMA, "command": command, **report.to_dict()}
 
 
 # ---------------------------------------------------------------------------
@@ -337,15 +336,6 @@ def _field_from(eff: dict):
     return field, e, dims
 
 
-def _summary(line_prefix: str, report: checker.CheckReport) -> None:
-    worst = report.worst_violation
-    w = "none" if worst is None else format(worst, ".6e")
-    print(
-        f"{line_prefix}: verdict={report.verdict} worst_violation={w} "
-        f"n_evaluated={report.n_evaluated} n_excluded={report.n_excluded}"
-    )
-
-
 def _write_field_table(path: str, report: checker.CheckReport, field) -> None:
     """One row per admissible sample; a run without one (no samples) writes the header alone."""
     samples = report.samples
@@ -378,15 +368,10 @@ def _cmd_verify(eff: dict) -> int:
     ell = e if operators.OPERATORS[op].param == "ell" else None
     spec = OperatorSpec(op, sense, ell=ell, alpha=eff["alpha"], p=eff["p"])
     mode = "formula" if eff["compare_formula"] else "sense"
-    report = checker.check_inequality(
-        field, spec, _region_from(eff), eff["tol"], mode=mode, keep_samples=eff["field_table"] is not None
-    )
-    if eff["field_table"] is not None:
-        _write_field_table(eff["field_table"], report, field)
-    if eff["out"]:
-        write_json_report(eff["out"], _payload("verify", report))
-    _summary("verify", report)
-    return _EXIT_BY_VERDICT[report.verdict]
+    table = eff["field_table"]
+    report = checker.check_inequality(field, spec, _region_from(eff), eff["tol"], mode=mode, keep_samples=table is not None)
+    write_table = None if table is None else lambda: _write_field_table(table, report, field)
+    return _report_tail("verify", "verify", report, eff["out"], write_table)
 
 
 def _cmd_lyapunov(eff: dict) -> int:
@@ -401,9 +386,24 @@ def _cmd_lyapunov(eff: dict) -> int:
     report = checker.check_lyapunov(
         cond, data, e, _region_from(eff), dims, gammas=extra.get("gammas"), tol=eff["tol"]
     )
-    if eff["out"]:
-        write_json_report(eff["out"], _payload("lyapunov", report))
-    _summary(f"lyapunov[{cond}]", report)
+    return _report_tail("lyapunov", f"lyapunov[{cond}]", report, eff["out"])
+
+
+def _report_tail(command: str, label: str, report: checker.CheckReport, out, write_table=None) -> int:
+    """Serialize the report, call write_table, write --out, print the verdict line; return the exit code.
+
+    The report is serialized before any file is written, so a report that
+    cannot be (a non-finite number) exits 2 with and without --out and
+    leaves no file.
+    """
+    text = _dumps({"schema": SCHEMA, "command": command, **report.to_dict()}) + "\n"
+    if write_table is not None:
+        write_table()
+    if out:
+        _atomic_write(out, lambda fh: fh.write(text))
+    w = "none" if report.worst_violation is None else format(report.worst_violation, ".6e")
+    print(f"{label}: verdict={report.verdict} worst_violation={w} "
+          f"n_evaluated={report.n_evaluated} n_excluded={report.n_excluded}")
     return _EXIT_BY_VERDICT[report.verdict]
 
 
@@ -574,7 +574,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         eff = _effective(ns)
-        return _DISPATCH[ns.command](eff)
+        with np.errstate(**checker._ERRSTATE):
+            return _DISPATCH[ns.command](eff)
     except (CliError, ProfileRegimeError, ValueError, TypeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

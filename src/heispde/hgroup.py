@@ -31,10 +31,18 @@ bits whether the points are stored row by row or column by column, and on
 any of numpy's sum kernels.  eta and euclid_grad_rho return column-major
 output; h_hessian reads and builds matrices batch-last, entry (i, j) of
 every matrix one contiguous row, and returns a view that is not C-contiguous.
+
+Every sum of squares in the package that can overflow goes through
+_rescaled_sq: the gauge norm, |x| on R^n, and in operators the Pucci dead
+zone's ||M||_F and the |q|^2 of e_q.  It takes an array's columns or a
+spectrum's (values, multiplicity) columns, and divides a row whose sum
+overflows by a power of two near its largest entry: exact, so no other row
+changes a bit.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,23 +209,24 @@ def _gauge(xa) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _length(x) -> np.ndarray:
-    """|x| over the last axis, rescaled as in _rescaled_sq."""
+    """|x| over the last axis, or sqrt(sum_j k_j v_j^2) of columns (v_j, k_j), rescaled as in _rescaled_sq."""
     s, k = _rescaled_sq(x)
     with np.errstate(over="ignore"):
         return np.sqrt(s) if k is None else np.ldexp(np.sqrt(s), k)
 
 
 def _rescaled_sq(x) -> tuple[np.ndarray, np.ndarray | None]:
-    """(|2^-k x|^2 over the last axis, k): k is None if no row's |x|^2 overflows, else the exponent of its
-    largest |x_i| on a row that does and 0 on the others.  Exact, and every other row keeps its bits."""
+    """(sum_j k_j (2^-e v_j)^2 over columns (v_j, k_j), e), x being a tuple of columns or an array whose last axis
+    gives columns of multiplicity 1: e is None if no row's sum overflows, else the exponent of its largest |v_j| on a
+    row that does and 0 on the others.  Exact, and every other row keeps its bits, those of _colsum(x, np.square)."""
+    cols = x if isinstance(x, tuple) else tuple((v, 1) for v in np.moveaxis(x, -1, 0))
     with np.errstate(over="ignore"):
-        s = _rowdot(x, x)
+        s = _colsum(cols, np.square)
     big = np.isinf(s)
     if not np.any(big):
         return s, None
-    k = np.where(big, np.frexp(np.abs(x).max(axis=-1))[1], 0)
-    x = np.ldexp(x, -k[..., None])
-    return _rowdot(x, x), k
+    e = np.where(big, np.frexp(functools.reduce(np.fmax, [np.abs(v) for v, _ in cols]))[1], 0)
+    return _colsum([(np.ldexp(v, -e), k) for v, k in cols], np.square), e
 
 
 def eta(x) -> np.ndarray:

@@ -33,8 +33,12 @@ and the command line all read this one table; params holds ell, alpha or p
 and nothing else.
 
 Eigenvalues with |e| <= ZERO_TOL * ||M||_F (a fixed 1e-12) count as zero in
-the Pucci pair.  Matrix arguments may carry leading batch axes.  _controls
-evaluates a Bellman family once, for hjb_inf, hjb_sup and the checker.
+the Pucci pair.  ||M||_F and the |q|^2 of e_q come from hgroup._rescaled_sq,
+which rescales a row by a power of two where its sum of squares overflows,
+so huge spectra keep their live eigenvalues and e_q does not see the scale
+of q; every other row keeps its bits.  Matrix arguments may carry leading
+batch axes.  _controls evaluates a Bellman family once, for hjb_inf, hjb_sup
+and the checker.
 Every eigenvalue solve in the package goes through _eigenvalues, which
 gives eigvalsh's bits and solves a 2 x 2 matrix by LAPACK's own formulas.
 """
@@ -47,7 +51,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .hgroup import _colsum, _rowdot, _symmetry_gate
+from .hgroup import _colsum, _length, _rescaled_sq, _rowdot, _symmetry_gate
 
 __all__ = [
     "Ellipticity",
@@ -238,15 +242,20 @@ def signed_eig_sums(eigs, scale) -> tuple[np.ndarray, np.ndarray]:
 def rayleigh_quotient(q, mat) -> tuple[np.ndarray, np.ndarray]:
     """(e_q, |q|^2) per matrix, e_q = q^T M q / |q|^2; e_q is 0 where q = 0.
 
-    Neither depends on the memory layout of q or mat: |q|^2 is a _rowdot, and
-    mat is read C-contiguous, since einsum's order of adds over a matrix
-    depends on its layout (over the vectors it does not).
+    Where |q|^2 overflows, q is first divided by 2^k as in hgroup._rescaled_sq
+    (exact, and e_q does not change) and |2^-k q|^2 is returned; it is 0
+    exactly where q is.  Neither depends on the memory layout of q or mat:
+    |q|^2 adds its columns left to right, and mat is read C-contiguous, since
+    einsum's order of adds over a matrix depends on its layout (over the
+    vectors it does not).
     """
     m = np.ascontiguousarray(mat, dtype=float)
     qa = np.asarray(q, dtype=float)
     if qa.shape[-1] != m.shape[-1]:
         raise ValueError("gradient and matrix sizes do not match")
-    qq = _rowdot(qa, qa)
+    qq, k = _rescaled_sq(qa)
+    if k is not None:
+        qa = np.ldexp(qa, -k[..., None])
     qmq = np.einsum("...i,...ij,...j->...", qa, m, qa)
     return qmq / np.where(qq > 0.0, qq, 1.0), qq
 
@@ -279,7 +288,7 @@ class SecondOrderOp(NamedTuple):
 def _pucci(maximal: bool) -> Callable:
     def value(spectrum, e_q, params):
         e = params["ell"]
-        neg, pos = signed_eig_sums(spectrum, np.sqrt(_colsum(spectrum, np.square)))
+        neg, pos = signed_eig_sums(spectrum, _length(spectrum))
         return -e.Lam * neg - e.lam * pos if maximal else -e.Lam * pos - e.lam * neg
 
     return value

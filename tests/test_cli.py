@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -241,7 +243,7 @@ def test_the_zero_tol_knob_is_refused(tmp_path, capsys):
         operators.evaluate("pucci_max", np.eye(2), {"ell": ell, "zero_tol": 0.0})
 
 
-def test_report_keys_come_in_report_order():
+def test_report_keys_come_in_report_order(tmp_path, capsys):
     spec = OperatorSpec("pucci_min", ell=Ellipticity(1.0, 2.0))
     region = Region(0.5, 4.0, n_samples=64, char_eps=0.05)
     field = gallery.field_from_profile(gallery.make_profile("log_rho"), HeisDims(1))
@@ -253,7 +255,10 @@ def test_report_keys_come_in_report_order():
     ]
     assert rep.samples is not None
     assert list(rep.to_dict()) == ["schema"] + keys
-    assert list(cli._payload("verify", rep)) == ["schema", "command"] + keys
+    out = tmp_path / "rep.json"
+    assert cli._report_tail("verify", "verify", rep, str(out)) == 0
+    assert list(_load(out)) == ["schema", "command"] + keys
+    assert capsys.readouterr().out.startswith("verify: verdict=pass ")
 
 
 def test_unknown_flag_exits_two(capsys):
@@ -427,6 +432,70 @@ def test_hou_at_extreme_radii_keeps_its_exit_code_and_prints_no_warning(tmp_path
     else:
         assert proc.stderr == ""
         assert _load(out)["paths"]["guard"]["n_overflow"] == 256
+
+
+_STEEP = ["verify", "--field", "power", "--d", "1", "--rho-min", "0.3", "--rho-max", "0.6", "--n-samples", "512",
+          "--char-eps", "0.05"]
+# Runs at the edges of the double range: each exits 0-3, the same with and
+# without --out, and writes nothing to stderr but one error line.
+_EDGE_RUNS = {
+    "power-1000 tol 0": [*_STEEP, "--kappa", "-1000", "--tol", "0"],
+    "power-1000 tol 1e-9": [*_STEEP, "--kappa", "-1000", "--tol", "1e-9"],
+    "power-260 tol 0": [*_STEEP, "--kappa", "-260", "--tol", "0"],
+    "power-260 pucci_max supersolution": [
+        "verify", "--field", "power", "--kappa", "-260", "--d", "1", "--op", "pucci_max", "--sense", "supersolution",
+        "--rho-min", "0.2", "--rho-max", "0.25", "--n-samples", "256", "--char-eps", "0.05"],
+    **{f"{fixture} d{d} [{lo}, {hi}]": ["lyapunov", "--fixture", fixture, "--d", d, "--rho-min", lo, "--rho-max", hi,
+                                        "--n-samples", "256"]
+       for fixture, d, lo, hi in [("hou", "1", "1e70", "1e80"), ("hou", "1", "1e-300", "16"),
+                                  ("schro", "1", "1e-300", "16"), ("ou", "1", "1e-300", "16"),
+                                  ("hou", "4", "1e-200", "1e-190"), ("schro", "1", "1e100", "1e300")]},
+    "op-eval pucci_max 1e200": ["op-eval", "--op", "pucci_max", "--matrix", "[[1e200, 1e199], [1e199, -1e200]]"],
+    "op-eval pnorm 1e200 q 1e160": ["op-eval", "--op", "pnorm", "--p", "3", "--matrix", "[[1e200, 0.0], [0.0, -1e200]]",
+                                    "--q", "[1e160, 3e159]"],
+}
+
+
+@pytest.mark.parametrize("argv", list(_EDGE_RUNS.values()), ids=list(_EDGE_RUNS))
+def test_runs_at_the_edges_of_the_double_range_keep_one_exit_code_and_stderr_line(argv, tmp_path, capsys):
+    codes = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for extra in ([], ["--out", str(tmp_path / "rep.json")]):
+            codes.append(main(argv + extra))
+            err = capsys.readouterr().err
+            assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), err
+    assert codes[0] == codes[1] and codes[0] in (0, 1, 2, 3)
+
+
+def test_the_steep_power_run_under_w_error_exits_two_with_one_line():
+    # numpy's overflow warning in the profile's power was an exception under
+    # -W error, so the run exited 1 with a traceback.
+    proc = _run_python("-W", "error", "-m", "heispde", *_STEEP, "--kappa", "-1000")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: the inequality check got NaN at rho = ") and proc.stderr.count("\n") == 1
+
+
+def test_a_pucci_max_supersolution_whose_squares_overflow_fails(capsys):
+    # pucci_max(D^2 rho^k) = rho^(k-2) tau^2 (3 Lam |k| - lam k (k - 1)) < 0 at d = 1.
+    # ||M||_F overflowed at rho^-262 ~ 1e183, the dead zone took every
+    # eigenvalue, and the run passed with worst_violation = -0.0.
+    assert main(_EDGE_RUNS["power-260 pucci_max supersolution"]) == 1
+    assert "verdict=fail" in capsys.readouterr().out
+
+
+def test_a_report_that_cannot_be_written_exits_two_with_and_without_out(tmp_path, monkeypatch, capsys):
+    # A check may return a non-finite number (a library family's overflowing
+    # margin).  The report used to be serialized only for --out, so such a
+    # run exited 0 without it and 2 with it.
+    run = checker.check_lyapunov
+    monkeypatch.setattr(checker, "check_lyapunov", lambda *a, **k: dataclasses.replace(run(*a, **k), worst_violation=-math.inf))
+    out = tmp_path / "rep.json"
+    argv = FIXTURES["lyapunov-hou"]["argv"]
+    assert main(argv) == 2
+    assert main(argv + ["--out", str(out)]) == 2
+    text = capsys.readouterr()
+    assert text.out == "" and text.err.count("error: ") == 2 and not out.exists()
 
 
 def test_the_convergence_command_is_gone(capsys):

@@ -107,3 +107,21 @@ def test_write_exits_one_naming_each_fixture_off_its_expected_exit(tmp_path, mon
     assert sorted(p.name for p in (out / "fixtures").iterdir()) == ["listed.json", "off-by-one.json"]
     monkeypatch.setattr(cli, "FIXTURES", {"listed": listing})
     assert corpus.main(["write", str(tmp_path / "ok"), "--seeds", "0"]) == 0
+
+
+def test_diff_counts_differing_reports_per_directory_and_lists_only_a_few(tmp_path, capsys):
+    # A schema move changes every report: 182 paths used to follow the grouped sections.
+    base, moved = {"verdict": "pass", "x": 1.0}, {"verdict": "pass", "x": 2.0}
+    few = ["fixtures/a.json", "op-eval/seed0/b.json", "op-eval/seed0/c.json"]
+    a = _corpus(tmp_path / "a", dict.fromkeys(few, base), {"f": 0})
+    b = _corpus(tmp_path / "b", dict.fromkeys(few, moved), {"f": 0})
+    assert corpus.diff(a, b) == 0
+    out = capsys.readouterr().out
+    assert "differing reports: 3, 1 in fixtures, 2 in op-eval\n  fixtures/a.json\n  op-eval/seed0/b.json\n" in out
+
+    many = [f"bench/w/seed0/{k}.json" for k in range(corpus.MAX_LISTED)] + ["library/seed0/u.json"]
+    a = _corpus(tmp_path / "c", dict.fromkeys(many, base), {"f": 0})
+    b = _corpus(tmp_path / "d", dict.fromkeys(many, moved), {"f": 0})
+    assert corpus.diff(a, b) == 0
+    out = capsys.readouterr().out
+    assert "differing reports: 21, 20 in bench, 1 in library\nfloat moves" in out  # no paths between

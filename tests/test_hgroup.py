@@ -169,6 +169,24 @@ def test_gauge_norm_is_finite_where_the_horizontal_square_overflows(recwarn):
     assert not recwarn.list
 
 
+def test_the_gauge_norm_and_length_keep_their_bits_on_the_column_form(recwarn):
+    # _rescaled_sq sums k_j v_j^2 over (v_j, k_j) columns; a point's coordinates
+    # are columns of multiplicity 1, summed left to right as _rowdot does.
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal((300, 5)) * 10.0 ** rng.integers(-100, 100, (300, 1))
+    h2 = _oracles.left_to_right_dot(x[:, :-1], x[:, :-1])
+    assert np.array_equal(hgroup.hnorm(x), np.sqrt(np.hypot(h2, np.abs(x[:, -1]))))
+    assert np.array_equal(hgroup._length(x), np.sqrt(_oracles.left_to_right_dot(x, x)))
+    assert np.array_equal(hgroup.hnorm(x[7]), hgroup.hnorm(x)[7])
+    # Columns with multiplicities: only the row whose sum overflows is rescaled.
+    a, b = x[:, 0].copy(), x[:, 1].copy()
+    a[-1], b[-1] = 1e200, -1e199
+    got = hgroup._length(((a, 1), (b, 3)))
+    assert np.array_equal(got[:-1], np.sqrt(a[:-1] * a[:-1] + 3.0 * (b[:-1] * b[:-1])))
+    assert np.isclose(got[-1], 1e200 * np.sqrt(1.03), rtol=1e-15)
+    assert not recwarn.list
+
+
 def test_gauge_norm_quartic_definition():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((32, 7))

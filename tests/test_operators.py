@@ -471,3 +471,33 @@ def test_every_eigen_solve_goes_through_the_solver(monkeypatch):
     rep = check_inequality(folland, OperatorSpec("pucci_max", ell=E12), Region(0.1, 5.0, n_samples=3000, seed=9, char_eps=0.01), tol=0.0)
     n = rep.paths["guard"]["n_solved"]
     assert n > 0 and seen == [(n, 2, 2)]
+
+
+# ---------------------------------------------------------------------------
+# Sums of squares that overflow: hgroup._rescaled_sq forms ||M||_F and |q|^2.
+
+
+@pytest.mark.parametrize("op,matrix,want", [
+    ("pucci_max", "[[1e200, 0.0], [0.0, -1e200]]", 1e200),
+    ("pucci_min", "[[1e200, 0.0], [0.0, 3e199]]", -2.6e200),
+])
+def test_the_pucci_dead_zone_keeps_eigenvalues_whose_squares_overflow(op, matrix, want, capsys):
+    # sum v^2 overflowed, so ZERO_TOL * ||M||_F was inf: every eigenvalue fell
+    # in the dead zone and both printed -0.0.
+    assert main(["op-eval", "--op", op, "--matrix", matrix]) == 0
+    text = capsys.readouterr()
+    assert float(text.out) == pytest.approx(want, rel=1e-15) and text.err == ""
+
+
+@pytest.mark.parametrize("k", [-200, 0, 600])
+def test_pnorm_keeps_its_bits_when_q_is_scaled_by_a_power_of_two(k):
+    # pnorm is 0-homogeneous in q.  At 2^600 q, |q|^2 overflowed and e_q was
+    # 0 or NaN.  2^-600 q is left out: |q|^2 underflows there.
+    rng = np.random.default_rng(5)
+    mats = rng.standard_normal((500, 3, 3)) * 1e-30
+    mats += np.swapaxes(mats, 1, 2)
+    q = rng.standard_normal((500, 3))
+    want = operators.pnorm_operator(3.0, q, mats)
+    assert _same_bits(operators.pnorm_operator(3.0, np.ldexp(q, k), mats), want)
+    e_q, qq = operators.rayleigh_quotient(np.ldexp(q, k), mats)
+    assert np.all(np.isfinite(e_q)) and np.all(qq > 0.0)

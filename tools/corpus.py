@@ -23,7 +23,9 @@ changed exit codes, verdicts, counts and witnesses apart.  Then, per key path
 (list indices written []), it gives how many reports differ there with one
 example, for other changes and for key paths found on one side only, and
 for floats the largest move in ulp; the fields of a witness that moved to
-another point are left out of those moves.  It exits 1 if an exit code, verdict or count changed, else 0.
+another point are left out of those moves.  It counts the differing reports
+per top-level directory, and lists them only when there are at most 20.  It
+exits 1 if an exit code, verdict or count changed, else 0.
 Reports differ between numpy's AVX512 and AVX2 kernels, so compare corpora
 written on the same dispatch.
 """
@@ -31,6 +33,7 @@ written on the same dispatch.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import io
 import json
@@ -51,6 +54,8 @@ OP_EVAL_ROWS = 16
 OP_EVAL_SIZES = (2, 3, 4, 8)
 # d of the library runs.
 LIBRARY_DIMS = (1, 4)
+# diff lists the differing reports' paths only up to this many.
+MAX_LISTED = 20
 
 
 def _cpu_features() -> list[str]:
@@ -270,8 +275,10 @@ def diff(dir_a: str, dir_b: str) -> int:
         print(f"{title} (key path: reports, one example):" if grouped[key] else f"{title}: none")
         for path, (rels, example) in sorted(grouped[key].items()):
             print(f"  {path}: {len(rels)}, {example}")
-    print(f"differing reports: {len(differing) or 'none'}")
-    for rel in differing:
+    # Per top-level directory; the paths only when few enough to read.
+    tops = collections.Counter(rel.split(os.sep, 1)[0] for rel in differing)
+    print(f"differing reports: {len(differing) or 'none'}" + "".join(f", {n} in {top}" for top, n in sorted(tops.items())))
+    for rel in differing if len(differing) <= MAX_LISTED else ():
         print(f"  {rel}")
     print("float moves (key path: reports, largest move in ulp, its values):" if moves else "float moves: none")
     for path, (rels, (n, a, b)) in sorted(moves.items()):
