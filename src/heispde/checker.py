@@ -27,8 +27,16 @@ depends on that layout or on numpy's sum kernels.  What stays O(n_samples):
 the chart, keep_samples arrays and a table's own arrays.  Only numpy is used.
 
 A point passes the declared sense when the signed excess does not exceed
-max(1e-12, tol * max(1, local operator magnitude)); the raw per-sample
-operator values are available for stricter downstream assertions.
+max(tol mag, _rounding(k, mag)), mag being the local operator magnitude
+factor * sum |e| + |first| (a growth condition's: that of its margin).
+_rounding(k, mag) = k (eps mag + eta), eta = 2^-1074 the smallest subnormal
+(the standard model with gradual underflow), is the one rounding rule: every
+allowance and guard budget is relative to a magnitude its check computes, and
+each caller states its k and how it is derived.  So a verdict does not depend
+on the field's scale: F[c u] = c F[u] for c > 0, and a power of two c scales
+every value, magnitude and allowance exactly.  operators.ZERO_TOL and
+hgroup._SYM_RTOL are relative already and stay their own constants.  The raw
+per-sample operator values are available for stricter downstream assertions.
 
 Two paths evaluate the second-order part.  The spectral path takes every
 ScalarField whose jets are its own radial profile (profile set and
@@ -36,8 +44,9 @@ field.name == profile.name; negation negates both): it reads rho (or r) and
 w = tau^2 from the batch and f, f', f'' from the profile, and takes the closed
 form's distinct values with their multiplicities, on H^d and on R^n.  The
 gradient is the eigenvector of f'' w, so e_q = f'' w and |q|^2 = f'^2 w (w = 1
-on R^n).  On either path a Bellman part reads u (field.value) and q (_field_q,
-one rule) at the placed point.  The dense path takes
+on R^n, w > 0 on every admissible row): q = 0 exactly where f' = 0.  On either
+path a Bellman part reads u (field.value) and q (_field_q, one rule) at the
+placed point.  The dense path takes
 fields without an own profile and TabulatedField rows: it forms the horizontal
 Hessian from the Euclidean jets, solves it by operators._eigenvalues
 (eigvalsh's results; a 2 x 2 matrix by LAPACK's closed form), passes its sorted
@@ -49,29 +58,31 @@ compares both paths at the guard rows' own (rho, tau): the spectral path's
 spectrum there against the matrix the dense path forms from the Hessian alone.
 A row whose eigenvalues Weyl's inequality keeps within the check's allowance
 (_weyl_bound) skips the solver; the allowance is never below the row's rounding
-budget (2m + 20) eps ||M||_F, so tol = 0 does not ask the paths to agree beyond
-rounding; n_solved counts the rows sent to the solver.
+budget _rounding(2m + 20, ||M||_F), so tol = 0 does not ask the paths to agree
+beyond rounding; n_solved counts the rows sent to the solver.
 
 Formula mode compares with the closed forms of gallery.PROFILES, at the field's
-own d and Q.  Growth conditions are data: LYAPUNOV_CONDITIONS maps a condition
-and the kind of data it gets to a LyapunovRoute (operator, margin, strict).  A
-route that rescales log rho's supersolution inequality names its table
-operator, and its threshold is log_rho's closed form for it at rho = tau = 1.
+own d and Q, and allows the deviation what sense mode allows the excess, from
+the same magnitude.  Growth conditions are data: LYAPUNOV_CONDITIONS maps a
+condition and the kind of data it gets to a LyapunovRoute (operator, margin,
+strict).  A route that rescales log rho's supersolution inequality names its
+table operator, and its threshold is log_rho's closed form for it at
+rho = tau = 1.
 Bellman parts and growth conditions read a control family through
 operators._controls, so bad drifts and costs raise one ValueError everywhere.
 On the _drift_margin routes an _eta_family (drifts beta_k eta, costs c_k: the
 zero-coeffs, schro and hou fixtures) takes the chart path: its margin, r -
 max_k (beta_k rho^4 - c_k rho^2 log rho / tau^2), reads only the chart.  Its
 guard, _placed_check, holds it to the generic margin at the guard rows' own
-(rho, tau) within (2m + 24) eps M.  Both guards end in _guard: a disagreement,
-a NaN included, raises ValueError, not a verdict.  Every check runs one loop,
-_fold_chunks, over its chunks: it takes the verdict, worst excess and witness
-from one rule, _PassRule, folds each check's named values by prefix (n_* add,
-min_* and max_* keep the extreme) and writes the one CheckReport.  It also
-owns numpy's error state for every check (_ERRSTATE, every error ignored;
-cli.main sets the same for every command): overflows and NaNs are decided
-by the NaN rule and the guards, so no check sets its own and no numpy
-warning reaches stderr.
+(rho, tau) within _rounding(2m + 24, M).  Both guards end in _guard: a
+disagreement, a NaN included, raises ValueError, not a verdict.  Every check
+runs one loop, _fold_chunks, over its chunks: it takes the verdict, worst
+excess and witness from one rule, _PassRule, folds each check's named values
+by prefix (n_* add, min_* and max_* keep the extreme) and writes the one
+CheckReport.  It also owns numpy's error state for every check (_ERRSTATE,
+every error ignored; cli.main sets the same for every command): overflows and
+NaNs are decided by the NaN rule and the guards, so no check sets its own and
+no numpy warning reaches stderr.
 
 Reports are deterministic functions of (config, seed): identical inputs give
 identical reports except for wall_time.  CheckReport declares its fields in
@@ -116,8 +127,9 @@ THREADS_ENV = "HEISPDE_THREADS"
 # numpy's error state in every check (_fold_chunks) and command (cli.main): the NaN rule and the guards decide, so
 # numpy's warnings would only repeat them, and under -W error turn a run into a traceback.
 _ERRSTATE = {"all": "ignore"}
-_ABS_FLOOR = 1e-12
 _EPS = np.finfo(float).eps
+# The smallest subnormal: the standard model's absolute error under gradual underflow.
+_ETA = 2.0**-1074
 # Fractional bits of phi when the Kronecker steps are computed.
 _PHI_BITS = 96
 # Points of a spectral (chart) run that the dense (placed) path evaluates again.
@@ -508,7 +520,7 @@ def _dense_matrix(field, pts, hess) -> np.ndarray:
 
 
 def _dense_jets(field, pts: np.ndarray, rows: np.ndarray, q, reads_e_q: bool):
-    """(value, eigenvalues, e_q, |q|^2) from the Euclidean jets; e_q and |q|^2 of q if reads_e_q, else None."""
+    """(value, eigenvalues, e_q, q != 0) from the Euclidean jets; e_q and q != 0 of q if reads_e_q, else None."""
     if isinstance(field, TabulatedField):
         val = field.values[rows]
         # Gathered batch-last 512 rows at a time, so no (N, n, n) copy is made.
@@ -523,18 +535,18 @@ def _dense_jets(field, pts: np.ndarray, rows: np.ndarray, q, reads_e_q: bool):
     mat = _dense_matrix(field, pts, hess)
     del hess  # before the solver's copies of mat
     e_q, qq = operators.rayleigh_quotient(q, mat) if reads_e_q else (None, None)
-    return val, operators._eigenvalues(mat), e_q, qq
+    return val, operators._eigenvalues(mat), e_q, None if qq is None else qq > 0.0
 
 
 def _spectral_jets(profile, dim: int, radius, tau, reads_e_q: bool):
-    """(value, spectrum, e_q, |q|^2) of a radial field from its profile at the chart's (radius, tau).
+    """(value, spectrum, e_q, q != 0) of a radial field from its profile at the chart's (radius, tau).
 
     The spectrum is the closed form's (values, multiplicity) columns, none
     of multiplicity 0, so no Hessian is built and no eigenproblem is solved.
-    e_q and |q|^2 are None unless reads_e_q.
+    e_q and q != 0 are None unless reads_e_q.
     """
     val, fp, fpp = profile.jets(radius)
-    e_q = qq = None
+    e_q = moving = None
     if profile.kind == "heisenberg":
         w = tau**2
         t = fp * w / radius
@@ -544,10 +556,11 @@ def _spectral_jets(profile, dim: int, radius, tau, reads_e_q: bool):
         t = fp / radius
         spectrum = ((fpp, 1), (t, dim - 1))
     if reads_e_q:
-        # The gradient is the eigenvector of f'' w; e_q is 0 where q = 0, as on the dense path.
-        qq = fp * fp * w
-        e_q = np.where(qq > 0.0, fpp * w, 0.0)
-    return val, spectrum, e_q, qq
+        # The gradient is the eigenvector of f'' w; e_q is 0 where q = 0, as on the dense path.  |q|^2 = f'^2 w
+        # and w > 0 on every admissible row, so q = 0 exactly where f' = 0 (f'^2 w may underflow where f' does not).
+        moving = fp != 0.0
+        e_q = np.where(moving, fpp * w, 0.0)
+    return val, spectrum, e_q, moving
 
 
 def _terms_for(field, spec: OperatorSpec, gspace: str, profile, pts, rows, radius, tau) -> dict:
@@ -563,10 +576,10 @@ def _terms_for(field, spec: OperatorSpec, gspace: str, profile, pts, rows, radiu
     needs_q = spec.first_order is not None or (profile is None and entry.reads_e_q)
     q = _field_q(field, pts, rows, gspace) if needs_q else None
     if profile is None:
-        val, eigs, e_q, qq = _dense_jets(field, pts, rows, q, entry.reads_e_q)
+        val, eigs, e_q, moving = _dense_jets(field, pts, rows, q, entry.reads_e_q)
         spectrum = operators._columns(eigs)
     else:
-        val, spectrum, e_q, qq = _spectral_jets(profile, field.dim, radius, tau, entry.reads_e_q)
+        val, spectrum, e_q, moving = _spectral_jets(profile, field.dim, radius, tau, entry.reads_e_q)
         if spec.first_order is not None:
             val = np.asarray(field.value(pts), dtype=float)  # u at the placed point, as q and the dense path read it
 
@@ -574,7 +587,7 @@ def _terms_for(field, spec: OperatorSpec, gspace: str, profile, pts, rows, radiu
     alive = np.ones(rows.shape[0], dtype=bool)
     if e_q is not None:
         # e_q is undefined at q = 0; those rows are excluded.
-        alive = qq > 0.0
+        alive = moving
         second = np.where(alive, second, 0.0)
 
     if spec.first_order is not None:
@@ -611,8 +624,8 @@ def _dense_check(field, gspace, pts, got, got_e_q, tol) -> dict:
         bound, mag = np.column_stack([bound, np.abs(got_e_q - dense_e_q)]), np.column_stack([mag, np.abs(dense_e_q)])
 
     def allowed(mag):
-        # Never below the rounding of the two paths, which tol = 0 would ask.
-        return np.maximum(_allowance(tol, mag), budget[:, None])
+        # Never below the rounding budget of the two paths, which tol = 0 would ask.
+        return _allowance(tol, mag, budget[:, None])
 
     need = ~np.all(bound <= allowed(mag), axis=-1)
     if np.any(need):
@@ -652,13 +665,15 @@ def _weyl_bound(mat, pts, space, got) -> tuple[np.ndarray, np.ndarray]:
     Forming M - B rounds each entry at most six times: 16 eps ||M||.  The
     solver (eigvalsh's results), whose rule this stands in for, errs by about
     m eps ||M||_2.  The m^2 squares in ||M - B||_F and |sorted - got| + delta
-    round by a relative (m^2 + 4) eps at most.  The budget, (2m + 20) eps ||M||_F, also bounds
+    round by a relative (m^2 + 4) eps at most.  The budget, _rounding(2m + 20, ||M||_F), also bounds
     how far two correct paths may differ by rounding alone.
 
     mat is read C-contiguous: einsum's order of adds over a matrix depends on
     its layout, which follows that of pts.  Each row is divided by a power
     of two near its largest entry, and the results multiplied back: exact,
-    so ||M||_F^2 cannot overflow and no other row changes a bit.
+    so ||M||_F^2 cannot overflow and no other row changes a bit.  The budget
+    is formed in the row's own units (_rounding's e), so its eta term is one
+    subnormal of the matrix, not of the rescaled one.
     """
     n, m = got.shape
     e = np.frexp(np.abs(mat).max(axis=(1, 2)))[1]
@@ -674,10 +689,10 @@ def _weyl_bound(mat, pts, space, got) -> tuple[np.ndarray, np.ndarray]:
         for v, a in zip(dirs, quot):
             diff -= (a - c)[:, None, None] * (v[:, :, None] * v[:, None, :])
         spec = operators._sorted_rows((*((a, 1) for a in quot), (c, rest)))
-        budget = (2 * m + 20) * _EPS * np.sqrt(np.einsum("nij,nij->n", mat, mat))
-        delta = np.sqrt(np.einsum("nij,nij->n", diff, diff)) + budget
+        budget = _rounding(2 * m + 20, np.sqrt(np.einsum("nij,nij->n", mat, mat)), e)
+        delta = np.sqrt(np.einsum("nij,nij->n", diff, diff)) + np.ldexp(budget, -e)
         bound = (np.abs(spec - got) + delta[:, None]) * (1.0 + (m * m + 4) * _EPS)
-        return np.ldexp(bound, e[:, None]), np.ldexp(budget, e)
+        return np.ldexp(bound, e[:, None]), budget
 
 
 def _check_tol(tol: float) -> None:
@@ -685,8 +700,15 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
 
 
-def _allowance(tol: float, mag: np.ndarray) -> np.ndarray:
-    return np.maximum(_ABS_FLOOR, tol * np.maximum(1.0, mag))
+def _rounding(k, mag, e=0) -> np.ndarray:
+    """k (eps mag 2^e + eta), the one rounding budget: k roundings of the standard model with gradual underflow,
+    relative to mag 2^e (exact, so a magnitude formed rescaled by 2^-e gets its budget without overflow)."""
+    return np.ldexp(k * _EPS, e) * mag + k * _ETA
+
+
+def _allowance(tol: float, mag: np.ndarray, budget: np.ndarray) -> np.ndarray:
+    """max(tol mag, budget); fmax, so tol = 0 at mag = inf gives the budget (inf), not NaN."""
+    return np.fmax(tol * mag, budget)
 
 
 def _extreme(reduce, values) -> float:
@@ -728,7 +750,9 @@ class _PassRule:
     with -inf at points not looked at.  A point fails a part where the
     excess is above the allowance or, for a strict part (strict: one flag or
     one per part), where it is >= 0; a NaN fails, and _fold_chunks raises
-    on it.  The witness is the first point farthest above its allowance, a
+    on it.  So does a positive excess beside an infinite allowance: its
+    magnitude overflowed, so the allowance cannot tell a rounding error
+    from a violation.  The witness is the first point farthest above its allowance, a
     NaN first, over the chunks in order: the point one argmax over the whole
     sample picks.  add returns the witness's position in the chunk if the
     chunk holds it so far.
@@ -742,6 +766,8 @@ class _PassRule:
         excess = np.atleast_2d(excess)
         strict = np.broadcast_to(self.strict, excess.shape[:1])
         viol = excess - allowance
+        if np.max(allowance) == np.inf:
+            viol[(excess > 0.0) & (allowance == np.inf)] = np.nan
         viol[strict] = excess[strict]  # a strict part is granted no allowance
         top = viol.max(axis=1)
         self.top = top if self.top is None else np.maximum(self.top, top)
@@ -764,7 +790,7 @@ def _nan_error(kind, radius, tau) -> ValueError:
     return ValueError(f"the {kind} check got NaN at rho = {float(radius)!r}" + ("" if tau is None else f", tau = {float(tau)!r}"))
 
 
-def _fold_chunks(kind, batch, region, tol, config, t0, chunk, finish, *, reads_points, guard=None, strict=False) -> CheckReport:
+def _fold_chunks(kind, batch, region, tol, config, t0, chunk, finish, *, rounding, reads_points, guard=None, strict=False) -> CheckReport:
     """Fold chunk(rows, pts) over the chunks of batch's admissible rows into one report.
 
     The one rule of placement: pts are the chunk's rows placed if
@@ -775,7 +801,8 @@ def _fold_chunks(kind, batch, region, tol, config, t0, chunk, finish, *, reads_p
 
     chunk returns (excess, magnitude, named, fields): the chunk's excesses
     for _PassRule, (N,) or (parts, N), -inf where no point was looked at;
-    the magnitudes _allowance reads; named values, which fold over chunks by
+    the magnitudes mag of the allowance max(tol mag, _rounding(rounding, mag)),
+    rounding being the caller's k; named values, which fold over chunks by
     prefix (n_* add, min_* and max_* keep the extreme through _running,
     None is skipped) and must count the rows evaluated as n_evaluated and
     the rows the verdict looks at as n_looked; and fields(k), the witness
@@ -799,7 +826,7 @@ def _fold_chunks(kind, batch, region, tol, config, t0, chunk, finish, *, reads_p
         for rows in _chunks(batch.admissible):
             pts = batch.place(rows) if reads_points else None
             excess, mag, named, fields = chunk(rows, pts)
-            allow = _allowance(tol, mag)
+            allow = _allowance(tol, mag, _rounding(rounding, mag))
             k = rule.add(excess, allow)
             if k is not None:
                 witness = {
@@ -902,7 +929,7 @@ def check_inequality(
     mode "sense" checks the sub/supersolution inequality.  mode "formula"
     instead compares operator values against the registered closed form for
     this (profile, operator) pair and passes when the deviation stays within
-    tol * max(1, |reference|) pointwise; a pair without one is refused
+    sense mode's allowance pointwise; a pair without one is refused
     (ValueError) before sampling.
     """
     t0 = time.perf_counter()
@@ -990,19 +1017,19 @@ def _inequality_from_batch(
         terms = _terms_for(field, spec, gspace, profile, pts, rows, radius, tau)
         alive = terms["alive"]
         named = {"n_evaluated": int(np.count_nonzero(alive))}
+        mag = factor * hgroup._colsum(terms["spectrum"], np.abs) + np.abs(terms["first"])
         if reference is not None:
             ref_vals, ref_valid = reference(radius, tau)
             looked = ref_valid & alive
-            value, mag = np.abs(terms["total"] - ref_vals), np.abs(ref_vals)
+            value = np.abs(terms["total"] - ref_vals)
             nonzero = looked & (ref_vals != 0.0)
             named |= {
                 "n_compared": int(np.count_nonzero(looked)),
                 "n_nonzero_reference": int(np.count_nonzero(nonzero)),
                 "max_abs_deviation": value[looked] if np.any(looked) else None,
-                "max_rel_deviation": value[nonzero] / mag[nonzero] if np.any(nonzero) else None,
+                "max_rel_deviation": value[nonzero] / np.abs(ref_vals[nonzero]) if np.any(nonzero) else None,
             }
         else:
-            mag = factor * hgroup._colsum(terms["spectrum"], np.abs) + np.abs(terms["first"])
             looked, value = alive, terms["total"] if spec.sense == "subsolution" else -terms["total"]
         named["n_looked"] = int(np.count_nonzero(looked))
         excess = value if looked.all() else np.where(looked, value, -np.inf)
@@ -1043,9 +1070,16 @@ def _inequality_from_batch(
             }
         return extras
 
+    # Rounding in eps = 2u, to first order, with m eigenvalues: each table operator is a sup of -Tr(A M) over
+    # ||A||_2 <= factor, so it moves by at most factor times the trace norm of a change of M.  eigvalsh's
+    # eigenvalues are those of a matrix within m eps sum |e| of M in that norm (m eps, as _weyl_bound takes
+    # it): m.  The sums of at most m eigenvalues: m; the Lam / lam products and their difference: 2.  A
+    # Bellman part's dot product of width <= m + 1, its cost product and the difference: m + 3, of |first|.
+    # second + first: 1.  So k = max(2m + 2, m + 3) + 1 = 2m + 3; the jets and closed forms count as exact.
+    m = field.dim - (field.space == "heisenberg")
     # The spectral path reads only the chart, unless a Bellman part or keep_samples reads the points.
     return _fold_chunks("inequality", batch, region, tol, config, t0, chunk, finish, guard=None if profile is None else guard,
-                        reads_points=profile is None or spec.first_order is not None or keep_samples)
+                        reads_points=profile is None or spec.first_order is not None or keep_samples, rounding=2 * m + 3)
 
 
 @dataclass(frozen=True)
@@ -1167,8 +1201,9 @@ def _placed_check(batch, data: _EtaFamily, r, rows, pts, rho, tau) -> dict:
     """The chart path's guard: compare _eta_margin with _drift_margin at the guard rows' points, at their own (rho, tau).
 
     A NaN placed margin raises the NaN rule's error and an infinite one is counted as n_overflow.  A finite one must
-    lie within (2m + 24) eps M of the closed form, M = max_k (|beta_k| rho^4 + c_k rho^2 |log rho| / tau^2) + |r|,
-    twice the first-order bound on their rounding derived in README's Growth conditions; m = dim - 1.
+    lie within _rounding(2m + 24, M) = (2m + 24) (eps M + eta) of the closed form, M = max_k (|beta_k| rho^4 +
+    c_k rho^2 |log rho| / tau^2) + |r|: twice the first-order bound on their rounding derived in README's Growth
+    conditions; m = dim - 1.
     """
     placed = _drift_margin(pts, rho, data, r, None)[0][0]
     if np.isnan(placed).any():
@@ -1178,7 +1213,7 @@ def _placed_check(batch, data: _EtaFamily, r, rows, pts, rho, tau) -> dict:
     fin = np.isfinite(placed)
     scale = (functools.reduce(np.maximum, [np.abs(p) + np.abs(q) for p, q in terms]) + abs(r))[fin]
     pts, chart, placed = pts[fin], margins[0][fin], placed[fin]
-    return _guard(np.abs(placed - chart), (2 * pts.shape[1] + 22) * _EPS * scale, scale, 0, int(np.count_nonzero(~fin)),
+    return _guard(np.abs(placed - chart), _rounding(2 * (pts.shape[1] - 1) + 24, scale), scale, 0, int(np.count_nonzero(~fin)),
                   lambda k: f"chart and placed margins disagree at point {pts[k].tolist()}: {chart[k]!r} against {placed[k]!r}")
 
 
@@ -1295,5 +1330,16 @@ def check_lyapunov(
     def finish(folded, verdict):
         return {"scan": scan, "components": folded}
 
-    return _fold_chunks("lyapunov", batch, region, tol, config, t0, chunk, finish, reads_points=not chart,
+    # Rounding, k = m + 12.  To first order, with u = eps / 2 and the point, rho and the family's values read as
+    # exact, each route's margin rounds by at most (2m + 10) u of its magnitude where its terms do not cancel.
+    # s = |x_H|^2 rounds by m u, and a term divided by s sees that error once (its numerator grows at most like
+    # s); pow and log are within 2 u.  Drift: b . eta / s takes eta's product and add, the dot's m products and
+    # m - 1 adds and the division, (2m + 3) u (2m + 8 for b = beta eta, as README's Growth conditions derives);
+    # c rho^4 log rho / s (m + 7) u; two subtractions: (2m + 10) u.  Barrier: those two terms, g |eta| / s
+    # within (1.5m + 4.5) u, and three adds: max(2m + 5, m + 9) u.  OU: a grad rho entry rounds by (m + 4) u,
+    # a dot of width m + 1 with it by (2m + 6) u, rho^3 times the difference of two by (2m + 10) u, the proof
+    # margin by (2m + 8) u.  Cost: c log rho 3 u, the drift sign (2m + 5) u.  So (m + 5) eps bounds every
+    # placed margin.  The chart margin, another formula, lies within (m + 12) eps M of the placed one (README's
+    # bound, which _placed_check holds it to twice over), so k = m + 12 bounds both paths, and every route takes it.
+    return _fold_chunks("lyapunov", batch, region, tol, config, t0, chunk, finish, rounding=dims.m + 12, reads_points=not chart,
                         guard=functools.partial(_placed_check, batch, data, r) if chart else None, strict=route.strict)

@@ -86,7 +86,10 @@ class ProfilePiece:
             )
         if self.kind == "power":
             (k,) = self.coeffs
-            return s * r**k, s * k * r ** (k - 1.0), s * k * (k - 1.0) * r ** (k - 2.0)
+            # One power, and f', f'' from f: where r^k is subnormal they keep their ratios to it, while a
+            # power per jet let r^(k-2) underflow to 0 beside a nonzero r^(k-1) (kappa = -1000 at rho = 2.1).
+            f = s * r**k
+            return f, (fp := k * f / r), (k - 1.0) * fp / r
         return s * np.log(r), s / r, -s / (r * r)
 
 

@@ -32,12 +32,13 @@ any of numpy's sum kernels.  eta and euclid_grad_rho return column-major
 output; h_hessian reads and builds matrices batch-last, entry (i, j) of
 every matrix one contiguous row, and returns a view that is not C-contiguous.
 
-Every sum of squares in the package that can overflow goes through
-_rescaled_sq: the gauge norm, |x| on R^n, and in operators the Pucci dead
+Every sum of squares in the package that can overflow or underflow goes
+through _rescaled_sq: the gauge norm, |x| on R^n, and in operators the Pucci dead
 zone's ||M||_F and the |q|^2 of e_q.  It takes an array's columns or a
 spectrum's (values, multiplicity) columns, and divides a row whose sum
-overflows by a power of two near its largest entry: exact, so no other row
-changes a bit.
+overflows, or falls below the smallest normal double while an entry is not
+0, by a power of two near its largest entry: exact, so no other row changes
+a bit, and a sum of squares is 0 only where every entry is.
 """
 
 from __future__ import annotations
@@ -66,6 +67,8 @@ _D_CAP = 16
 # times its own largest |entry|: a scale taken over the batch would make a
 # refusal depend on the chunk a matrix arrives in.
 _SYM_RTOL = 1e-12
+# The smallest normal double.
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -200,33 +203,39 @@ def hnorm(x) -> np.ndarray:
 
 def _gauge(xa) -> tuple[np.ndarray, np.ndarray]:
     """(rho, |x_H|) of checked points, rho = sqrt(hypot(|x_H|^2, |t|)), rescaled as _rescaled_sq and t by 2^-2k."""
-    s, k = _rescaled_sq(xa[..., :-1])
+    s, k, _ = _rescaled_sq(xa[..., :-1])
     t = np.abs(xa[..., -1])
     if k is None:
         return np.sqrt(np.hypot(s, t)), np.sqrt(s)
     with np.errstate(over="ignore"):
-        return np.ldexp(np.sqrt(np.hypot(s, np.ldexp(t, -2 * k))), k), np.ldexp(np.sqrt(s), k)
+        tk = np.ldexp(t, -2 * k)
+        # Where 2^-2k |t| overflows (|x_H| below 1e-154), |x_H|^4 is far below t^2's rounding: rho = sqrt|t|.
+        return np.where(np.isinf(tk), np.sqrt(t), np.ldexp(np.sqrt(np.hypot(s, tk)), k)), np.ldexp(np.sqrt(s), k)
 
 
 def _length(x) -> np.ndarray:
     """|x| over the last axis, or sqrt(sum_j k_j v_j^2) of columns (v_j, k_j), rescaled as in _rescaled_sq."""
-    s, k = _rescaled_sq(x)
+    s, k, _ = _rescaled_sq(x)
     with np.errstate(over="ignore"):
         return np.sqrt(s) if k is None else np.ldexp(np.sqrt(s), k)
 
 
-def _rescaled_sq(x) -> tuple[np.ndarray, np.ndarray | None]:
-    """(sum_j k_j (2^-e v_j)^2 over columns (v_j, k_j), e), x being a tuple of columns or an array whose last axis
-    gives columns of multiplicity 1: e is None if no row's sum overflows, else the exponent of its largest |v_j| on a
-    row that does and 0 on the others.  Exact, and every other row keeps its bits, those of _colsum(x, np.square)."""
+def _rescaled_sq(x) -> tuple[np.ndarray, np.ndarray | None, tuple]:
+    """(sum_j k_j (2^-e v_j)^2 over columns (v_j, k_j), e, the columns (2^-e v_j, k_j)), x being a tuple of columns
+    or an array whose last axis gives columns of multiplicity 1: e is None if no row's sum is off, else the exponent
+    of its largest |v_j| on a row that is and 0 on the others.  A sum is off where it overflows or lies below the
+    smallest normal double, so it is > 0 exactly where a v_j is (a row of zeros gets e = 0).  Exact, and every
+    other row keeps its bits, those of _colsum(x, np.square).  The one owner of this rescaling: a caller that
+    reads the rescaled columns takes them from here."""
     cols = x if isinstance(x, tuple) else tuple((v, 1) for v in np.moveaxis(x, -1, 0))
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", under="ignore"):
         s = _colsum(cols, np.square)
-    big = np.isinf(s)
-    if not np.any(big):
-        return s, None
-    e = np.where(big, np.frexp(functools.reduce(np.fmax, [np.abs(v) for v, _ in cols]))[1], 0)
-    return _colsum([(np.ldexp(v, -e), k) for v, k in cols], np.square), e
+    off = np.isinf(s) | (s < _TINY)
+    if not np.any(off):
+        return s, None, cols
+    e = np.where(off, np.frexp(functools.reduce(np.fmax, [np.abs(v) for v, _ in cols]))[1], 0)
+    cols = tuple((np.ldexp(v, -e), k) for v, k in cols)
+    return _colsum(cols, np.square), e, cols
 
 
 def eta(x) -> np.ndarray:

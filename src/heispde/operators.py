@@ -34,11 +34,13 @@ and nothing else.
 
 Eigenvalues with |e| <= ZERO_TOL * ||M||_F (a fixed 1e-12) count as zero in
 the Pucci pair.  ||M||_F and the |q|^2 of e_q come from hgroup._rescaled_sq,
-which rescales a row by a power of two where its sum of squares overflows,
-so huge spectra keep their live eigenvalues and e_q does not see the scale
-of q; every other row keeps its bits.  Matrix arguments may carry leading
-batch axes.  _controls evaluates a Bellman family once, for hjb_inf, hjb_sup
-and the checker.
+which rescales a row by a power of two where its sum of squares overflows or
+underflows, so e_q does not see the scale of q (|q|^2 > 0 exactly where
+q != 0), and the Pucci pair compares and sums such a row's eigenvalues in
+its rescaled units, multiplying back once: a huge spectrum keeps its live
+eigenvalues and its sums do not overflow.  Every other row keeps its bits.
+Matrix arguments may carry leading batch axes.  _controls evaluates a
+Bellman family once, for hjb_inf, hjb_sup and the checker.
 Every eigenvalue solve in the package goes through _eigenvalues, which
 gives eigvalsh's bits and solves a 2 x 2 matrix by LAPACK's own formulas.
 """
@@ -51,7 +53,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .hgroup import _colsum, _length, _rescaled_sq, _rowdot, _symmetry_gate
+from .hgroup import _colsum, _rescaled_sq, _rowdot, _symmetry_gate
 
 __all__ = [
     "Ellipticity",
@@ -242,20 +244,20 @@ def signed_eig_sums(eigs, scale) -> tuple[np.ndarray, np.ndarray]:
 def rayleigh_quotient(q, mat) -> tuple[np.ndarray, np.ndarray]:
     """(e_q, |q|^2) per matrix, e_q = q^T M q / |q|^2; e_q is 0 where q = 0.
 
-    Where |q|^2 overflows, q is first divided by 2^k as in hgroup._rescaled_sq
-    (exact, and e_q does not change) and |2^-k q|^2 is returned; it is 0
-    exactly where q is.  Neither depends on the memory layout of q or mat:
-    |q|^2 adds its columns left to right, and mat is read C-contiguous, since
-    einsum's order of adds over a matrix depends on its layout (over the
-    vectors it does not).
+    Where |q|^2 overflows or underflows, q is first divided by 2^k as in
+    hgroup._rescaled_sq (exact, and e_q does not change) and |2^-k q|^2 is
+    returned; it is 0 exactly where q is.  Neither depends on the memory
+    layout of q or mat: |q|^2 adds its columns left to right, and mat is
+    read C-contiguous, since einsum's order of adds over a matrix depends on
+    its layout (over the vectors it does not).
     """
     m = np.ascontiguousarray(mat, dtype=float)
     qa = np.asarray(q, dtype=float)
     if qa.shape[-1] != m.shape[-1]:
         raise ValueError("gradient and matrix sizes do not match")
-    qq, k = _rescaled_sq(qa)
+    qq, k, cols = _rescaled_sq(qa)
     if k is not None:
-        qa = np.ldexp(qa, -k[..., None])
+        qa = np.stack([v for v, _ in cols], axis=-1)
     qmq = np.einsum("...i,...ij,...j->...", qa, m, qa)
     return qmq / np.where(qq > 0.0, qq, 1.0), qq
 
@@ -287,9 +289,11 @@ class SecondOrderOp(NamedTuple):
 
 def _pucci(maximal: bool) -> Callable:
     def value(spectrum, e_q, params):
-        e = params["ell"]
-        neg, pos = signed_eig_sums(spectrum, _length(spectrum))
-        return -e.Lam * neg - e.lam * pos if maximal else -e.Lam * pos - e.lam * neg
+        # A row _rescaled_sq rescales is compared and summed in its units, then multiplied back once.
+        e, (s, k, cols) = params["ell"], _rescaled_sq(spectrum)
+        neg, pos = signed_eig_sums(cols, np.sqrt(s))
+        out = -e.Lam * neg - e.lam * pos if maximal else -e.Lam * pos - e.lam * neg
+        return out if k is None else np.ldexp(out, k)
 
     return value
 

@@ -621,6 +621,54 @@ def test_a_strict_part_is_granted_no_allowance(excess, strict, verdict):
     assert rule.verdict() == (verdict, excess)
 
 
+@pytest.mark.parametrize("dims", [D1, HeisDims(4)])
+def test_at_tol_0_the_allowance_is_the_rounding_budget_of_the_magnitude(dims):
+    # One rounding rule, k (eps mag + eta): k = 2m + 3 for an inequality, with
+    # mag = Lam sum |e| + |first order|, and m + 12 for a growth condition,
+    # with mag = |lhs| + |r| and margin = r - lhs.
+    eps = np.finfo(float).eps
+    e = Ellipticity(1.0, 1.5)
+    rep = check_inequality(_field("u4", e, dims), OperatorSpec("pucci_max", ell=e), Region(0.1, 5.0, n_samples=2048), tol=0.0)
+    w = rep.witness
+    mag = e.Lam * np.abs(w["eigenvalues"]).sum() + abs(w["first_order"])
+    assert w["allowance"] == pytest.approx((2 * dims.m + 3) * eps * mag, rel=1e-9, abs=0.0)
+    region = Region(2.0, 16.0, n_samples=2048, char_eps=0.05)
+    cond, data, kw = lyapunov_fixture("hou", dims)
+    rep = check_lyapunov(cond, data, E12, region, dims, tol=0.0, **kw)
+    r = E12.lam - E12.Lam * (dims.Q - 1)
+    mag = abs(r - rep.witness["margin"]) + abs(r)
+    assert rep.witness["allowance"] == pytest.approx((dims.m + 12) * eps * mag, rel=1e-9, abs=0.0)
+    # The barrier and Euclidean cost routes with costs alone: lhs = 0 and the
+    # drift sign is 0, so the magnitude is |margin| on both.
+    zeros = lambda x: np.zeros(x.shape[:-1])
+    costs_only = [
+        ("condcor1bis", BarrierBundle(lambda x: np.zeros(x.shape[:-1] + (dims.m,)), zeros, lambda x: 1.0 + zeros(x))),
+        ("schrodinger", HJBCoefficients((lambda x: np.zeros(x.shape),), (lambda x: 1.0 + zeros(x),), "euclidean")),
+    ]
+    for cond, data in costs_only:
+        w = check_lyapunov(cond, data, E12, region, dims, tol=0.0).witness
+        assert w["allowance"] == pytest.approx((dims.m + 12) * eps * abs(w["margin"]), rel=1e-9, abs=0.0), cond
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9])
+@pytest.mark.parametrize("diag,ell", [(8e307, Ellipticity(1.0, 1.5)), (1.3e308, Ellipticity(0.5, 0.5))])
+def test_a_positive_excess_beside_an_overflowed_magnitude_raises(diag, ell, tol):
+    # pucci_max of diag(a, a), a > 0, is -2 lam a, finite, while the
+    # magnitude Lam (|e_1| + |e_2|) overflows: the allowance was inf, and the
+    # supersolution run passed with a finite worst violation.  A negative
+    # excess passes beside it.
+    pts = np.array([[1.0, 0.5], [0.5, 1.0], [1.5, 0.5]])
+    hess = np.zeros((3, 2, 2))
+    hess[:, 0, 0] = hess[:, 1, 1] = diag
+    table = TabulatedField(pts, np.zeros(3), np.zeros((3, 2)), hess, space="euclidean")
+    region = Region(0.5, 4.0, char_eps=0.0)
+    with pytest.raises(ValueError, match="^the inequality check got NaN at rho = "):
+        check_tabulated(table, OperatorSpec("pucci_max", "supersolution", ell=ell), region, tol)
+    if ell.Lam == 0.5:
+        rep = check_tabulated(table, OperatorSpec("pucci_max", ell=ell), region, tol)
+        assert (rep.verdict, rep.worst_violation) == ("pass", -1.3e308)
+
+
 def test_euclidean_cost_route():
     ok = HJBCoefficients(
         drifts=(lambda x: np.zeros(x.shape[:-1] + (3,)),),

@@ -6,6 +6,7 @@ import pathlib
 import sys
 
 import numpy as np
+import pytest
 
 _ROOT = pathlib.Path(__file__).resolve().parents[1]
 _TOOL = _ROOT / "tools" / "corpus.py"
@@ -125,3 +126,22 @@ def test_diff_counts_differing_reports_per_directory_and_lists_only_a_few(tmp_pa
     assert corpus.diff(a, b) == 0
     out = capsys.readouterr().out
     assert "differing reports: 21, 20 in bench, 1 in library\nfloat moves" in out  # no paths between
+
+
+def test_the_corpus_matches_its_manifest(tmp_path, monkeypatch):
+    # A report or fixture exit code that moves fails here; a deliberate move
+    # reruns `tools/corpus.py manifest` on each recorded dispatch.
+    with open(corpus.MANIFEST, encoding="utf-8") as fh:
+        entries = json.load(fh)
+    k = corpus.recorded(entries)
+    if k is None:
+        pytest.skip(f"tests/corpus_manifest.json has no entry for this dispatch: {corpus.fingerprint()}")
+    want = entries[k]
+    monkeypatch.syspath_prepend(str(_ROOT / "perfbench"))
+    monkeypatch.setenv("HEISPDE_THREADS", "1")  # the benchmark inputs set it
+    got = corpus.entry(str(tmp_path / "corpus"), want["seeds"])
+    assert got["fixtures"] == want["fixtures"]
+    moved = sorted(rel for rel in want["reports"].keys() | got["reports"].keys()
+                   if want["reports"].get(rel) != got["reports"].get(rel))
+    assert not moved, (f"{len(moved)} reports moved: {moved}; compare with the base by tools/corpus.py write and diff, "
+                       "then rerun tools/corpus.py manifest")

@@ -177,22 +177,26 @@ def _dense_matrix(space, hess, pts):
     return 0.5 * (hess + np.swapaxes(hess, -1, -2))
 
 
+def _budget(mat):
+    """(2m + 20) (eps ||M||_F + eta) per matrix, eta the smallest subnormal."""
+    return (2 * mat.shape[-1] + 20) * (np.finfo(float).eps * np.linalg.norm(mat, axis=(-2, -1)) + 2.0**-1074)
+
+
 def _eigvalsh_rule(space, hess, pts, got, tol, q=None, got_e_q=None):
     """The message of the rule that compares got (and e_q) with eigvalsh, or None if it passes.
 
-    A difference is allowed up to the check's allowance, and never less than
-    the rounding budget (2m + 20) eps ||M||_F of two correct paths.
+    A difference is allowed up to tol |e|, and never less than the rounding
+    budget (2m + 20) (eps ||M||_F + eta) of two correct paths.
     """
     mat = _dense_matrix(space, hess, pts)
     dense = np.linalg.eigvalsh(mat)
-    m = mat.shape[-1]
-    budget = (2 * m + 20) * np.finfo(float).eps * np.linalg.norm(mat, axis=(-2, -1))
+    budget = _budget(mat)
     what = "eigenvalues"
     if got_e_q is not None:
         what += " and e_q"
         got = np.column_stack([got, got_e_q])
         dense = np.column_stack([dense, operators.rayleigh_quotient(q, mat)[0]])
-    bad = np.abs(got - dense) > np.maximum(checker._allowance(tol, np.abs(dense)), budget[:, None])
+    bad = np.abs(got - dense) > np.fmax(tol * np.abs(dense), budget[:, None])
     if not bad.any():
         return None
     k = int(np.flatnonzero(bad.any(axis=-1))[0])
@@ -220,7 +224,7 @@ def test_the_weyl_guard_raises_exactly_where_the_eigvalsh_rule_does(name, d, tol
     pts, base, got = _spectral_rows(field, seed=d)
     n, m = got.shape
     rng = np.random.default_rng(17 + d)
-    smallest = checker._allowance(tol, np.abs(got)).min(axis=-1)
+    smallest = np.fmax(tol * np.abs(got), _budget(_dense_matrix(field.space, base, pts))[:, None]).min(axis=-1)
     outcomes = set()
     for trial in range(24):
         # Symmetric perturbations of spectral norm `scale` times each row's
@@ -289,11 +293,11 @@ def test_rows_without_a_direction_go_to_eigvalsh_without_a_warning(space, dim):
 
 
 def _coupled(field, delta):
-    """field with delta (g h^T + h g^T) added to its Hessian's horizontal block.
+    """field with delta e_min (g h^T + h g^T) added to its Hessian's horizontal block, e_min the row's smallest |e|.
 
     g = eta / |eta| and h = g turned by hperp carry two distinct eigenvalues
     of the radial horizontal Hessian, so the coupling moves them by about
-    delta^2 / gap but puts sqrt(2) delta into ||M - B||_F.
+    (delta e_min)^2 / gap but puts sqrt(2) delta e_min into ||M - B||_F.
     """
     hessian, d = field.hessian, (field.dim - 1) // 2
 
@@ -302,7 +306,8 @@ def _coupled(field, delta):
         g /= np.sqrt(np.einsum("ij,ij->i", g, g))[:, None]
         h = np.concatenate([g[:, d:], -g[:, :d]], axis=1)
         out = np.array(hessian(x))
-        out[:, : 2 * d, : 2 * d] += delta * (g[:, :, None] * h[:, None, :] + h[:, :, None] * g[:, None, :])
+        e_min = np.abs(np.linalg.eigvalsh(hgroup.h_hessian(None, out, x))).min(axis=-1)
+        out[:, : 2 * d, : 2 * d] += (delta * e_min)[:, None, None] * (g[:, :, None] * h[:, None, :] + h[:, :, None] * g[:, None, :])
         return out
 
     return dataclasses.replace(field, hessian=perturbed)
@@ -314,8 +319,9 @@ def test_rows_weyl_cannot_clear_fall_back_to_eigvalsh(d):
     spec = OperatorSpec("pucci_max", ell=E15)
     region = Region(0.2, 4.0, n_samples=2000, seed=4, char_eps=0.05)
     plain = check_inequality(field, spec, region)
-    # 0.9e-9 is below every allowance at tol 1e-9, and sqrt(2) times it is
-    # above the allowance of every eigenvalue with |e| < 1.27.
+    # At tol 1e-9 each eigenvalue's allowance is 1e-9 |e| (the rounding budget
+    # is far below it): a coupling of 0.9e-9 e_min moves no eigenvalue by
+    # that much, but sqrt(2) times it is above the smallest one's.
     coupled = check_inequality(_coupled(field, 0.9e-9), spec, region)
     assert plain.paths["guard"]["n_solved"] == 0
     assert coupled.paths["guard"]["n_solved"] > 0
@@ -388,8 +394,9 @@ def test_a_wrong_e_q_raises_the_eigvalsh_rules_message(name, d, monkeypatch):
 @pytest.mark.parametrize("op", ["pucci_max", "pnorm"])
 @pytest.mark.parametrize("d", [1, 2, 4])
 def test_tol_0_allows_the_rounding_of_two_correct_paths(d, op):
-    # folland's eigenvalues reach about 7e3 in this region, where one ulp is
-    # above the 1e-12 floor of the allowance; the two paths differ by 2 ulp.
+    # At tol 0 the allowance is the rounding budget alone: folland's
+    # eigenvalues reach about 7e3 in this region, and the two paths differ
+    # by 2 ulp.
     dims = HeisDims(d)
     field = field_from_profile(make_profile("folland", None, dims), dims)
     spec = OperatorSpec(op, ell=E15) if op == "pucci_max" else OperatorSpec(op, p=3.0)

@@ -477,22 +477,25 @@ def test_every_eigen_solve_goes_through_the_solver(monkeypatch):
 # Sums of squares that overflow: hgroup._rescaled_sq forms ||M||_F and |q|^2.
 
 
-@pytest.mark.parametrize("op,matrix,want", [
-    ("pucci_max", "[[1e200, 0.0], [0.0, -1e200]]", 1e200),
-    ("pucci_min", "[[1e200, 0.0], [0.0, 3e199]]", -2.6e200),
+@pytest.mark.parametrize("op,ell,matrix,want", [
+    ("pucci_max", [], "[[1e200, 0.0], [0.0, -1e200]]", 1e200),
+    ("pucci_min", [], "[[1e200, 0.0], [0.0, 3e199]]", -2.6e200),
+    ("pucci_max", ["--lam", "0.5", "--Lam", "0.5"], "[[1.3e308, 0.0], [0.0, 1.3e308]]", -1.3e308),
 ])
-def test_the_pucci_dead_zone_keeps_eigenvalues_whose_squares_overflow(op, matrix, want, capsys):
+def test_the_pucci_dead_zone_keeps_eigenvalues_whose_squares_overflow(op, ell, matrix, want, capsys):
     # sum v^2 overflowed, so ZERO_TOL * ||M||_F was inf: every eigenvalue fell
-    # in the dead zone and both printed -0.0.
-    assert main(["op-eval", "--op", op, "--matrix", matrix]) == 0
+    # in the dead zone and both printed -0.0.  Where ||M||_F itself overflows
+    # the eigenvalues are compared and summed rescaled, as their sum overflows
+    # too.
+    assert main(["op-eval", "--op", op, *ell, "--matrix", matrix]) == 0
     text = capsys.readouterr()
     assert float(text.out) == pytest.approx(want, rel=1e-15) and text.err == ""
 
 
-@pytest.mark.parametrize("k", [-200, 0, 600])
+@pytest.mark.parametrize("k", [-600, -200, 0, 600])
 def test_pnorm_keeps_its_bits_when_q_is_scaled_by_a_power_of_two(k):
     # pnorm is 0-homogeneous in q.  At 2^600 q, |q|^2 overflowed and e_q was
-    # 0 or NaN.  2^-600 q is left out: |q|^2 underflows there.
+    # 0 or NaN; at 2^-600 q it underflowed, and the rows read as q = 0.
     rng = np.random.default_rng(5)
     mats = rng.standard_normal((500, 3, 3)) * 1e-30
     mats += np.swapaxes(mats, 1, 2)
@@ -501,3 +504,10 @@ def test_pnorm_keeps_its_bits_when_q_is_scaled_by_a_power_of_two(k):
     assert _same_bits(operators.pnorm_operator(3.0, np.ldexp(q, k), mats), want)
     e_q, qq = operators.rayleigh_quotient(np.ldexp(q, k), mats)
     assert np.all(np.isfinite(e_q)) and np.all(qq > 0.0)
+
+
+def test_a_gradient_whose_square_underflows_is_not_zero(capsys):
+    # |q|^2 = 2e-340 underflows; q = (1, 1) gives -(3 + 1.5).
+    assert main(["op-eval", "--op", "pnorm", "--p", "3", "--matrix", "[[1.0, 0.0], [0.0, 2.0]]", "--q", "[1e-170, 1e-170]"]) == 0
+    text = capsys.readouterr()
+    assert float(text.out) == -4.5 and text.err == ""

@@ -20,9 +20,10 @@ from heispde.operators import Ellipticity
 
 E12 = Ellipticity(1.0, 2.0)
 E15 = Ellipticity(1.0, 1.5)
-# A zero reference allows an absolute tol, while the computed value rounds
-# relative to the eigenvalues, about rho^-Q; rho >= 0.5 keeps them below 1e5.
-FORMULA_REGION = Region(0.5, 4.0, n_samples=1000, seed=3, char_eps=0.05)
+# The deviation is allowed what sense mode allows the excess, relative to the
+# eigenvalues (about rho^-Q), also where the reference is 0: folland at d = 4
+# reaches 1e8 here, and an allowance of tol * max(1, |reference|) failed it.
+FORMULA_REGION = Region(0.25, 4.0, n_samples=1000, seed=3, char_eps=0.05)
 
 
 def _spec(op, dims):

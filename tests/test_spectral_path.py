@@ -166,6 +166,23 @@ def test_zero_gradient_rows_are_excluded_on_both_paths():
     assert 0 < fast.n_evaluated < fast.paths["chart"]
 
 
+def test_a_gradient_whose_square_underflows_is_not_a_zero_gradient(tmp_path, capsys):
+    # f' = 300 rho^299 vanishes nowhere on [0.05, 0.2], but |q|^2 = f'^2 w
+    # underflows on most of it, and the run read every row as q = 0 (exit 3).
+    # Only the rows where f' itself underflows stay excluded.
+    out = tmp_path / "rep.json"
+    argv = ["verify", "--field", "power", "--kappa", "300", "--d", "1", "--op", "pnorm", "--p", "3",
+            "--rho-min", "0.05", "--rho-max", "0.2", "--n-samples", "512", "--char-eps", "0.05", "--out", str(out)]
+    assert cli.main(argv) == 0
+    rep = json.loads(out.read_text())
+    region = Region(0.05, 0.2, n_samples=512, char_eps=0.05)
+    batch = checker.sample_region(region, space="heisenberg", dim=3)
+    fp = make_profile("power", kappa=300.0).deriv(batch.radius[batch.admissible])
+    assert rep["excluded_by"]["zero_gradient"] == np.count_nonzero(fp == 0.0) < batch.n_admissible // 2
+    assert rep["n_evaluated"] == np.count_nonzero(fp) > 0
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("name,d", [("u4", 1), ("u2", 3)])
 def test_a_wrong_spectral_e_q_makes_the_dense_check_raise(name, d, monkeypatch):
     field = _field(name, d)

@@ -2,6 +2,7 @@
 
     python3 tools/corpus.py write DIR [--seeds 0 1 2]
     python3 tools/corpus.py diff A B
+    python3 tools/corpus.py manifest [--seeds 0 1 2]
 
 `write` runs, with the package of this checkout (./src):
 - every cli.FIXTURES command line, keeping its exit code;
@@ -28,6 +29,14 @@ per top-level directory, and lists them only when there are at most 20.  It
 exits 1 if an exit code, verdict or count changed, else 0.
 Reports differ between numpy's AVX512 and AVX2 kernels, so compare corpora
 written on the same dispatch.
+
+`manifest` writes the corpus to a temporary directory and records it in
+tests/corpus_manifest.json under this process's dispatch fingerprint (numpy
+version, CPU features, NPY_DISABLE_CPU_FEATURES): one SHA-256 per report and
+each fixture's exit code.  An entry of another fingerprint is kept, one of the
+same is replaced.  tests/test_corpus.py writes the corpus again and compares
+it with the entry of its own fingerprint, so a change that moves a report
+updates the manifest in the same commit.
 """
 
 from __future__ import annotations
@@ -35,6 +44,7 @@ from __future__ import annotations
 import argparse
 import collections
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -56,6 +66,7 @@ OP_EVAL_SIZES = (2, 3, 4, 8)
 LIBRARY_DIMS = (1, 4)
 # diff lists the differing reports' paths only up to this many.
 MAX_LISTED = 20
+MANIFEST = os.path.join(ROOT, "tests", "corpus_manifest.json")
 
 
 def _cpu_features() -> list[str]:
@@ -64,6 +75,12 @@ def _cpu_features() -> list[str]:
     except ImportError:  # numpy 1.x
         from numpy.core import _multiarray_umath as umath
     return sorted(name for name, on in umath.__cpu_features__.items() if on)
+
+
+def fingerprint() -> dict:
+    """The dispatch a corpus depends on: numpy's version and the CPU features it uses."""
+    return {"numpy": np.__version__, "cpu_features": _cpu_features(),
+            "disabled_cpu_features": os.environ.get("NPY_DISABLE_CPU_FEATURES", "")}
 
 
 def _commit() -> str | None:
@@ -121,14 +138,7 @@ def write(out_dir: str, seeds: list[int]) -> dict:
 
     import inputs
 
-    manifest = {
-        "commit": _commit(),
-        "numpy": np.__version__,
-        "cpu_features": _cpu_features(),
-        "disabled_cpu_features": os.environ.get("NPY_DISABLE_CPU_FEATURES", ""),
-        "seeds": seeds,
-        "fixtures": {},
-    }
+    manifest = {"commit": _commit(), **fingerprint(), "seeds": seeds, "fixtures": {}}
     with tempfile.TemporaryDirectory() as tmp:
         report = os.path.join(tmp, "report.json")
         for name, entry in cli.FIXTURES.items():
@@ -181,6 +191,41 @@ def _reports(root: str) -> dict[str, str]:
             if name.endswith(".json") and rel != "manifest.json":
                 found[rel] = path
     return found
+
+
+def entry(out_dir: str, seeds: list[int]) -> dict:
+    """Write the corpus to out_dir; return its manifest entry: fingerprint, seeds, fixture exits, report hashes."""
+    fixtures = write(out_dir, seeds)
+    hashes = {}
+    for rel, path in sorted(_reports(out_dir).items()):
+        with open(path, "rb") as fh:
+            hashes[rel.replace(os.sep, "/")] = hashlib.sha256(fh.read()).hexdigest()
+    return {**fingerprint(), "seeds": seeds, "fixtures": fixtures, "reports": hashes}
+
+
+def recorded(entries: list[dict]) -> int | None:
+    """The index of the manifest entry of this process's fingerprint, or None."""
+    key = fingerprint()
+    return next((k for k, e in enumerate(entries) if all(e[name] == value for name, value in key.items())), None)
+
+
+def manifest(seeds: list[int]) -> dict:
+    """Record this checkout's corpus in MANIFEST under its fingerprint; return the new entry."""
+    with tempfile.TemporaryDirectory() as tmp:
+        new = entry(tmp, seeds)
+    entries = []
+    if os.path.exists(MANIFEST):
+        with open(MANIFEST, encoding="utf-8") as fh:
+            entries = json.load(fh)
+    k = recorded(entries)
+    if k is None:
+        entries.append(new)
+    else:
+        entries[k] = new
+    with open(MANIFEST, "w", encoding="utf-8") as fh:
+        json.dump(entries, fh, indent=1)
+        fh.write("\n")
+    return new
 
 
 def ulps(a: float, b: float) -> int:
@@ -295,13 +340,16 @@ def main(argv=None) -> int:
     d = sub.add_parser("diff", help="compare two corpora")
     d.add_argument("a")
     d.add_argument("b")
+    m = sub.add_parser("manifest", help=f"record this checkout's corpus in {os.path.relpath(MANIFEST, ROOT)}")
+    m.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
     args = parser.parse_args(argv)
-    if args.command == "write":
-        wrong = {name: f for name, f in write(args.dir, args.seeds).items() if f["exit"] != f["expected_exit"]}
-        for name, f in wrong.items():
-            print(f"fixture {name}: exit {f['exit']}, expected {f['expected_exit']}", file=sys.stderr)
-        return 1 if wrong else 0
-    return diff(args.a, args.b)
+    if args.command == "diff":
+        return diff(args.a, args.b)
+    fixtures = write(args.dir, args.seeds) if args.command == "write" else manifest(args.seeds)["fixtures"]
+    wrong = {name: f for name, f in fixtures.items() if f["exit"] != f["expected_exit"]}
+    for name, f in wrong.items():
+        print(f"fixture {name}: exit {f['exit']}, expected {f['expected_exit']}", file=sys.stderr)
+    return 1 if wrong else 0
 
 
 if __name__ == "__main__":
