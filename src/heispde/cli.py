@@ -13,17 +13,23 @@ rejected.  Reports are written with --out as JSON whose floats are Python's
 shortest round-trip repr, so identical inputs produce identical files except
 for the wall_time entry.
 
-Exit codes: 0 verified, 1 inequality or condition failed, 2 usage or config
-error (or a report that cannot be serialized, with or without --out), 3
-vacuous run (no admissible sample points).  Every command runs under the
-checker's one numpy error state, so a run prints no numpy warning, under
-python -W error too.
+A command returns its report, stdout lines, exit code and side files
+(verify --field-table) and writes nothing.  main alone serializes the report,
+then writes every file or none, then prints: stdout is the same with and
+without --out.
+
+Exit codes: 0 verified, 1 inequality or condition failed, 2 usage, config or
+output error (a report or table that cannot be serialized, with or without
+--out, or a file that cannot be written), 3 vacuous run (no admissible sample
+points).  Every command runs under the checker's one numpy error state, so a
+run prints no numpy warning, under python -W error too.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import math
 import os
@@ -71,23 +77,34 @@ def _dumps(payload) -> str:
     return json.dumps(payload, indent=2, allow_nan=False, default=_plain)
 
 
-def _atomic_write(path: str, write) -> None:
-    """Call write(fh) on a temporary file, then move it onto path."""
-    tmp = f"{path}.tmp{os.getpid()}"
+def _write_files(files: dict) -> None:
+    """Write every file of {path: write}, or none: write(fh) fills a temporary
+    file beside its path, and all are moved into place once every one is
+    written.  An error names the path asked for, not its temporary file."""
+    if len({os.path.realpath(p) for p in files}) < len(files):
+        raise CliError(f"two outputs name one file: {', '.join(files)}")
+    tmps = {}
     try:
-        with open(tmp, "w", newline="", encoding="utf-8") as fh:
-            write(fh)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+        for path, write in files.items():
+            if os.path.isdir(path):  # else os.replace would refuse it after moving the files before it
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            tmps[path] = f"{path}.tmp{os.getpid()}"
+            with open(tmps[path], "w", newline="", encoding="utf-8") as fh:
+                write(fh)
+        for path, tmp in tmps.items():
+            os.replace(tmp, path)
+    except OSError as exc:  # path is the one whose write or move failed
+        raise OSError(exc.errno, exc.strerror, path) from exc
+    finally:
+        for tmp in tmps.values():
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
 
 def write_json_report(path: str, payload: dict) -> None:
     """Serialize payload deterministically and move it into place atomically."""
     text = _dumps(payload) + "\n"
-    _atomic_write(path, lambda fh: fh.write(text))
+    _write_files({path: lambda fh: fh.write(text)})
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +233,8 @@ OPTIONS: dict[str, dict[str, tuple]] = {
         "fixture": (None, _one_of("zero-coeffs", "schro", "hou", "ou")),
         "d": (1, _as_int),
         **_ELLIPTICITY,
-        "gamma0": (1.0, _as_float),
-        "c0": (1.0, _as_float),
+        "gamma0": (None, _as_float),
+        "c0": (None, _as_float),
         "gammas": (None, _as_gammas),
         **_REGION,
         "tol": (1e-9, _as_float),
@@ -336,32 +353,33 @@ def _field_from(eff: dict):
     return field, e, dims
 
 
-def _write_field_table(path: str, report: checker.CheckReport, field) -> None:
-    """One row per admissible sample; a run without one (no samples) writes the header alone."""
+def _write_field_table(fh, report: checker.CheckReport, field) -> None:
+    """One CSV row per admissible sample; a run without one (no samples) gets the header alone.  Rows are
+    formatted straight into fh, so the table never sits in memory whole."""
     samples = report.samples
     n_eig = field.dim - (field.space == "heisenberg")  # the horizontal Hessian's, or the Euclidean one's
-    header = (
-        ["space"]
-        + [f"x{i + 1}" for i in range(field.dim)]
-        + ["radius", "tau", "value", "second_order", "first_order", "total", "alive"]
-        + [f"eig{i + 1}" for i in range(n_eig)]
-    )
-
-    def write(fh):
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(0 if samples is None else samples["points"].shape[0]):
-            tau = "" if samples["tau"] is None else _format_float(samples["tau"][i])
-            writer.writerow(
-                [field.space, *map(_format_float, samples["points"][i]), _format_float(samples["radius"][i]), tau]
-                + [_format_float(samples[k][i]) for k in ("value", "second", "first", "total")]
-                + [int(samples["alive"][i]), *map(_format_float, samples["eigs"][i])]
-            )
-
-    _atomic_write(path, write)
+    header = ["space", *(f"x{i + 1}" for i in range(field.dim)), "radius", "tau", "value", "second_order",
+              "first_order", "total", "alive", *(f"eig{i + 1}" for i in range(n_eig))]
+    writer = csv.writer(fh)
+    writer.writerow(header)
+    for i in range(0 if samples is None else samples["points"].shape[0]):
+        tau = "" if samples["tau"] is None else _format_float(samples["tau"][i])
+        writer.writerow(
+            [field.space, *map(_format_float, samples["points"][i]), _format_float(samples["radius"][i]), tau]
+            + [_format_float(samples[k][i]) for k in ("value", "second", "first", "total")]
+            + [int(samples["alive"][i]), *map(_format_float, samples["eigs"][i])]
+        )
 
 
-def _cmd_verify(eff: dict) -> int:
+def _check_output(command: str, label: str, report: checker.CheckReport, files: dict) -> tuple:
+    """A check's (payload, stdout lines, exit code, side files)."""
+    w = "none" if report.worst_violation is None else format(report.worst_violation, ".6e")
+    line = (f"{label}: verdict={report.verdict} worst_violation={w} "
+            f"n_evaluated={report.n_evaluated} n_excluded={report.n_excluded}")
+    return {"schema": SCHEMA, "command": command, **report.to_dict()}, [line], _EXIT_BY_VERDICT[report.verdict], files
+
+
+def _cmd_verify(eff: dict) -> tuple:
     field, e, _ = _field_from(eff)
     op, sense = PROFILES[eff["field"]].checked_as
     op, sense = eff["op"] or op, eff["sense"] or sense
@@ -370,44 +388,31 @@ def _cmd_verify(eff: dict) -> int:
     mode = "formula" if eff["compare_formula"] else "sense"
     table = eff["field_table"]
     report = checker.check_inequality(field, spec, _region_from(eff), eff["tol"], mode=mode, keep_samples=table is not None)
-    write_table = None if table is None else lambda: _write_field_table(table, report, field)
-    return _report_tail("verify", "verify", report, eff["out"], write_table)
+    files = {} if table is None else {table: lambda fh: _write_field_table(fh, report, field)}
+    return _check_output("verify", "verify", report, files)
 
 
-def _cmd_lyapunov(eff: dict) -> int:
+# The one fixture that reads each of these options; lyapunov_fixture refuses a foreign gammas itself.
+_FIXTURE_OPTIONS = {"gamma0": "hou", "c0": "schro"}
+
+
+def _cmd_lyapunov(eff: dict) -> tuple:
     if eff["fixture"] is None:
-        raise CliError("--fixture is required (library callers can pass "
-                       "arbitrary coefficient families)")
+        raise CliError("--fixture is required (library callers can pass arbitrary coefficient families)")
+    for name, owner in _FIXTURE_OPTIONS.items():
+        if eff[name] is not None and owner != eff["fixture"]:
+            raise CliError(f"--{name} is read by the {owner} fixture only, not by {eff['fixture']!r}")
     dims = HeisDims(eff["d"])
     e = Ellipticity(eff["lam"], eff["Lam"])
-    cond, data, extra = checker.lyapunov_fixture(
-        eff["fixture"], dims, gamma0=eff["gamma0"], c0=eff["c0"], gammas=eff["gammas"]
-    )
+    given = {name: eff[name] for name in _FIXTURE_OPTIONS if eff[name] is not None}
+    cond, data, extra = checker.lyapunov_fixture(eff["fixture"], dims, gammas=eff["gammas"], **given)
     report = checker.check_lyapunov(
         cond, data, e, _region_from(eff), dims, gammas=extra.get("gammas"), tol=eff["tol"]
     )
-    return _report_tail("lyapunov", f"lyapunov[{cond}]", report, eff["out"])
+    return _check_output("lyapunov", f"lyapunov[{cond}]", report, {})
 
 
-def _report_tail(command: str, label: str, report: checker.CheckReport, out, write_table=None) -> int:
-    """Serialize the report, call write_table, write --out, print the verdict line; return the exit code.
-
-    The report is serialized before any file is written, so a report that
-    cannot be (a non-finite number) exits 2 with and without --out and
-    leaves no file.
-    """
-    text = _dumps({"schema": SCHEMA, "command": command, **report.to_dict()}) + "\n"
-    if write_table is not None:
-        write_table()
-    if out:
-        _atomic_write(out, lambda fh: fh.write(text))
-    w = "none" if report.worst_violation is None else format(report.worst_violation, ".6e")
-    print(f"{label}: verdict={report.verdict} worst_violation={w} "
-          f"n_evaluated={report.n_evaluated} n_excluded={report.n_excluded}")
-    return _EXIT_BY_VERDICT[report.verdict]
-
-
-def _cmd_op_eval(eff: dict) -> int:
+def _cmd_op_eval(eff: dict) -> tuple:
     if eff["op"] is None or eff["matrix"] is None:
         raise CliError("op-eval needs --op and --matrix")
     op = eff["op"]
@@ -420,24 +425,14 @@ def _cmd_op_eval(eff: dict) -> int:
         "command": "op-eval",
         "kind": "op_eval",
         "op": op,
-        "params": {
-            "lam": eff["lam"],
-            "Lam": eff["Lam"],
-            "alpha": eff["alpha"],
-            "p": eff["p"],
-            "zero_tol": operators.ZERO_TOL,
-        },
+        "params": {**{name: eff[name] for name in ("lam", "Lam", "alpha", "p")}, "zero_tol": operators.ZERO_TOL},
         "values": np.atleast_1d(values),
         "eigenvalues": eigs,
     }
-    if eff["out"]:
-        write_json_report(eff["out"], payload)
-    for v in np.atleast_1d(values):
-        print(_format_float(float(v)))
-    return 0
+    return payload, [_format_float(float(v)) for v in np.atleast_1d(values)], 0, {}
 
 
-def _cmd_gallery(eff: dict) -> int:
+def _cmd_gallery(eff: dict) -> tuple:
     dims = None if eff["d"] is None else HeisDims(eff["d"])
     e = None
     if eff["lam"] is not None or eff["Lam"] is not None:
@@ -446,20 +441,18 @@ def _cmd_gallery(eff: dict) -> int:
         e = Ellipticity(eff["lam"], eff["Lam"])
     rows = gallery.profile_catalog(e, dims)
     payload = {"schema": SCHEMA, "command": "gallery", "kind": "gallery", "rows": rows}
-    if eff["out"]:
-        write_json_report(eff["out"], payload)
     if eff["json"]:
-        print(_dumps(payload))
-    else:
-        for row in rows:
-            bits = [f"{row['name']:<12}", f"{row['kind']:<11}"]
-            if "exponent" in row and row["exponent"] is not None:
-                bits.append(f"exponent={row['exponent']:.6g}")
-            if "valid" in row:
-                bits.append("ok" if row["valid"] else "out-of-regime")
-            bits.append(row["description"])
-            print("  ".join(bits))
-    return 0
+        return payload, [_dumps(payload)], 0, {}
+    lines = []
+    for row in rows:
+        bits = [f"{row['name']:<12}", f"{row['kind']:<11}"]
+        if "exponent" in row and row["exponent"] is not None:
+            bits.append(f"exponent={row['exponent']:.6g}")
+        if "valid" in row:
+            bits.append("ok" if row["valid"] else "out-of-regime")
+        bits.append(row["description"])
+        lines.append("  ".join(bits))
+    return payload, lines, 0, {}
 
 
 _DISPATCH = {
@@ -575,7 +568,13 @@ def main(argv=None) -> int:
     try:
         eff = _effective(ns)
         with np.errstate(**checker._ERRSTATE):
-            return _DISPATCH[ns.command](eff)
+            payload, lines, code, files = _DISPATCH[ns.command](eff)
+            # Serialize the report, then write every file or none, then print.
+            text = _dumps(payload) + "\n"
+            _write_files({**files, eff["out"]: lambda fh: fh.write(text)} if eff["out"] else files)
+        for line in lines:
+            print(line)
+        return code
     except (CliError, ProfileRegimeError, ValueError, TypeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -259,6 +259,29 @@ def test_a_table_row_whose_square_overflows_is_outside_the_range(space, recwarn)
     assert not recwarn.list
 
 
+def test_a_row_on_a_tube_boundary_is_admissible():
+    # The tubes are open: tau < char_eps and |rho - r_k| < kink_eps.  A sampled
+    # tau is a dyadic midpoint and never meets char_eps, so only a table row
+    # can sit on a boundary.  Row 0 lies exactly kink_eps from r_k (both
+    # subtractions are exact), row 1's tau is exactly char_eps.
+    pts = np.array([[0.7, -0.2, 1.1], [0.05, 0.0, 1.0]])
+    radius, tau = checker._radius_tau(pts, "heisenberg")
+    kink = 2.0**-10
+    r_k = float(radius[0]) - kink
+    assert radius[0] - r_k == kink and abs(radius[1] - r_k) > kink and tau[0] > tau[1]
+    table = TabulatedField(pts, np.zeros(2), np.zeros((2, 3)), np.zeros((2, 3, 3)), singular_radii=(r_k,))
+    spec = OperatorSpec("pucci_max", ell=E12)
+
+    def excluded(char_eps, kink_eps):
+        rep = check_tabulated(table, spec, Region(0.5, 2.0, char_eps=char_eps, kink_eps=kink_eps))
+        assert rep.n_evaluated + sum(rep.excluded_by.values()) == 2
+        return rep.excluded_by
+
+    assert excluded(float(tau[1]), kink) == {}
+    assert excluded(float(np.nextafter(tau[1], 1.0)), kink) == {"characteristic_tube": 1}
+    assert excluded(float(tau[1]), float(np.nextafter(kink, 1.0))) == {"kink_tube": 1}
+
+
 def test_formula_mode_matches_closed_forms():
     field = _field("log_rho")
     spec = OperatorSpec("pucci_min", "subsolution", ell=E12)

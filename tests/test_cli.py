@@ -1,5 +1,7 @@
 import csv
 import dataclasses
+import errno
+import io
 import json
 import math
 import os
@@ -7,7 +9,6 @@ import re
 import subprocess
 import sys
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -128,15 +129,44 @@ def test_bad_numbers_exit_two_without_a_report(argv, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("fixture", ["zero-coeffs", "schro", "hou"])
-def test_gammas_for_a_fixture_other_than_ou_exit_two(fixture, tmp_path, capsys):
-    # They were dropped: the run passed with config.gammas null.
+# (option, value, another fixture than the one that reads it, the error): the
+# CLI refuses gamma0 and c0, lyapunov_fixture refuses gammas.
+_FOREIGN_FIXTURE_OPTIONS = [
+    (option, value, fixture, f"{refusal} the {owner} fixture only, not {word} {fixture!r}")
+    for option, value, owner, refusal, word in [
+        ("gammas", "1,2,3", "ou", "gammas apply to", "to"),
+        ("gamma0", "5", "hou", "--gamma0 is read by", "by"),
+        ("c0", "7", "schro", "--c0 is read by", "by"),
+    ]
+    for fixture in cli.OPTIONS["lyapunov"]["fixture"][1].choices
+    if fixture != owner
+]
+
+
+@pytest.mark.parametrize("option,value,fixture,message", _FOREIGN_FIXTURE_OPTIONS,
+                         ids=[f"{option}-{fixture}" for option, _, fixture, _ in _FOREIGN_FIXTURE_OPTIONS])
+def test_a_fixture_option_for_another_fixture_exits_two(option, value, fixture, message, tmp_path, capsys):
+    # gamma0 and c0 were dropped: the run passed, and the report kept no trace of the value.
     out = tmp_path / "rep.json"
     argv = ["lyapunov", "--fixture", fixture, "--d", "1", "--rho-min", "2", "--rho-max", "16",
-            "--n-samples", "200", "--gammas", "1,2,3", "--out", str(out)]
-    assert main(argv) == 2
-    assert "error: gammas apply to the ou fixture only" in capsys.readouterr().err
+            "--n-samples", "200", f"--{option}", value]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({option: [1.0, 2.0, 3.0] if option == "gammas" else float(value)}))
+    assert main(argv[:-2] + ["--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("fixture,option", [("hou", "gamma0"), ("schro", "c0")])
+def test_a_fixture_option_left_out_takes_the_library_default(fixture, option, tmp_path, capsys):
+    argv = ["lyapunov", "--fixture", fixture, "--d", "1", "--rho-min", "2", "--rho-max", "16", "--n-samples", "200"]
+    out = tmp_path / "rep.json"
+    left_out = _outcome(argv, out, capsys)
+    assert left_out == _outcome(argv + [f"--{option}", "1"], out, capsys)
+    assert f'"coefficients": "{fixture}({option}=1.0)"'.encode() in left_out[3]
+    assert _outcome(argv + [f"--{option}", "2"], out, capsys)[3] != left_out[3]
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -256,7 +286,10 @@ def test_report_keys_come_in_report_order(tmp_path, capsys):
     assert rep.samples is not None
     assert list(rep.to_dict()) == ["schema"] + keys
     out = tmp_path / "rep.json"
-    assert cli._report_tail("verify", "verify", rep, str(out)) == 0
+    assert main([
+        "verify", "--field", "log_rho", "--d", "1", "--rho-min", "0.5", "--rho-max", "4", "--n-samples", "64",
+        "--char-eps", "0.05", "--field-table", str(tmp_path / "t.csv"), "--out", str(out),
+    ]) == 0
     assert list(_load(out)) == ["schema", "command"] + keys
     assert capsys.readouterr().out.startswith("verify: verdict=pass ")
 
@@ -627,17 +660,81 @@ def test_reports_round_trip_exactly_and_are_canonical(tmp_path):
     assert not list(tmp_path.glob("*.tmp*"))
 
 
-def test_field_table_leaves_nothing_on_non_finite(tmp_path):
-    table = tmp_path / "table.csv"
-    samples = {
-        "points": np.zeros((2, 3)), "radius": np.ones(2), "tau": None,
-        "value": np.array([0.0, np.nan]), "second": np.zeros(2), "first": np.zeros(2),
-        "total": np.zeros(2), "alive": np.ones(2, dtype=bool), "eigs": np.zeros((2, 3)),
-    }
-    report = SimpleNamespace(samples=samples)
-    with pytest.raises(ValueError):
-        cli._write_field_table(str(table), report, SimpleNamespace(dim=3, space="euclidean"))
+def test_field_table_leaves_nothing_on_non_finite(tmp_path, monkeypatch, capsys):
+    run = checker.check_inequality
+
+    def with_a_nan_value(*args, **kwargs):
+        report = run(*args, **kwargs)
+        report.samples["value"][-1] = np.nan
+        return report
+
+    monkeypatch.setattr(checker, "check_inequality", with_a_nan_value)
+    argv = FIXTURES["verify-u4"]["argv"] + ["--field-table", str(tmp_path / "t.csv")]
+    for extra in ([], ["--out", str(tmp_path / "rep.json")]):
+        assert main(argv + extra) == 2
+        assert capsys.readouterr() == ("", "error: refusing to serialize a non-finite number\n")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name", list(FIXTURES))
+def test_a_command_writes_all_of_its_outputs_or_none(name, tmp_path, capsys):
+    argv = FIXTURES[name]["argv"]
+    out = tmp_path / "rep.json"
+    # A verify run's --field-table was written before its --out failed.
+    side = ["--field-table", str(tmp_path / "t.csv")] if argv[0] == "verify" else []
+    unwritable = tmp_path / "missing" / "rep.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bare = main(argv), capsys.readouterr()
+        assert (main(argv + ["--out", str(out)]), capsys.readouterr()) == bare
+        assert bare[0] == FIXTURES[name]["expected_exit"] and out.exists()
+        out.unlink()
+        assert main(argv + side + ["--out", str(unwritable)]) == 2
+    text = capsys.readouterr()
+    assert text.out == "" and text.err.startswith("error: ") and text.err.count("\n") == 1
+    # The error names the path asked for, not its temporary file.
+    assert f": {str(unwritable)!r}\n" in text.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_out_that_is_a_directory_leaves_the_field_table_unwritten(tmp_path, capsys):
+    # The table was moved into place before the report's move failed.
+    (tmp_path / "dir").mkdir()
+    argv = FIXTURES["verify-u4"]["argv"] + ["--field-table", str(tmp_path / "t.csv"), "--out", str(tmp_path / "dir")]
+    assert main(argv) == 2
+    message = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(tmp_path / 'dir')!r}"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["dir"] and not any((tmp_path / "dir").iterdir())
+
+
+def test_an_op_eval_that_overflows_prints_nothing_with_and_without_out(tmp_path, capsys):
+    # Without --out it printed -2.0 before refusing the second value.
+    argv = ["op-eval", "--op", "neg_trace", "--matrix", "[[[1.0,0.0],[0.0,1.0]], [[1e308,0.0],[0.0,1e308]]]"]
+    out = tmp_path / "rep.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for extra in ([], ["--out", str(out)]):
+            assert main(argv + extra) == 2
+            assert capsys.readouterr() == ("", "error: refusing to serialize a non-finite number\n")
+    assert not out.exists()
+
+
+def test_two_outputs_to_one_file_exit_two_and_write_neither(tmp_path, monkeypatch, capsys):
+    # The report silently replaced the table.
+    monkeypatch.chdir(tmp_path)
+    argv = FIXTURES["verify-u4"]["argv"] + ["--field-table", "same.json", "--out", "./same.json"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: two outputs name one file: same.json, ./same.json\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_closed_stdout_exits_two(monkeypatch, capsys):
+    closed = io.StringIO()
+    closed.close()
+    monkeypatch.setattr(sys, "stdout", closed)
+    assert main(FIXTURES["op-eval-pucci"]["argv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: I/O operation on closed file") and err.count("\n") == 1
 
 
 def _kind(conv):
