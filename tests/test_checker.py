@@ -692,6 +692,25 @@ def test_a_positive_excess_beside_an_overflowed_magnitude_raises(diag, ell, tol)
         assert (rep.verdict, rep.worst_violation) == ("pass", -1.3e308)
 
 
+def test_any_positive_excess_beside_an_infinite_allowance_raises():
+    # Not only an excess near the overflow: 0.5 beside an infinite allowance is
+    # as undecided, so the pass rule's best is NaN and the fold raises on it.
+    rule = checker._PassRule()
+    assert rule.add(np.array([-1.0, 0.5]), np.array([1.0, np.inf])) == 1
+    assert np.isnan(rule.best)
+    region = Region(1.0, 2.0, n_samples=8, char_eps=0.0)
+    batch = checker.sample_region(region, space="heisenberg", dim=3)
+
+    def chunk(rows, pts):
+        last = rows == rows[-1]
+        named = {"n_evaluated": rows.size, "n_looked": rows.size}
+        return np.where(last, 0.5, -1.0), np.where(last, np.inf, 1.0), named, lambda k: {}
+
+    with pytest.raises(ValueError, match="^the lyapunov check got NaN at rho = "):
+        checker._fold_chunks("lyapunov", batch, region, 0.0, {}, 0.0, chunk, lambda folded, verdict: {},
+                             rounding=1, reads_points=False)
+
+
 def test_euclidean_cost_route():
     ok = HJBCoefficients(
         drifts=(lambda x: np.zeros(x.shape[:-1] + (3,)),),

@@ -335,9 +335,10 @@ def _hou(d):
 
 
 def _ou(d):
-    # ou's margin reads the points, so it places every admissible row; hou takes the chart path.
+    # Unequal horizontal gammas keep ou on the placed path, which places every admissible row; hou, and ou with
+    # equal horizontal gammas, take the chart path.
     dims = HeisDims(d)
-    cond, data, extra = lyapunov_fixture("ou", dims)
+    cond, data, extra = lyapunov_fixture("ou", dims, gammas=[1.0, 2.0] * d + [1.0])
     return lambda n: check_lyapunov(cond, data, E12, Region(2.5, 20.0, n_samples=n, seed=1), dims, gammas=extra["gammas"])
 
 

@@ -467,6 +467,22 @@ def test_hou_at_extreme_radii_keeps_its_exit_code_and_prints_no_warning(tmp_path
         assert _load(out)["paths"]["guard"]["n_overflow"] == 256
 
 
+@pytest.mark.parametrize("d,rho_min,rho_max", [(d, lo, hi) for d in ("1", "2", "4") for lo, hi in
+                                               [("1e100", "1e110"), ("1e-150", "1e-140")]] + [("1", "1e-300", "16")])
+def test_ou_at_extreme_radii_stops_by_the_nan_rule(d, rho_min, rho_max, capsys):
+    # rho^3 overflows on [1e100, 1e110], rho^4 underflows on [1e-150, 1e-140]
+    # (the placed proof margin is -inf beside an infinite magnitude), and
+    # tau^2 / rho^2 overflows from 1e-300: each run exits 2 on the chart
+    # path, as it did while ou placed every row.
+    argv = ["lyapunov", "--fixture", "ou", "--d", d, "--rho-min", rho_min, "--rho-max", rho_max, "--n-samples", "256"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    text = capsys.readouterr()
+    assert text.out == "" and text.err.startswith("error: the lyapunov check got NaN at rho = ")
+    assert text.err.count("\n") == 1
+
+
 _STEEP = ["verify", "--field", "power", "--d", "1", "--rho-min", "0.3", "--rho-max", "0.6", "--n-samples", "512",
           "--char-eps", "0.05"]
 # Runs at the edges of the double range: each exits 0-3, the same with and

@@ -455,7 +455,7 @@ def test_the_chart_path_reports_what_the_placed_path_does(name, cond, d, seed):
         assert (cw["tau"], cw["point"]) == (pw["tau"], pw["point"])
 
 
-@pytest.mark.parametrize("name,field", [("hou", "betas"), ("schro", "levels")])
+@pytest.mark.parametrize("name,field", [("hou", "coeffs"), ("schro", "levels")])
 def test_a_family_whose_recorded_coefficients_are_off_raises(name, field):
     # The chunks read the recorded (beta_k, c_k), the guard the callables;
     # these are off by 10 times the guard's relative budget (2m + 24) eps.
@@ -475,7 +475,8 @@ def test_a_nan_chart_margin_is_a_disagreement():
     rows = np.flatnonzero(batch.admissible)[:8]
     pts = batch.place(rows)
     with pytest.raises(ValueError, match="chart and placed margins disagree at point"):
-        checker._placed_check(batch, dataclasses.replace(family, betas=(np.nan,)), 0.0, rows, pts, *checker._radius_tau(pts, "heisenberg"))
+        checker._placed_check(batch, checker.LYAPUNOV_CONDITIONS["condcor1"]["horizontal"], dataclasses.replace(family, coeffs=(np.nan,)),
+                              0.0, None, rows, pts, *checker._radius_tau(pts, "heisenberg"))
 
 
 def test_the_guard_counts_overflowing_placed_margins_and_compares_the_rest():
@@ -486,3 +487,95 @@ def test_the_guard_counts_overflowing_placed_margins_and_compares_the_rest():
     check = rep.paths["guard"]
     assert rep.verdict == "pass" and 0 < check["n_overflow"] < check["n"] == 256
     assert 0.0 < check["max_rel"] <= 14 * EPS
+
+
+# ---------------------------------------------------------------------------
+# the chart path of the ou fixture against the placed path
+
+OU_REGION = Region(2.5, 20.0, n_samples=3000, char_eps=0.05)
+
+
+def _ou_runs(family, gammas, region, d):
+    dims = HeisDims(d)
+    return [check_lyapunov("OUtype", data, E12, region, dims, gammas=gammas) for data in (family, _placed_twin(family))]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_the_ou_chart_path_reports_what_the_placed_path_does(d, seed):
+    _, family, extra = checker.lyapunov_fixture("ou", HeisDims(d))
+    chart, placed = _ou_runs(family, extra["gammas"], dataclasses.replace(OU_REGION, seed=seed), d)
+    assert (chart.verdict, chart.n_evaluated, chart.n_excluded, chart.excluded_by) == (
+        placed.verdict, placed.n_evaluated, placed.n_excluded, placed.excluded_by
+    )
+    # d = 1 passes; d = 2 and 4 fail on their proof margin (about -0.397 and -1.71).
+    assert chart.verdict == ("pass" if d == 1 else "fail")
+    assert placed.paths == {"chart": 0, "placed": placed.n_evaluated, "guard": None}
+    assert chart.paths["chart"] == chart.n_evaluated and chart.paths["placed"] == 0
+    check = chart.paths["guard"]
+    assert check["n"] == 256 and check["n_overflow"] == 0
+    # README's first-order bound on the guard's differences, (m + 17) eps M.
+    assert check["max_rel"] <= (2 * d + 17) * EPS
+
+    # The guard's budget (2m + 24) eps M, where M <= |proof| + 2 |r| + 2 max(gamma) for a margin read off a proof.
+    r = abs(_threshold("condcor1", d))
+
+    def close(a, b):
+        return a is b is None or abs(a - b) <= (4 * d + 24) * EPS * (abs(a) + 2 * r + 2.0)
+
+    # The drift is -gamma x itself, so the scaled drift margin is 0 on both paths.
+    assert chart.components["min_scaled_drift_margin"] == placed.components["min_scaled_drift_margin"] == 0.0
+    assert close(chart.components["min_proof_margin"], placed.components["min_proof_margin"])
+    assert close(chart.worst_violation, placed.worst_violation)
+    assert [(e["R"], e["n"]) for e in chart.scan] == [(e["R"], e["n"]) for e in placed.scan]
+    for a, b in zip(chart.scan, placed.scan):
+        assert close(a["min_margin"], b["min_margin"])
+
+
+@pytest.mark.parametrize("field", ["coeffs", "levels"])
+def test_an_ou_family_whose_declared_coefficients_are_off_raises(field):
+    # The chunks read the declared rates and costs, the guard the callables; a
+    # cost is compared even where the scaled drift margin, 0, is the smaller part.
+    dims = HeisDims(1)
+    g = np.array([1.5, 1.5, 0.7])
+    family = checker._chart_family("euclidean", (g, 2.0 * g), (0.3, 0.1), "two controls")
+    off = 1.0 + 100 * (2 * dims.m + 24) * EPS
+    bad = dataclasses.replace(family, **{field: tuple(
+        tuple(v * off for v in k) if field == "coeffs" else k * off for k in getattr(family, field))})
+    chart, placed = _ou_runs(family, g, OU_REGION, 1)
+    assert chart.paths["guard"]["n"] == 256 and chart.verdict == placed.verdict
+    with pytest.raises(ValueError, match="chart and placed margins disagree at point"):
+        check_lyapunov("OUtype", bad, E12, OU_REGION, dims, gammas=g)
+
+
+@pytest.mark.parametrize("where", ["condition", "family"])
+def test_unequal_horizontal_rates_keep_the_placed_path(where):
+    dims = HeisDims(1)
+    unequal = np.array([1.0, 2.0, 1.0])
+    family = checker.lyapunov_fixture("ou", dims, gammas=unequal if where == "family" else None)[1]
+    gammas = unequal if where == "condition" else np.ones(dims.n)
+    rep = check_lyapunov("OUtype", family, E12, OU_REGION, dims, gammas=gammas)
+    assert rep.paths == {"chart": 0, "placed": rep.n_evaluated, "guard": None}
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_ou_passes_where_rho_to_the_fourth_overflows(d):
+    # rho^4 overflows above 1.2e77 and rho^3 above 5.6e102: the chart's scaled
+    # drift margin rho^3 (rho (min_k G_k - G)) stays 0, as the placed one does.
+    _, family, extra = checker.lyapunov_fixture("ou", HeisDims(d))
+    chart, placed = _ou_runs(family, extra["gammas"], Region(1e80, 1e100, n_samples=2000, seed=3), d)
+    assert chart.verdict == placed.verdict == "pass"
+    assert chart.paths["guard"]["n"] == 256 and chart.paths["guard"]["n_overflow"] == 0
+
+
+@pytest.mark.parametrize("name,gamma0,lo,hi", [("hou", -1.0, 1e60, 1e76), ("ou", 1.0, 1e-150, 1e-140)])
+def test_the_chart_path_stops_where_its_placed_margin_is_undecided(name, gamma0, lo, hi):
+    # Outward hou: b . eta = |eta|^2 overflows, so the placed margin is -inf
+    # beside an infinite magnitude; ou: rho^4 underflows and s / rho^4 is inf.
+    # The placed run stops there by the pass rule, and the chart run's guard does too.
+    dims = HeisDims(1)
+    cond, family, extra = checker.lyapunov_fixture(name, dims, gamma0=gamma0)
+    region = Region(lo, hi, n_samples=2000, seed=3, char_eps=0.05)
+    for data in (family, _placed_twin(family)):
+        with pytest.raises(ValueError, match="^the lyapunov check got NaN at rho = "):
+            check_lyapunov(cond, data, E12, region, dims, **extra)

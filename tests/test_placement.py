@@ -281,8 +281,8 @@ def test_bellman_and_keep_samples_runs_place_every_admissible_row_once(placement
 
 
 def test_check_lyapunov_places_its_admissible_rows_once(placements, monkeypatch):
-    # ou's margin reads the points; the eta fixtures take the chart path (below).
-    cond, data, extra = lyapunov_fixture("ou", HeisDims(1))
+    # ou with unequal horizontal gammas reads the points; the other fixtures take the chart path (below).
+    cond, data, extra = lyapunov_fixture("ou", HeisDims(1), gammas=[1.0, 2.0, 1.0])
     region = Region(2.5, 20.0, n_samples=2000, seed=1, char_eps=0.05)
     for chunk in CHUNK_SIZES:
         monkeypatch.setattr(checker, "_CHUNK_ROWS", chunk)
@@ -323,7 +323,8 @@ def _shape_cases():
     pts = _points(sample_region(Region(0.1, 8.0, n_samples=512, seed=6), space="heisenberg", dim=field.dim))
     table = TabulatedField(pts, field.value(pts), field.gradient(pts), field.hessian(pts))
     dims, lyap = HeisDims(1), Region(2.0, 16.0, n_samples=2000, seed=1, char_eps=0.05)
-    ou, hou = lyapunov_fixture("ou", dims), lyapunov_fixture("hou", dims)
+    ou, hou = lyapunov_fixture("ou", dims, gammas=[1.0, 2.0, 1.0]), lyapunov_fixture("hou", dims)
+    ou_chart = lyapunov_fixture("ou", dims)
     vacuous = Region(1.0 - 1e-8, 1.0 + 1e-8, n_samples=32, kink_eps=1e-6)  # inside u4's kink tube
 
     def sampled(r, dim):
@@ -335,12 +336,14 @@ def _shape_cases():
                   sampled(region, field.dim)),
         "tabulated": (lambda keep: check_tabulated(table, spec, region, keep_samples=keep), lambda row: table.points[row]),
         "lyapunov chart": (lambda keep: check_lyapunov(hou[0], hou[1], E15, lyap, dims), sampled(lyap, dims.n)),
+        "lyapunov ou chart": (lambda keep: check_lyapunov(*ou_chart[:2], E15, lyap, dims, **ou_chart[2]), sampled(lyap, dims.n)),
         "lyapunov placed": (lambda keep: check_lyapunov(ou[0], ou[1], E15, lyap, dims, **ou[2]), sampled(lyap, dims.n)),
         "vacuous": (lambda keep: check_inequality(field, spec, vacuous, keep_samples=keep), None),
     }
 
 
-@pytest.mark.parametrize("case", ["spectral", "dense", "tabulated", "lyapunov chart", "lyapunov placed", "vacuous"])
+@pytest.mark.parametrize("case", ["spectral", "dense", "tabulated", "lyapunov chart", "lyapunov ou chart", "lyapunov placed",
+                                  "vacuous"])
 def test_every_report_has_one_paths_shape_and_a_witness_row_that_places_its_point(case):
     run, place = _shape_cases()[case]
     rep = run(False)
